@@ -21,10 +21,20 @@ Everything downstream hangs off two kinds of guarantees produced here:
 All coordinates are plain binary64 and every emitted number is a fixed
 arithmetic expression of schedule values, so rebuilding with the same
 configuration reproduces the geometry bit for bit.
+
+The packing certificate never forms all N^2 pairs.  It sorts the boxes
+along one axis and sweeps: a pair whose projections on that axis are
+strictly separated (or, for a minimum distance, separated by more than the
+distance of a pair already in hand) is settled by that comparison alone,
+and only the remaining candidates are measured, in bounded chunks.  Every
+distance, and every bound used to skip pairs, is one per-pair formula that
+is monotone under rounding, so the sweep proves the same facts and reports
+the same bits as an all-pairs pass, at O(N log N) plus the candidates.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -409,66 +419,199 @@ def _bounds_arrays(boxes: Sequence[BoxSpec]) -> Tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _group_min_distance(lo_a, hi_a, lo_b, hi_b) -> float:
-    """Minimum Euclidean distance between two families of boxes, from the
-    per-axis separations (zero where the projections overlap)."""
-    sep = np.maximum(lo_a[:, None, :] - hi_b[None, :, :],
-                     lo_b[None, :, :] - hi_a[:, None, :])
+# candidate pairs examined per numpy step; bounds the working memory of the
+# sweep at a few MiB whatever the box count
+_PAIR_CHUNK = 1 << 16
+
+
+def _pair_distances(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
+    """Euclidean distances of the row-aligned box pairs (a_r, b_r), from the
+    per-axis separations (zero where the projections overlap).
+
+    This is the one per-pair formula of the module: every distance it
+    reports, and every bound used to skip pairs, is this expression on
+    (m, n) rows, so equal inputs give equal bits whatever route led to them.
+    numpy sums a contiguous last axis the same way for (m, n) rows as for
+    (A, B, n) all-pairs blocks; the tests hold the two routes equal.
+    """
+    sep = np.maximum(lo_a - hi_b, lo_b - hi_a)
     np.maximum(sep, 0.0, out=sep)
-    return float(np.sqrt((sep ** 2).sum(axis=2)).min())
+    return np.sqrt((sep ** 2).sum(axis=1))
+
+
+def _reach(delta: float) -> float:
+    """A separation u with fl(sqrt(fl(u*u))) > delta.
+
+    A pair whose computed separation along one axis is >= u has a computed
+    distance > delta: squaring, summing non-negative terms and sqrt are all
+    monotone under round-to-nearest.
+    """
+    u = math.nextafter(delta, math.inf)
+    while u < math.inf and not math.sqrt(u * u) > delta:
+        u *= 2.0  # only reached where u*u underflows
+    return u
+
+
+def _sweep_pairs(lo: np.ndarray, hi: np.ndarray,
+                 reach: Optional[float]) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Chunks (i, k) of row indices covering every unordered pair of rows
+    that is not provably apart along one sweep axis.
+
+    With reach None a pair is dropped only when hi_a < lo_b strictly on the
+    sweep axis, which is exactly the certificate's separation test.  With
+    reach u a pair is dropped only when lo_b > hi_a + u in exact arithmetic
+    (the cut-off is rounded upward), so its computed separation on that
+    axis is >= u.  Non-finite coordinates make every pair a candidate.  The
+    axis is the one with the fewest candidates; each chunk holds at most
+    _PAIR_CHUNK pairs unless one row alone has more.
+    """
+    m = len(lo)
+    if m < 2:
+        return
+    rank = np.arange(m)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        order, ends = rank, np.full(m, m)
+    else:
+        best = None
+        for ax in range(lo.shape[1]):
+            o = np.argsort(lo[:, ax], kind="stable")
+            cut = hi[o, ax]
+            if reach is not None:
+                cut = np.nextafter(cut + reach, math.inf)
+            e = np.maximum(np.searchsorted(lo[o, ax], cut, side="right"),
+                           rank + 1)
+            total = int((e - rank - 1).sum())
+            if best is None or total < best[0]:
+                best = (total, o, e)
+        _, order, ends = best
+    counts = ends - rank - 1
+    csum = np.cumsum(counts)
+    r = 0
+    while r < m:
+        base = int(csum[r - 1]) if r else 0
+        e = max(int(np.searchsorted(csum, base + _PAIR_CHUNK, side="right")),
+                r + 1)
+        c = counts[r:e]
+        total = int(csum[e - 1]) - base
+        if total:
+            i_rank = np.repeat(rank[r:e], c)
+            k_rank = i_rank + 1 + (np.arange(total)
+                                   - np.repeat(np.cumsum(c) - c, c))
+            yield order[i_rank], order[k_rank]
+        r = e
+
+
+def _min_distance(lo: np.ndarray, hi: np.ndarray, delta: float,
+                  label: Optional[np.ndarray] = None) -> float:
+    """Minimum computed distance over the pairs of rows (over the pairs with
+    different labels, when given), where delta is the computed distance of
+    one such pair.
+
+    Every pair the delta-widened sweep drops has a computed distance
+    > delta >= the minimum, so the minimum over the candidates is the
+    minimum over all pairs, bit for bit.
+    """
+    best = math.inf
+    for i, k in _sweep_pairs(lo, hi, _reach(delta)):
+        if label is not None:
+            keep = label[i] != label[k]
+            i, k = i[keep], k[keep]
+            if not len(i):
+                continue
+        best = np.minimum(best, _pair_distances(lo[i], hi[i], lo[k], hi[k]).min())
+    return float(best)
 
 
 def disjointness_certificate(boxes: Sequence[BoxSpec],
                              sched: Schedule) -> DisjointnessReport:
-    """Exact pairwise closure-disjointness plus the quantitative gap floors.
+    """Exact pairwise closure-disjointness plus the quantitative gap floors,
+    by sort-and-sweep (sweep-and-prune, Cohen et al., I-COLLIDE 1995).
 
     Disjointness is decided by strict comparison of computed coordinates,
     no tolerance: two closed boxes are disjoint iff some axis strictly
-    separates them.  Per-level and per-level-pair minimum distances are then
-    measured and compared against the schedule's promised separations.
+    separates them.  Boxes are sorted along one axis; a pair whose closed
+    projections on that axis do not meet is strictly separated there, which
+    is its proof, and every other pair gets the all-axes test.
+
+    Per-level and per-level-pair minimum distances are then measured and
+    compared against the schedule's promised separations.  A level's
+    minimum comes from a sweep widened by the distance of one of its pairs,
+    which is an upper bound on it, so every pair left out is farther away.
+    For two levels, the distance between their bounding boxes is a lower
+    bound on every pair's computed distance (the per-pair formula is
+    monotone under rounding); when one witness pair (the lowest box of the
+    upper level against the highest box of the lower level) attains it, it
+    is the minimum, and otherwise the two levels are swept together.  All
+    distances are one formula, so the report equals the all-pairs
+    computation bit for bit.
+
+    Cost: O(n N log N) for the sorts, plus the candidate pairs (on the
+    layered arrangement, about N times the number of levels a box's
+    projection meets), plus O(L^2 n) vectorized bounds for L levels.  Memory
+    is O(N) plus a fixed chunk of candidate pairs.
     """
     lo, hi = _bounds_arrays(boxes)
     n_boxes = len(boxes)
+    js = np.array([b.j for b in boxes], dtype=np.int64)
+    layer_of = np.array([b.layer for b in boxes], dtype=np.int64)
 
-    overlaps: List[Tuple[int, int]] = []
-    chunk = 512
-    for s in range(0, n_boxes, chunk):
-        e = min(s + chunk, n_boxes)
+    firsts, seconds = [], []
+    for i, k in _sweep_pairs(lo, hi, None):
         # strict separation along some axis, either direction
-        apart = ((hi[s:e, None, :] < lo[None, :, :])
-                 | (hi[None, :, :] < lo[s:e, None, :])).any(axis=2)
-        bad = np.argwhere(~apart)
-        for a, b in bad:
-            ja, jb = boxes[s + a].j, boxes[b].j
-            if ja < jb:
-                overlaps.append((ja, jb))
+        apart = ((hi[i] < lo[k]) | (hi[k] < lo[i])).any(axis=1)
+        i, k = i[~apart], k[~apart]
+        keep = js[i] != js[k]
+        i, k = i[keep], k[keep]
+        swap = js[i] > js[k]
+        firsts.append(np.where(swap, k, i))
+        seconds.append(np.where(swap, i, k))
+    overlaps: Tuple[Tuple[int, int], ...] = ()
+    if firsts:
+        first, second = np.concatenate(firsts), np.concatenate(seconds)
+        o = np.lexsort((second, first))
+        overlaps = tuple(zip(js[first[o]].tolist(), js[second[o]].tolist()))
 
-    layers = sorted({b.layer for b in boxes})
-    idx: Dict[int, List[int]] = {la: [] for la in layers}
-    for pos, b in enumerate(boxes):
-        idx[b.layer].append(pos)
+    by_layer = np.argsort(layer_of, kind="stable")
+    layer_ids, starts = np.unique(layer_of[by_layer], return_index=True)
+    groups = np.split(by_layer, starts[1:])
+    layers = layer_ids.tolist()
 
     in_layer: List[InLayerGap] = []
-    for la in layers:
-        pos = idx[la]
+    for la, pos in zip(layers, groups):
         if len(pos) < 2:
             continue
         g_lo, g_hi = lo[pos], hi[pos]
-        sep = np.maximum(g_lo[:, None, :] - g_hi[None, :, :],
-                         g_lo[None, :, :] - g_hi[:, None, :])
-        np.maximum(sep, 0.0, out=sep)
-        dist = np.sqrt((sep ** 2).sum(axis=2))
-        np.fill_diagonal(dist, np.inf)
-        measured = float(dist.min())
+        delta = float(_pair_distances(g_lo[:1], g_hi[:1], g_lo[1:2], g_hi[1:2])[0])
+        measured = _min_distance(g_lo, g_hi, delta)
         expected = padding(sched, la) / math.log(la + math.e)
         in_layer.append(InLayerGap(layer=la, min_distance=measured,
                                    expected=expected))
 
     cross: List[CrossLayerGap] = []
-    for a_idx, la in enumerate(layers):
-        for lb in layers[a_idx + 1:]:
-            measured = _group_min_distance(lo[idx[la]], hi[idx[la]],
-                                           lo[idx[lb]], hi[idx[lb]])
+    if len(layers) > 1:
+        n_lay = len(layers)
+        bb_lo = np.array([lo[pos].min(axis=0) for pos in groups])
+        bb_hi = np.array([hi[pos].max(axis=0) for pos in groups])
+        lowest = np.array([pos[np.argmin(lo[pos, -1])] for pos in groups])
+        highest = np.array([pos[np.argmax(hi[pos, -1])] for pos in groups])
+        finite = np.array([np.isfinite(lo[pos]).all() and np.isfinite(hi[pos]).all()
+                           for pos in groups])
+        ia, ib = np.triu_indices(n_lay, 1)
+        bound = _pair_distances(bb_lo[ia], bb_hi[ia], bb_lo[ib], bb_hi[ib])
+        a_up = bb_lo[ia, -1] >= bb_lo[ib, -1]
+        wa = np.where(a_up, lowest[ia], lowest[ib])
+        wb = np.where(a_up, highest[ib], highest[ia])
+        witness = _pair_distances(lo[wa], hi[wa], lo[wb], hi[wb])
+        exact = finite[ia] & finite[ib] & (witness == bound)
+        for p, (a, b) in enumerate(zip(ia.tolist(), ib.tolist())):
+            if exact[p]:
+                measured = float(bound[p])
+            else:
+                pos = np.concatenate((groups[a], groups[b]))
+                label = np.repeat([0, 1], [len(groups[a]), len(groups[b])])
+                measured = _min_distance(lo[pos], hi[pos], float(witness[p]),
+                                         label)
+            la, lb = layers[a], layers[b]
             constructive = padding(sched, la) if lb == la + 1 else None
             cross.append(CrossLayerGap(
                 layer_a=la, layer_b=lb, min_distance=measured,
@@ -478,7 +621,7 @@ def disjointness_certificate(boxes: Sequence[BoxSpec],
 
     return DisjointnessReport(
         box_count=n_boxes,
-        overlap_pairs=tuple(overlaps),
+        overlap_pairs=overlaps,
         in_layer=tuple(in_layer),
         cross=tuple(cross),
     )
@@ -520,10 +663,13 @@ def connectivity_certificate(boxes: Sequence[BoxSpec],
     layers = sorted({b.layer for b in boxes})
     height: Dict[int, float] = {}
     top: Dict[int, float] = {}
+    bottom: Dict[int, float] = {}  # highest box bottom per level
     for b in boxes:
         height[b.layer] = b.translation[-1]
         top[b.layer] = max(top.get(b.layer, -math.inf),
                            b.translation[-1] + b.side)
+        bottom[b.layer] = max(bottom.get(b.layer, -math.inf),
+                              b.translation[-1])
     gaps = [height[la] - top[lb] for la, lb in zip(layers, layers[1:])]
     ordered = all(g > 0.0 for g in gaps)
     facts.append(FactCheck(
@@ -538,11 +684,16 @@ def connectivity_certificate(boxes: Sequence[BoxSpec],
         detail=f"extent {summary.horizontal_extent:.6g}",
     ))
 
+    # a level has a box above a cut iff its highest bottom is; so the boxes
+    # above the cut under level la form the prefix iff every level up to la
+    # reaches above it (prefix minimum) and no later level does (suffix max)
+    bottoms = [bottom[la] for la in layers]
+    first_min = list(itertools.accumulate(bottoms, min))
+    later_max = list(itertools.accumulate(bottoms[::-1], max))[::-1]
     prefix_ok = True
-    for la, g in zip(layers, gaps):
+    for pos, (la, g) in enumerate(zip(layers, gaps)):
         cut = height[la] - g  # bottom of level la minus the measured gap
-        above = {b.layer for b in boxes if b.translation[-1] > cut}
-        if above != set(l for l in layers if l <= la):
+        if not (first_min[pos] > cut and not later_max[pos + 1] > cut):
             prefix_ok = False
             break
     facts.append(FactCheck(
@@ -565,12 +716,8 @@ def _feature_scale(boxes: Sequence[BoxSpec]) -> float:
     feats = [b.side * b.gap for b in boxes if b.gap > 0.0]
     if len(boxes) > 1:
         lo, hi = _bounds_arrays(boxes)
-        sep = np.maximum(lo[:, None, :] - hi[None, :, :],
-                         lo[None, :, :] - hi[:, None, :])
-        np.maximum(sep, 0.0, out=sep)
-        dist = np.sqrt((sep ** 2).sum(axis=2))
-        np.fill_diagonal(dist, np.inf)
-        feats.append(float(dist.min()))
+        delta = float(_pair_distances(lo[:1], hi[:1], lo[1:2], hi[1:2])[0])
+        feats.append(_min_distance(lo, hi, delta))
     if not feats:
         raise GeometryError("no positive feature to resolve")
     return min(feats)

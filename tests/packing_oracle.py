@@ -1,0 +1,101 @@
+"""All-pairs packing certificate: the dense reference for the sweep.
+
+`all_pairs_certificate` builds the same `DisjointnessReport` as
+`trapcert.geometry.disjointness_certificate` by brute force: a chunked N x N
+overlap test, one all-pairs distance matrix per level and one all-pairs
+block per pair of levels.  It costs O(N^2) time and memory, so the tests run
+it only on small arrangements and require the two reports to be equal,
+field by field and bit for bit.
+"""
+
+import math
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
+
+from trapcert.geometry import (
+    BoxSpec,
+    CrossLayerGap,
+    DisjointnessReport,
+    InLayerGap,
+)
+from trapcert.sequences import Schedule, padding
+
+
+def _bounds_arrays(boxes: Sequence[BoxSpec]) -> Tuple[np.ndarray, np.ndarray]:
+    lo = np.array([b.translation for b in boxes], dtype=float)
+    hi = lo + np.array([b.side for b in boxes], dtype=float)[:, None]
+    return lo, hi
+
+
+def _group_min_distance(lo_a, hi_a, lo_b, hi_b) -> float:
+    sep = np.maximum(lo_a[:, None, :] - hi_b[None, :, :],
+                     lo_b[None, :, :] - hi_a[:, None, :])
+    np.maximum(sep, 0.0, out=sep)
+    return float(np.sqrt((sep ** 2).sum(axis=2)).min())
+
+
+def _in_group_min_distance(lo, hi) -> float:
+    sep = np.maximum(lo[:, None, :] - hi[None, :, :],
+                     lo[None, :, :] - hi[:, None, :])
+    np.maximum(sep, 0.0, out=sep)
+    dist = np.sqrt((sep ** 2).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+    return float(dist.min())
+
+
+def all_pairs_min_distance(boxes: Sequence[BoxSpec]) -> float:
+    """Minimum distance over all pairs of distinct positions."""
+    return _in_group_min_distance(*_bounds_arrays(boxes))
+
+
+def all_pairs_certificate(boxes: Sequence[BoxSpec],
+                          sched: Schedule) -> DisjointnessReport:
+    lo, hi = _bounds_arrays(boxes)
+    n_boxes = len(boxes)
+
+    overlaps: List[Tuple[int, int]] = []
+    chunk = 512
+    for s in range(0, n_boxes, chunk):
+        e = min(s + chunk, n_boxes)
+        apart = ((hi[s:e, None, :] < lo[None, :, :])
+                 | (hi[None, :, :] < lo[s:e, None, :])).any(axis=2)
+        bad = np.argwhere(~apart)
+        for a, b in bad:
+            ja, jb = boxes[s + a].j, boxes[b].j
+            if ja < jb:
+                overlaps.append((ja, jb))
+
+    layers = sorted({b.layer for b in boxes})
+    idx: Dict[int, List[int]] = {la: [] for la in layers}
+    for pos, b in enumerate(boxes):
+        idx[b.layer].append(pos)
+
+    in_layer: List[InLayerGap] = []
+    for la in layers:
+        pos = idx[la]
+        if len(pos) < 2:
+            continue
+        measured = _in_group_min_distance(lo[pos], hi[pos])
+        expected = padding(sched, la) / math.log(la + math.e)
+        in_layer.append(InLayerGap(layer=la, min_distance=measured,
+                                   expected=expected))
+
+    cross: List[CrossLayerGap] = []
+    for a_idx, la in enumerate(layers):
+        for lb in layers[a_idx + 1:]:
+            measured = _group_min_distance(lo[idx[la]], hi[idx[la]],
+                                           lo[idx[lb]], hi[idx[lb]])
+            constructive = padding(sched, la) if lb == la + 1 else None
+            cross.append(CrossLayerGap(
+                layer_a=la, layer_b=lb, min_distance=measured,
+                required=padding(sched, lb - 1),
+                constructive_gap=constructive,
+            ))
+
+    return DisjointnessReport(
+        box_count=n_boxes,
+        overlap_pairs=tuple(overlaps),
+        in_layer=tuple(in_layer),
+        cross=tuple(cross),
+    )

@@ -417,6 +417,14 @@ def test_run_config_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_build_dimension_nine(tmp_path, capsys):
+    # 6,562 boxes: the packing certificate must run in bounded memory
+    cfg = write_config(tmp_path, demo_mapping())
+    assert run(["build", "--config", cfg, "--dimension", "9", "--layers", "2",
+                "--out", str(tmp_path)]) == 0
+    assert "6562 boxes" in capsys.readouterr().out
+
+
 def test_run_stacked_needs_wavenumber_table(tmp_path, capsys):
     doc = demo_mapping(layout="stacked")
     cfg = write_config(tmp_path, doc)

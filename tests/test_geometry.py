@@ -7,14 +7,17 @@ recursions in binary64, so agreement is asserted at 1e-13 relative.
 
 import dataclasses
 import math
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from packing_oracle import all_pairs_certificate, all_pairs_min_distance
 from trapcert.geometry import (
     BoxSpec,
     GeometryError,
     ResolutionTooCoarseError,
+    _feature_scale,
     _grid_digits,
     _width_tail_bound,
     build_layered,
@@ -345,6 +348,106 @@ def test_disjointness_touching_closures_flagged():
     assert not report.disjoint
 
 
+def assert_matches_all_pairs(boxes, sched):
+    report = disjointness_certificate(boxes, sched)
+    oracle = all_pairs_certificate(boxes, sched)
+    assert report == oracle
+    assert repr(report) == repr(oracle)  # same types and float bits
+    return report
+
+
+@pytest.mark.parametrize("layers", range(1, 31))
+def test_sweep_matches_all_pairs_demo_n2(layers):
+    boxes, _ = build_layered(S2, layers)
+    assert assert_matches_all_pairs(boxes, S2).passed
+
+
+@pytest.mark.parametrize("n, layers", [(3, 8), (4, 4), (4, 5), (4, 6)])
+def test_sweep_matches_all_pairs_higher_dimensions(n, layers):
+    sched = demo_schedule(n)
+    boxes, _ = build_layered(sched, layers)
+    assert assert_matches_all_pairs(boxes, sched).passed
+
+
+def test_sweep_matches_all_pairs_perturbed_schedule():
+    sched = Schedule(2, KLogGrowth(2.0), APower(1.1e-4, 0.25),
+                     DShiftedPower(2.1, 5.75, 1.2))
+    boxes, _ = build_layered(sched, 20)
+    assert assert_matches_all_pairs(boxes, sched).passed
+
+
+def test_sweep_matches_all_pairs_stacked():
+    sched = stacked_schedule(extra=True)
+    boxes, _ = build_stacked(sched, 3)
+    assert assert_matches_all_pairs(boxes, sched).passed
+
+
+def test_sweep_matches_all_pairs_tampered():
+    boxes, _ = build_layered(S2, 6)
+    side = boxes[3].side
+    overlap = list(boxes)
+    overlap[5] = dataclasses.replace(boxes[5], translation=boxes[2].translation)
+    overlap[9] = dataclasses.replace(boxes[9], translation=boxes[20].translation)
+    touching = list(boxes)
+    touching[4] = dataclasses.replace(
+        boxes[4], translation=(boxes[3].translation[0] + side,
+                               boxes[3].translation[1]))
+    duplicated = list(boxes) + [boxes[7]]
+    shuffled = list(overlap)
+    random.Random(3).shuffle(shuffled)
+    for tampered in (overlap, touching, duplicated, shuffled):
+        report = assert_matches_all_pairs(tampered, S2)
+        assert not report.passed or tampered is duplicated
+    # overlap pairs come in position order, each with the smaller j first
+    report = disjointness_certificate(shuffled, S2)
+    assert len(report.overlap_pairs) >= 2
+    assert all(a < b for a, b in report.overlap_pairs)
+    # a duplicated box shares its j, so it is no overlap pair, but its
+    # level's minimum distance drops to zero
+    report = disjointness_certificate(duplicated, S2)
+    assert report.overlap_pairs == ()
+    assert min(g.min_distance for g in report.in_layer) == 0.0
+
+
+_COORD = st.one_of(st.integers(-6, 6).map(lambda v: v / 4.0),
+                   st.floats(-2.0, 2.0, allow_nan=False))
+_SIDE = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                  st.floats(0.0, 1.5, allow_nan=False))
+
+
+@st.composite
+def box_lists(draw):
+    n = draw(st.integers(2, 4))
+    count = draw(st.integers(1, 14))
+    boxes = []
+    for _ in range(count):
+        boxes.append(BoxSpec(
+            j=draw(st.integers(1, 20)), layer=draw(st.integers(1, 4)),
+            side=draw(_SIDE),
+            translation=tuple(draw(_COORD) for _ in range(n)),
+            gap=0.1, wavenumber=10.0, target=1e-4))
+    return n, boxes
+
+
+@settings(max_examples=150, deadline=None)
+@given(box_lists())
+def test_sweep_matches_all_pairs_random_boxes(case):
+    n, boxes = case
+    assert_matches_all_pairs(boxes, demo_schedule(n))
+    if len(boxes) > 1:
+        scale = _feature_scale(boxes)
+        apertures = [b.side * b.gap for b in boxes if b.gap > 0.0]
+        assert scale == min(apertures + [all_pairs_min_distance(boxes)])
+
+
+def test_feature_scale_matches_all_pairs():
+    for n, layers in [(2, 5), (2, 12), (3, 3)]:
+        boxes, _ = build_layered(demo_schedule(n), layers)
+        pitch = all_pairs_min_distance(boxes)
+        apertures = [b.side * b.gap for b in boxes]
+        assert _feature_scale(boxes) == min(apertures + [pitch])
+
+
 # -------------------------------------------------------------------
 # connectivity certificate and flood-fill oracle
 # -------------------------------------------------------------------
@@ -367,6 +470,44 @@ def test_connectivity_fails_on_sealed_boxes():
     report = connectivity_certificate(sealed, summary)
     assert not report.passed
     assert not report.facts[0].passed
+
+
+def _prefix_fact_by_sets(boxes):
+    """finite_prefix_above_levels recomputed the slow way: for every level
+    cut, the set of levels with a box above it must be the level prefix."""
+    layers = sorted({b.layer for b in boxes})
+    height, top = {}, {}
+    for b in boxes:
+        height[b.layer] = b.translation[-1]
+        top[b.layer] = max(top.get(b.layer, -math.inf),
+                           b.translation[-1] + b.side)
+    for la, lb in zip(layers, layers[1:]):
+        cut = height[la] - (height[la] - top[lb])
+        above = {b.layer for b in boxes if b.translation[-1] > cut}
+        if above != {l for l in layers if l <= la}:
+            return False, f"non-prefix set above level {la}"
+    return True, "boxes above any level cut form the index prefix"
+
+
+def test_connectivity_prefix_fact_on_tampered_boxes():
+    boxes, summary = build_layered(S2, 5)
+    lifted = list(boxes)
+    lifted[8] = dataclasses.replace(boxes[8], translation=(boxes[8].translation[0], 0.5))
+    relabelled = list(boxes)
+    relabelled[2] = dataclasses.replace(boxes[2], layer=4)
+    sunk = list(boxes)
+    sunk[0] = dataclasses.replace(boxes[0], translation=(0.0, -2.3))
+    shuffled = list(lifted)
+    random.Random(5).shuffle(shuffled)
+    verdicts = []
+    for tampered in (boxes, lifted, relabelled, sunk, shuffled):
+        fact = connectivity_certificate(tampered, summary).facts[3]
+        assert fact.name == "finite_prefix_above_levels"
+        assert (fact.passed, fact.detail) == _prefix_fact_by_sets(tampered)
+        verdicts.append(fact.passed)
+    assert verdicts[0] and not verdicts[1]
+    assert connectivity_certificate(lifted, summary).facts[3].detail == (
+        "non-prefix set above level 1")
 
 
 def test_flood_fill_demo_connected():
