@@ -137,15 +137,14 @@ class CertRecord:
     r_note: str = _R_NOTE
 
 
-def certify_geometry(boxes: Sequence, sched=None) -> Tuple[CertRecord, ...]:
+def certify_geometry(boxes: Sequence) -> Tuple[CertRecord, ...]:
     """Certify every box of a built arrangement.
 
     Each record passes three gates or the whole call fails:
     the closed-form norms accept the box (resonance relation), the two
     routes to the inf-sup bound agree to 1e-9 relative, and the resolvent
-    floor exceeds the target with positive margin.  `sched` is accepted for
-    signature symmetry with the geometry certificates; the boxes carry all
-    needed values.
+    floor exceeds the target with positive margin.  The boxes carry every
+    value the chain needs.
     """
     records: List[CertRecord] = []
     for box in boxes:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -53,9 +54,7 @@ from trapcert.sequences import (
     KTable,
     Schedule,
     ScheduleError,
-    derived_params,
     growth_floor_check,
-    padding,
 )
 from trapcert.specfun import BesselDomainError, BesselRangeError, selftest_rows
 
@@ -163,7 +162,13 @@ def _as_int(value, where: str, minimum: Optional[int] = None) -> int:
 def _as_float(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} overflows binary64") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return number
 
 
 def _as_str(value, where: str) -> str:
@@ -178,55 +183,30 @@ def _as_number_list(value, where: str) -> List[float]:
     return [_as_float(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
-def _parse_k_family(doc: Mapping):
-    doc = _as_mapping(doc, "schedule.wavenumbers")
-    fam = _as_str(doc.get("family"), "schedule.wavenumbers.family")
-    if fam == "log-growth":
-        _reject_unknown(doc, ("family", "c"), "schedule.wavenumbers")
-        return KLogGrowth(_as_float(doc.get("c"), "schedule.wavenumbers.c"))
-    if fam == "table":
-        _reject_unknown(doc, ("family", "values"), "schedule.wavenumbers")
-        return KTable(tuple(_as_number_list(doc.get("values"),
-                                            "schedule.wavenumbers.values")))
-    raise ConfigError(
-        f"schedule.wavenumbers.family must be 'log-growth' or 'table', got {fam!r}"
-    )
+# schedule key -> {family: (constructor, its parameter keys, or None for a
+# table of "values")}
+_FAMILIES = {
+    "wavenumbers": {"log-growth": (KLogGrowth, ("c",)), "table": (KTable, None)},
+    "targets": {"power": (APower, ("amplitude", "exponent")),
+                "table": (ATable, None)},
+    "paddings": {"shifted-power": (DShiftedPower, ("amplitude", "shift", "exponent")),
+                 "table": (DTable, None)},
+}
 
 
-def _parse_a_family(doc: Mapping):
-    doc = _as_mapping(doc, "schedule.targets")
-    fam = _as_str(doc.get("family"), "schedule.targets.family")
-    if fam == "power":
-        _reject_unknown(doc, ("family", "amplitude", "exponent"), "schedule.targets")
-        return APower(_as_float(doc.get("amplitude"), "schedule.targets.amplitude"),
-                      _as_float(doc.get("exponent"), "schedule.targets.exponent"))
-    if fam == "table":
-        _reject_unknown(doc, ("family", "values"), "schedule.targets")
-        return ATable(tuple(_as_number_list(doc.get("values"),
-                                            "schedule.targets.values")))
-    raise ConfigError(
-        f"schedule.targets.family must be 'power' or 'table', got {fam!r}"
-    )
-
-
-def _parse_d_family(doc: Mapping):
-    doc = _as_mapping(doc, "schedule.paddings")
-    fam = _as_str(doc.get("family"), "schedule.paddings.family")
-    if fam == "shifted-power":
-        _reject_unknown(doc, ("family", "amplitude", "shift", "exponent"),
-                        "schedule.paddings")
-        return DShiftedPower(
-            _as_float(doc.get("amplitude"), "schedule.paddings.amplitude"),
-            _as_float(doc.get("shift"), "schedule.paddings.shift"),
-            _as_float(doc.get("exponent"), "schedule.paddings.exponent"),
-        )
-    if fam == "table":
-        _reject_unknown(doc, ("family", "values"), "schedule.paddings")
-        return DTable(tuple(_as_number_list(doc.get("values"),
-                                            "schedule.paddings.values")))
-    raise ConfigError(
-        f"schedule.paddings.family must be 'shifted-power' or 'table', got {fam!r}"
-    )
+def _parse_family(key: str, doc: Mapping):
+    where = f"schedule.{key}"
+    doc = _as_mapping(doc, where)
+    fam = _as_str(doc.get("family"), f"{where}.family")
+    families = _FAMILIES[key]
+    if fam not in families:
+        names = " or ".join(f"'{name}'" for name in families)
+        raise ConfigError(f"{where}.family must be {names}, got {fam!r}")
+    constructor, keys = families[fam]
+    _reject_unknown(doc, ("family",) + (keys or ("values",)), where)
+    if keys is None:
+        return constructor(tuple(_as_number_list(doc.get("values"), f"{where}.values")))
+    return constructor(*(_as_float(doc.get(k), f"{where}.{k}") for k in keys))
 
 
 def _parse_outputs(doc: Mapping) -> OutputPaths:
@@ -280,13 +260,12 @@ def config_from_mapping(doc: Mapping) -> RunConfig:
     k_family = a_family = d_family = None
     if "schedule" in doc:
         sdoc = _as_mapping(doc["schedule"], "schedule")
-        _reject_unknown(sdoc, ("wavenumbers", "targets", "paddings"), "schedule")
-        for key in ("wavenumbers", "targets", "paddings"):
+        _reject_unknown(sdoc, tuple(_FAMILIES), "schedule")
+        for key in _FAMILIES:
             if key not in sdoc:
                 raise ConfigError(f"schedule needs '{key}'")
-        k_family = _parse_k_family(sdoc["wavenumbers"])
-        a_family = _parse_a_family(sdoc["targets"])
-        d_family = _parse_d_family(sdoc["paddings"])
+        k_family, a_family, d_family = (_parse_family(key, sdoc[key])
+                                        for key in _FAMILIES)
 
     layout = None
     if "layout" in doc:
@@ -498,6 +477,16 @@ def schedule_label(sched: Schedule) -> str:
             f"paddings {_family_label(sched.d_family)}")
 
 
+def _sweep_line(w: SweepSummary) -> str:
+    """One-line verdict of a sign-check sweep, as verify-dtn and the report
+    print it."""
+    return (f"dtn sweep: n in {{{', '.join(str(n) for n in w.n_values)}}}, "
+            f"m <= {w.m_max}, {w.rho_count} radii, {w.checked_modes} checks: "
+            f"{w.a_violations} interior, {w.b_violations_hypothesis} boundary, "
+            f"{w.re_violations} sign, {w.im_violations} wronskian violations: "
+            f"{'pass' if w.passed else 'FAIL'}")
+
+
 def render_report(stages: StageOutputs) -> str:
     """Human-readable composition of everything the run checked."""
     lines = ["certificate report", "=" * len("certificate report"), ""]
@@ -541,15 +530,7 @@ def render_report(stages: StageOutputs) -> str:
         lines.append(f"certification: FAIL ({stages.certify_error})")
 
     if stages.sweep is not None:
-        w = stages.sweep
-        verdict = "pass" if w.passed else "FAIL"
-        lines.append(
-            f"dtn sweep: n in {{{', '.join(str(n) for n in w.n_values)}}}, "
-            f"m <= {w.m_max}, {w.rho_count} radii: "
-            f"{w.a_violations} interior, {w.b_violations_hypothesis} boundary, "
-            f"{w.re_violations} sign, {w.im_violations} wronskian violations "
-            f"({w.checked_modes} checks): {verdict}"
-        )
+        lines.append(_sweep_line(stages.sweep))
 
     lines.append("")
     lines.append(f"overall: {'pass' if stages.passed else 'FAIL'}")
@@ -607,14 +588,12 @@ def _cmd_plan(cfg: RunConfig, outputs: OutputPaths, out) -> int:
                   f"{plan.pitch:>10.6f} {plan.width:>10.6f}", file=out)
         print(f"total boxes through level {cfg.truncation}: {total}", file=out)
     else:
+        boxes, _ = cfg.geometry()
         print(f"{'j':>5} {'k':>12} {'side':>10} {'base height':>12}", file=out)
-        depth = 0.0
-        for j in range(1, cfg.truncation + 1):
-            p = derived_params(sched, j)
-            if j > 1:
-                depth -= p.ell + padding(sched, j - 1)
-            print(f"{j:>5} {p.k:>12.6f} {p.ell:>10.6f} {depth:>12.6f}", file=out)
-        print(f"total boxes: {cfg.truncation}", file=out)
+        for b in boxes:
+            print(f"{b.j:>5} {b.wavenumber:>12.6f} {b.side:>10.6f} "
+                  f"{b.translation[-1]:>12.6f}", file=out)
+        print(f"total boxes: {len(boxes)}", file=out)
     return 0
 
 
@@ -667,18 +646,14 @@ def _cmd_plot(cfg: RunConfig, outputs: OutputPaths, out) -> int:
     return 0
 
 
+def _sweep(params: SweepParams) -> SweepSummary:
+    return verify_sweep(n_values=params.n_values, m_max=params.m_max,
+                        rho_grid=params.rho_grid())
+
+
 def _cmd_verify_dtn(cfg: RunConfig, outputs: OutputPaths, out) -> int:
-    params = cfg.sweep if cfg.sweep is not None else SweepParams()
-    summary = verify_sweep(n_values=params.n_values, m_max=params.m_max,
-                           rho_grid=params.rho_grid())
-    verdict = "pass" if summary.passed else "FAIL"
-    print(f"dtn sweep: n in {{{', '.join(str(n) for n in summary.n_values)}}}, "
-          f"m <= {summary.m_max}, {summary.rho_count} radii, "
-          f"{summary.checked_modes} checks: "
-          f"{summary.a_violations} interior, "
-          f"{summary.b_violations_hypothesis} boundary, "
-          f"{summary.re_violations} sign, "
-          f"{summary.im_violations} wronskian violations: {verdict}", file=out)
+    summary = _sweep(cfg.sweep if cfg.sweep is not None else SweepParams())
+    print(_sweep_line(summary), file=out)
     if not summary.passed:
         for rec in summary.violations[:20]:
             print(f"  n={rec.n} m={rec.m} rho={rec.rho:.6g} "
@@ -723,9 +698,7 @@ def _cmd_report(cfg: RunConfig, outputs: OutputPaths, out) -> int:
         except CertifyError as exc:
             kwargs["certify_error"] = str(exc)
     if cfg.sweep is not None:
-        kwargs["sweep"] = verify_sweep(n_values=cfg.sweep.n_values,
-                                       m_max=cfg.sweep.m_max,
-                                       rho_grid=cfg.sweep.rho_grid())
+        kwargs["sweep"] = _sweep(cfg.sweep)
     stages = StageOutputs(**kwargs)
     text = render_report(stages)
     if outputs.report:
@@ -738,17 +711,32 @@ def _cmd_report(cfg: RunConfig, outputs: OutputPaths, out) -> int:
     return 0 if stages.passed else 1
 
 
-_HANDLERS = {
-    "plan": _cmd_plan,
-    "build": _cmd_build,
-    "certify": _cmd_certify,
-    "verify-dtn": _cmd_verify_dtn,
-    "specfun-selftest": _cmd_selftest,
-    "plot": _cmd_plot,
-    "report": _cmd_report,
+_GEOMETRY_FLAGS = ("--config", "--layers", "--dimension", "--precision")
+_ARTIFACT_FLAGS = _GEOMETRY_FLAGS + ("--out",)
+
+# subcommand -> (handler, help, the flags it reads)
+_COMMANDS = {
+    "plan": (_cmd_plan, "print the per-level layout table without building boxes",
+             _GEOMETRY_FLAGS),
+    "build": (_cmd_build, "build the arrangement, certify packing, write geometry JSON",
+              _ARTIFACT_FLAGS),
+    "certify": (_cmd_certify, "run the resolvent-bound chain per box, write CSV",
+                _ARTIFACT_FLAGS),
+    "verify-dtn": (_cmd_verify_dtn, "sweep the modal sign checks on spheres", ()),
+    "specfun-selftest": (_cmd_selftest,
+                         "residual checks for the special-function engine", ()),
+    "plot": (_cmd_plot, "write the planar figure as SVG", _ARTIFACT_FLAGS),
+    "report": (_cmd_report, "run all configured stages and write a combined report",
+               _ARTIFACT_FLAGS),
 }
 
-_NEEDS_CONFIG = ("plan", "build", "certify", "plot", "report")
+_FLAGS = {
+    "--config": dict(metavar="PATH", required=True, help="JSON run configuration"),
+    "--layers": dict(type=int, metavar="N", help="override the configured truncation"),
+    "--dimension": dict(type=int, metavar="N", help="override the configured dimension"),
+    "--precision": dict(type=int, metavar="D", help="override precisionDigits"),
+    "--out": dict(metavar="DIR", help="redirect all artifacts into DIR"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -757,30 +745,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Build slotted-box scatterer families and check their "
                     "resolvent-growth certificates.",
     )
+    # a subcommand leaves the flags it does not take at these values
+    parser.set_defaults(**{flag[2:]: None for flag in _FLAGS})
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = (
-        ("plan", "print the per-level layout table without building boxes"),
-        ("build", "build the arrangement, certify packing, write geometry JSON"),
-        ("certify", "run the resolvent-bound chain per box, write CSV"),
-        ("verify-dtn", "sweep the modal sign checks on spheres"),
-        ("specfun-selftest", "residual checks for the special-function engine"),
-        ("plot", "write the planar figure as SVG"),
-        ("report", "run all configured stages and write a combined report"),
-    )
-    for name, help_text in specs:
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", metavar="PATH",
-                       required=name in _NEEDS_CONFIG,
-                       help="JSON run configuration"
-                            + ("" if name in _NEEDS_CONFIG else " (optional)"))
-        p.add_argument("--layers", type=int, metavar="N",
-                       help="override the configured truncation")
-        p.add_argument("--dimension", type=int, metavar="N",
-                       help="override the configured dimension")
-        p.add_argument("--out", metavar="DIR",
-                       help="redirect all artifacts into DIR")
-        p.add_argument("--precision", type=int, metavar="D",
-                       help="override precisionDigits")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+    # the sweep has built-in defaults, so its config is optional
+    sub.choices["verify-dtn"].add_argument(
+        "--config", metavar="PATH", help="JSON run configuration (optional)")
     return parser
 
 
@@ -793,12 +767,7 @@ def run(argv: Sequence[str]) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
     try:
-        if args.command == "specfun-selftest":
-            cfg = RunConfig()  # the engine selftest takes no configuration
-        elif args.config:
-            cfg = load_config(args.config)
-        else:
-            cfg = RunConfig()
+        cfg = load_config(args.config) if args.config else RunConfig()
         if args.layers is not None:
             if args.layers < 1:
                 raise ConfigError(f"--layers must be >= 1, got {args.layers}")
@@ -812,7 +781,7 @@ def run(argv: Sequence[str]) -> int:
                 raise ConfigError(f"--precision must be >= 15, got {args.precision}")
             cfg = replace(cfg, precision_digits=args.precision)
         outputs = _effective_outputs(cfg, args.out)
-        return _HANDLERS[args.command](cfg, outputs, sys.stdout)
+        return _COMMANDS[args.command][0](cfg, outputs, sys.stdout)
     except CertifyError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 1

@@ -37,6 +37,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from trapcert.specfun import (
+    NU_MAX,
+    T_RANGE,
     BesselDomainError,
     bessel_ladder,
     cyl_bessel_scaled,
@@ -202,16 +204,25 @@ def verify_sweep(n_values: Sequence[int] = DEFAULT_N_VALUES,
     multipliers below the hypothesis threshold (their B violations are
     counted separately from the in-hypothesis count).  `record_sink`, when
     given, receives every ModeCheckRecord; the default keeps only
-    violating records (capped) and aggregate statistics.
+    violating records (capped) and aggregate statistics.  Radii outside
+    [1e-3, 1e3] and orders nu = m + n/2 - 1 above 200, where the
+    special-function engine is not validated, raise BesselDomainError.
     """
     if m_max < 0:
         raise BesselDomainError(f"m_max must be >= 0, got {m_max}")
     rho_arr = default_rho_grid() if rho_grid is None else np.asarray(rho_grid, dtype=float)
-    if rho_arr.ndim != 1 or rho_arr.size == 0 or not np.all(rho_arr > 0.0):
-        raise BesselDomainError("rho grid must be a nonempty positive 1-d sequence")
+    t_lo, t_hi = T_RANGE
+    if (rho_arr.ndim != 1 or rho_arr.size == 0
+            or not np.all((rho_arr >= t_lo) & (rho_arr <= t_hi))):
+        raise BesselDomainError(
+            f"rho grid must be a nonempty 1-d sequence inside the validated "
+            f"envelope [{t_lo:g}, {t_hi:g}]")
     n_tuple = tuple(int(n) for n in n_values)
     if any(n < 2 for n in n_tuple):
         raise BesselDomainError(f"dimensions must be >= 2, got {n_tuple}")
+    if m_max + max(n_tuple, default=2) / 2.0 - 1.0 > NU_MAX:
+        raise BesselDomainError(f"orders above nu = {NU_MAX:g} leave the "
+                                f"validated envelope")
 
     # ladder entry of order nu = m + n/2 - 1 sits at index m + (n-2)//2
     count_by_parity = {}

@@ -156,12 +156,7 @@ def _iter_plans(sched: Schedule) -> Iterator[LayerPlan]:
 def layer_plan(sched: Schedule, i: int) -> LayerPlan:
     """Plan of level i (heights are cumulative, so levels 1..i-1 are
     evaluated on the way)."""
-    if i < 1:
-        raise GeometryError(f"layer index must be >= 1, got {i}")
-    for plan in _iter_plans(sched):
-        if plan.i == i:
-            return plan
-    raise ScheduleError(f"schedule tables cannot supply layer {i}")
+    return deque(iter_layer_plans(sched, i), maxlen=1)[0]
 
 
 def iter_layer_plans(sched: Schedule, limit: int) -> Iterator[LayerPlan]:
@@ -320,30 +315,27 @@ def build_stacked(sched: Schedule, count: int) -> Tuple[List[BoxSpec], GeometryS
         )
     n = sched.n
     boxes: List[BoxSpec] = []
+    sides: List[float] = []
     depth = 0.0
-    for j in range(1, count + 1):
-        p = derived_params(sched, j)
-        if j > 1:
-            depth = depth - p.ell - padding(sched, j - 1)
-        t = (0.0,) * (n - 1) + (depth,)
-        boxes.append(BoxSpec(j=j, layer=j, side=p.ell, translation=t,
-                             gap=p.eps, wavenumber=p.k, target=p.a))
-
-    # continue the recursion exactly while the tables allow, for the limit
-    j = count
-    while True:
+    # past `count` the recursion continues exactly while the tables allow,
+    # which gives the limit
+    for j in itertools.count(1):
         try:
-            ell_next = sidelength(sched, j + 1)
-            d_j = padding(sched, j)
+            p = derived_params(sched, j) if j <= count else None
+            side = sidelength(sched, j) if p is None else p.ell
+            if j > 1:
+                depth = depth - side - padding(sched, j - 1)
         except ScheduleError:
+            if j <= count:
+                raise
             break
-        depth = depth - ell_next - d_j
-        j += 1
-    vol_lo = math.fsum(b.side ** n for b in boxes)
-    vol_tail = math.fsum(sidelength(sched, jj) ** n
-                         for jj in range(count + 1, j + 1))
-    sides = [b.side for b in boxes] + [sidelength(sched, jj)
-                                       for jj in range(count + 1, j + 1)]
+        sides.append(side)
+        if p is not None:
+            t = (0.0,) * (n - 1) + (depth,)
+            boxes.append(BoxSpec(j=j, layer=j, side=side, translation=t,
+                                 gap=p.eps, wavenumber=p.k, target=p.a))
+    vol_lo = math.fsum(s ** n for s in sides[:count])
+    vol_tail = math.fsum(s ** n for s in sides[count:])
     w_big = max(sides)
     top = boxes[0].side
     summary = GeometrySummary(
@@ -753,6 +745,29 @@ def flood_fill_oracle(boxes: Sequence[BoxSpec], resolution: float) -> bool:
             f"{scale} (need < {scale / 4.0})"
         )
 
+    cells, width = _blocked_raster(boxes, resolution)
+    free = cells.count(0)
+    # 4-connected breadth-first fill from one cell of the free ring; the
+    # sentinel ring stops every step at the edge, so no bounds checks
+    cells[width + 1] = 1
+    queue = deque([width + 1])
+    reached = 0
+    while queue:
+        p = queue.popleft()
+        reached += 1
+        for q in (p - width, p + width, p - 1, p + 1):
+            if not cells[q]:
+                cells[q] = 1
+                queue.append(q)
+    return reached == free
+
+
+def _blocked_raster(boxes: Sequence[BoxSpec],
+                    resolution: float) -> Tuple[bytearray, int]:
+    """The oracle's raster as a flat row-major bytearray (1 = blocked) and
+    its row width.  The drawn outlines sit inside a free ring, which joins
+    every free border cell to the outside, and that inside a blocked
+    sentinel ring."""
     lo, hi = _bounds_arrays(boxes)
     pad = max(b.side for b in boxes) + 2.0 * resolution
     # half-cell shift keeps structure coordinates off cell boundaries
@@ -760,7 +775,11 @@ def flood_fill_oracle(boxes: Sequence[BoxSpec], resolution: float) -> bool:
     y0 = float(lo[:, 1].min()) - pad - 0.5 * resolution
     nx = int(math.ceil((float(hi[:, 0].max()) + pad - x0) / resolution)) + 1
     ny = int(math.ceil((float(hi[:, 1].max()) + pad - y0) / resolution)) + 1
-    blocked = np.zeros((ny, nx), dtype=bool)
+    raster = bytearray((ny + 4) * (nx + 4))
+    grid = np.frombuffer(raster, dtype=np.uint8).reshape(ny + 4, nx + 4)
+    grid[[0, -1], :] = 1
+    grid[:, [0, -1]] = 1
+    blocked = grid[2:-2, 2:-2]
 
     def cells(a: float, b: float, origin: float, limit: int) -> Tuple[int, int]:
         c0 = int(math.floor((a - origin) / resolution))
@@ -786,32 +805,4 @@ def flood_fill_oracle(boxes: Sequence[BoxSpec], resolution: float) -> bool:
         block_v(t1, t2, t2 + s)              # left edge
         block_v(t1 + s, t2, t2 + s)          # right edge
         block_h(t1 + b.gap * s, t1 + s, t2)  # bottom edge minus aperture
-
-    visited = np.zeros_like(blocked)
-    queue: deque = deque()
-    for r in range(ny):
-        for c in (0, nx - 1):
-            if not blocked[r, c] and not visited[r, c]:
-                visited[r, c] = True
-                queue.append((r, c))
-    for c in range(nx):
-        for r in (0, ny - 1):
-            if not blocked[r, c] and not visited[r, c]:
-                visited[r, c] = True
-                queue.append((r, c))
-    while queue:
-        r, c = queue.popleft()
-        if r > 0 and not blocked[r - 1, c] and not visited[r - 1, c]:
-            visited[r - 1, c] = True
-            queue.append((r - 1, c))
-        if r + 1 < ny and not blocked[r + 1, c] and not visited[r + 1, c]:
-            visited[r + 1, c] = True
-            queue.append((r + 1, c))
-        if c > 0 and not blocked[r, c - 1] and not visited[r, c - 1]:
-            visited[r, c - 1] = True
-            queue.append((r, c - 1))
-        if c + 1 < nx and not blocked[r, c + 1] and not visited[r, c + 1]:
-            visited[r, c + 1] = True
-            queue.append((r, c + 1))
-
-    return bool(visited.sum() == (~blocked).sum())
+    return raster, nx + 4

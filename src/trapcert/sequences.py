@@ -37,6 +37,13 @@ class ScheduleError(ValueError):
 # families
 # -------------------------------------------------------------------
 
+def _finite_floats(values, what: str) -> Tuple[float, ...]:
+    out = tuple(float(v) for v in values)
+    if not all(math.isfinite(v) for v in out):
+        raise ScheduleError(f"{what} table entries must be finite")
+    return out
+
+
 @dataclass(frozen=True)
 class KLogGrowth:
     """Wavenumbers on the slow-growth floor:
@@ -62,7 +69,7 @@ class KTable:
     values: Tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", _finite_floats(self.values, "wavenumber"))
         if not self.values:
             raise ScheduleError("wavenumber table is empty")
         if self.values[0] <= 0.0:
@@ -80,8 +87,9 @@ class APower:
     exponent: float
 
     def __post_init__(self) -> None:
-        if self.amplitude <= 0.0 or self.exponent < 0.0:
-            raise ScheduleError("power target family needs amplitude > 0, exponent >= 0")
+        if not (0.0 < self.amplitude < math.inf and 0.0 <= self.exponent < math.inf):
+            raise ScheduleError(
+                "power target family needs finite amplitude > 0, exponent >= 0")
 
 
 @dataclass(frozen=True)
@@ -91,7 +99,7 @@ class ATable:
     values: Tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", _finite_floats(self.values, "target"))
         if not self.values or self.values[0] <= 0.0:
             raise ScheduleError("target table must be nonempty and positive")
         for a, b in zip(self.values, self.values[1:]):
@@ -113,10 +121,12 @@ class DShiftedPower:
     exponent: float
 
     def __post_init__(self) -> None:
-        if self.amplitude <= 0.0 or self.shift < 0.0:
-            raise ScheduleError("shifted-power family needs amplitude > 0, shift >= 0")
-        if not self.exponent > 1.0:
-            raise ScheduleError("padding exponent must exceed 1 for summability")
+        if not (0.0 < self.amplitude < math.inf and 0.0 <= self.shift < math.inf):
+            raise ScheduleError(
+                "shifted-power family needs finite amplitude > 0, shift >= 0")
+        if not 1.0 < self.exponent < math.inf:
+            raise ScheduleError("padding exponent must be finite and exceed 1 "
+                                "for summability")
 
 
 @dataclass(frozen=True)
@@ -126,7 +136,7 @@ class DTable:
     values: Tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", _finite_floats(self.values, "padding"))
         if not self.values or self.values[-1] <= 0.0:
             raise ScheduleError("padding table must be nonempty and positive")
         for a, b in zip(self.values, self.values[1:]):

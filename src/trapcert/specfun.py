@@ -45,6 +45,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+# the validated envelope of the accuracy claim above
+NU_MAX = 200.0
+T_RANGE = (1.0e-3, 1.0e3)
+
 _EPS = 2.220446049250313e-16
 _TINY = 1.0e-300
 _XMIN = 2.0  # crossover between the Temme series and CF2 seeds

@@ -197,7 +197,7 @@ def test_resolvent_lower_domain():
 def test_certify_demo_first_hundred():
     sched = demo_schedule()
     boxes, _ = build_layered(sched, 10)  # 118 boxes
-    records = certify_geometry(boxes[:100], sched)
+    records = certify_geometry(boxes[:100])
     assert len(records) == 100
     assert all(r.margin > 0.0 for r in records)
     assert all(r.c_lb > r.a for r in records)
@@ -216,7 +216,7 @@ def test_certify_demo_first_hundred():
 def test_certify_floor_beats_target_through_defining_relation():
     sched = demo_schedule(3)
     boxes, _ = build_layered(sched, 3)
-    for r in certify_geometry(boxes, sched):
+    for r in certify_geometry(boxes):
         k = r.k
         assert 2 * k * k * r.c_lb ** 2 + r.c_lb > 2 * k * k * r.a ** 2 + r.a
 
@@ -226,10 +226,10 @@ def test_certify_rejects_tampered_box():
     boxes, _ = build_layered(sched, 2)
     broken = [dataclasses.replace(boxes[0], wavenumber=boxes[0].wavenumber * 1.01)]
     with pytest.raises(CertifyError):
-        certify_geometry(broken, sched)
+        certify_geometry(broken)
     mistargeted = [dataclasses.replace(boxes[0], target=1.0)]
     with pytest.raises(CertifyError):
-        certify_geometry(mistargeted, sched)
+        certify_geometry(mistargeted)
 
 
 # -------------------------------------------------------------------

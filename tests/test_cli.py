@@ -137,6 +137,20 @@ def test_config_family_names_checked():
         config_from_mapping(doc)
 
 
+@pytest.mark.parametrize("key, names", [
+    ("wavenumbers", "'log-growth' or 'table'"),
+    ("targets", "'power' or 'table'"),
+    ("paddings", "'shifted-power' or 'table'"),
+])
+def test_config_family_error_messages(key, names):
+    doc = demo_mapping()
+    doc["schedule"][key] = {"family": "geometric"}
+    with pytest.raises(ConfigError) as info:
+        config_from_mapping(doc)
+    assert str(info.value) == (f"schedule.{key}.family must be {names}, "
+                               f"got 'geometric'")
+
+
 def test_config_schedule_needs_all_three():
     doc = demo_mapping()
     del doc["schedule"]["paddings"]
@@ -450,6 +464,81 @@ def test_run_specfun_selftest(capsys):
     out = capsys.readouterr().out
     assert "0 failures" in out
     assert "pass" in out
+
+
+def stacked_table_mapping():
+    doc = demo_mapping(layout="stacked", boxCount=3)
+    del doc["layers"]
+    doc["schedule"]["wavenumbers"] = {"family": "table",
+                                      "values": [5.0, 9.0, 17.0, 30.0]}
+    doc["schedule"]["paddings"] = {"family": "table", "values": [0.7, 0.3, 0.1]}
+    return doc
+
+
+def test_run_plan_stacked_prints_the_built_depths(tmp_path, capsys):
+    cfg = write_config(tmp_path, stacked_table_mapping())
+    assert run(["plan", "--config", cfg]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:-1]]
+    assert run(["build", "--config", cfg, "--out", str(tmp_path)]) == 0
+    boxes = json.loads((tmp_path / "geometry.json").read_text())["boxes"]
+    assert [(int(j), k, side, depth) for j, k, side, depth in rows] == [
+        (b["j"], f"{b['wavenumber']:.6f}", f"{b['side']:.6f}",
+         f"{b['translation'][-1]:.6f}") for b in boxes]
+
+
+def test_run_plan_stacked_log_growth_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, demo_mapping(layout="stacked"))
+    assert run(["plan", "--config", cfg]) == 2
+    assert "summable" in capsys.readouterr().err
+
+
+def test_run_flags_only_where_read(tmp_path, capsys):
+    cfg = write_config(tmp_path, demo_mapping())
+    assert run(["specfun-selftest", "--config", cfg]) == 2
+    assert run(["verify-dtn", "--layers", "3"]) == 2
+    assert run(["verify-dtn", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
+    assert run(["plan", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
+    assert not (tmp_path / "v").exists() and not (tmp_path / "d").exists()
+    capsys.readouterr()
+
+
+def test_report_and_verify_dtn_print_one_sweep_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"sweep": {"nValues": [2, 3], "mMax": 4,
+                                            "rhoPoints": 20}})
+    assert run(["verify-dtn", "--config", cfg]) == 0
+    line = capsys.readouterr().out
+    assert line == ("dtn sweep: n in {2, 3}, m <= 4, 20 radii, 600 checks: "
+                    "0 interior, 0 boundary, 0 sign, 0 wronskian violations: pass\n")
+    assert run(["report", "--config", cfg]) == 0
+    assert line in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sweep", [{"rhoMax": 1.0e6}, {"mMax": 300}])
+def test_run_sweep_outside_envelope_exit_2(tmp_path, capsys, sweep):
+    cfg = write_config(tmp_path, {"sweep": sweep})
+    assert run(["verify-dtn", "--config", cfg]) == 2
+    assert run(["report", "--config", cfg]) == 2
+    assert "envelope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, family, key, literal", [
+    ("build", "paddings", "amplitude", "NaN"),
+    ("certify", "paddings", "amplitude", "NaN"),
+    ("certify", "paddings", "exponent", "Infinity"),
+    ("certify", "paddings", "amplitude", "1e400"),
+    ("certify", "wavenumbers", "c", "1" + "0" * 400),
+], ids=["build-nan", "certify-nan", "certify-infinity", "certify-1e400",
+        "certify-401-digit-int"])
+def test_run_rejects_non_finite_numbers(tmp_path, capsys, command, family, key,
+                                        literal):
+    doc = demo_mapping(layers=3)
+    doc["schedule"][family][key] = "@"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc).replace('"@"', literal), encoding="utf-8")
+    assert run([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert f"schedule.{family}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "geometry.json").exists()
+    assert not (tmp_path / "certificates.csv").exists()
 
 
 def test_effective_outputs_defaults(tmp_path):

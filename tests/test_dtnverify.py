@@ -220,3 +220,15 @@ def test_sweep_input_validation():
         verify_sweep(n_values=(2,), m_max=-1, rho_grid=np.array([1.0]))
     with pytest.raises(BesselDomainError):
         verify_sweep(n_values=(2,), m_max=3, rho_grid=np.array([-1.0, 2.0]))
+
+
+@pytest.mark.parametrize("n_values, m_max, rho", [
+    ((2,), 3, [1.0, 1.0e6]),      # CF1 stalls out there
+    ((2,), 3, [5.0e-4, 1.0]),
+    ((2,), 3, [1.0, math.nan]),
+    ((2, 5), 199, [1.0]),         # nu = 200.5
+    ((2,), 300, [1.0]),
+], ids=["rho-1e6", "rho-5e-4", "rho-nan", "nu-200.5", "m-300"])
+def test_sweep_rejects_inputs_outside_the_envelope(n_values, m_max, rho):
+    with pytest.raises(BesselDomainError, match="envelope"):
+        verify_sweep(n_values=n_values, m_max=m_max, rho_grid=np.array(rho))

@@ -9,6 +9,7 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +18,7 @@ from trapcert.geometry import (
     BoxSpec,
     GeometryError,
     ResolutionTooCoarseError,
+    _blocked_raster,
     _feature_scale,
     _grid_digits,
     _width_tail_bound,
@@ -520,6 +522,23 @@ def test_flood_fill_sealed_disconnected():
     sealed = [dataclasses.replace(b, gap=0.0) for b in boxes]
     # sealed boxes have no aperture feature; the pitch still sets the scale
     assert not flood_fill_oracle(sealed, suggested_resolution(sealed))
+
+
+@pytest.mark.parametrize("layers", [3, 5])
+@pytest.mark.parametrize("sealed", ["none", "one", "all"])
+def test_flood_fill_matches_scipy_labeling(layers, sealed):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    boxes, _ = build_layered(S2, layers)
+    if sealed == "one":
+        boxes[-2] = dataclasses.replace(boxes[-2], gap=0.0)
+    elif sealed == "all":
+        boxes = [dataclasses.replace(b, gap=0.0) for b in boxes]
+    res = suggested_resolution(boxes)
+    cells, width = _blocked_raster(boxes, res)
+    free = np.frombuffer(cells, dtype=np.uint8).reshape(-1, width) == 0
+    _, components = ndimage.label(free)  # 4-connected in 2-d
+    assert flood_fill_oracle(boxes, res) == (components == 1)
+    assert (components == 1) == (sealed == "none")
 
 
 def test_flood_fill_resolution_guard():

@@ -269,6 +269,24 @@ def test_family_validation_errors():
         APower(1.0, -0.5)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: APower(math.nan, 0.25),
+    lambda: APower(1e-4, math.inf),
+    lambda: DShiftedPower(math.nan, 6.0, 1.2),
+    lambda: DShiftedPower(2.0, math.inf, 1.2),
+    lambda: DShiftedPower(2.0, 6.0, math.inf),
+    lambda: KTable((1.0, math.inf)),
+    lambda: KTable((math.nan,)),
+    lambda: ATable((math.nan, 1.0)),
+    lambda: DTable((math.inf, 1.0)),
+], ids=["APower-amplitude", "APower-exponent", "DShiftedPower-amplitude",
+        "DShiftedPower-shift", "DShiftedPower-exponent", "KTable-inf",
+        "KTable-nan", "ATable-nan", "DTable-inf"])
+def test_families_reject_non_finite_values(make):
+    with pytest.raises(ScheduleError, match="finite"):
+        make()
+
+
 def test_schedule_validation_errors():
     with pytest.raises(ScheduleError):
         Schedule(1, KLogGrowth(2.0), APower(1e-4, 0.25), DShiftedPower(2.0, 6.0, 1.2))
