@@ -109,15 +109,20 @@ def resolvent_lower(threshold: float, k: float) -> Tuple[float, float]:
     Returns (c_prime_lb, c_lb): the bound on the derived constant
     (threshold - 1)/(2k), then the positive root C of 2 k^2 C^2 + C = S
     with S = c_prime_lb^2, evaluated in the rationalized form
-    2S / (1 + sqrt(1 + 8 k^2 S)) which stays accurate for small S.  Both
-    clamp at zero when the threshold carries no information (threshold <= 1).
+    2S / (1 + sqrt(1 + 8 k^2 S)) which stays accurate for small S.  Where
+    8 k^2 S overflows binary64 (from k ~ 1e78 at a target of 1e-4), the
+    denominator equals sqrt(8) k c_prime_lb to far below one rounding, and
+    C = c_prime_lb / (sqrt(2) k) is used instead.  Both clamp at zero when
+    the threshold carries no information (threshold <= 1).
     """
     if k <= 0.0:
         raise CertifyError(f"wavenumber must be positive, got {k}")
     c_prime = max(0.0, (threshold - 1.0) / (2.0 * k))
     s = c_prime * c_prime
-    c_lb = 2.0 * s / (1.0 + math.sqrt(1.0 + 8.0 * k * k * s))
-    return c_prime, c_lb
+    disc = 8.0 * k * k * s
+    if math.isinf(disc):
+        return c_prime, c_prime / (math.sqrt(2.0) * k)
+    return c_prime, 2.0 * s / (1.0 + math.sqrt(1.0 + disc))
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,12 @@ from trapcert.sequences import (
     ScheduleError,
     growth_floor_check,
 )
-from trapcert.specfun import BesselDomainError, BesselRangeError, selftest_rows
+from trapcert.specfun import (
+    BesselDomainError,
+    BesselRangeError,
+    ConvergenceError,
+    selftest_rows,
+)
 
 
 class ConfigError(ValueError):
@@ -151,11 +156,24 @@ def _reject_unknown(doc: Mapping, allowed: Sequence[str], where: str) -> None:
         )
 
 
-def _as_int(value, where: str, minimum: Optional[int] = None) -> int:
+# Upper bounds of the integer settings.  Past them a box index or a
+# precision no longer converts to binary64 (at 32 dimensions and 10,000
+# layers the box indices already reach about 1e154).  The sweep's bound
+# only keeps its sizes convertible; orders past the special-function
+# envelope are rejected by the sweep itself.
+_MAX_DIMENSION = 32
+_MAX_TRUNCATION = 10_000
+_MAX_PRECISION = 1_000
+_MAX_SWEEP_SIZE = 1_000_000
+
+
+def _as_int(value, where: str, minimum: int, maximum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
+    if value < minimum:
         raise ConfigError(f"{where} must be >= {minimum}, got {value}")
+    if value > maximum:
+        raise ConfigError(f"{where} must be <= {maximum}")
     return value
 
 
@@ -226,14 +244,15 @@ def _parse_sweep(doc: Mapping) -> SweepParams:
         if not isinstance(raw, list) or not raw:
             raise ConfigError("sweep.nValues must be a nonempty array")
         params = replace(params, n_values=tuple(
-            _as_int(v, f"sweep.nValues[{i}]", minimum=2)
+            _as_int(v, f"sweep.nValues[{i}]", 2, _MAX_SWEEP_SIZE)
             for i, v in enumerate(raw)))
     if "mMax" in doc:
-        params = replace(params, m_max=_as_int(doc["mMax"], "sweep.mMax", minimum=0))
+        params = replace(params, m_max=_as_int(doc["mMax"], "sweep.mMax", 0,
+                                               _MAX_SWEEP_SIZE))
     if "rhoPoints" in doc:
         params = replace(params,
                          rho_points=_as_int(doc["rhoPoints"], "sweep.rhoPoints",
-                                            minimum=2))
+                                            2, _MAX_SWEEP_SIZE))
     if "rhoMin" in doc:
         params = replace(params, rho_min=_as_float(doc["rhoMin"], "sweep.rhoMin"))
     if "rhoMax" in doc:
@@ -255,7 +274,7 @@ def config_from_mapping(doc: Mapping) -> RunConfig:
 
     dimension = None
     if "dimension" in doc:
-        dimension = _as_int(doc["dimension"], "dimension", minimum=2)
+        dimension = _as_int(doc["dimension"], "dimension", 2, _MAX_DIMENSION)
 
     k_family = a_family = d_family = None
     if "schedule" in doc:
@@ -277,14 +296,14 @@ def config_from_mapping(doc: Mapping) -> RunConfig:
         raise ConfigError("give either 'layers' or 'boxCount', not both")
     truncation = None
     if "layers" in doc:
-        truncation = _as_int(doc["layers"], "layers", minimum=1)
+        truncation = _as_int(doc["layers"], "layers", 1, _MAX_TRUNCATION)
     elif "boxCount" in doc:
-        truncation = _as_int(doc["boxCount"], "boxCount", minimum=1)
+        truncation = _as_int(doc["boxCount"], "boxCount", 1, _MAX_TRUNCATION)
 
     outputs = _parse_outputs(doc["outputs"]) if "outputs" in doc else OutputPaths()
     precision = 15
     if "precisionDigits" in doc:
-        precision = _as_int(doc["precisionDigits"], "precisionDigits", minimum=15)
+        precision = _as_int(doc["precisionDigits"], "precisionDigits", 15, _MAX_PRECISION)
     sweep = _parse_sweep(doc["sweep"]) if "sweep" in doc else None
 
     return RunConfig(dimension=dimension, k_family=k_family, a_family=a_family,
@@ -299,7 +318,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_mapping(doc)
 
@@ -769,24 +788,21 @@ def run(argv: Sequence[str]) -> int:
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         if args.layers is not None:
-            if args.layers < 1:
-                raise ConfigError(f"--layers must be >= 1, got {args.layers}")
-            cfg = replace(cfg, truncation=args.layers)
+            cfg = replace(cfg, truncation=_as_int(args.layers, "--layers", 1,
+                                                  _MAX_TRUNCATION))
         if args.dimension is not None:
-            if args.dimension < 2:
-                raise ConfigError(f"--dimension must be >= 2, got {args.dimension}")
-            cfg = replace(cfg, dimension=args.dimension)
+            cfg = replace(cfg, dimension=_as_int(args.dimension, "--dimension", 2,
+                                                 _MAX_DIMENSION))
         if args.precision is not None:
-            if args.precision < 15:
-                raise ConfigError(f"--precision must be >= 15, got {args.precision}")
-            cfg = replace(cfg, precision_digits=args.precision)
+            cfg = replace(cfg, precision_digits=_as_int(args.precision, "--precision",
+                                                        15, _MAX_PRECISION))
         outputs = _effective_outputs(cfg, args.out)
         return _COMMANDS[args.command][0](cfg, outputs, sys.stdout)
     except CertifyError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 1
     except (ConfigError, ScheduleError, GeometryError, BesselDomainError,
-            BesselRangeError) as exc:
+            BesselRangeError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

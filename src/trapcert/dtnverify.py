@@ -25,7 +25,9 @@ Bessel engine: all four checks reduce to sign tests of expressions of the
 form X * 2^(2 eY), so the common positive factor is dropped and only
 mantissa-sized numbers are combined.  This keeps orders up to 100 at
 rho = 0.05 (where |Y_nu| overflows binary64 by thousands of orders of
-magnitude) inside ordinary arithmetic.
+magnitude) inside ordinary arithmetic.  The sweep takes the ladders of a
+batch of radii at once (`specfun.bessel_ladders`, equal to the scalar
+ladders bit for bit) and evaluates each check as a (radius x mode) array.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from trapcert.specfun import (
     NU_MAX,
     T_RANGE,
     BesselDomainError,
-    bessel_ladder,
+    bessel_ladder,  # noqa: F401  (dtnverify.bessel_ladder stays importable)
+    bessel_ladders,
     cyl_bessel_scaled,
     spherical_hankel,
     spherical_order,
@@ -49,6 +52,9 @@ from trapcert.specfun import (
 IM_IDENTITY_TOL = 1e-9
 _SIGN_TOL = 1e-9
 _VIOLATION_CAP = 500
+# radii per batch of ladders: on the default sweep 32 radii keep the peak
+# RSS within about 0.6 MiB of one radius at a time, where 64 add 2.5 MiB
+_SWEEP_CHUNK = 32
 
 DEFAULT_N_VALUES = (2, 3, 4, 5)
 DEFAULT_M_MAX = 100
@@ -230,6 +236,8 @@ def verify_sweep(n_values: Sequence[int] = DEFAULT_N_VALUES,
         count_by_parity[n % 2] = max(count_by_parity.get(n % 2, 0),
                                      m_max + (n - 2) // 2)
     m_idx = np.arange(m_max + 1)
+    alpha_lists = {n: default_alphas(n) if alphas is None else tuple(float(a) for a in alphas)
+                   for n in n_tuple}
 
     checked = 0
     counts = {"a": 0, "b": 0, "bh": 0, "re": 0, "im": 0}
@@ -237,32 +245,20 @@ def verify_sweep(n_values: Sequence[int] = DEFAULT_N_VALUES,
     violations: List[ModeCheckRecord] = []
     truncated = False
 
-    def plain(scaled: float, two_ey: int, rho_pow: float) -> float:
-        return _ldexp_sat(scaled, two_ey) * rho_pow
-
-    def note_violation(rec: ModeCheckRecord) -> None:
-        nonlocal truncated
-        if len(violations) < _VIOLATION_CAP:
-            violations.append(rec)
-        else:
-            truncated = True
-
-    for rho in rho_arr.tolist():
-        ladders = {}
-        if 0 in count_by_parity:
-            ladders[0] = bessel_ladder(0.0, rho, count_by_parity[0])
-        if 1 in count_by_parity:
-            ladders[1] = bessel_ladder(0.5, rho, count_by_parity[1])
+    for start in range(0, rho_arr.size, _SWEEP_CHUNK):
+        rhos = rho_arr[start:start + _SWEEP_CHUNK]
+        ladders = {parity: bessel_ladders(0.5 * parity, rhos, count)
+                   for parity, count in count_by_parity.items()}
+        rho = rhos[:, None]  # radius x mode below
+        # per worst margin: one row maximum per radius for each (n, alpha)
+        maxima = {"a": [], "re": [], "im": [], "bh": []}
+        checks = []  # (n, its arrays) for the dimensions that emit records
         for n in n_tuple:
             lad = ladders[n % 2]
             base = (n - 2) // 2
             sl = slice(base, base + m_max + 1)
-            jm = np.asarray(lad.jm[sl])
-            jpm = np.asarray(lad.jpm[sl])
-            ej = np.asarray(lad.ej[sl], dtype=np.int64)
-            ym = np.asarray(lad.ym[sl])
-            ypm = np.asarray(lad.ypm[sl])
-            ey = np.asarray(lad.ey[sl], dtype=np.int64)
+            jm, jpm, ej = lad.jm[:, sl], lad.jpm[:, sl], lad.ej[:, sl]
+            ym, ypm, ey = lad.ym[:, sl], lad.ypm[:, sl], lad.ey[:, sl]
 
             p_prime = n / 2.0 - 1.0
             nu = m_idx + p_prime
@@ -300,18 +296,18 @@ def verify_sweep(n_values: Sequence[int] = DEFAULT_N_VALUES,
             b1 = (rho * rho - mu2) * m2
             b2 = rho * rho * w2
             b4 = a3
-            alpha_list = default_alphas(n) if alphas is None else tuple(float(a) for a in alphas)
             hyp = max(1.0, float(n - 2))
-            rho_pow = rho ** (2 - n)
 
             counts["a"] += int(np.count_nonzero(viol_a))
             counts["re"] += int(np.count_nonzero(viol_re))
             counts["im"] += int(np.count_nonzero(viol_im))
-            worst["a"] = max(worst["a"], float(a_scaled[a_mask].max()) if a_mask.any() else -math.inf)
-            worst["re"] = max(worst["re"], float(re_scaled.max()))
-            worst["im"] = max(worst["im"], float(im_resid.max()))
+            if a_mask.any():
+                maxima["a"].append(a_scaled[:, a_mask].max(axis=1).tolist())
+            maxima["re"].append(re_scaled.max(axis=1).tolist())
+            maxima["im"].append(im_resid.max(axis=1).tolist())
 
-            for alpha in alpha_list:
+            per_alpha = []
+            for alpha in alpha_lists[n]:
                 b3 = alpha * rho * re_wu
                 m_b = b1 + b2 + b3 - b4
                 scale_b = np.maximum(np.maximum(np.abs(b1), b2),
@@ -323,24 +319,43 @@ def verify_sweep(n_values: Sequence[int] = DEFAULT_N_VALUES,
                 if alpha >= hyp:
                     counts["bh"] += nviol
                     b_scaled = np.where(scale_b > 0, m_b / np.maximum(inv2ey, scale_b), 0.0)
-                    worst["bh"] = max(worst["bh"], float(b_scaled.max()))
-                checked += m_max + 1
+                    maxima["bh"].append(b_scaled.max(axis=1).tolist())
+                checked += rhos.size * (m_max + 1)
+                per_alpha.append((alpha, m_b, viol_b | viol_a | viol_re | viol_im))
+            if record_sink is not None or any(bad.any() for _, _, bad in per_alpha):
+                checks.append((n, nu, m_a, re_wu, im_resid, ey, per_alpha))
 
-                want = (np.nonzero(viol_b | viol_a | viol_re | viol_im)[0]
-                        if record_sink is None else range(m_max + 1))
-                for mi in want:
-                    mi = int(mi)
-                    rec = ModeCheckRecord(
-                        n=n, m=mi, nu=float(nu[mi]), rho=rho, alpha=alpha,
-                        a_nu=plain(float(m_a[mi]), int(2 * ey[mi]), 1.0),
-                        b_m=plain(float(m_b[mi]), int(2 * ey[mi]), rho_pow),
-                        re_sign=plain(float(re_wu[mi]), int(2 * ey[mi]), rho_pow),
-                        im_identity_residual=float(im_resid[mi]),
-                    )
-                    if record_sink is not None:
-                        record_sink(rec)
-                    if (viol_b[mi] or viol_a[mi] or viol_re[mi] or viol_im[mi]):
-                        note_violation(rec)
+        # Python's max in the order of the radius, dimension, multiplier loops
+        for key, columns in maxima.items():
+            for row in zip(*columns):
+                for value in row:
+                    worst[key] = max(worst[key], value)
+        if not checks:
+            continue
+        # records in the order of the radius, dimension, multiplier, mode loops
+        for r, rho_r in enumerate(rhos.tolist()):
+            for n, nu, m_a, re_wu, im_resid, ey, per_alpha in checks:
+                rho_pow = rho_r ** (2 - n)
+                for alpha, m_b, bad in per_alpha:
+                    want = (np.nonzero(bad[r])[0] if record_sink is None
+                            else range(m_max + 1))
+                    for mi in want:
+                        mi = int(mi)
+                        two_ey = int(2 * ey[r, mi])
+                        rec = ModeCheckRecord(
+                            n=n, m=mi, nu=float(nu[mi]), rho=rho_r, alpha=alpha,
+                            a_nu=_ldexp_sat(float(m_a[r, mi]), two_ey),
+                            b_m=_ldexp_sat(float(m_b[r, mi]), two_ey) * rho_pow,
+                            re_sign=_ldexp_sat(float(re_wu[r, mi]), two_ey) * rho_pow,
+                            im_identity_residual=float(im_resid[r, mi]),
+                        )
+                        if record_sink is not None:
+                            record_sink(rec)
+                        if bad[r, mi]:
+                            if len(violations) < _VIOLATION_CAP:
+                                violations.append(rec)
+                            else:
+                                truncated = True
 
     return SweepSummary(
         n_values=n_tuple,

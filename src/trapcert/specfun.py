@@ -30,6 +30,22 @@ hundreds of orders, yet bilinear combinations (Wronskian, moduli ratios)
 remain perfectly representable.  Public evaluators convert to plain floats
 and raise :class:`BesselRangeError` rather than returning infinities.
 
+Two routes run this algorithm.  The scalar route (`_ladder`, behind every
+public scalar evaluator) is the audited reference.  The batched route runs
+the same steps over numpy arrays of points: CF1 and CF2 as masked Lentz
+iterations in which each point leaves the running set once it converges,
+the two recurrences, the 2^500 rescaling and the Wronskian normalization
+as array operations, and one Temme series per distinct (mu, t) of a batch.
+`bessel_ladders` returns full ladders (the modal sweep), and
+`selftest_rows` takes the top-order entries of many (nu, t) at once.  The
+batched route equals the scalar one bit for bit: every point sees the same
+sequence of binary64 operations, and each of them (+ - * / sqrt, frexp,
+ldexp, comparisons) is correctly rounded or exact in numpy as in CPython.
+The only complex arithmetic, CF2's, is CPython's own product and Smith
+quotient written out in reals (numpy's complex division rounds
+differently), and its |z| < bound tests defer to CPython's abs() for the
+rare points too close to the bound to settle from z's squared modulus.
+
 Accuracy: better than 1e-10 relative to the modulus M_nu = |H_nu| for
 nu <= 200 and t in [1e-3, 1e3] (observed ~1e-11 worst case).  Relative to
 the function value itself the same bound holds except inside tiny windows
@@ -44,6 +60,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 # the validated envelope of the accuracy claim above
 NU_MAX = 200.0
@@ -148,7 +166,8 @@ class Ladder:
     """Scaled evaluations for the full run of orders mu0, mu0+1, ..., mu0+count.
 
     Entry i holds J_{mu0+i} = jm[i]*2^ej[i] (J' = jpm[i]*2^ej[i]) and the
-    Y analogues.  Used by the modal sweeps, which need every order at once.
+    Y analogues.  The modal sweep, which needs every order at once, takes
+    the same ladders for many arguments from `bessel_ladders`.
     """
 
     mu0: float
@@ -442,6 +461,314 @@ def _validate(nu: float, t: float) -> None:
 
 
 # ===================================================================
+# the batched route: the scalar operations above over arrays of points
+# ===================================================================
+
+def _abs_below(re: np.ndarray, im: np.ndarray, bound: float) -> np.ndarray:
+    """abs(complex(re, im)) < bound, decided as CPython decides it.
+
+    CPython's complex abs is libm hypot (error below one ulp).  The sum of
+    the scaled squares settles every point whose modulus lies farther than
+    a relative 1e-12 from the bound; the rare rest go through abs() itself.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        u = re / bound
+        v = im / bound
+        s = u * u + v * v
+    out = s < 1.0 - 1.0e-12
+    for i in np.flatnonzero(~out & (s <= 1.0 + 1.0e-12)):
+        out[i] = abs(complex(re[i], im[i])) < bound
+    return out
+
+
+def _c_quot(ar, ai, br, bi):
+    """CPython's complex quotient (Smith's method, `_Py_c_quot`) in reals."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        real_big = np.abs(br) >= np.abs(bi)
+        ratio = np.where(real_big, bi / br, br / bi)
+        denom = np.where(real_big, br + bi * ratio, br * ratio + bi)
+        qr = np.where(real_big, ar + ai * ratio, ar * ratio + ai) / denom
+        qi = np.where(real_big, ai - ar * ratio, ai * ratio - ar) / denom
+    return qr, qi
+
+
+def _stall(kind: str, what: str, order: np.ndarray, t: np.ndarray) -> ConvergenceError:
+    """The scalar route's error, for the first point still running."""
+    return ConvergenceError(f"{kind} stalled at {what}={float(order[0])}, t={float(t[0])}")
+
+
+def _cf1_batch(nu: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """`_cf1` over arrays of points: (J'/J, sign of J as +-1.0) per point.
+
+    Masked modified Lentz: every point runs the scalar iteration and leaves
+    the running set once it converges."""
+    f_out = np.empty_like(x)
+    sign_out = np.empty_like(x)
+    idx = np.arange(x.size)
+    xi = 1.0 / x
+    f = nu * xi
+    f[np.abs(f) < _TINY] = _TINY
+    c = f.copy()
+    d = np.zeros_like(x)
+    neg = np.zeros(x.shape, dtype=bool)
+    b = 2.0 * nu * xi
+    for _ in range(_MAXIT):
+        b = b + 2.0 * xi
+        d = b - d
+        d[np.abs(d) < _TINY] = _TINY
+        c = b - 1.0 / c
+        c[np.abs(c) < _TINY] = _TINY
+        d = 1.0 / d
+        delta = c * d
+        f = f * delta
+        neg ^= d < 0.0
+        done = np.abs(delta - 1.0) < _EPS
+        if done.any():
+            f_out[idx[done]] = f[done]
+            sign_out[idx[done]] = np.where(neg[done], -1.0, 1.0)
+            keep = ~done
+            if not keep.any():
+                return f_out, sign_out
+            idx, xi, f, c, d, neg, b, nu, x = (
+                a[keep] for a in (idx, xi, f, c, d, neg, b, nu, x))
+    raise _stall("CF1", "nu", nu, x)
+
+
+def _cf2_batch(mu: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """`_cf2` over arrays of points, bit for bit.
+
+    The scalar fraction runs on Python complex numbers; here each complex
+    step is CPython's own formula in real arithmetic: a float operand is a
+    complex with imaginary part 0.0, products are `_Py_c_prod` and
+    quotients `_c_quot`.  (numpy's complex division multiplies by a
+    reciprocal, which rounds differently.)"""
+    p_out = np.empty_like(x)
+    q_out = np.empty_like(x)
+    idx = np.arange(x.size)
+    mu2 = mu * mu
+    fr = np.full_like(x, _TINY)
+    fi = np.zeros_like(x)
+    cr, ci = fr.copy(), fi.copy()
+    dr, di = fi.copy(), fi.copy()
+    for k in range(1, _MAXIT):
+        a = (k - 0.5) ** 2 - mu2
+        br = 2.0 * x
+        bi = 2.0 * k
+        dr, di = br + (a * dr - 0.0 * di), bi + (a * di + 0.0 * dr)
+        small = _abs_below(dr, di, _TINY)
+        dr[small] = _TINY
+        di[small] = 0.0
+        qr, qi = _c_quot(a, 0.0, cr, ci)
+        cr, ci = br + qr, bi + qi
+        small = _abs_below(cr, ci, _TINY)
+        cr[small] = _TINY
+        ci[small] = 0.0
+        dr, di = _c_quot(1.0, 0.0, dr, di)
+        er = cr * dr - ci * di
+        ei = cr * di + ci * dr
+        fr, fi = fr * er - fi * ei, fr * ei + fi * er
+        done = _abs_below(er - 1.0, ei - 0.0, _EPS)
+        if done.any():
+            xd, frd, fid = x[done], fr[done], fi[done]
+            xinv = 1.0 / xd
+            p_out[idx[done]] = -0.5 / xd + (0.0 * frd - xinv * fid)
+            q_out[idx[done]] = 1.0 + (0.0 * fid + xinv * frd)
+            keep = ~done
+            if not keep.any():
+                return p_out, q_out
+            idx, mu, mu2, x, fr, fi, cr, ci, dr, di = (
+                v[keep] for v in (idx, mu, mu2, x, fr, fi, cr, ci, dr, di))
+    raise _stall("CF2", "mu", mu, x)
+
+
+def _frexp_pair(v: np.ndarray, vp: np.ndarray, e: np.ndarray):
+    """(frexp mantissa of v, vp at v's scale, e plus v's exponent); a zero v
+    keeps v, vp and e, as the scalar route does."""
+    mm, ee = np.frexp(v)
+    return mm, np.ldexp(vp, -ee), e + ee
+
+
+def _ladders(mu0: np.ndarray, x: np.ndarray, counts: np.ndarray, full: bool):
+    """`_ladder` over arrays of points, bit for bit.
+
+    Point p recurs from order mu0[p] + counts[p] down to mu0[p] and back up.
+    With `full` (all counts equal) every order is kept and six (P, count+1)
+    arrays (jm, jpm, ej, ym, ypm, ey) come back; otherwise only the running
+    state is kept and six (P,) arrays hold the entry of order mu0 + count.
+    """
+    npts = x.size
+    # the seeds, in the caller's order, so that a stall names its first point
+    f_top, sgn = _cf1_batch(mu0 + counts, x)
+    # Temme's (Y_mu, Y_mu+1) below t = 2, CF2's (p, q) from t = 2 on
+    seed_a = np.empty(npts)
+    seed_b = np.empty(npts)
+    lo = np.flatnonzero(x < _XMIN)
+    temme = {}  # one series per distinct (mu, t)
+    for i, m, t in zip(lo.tolist(), mu0[lo].tolist(), x[lo].tolist()):
+        if (m, t) not in temme:
+            temme[m, t] = _temme_y(m, t)
+        seed_a[i], seed_b[i] = temme[m, t]
+    hi = np.flatnonzero(x >= _XMIN)
+    if hi.size:
+        seed_a[hi], seed_b[hi] = _cf2_batch(mu0[hi], x[hi])
+
+    # recur in order of decreasing count: the points still recurring at any
+    # step are then a prefix of the arrays
+    order = np.argsort(-counts, kind="stable")
+    mu0, x, counts, f_top, sgn, seed_a, seed_b = (
+        a[order] for a in (mu0, x, counts, f_top, sgn, seed_a, seed_b))
+    steps = int(counts[0])
+    running = np.searchsorted(-counts, -np.arange(steps + 1), side="left")
+
+    cur = sgn.copy()
+    curp = f_top * sgn
+    e = np.zeros(npts, dtype=np.int64)
+    if full:
+        jm = np.empty((npts, steps + 1))
+        jpm = np.empty((npts, steps + 1))
+        ej = np.zeros((npts, steps + 1), dtype=np.int64)
+        jm[:, steps], jpm[:, steps] = cur, curp
+    nu = mu0 + counts
+    for s in range(steps):
+        k = running[s]  # the points with more than s steps
+        c_, cp_, nu_, x_ = cur[:k], curp[:k], nu[:k], x[:k]
+        prev = (nu_ / x_) * c_ + cp_
+        prevp = ((nu_ - 1.0) / x_) * prev - c_
+        nu[:k] = nu_ - 1.0
+        big = np.abs(prev) > _RENORM
+        scale = np.where(big, _RENORM_INV, 1.0)
+        cur[:k], curp[:k] = prev * scale, prevp * scale
+        e[:k] += big * _EXP_STEP
+        if full:
+            i = steps - 1 - s
+            jm[:, i], jpm[:, i], ej[:, i] = cur, curp, e
+
+    j0 = cur
+    j0[j0 == 0.0] = _TINY  # measure-zero hit of a J zero; nudge as usual
+    if full:
+        jm[:, 0] = j0
+    f_mu = curp / j0
+    w = 2.0 / (math.pi * x)
+    ymu = np.empty(npts)
+    ymu1 = np.empty(npts)
+    ypmu = np.empty(npts)
+    jmu = np.empty(npts)
+    lo = np.flatnonzero(x < _XMIN)
+    if lo.size:
+        yl, y1l, ml, xl = seed_a[lo], seed_b[lo], mu0[lo], x[lo]
+        ymu[lo], ymu1[lo] = yl, y1l
+        ypmu[lo] = (ml / xl) * yl - y1l
+        jmu[lo] = w[lo] / (ypmu[lo] - f_mu[lo] * yl)
+    hi = np.flatnonzero(x >= _XMIN)
+    if hi.size:
+        p, q, ml, xl, fl = seed_a[hi], seed_b[hi], mu0[hi], x[hi], f_mu[hi]
+        gam = (p - fl) / q
+        jh = np.sqrt(w[hi] / ((p - fl) * gam + q))
+        jh = np.where(j0[hi] < 0.0, -jh, jh)
+        yh = gam * jh
+        yph = q * jh + p * yh
+        jmu[hi], ymu[hi], ypmu[hi] = jh, yh, yph
+        ymu1[hi] = (ml / xl) * yh - yph
+
+    # rescale the unnormalized J ladders so that order mu0 equals jmu
+    sm, se = np.frexp(jmu)
+    sig_m = sm / j0
+    sig_e = se - e
+    if full:
+        jm, jpm, ej = _frexp_pair(jm * sig_m[:, None], jpm * sig_m[:, None],
+                                  ej + sig_e[:, None])
+    else:
+        jm, jpm, ej = _frexp_pair(sgn * sig_m, f_top * sgn * sig_m, sig_e)
+
+    # the running state (ya, yb, ypv) = (Y, Y of the next order, Y')
+    ya, yb, ypv = ymu, ymu1, ypmu
+    e = np.zeros(npts, dtype=np.int64)
+    ym0, ypm0, ey0 = _frexp_pair(ya, ypv, e)
+    ym0[ya == 0.0] = 0.0  # the scalar route stores +0.0 for a zero Y_mu
+    if full:
+        ym = np.empty((npts, steps + 1))
+        ypm = np.empty((npts, steps + 1))
+        ey = np.empty((npts, steps + 1), dtype=np.int64)
+        ym[:, 0], ypm[:, 0], ey[:, 0] = ym0, ypm0, ey0
+    nu = mu0.copy()
+    for s in range(1, steps + 1):
+        k = running[s - 1]  # the points with at least s steps
+        nu_, x_ = nu[:k] + 1.0, x[:k]
+        ya_, yb_ = yb[:k], (2.0 * nu_ / x_) * yb[:k] - ya[:k]
+        big = (np.abs(ya_) > _RENORM) | (np.abs(yb_) > _RENORM)
+        scale = np.where(big, _RENORM_INV, 1.0)
+        ya_, yb_ = ya_ * scale, yb_ * scale
+        e[:k] += big * _EXP_STEP
+        ya[:k], yb[:k], nu[:k] = ya_, yb_, nu_
+        ypv[:k] = (nu_ / x_) * ya_ - yb_
+        if full:
+            ym[:, s], ypm[:, s], ey[:, s] = _frexp_pair(ya, ypv, e)
+    if not full:
+        ym, ypm, ey = _frexp_pair(ya, ypv, e)
+        base = counts == 0
+        ym[base], ypm[base], ey[base] = ym0[base], ypm0[base], ey0[base]
+
+    out = []
+    for a in (jm, jpm, ej, ym, ypm, ey):
+        back = np.empty_like(a)
+        back[order] = a
+        out.append(back)
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class LadderBatch:
+    """Ladders of orders mu0, mu0+1, ..., mu0+count at every argument in t.
+
+    Row p, column i holds the scaled entry of order mu0+i at t[p], exactly
+    as `bessel_ladder(mu0, t[p], count).entry(i)` holds it."""
+
+    mu0: float
+    t: np.ndarray
+    jm: np.ndarray
+    jpm: np.ndarray
+    ej: np.ndarray
+    ym: np.ndarray
+    ypm: np.ndarray
+    ey: np.ndarray
+
+
+def bessel_ladders(mu0: float, ts: Sequence[float], count: int) -> LadderBatch:
+    """`bessel_ladder(mu0, t, count)` for every t in ts, computed together.
+
+    Equal to the scalar ladders bit for bit; the same domain rules apply to
+    every argument."""
+    t = np.asarray(ts, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise BesselDomainError("arguments must form a nonempty 1-d sequence")
+    for tv in t.tolist():
+        _validate(mu0 + count, tv)
+    if count < 0:
+        raise BesselDomainError("count must be >= 0")
+    if np.any(t < _XMIN) and not -0.5 <= mu0 <= 0.5:
+        raise BesselDomainError("ladder base order must lie in [-1/2, 1/2] for t < 2")
+    jm, jpm, ej, ym, ypm, ey = _ladders(
+        np.full(t.size, float(mu0)), t, np.full(t.size, count, dtype=np.int64), True)
+    return LadderBatch(mu0=mu0, t=t, jm=jm, jpm=jpm, ej=ej, ym=ym, ypm=ypm, ey=ey)
+
+
+def _split_orders(nu: np.ndarray, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(mu, count) of `cyl_bessel_scaled`'s ladder for every (nu, t)."""
+    nl = np.where(t < _XMIN, (nu + 0.5).astype(np.int64),
+                  np.maximum(0, (nu - t + 1.5).astype(np.int64)))
+    return nu - nl, nl
+
+
+def _wronskian_residuals(nu: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """`wronskian_residual(nu[p], t[p])` for every p, bit for bit."""
+    mu, nl = _split_orders(nu, t)
+    jm, jpm, ej, ym, ypm, ey = _ladders(mu, t, nl, False)
+    w = 2.0 / (math.pi * t)
+    cross = jm * ypm - jpm * ym
+    return np.abs(cross * np.ldexp(1.0, ej + ey) - w) / w
+
+
+# ===================================================================
 # scalar evaluators
 # ===================================================================
 
@@ -596,22 +923,43 @@ def validation_grid() -> Tuple[List[float], List[float]]:
     return nus, ts
 
 
+# arguments per batch of the residual grid: 3 x 201 orders = 603 points.
+# Batching by argument runs each Temme series once per selftest.  Measured
+# on the selftest: 10 arguments per batch take half the time of 3 but raise
+# the peak RSS by about 1 MiB more (3 stay within 0.2 MiB of the scalar loop).
+_SELFTEST_BATCH_TS = 3
+# every point with (order index + argument index) % 20 == 0 is also run
+# through the scalar route: 20 arguments per order, 4,020 points in all
+_SELFTEST_SAMPLE = 20
+
+
 def selftest_rows(
     wronskian_tol: float = 1.0e-10,
     halfint_tol: float = 1.0e-10,
 ) -> Iterator[Tuple[float, float, float, Optional[float], bool]]:
     """Yield (nu, t, wronskian_residual, halfint_relerr|None, ok) over the grid.
 
-    halfint_relerr is populated where nu is a half-integer with nu - 0.5 <= 20
-    and t in [0.1, 100] (the closed-form validation box); elsewhere None.
+    The residuals come from the batched route, a batch of arguments (every
+    order at each) at a time; a fixed sample of points also runs the scalar
+    `wronskian_residual`, and a residual that differs from the scalar one
+    in any bit fails its row.  halfint_relerr is populated where nu is a
+    half-integer with nu - 0.5 <= 20 and t in [0.1, 100] (the closed-form
+    validation box); elsewhere None.
     """
     nus, ts = validation_grid()
-    for nu in nus:
+    nu_arr = np.array(nus)
+    residuals = np.empty((len(nus), len(ts)))
+    for start in range(0, len(ts), _SELFTEST_BATCH_TS):
+        tb = np.array(ts[start:start + _SELFTEST_BATCH_TS])
+        batch = _wronskian_residuals(np.tile(nu_arr, tb.size), np.repeat(tb, nu_arr.size))
+        residuals[:, start:start + tb.size] = batch.reshape(tb.size, nu_arr.size).T
+    for i, nu in enumerate(nus):
         half = (nu * 2.0) % 2.0 == 1.0 and nu - 0.5 <= 20.0
-        for t in ts:
-            wr = wronskian_residual(nu, t)
+        for j, (t, wr) in enumerate(zip(ts, residuals[i].tolist())):
             he: Optional[float] = None
             ok = wr <= wronskian_tol
+            if (i + j) % _SELFTEST_SAMPLE == 0:
+                ok = (wronskian_residual(nu, t) == wr) and ok
             if half and 0.1 <= t <= 100.0:
                 mm = int(nu - 0.5)
                 ref_h, ref_hp = spherical_hankel_closed(mm, 3, t)

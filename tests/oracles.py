@@ -1,10 +1,23 @@
-"""Frozen reference values for the test suite.
+"""Frozen reference values for the test suite, and the scalar selftest.
 
 Every number here was produced by an independent route (mpmath at 45
 significant digits, or a closed form evaluated by hand) and then frozen as a
 binary64 literal.  Regenerate with  python tests/oracles.py  and compare the
 printed output against this file before editing anything.
+
+`scalar_selftest_rows` is the special-function selftest as it ran before
+the batched ladders: one scalar `wronskian_residual` per grid point.  The
+tests require `specfun.selftest_rows` to yield the same rows bit for bit.
 """
+
+from typing import Iterator, Optional, Tuple
+
+from trapcert.specfun import (
+    spherical_hankel,
+    spherical_hankel_closed,
+    validation_grid,
+    wronskian_residual,
+)
 
 # (nu, t, J, Y, J', Y') spanning the series region, the continued-fraction
 # region, long downward ladders, and the large-t oscillatory regime.
@@ -73,6 +86,30 @@ SPH_TABLE = [
      complex(0.00886645943994957, -0.01046585930164485),
      complex(0.00967924153459455, 0.008519437338156655)),
 ]
+
+
+def scalar_selftest_rows(
+    wronskian_tol: float = 1.0e-10,
+    halfint_tol: float = 1.0e-10,
+) -> Iterator[Tuple[float, float, float, Optional[float], bool]]:
+    """`selftest_rows` one scalar evaluation per grid point."""
+    nus, ts = validation_grid()
+    for nu in nus:
+        half = (nu * 2.0) % 2.0 == 1.0 and nu - 0.5 <= 20.0
+        for t in ts:
+            wr = wronskian_residual(nu, t)
+            he: Optional[float] = None
+            ok = wr <= wronskian_tol
+            if half and 0.1 <= t <= 100.0:
+                mm = int(nu - 0.5)
+                ref_h, ref_hp = spherical_hankel_closed(mm, 3, t)
+                got = spherical_hankel(mm, 3, t)
+                he = max(
+                    abs(got.h - ref_h) / abs(ref_h),
+                    abs(got.hp - ref_hp) / abs(ref_hp),
+                )
+                ok = ok and he <= halfint_tol
+            yield nu, t, wr, he, ok
 
 
 def _regenerate() -> None:

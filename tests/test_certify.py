@@ -180,6 +180,17 @@ def test_resolvent_lower_round_trip():
         assert abs(c_lb - a) <= 1e-12 * a
 
 
+def test_resolvent_lower_round_trip_where_the_product_overflows():
+    # 8 k^2 S leaves binary64 from k ~ 1e77 (a = 0.3) or 1e78 (a = 1e-4);
+    # the floor must still come back as the target, not as 0
+    for k in (1e100, 1e150, 2e150, 1e153):
+        for a in (1e-4, 0.3):
+            threshold = 1.0 + 2.0 * k * math.sqrt(2.0 * k * k * a * a + a)
+            c_prime, c_lb = resolvent_lower(threshold, k)
+            assert math.isinf(8.0 * k * k * c_prime * c_prime)
+            assert abs(c_lb - a) <= 1e-12 * a
+
+
 def test_resolvent_lower_uninformative_threshold():
     assert resolvent_lower(1.0, 2.0) == (0.0, 0.0)
     assert resolvent_lower(0.5, 2.0) == (0.0, 0.0)

@@ -549,3 +549,87 @@ def test_effective_outputs_defaults(tmp_path):
     assert eff.csv == str(tmp_path / "dir" / "certificates.csv")
     assert (tmp_path / "dir").is_dir()
     assert _effective_outputs(cfg, None) is cfg.outputs
+
+
+HUGE = 10**400  # written out by json.dumps as 401 digits
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("plan", dict(dimension=HUGE)),
+    ("plan", dict(dimension=33)),
+    ("plan", dict(layers=HUGE)),
+    ("plan", dict(layers=10_001)),
+    ("plan", dict(precisionDigits=HUGE)),
+    ("build", dict(dimension=HUGE)),
+    ("certify", dict(layers=HUGE)),
+], ids=["dimension-401-digits", "dimension-33", "layers-401-digits", "layers-10001",
+        "precision-401-digits", "build-dimension", "certify-layers"])
+def test_run_huge_integers_exit_2(tmp_path, capsys, command, overrides):
+    cfg = write_config(tmp_path, demo_mapping(**overrides))
+    assert run([command, "--config", cfg, "--out", str(tmp_path)]
+               if command != "plan" else [command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be <= " in err
+    assert not (tmp_path / "geometry.json").exists()
+
+
+def test_run_huge_box_count_and_flags_exit_2(tmp_path, capsys):
+    doc = stacked_table_mapping()
+    doc["boxCount"] = HUGE
+    assert run(["plan", "--config", write_config(tmp_path, doc)]) == 2
+    cfg = write_config(tmp_path, demo_mapping(), name="ok.json")
+    for flag in ("--dimension", "--layers", "--precision"):
+        assert run(["plan", "--config", cfg, flag, str(HUGE)]) == 2
+        assert f"error: {flag} must be <= " in capsys.readouterr().err
+    # the bounds themselves are accepted
+    assert run(["plan", "--config", cfg, "--dimension", "32", "--layers", "3"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("sweep", [dict(mMax=HUGE), dict(nValues=[2, HUGE]),
+                                   dict(rhoPoints=HUGE)],
+                         ids=["mMax", "nValues", "rhoPoints"])
+def test_run_huge_sweep_integers_exit_2(tmp_path, capsys, sweep):
+    cfg = write_config(tmp_path, {"sweep": sweep})
+    assert run(["verify-dtn", "--config", cfg]) == 2
+    assert "must be <= " in capsys.readouterr().err
+
+
+def test_run_integer_past_the_digit_limit_exit_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"dimension": ' + "1" * 5000 + "}", encoding="utf-8")
+    assert run(["plan", "--config", str(path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["specfun-selftest"], ["verify-dtn"]])
+def test_run_convergence_error_exit_2(monkeypatch, capsys, argv):
+    import trapcert.specfun
+
+    def stalled(mu, x):
+        raise trapcert.specfun.ConvergenceError(
+            f"CF2 stalled at mu={float(mu[0])}, t={float(x[0])}")
+
+    monkeypatch.setattr(trapcert.specfun, "_cf2_batch", stalled)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: CF2 stalled at mu=")
+    assert captured.out == ""
+
+
+def test_run_certify_huge_wavenumbers(tmp_path, capsys):
+    # 8 k^2 S overflows binary64 here; the resolvent floor must not read 0
+    doc = stacked_table_mapping()
+    doc["boxCount"] = 2
+    doc["schedule"]["wavenumbers"] = {"family": "table", "values": [1e150, 2e150]}
+    doc["schedule"]["paddings"] = {"family": "table",
+                                   "values": [3e-151, 2e-151, 1e-151]}
+    cfg = write_config(tmp_path, doc)
+    assert run(["certify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert "2 certificates" in capsys.readouterr().out
+    rows = (tmp_path / "certificates.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2
+    for row in rows:
+        fields = row.split(",")  # j,k,a,eps,infsup_ub,cprime_lb,c_lb,margin
+        a, c_lb, margin = float(fields[2]), float(fields[6]), float(fields[7])
+        assert margin > 0.0 and c_lb > a

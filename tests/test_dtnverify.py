@@ -1,5 +1,6 @@
 """Tests for the mode-by-mode sign checks and the verification sweep."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,8 @@ from trapcert.specfun import (
     spherical_hankel,
     spherical_hankel_closed,
 )
+
+from sweep_oracle import per_radius_sweep
 
 RHO_SAMPLE = default_rho_grid(60)
 
@@ -232,3 +235,44 @@ def test_sweep_input_validation():
 def test_sweep_rejects_inputs_outside_the_envelope(n_values, m_max, rho):
     with pytest.raises(BesselDomainError, match="envelope"):
         verify_sweep(n_values=n_values, m_max=m_max, rho_grid=np.array(rho))
+
+
+# -------------------------------------------------------------------
+# the batched sweep against the per-radius reference, field for field
+# -------------------------------------------------------------------
+
+def bits(value):
+    """A comparison key that tells apart every float bit pattern."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [bits(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return [(f.name, bits(getattr(value, f.name))) for f in dataclasses.fields(value)]
+    return value
+
+
+def test_sweep_equals_per_radius_reference_on_the_default_grid():
+    got = verify_sweep()
+    assert bits(got) == bits(per_radius_sweep())
+    assert got.checked_modes == 2000 * 101 * 12
+
+
+@pytest.mark.parametrize("kwargs", [
+    # violations past the cap, a repeated dimension, radii on both sides of
+    # t = 2 and a grid that is not a multiple of the batch
+    dict(n_values=(2, 3, 3, 7), m_max=12, rho_grid=np.geomspace(0.01, 300.0, 77),
+         alphas=(0.0, 0.5, 1.0, 3.0)),
+    dict(n_values=(3,), m_max=0, rho_grid=[1e-3, 1.9999999999999998, 2.0, 1e3]),
+    dict(n_values=(2, 4), m_max=40, rho_grid=np.geomspace(0.05, 200.0, 70),
+         alphas=(-5.0,)),
+    dict(n_values=(5, 2), m_max=100, rho_grid=default_rho_grid(40)),
+], ids=["capped", "edges", "negative-alpha", "default-orders"])
+def test_sweep_equals_per_radius_reference(kwargs):
+    got_records, ref_records = [], []
+    got = verify_sweep(record_sink=got_records.append, **kwargs)
+    ref = per_radius_sweep(record_sink=ref_records.append, **kwargs)
+    assert bits(got) == bits(ref)
+    assert bits(got_records) == bits(ref_records)
+    assert len(got_records) == got.checked_modes
+    assert bits(verify_sweep(**kwargs)) == bits(per_radius_sweep(**kwargs))

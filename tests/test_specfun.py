@@ -1,12 +1,17 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from trapcert import specfun
+from trapcert.dtnverify import default_rho_grid
 from trapcert.specfun import (
     BesselDomainError,
     BesselRangeError,
+    ConvergenceError,
     bessel_ladder,
+    bessel_ladders,
     cyl_bessel,
     cyl_bessel_scaled,
     hankel_half_integer,
@@ -16,7 +21,7 @@ from trapcert.specfun import (
     wronskian_residual,
 )
 
-from oracles import JY_TABLE, LOG_EXTREME_TABLE, SPH_TABLE
+from oracles import JY_TABLE, LOG_EXTREME_TABLE, SPH_TABLE, scalar_selftest_rows
 
 LN2 = math.log(2.0)
 
@@ -252,3 +257,160 @@ def test_validation_grid_shape():
     assert len(nus) == 201 and nus[0] == 0.0 and nus[-1] == 100.0
     assert len(ts) == 400
     assert math.isclose(ts[0], 1e-2) and math.isclose(ts[-1], 200.0)
+
+
+# -------------------------------------------------------------------
+# the batched route against the scalar route, bit for bit
+# -------------------------------------------------------------------
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def assert_ladder_rows_equal(batch, mu0, count):
+    for p, t in enumerate(batch.t.tolist()):
+        ref = specfun._ladder(mu0, t, count)
+        for name in ("jm", "jpm", "ym", "ypm"):
+            assert hexes(getattr(batch, name)[p]) == hexes(getattr(ref, name)), (name, t)
+        for name in ("ej", "ey"):
+            assert getattr(batch, name)[p].tolist() == getattr(ref, name), (name, t)
+
+
+@pytest.mark.parametrize("mu0", [0.0, 0.5])
+def test_batched_ladders_equal_scalar_on_the_default_sweep(mu0):
+    # the default sweep's ladders: orders mu0 .. mu0 + 101 at 2,000 radii
+    batch = bessel_ladders(mu0, default_rho_grid(), 101)
+    assert batch.jm.shape == (2000, 102)
+    assert_ladder_rows_equal(batch, mu0, 101)
+
+
+@given(
+    mu0=st.floats(min_value=-0.5, max_value=0.5),
+    logts=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=6),
+    near_two=st.lists(st.sampled_from([1.9999999999999998, 2.0, 2.0000000000000004,
+                                       1.5, 2.5]), max_size=2),
+    count=st.integers(min_value=0, max_value=199),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_ladders_equal_scalar_random(mu0, logts, near_two, count):
+    assume(mu0 + count >= 0.0)
+    ts = [10.0**lt for lt in logts] + near_two
+    assert_ladder_rows_equal(bessel_ladders(mu0, ts, count), mu0, count)
+
+
+@given(
+    logt=st.floats(min_value=-3.0, max_value=-1.0),
+    count=st.integers(min_value=150, max_value=199),
+)
+@settings(max_examples=20, deadline=None)
+def test_batched_ladders_equal_scalar_in_the_renormalization_corner(logt, count):
+    # small t and high orders: Y passes 2^500 several times on the way up
+    t = 10.0**logt
+    batch = bessel_ladders(0.5, [t, 2.0 * t], count)
+    assert batch.ey.max() > 1000
+    assert_ladder_rows_equal(batch, 0.5, count)
+
+
+@given(points=st.lists(st.tuples(st.floats(min_value=0.0, max_value=200.0),
+                                 st.floats(min_value=-3.0, max_value=3.0)),
+                       min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_batched_residuals_equal_scalar(points):
+    # mixed top orders and counts in one batch
+    nu = np.array([p[0] for p in points])
+    t = np.array([10.0**p[1] for p in points])
+    got = specfun._wronskian_residuals(nu, t)
+    assert hexes(got) == hexes(wronskian_residual(a, b) for a, b in zip(nu.tolist(), t.tolist()))
+
+
+@given(points=st.lists(st.tuples(st.floats(min_value=-0.5, max_value=200.0),
+                                 st.floats(min_value=2.0, max_value=1000.0)),
+                       min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_batched_cf2_equals_scalar(points):
+    mu = np.array([p[0] for p in points])
+    x = np.array([p[1] for p in points])
+    p, q = specfun._cf2_batch(mu, x)
+    for i, (m, t) in enumerate(points):
+        assert hexes((p[i], q[i])) == hexes(specfun._cf2(m, t))
+
+
+def test_batched_cf1_equals_scalar():
+    nu = np.array([0.0, 0.5, 3.25, 100.0, 200.0, 7.0])
+    x = np.array([1e-3, 1.9, 2.0, 40.0, 1000.0, 7.0])
+    f, sign = specfun._cf1_batch(nu, x)
+    for i in range(nu.size):
+        ref_f, ref_sign = specfun._cf1(float(nu[i]), float(x[i]))
+        assert (f[i].hex(), sign[i]) == (ref_f.hex(), float(ref_sign))
+
+
+def test_abs_below_decides_like_complex_abs():
+    bound = 2.0**-52
+    re = np.array([bound, -bound, 0.6 * bound, bound * (1 - 1e-13), 0.0, 1e300, -1e-310])
+    im = np.array([0.0, 1e-40, 0.8 * bound, 1e-30, bound, 1.0, 0.0])
+    got = specfun._abs_below(re, im, bound)
+    assert got.tolist() == [abs(complex(a, b)) < bound for a, b in zip(re, im)]
+
+
+def test_selftest_rows_equal_the_scalar_loop():
+    got = list(specfun.selftest_rows())
+    ref = list(scalar_selftest_rows())
+    assert len(got) == len(ref) == 80400
+
+    def key(row):
+        nu, t, wr, he, ok = row
+        return nu.hex(), t.hex(), wr.hex(), None if he is None else he.hex(), ok
+
+    assert [key(r) for r in got] == [key(r) for r in ref]
+
+
+def test_selftest_samples_the_scalar_route(monkeypatch):
+    calls = []
+    scalar = specfun.wronskian_residual
+
+    def spy(nu, t):
+        calls.append((nu, t))
+        return scalar(nu, t)
+
+    monkeypatch.setattr(specfun, "wronskian_residual", spy)
+    rows = list(specfun.selftest_rows())
+    assert all(ok for *_, ok in rows)
+    nus, _ = validation_grid()
+    assert len(calls) >= 4000
+    assert {nu for nu, _ in calls} == set(nus)
+    assert any(t < 2.0 for _, t in calls) and any(t >= 2.0 for _, t in calls)
+
+
+def test_selftest_fails_a_row_whose_scalar_residual_differs(monkeypatch):
+    scalar = specfun.wronskian_residual
+    monkeypatch.setattr(specfun, "wronskian_residual",
+                        lambda nu, t: math.nextafter(scalar(nu, t), 1.0))
+    failed = [(nu, t) for nu, t, _, _, ok in specfun.selftest_rows() if not ok]
+    assert len(failed) >= 4000
+
+
+@pytest.mark.parametrize("kind", ["CF1", "CF2"])
+def test_batched_stall_names_the_first_point_like_the_scalar_route(monkeypatch, kind):
+    monkeypatch.setattr(specfun, "_MAXIT", 3)
+    points = [(30.5, 40.0), (0.25, 2.5), (3.0, 900.0)]
+    order = np.array([p[0] for p in points])
+    t = np.array([p[1] for p in points])
+    batched, scalar = ((specfun._cf1_batch, specfun._cf1) if kind == "CF1"
+                       else (specfun._cf2_batch, specfun._cf2))
+    with pytest.raises(ConvergenceError) as ref:
+        scalar(*points[0])
+    with pytest.raises(ConvergenceError) as got:
+        batched(order, t)
+    assert str(got.value) == str(ref.value)
+    assert str(got.value).startswith(f"{kind} stalled at ")
+
+
+def test_batched_ladders_domain():
+    with pytest.raises(BesselDomainError):
+        bessel_ladders(0.75, [1.0, 3.0], 5)  # Temme seed needs |mu0| <= 1/2 below t=2
+    with pytest.raises(BesselDomainError):
+        bessel_ladders(0.0, [1.0, 0.0], 5)
+    with pytest.raises(BesselDomainError):
+        bessel_ladders(0.0, [], 5)
+    with pytest.raises(BesselDomainError):
+        bessel_ladders(0.0, [1.0], -1)
