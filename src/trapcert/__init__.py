@@ -35,7 +35,7 @@ from trapcert.sequences import (
     wavenumber,
 )
 from trapcert.geometry import (
-    BoxSpec,
+    Boxes,
     ConnectivityReport,
     DisjointnessReport,
     GeometryError,
@@ -51,7 +51,7 @@ from trapcert.geometry import (
     suggested_resolution,
 )
 from trapcert.certify import (
-    CertRecord,
+    Certificates,
     CertifyError,
     QuasimodeNorms,
     TraceTest,

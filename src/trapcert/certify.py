@@ -17,6 +17,11 @@ a with positive margin.  The bounds are uniform in the cut-off radius, so a
 single record certifies every R larger than the circumradius of the
 arrangement.
 
+`certify_geometry` runs the chain on the columns of a `Boxes` and returns
+one `Certificates` column set.  Only correctly rounded operations run on
+arrays, so each column equals the public scalar functions box by box, bit
+for bit; eps^(3(n-1)/2) stays one Python float power per box.
+
 The trace inequality used in the flux estimate is checked separately on
 separable polynomial-times-sine test functions with closed-form integrals.
 """
@@ -25,9 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
+
+from trapcert.geometry import Boxes
 
 _R_NOTE = "uniform in R above the circumradius"
 
@@ -44,7 +51,6 @@ class CertifyError(ValueError):
 class QuasimodeNorms:
     """Squared norms of the product Dirichlet mode of one box."""
 
-    j: int
     h1k_norm_sq: float
     flux_norm_sq: float
     flux_cubic_ub: float
@@ -59,8 +65,7 @@ def _s_minus_sin(s: float) -> float:
     return s - math.sin(s)
 
 
-def quasimode_norms(n: int, k: float, ell: float, eps: float,
-                    j: int = 0) -> QuasimodeNorms:
+def quasimode_norms(n: int, k: float, ell: float, eps: float) -> QuasimodeNorms:
     """Closed-form norms; requires the resonance relation k*ell = pi*sqrt(n)
     (to 1e-12 relative), which makes the mode an exact Dirichlet eigenmode."""
     if n < 2:
@@ -77,8 +82,7 @@ def quasimode_norms(n: int, k: float, ell: float, eps: float,
     flux = (math.sqrt(n) / (4.0 * k)) ** (n - 3) * _s_minus_sin(s) ** (n - 1) / 16.0
     cubic = ((k * ell * eps) ** (3 * (n - 1))
              / (3.0 ** (n - 1) * k ** (n - 3) * float(n) ** n))
-    return QuasimodeNorms(j=j, h1k_norm_sq=h1k, flux_norm_sq=flux,
-                          flux_cubic_ub=cubic)
+    return QuasimodeNorms(h1k_norm_sq=h1k, flux_norm_sq=flux, flux_cubic_ub=cubic)
 
 
 # -------------------------------------------------------------------
@@ -96,11 +100,12 @@ def infsup_upper(n: int, eps: float) -> float:
     return c_n * eps ** (1.5 * (n - 1))
 
 
-def _threshold(n: int, k: float, a: float) -> float:
-    """sqrt(pi) n^(3/4) (1 + 2k sqrt(2k^2 a^2 + a)); by construction of the
-    aperture fraction this equals 1/infsup_upper up to roundoff."""
+def _threshold(n: int, k, a):
+    """sqrt(pi) n^(3/4) (1 + 2k sqrt(2k^2 a^2 + a)), for floats or arrays of
+    k and a; by construction of the aperture fraction this equals
+    1/infsup_upper up to roundoff."""
     return (math.sqrt(math.pi) * n ** 0.75
-            * (1.0 + 2.0 * k * math.sqrt(2.0 * k * k * a * a + a)))
+            * (1.0 + 2.0 * k * np.sqrt(2.0 * k * k * a * a + a)))
 
 
 def resolvent_lower(threshold: float, k: float) -> Tuple[float, float]:
@@ -125,58 +130,69 @@ def resolvent_lower(threshold: float, k: float) -> Tuple[float, float]:
     return c_prime, 2.0 * s / (1.0 + math.sqrt(1.0 + disc))
 
 
-@dataclass(frozen=True)
-class CertRecord:
-    """One certified box: inputs, both routes to the inf-sup bound, and the
-    resolvent floor with its margin over the target."""
+@dataclass(frozen=True, eq=False)
+class Certificates:
+    """Per-box columns: inputs, both inf-sup routes, floor and margin."""
 
-    j: int
-    k: float
-    a: float
-    eps: float
-    infsup_ub: float
-    infsup_ub_inv_identity: float
-    c_prime_lb: float
-    c_lb: float
-    margin: float
+    j: np.ndarray
+    k: np.ndarray
+    a: np.ndarray
+    eps: np.ndarray
+    infsup_ub: np.ndarray
+    infsup_ub_inv_identity: np.ndarray
+    c_prime_lb: np.ndarray
+    c_lb: np.ndarray
+    margin: np.ndarray
     r_note: str = _R_NOTE
 
+    def __len__(self) -> int:
+        return len(self.j)
 
-def certify_geometry(boxes: Sequence) -> Tuple[CertRecord, ...]:
+
+def certify_geometry(boxes: Boxes) -> Certificates:
     """Certify every box of a built arrangement.
 
-    Each record passes three gates or the whole call fails:
-    the closed-form norms accept the box (resonance relation), the two
-    routes to the inf-sup bound agree to 1e-9 relative, and the resolvent
-    floor exceeds the target with positive margin.  The boxes carry every
-    value the chain needs.
+    Every box passes five gates or the call fails, naming the first
+    failing box and its first failing gate: the domain and resonance checks
+    of `quasimode_norms`, the two routes to the inf-sup bound agreeing to
+    1e-9 relative, a positive margin, and the defining relation.
     """
-    records: List[CertRecord] = []
-    for box in boxes:
-        n = len(box.translation)
-        k, a, eps, ell = box.wavenumber, box.target, box.gap, box.side
-        quasimode_norms(n, k, ell, eps, j=box.j)  # validates the box
-        ub = infsup_upper(n, eps)
+    n = boxes.lo.shape[1]
+    k, a, eps, ell = boxes.k, boxes.a, boxes.gap, boxes.side
+    root = math.pi * math.sqrt(n)
+    with np.errstate(all="ignore"):
+        ub = np.array([infsup_upper(n, e) if 0.0 < e < 1.0 else math.nan
+                       for e in eps.tolist()])
         inv = _threshold(n, k, a)
-        if abs(1.0 / ub - inv) > 1e-9 * inv:
-            raise CertifyError(
-                f"box {box.j}: inf-sup routes disagree, 1/ub = {1.0 / ub!r} "
-                f"vs identity {inv!r}"
-            )
-        c_prime, c_lb = resolvent_lower(inv, k)
+        c_prime = (inv - 1.0) / (2.0 * k)
+        c_prime = np.where(c_prime > 0.0, c_prime, 0.0)  # max(0.0, x), NaN to 0
+        s = c_prime * c_prime
+        disc = 8.0 * k * k * s
+        c_lb = np.where(np.isinf(disc), c_prime / (math.sqrt(2.0) * k),
+                        2.0 * s / (1.0 + np.sqrt(1.0 + disc)))
         margin = c_lb - a
-        if not margin > 0.0:
-            raise CertifyError(
-                f"box {box.j}: resolvent floor {c_lb!r} does not clear "
-                f"target {a!r}"
-            )
-        # the floor must also clear the target through the defining relation
-        if not 2.0 * k * k * c_lb * c_lb + c_lb > 2.0 * k * k * a * a + a:
-            raise CertifyError(f"box {box.j}: floor fails the defining relation")
-        records.append(CertRecord(j=box.j, k=k, a=a, eps=eps, infsup_ub=ub,
-                                  infsup_ub_inv_identity=inv,
-                                  c_prime_lb=c_prime, c_lb=c_lb, margin=margin))
-    return tuple(records)
+        gates = np.stack((
+            (k > 0.0) & (ell > 0.0) & (0.0 < eps) & (eps < 1.0),
+            ~(np.abs(k * ell - root) > 1e-12 * root),
+            ~(np.abs(1.0 / ub - inv) > 1e-9 * inv),
+            margin > 0.0,
+            2.0 * k * k * c_lb * c_lb + c_lb > 2.0 * k * k * a * a + a))
+        failed = ~gates.all(axis=0)
+        if failed.any():
+            i = int(np.argmax(failed))
+            j, ki, ai, ei, li = (c[i].item() for c in (boxes.j, k, a, eps, ell))
+            raise CertifyError([
+                f"need k, ell > 0 and eps in (0,1), got {ki}, {li}, {ei}",
+                f"k*ell = {ki * li!r} violates the resonance relation pi*sqrt(n)",
+                f"box {j}: inf-sup routes disagree, 1/ub = "
+                f"{(1.0 / ub[i]).item()!r} vs identity {inv[i].item()!r}",
+                f"box {j}: resolvent floor {c_lb[i].item()!r} does not clear "
+                f"target {ai!r}",
+                f"box {j}: floor fails the defining relation",
+            ][int(np.argmin(gates[:, i]))])
+    return Certificates(j=boxes.j, k=k, a=a, eps=eps, infsup_ub=ub,
+                        infsup_ub_inv_identity=inv, c_prime_lb=c_prime,
+                        c_lb=c_lb, margin=margin)
 
 
 # -------------------------------------------------------------------

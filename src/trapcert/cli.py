@@ -25,15 +25,18 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from trapcert.certify import CertifyError, CertRecord, certify_geometry
+from trapcert.certify import Certificates, CertifyError, certify_geometry
 from trapcert.dtnverify import (
     DEFAULT_M_MAX,
     DEFAULT_N_VALUES,
+    DEFAULT_RHO_MAX,
+    DEFAULT_RHO_MIN,
+    DEFAULT_RHO_POINTS,
     SweepSummary,
     verify_sweep,
 )
 from trapcert.geometry import (
-    BoxSpec,
+    Boxes,
     ConnectivityReport,
     DisjointnessReport,
     GeometryError,
@@ -88,9 +91,9 @@ class SweepParams:
 
     n_values: Tuple[int, ...] = DEFAULT_N_VALUES
     m_max: int = DEFAULT_M_MAX
-    rho_points: int = 2000
-    rho_min: float = 0.05
-    rho_max: float = 200.0
+    rho_points: int = DEFAULT_RHO_POINTS
+    rho_min: float = DEFAULT_RHO_MIN
+    rho_max: float = DEFAULT_RHO_MAX
 
     def rho_grid(self) -> np.ndarray:
         return np.geomspace(self.rho_min, self.rho_max, self.rho_points)
@@ -129,7 +132,7 @@ class RunConfig:
             precision_digits=self.precision_digits,
         )
 
-    def geometry(self) -> Tuple[List[BoxSpec], GeometrySummary]:
+    def geometry(self) -> Tuple[Boxes, GeometrySummary]:
         if self.layout is None or self.truncation is None:
             raise ConfigError(
                 "config needs 'layout' and a truncation ('layers' or "
@@ -314,11 +317,12 @@ def config_from_mapping(doc: Mapping) -> RunConfig:
 def load_config(path: str) -> RunConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # also an integer literal past Python's digit limit
+    # also an over-long integer literal, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_mapping(doc)
 
@@ -344,7 +348,7 @@ def _write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def geometry_document(boxes: Sequence[BoxSpec], summary: GeometrySummary) -> dict:
+def geometry_document(boxes: Boxes, summary: GeometrySummary) -> dict:
     """The JSON-ready document for a built arrangement.  All floats pass
     through json.dumps unchanged, i.e. as shortest round-trip decimals."""
     return {
@@ -358,21 +362,17 @@ def geometry_document(boxes: Sequence[BoxSpec], summary: GeometrySummary) -> dic
             "rGammaUpper": summary.r_gamma_upper,
         },
         "boxes": [
-            {
-                "j": b.j,
-                "layer": b.layer,
-                "side": b.side,
-                "translation": list(b.translation),
-                "gap": b.gap,
-                "wavenumber": b.wavenumber,
-                "targetA": b.target,
-            }
-            for b in boxes
+            {"j": j, "layer": layer, "side": side, "translation": lo,
+             "gap": gap, "wavenumber": k, "targetA": a}
+            for j, layer, side, lo, gap, k, a in zip(
+                boxes.j.tolist(), boxes.layer.tolist(), boxes.side.tolist(),
+                boxes.lo.tolist(), boxes.gap.tolist(), boxes.k.tolist(),
+                boxes.a.tolist())
         ],
     }
 
 
-def emit_geometry_json(boxes: Sequence[BoxSpec], summary: GeometrySummary,
+def emit_geometry_json(boxes: Boxes, summary: GeometrySummary,
                        path: str) -> None:
     text = json.dumps(geometry_document(boxes, summary), indent=1) + "\n"
     _write_text_atomic(path, text)
@@ -383,26 +383,25 @@ def _f6(value: float) -> str:
     return "0.000000" if out == "-0.000000" else out
 
 
-def svg_document(boxes: Sequence[BoxSpec]) -> str:
+def svg_document(boxes: Boxes) -> str:
     """Vector figure of a planar arrangement: per box, the closed outline
     minus the slot on the bottom edge (anchored at the box corner), grey
     interior fill, 5% view margin.  Planar only."""
-    if not boxes:
+    if not len(boxes):
         raise GeometryError("nothing to draw: no boxes")
-    if any(len(b.translation) != 2 for b in boxes):
+    if boxes.lo.shape[1] != 2:
         raise GeometryError(
             f"SVG output is only defined for dimension 2, "
-            f"got dimension {len(boxes[0].translation)}"
+            f"got dimension {boxes.lo.shape[1]}"
         )
-    xs_lo = min(b.translation[0] for b in boxes)
-    xs_hi = max(b.translation[0] + b.side for b in boxes)
-    ys_lo = min(b.translation[1] for b in boxes)
-    ys_hi = max(b.translation[1] + b.side for b in boxes)
+    lo, hi = boxes.lo, boxes.hi
+    xs_lo, ys_lo = lo.min(axis=0).tolist()
+    xs_hi, ys_hi = hi.max(axis=0).tolist()
     margin = 0.05 * max(xs_hi - xs_lo, ys_hi - ys_lo)
     # world y points up; SVG y points down
     view = (xs_lo - margin, -ys_hi - margin,
             (xs_hi - xs_lo) + 2.0 * margin, (ys_hi - ys_lo) + 2.0 * margin)
-    stroke = max(1.0e-6, 0.02 * min(b.side for b in boxes))
+    stroke = max(1.0e-6, 0.02 * boxes.side.min().item())
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -411,10 +410,8 @@ def svg_document(boxes: Sequence[BoxSpec]) -> str:
         f'<g fill="#e6e6e6" stroke="#000000" stroke-width="{_f6(stroke)}" '
         f'stroke-linecap="butt" stroke-linejoin="miter">',
     ]
-    for b in boxes:
-        x0, y0 = b.translation
-        x1, y1 = x0 + b.side, y0 + b.side
-        slot = x0 + b.side * b.gap
+    slots = lo[:, 0] + boxes.side * boxes.gap
+    for (x0, y0), (x1, y1), slot in zip(lo.tolist(), hi.tolist(), slots.tolist()):
         # start at the slot's inner end, trace bottom-right-top-left back to
         # the corner; the fill closes the subpath, the stroke leaves it open
         lines.append(
@@ -427,25 +424,25 @@ def svg_document(boxes: Sequence[BoxSpec]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_svg(boxes: Sequence[BoxSpec], path: str) -> None:
+def emit_svg(boxes: Boxes, path: str) -> None:
     _write_text_atomic(path, svg_document(boxes))
 
 
 _CSV_COLUMNS = ("j", "k", "a", "eps", "infsup_ub", "cprime_lb", "c_lb", "margin")
 
 
-def certificates_csv(records: Sequence[CertRecord]) -> str:
+def certificates_csv(records: Certificates) -> str:
     """CSV text of a certification run: one row per box, 17 significant
     digits (round-trip exact), LF line endings."""
     lines = [",".join(_CSV_COLUMNS)]
-    for r in records:
-        lines.append(f"{r.j},{r.k:.17g},{r.a:.17g},{r.eps:.17g},"
-                     f"{r.infsup_ub:.17g},{r.c_prime_lb:.17g},"
-                     f"{r.c_lb:.17g},{r.margin:.17g}")
+    columns = (records.j, records.k, records.a, records.eps, records.infsup_ub,
+               records.c_prime_lb, records.c_lb, records.margin)
+    for j, *values in zip(*(c.tolist() for c in columns)):
+        lines.append(",".join([str(j)] + [f"{v:.17g}" for v in values]))
     return "\n".join(lines) + "\n"
 
 
-def emit_certificates_csv(records: Sequence[CertRecord], path: str) -> None:
+def emit_certificates_csv(records: Certificates, path: str) -> None:
     _write_text_atomic(path, certificates_csv(records))
 
 
@@ -462,7 +459,7 @@ class StageOutputs:
     summary: Optional[GeometrySummary] = None
     disjointness: Optional[DisjointnessReport] = None
     connectivity: Optional[ConnectivityReport] = None
-    certificates: Optional[Tuple[CertRecord, ...]] = None
+    certificates: Optional[Certificates] = None
     certify_error: Optional[str] = None
     sweep: Optional[SweepSummary] = None
 
@@ -494,6 +491,12 @@ def schedule_label(sched: Schedule) -> str:
     return (f"n={sched.n}; wavenumbers {_family_label(sched.k_family)}; "
             f"targets {_family_label(sched.a_family)}; "
             f"paddings {_family_label(sched.d_family)}")
+
+
+def _min_margin(records: Certificates) -> str:
+    """The smallest certificate margin and the first box that attains it."""
+    i = int(np.argmin(records.margin))
+    return f"min margin {records.margin[i].item():.6g} at j={records.j[i].item()}"
 
 
 def _sweep_line(w: SweepSummary) -> str:
@@ -542,9 +545,8 @@ def render_report(stages: StageOutputs) -> str:
                 if not fact.passed:
                     lines.append(f"  connectivity: FAIL ({fact.name}: {fact.detail})")
     if stages.certificates is not None:
-        worst = min(stages.certificates, key=lambda r: r.margin)
         lines.append(f"certification: {len(stages.certificates)} boxes, "
-                     f"min margin {worst.margin:.6g} at j={worst.j}: pass")
+                     f"{_min_margin(stages.certificates)}: pass")
     if stages.certify_error is not None:
         lines.append(f"certification: FAIL ({stages.certify_error})")
 
@@ -554,10 +556,6 @@ def render_report(stages: StageOutputs) -> str:
     lines.append("")
     lines.append(f"overall: {'pass' if stages.passed else 'FAIL'}")
     return "\n".join(lines) + "\n"
-
-
-def report(stages: StageOutputs, path: str) -> None:
-    _write_text_atomic(path, render_report(stages))
 
 
 # -------------------------------------------------------------------
@@ -609,9 +607,9 @@ def _cmd_plan(cfg: RunConfig, outputs: OutputPaths, out) -> int:
     else:
         boxes, _ = cfg.geometry()
         print(f"{'j':>5} {'k':>12} {'side':>10} {'base height':>12}", file=out)
-        for b in boxes:
-            print(f"{b.j:>5} {b.wavenumber:>12.6f} {b.side:>10.6f} "
-                  f"{b.translation[-1]:>12.6f}", file=out)
+        for j, k, side, depth in zip(boxes.j.tolist(), boxes.k.tolist(),
+                                     boxes.side.tolist(), boxes.lo[:, -1].tolist()):
+            print(f"{j:>5} {k:>12.6f} {side:>10.6f} {depth:>12.6f}", file=out)
         print(f"total boxes: {len(boxes)}", file=out)
     return 0
 
@@ -647,9 +645,8 @@ def _cmd_certify(cfg: RunConfig, outputs: OutputPaths, out) -> int:
     boxes, _ = cfg.geometry()
     records = certify_geometry(boxes)
     emit_certificates_csv(records, path)
-    worst = min(records, key=lambda r: r.margin)
-    print(f"wrote {path} ({len(records)} certificates, "
-          f"min margin {worst.margin:.6g} at j={worst.j})", file=out)
+    print(f"wrote {path} ({len(records)} certificates, {_min_margin(records)})",
+          file=out)
     return 0
 
 
@@ -804,6 +801,9 @@ def run(argv: Sequence[str]) -> int:
     except (ConfigError, ScheduleError, GeometryError, BesselDomainError,
             BesselRangeError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # schedule values past binary64's range
+        print(f"error: a derived value leaves binary64: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -58,11 +58,14 @@ _SWEEP_CHUNK = 32
 
 DEFAULT_N_VALUES = (2, 3, 4, 5)
 DEFAULT_M_MAX = 100
+DEFAULT_RHO_POINTS = 2000
+DEFAULT_RHO_MIN = 0.05
+DEFAULT_RHO_MAX = 200.0
 
 
-def default_rho_grid(points: int = 2000) -> np.ndarray:
+def default_rho_grid(points: int = DEFAULT_RHO_POINTS) -> np.ndarray:
     """Logarithmic rho grid on [0.05, 200]."""
-    return np.geomspace(0.05, 200.0, points)
+    return np.geomspace(DEFAULT_RHO_MIN, DEFAULT_RHO_MAX, points)
 
 
 def default_alphas(n: int) -> Tuple[float, ...]:

@@ -18,9 +18,13 @@ Everything downstream hangs off two kinds of guarantees produced here:
   accumulation point, total volume, circumradius), obtained by computing a
   few hundred levels explicitly and bounding the remainder analytically.
 
+A built arrangement is one `Boxes` of read-only columns, one row per box.
 All coordinates are plain binary64 and every emitted number is a fixed
-arithmetic expression of schedule values, so rebuilding with the same
-configuration reproduces the geometry bit for bit.
+arithmetic expression of schedule values, so rebuilding reproduces the
+geometry bit for bit: arrays carry only correctly rounded operations
+(+ - * /, sqrt, comparisons, min/max), while schedule values and powers stay
+Python float operations per box (numpy's pow and log may differ in the last
+bit).
 
 The packing certificate never forms all N^2 pairs.  It sorts the boxes
 along one axis and sweeps: a pair whose projections on that axis are
@@ -37,12 +41,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from trapcert.sequences import (
+    DerivedParams,
     DShiftedPower,
     KLogGrowth,
     KTable,
@@ -59,6 +64,9 @@ from trapcert.sequences import (
 # extending at least this far also puts the slowly-decaying prefactors well
 # into their monotone regime
 _MIN_EXTENSION = 256
+
+# most boxes one build may hold (32 MiB a column), checked on the layer plans
+MAX_BOXES = 1 << 22
 
 
 class GeometryError(ValueError):
@@ -87,22 +95,29 @@ class LayerPlan:
     width: float
 
 
-@dataclass(frozen=True)
-class BoxSpec:
-    """One open box: global index, owning level, geometry, and the
-    schedule values it certifies (aperture fraction, wavenumber, target)."""
+@dataclass(frozen=True, eq=False)
+class Boxes:
+    """Open boxes as read-only columns, one row per box in index order."""
 
-    j: int
-    layer: int
-    side: float
-    translation: Tuple[float, ...]
-    gap: float
-    wavenumber: float
-    target: float
+    j: np.ndarray
+    layer: np.ndarray
+    side: np.ndarray
+    gap: np.ndarray
+    k: np.ndarray
+    a: np.ndarray
+    lo: np.ndarray
 
-    def bounds(self) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-        lo = self.translation
-        return lo, tuple(c + self.side for c in lo)
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.j)
+
+    @property
+    def hi(self) -> np.ndarray:
+        """Upper corners, lo + side on every axis."""
+        return self.lo + self.side[:, None]
 
 
 @dataclass(frozen=True)
@@ -215,30 +230,41 @@ def _width_tail_bound(sched: Schedule, i0: int) -> float:
 # builders
 # -------------------------------------------------------------------
 
-def _grid_digits(r: int, cols: int, axes: int) -> Tuple[int, ...]:
-    digits = []
-    for a in range(axes):
-        digits.append((r // cols ** (axes - 1 - a)) % cols)
-    return tuple(digits)
+def _grid(cols: int, axes: int) -> np.ndarray:
+    """The (cols**axes, axes) column indices of a level, row-major."""
+    return np.indices((cols,) * axes).reshape(axes, -1).T
 
 
-def _layered_boxes(sched: Schedule, plans: Sequence[LayerPlan]) -> List[BoxSpec]:
-    n = sched.n
-    boxes: List[BoxSpec] = []
-    for plan in plans:
-        for r in range(plan.count):
-            j = plan.start_index + r
-            p = derived_params(sched, j)
-            digits = _grid_digits(r, plan.cols, n - 1)
-            t = tuple(plan.pitch * dig for dig in digits) + (plan.height,)
-            boxes.append(BoxSpec(j=j, layer=plan.i, side=p.ell, translation=t,
-                                 gap=p.eps, wavenumber=p.k, target=p.a))
-    return boxes
+def _boxes(params: Iterable[DerivedParams], layer: np.ndarray,
+           lo: np.ndarray) -> Boxes:
+    """Boxes 1..N from their derived parameters, levels and lower corners."""
+    count = len(layer)
+    cols = np.fromiter(itertools.chain.from_iterable(
+        (p.ell, p.eps, p.k, p.a) for p in params), float, 4 * count)
+    side, gap, k, a = cols.reshape(count, 4).T.copy()
+    return Boxes(j=np.arange(1, count + 1), layer=layer, side=side, gap=gap,
+                 k=k, a=a, lo=lo)
 
 
-def build_layered(sched: Schedule, layers: int) -> Tuple[List[BoxSpec], GeometrySummary]:
+def _summary(layout: str, boxes: Boxes, extent: float, w_big: float,
+             heights: Tuple[float, float], vol_tail: float) -> GeometrySummary:
+    """Summary of a build: the built volume exactly, and the circumradius
+    bound from the widest level `w_big` and the lower height `heights[0]`."""
+    n = boxes.lo.shape[1]
+    sides = boxes.side.tolist()
+    vol_lo = math.fsum(s ** n for s in sides)
+    # the first box spans [0, ell_1] vertically
+    r_gamma = math.sqrt((n - 1) * w_big ** 2 + max(sides[0], -heights[0]) ** 2)
+    return GeometrySummary(dimension=n, layout=layout, box_count=len(sides),
+                           horizontal_extent=extent, height_interval=heights,
+                           volume_interval=(vol_lo, vol_lo + vol_tail),
+                           r_gamma_upper=r_gamma)
+
+
+def build_layered(sched: Schedule, layers: int) -> Tuple[Boxes, GeometrySummary]:
     """Boxes of the first `layers` levels, in global index order, plus the
-    certified summary of the full (possibly infinite) arrangement."""
+    certified summary of the full (possibly infinite) arrangement.  More
+    than MAX_BOXES boxes are refused before any box is built."""
     if layers < 1:
         raise GeometryError(f"layers must be >= 1, got {layers}")
     infinite = (isinstance(sched.k_family, KLogGrowth)
@@ -256,8 +282,16 @@ def build_layered(sched: Schedule, layers: int) -> Tuple[List[BoxSpec], Geometry
             f"{layers} requested"
         )
 
-    boxes = _layered_boxes(sched, plans[:layers])
-    j_built = plans[layers - 1].start_index + plans[layers - 1].count - 1
+    built = plans[:layers]
+    j_built = sum(plan.count for plan in built)  # boxes are numbered from 1
+    if j_built > MAX_BOXES:
+        raise GeometryError(f"{layers} layers hold {j_built} boxes, more than "
+                            f"the {MAX_BOXES} one build allows")
+    lo = np.concatenate([np.column_stack((plan.pitch * _grid(plan.cols, sched.n - 1),
+                                          np.full(plan.count, plan.height)))
+                         for plan in built])
+    layer = np.repeat([plan.i for plan in built], [plan.count for plan in built])
+    boxes = _boxes((derived_params(sched, j) for j in range(1, j_built + 1)), layer, lo)
     j_all = plans[-1].start_index + plans[-1].count - 1
     m_ext = plans[-1].i
 
@@ -281,23 +315,11 @@ def build_layered(sched: Schedule, layers: int) -> Tuple[List[BoxSpec], Geometry
         vol_tail = math.fsum(sidelength(sched, j) ** sched.n
                              for j in range(j_built + 1, j_all + 1))
         w_big = max(p.width for p in plans)
-
-    vol_lo = math.fsum(b.side ** sched.n for b in boxes)
-    top = boxes[0].side  # layer 1 box spans [0, ell_1] vertically
-    summary = GeometrySummary(
-        dimension=sched.n,
-        layout="layered",
-        box_count=len(boxes),
-        horizontal_extent=max(p.width for p in plans),
-        height_interval=(h_lo, h_hi),
-        volume_interval=(vol_lo, vol_lo + vol_tail),
-        r_gamma_upper=math.sqrt((sched.n - 1) * w_big ** 2
-                                + max(top, -h_lo) ** 2),
-    )
-    return boxes, summary
+    return boxes, _summary("layered", boxes, max(p.width for p in plans), w_big,
+                           (h_lo, h_hi), vol_tail)
 
 
-def build_stacked(sched: Schedule, count: int) -> Tuple[List[BoxSpec], GeometrySummary]:
+def build_stacked(sched: Schedule, count: int) -> Tuple[Boxes, GeometrySummary]:
     """Single vertical column: t_1 = 0, t_{j+1} = t_j - (ell_{j+1} + d_j) e_n.
 
     The column accumulates at depth -sum(ell_{j+1} + d_j), which converges
@@ -313,9 +335,9 @@ def build_stacked(sched: Schedule, count: int) -> Tuple[List[BoxSpec], GeometryS
             "registrable for the log-growth family (divergent p-series), "
             "use an explicit wavenumber table"
         )
-    n = sched.n
-    boxes: List[BoxSpec] = []
+    params: List[DerivedParams] = []
     sides: List[float] = []
+    depths: List[float] = []  # of the built boxes
     depth = 0.0
     # past `count` the recursion continues exactly while the tables allow,
     # which gives the limit
@@ -331,23 +353,14 @@ def build_stacked(sched: Schedule, count: int) -> Tuple[List[BoxSpec], GeometryS
             break
         sides.append(side)
         if p is not None:
-            t = (0.0,) * (n - 1) + (depth,)
-            boxes.append(BoxSpec(j=j, layer=j, side=side, translation=t,
-                                 gap=p.eps, wavenumber=p.k, target=p.a))
-    vol_lo = math.fsum(s ** n for s in sides[:count])
-    vol_tail = math.fsum(s ** n for s in sides[count:])
+            params.append(p)
+            depths.append(depth)
+    lo = np.zeros((count, sched.n))
+    lo[:, -1] = depths
+    boxes = _boxes(params, np.arange(1, count + 1), lo)
+    vol_tail = math.fsum(s ** sched.n for s in sides[count:])
     w_big = max(sides)
-    top = boxes[0].side
-    summary = GeometrySummary(
-        dimension=n,
-        layout="stacked",
-        box_count=count,
-        horizontal_extent=w_big,
-        height_interval=(depth, depth),
-        volume_interval=(vol_lo, vol_lo + vol_tail),
-        r_gamma_upper=math.sqrt((n - 1) * w_big ** 2 + max(top, -depth) ** 2),
-    )
-    return boxes, summary
+    return boxes, _summary("stacked", boxes, w_big, w_big, (depth, depth), vol_tail)
 
 
 # -------------------------------------------------------------------
@@ -403,12 +416,6 @@ class DisjointnessReport:
             return False
         return all(g.min_distance >= g.required * (1.0 - 1e-12)
                    for g in self.cross)
-
-
-def _bounds_arrays(boxes: Sequence[BoxSpec]) -> Tuple[np.ndarray, np.ndarray]:
-    lo = np.array([b.translation for b in boxes], dtype=float)
-    hi = lo + np.array([b.side for b in boxes], dtype=float)[:, None]
-    return lo, hi
 
 
 # candidate pairs examined per numpy step; bounds the working memory of the
@@ -514,8 +521,7 @@ def _min_distance(lo: np.ndarray, hi: np.ndarray, delta: float,
     return float(best)
 
 
-def disjointness_certificate(boxes: Sequence[BoxSpec],
-                             sched: Schedule) -> DisjointnessReport:
+def disjointness_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessReport:
     """Exact pairwise closure-disjointness plus the quantitative gap floors,
     by sort-and-sweep (sweep-and-prune, Cohen et al., I-COLLIDE 1995).
 
@@ -542,10 +548,8 @@ def disjointness_certificate(boxes: Sequence[BoxSpec],
     projection meets), plus O(L^2 n) vectorized bounds for L levels.  Memory
     is O(N) plus a fixed chunk of candidate pairs.
     """
-    lo, hi = _bounds_arrays(boxes)
-    n_boxes = len(boxes)
-    js = np.array([b.j for b in boxes], dtype=np.int64)
-    layer_of = np.array([b.layer for b in boxes], dtype=np.int64)
+    lo, hi = boxes.lo, boxes.hi
+    js, layer_of = boxes.j, boxes.layer
 
     firsts, seconds = [], []
     for i, k in _sweep_pairs(lo, hi, None):
@@ -612,7 +616,7 @@ def disjointness_certificate(boxes: Sequence[BoxSpec],
             ))
 
     return DisjointnessReport(
-        box_count=n_boxes,
+        box_count=len(boxes),
         overlap_pairs=overlaps,
         in_layer=tuple(in_layer),
         cross=tuple(cross),
@@ -635,79 +639,58 @@ class ConnectivityReport:
         return all(f.passed for f in self.facts)
 
 
-def connectivity_certificate(boxes: Sequence[BoxSpec],
+def connectivity_certificate(boxes: Boxes,
                              summary: GeometrySummary) -> ConnectivityReport:
     """The structural facts behind connectedness of the complement:
     every box keeps a positive aperture, levels are strictly ordered in
     height with positive gaps, the horizontal extent is finite, and above
     any level bottom (minus its gap) only a finite index prefix of boxes
     lives.  Each fact is checked on the emitted data, not re-derived."""
-    facts: List[FactCheck] = []
-
-    bad_eps = [b.j for b in boxes if not b.gap > 0.0]
-    facts.append(FactCheck(
-        name="positive_gap_fractions",
-        passed=not bad_eps,
-        detail=("all boxes" if not bad_eps
-                else f"zero/negative aperture at j in {bad_eps[:5]}"),
-    ))
-
-    layers = sorted({b.layer for b in boxes})
-    height: Dict[int, float] = {}
-    top: Dict[int, float] = {}
-    bottom: Dict[int, float] = {}  # highest box bottom per level
-    for b in boxes:
-        height[b.layer] = b.translation[-1]
-        top[b.layer] = max(top.get(b.layer, -math.inf),
-                           b.translation[-1] + b.side)
-        bottom[b.layer] = max(bottom.get(b.layer, -math.inf),
-                              b.translation[-1])
-    gaps = [height[la] - top[lb] for la, lb in zip(layers, layers[1:])]
-    ordered = all(g > 0.0 for g in gaps)
-    facts.append(FactCheck(
-        name="strict_height_ordering",
-        passed=ordered,
-        detail=(f"min inter-level gap {min(gaps):.6g}" if gaps else "single level"),
-    ))
-
-    facts.append(FactCheck(
-        name="finite_horizontal_extent",
-        passed=math.isfinite(summary.horizontal_extent),
-        detail=f"extent {summary.horizontal_extent:.6g}",
-    ))
-
+    bad_eps = boxes.j[~(boxes.gap > 0.0)][:5].tolist()
+    # per level, in level order: the base height of its last box, its
+    # highest top and its highest box bottom
+    by_layer = np.argsort(boxes.layer, kind="stable")
+    layers, starts, sizes = np.unique(boxes.layer[by_layer], return_index=True,
+                                      return_counts=True)
+    base = boxes.lo[by_layer, -1]
+    height = base[starts + sizes - 1]
+    top = np.maximum.reduceat(boxes.hi[by_layer, -1], starts)
+    bottom = np.maximum.reduceat(base, starts)
+    gaps = height[:-1] - top[1:]
     # a level has a box above a cut iff its highest bottom is; so the boxes
     # above the cut under level la form the prefix iff every level up to la
     # reaches above it (prefix minimum) and no later level does (suffix max)
-    bottoms = [bottom[la] for la in layers]
-    first_min = list(itertools.accumulate(bottoms, min))
-    later_max = list(itertools.accumulate(bottoms[::-1], max))[::-1]
-    prefix_ok = True
-    for pos, (la, g) in enumerate(zip(layers, gaps)):
-        cut = height[la] - g  # bottom of level la minus the measured gap
-        if not (first_min[pos] > cut and not later_max[pos + 1] > cut):
-            prefix_ok = False
-            break
-    facts.append(FactCheck(
-        name="finite_prefix_above_levels",
-        passed=prefix_ok,
-        detail="boxes above any level cut form the index prefix" if prefix_ok
-        else f"non-prefix set above level {la}",
+    cut = height[:-1] - gaps  # bottom of each level minus the measured gap
+    first_min = np.minimum.accumulate(bottom)[:-1]
+    later_max = np.maximum.accumulate(bottom[::-1])[::-1][1:]
+    prefix = (first_min > cut) & ~(later_max > cut)
+    return ConnectivityReport(facts=(
+        FactCheck(name="positive_gap_fractions", passed=not bad_eps,
+                  detail=("all boxes" if not bad_eps
+                          else f"zero/negative aperture at j in {bad_eps}")),
+        FactCheck(name="strict_height_ordering", passed=bool((gaps > 0.0).all()),
+                  detail=(f"min inter-level gap {gaps.min():.6g}" if len(gaps)
+                          else "single level")),
+        FactCheck(name="finite_horizontal_extent",
+                  passed=math.isfinite(summary.horizontal_extent),
+                  detail=f"extent {summary.horizontal_extent:.6g}"),
+        FactCheck(name="finite_prefix_above_levels", passed=bool(prefix.all()),
+                  detail=("boxes above any level cut form the index prefix"
+                          if prefix.all() else
+                          f"non-prefix set above level {layers[np.argmin(prefix)]}")),
     ))
-
-    return ConnectivityReport(facts=tuple(facts))
 
 
 # -------------------------------------------------------------------
 # flood-fill oracle (independent connectivity probe, dimension 2)
 # -------------------------------------------------------------------
 
-def _feature_scale(boxes: Sequence[BoxSpec]) -> float:
+def _feature_scale(boxes: Boxes) -> float:
     """Smallest geometric feature: positive aperture widths and pairwise
     box distances.  Sealed boxes (gap 0) contribute no aperture feature."""
-    feats = [b.side * b.gap for b in boxes if b.gap > 0.0]
+    feats = (boxes.side * boxes.gap)[boxes.gap > 0.0].tolist()
     if len(boxes) > 1:
-        lo, hi = _bounds_arrays(boxes)
+        lo, hi = boxes.lo, boxes.hi
         delta = float(_pair_distances(lo[:1], hi[:1], lo[1:2], hi[1:2])[0])
         feats.append(_min_distance(lo, hi, delta))
     if not feats:
@@ -715,12 +698,12 @@ def _feature_scale(boxes: Sequence[BoxSpec]) -> float:
     return min(feats)
 
 
-def suggested_resolution(boxes: Sequence[BoxSpec]) -> float:
+def suggested_resolution(boxes: Boxes) -> float:
     """A raster pitch safely below the oracle's precondition (scale/5)."""
     return _feature_scale(boxes) / 5.0
 
 
-def flood_fill_oracle(boxes: Sequence[BoxSpec], resolution: float) -> bool:
+def flood_fill_oracle(boxes: Boxes, resolution: float) -> bool:
     """Raster test (dimension 2 only): is the complement of the drawn
     boundary curves connected?
 
@@ -732,9 +715,9 @@ def flood_fill_oracle(boxes: Sequence[BoxSpec], resolution: float) -> bool:
     spuriously disconnect anything because every true passage is at least
     4 cells wide under the resolution precondition.
     """
-    if not boxes:
+    if not len(boxes):
         raise GeometryError("no boxes to rasterize")
-    if len(boxes[0].translation) != 2:
+    if boxes.lo.shape[1] != 2:
         raise GeometryError("flood-fill oracle is defined for dimension 2 only")
     if resolution <= 0.0:
         raise ResolutionTooCoarseError("resolution must be positive")
@@ -762,14 +745,13 @@ def flood_fill_oracle(boxes: Sequence[BoxSpec], resolution: float) -> bool:
     return reached == free
 
 
-def _blocked_raster(boxes: Sequence[BoxSpec],
-                    resolution: float) -> Tuple[bytearray, int]:
+def _blocked_raster(boxes: Boxes, resolution: float) -> Tuple[bytearray, int]:
     """The oracle's raster as a flat row-major bytearray (1 = blocked) and
     its row width.  The drawn outlines sit inside a free ring, which joins
     every free border cell to the outside, and that inside a blocked
     sentinel ring."""
-    lo, hi = _bounds_arrays(boxes)
-    pad = max(b.side for b in boxes) + 2.0 * resolution
+    lo, hi = boxes.lo, boxes.hi
+    pad = float(boxes.side.max()) + 2.0 * resolution
     # half-cell shift keeps structure coordinates off cell boundaries
     x0 = float(lo[:, 0].min()) - pad - 0.5 * resolution
     y0 = float(lo[:, 1].min()) - pad - 0.5 * resolution
@@ -781,28 +763,21 @@ def _blocked_raster(boxes: Sequence[BoxSpec],
     grid[:, [0, -1]] = 1
     blocked = grid[2:-2, 2:-2]
 
-    def cells(a: float, b: float, origin: float, limit: int) -> Tuple[int, int]:
-        c0 = int(math.floor((a - origin) / resolution))
-        c1 = int(math.floor((b - origin) / resolution))
-        return max(c0, 0), min(c1, limit - 1)
+    x_lo, y_lo, x_hi, y_hi = lo[:, 0], lo[:, 1], hi[:, 0], hi[:, 1]
+    slot = x_lo + boxes.gap * boxes.side
 
-    def block_h(xa: float, xb: float, y: float) -> None:
-        ca, cb = cells(xa, xb, x0, nx)
-        r = int(math.floor((y - y0) / resolution))
-        if 0 <= r < ny and ca <= cb:
-            blocked[r, ca:cb + 1] = True
+    def cells(v: np.ndarray, origin: float) -> List[int]:
+        return np.floor((v - origin) / resolution).astype(np.int64).tolist()
 
-    def block_v(x: float, ya: float, yb: float) -> None:
-        ra, rb = cells(ya, yb, y0, ny)
-        c = int(math.floor((x - x0) / resolution))
-        if 0 <= c < nx and ra <= rb:
-            blocked[ra:rb + 1, c] = True
-
-    for b in boxes:
-        t1, t2 = b.translation
-        s = b.side
-        block_h(t1, t1 + s, t2 + s)          # top edge
-        block_v(t1, t2, t2 + s)              # left edge
-        block_v(t1 + s, t2, t2 + s)          # right edge
-        block_h(t1 + b.gap * s, t1 + s, t2)  # bottom edge minus aperture
+    # runs (line, first, last): along rows the top edges and the bottom edges
+    # minus the apertures, along columns the left and the right edges
+    for view, line, first, last, line0, run0 in (
+            (blocked, (y_hi, y_lo), (x_lo, slot), (x_hi, x_hi), y0, x0),
+            (blocked.T, (x_lo, x_hi), (y_lo, y_lo), (y_hi, y_hi), x0, y0)):
+        for r, a, b in zip(cells(np.concatenate(line), line0),
+                           cells(np.concatenate(first), run0),
+                           cells(np.concatenate(last), run0)):
+            a, b = max(a, 0), min(b, view.shape[1] - 1)
+            if 0 <= r < view.shape[0] and a <= b:
+                view[r, a:b + 1] = 1
     return raster, nx + 4

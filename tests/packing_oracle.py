@@ -9,23 +9,17 @@ field by field and bit for bit.
 """
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from trapcert.geometry import (
-    BoxSpec,
+    Boxes,
     CrossLayerGap,
     DisjointnessReport,
     InLayerGap,
 )
 from trapcert.sequences import Schedule, padding
-
-
-def _bounds_arrays(boxes: Sequence[BoxSpec]) -> Tuple[np.ndarray, np.ndarray]:
-    lo = np.array([b.translation for b in boxes], dtype=float)
-    hi = lo + np.array([b.side for b in boxes], dtype=float)[:, None]
-    return lo, hi
 
 
 def _group_min_distance(lo_a, hi_a, lo_b, hi_b) -> float:
@@ -44,14 +38,14 @@ def _in_group_min_distance(lo, hi) -> float:
     return float(dist.min())
 
 
-def all_pairs_min_distance(boxes: Sequence[BoxSpec]) -> float:
+def all_pairs_min_distance(boxes: Boxes) -> float:
     """Minimum distance over all pairs of distinct positions."""
-    return _in_group_min_distance(*_bounds_arrays(boxes))
+    return _in_group_min_distance(boxes.lo, boxes.hi)
 
 
-def all_pairs_certificate(boxes: Sequence[BoxSpec],
-                          sched: Schedule) -> DisjointnessReport:
-    lo, hi = _bounds_arrays(boxes)
+def all_pairs_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessReport:
+    lo, hi = boxes.lo, boxes.hi
+    js, layer_of = boxes.j.tolist(), boxes.layer.tolist()
     n_boxes = len(boxes)
 
     overlaps: List[Tuple[int, int]] = []
@@ -62,14 +56,14 @@ def all_pairs_certificate(boxes: Sequence[BoxSpec],
                  | (hi[None, :, :] < lo[s:e, None, :])).any(axis=2)
         bad = np.argwhere(~apart)
         for a, b in bad:
-            ja, jb = boxes[s + a].j, boxes[b].j
+            ja, jb = js[s + a], js[b]
             if ja < jb:
                 overlaps.append((ja, jb))
 
-    layers = sorted({b.layer for b in boxes})
+    layers = sorted(set(layer_of))
     idx: Dict[int, List[int]] = {la: [] for la in layers}
-    for pos, b in enumerate(boxes):
-        idx[b.layer].append(pos)
+    for pos, la in enumerate(layer_of):
+        idx[la].append(pos)
 
     in_layer: List[InLayerGap] = []
     for la in layers:

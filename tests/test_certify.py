@@ -6,7 +6,6 @@ identities against mpmath-frozen references, and the inversion chain
 against random round trips.
 """
 
-import dataclasses
 import math
 import random
 
@@ -15,6 +14,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
+from columns import take, with_values
 from trapcert.certify import (
     CertifyError,
     TraceTest,
@@ -208,39 +208,124 @@ def test_resolvent_lower_domain():
 def test_certify_demo_first_hundred():
     sched = demo_schedule()
     boxes, _ = build_layered(sched, 10)  # 118 boxes
-    records = certify_geometry(boxes[:100])
+    records = certify_geometry(take(boxes, slice(0, 100)))
     assert len(records) == 100
-    assert all(r.margin > 0.0 for r in records)
-    assert all(r.c_lb > r.a for r in records)
-    r1 = records[0]
-    assert_allclose(r1.eps, J1["eps"], rtol=1e-12)
-    assert_allclose(r1.infsup_ub, J1["ub"], rtol=1e-12)
-    assert_allclose(r1.infsup_ub_inv_identity, J1["inv"], rtol=1e-12)
-    assert_allclose(r1.c_prime_lb, J1["c_prime"], rtol=1e-12)
-    assert_allclose(r1.c_lb, J1["c_lb"], rtol=1e-12)
-    assert_allclose(r1.margin, J1["margin"], rtol=1e-12)
-    assert r1.a == 1e-4
-    assert "uniform in R" in r1.r_note
-    assert_allclose(records[1].c_lb, J2_C_LB, rtol=1e-12)
+    assert (records.margin > 0.0).all()
+    assert (records.c_lb > records.a).all()
+    assert_allclose(records.eps[0], J1["eps"], rtol=1e-12)
+    assert_allclose(records.infsup_ub[0], J1["ub"], rtol=1e-12)
+    assert_allclose(records.infsup_ub_inv_identity[0], J1["inv"], rtol=1e-12)
+    assert_allclose(records.c_prime_lb[0], J1["c_prime"], rtol=1e-12)
+    assert_allclose(records.c_lb[0], J1["c_lb"], rtol=1e-12)
+    assert_allclose(records.margin[0], J1["margin"], rtol=1e-12)
+    assert records.a[0] == 1e-4
+    assert "uniform in R" in records.r_note
+    assert_allclose(records.c_lb[1], J2_C_LB, rtol=1e-12)
 
 
 def test_certify_floor_beats_target_through_defining_relation():
     sched = demo_schedule(3)
     boxes, _ = build_layered(sched, 3)
-    for r in certify_geometry(boxes):
-        k = r.k
-        assert 2 * k * k * r.c_lb ** 2 + r.c_lb > 2 * k * k * r.a ** 2 + r.a
+    records = certify_geometry(boxes)
+    for k, c_lb, a in zip(records.k.tolist(), records.c_lb.tolist(),
+                          records.a.tolist()):
+        assert 2 * k * k * c_lb ** 2 + c_lb > 2 * k * k * a ** 2 + a
 
 
 def test_certify_rejects_tampered_box():
     sched = demo_schedule()
     boxes, _ = build_layered(sched, 2)
-    broken = [dataclasses.replace(boxes[0], wavenumber=boxes[0].wavenumber * 1.01)]
+    first = take(boxes, [0])
+    broken = with_values(first, 0, k=first.k[0] * 1.01)
     with pytest.raises(CertifyError):
         certify_geometry(broken)
-    mistargeted = [dataclasses.replace(boxes[0], target=1.0)]
+    mistargeted = with_values(first, 0, a=1.0)
     with pytest.raises(CertifyError):
         certify_geometry(mistargeted)
+
+
+def scalar_certify(boxes):
+    """certify_geometry box by box through the public scalar functions and
+    the threshold in Python floats: the reference for its columns and for
+    its first error."""
+    n = boxes.lo.shape[1]
+    rows = []
+    for j, k, a, eps, ell in zip(boxes.j.tolist(), boxes.k.tolist(),
+                                 boxes.a.tolist(), boxes.gap.tolist(),
+                                 boxes.side.tolist()):
+        quasimode_norms(n, k, ell, eps)
+        ub = infsup_upper(n, eps)
+        inv = (math.sqrt(math.pi) * n ** 0.75
+               * (1.0 + 2.0 * k * math.sqrt(2.0 * k * k * a * a + a)))
+        if abs(1.0 / ub - inv) > 1e-9 * inv:
+            raise CertifyError(f"box {j}: inf-sup routes disagree, "
+                               f"1/ub = {1.0 / ub!r} vs identity {inv!r}")
+        c_prime, c_lb = resolvent_lower(inv, k)
+        if not c_lb - a > 0.0:
+            raise CertifyError(f"box {j}: resolvent floor {c_lb!r} does not "
+                               f"clear target {a!r}")
+        if not 2.0 * k * k * c_lb * c_lb + c_lb > 2.0 * k * k * a * a + a:
+            raise CertifyError(f"box {j}: floor fails the defining relation")
+        rows.append((j, k, a, eps, ub, inv, c_prime, c_lb, c_lb - a))
+    return rows
+
+
+@pytest.mark.parametrize("n, layers", [(2, 30), (3, 5), (4, 4)])
+def test_certificate_columns_equal_the_scalar_functions(n, layers):
+    sched = demo_schedule(n)
+    boxes, _ = build_layered(sched, layers)
+    records = certify_geometry(boxes)
+    columns = (records.j, records.k, records.a, records.eps, records.infsup_ub,
+               records.infsup_ub_inv_identity, records.c_prime_lb,
+               records.c_lb, records.margin)
+    got = list(zip(*(c.tolist() for c in columns)))
+    want = scalar_certify(boxes)
+    assert len(got) == len(want) == len(boxes)
+    assert [[v.hex() if isinstance(v, float) else v for v in row] for row in got] == [
+        [v.hex() if isinstance(v, float) else v for v in row] for row in want]
+    assert [gap_fraction(n, k, a).hex() for k, a in zip(
+        records.k.tolist(), records.a.tolist())] == [e.hex() for e in records.eps.tolist()]
+
+
+# each case names the box and the gate its error must report: the first
+# failing box, and of its failing gates the first
+TAMPERED = {
+    "wavenumber": (lambda b: with_values(take(b, [0]), 0, k=b.k[0] * 1.01),
+                   "k*ell = "),
+    "target": (lambda b: with_values(take(b, [0]), 0, a=1.0),
+               "box 1: inf-sup routes disagree"),
+    "later-box": (lambda b: with_values(with_values(b, 40, a=1.0), 70,
+                                        k=b.k[70] * 1.01),
+                  "box 41: inf-sup routes disagree"),
+    "aperture": (lambda b: with_values(b, 5, gap=b.gap[5] * 0.9),
+                 "box 6: inf-sup routes disagree"),
+    "domain": (lambda b: with_values(with_values(b, 9, side=-1.0), 3, gap=1.5),
+               "need k, ell > 0 and eps in (0,1), got 6.47"),
+}
+
+
+@pytest.mark.parametrize("case", list(TAMPERED))
+def test_certify_names_the_first_failing_box_and_gate(case):
+    boxes, _ = build_layered(demo_schedule(), 10)
+    tamper, start = TAMPERED[case]
+    tampered = tamper(boxes)
+    with pytest.raises(CertifyError) as got:
+        certify_geometry(tampered)
+    with pytest.raises(CertifyError) as want:
+        scalar_certify(tampered)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(start)
+
+
+def test_certify_two_failing_gates_report_the_earlier():
+    boxes, _ = build_layered(demo_schedule(), 10)
+    tampered = TAMPERED["wavenumber"][0](boxes)
+    k, a, eps = tampered.k[0].item(), tampered.a[0].item(), tampered.gap[0].item()
+    # the box also fails the routes gate, which comes after the resonance
+    inv = _threshold(2, k, a)
+    assert abs(1.0 / infsup_upper(2, eps) - inv) > 1e-9 * inv
+    with pytest.raises(CertifyError, match="violates the resonance relation"):
+        certify_geometry(tampered)
 
 
 # -------------------------------------------------------------------

@@ -6,8 +6,10 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
+from columns import make_boxes
 from trapcert.cli import (
     ConfigError,
     OutputPaths,
@@ -26,7 +28,6 @@ from trapcert.cli import (
 )
 from trapcert.certify import certify_geometry
 from trapcert.geometry import (
-    BoxSpec,
     GeometryError,
     build_layered,
     connectivity_certificate,
@@ -201,7 +202,7 @@ def test_geometry_document_schema():
     assert list(first) == ["j", "layer", "side", "translation", "gap",
                            "wavenumber", "targetA"]
     assert first["translation"] == [0.0, 0.0]
-    assert first["side"] == boxes[0].side  # exact, no rounding anywhere
+    assert first["side"] == boxes.side[0]  # exact, no rounding anywhere
 
 
 def test_geometry_json_round_trips_exactly(tmp_path):
@@ -209,11 +210,11 @@ def test_geometry_json_round_trips_exactly(tmp_path):
     path = tmp_path / "geom.json"
     emit_geometry_json(boxes, summary, str(path))
     doc = json.loads(path.read_text(encoding="utf-8"))
-    for box, entry in zip(boxes, doc["boxes"]):
-        assert entry["wavenumber"] == box.wavenumber
-        assert entry["gap"] == box.gap
-        assert entry["targetA"] == box.target
-        assert tuple(entry["translation"]) == box.translation
+    for row, entry in enumerate(doc["boxes"]):
+        assert entry["wavenumber"] == boxes.k[row]
+        assert entry["gap"] == boxes.gap[row]
+        assert entry["targetA"] == boxes.a[row]
+        assert entry["translation"] == boxes.lo[row].tolist()
     assert doc["summary"]["rGammaUpper"] == summary.r_gamma_upper
 
 
@@ -236,16 +237,16 @@ def test_certificates_csv_format():
     assert len(lines) == len(records) + 2
     assert "\r" not in text
     fields = lines[1].split(",")
-    assert int(fields[0]) == records[0].j
+    assert int(fields[0]) == records.j[0]
     # 17 significant digits reproduce the binary64 values exactly
-    assert float(fields[1]) == records[0].k
-    assert float(fields[7]) == records[0].margin
+    assert float(fields[1]) == records.k[0]
+    assert float(fields[7]) == records.margin[0]
 
 
 def test_svg_single_box_slot():
-    box = BoxSpec(j=1, layer=1, side=1.0, translation=(0.0, 0.0), gap=0.5,
-                  wavenumber=3.0, target=0.1)
-    text = svg_document([box])
+    box = make_boxes(j=[1], layer=[1], side=[1.0], lo=[(0.0, 0.0)], gap=[0.5],
+                     k=[3.0], a=[0.1])
+    text = svg_document(box)
     assert text.startswith('<?xml version="1.0" encoding="UTF-8"?>\n')
     assert 'viewBox="-0.050000 -1.050000 1.100000 1.100000"' in text
     # the bottom edge starts at x = 0.5: the slot [0, 0.5] stays open
@@ -261,7 +262,7 @@ def test_svg_one_path_per_box_in_index_order(tmp_path):
     assert text.count("<path") == len(boxes)
     # box 1 spans the full first level, so its outline comes first
     first_path = text.split("<path")[1]
-    assert f"{boxes[0].side * boxes[0].gap:.6f}" in first_path
+    assert f"{boxes.side[0] * boxes.gap[0]:.6f}" in first_path
     path = tmp_path / "fig.svg"
     emit_svg(boxes, str(path))
     emit_svg(boxes, str(tmp_path / "fig2.svg"))
@@ -306,7 +307,7 @@ def test_report_full_pass():
 def test_report_shows_connectivity_fault():
     sched = demo_schedule()
     boxes, summary = build_layered(sched, 3)
-    sealed = [dataclasses.replace(b, gap=0.0) for b in boxes]
+    sealed = dataclasses.replace(boxes, gap=np.zeros(len(boxes)))
     stages = StageOutputs(
         summary=summary,
         connectivity=connectivity_certificate(sealed, summary),
@@ -633,3 +634,59 @@ def test_run_certify_huge_wavenumbers(tmp_path, capsys):
         fields = row.split(",")  # j,k,a,eps,infsup_ub,cprime_lb,c_lb,margin
         a, c_lb, margin = float(fields[2]), float(fields[6]), float(fields[7])
         assert margin > 0.0 and c_lb > a
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe{}", "cannot read config"),
+    (b"[" * 200_000, "not valid JSON"),
+], ids=["not-utf8", "nested-200000-deep"])
+def test_run_malformed_config_file_exit_2(tmp_path, capsys, content, message):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    assert run(["plan", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+OVERSIZE = [(dict(layers=10_000), 435_585_210),
+            (dict(dimension=32, layers=2), 617_673_396_283_948)]
+
+
+@pytest.mark.parametrize("command, overrides, count", [
+    (command, *case) for command in ("build", "certify", "report")
+    for case in OVERSIZE] + [("plot", *OVERSIZE[0])],
+    ids=[f"{command}-{size}" for command in ("build", "certify", "report")
+         for size in ("layers-10000", "dimension-32")] + ["plot-layers-10000"])
+def test_run_oversize_arrangement_exit_2(tmp_path, capsys, monkeypatch, command,
+                                         overrides, count):
+    import trapcert.geometry
+
+    def no_boxes(*args):
+        raise AssertionError("a box was built")
+
+    monkeypatch.setattr(trapcert.geometry, "derived_params", no_boxes)
+    cfg = write_config(tmp_path, demo_mapping(**overrides))
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"hold {count} boxes" in err
+    assert not [p for p in (tmp_path / "out").iterdir() if p.is_file()]
+
+
+def _out_of_range_mappings():
+    # box side 5.4e300: its cube overflows in the volume sum
+    tiny_k = demo_mapping(dimension=3, layers=1)
+    tiny_k["schedule"] = {"wavenumbers": {"family": "table", "values": [1e-300]},
+                          "targets": {"family": "table", "values": [1.0]},
+                          "paddings": {"family": "table", "values": [0.5]}}
+    # c^n underflows to 0 in the volume tail bound's denominator
+    tiny_c = demo_mapping(layers=2)
+    tiny_c["schedule"]["wavenumbers"]["c"] = 1e-170
+    return [tiny_k, tiny_c]
+
+
+@pytest.mark.parametrize("command", ["build", "certify", "report"])
+@pytest.mark.parametrize("case", [0, 1], ids=["overflow", "zero-division"])
+def test_run_values_outside_binary64_exit_2(tmp_path, capsys, command, case):
+    cfg = write_config(tmp_path, _out_of_range_mappings()[case])
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: a derived value leaves binary64")

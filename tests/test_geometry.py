@@ -13,14 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trapcert.geometry
+from columns import make_boxes, take, with_values
 from packing_oracle import all_pairs_certificate, all_pairs_min_distance
 from trapcert.geometry import (
-    BoxSpec,
     GeometryError,
     ResolutionTooCoarseError,
     _blocked_raster,
     _feature_scale,
-    _grid_digits,
+    _grid,
     _width_tail_bound,
     build_layered,
     build_stacked,
@@ -114,9 +115,10 @@ def test_width_tail_bound_below_built_maximum():
 
 @given(st.integers(1, 9), st.integers(1, 3), st.data())
 def test_grid_digits_roundtrip(cols, axes, data):
+    grid = _grid(cols, axes)
+    assert grid.shape == (cols ** axes, axes)
     r = data.draw(st.integers(0, cols ** axes - 1))
-    digits = _grid_digits(r, cols, axes)
-    assert len(digits) == axes
+    digits = grid[r].tolist()
     assert all(0 <= d < cols for d in digits)
     assert sum(d * cols ** (axes - 1 - a) for a, d in enumerate(digits)) == r
 
@@ -129,65 +131,81 @@ def test_demo_thirty_layers_counts():
     boxes, summary = build_layered(S2, 30)
     assert summary.box_count == len(boxes) == 1413
     per_layer = {}
-    for b in boxes:
-        per_layer[b.layer] = per_layer.get(b.layer, 0) + 1
+    for layer in boxes.layer.tolist():
+        per_layer[layer] = per_layer.get(layer, 0) + 1
     assert [per_layer[i] for i in range(1, 31)] == COUNTS_30
-    assert [b.j for b in boxes] == list(range(1, 1414))
+    assert boxes.j.tolist() == list(range(1, 1414))
 
 
 def test_layer_two_count_across_dimensions():
     for n in (2, 3, 4):
         sched = demo_schedule(n)
         boxes, _ = build_layered(sched, 2)
-        assert sum(1 for b in boxes if b.layer == 2) == 3 ** (n - 1)
+        assert sum(1 for layer in boxes.layer.tolist() if layer == 2) == 3 ** (n - 1)
 
 
 def test_first_box_at_origin_with_demo_side():
     boxes, _ = build_layered(S2, 1)
     assert len(boxes) == 1
-    b = boxes[0]
-    assert b.translation == (0.0, 0.0)
-    assert rel(b.side, MAX_SIDES[1]) < 1e-13
-    assert b.gap > 0.5  # the first aperture fraction is just above 1/2
+    assert boxes.lo.tolist() == [[0.0, 0.0]]
+    assert rel(boxes.side[0], MAX_SIDES[1]) < 1e-13
+    assert boxes.gap[0] > 0.5  # the first aperture fraction is just above 1/2
 
 
 def test_box_fields_match_schedule():
     boxes, _ = build_layered(S2, 3)
-    for b in boxes:
-        assert b.side == sidelength(S2, b.j)
-        lo, hi = b.bounds()
-        assert all(h - l == pytest.approx(b.side, rel=1e-15) for l, h in zip(lo, hi))
-    assert boxes[2].j == 3 and boxes[2].layer == 2
+    for j, side, lo, hi in zip(boxes.j.tolist(), boxes.side.tolist(),
+                               boxes.lo.tolist(), boxes.hi.tolist()):
+        assert side == sidelength(S2, j)
+        assert all(h - l == pytest.approx(side, rel=1e-15) for l, h in zip(lo, hi))
+    assert boxes.j[2] == 3 and boxes.layer[2] == 2
 
 
 def test_second_level_translations_row_major():
     boxes, _ = build_layered(S2, 2)
-    level2 = [b for b in boxes if b.layer == 2]
+    level2 = boxes.lo[boxes.layer == 2].tolist()
     p = layer_plan(S2, 2)
-    for r, b in enumerate(level2):
-        assert b.translation == (p.pitch * r, p.height)
-    assert rel(level2[1].translation[0], PITCHES[2]) < 1e-13
-    assert rel(level2[0].translation[1], HEIGHTS[2]) < 1e-13
+    for r, lo in enumerate(level2):
+        assert lo == [p.pitch * r, p.height]
+    assert rel(level2[1][0], PITCHES[2]) < 1e-13
+    assert rel(level2[0][1], HEIGHTS[2]) < 1e-13
 
 
 def test_three_d_translations_row_major():
     sched = demo_schedule(3)
     boxes, _ = build_layered(sched, 2)
-    level2 = [b for b in boxes if b.layer == 2]
+    level2 = boxes.lo[boxes.layer == 2].tolist()
     assert len(level2) == 9
     p = layer_plan(sched, 2)
     digits = [(r // 3, r % 3) for r in range(9)]
-    for (d0, d1), b in zip(digits, level2):
-        assert b.translation == (p.pitch * d0, p.pitch * d1, p.height)
+    for (d0, d1), lo in zip(digits, level2):
+        assert lo == [p.pitch * d0, p.pitch * d1, p.height]
+
+
+@pytest.mark.parametrize("n, layers", [(2, 30), (3, 5), (4, 4)])
+def test_translations_match_the_digit_formula(n, layers):
+    # every corner is (pitch * digit, ..., height) in plain Python floats,
+    # the digits of the in-level index r in base cols, most significant first
+    sched = demo_schedule(n)
+    boxes, _ = build_layered(sched, layers)
+    expected = []
+    for i in range(1, layers + 1):
+        p = layer_plan(sched, i)
+        for r in range(p.count):
+            digits = [(r // p.cols ** (n - 2 - a)) % p.cols for a in range(n - 1)]
+            expected.append([p.pitch * d for d in digits] + [p.height])
+    assert [[x.hex() for x in lo] for lo in boxes.lo.tolist()] == [
+        [x.hex() for x in lo] for lo in expected]
 
 
 def test_heights_strictly_decreasing_with_constructive_gaps():
     boxes, _ = build_layered(S2, 6)
     height = {}
     top = {}
-    for b in boxes:
-        height[b.layer] = b.translation[-1]
-        top[b.layer] = max(top.get(b.layer, -math.inf), b.translation[-1] + b.side)
+    for layer, base, side in zip(boxes.layer.tolist(), boxes.lo[:, -1].tolist(),
+                                 boxes.side.tolist()):
+        height[layer] = base
+        top[layer] = max(top.get(layer, -math.inf), base + side)
     for i in range(1, 6):
         gap = height[i] - top[i + 1]
         assert gap > 0.0
@@ -202,7 +220,7 @@ def test_summary_demo_values():
     lo, hi = summary.height_interval
     assert lo < hi < 0.0
     # the enclosure sits strictly below every built box
-    assert hi < min(b.translation[-1] for b in boxes)
+    assert hi < boxes.lo[:, -1].min()
     vlo, vhi = summary.volume_interval
     assert vlo == pytest.approx(partial_volume(S2, 1413), rel=1e-15)
     assert vlo < vhi
@@ -220,8 +238,7 @@ def test_enclosures_nest_as_truncation_deepens():
 def test_r_gamma_upper_covers_every_built_box():
     boxes, summary = build_layered(S2, 30)
     worst = 0.0
-    for b in boxes:
-        lo, hi = b.bounds()
+    for lo, hi in zip(boxes.lo.tolist(), boxes.hi.tolist()):
         corner = math.sqrt(sum(max(abs(l), abs(h)) ** 2 for l, h in zip(lo, hi)))
         worst = max(worst, corner)
     assert worst <= summary.r_gamma_upper
@@ -229,7 +246,7 @@ def test_r_gamma_upper_covers_every_built_box():
 
 def test_horizontal_extent_covers_built_boxes():
     boxes, summary = build_layered(S2, 30)
-    reach = max(max(b.bounds()[1][:-1]) for b in boxes)
+    reach = boxes.hi[:, :-1].max()
     assert reach <= summary.horizontal_extent
 
 
@@ -262,10 +279,9 @@ def stacked_schedule(extra=False):
 
 def test_stacked_example_exact():
     boxes, summary = build_stacked(stacked_schedule(), 2)
-    assert [b.side for b in boxes] == [1.0, 0.5]
-    assert boxes[0].translation == (0.0, 0.0)
-    assert boxes[1].translation == (0.0, -1.5)
-    assert [b.layer for b in boxes] == [1, 2]
+    assert boxes.side.tolist() == [1.0, 0.5]
+    assert boxes.lo.tolist() == [[0.0, 0.0], [0.0, -1.5]]
+    assert boxes.layer.tolist() == [1, 2]
     assert summary.layout == "stacked"
     assert summary.height_interval == (-1.5, -1.5)
     assert summary.volume_interval == (1.25, 1.25)
@@ -333,8 +349,7 @@ def test_disjointness_demo_thirty_layers():
 
 def test_disjointness_flags_overlap():
     boxes, _ = build_layered(S2, 2)
-    tampered = list(boxes)
-    tampered[1] = dataclasses.replace(boxes[1], translation=(0.5, 0.0))
+    tampered = with_values(boxes, 1, lo=(0.5, 0.0))
     report = disjointness_certificate(tampered, S2)
     assert not report.disjoint
     assert (1, 2) in report.overlap_pairs
@@ -344,8 +359,8 @@ def test_disjointness_flags_overlap():
 def test_disjointness_touching_closures_flagged():
     # closure disjointness is strict: sharing a face must fail
     boxes, _ = build_layered(S2, 2)
-    side = boxes[0].side
-    tampered = [boxes[0], dataclasses.replace(boxes[1], translation=(side, 0.0))]
+    side = boxes.side[0]
+    tampered = with_values(take(boxes, [0, 1]), 1, lo=(side, 0.0))
     report = disjointness_certificate(tampered, S2)
     assert not report.disjoint
 
@@ -386,17 +401,13 @@ def test_sweep_matches_all_pairs_stacked():
 
 def test_sweep_matches_all_pairs_tampered():
     boxes, _ = build_layered(S2, 6)
-    side = boxes[3].side
-    overlap = list(boxes)
-    overlap[5] = dataclasses.replace(boxes[5], translation=boxes[2].translation)
-    overlap[9] = dataclasses.replace(boxes[9], translation=boxes[20].translation)
-    touching = list(boxes)
-    touching[4] = dataclasses.replace(
-        boxes[4], translation=(boxes[3].translation[0] + side,
-                               boxes[3].translation[1]))
-    duplicated = list(boxes) + [boxes[7]]
-    shuffled = list(overlap)
-    random.Random(3).shuffle(shuffled)
+    side = boxes.side[3]
+    overlap = with_values(boxes, [5, 9], lo=boxes.lo[[2, 20]])
+    touching = with_values(boxes, 4, lo=(boxes.lo[3, 0] + side, boxes.lo[3, 1]))
+    duplicated = take(boxes, list(range(len(boxes))) + [7])
+    order = list(range(len(boxes)))
+    random.Random(3).shuffle(order)
+    shuffled = take(overlap, order)
     for tampered in (overlap, touching, duplicated, shuffled):
         report = assert_matches_all_pairs(tampered, S2)
         assert not report.passed or tampered is duplicated
@@ -421,14 +432,11 @@ _SIDE = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
 def box_lists(draw):
     n = draw(st.integers(2, 4))
     count = draw(st.integers(1, 14))
-    boxes = []
-    for _ in range(count):
-        boxes.append(BoxSpec(
-            j=draw(st.integers(1, 20)), layer=draw(st.integers(1, 4)),
-            side=draw(_SIDE),
-            translation=tuple(draw(_COORD) for _ in range(n)),
-            gap=0.1, wavenumber=10.0, target=1e-4))
-    return n, boxes
+    rows = [(draw(st.integers(1, 20)), draw(st.integers(1, 4)), draw(_SIDE),
+             [draw(_COORD) for _ in range(n)]) for _ in range(count)]
+    j, layer, side, lo = zip(*rows)
+    return n, make_boxes(j, layer, side, lo, gap=[0.1] * count,
+                         k=[10.0] * count, a=[1e-4] * count)
 
 
 @settings(max_examples=150, deadline=None)
@@ -438,7 +446,8 @@ def test_sweep_matches_all_pairs_random_boxes(case):
     assert_matches_all_pairs(boxes, demo_schedule(n))
     if len(boxes) > 1:
         scale = _feature_scale(boxes)
-        apertures = [b.side * b.gap for b in boxes if b.gap > 0.0]
+        apertures = [side * gap for side, gap in zip(boxes.side.tolist(),
+                                                     boxes.gap.tolist()) if gap > 0.0]
         assert scale == min(apertures + [all_pairs_min_distance(boxes)])
 
 
@@ -446,7 +455,7 @@ def test_feature_scale_matches_all_pairs():
     for n, layers in [(2, 5), (2, 12), (3, 3)]:
         boxes, _ = build_layered(demo_schedule(n), layers)
         pitch = all_pairs_min_distance(boxes)
-        apertures = [b.side * b.gap for b in boxes]
+        apertures = (boxes.side * boxes.gap).tolist()
         assert _feature_scale(boxes) == min(apertures + [pitch])
 
 
@@ -468,7 +477,7 @@ def test_connectivity_facts_demo():
 
 def test_connectivity_fails_on_sealed_boxes():
     boxes, summary = build_layered(S2, 3)
-    sealed = [dataclasses.replace(b, gap=0.0) for b in boxes]
+    sealed = dataclasses.replace(boxes, gap=np.zeros(len(boxes)))
     report = connectivity_certificate(sealed, summary)
     assert not report.passed
     assert not report.facts[0].passed
@@ -477,15 +486,16 @@ def test_connectivity_fails_on_sealed_boxes():
 def _prefix_fact_by_sets(boxes):
     """finite_prefix_above_levels recomputed the slow way: for every level
     cut, the set of levels with a box above it must be the level prefix."""
-    layers = sorted({b.layer for b in boxes})
+    rows = list(zip(boxes.layer.tolist(), boxes.lo[:, -1].tolist(),
+                    boxes.side.tolist()))
+    layers = sorted({layer for layer, _, _ in rows})
     height, top = {}, {}
-    for b in boxes:
-        height[b.layer] = b.translation[-1]
-        top[b.layer] = max(top.get(b.layer, -math.inf),
-                           b.translation[-1] + b.side)
+    for layer, base, side in rows:
+        height[layer] = base
+        top[layer] = max(top.get(layer, -math.inf), base + side)
     for la, lb in zip(layers, layers[1:]):
         cut = height[la] - (height[la] - top[lb])
-        above = {b.layer for b in boxes if b.translation[-1] > cut}
+        above = {layer for layer, base, _ in rows if base > cut}
         if above != {l for l in layers if l <= la}:
             return False, f"non-prefix set above level {la}"
     return True, "boxes above any level cut form the index prefix"
@@ -493,14 +503,12 @@ def _prefix_fact_by_sets(boxes):
 
 def test_connectivity_prefix_fact_on_tampered_boxes():
     boxes, summary = build_layered(S2, 5)
-    lifted = list(boxes)
-    lifted[8] = dataclasses.replace(boxes[8], translation=(boxes[8].translation[0], 0.5))
-    relabelled = list(boxes)
-    relabelled[2] = dataclasses.replace(boxes[2], layer=4)
-    sunk = list(boxes)
-    sunk[0] = dataclasses.replace(boxes[0], translation=(0.0, -2.3))
-    shuffled = list(lifted)
-    random.Random(5).shuffle(shuffled)
+    lifted = with_values(boxes, 8, lo=(boxes.lo[8, 0], 0.5))
+    relabelled = with_values(boxes, 2, layer=4)
+    sunk = with_values(boxes, 0, lo=(0.0, -2.3))
+    order = list(range(len(boxes)))
+    random.Random(5).shuffle(order)
+    shuffled = take(lifted, order)
     verdicts = []
     for tampered in (boxes, lifted, relabelled, sunk, shuffled):
         fact = connectivity_certificate(tampered, summary).facts[3]
@@ -512,6 +520,77 @@ def test_connectivity_prefix_fact_on_tampered_boxes():
         "non-prefix set above level 1")
 
 
+def _first_facts_by_loops(boxes):
+    """positive_gap_fractions and strict_height_ordering recomputed box by
+    box, as (passed, detail) pairs."""
+    bad = [j for j, gap in zip(boxes.j.tolist(), boxes.gap.tolist())
+           if not gap > 0.0][:5]
+    height, top = {}, {}
+    for layer, base, side in zip(boxes.layer.tolist(), boxes.lo[:, -1].tolist(),
+                                 boxes.side.tolist()):
+        height[layer] = base
+        top[layer] = max(top.get(layer, -math.inf), base + side)
+    layers = sorted(height)
+    gaps = [height[la] - top[lb] for la, lb in zip(layers, layers[1:])]
+    return [(not bad, "all boxes" if not bad
+             else f"zero/negative aperture at j in {bad}"),
+            (all(g > 0.0 for g in gaps),
+             f"min inter-level gap {min(gaps):.6g}" if gaps else "single level")]
+
+
+def test_connectivity_facts_match_per_box_loops():
+    boxes, summary = build_layered(S2, 5)
+    order = list(range(len(boxes)))
+    random.Random(7).shuffle(order)
+    cases = [boxes, take(boxes, order), take(boxes, [4, 5]),
+             with_values(boxes, [3, 9, 12], gap=0.0),
+             with_values(boxes, 2, layer=4), with_values(boxes, 0, lo=(0.0, -2.3)),
+             dataclasses.replace(boxes, gap=np.zeros(len(boxes)))]
+    for tampered in cases:
+        facts = connectivity_certificate(tampered, summary).facts[:2]
+        assert [(f.passed, f.detail) for f in facts] == _first_facts_by_loops(tampered)
+
+
+def _raster_by_loops(boxes, resolution):
+    """The flood-fill raster drawn box by box in Python floats: the
+    reference for the array route of `_blocked_raster`."""
+    lo, hi = boxes.lo.tolist(), boxes.hi.tolist()
+    pad = max(boxes.side.tolist()) + 2.0 * resolution
+    x0 = min(c[0] for c in lo) - pad - 0.5 * resolution
+    y0 = min(c[1] for c in lo) - pad - 0.5 * resolution
+    nx = int(math.ceil((max(c[0] for c in hi) + pad - x0) / resolution)) + 1
+    ny = int(math.ceil((max(c[1] for c in hi) + pad - y0) / resolution)) + 1
+    grid = np.zeros((ny + 4, nx + 4), dtype=np.uint8)
+    grid[[0, -1], :] = 1
+    grid[:, [0, -1]] = 1
+    blocked = grid[2:-2, 2:-2]
+
+    def cell(v, origin):
+        return int(math.floor((v - origin) / resolution))
+
+    for (t1, t2), s, gap in zip(lo, boxes.side.tolist(), boxes.gap.tolist()):
+        for xa, xb, y in ((t1, t1 + s, t2 + s), (t1 + gap * s, t1 + s, t2)):
+            r, ca, cb = cell(y, y0), max(cell(xa, x0), 0), min(cell(xb, x0), nx - 1)
+            if 0 <= r < ny and ca <= cb:
+                blocked[r, ca:cb + 1] = 1
+        for x in (t1, t1 + s):
+            c, ra, rb = cell(x, x0), max(cell(t2, y0), 0), min(cell(t2 + s, y0), ny - 1)
+            if 0 <= c < nx and ra <= rb:
+                blocked[ra:rb + 1, c] = 1
+    return grid.tobytes(), nx + 4
+
+
+@pytest.mark.parametrize("layers", [3, 5])
+def test_raster_matches_per_box_loops(layers):
+    boxes, _ = build_layered(S2, layers)
+    res = suggested_resolution(boxes)
+    for case in (boxes, with_values(boxes, -2, gap=0.0),
+                 dataclasses.replace(boxes, gap=np.zeros(len(boxes)))):
+        for r in (res, 0.77 * res):
+            cells, width = _blocked_raster(case, r)
+            assert (bytes(cells), width) == _raster_by_loops(case, r)
+
+
 def test_flood_fill_demo_connected():
     boxes, _ = build_layered(S2, 3)
     assert flood_fill_oracle(boxes, suggested_resolution(boxes))
@@ -519,7 +598,7 @@ def test_flood_fill_demo_connected():
 
 def test_flood_fill_sealed_disconnected():
     boxes, _ = build_layered(S2, 3)
-    sealed = [dataclasses.replace(b, gap=0.0) for b in boxes]
+    sealed = dataclasses.replace(boxes, gap=np.zeros(len(boxes)))
     # sealed boxes have no aperture feature; the pitch still sets the scale
     assert not flood_fill_oracle(sealed, suggested_resolution(sealed))
 
@@ -530,9 +609,9 @@ def test_flood_fill_matches_scipy_labeling(layers, sealed):
     ndimage = pytest.importorskip("scipy.ndimage")
     boxes, _ = build_layered(S2, layers)
     if sealed == "one":
-        boxes[-2] = dataclasses.replace(boxes[-2], gap=0.0)
+        boxes = with_values(boxes, -2, gap=0.0)
     elif sealed == "all":
-        boxes = [dataclasses.replace(b, gap=0.0) for b in boxes]
+        boxes = dataclasses.replace(boxes, gap=np.zeros(len(boxes)))
     res = suggested_resolution(boxes)
     cells, width = _blocked_raster(boxes, res)
     free = np.frombuffer(cells, dtype=np.uint8).reshape(-1, width) == 0
@@ -557,9 +636,33 @@ def test_flood_fill_dimension_guard():
 
 
 def test_flood_fill_single_open_box():
-    box = BoxSpec(j=1, layer=1, side=1.0, translation=(0.0, 0.0), gap=0.3,
-                  wavenumber=math.pi * math.sqrt(2), target=1e-4)
-    assert flood_fill_oracle([box], 0.3 * 0.9 / 4.5)
-    sealed = dataclasses.replace(box, gap=0.0)
+    box = make_boxes(j=[1], layer=[1], side=[1.0], lo=[(0.0, 0.0)], gap=[0.3],
+                     k=[math.pi * math.sqrt(2)], a=[1e-4])
+    assert flood_fill_oracle(box, 0.3 * 0.9 / 4.5)
+    sealed = with_values(box, 0, gap=0.0)
     with pytest.raises(GeometryError):
-        flood_fill_oracle([sealed], 0.01)  # no positive feature at all
+        flood_fill_oracle(sealed, 0.01)  # no positive feature at all
+
+
+# -------------------------------------------------------------------
+# box-count bound
+# -------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, layers, count", [(2, 10_000, 435_585_210),
+                                              (32, 2, 617_673_396_283_948)])
+def test_build_refuses_oversize_plans_before_building(monkeypatch, n, layers, count):
+    def no_boxes(*args):
+        raise AssertionError("a box was built")
+
+    monkeypatch.setattr(trapcert.geometry, "derived_params", no_boxes)
+    monkeypatch.setattr(trapcert.geometry, "_grid", no_boxes)
+    with pytest.raises(GeometryError, match=f"{layers} layers hold {count} boxes"):
+        build_layered(demo_schedule(n), layers)
+
+
+def test_box_count_bound_is_inclusive(monkeypatch):
+    monkeypatch.setattr(trapcert.geometry, "MAX_BOXES", 16)
+    boxes, _ = build_layered(S2, 4)  # 1 + 3 + 5 + 7 boxes
+    assert len(boxes) == 16
+    with pytest.raises(GeometryError, match="more than the 16 one build allows"):
+        build_layered(S2, 5)
