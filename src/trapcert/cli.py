@@ -4,7 +4,8 @@ Everything a run produces (geometry JSON, certification CSV, figure SVG,
 text report) is a pure function of the configuration document, so re-running
 with the same config reproduces every artifact byte for byte.  Files are
 written to a temporary sibling and renamed into place, which leaves no
-partial artifact behind on failure.
+partial artifact behind on failure.  The CSV and SVG emitters stream their
+text into that sibling in blocks of rows, one `%` call per block.
 
 Exit codes follow one contract for every subcommand: 0 on success, 1 when a
 certificate or sign check fails (the run itself worked, the claim did not
@@ -14,6 +15,7 @@ hold), 2 on configuration, domain, usage, or I/O errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -21,7 +23,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +48,7 @@ from trapcert.geometry import (
     connectivity_certificate,
     disjointness_certificate,
     iter_layer_plans,
+    plan_columns,
 )
 from trapcert.sequences import (
     APower,
@@ -331,14 +334,16 @@ def load_config(path: str) -> RunConfig:
 # deterministic emitters
 # -------------------------------------------------------------------
 
-def _write_text_atomic(path: str, text: str) -> None:
-    """Write via a temporary sibling and rename, so failures leave either
+def _write_text_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write the concatenated chunks via a temporary sibling and rename, so
+    failures (also one raised while the chunks are produced) leave either
     the old file or nothing."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -375,18 +380,25 @@ def geometry_document(boxes: Boxes, summary: GeometrySummary) -> dict:
 def emit_geometry_json(boxes: Boxes, summary: GeometrySummary,
                        path: str) -> None:
     text = json.dumps(geometry_document(boxes, summary), indent=1) + "\n"
-    _write_text_atomic(path, text)
+    _write_text_atomic(path, [text])
 
 
-def _f6(value: float) -> str:
-    out = f"{value:.6f}"
-    return "0.000000" if out == "-0.000000" else out
+# rows per `%` call of the CSV and SVG emitters: a block is a few hundred KiB
+# of text, and the artifact is streamed block by block
+_BLOCK_ROWS = 2048
 
 
-def svg_document(boxes: Boxes) -> str:
-    """Vector figure of a planar arrangement: per box, the closed outline
-    minus the slot on the bottom edge (anchored at the box corner), grey
-    interior fill, 5% view margin.  Planar only."""
+def _row_blocks(row: str, columns: Sequence[np.ndarray]) -> Iterator[str]:
+    """The rows of `columns` formatted by the one-row %-template `row`,
+    _BLOCK_ROWS rows per `%` call."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
+        yield (row * len(block)) % tuple(block.ravel().tolist())
+
+
+def _svg_blocks(boxes: Boxes) -> Iterator[str]:
+    """The SVG text in blocks.  The arrangement is checked here, before the
+    first block is asked for."""
     if not len(boxes):
         raise GeometryError("nothing to draw: no boxes")
     if boxes.lo.shape[1] != 2:
@@ -402,48 +414,53 @@ def svg_document(boxes: Boxes) -> str:
     view = (xs_lo - margin, -ys_hi - margin,
             (xs_hi - xs_lo) + 2.0 * margin, (ys_hi - ys_lo) + 2.0 * margin)
     stroke = max(1.0e-6, 0.02 * boxes.side.min().item())
+    head = ('<?xml version="1.0" encoding="UTF-8"?>\n'
+            '<svg xmlns="http://www.w3.org/2000/svg" viewBox="%.6f %.6f %.6f %.6f">\n'
+            '<g fill="#e6e6e6" stroke="#000000" stroke-width="%.6f" '
+            'stroke-linecap="butt" stroke-linejoin="miter">\n') % (*view, stroke)
+    (x0, y0), (x1, y1) = lo.T, hi.T
+    # start at the slot's inner end, trace bottom-right-top-left back to the
+    # corner; the fill closes the subpath, the stroke leaves it open
+    corners = (x0 + boxes.side * boxes.gap, -y0, x1, -y0, x1, -y1, x0, -y1, x0, -y0)
+    path = '<path d="M %.6f %.6f L %.6f %.6f L %.6f %.6f L %.6f %.6f L %.6f %.6f"/>\n'
+    blocks = itertools.chain([head], _row_blocks(path, corners), ["</g>\n</svg>\n"])
+    # a value that rounds to zero prints unsigned; "-0.000000" is never part
+    # of another %.6f field
+    return (text.replace("-0.000000", "0.000000") for text in blocks)
 
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{_f6(view[0])} {_f6(view[1])} {_f6(view[2])} {_f6(view[3])}">',
-        f'<g fill="#e6e6e6" stroke="#000000" stroke-width="{_f6(stroke)}" '
-        f'stroke-linecap="butt" stroke-linejoin="miter">',
-    ]
-    slots = lo[:, 0] + boxes.side * boxes.gap
-    for (x0, y0), (x1, y1), slot in zip(lo.tolist(), hi.tolist(), slots.tolist()):
-        # start at the slot's inner end, trace bottom-right-top-left back to
-        # the corner; the fill closes the subpath, the stroke leaves it open
-        lines.append(
-            f'<path d="M {_f6(slot)} {_f6(-y0)} L {_f6(x1)} {_f6(-y0)} '
-            f'L {_f6(x1)} {_f6(-y1)} L {_f6(x0)} {_f6(-y1)} '
-            f'L {_f6(x0)} {_f6(-y0)}"/>'
-        )
-    lines.append("</g>")
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+
+def svg_document(boxes: Boxes) -> str:
+    """Vector figure of a planar arrangement: per box, the closed outline
+    minus the slot on the bottom edge (anchored at the box corner), grey
+    interior fill, 5% view margin.  Planar only."""
+    return "".join(_svg_blocks(boxes))
 
 
 def emit_svg(boxes: Boxes, path: str) -> None:
-    _write_text_atomic(path, svg_document(boxes))
+    _write_text_atomic(path, _svg_blocks(boxes))
 
 
 _CSV_COLUMNS = ("j", "k", "a", "eps", "infsup_ub", "cprime_lb", "c_lb", "margin")
+# j, then 17 significant digits (round-trip exact) per value
+_CSV_ROW = "%d" + ",%.17g" * (len(_CSV_COLUMNS) - 1) + "\n"
+
+
+def _csv_blocks(records: Certificates) -> Iterator[str]:
+    yield ",".join(_CSV_COLUMNS) + "\n"
+    # the indices are exact in binary64, so one float table holds every row
+    yield from _row_blocks(_CSV_ROW, (
+        records.j, records.k, records.a, records.eps, records.infsup_ub,
+        records.c_prime_lb, records.c_lb, records.margin))
 
 
 def certificates_csv(records: Certificates) -> str:
     """CSV text of a certification run: one row per box, 17 significant
     digits (round-trip exact), LF line endings."""
-    lines = [",".join(_CSV_COLUMNS)]
-    columns = (records.j, records.k, records.a, records.eps, records.infsup_ub,
-               records.c_prime_lb, records.c_lb, records.margin)
-    for j, *values in zip(*(c.tolist() for c in columns)):
-        lines.append(",".join([str(j)] + [f"{v:.17g}" for v in values]))
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_blocks(records))
 
 
 def emit_certificates_csv(records: Certificates, path: str) -> None:
-    _write_text_atomic(path, certificates_csv(records))
+    _write_text_atomic(path, _csv_blocks(records))
 
 
 # -------------------------------------------------------------------
@@ -593,13 +610,14 @@ def _cmd_plan(cfg: RunConfig, outputs: OutputPaths, out) -> int:
     sched = cfg.schedule()
     if cfg.layout is None or cfg.truncation is None:
         raise ConfigError("config needs 'layout' and a truncation for 'plan'")
+    if cfg.layout == "layered":  # build's checks, before any output
+        plans = list(iter_layer_plans(sched, cfg.truncation))
+        total = len(plan_columns(sched, plans)[0])
     print(f"schedule: {schedule_label(sched)}", file=out)
     if cfg.layout == "layered":
         print(f"{'level':>5} {'boxes':>6} {'first-j':>8} {'height':>12} "
               f"{'side':>10} {'pitch':>10} {'width':>10}", file=out)
-        total = 0
-        for plan in iter_layer_plans(sched, cfg.truncation):
-            total += plan.count
+        for plan in plans:
             print(f"{plan.i:>5} {plan.count:>6} {plan.start_index:>8} "
                   f"{plan.height:>12.6f} {plan.max_side:>10.6f} "
                   f"{plan.pitch:>10.6f} {plan.width:>10.6f}", file=out)
@@ -718,7 +736,7 @@ def _cmd_report(cfg: RunConfig, outputs: OutputPaths, out) -> int:
     stages = StageOutputs(**kwargs)
     text = render_report(stages)
     if outputs.report:
-        _write_text_atomic(outputs.report, text)
+        _write_text_atomic(outputs.report, [text])
         print(f"wrote {outputs.report}", file=out)
     else:
         out.write(text)

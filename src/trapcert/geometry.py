@@ -22,8 +22,8 @@ A built arrangement is one `Boxes` of read-only columns, one row per box.
 All coordinates are plain binary64 and every emitted number is a fixed
 arithmetic expression of schedule values, so rebuilding reproduces the
 geometry bit for bit: arrays carry only correctly rounded operations
-(+ - * /, sqrt, comparisons, min/max), while schedule values and powers stay
-Python float operations per box (numpy's pow and log may differ in the last
+(+ - * /, sqrt, comparisons, min/max), while logs and powers stay Python
+float operations per element (numpy's pow and log may differ in the last
 bit).
 
 The packing certificate never forms all N^2 pairs.  It sorts the boxes
@@ -42,7 +42,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from trapcert.sequences import (
     KTable,
     Schedule,
     ScheduleError,
+    derived_columns,
     derived_params,
     padding,
     padding_tail_bound,
@@ -235,15 +236,16 @@ def _grid(cols: int, axes: int) -> np.ndarray:
     return np.indices((cols,) * axes).reshape(axes, -1).T
 
 
-def _boxes(params: Iterable[DerivedParams], layer: np.ndarray,
-           lo: np.ndarray) -> Boxes:
-    """Boxes 1..N from their derived parameters, levels and lower corners."""
-    count = len(layer)
-    cols = np.fromiter(itertools.chain.from_iterable(
-        (p.ell, p.eps, p.k, p.a) for p in params), float, 4 * count)
-    side, gap, k, a = cols.reshape(count, 4).T.copy()
-    return Boxes(j=np.arange(1, count + 1), layer=layer, side=side, gap=gap,
-                 k=k, a=a, lo=lo)
+def plan_columns(sched: Schedule, plans: Sequence[LayerPlan]) -> Tuple[np.ndarray, ...]:
+    """The schedule columns (k, ell, eps, a) of the boxes on `plans`, the
+    first len(plans) levels: the gates a layered build passes before it
+    places a box.  More than MAX_BOXES boxes are refused from the plan
+    counts, before any column is evaluated."""
+    count = sum(plan.count for plan in plans)
+    if count > MAX_BOXES:
+        raise GeometryError(f"{len(plans)} layers hold {count} boxes, more than "
+                            f"the {MAX_BOXES} one build allows")
+    return derived_columns(sched, range(1, count + 1))
 
 
 def _summary(layout: str, boxes: Boxes, extent: float, w_big: float,
@@ -283,15 +285,14 @@ def build_layered(sched: Schedule, layers: int) -> Tuple[Boxes, GeometrySummary]
         )
 
     built = plans[:layers]
-    j_built = sum(plan.count for plan in built)  # boxes are numbered from 1
-    if j_built > MAX_BOXES:
-        raise GeometryError(f"{layers} layers hold {j_built} boxes, more than "
-                            f"the {MAX_BOXES} one build allows")
+    k, side, gap, a = plan_columns(sched, built)
+    j_built = len(k)  # boxes are numbered from 1
     lo = np.concatenate([np.column_stack((plan.pitch * _grid(plan.cols, sched.n - 1),
                                           np.full(plan.count, plan.height)))
                          for plan in built])
     layer = np.repeat([plan.i for plan in built], [plan.count for plan in built])
-    boxes = _boxes((derived_params(sched, j) for j in range(1, j_built + 1)), layer, lo)
+    boxes = Boxes(j=np.arange(1, j_built + 1), layer=layer, side=side, gap=gap,
+                  k=k, a=a, lo=lo)
     j_all = plans[-1].start_index + plans[-1].count - 1
     m_ext = plans[-1].i
 
@@ -357,7 +358,9 @@ def build_stacked(sched: Schedule, count: int) -> Tuple[Boxes, GeometrySummary]:
             depths.append(depth)
     lo = np.zeros((count, sched.n))
     lo[:, -1] = depths
-    boxes = _boxes(params, np.arange(1, count + 1), lo)
+    k, side, gap, a = np.array([(p.k, p.ell, p.eps, p.a) for p in params]).T.copy()
+    boxes = Boxes(j=np.arange(1, count + 1), layer=np.arange(1, count + 1), side=side,
+                  gap=gap, k=k, a=a, lo=lo)
     vol_tail = math.fsum(s ** sched.n for s in sides[count:])
     w_big = max(sides)
     return boxes, _summary("stacked", boxes, w_big, w_big, (depth, depth), vol_tail)

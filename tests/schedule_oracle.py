@@ -1,0 +1,90 @@
+"""The per-box schedule evaluation as it ran before the range functions.
+
+`derived_params` here is the scalar reference: one Python evaluation per
+box index, in the order wavenumber, target, gap fraction.  The tests
+require `sequences.derived_columns` (and the one-element calls built on
+it) to equal it bit for bit, and to raise the same exception with the same
+message on the first failing box.
+"""
+
+import math
+
+import mpmath as mp
+
+from trapcert.sequences import (
+    ATable,
+    DerivedParams,
+    KTable,
+    Schedule,
+    ScheduleError,
+)
+
+_E_E = math.exp(math.e)
+_APERTURE_C = (3.0 / (2.0 * math.pi**2)) ** (1.0 / 3.0)
+
+
+def _check_index(j: int, what: str) -> None:
+    if j < 1:
+        raise ScheduleError(f"{what} index must be >= 1, got {j}")
+
+
+def _table_lookup(values, j: int, what: str) -> float:
+    if j > len(values):
+        raise ScheduleError(
+            f"{what} table has {len(values)} entries, index {j} queried; "
+            "tables are never extrapolated"
+        )
+    return values[j - 1]
+
+
+def growth_value(n: int, c: float, j: int, digits: int) -> float:
+    if digits > 15:
+        with mp.workdps(digits):
+            jj = mp.mpf(j)
+            val = (c * (jj * mp.log(jj + mp.e)) ** (mp.mpf(1) / n)
+                   * mp.log(mp.log(jj + mp.exp(mp.e))) ** 2)
+            return float(val)
+    return (c * (j * math.log(j + math.e)) ** (1.0 / n)
+            * math.log(math.log(j + _E_E)) ** 2)
+
+
+def wavenumber(sched: Schedule, j: int) -> float:
+    _check_index(j, "wavenumber")
+    fam = sched.k_family
+    if isinstance(fam, KTable):
+        return _table_lookup(fam.values, j, "wavenumber")
+    return growth_value(sched.n, fam.c, j, sched.precision_digits)
+
+
+def target_norm(sched: Schedule, j: int) -> float:
+    _check_index(j, "target")
+    fam = sched.a_family
+    if isinstance(fam, ATable):
+        return _table_lookup(fam.values, j, "target")
+    return fam.amplitude * float(j) ** fam.exponent
+
+
+def gap_fraction(n: int, k: float, a: float) -> float:
+    if n < 2:
+        raise ScheduleError(f"dimension must be >= 2, got {n}")
+    if not (k > 0.0 and a > 0.0):
+        raise ScheduleError(f"gap fraction needs k > 0 and a > 0, got k={k}, a={a}")
+    x = 1.0 + 2.0 * k * math.sqrt(2.0 * k * k * a * a + a)
+    eps = _APERTURE_C * x ** (-2.0 / (3.0 * n - 3.0))
+    if not 0.0 < eps < 1.0:
+        raise ScheduleError(
+            f"gap fraction {eps} left (0,1) at n={n}, k={k}, a={a}; "
+            "the schedule violates its own hypotheses"
+        )
+    return eps
+
+
+def derived_params(sched: Schedule, j: int) -> DerivedParams:
+    k = wavenumber(sched, j)
+    a = target_norm(sched, j)
+    return DerivedParams(
+        j=j, k=k,
+        ell=math.pi * math.sqrt(sched.n) / k,
+        eps=gap_fraction(sched.n, k, a),
+        a=a,
+    )

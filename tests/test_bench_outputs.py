@@ -4,9 +4,10 @@
 and the SHA-256 of every artifact of each benchmark operation.  This test
 writes the same config documents `bench/workloads.py` gives the benchmark,
 runs every operation of the smoke rounds and of the full-size
-`figure-pipeline` round the way `bench/child.py` does (CLI operations
-through `trapcert.cli.run`), and requires both to equal the recording.  It
-reads `bench/` and writes only below `tmp_path`.
+`figure-pipeline` and `bulk-certify` rounds (the latter writes the
+256-layer CSV and SVG, 166,590 rows each) the way `bench/child.py` does
+(CLI operations through `trapcert.cli.run`), and requires both to equal
+the recording.  It reads `bench/` and writes only below `tmp_path`.
 """
 
 import dataclasses
@@ -36,7 +37,7 @@ WORKLOADS = load_bench("workloads")
 CHILD = load_bench("child")
 EXPECTED = json.loads((BENCH / "expected.json").read_text(encoding="utf-8"))
 ROUNDS = [("smoke", name) for name in WORKLOADS.WORKLOADS] + [
-    ("full", "figure-pipeline")]
+    ("full", "figure-pipeline"), ("full", "bulk-certify")]
 
 
 @pytest.mark.parametrize("mode, workload", ROUNDS,

@@ -582,9 +582,11 @@ def test_run_huge_box_count_and_flags_exit_2(tmp_path, capsys):
     for flag in ("--dimension", "--layers", "--precision"):
         assert run(["plan", "--config", cfg, flag, str(HUGE)]) == 2
         assert f"error: {flag} must be <= " in capsys.readouterr().err
-    # the bounds themselves are accepted
-    assert run(["plan", "--config", cfg, "--dimension", "32", "--layers", "3"]) == 0
-    capsys.readouterr()
+    # the bounds themselves are accepted; the plan is then refused only by
+    # the box-count bound that build applies
+    assert run(["plan", "--config", cfg, "--dimension", "32", "--layers", "1"]) == 0
+    assert run(["plan", "--config", cfg, "--dimension", "32", "--layers", "3"]) == 2
+    assert "3 layers hold 4656613490750788862073 boxes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sweep", [dict(mMax=HUGE), dict(nValues=[2, HUGE]),
@@ -665,11 +667,33 @@ def test_run_oversize_arrangement_exit_2(tmp_path, capsys, monkeypatch, command,
         raise AssertionError("a box was built")
 
     monkeypatch.setattr(trapcert.geometry, "derived_params", no_boxes)
+    monkeypatch.setattr(trapcert.geometry, "derived_columns", no_boxes)
     cfg = write_config(tmp_path, demo_mapping(**overrides))
     assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"hold {count} boxes" in err
     assert not [p for p in (tmp_path / "out").iterdir() if p.is_file()]
+
+
+def _c_1e300():
+    doc = demo_mapping()
+    doc["schedule"]["wavenumbers"]["c"] = 1e300
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_c_1e300(), "gap fraction 0.0 left (0,1) at n=2, k="),
+    (demo_mapping(layers=10_000), "10000 layers hold 435585210 boxes, more than"),
+], ids=["c-1e300", "layers-10000"])
+def test_run_plan_refuses_what_build_refuses(tmp_path, capsys, doc, message):
+    cfg = write_config(tmp_path, doc)
+    assert run(["build", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    build_err = capsys.readouterr().err
+    assert run(["plan", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == build_err
+    assert build_err.startswith(f"error: {message}")
+    assert captured.out == ""
 
 
 def _out_of_range_mappings():

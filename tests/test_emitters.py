@@ -1,0 +1,170 @@
+"""The block-formatted CSV and SVG emitters against the per-value oracle in
+`emitter_oracle`: byte equality at block boundaries and on values whose
+formatting has special cases (negative zero, tiny negatives, infinities,
+NaN, subnormals), the streamed files against the documents, and the checks
+that run before any file is created."""
+
+import math
+import os
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import emitter_oracle as oracle
+import trapcert.cli as cli
+from columns import make_boxes, take
+from trapcert.certify import Certificates, certify_geometry
+from trapcert.geometry import GeometryError, build_layered
+from trapcert.sequences import demo_schedule
+
+BLOCK = cli._BLOCK_ROWS
+SPECIAL = [0.0, -0.0, 1e-7, -1e-7, -4.9e-7, -5e-7, -5.000001e-7, 5e-7, 1e-300,
+           -1e-300, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+           1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf,
+           math.nan, 0.1, 1.0 / 3.0, -2.5, 1e16, 123456.0000005]
+
+
+@pytest.fixture(scope="module")
+def built():
+    boxes, _ = build_layered(demo_schedule(), 50)
+    assert len(boxes) == 4462 > 2 * BLOCK
+    return boxes, certify_geometry(boxes)
+
+
+def certificates(values) -> Certificates:
+    """Certificates whose seven float columns are rotations of `values`."""
+    values = np.asarray(values, dtype=float)
+    cols = [np.roll(values, shift) for shift in range(7)]
+    return Certificates(j=np.arange(1, len(values) + 1),
+                        k=cols[0], a=cols[1], eps=cols[2], infsup_ub=cols[3],
+                        infsup_ub_inv_identity=cols[3], c_prime_lb=cols[4],
+                        c_lb=cols[5], margin=cols[6])
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1])
+def test_csv_equals_the_oracle_at_block_boundaries(built, tmp_path, rows):
+    records = certify_geometry(take(built[0], slice(0, rows)))
+    expected = oracle.certificates_csv(records)
+    assert cli.certificates_csv(records) == expected
+    path = tmp_path / "c.csv"
+    cli.emit_certificates_csv(records, str(path))
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1])
+def test_svg_equals_the_oracle_at_block_boundaries(built, tmp_path, rows):
+    boxes = take(built[0], slice(0, rows))
+    expected = oracle.svg_document(boxes)
+    assert cli.svg_document(boxes) == expected
+    path = tmp_path / "f.svg"
+    cli.emit_svg(boxes, str(path))
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_csv_special_values_equal_the_oracle():
+    records = certificates(SPECIAL)
+    text = cli.certificates_csv(records)
+    assert text == oracle.certificates_csv(records)
+    for literal in (",-0,", ",inf,", ",-inf,", ",nan,", ",4.9406564584124654e-324,"):
+        assert literal in text
+
+
+def test_svg_negative_zero_and_tiny_negatives_equal_the_oracle():
+    # corners at 0 and just below: -y of a level at height 0 is -0.0, and a
+    # tiny negative rounds to -0.000000, which must print as 0.000000
+    count = len(SPECIAL)
+    finite = [v if math.isfinite(v) and abs(v) < 1e6 else 0.0 for v in SPECIAL]
+    lo = np.column_stack((finite, np.roll(finite, 3)))
+    boxes = make_boxes(j=range(1, count + 1), layer=[1] * count,
+                       side=[abs(v) + 1e-7 for v in np.roll(finite, 5)], lo=lo,
+                       gap=[0.5] * count, k=[1.0] * count, a=[1.0] * count)
+    text = cli.svg_document(boxes)
+    assert text == oracle.svg_document(boxes)
+    assert " -0.000000" not in text and '"-0.000000' not in text
+
+
+def test_svg_non_finite_coordinates_equal_the_oracle():
+    lo = [(0.0, 0.0), (math.inf, 1.0), (math.nan, -2.0), (5e-324, -5e-324)]
+    boxes = make_boxes(j=[1, 2, 3, 4], layer=[1] * 4, side=[1.0, 2.0, 5e-324, 1e-300],
+                       lo=lo, gap=[0.5] * 4, k=[1.0] * 4, a=[1.0] * 4)
+    with np.errstate(all="ignore"):
+        assert cli.svg_document(boxes) == oracle.svg_document(boxes)
+
+
+finite_or_not = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@given(v=finite_or_not)
+@settings(max_examples=2000, deadline=None)
+def test_percent_format_equals_format_spec(v):
+    assert "%.17g" % v == format(v, ".17g")
+    assert "%.6f" % v == format(v, ".6f")
+
+
+@given(values=st.lists(finite_or_not, min_size=1, max_size=23),
+       block=st.integers(min_value=1, max_value=6))
+@settings(max_examples=300, deadline=None)
+def test_random_columns_equal_the_oracle_at_any_block_size(values, block):
+    records = certificates(values)
+    small = [v if math.isfinite(v) else 0.0 for v in values]
+    count = len(small)
+    boxes = make_boxes(j=range(1, count + 1), layer=[1] * count,
+                       side=[min(abs(v), 1e300) for v in np.roll(small, 1)],
+                       lo=np.column_stack((small, np.roll(small, 2))),
+                       gap=[0.25] * count, k=[1.0] * count, a=[1.0] * count)
+    # corners past binary64 overflow in both emitters alike
+    with mock.patch.object(cli, "_BLOCK_ROWS", block), np.errstate(all="ignore"):
+        assert cli.certificates_csv(records) == oracle.certificates_csv(records)
+        assert cli.svg_document(boxes) == oracle.svg_document(boxes)
+
+
+def test_emitters_stream_bounded_blocks(built, tmp_path, monkeypatch):
+    boxes, records = built
+    seen = []
+    write = cli._write_text_atomic
+
+    def recording(path, chunks):
+        assert not isinstance(chunks, (str, list))
+
+        def spy():
+            for chunk in chunks:
+                seen.append(chunk.count("\n"))
+                yield chunk
+        write(path, spy())
+
+    monkeypatch.setattr(cli, "_write_text_atomic", recording)
+    cli.emit_certificates_csv(records, str(tmp_path / "c.csv"))
+    assert max(seen) == BLOCK and sum(seen) == len(records) + 1
+    seen.clear()
+    cli.emit_svg(boxes, str(tmp_path / "f.svg"))
+    assert max(seen) == BLOCK and sum(seen) == len(boxes) + 5
+
+
+@pytest.mark.parametrize("case", ["empty", "non-planar"])
+def test_svg_refused_before_any_file_is_created(tmp_path, monkeypatch, case):
+    boxes = (take(build_layered(demo_schedule(), 2)[0], slice(0, 0)) if case == "empty"
+             else build_layered(demo_schedule(3), 2)[0])
+
+    def no_file(*args, **kwargs):
+        raise AssertionError("a file was created")
+
+    monkeypatch.setattr(cli.tempfile, "mkstemp", no_file)
+    with pytest.raises(GeometryError):
+        cli.emit_svg(boxes, str(tmp_path / "f.svg"))
+    assert os.listdir(tmp_path) == []
+
+
+def test_failure_while_streaming_keeps_the_old_file(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("old\n")
+
+    def chunks():
+        yield "new\n"
+        raise GeometryError("stopped midway")
+
+    with pytest.raises(GeometryError, match="midway"):
+        cli._write_text_atomic(str(path), chunks())
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["f.txt"]

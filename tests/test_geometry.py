@@ -655,6 +655,7 @@ def test_build_refuses_oversize_plans_before_building(monkeypatch, n, layers, co
         raise AssertionError("a box was built")
 
     monkeypatch.setattr(trapcert.geometry, "derived_params", no_boxes)
+    monkeypatch.setattr(trapcert.geometry, "derived_columns", no_boxes)
     monkeypatch.setattr(trapcert.geometry, "_grid", no_boxes)
     with pytest.raises(GeometryError, match=f"{layers} layers hold {count} boxes"):
         build_layered(demo_schedule(n), layers)

@@ -1,0 +1,269 @@
+"""The range functions of `sequences` against the per-box scalar oracle in
+`schedule_oracle`: every column value equal by `float.hex`, and on schedules
+that fail, the same exception with the same message, from the first
+failing box, with nothing printed and no warning raised."""
+
+import ast
+import inspect
+import json
+import math
+import warnings
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import schedule_oracle as oracle
+import trapcert.sequences
+from trapcert.cli import run
+from trapcert.geometry import build_layered, build_stacked
+from trapcert.sequences import (
+    APower,
+    ATable,
+    DShiftedPower,
+    DTable,
+    KLogGrowth,
+    KTable,
+    Schedule,
+    ScheduleError,
+    demo_schedule,
+    derived_columns,
+    derived_params,
+    gap_fraction,
+    growth_floor_check,
+    sidelength,
+    target_norm,
+    wavenumber,
+)
+
+COLUMNS = ("k", "ell", "eps", "a")
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def outcome(evaluate):
+    """('ok', value) or (exception type, message) of `evaluate()`, with any
+    warning turned into an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return "ok", evaluate()
+        except (ScheduleError, ArithmeticError) as exc:
+            return type(exc), str(exc)
+
+
+def column_outcome(sched, js):
+    result = outcome(lambda: derived_columns(sched, js))
+    if result[0] != "ok":
+        return result
+    return "ok", [hexes(column) for column in result[1]]
+
+
+def oracle_outcome(sched, js):
+    """The per-box loop: it raises at the first failing box."""
+    result = outcome(lambda: [oracle.derived_params(sched, j) for j in js])
+    if result[0] != "ok":
+        return result
+    return "ok", [[getattr(p, name).hex() for p in result[1]] for name in COLUMNS]
+
+
+def table_schedule(n=2, k_len=40, a_len=40, digits=15):
+    return Schedule(
+        n=n,
+        k_family=KTable(tuple(1.5 + 0.37 * j + 0.01 * j * j for j in range(k_len))),
+        a_family=ATable(tuple(1e-4 * (1.0 + j // 3) for j in range(a_len))),
+        d_family=DTable(tuple(0.5 / (i + 1) ** 1.5 for i in range(60))),
+        precision_digits=digits,
+    )
+
+
+def tampered(c=2.0, amplitude=1e-4, exponent=0.25, n=2):
+    return Schedule(n=n, k_family=KLogGrowth(c), a_family=APower(amplitude, exponent),
+                    d_family=DShiftedPower(2.0, 6.0, 1.2))
+
+
+@pytest.mark.parametrize("n, layers", [(2, 30), (3, 5), (4, 4)],
+                         ids=["figure-30", "n3", "n4"])
+def test_built_columns_equal_the_per_box_oracle(n, layers):
+    sched = demo_schedule(n)
+    boxes, _ = build_layered(sched, layers)
+    refs = [oracle.derived_params(sched, j) for j in boxes.j.tolist()]
+    for name, column in zip(COLUMNS, (boxes.k, boxes.side, boxes.gap, boxes.a)):
+        assert hexes(column) == [getattr(p, name).hex() for p in refs], name
+
+
+@pytest.mark.parametrize("sched", [
+    table_schedule(),
+    Schedule(n=3, k_family=KTable(tuple(2.0 + j for j in range(30))),
+             a_family=APower(1e-3, 0.5), d_family=DShiftedPower(2.0, 6.0, 1.2)),
+    Schedule(n=2, k_family=KLogGrowth(2.0), a_family=ATable((1e-4,) * 30),
+             d_family=DTable(tuple(1.0 / (i + 2) ** 2 for i in range(30)))),
+    demo_schedule(2, precision_digits=30),
+    demo_schedule(3, precision_digits=30),
+    tampered(c=1e-320),  # subnormal wavenumbers: infinite sides, no warning
+], ids=["all-tables", "k-table", "a-table", "digits-30-n2", "digits-30-n3",
+        "c-1e-320"])
+def test_family_columns_equal_the_per_box_oracle(sched):
+    js = range(1, 31)
+    assert column_outcome(sched, js) == oracle_outcome(sched, js)
+    for sub in (range(7, 8), range(3, 17)):
+        assert column_outcome(sched, sub) == oracle_outcome(sched, sub)
+
+
+def test_stacked_table_columns_equal_the_per_box_oracle():
+    sched = table_schedule()
+    boxes, _ = build_stacked(sched, 25)
+    refs = [oracle.derived_params(sched, j) for j in range(1, 26)]
+    for name, column in zip(COLUMNS, (boxes.k, boxes.side, boxes.gap, boxes.a)):
+        assert hexes(column) == [getattr(p, name).hex() for p in refs], name
+
+
+def test_one_element_calls_equal_the_oracle():
+    for sched in (demo_schedule(2), demo_schedule(4), table_schedule(),
+                  demo_schedule(2, precision_digits=40)):
+        for j in (1, 2, 17, 30):
+            assert wavenumber(sched, j).hex() == oracle.wavenumber(sched, j).hex()
+            assert target_norm(sched, j).hex() == oracle.target_norm(sched, j).hex()
+            assert derived_params(sched, j) == oracle.derived_params(sched, j)
+            assert (sidelength(sched, j)
+                    == math.pi * math.sqrt(sched.n) / oracle.wavenumber(sched, j))
+    for n, k, a in ((2, 2.4, 1e-4), (3, 1e3, 1e9), (5, 0.01, 1e-9)):
+        assert gap_fraction(n, k, a).hex() == oracle.gap_fraction(n, k, a).hex()
+
+
+@pytest.mark.parametrize("n, k, a", [(2, 0.0, 1.0), (2, -1.0, 1.0), (2, 1.0, -2.0),
+                                     (2, math.nan, 1.0), (3, 1e200, 1e200),
+                                     (1, 1.0, 1.0)])
+def test_gap_fraction_errors_equal_the_oracle(n, k, a):
+    expected = outcome(lambda: oracle.gap_fraction(n, k, a))
+    assert expected[0] is ScheduleError
+    assert outcome(lambda: gap_fraction(n, k, a)) == expected
+
+
+@pytest.mark.parametrize("j", [0, -3, 41])
+def test_index_errors_equal_the_oracle(j):
+    sched = table_schedule()
+    for got, ref in ((wavenumber, oracle.wavenumber), (target_norm, oracle.target_norm),
+                     (derived_params, oracle.derived_params)):
+        expected = outcome(lambda: ref(sched, j))
+        assert expected[0] is ScheduleError
+        assert outcome(lambda: got(sched, j)) == expected
+
+
+# (schedule, box count, exception type, text the message starts with)
+TAMPERED = [
+    (tampered(c=1e300), 1413, ScheduleError, "gap fraction 0.0 left (0,1) at n=2"),
+    (tampered(exponent=2000.0), 1413, OverflowError, "(34, "),
+    # j**100 first overflows deep in the range, at box 1210
+    (tampered(amplitude=1e-300, exponent=100.0), 1413, OverflowError, "(34, "),
+    # 2k^2a^2 first overflows deep in the range
+    (tampered(amplitude=1e-27, exponent=60.0), 1413, ScheduleError,
+     "gap fraction 0.0 left (0,1)"),
+    # box 2 fails its gap fraction before box 4 runs past the target table
+    (Schedule(n=2, k_family=KLogGrowth(2.0), a_family=ATable((1e-4, 1e300, 1e300)),
+              d_family=DShiftedPower(2.0, 6.0, 1.2)), 10, ScheduleError,
+     "gap fraction 0.0 left (0,1)"),
+    # box 31 runs past the wavenumber table before the target table ends
+    (table_schedule(k_len=30, a_len=35), 40, ScheduleError,
+     "wavenumber table has 30 entries, index 31"),
+    (table_schedule(k_len=40, a_len=35), 40, ScheduleError,
+     "target table has 35 entries, index 36"),
+]
+
+
+@pytest.mark.parametrize("sched, count, kind, start", TAMPERED,
+                         ids=["c-1e300", "pow-overflow", "pow-overflow-deep",
+                              "gap-deep", "gap-before-table",
+                              "k-table", "a-table"])
+def test_tampered_schedules_raise_what_the_oracle_raises(capfd, sched, count, kind,
+                                                         start):
+    js = range(1, count + 1)
+    expected = oracle_outcome(sched, js)
+    assert expected[0] is kind and expected[1].startswith(start)
+    assert column_outcome(sched, js) == expected
+    assert capfd.readouterr() == ("", "")
+
+
+def test_deep_failure_names_the_first_failing_box():
+    sched = tampered(amplitude=1e-300, exponent=100.0)
+    assert column_outcome(sched, range(1, 1210))[0] == "ok"
+    assert column_outcome(sched, range(1210, 1211))[0] is OverflowError
+    assert column_outcome(sched, range(1, 1211))[0] is OverflowError
+
+
+@pytest.mark.parametrize("c, amplitude, exponent", [(1e300, 1e-4, 0.25),
+                                                    (2.0, 1e-300, 100.0)],
+                         ids=["c-1e300", "pow-overflow-deep"])
+def test_cli_stderr_is_the_oracle_message(tmp_path, capfd, c, amplitude, exponent):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "dimension": 2, "layout": "layered", "layers": 30, "schedule": {
+            "wavenumbers": {"family": "log-growth", "c": c},
+            "targets": {"family": "power", "amplitude": amplitude,
+                        "exponent": exponent},
+            "paddings": {"family": "shifted-power", "amplitude": 2.0,
+                         "shift": 6.0, "exponent": 1.2}}}), encoding="utf-8")
+    kind, message = oracle_outcome(tampered(c, amplitude, exponent), range(1, 1414))
+    lead = {ScheduleError: "error: ",
+            OverflowError: "error: a derived value leaves binary64: "}[kind]
+    for command in ("plan", "build", "certify"):
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+                   if command != "plan" else [command, "--config", str(cfg)]) == 2
+        assert capfd.readouterr() == ("", f"{lead}{message}\n")
+
+
+def test_growth_floor_check_equals_the_scalar_loop():
+    sched = table_schedule(k_len=60)
+    for c in (0.0, 0.5, 1.0, 2.0):
+        failures = tuple(j for j in range(1, 61)
+                         if not oracle.wavenumber(sched, j)
+                         >= (0.0 if c == 0.0 else oracle.growth_value(2, c, j, 15)))
+        assert growth_floor_check(sched, c, 60).failures == failures
+    assert growth_floor_check(demo_schedule(3), 2.0, 500).passed
+    with pytest.raises(ScheduleError, match="index 61 queried"):
+        growth_floor_check(sched, 1.0, 70)
+
+
+def test_column_code_calls_no_numpy_transcendental():
+    tree = ast.parse(inspect.getsource(trapcert.sequences))
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "np"}
+    assert used <= {"array", "ndarray", "sqrt", "where", "errstate", "flatnonzero",
+                    "argmax"}
+
+
+positive = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@st.composite
+def schedules(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    if draw(st.booleans()):
+        k_family = KLogGrowth(draw(positive))
+    else:
+        steps = draw(st.lists(positive, min_size=1, max_size=40))
+        values, total = [], 0.0
+        for step in steps:
+            total += step
+            if not values or total > values[-1]:
+                values.append(total)
+        k_family = KTable(tuple(values))
+    if draw(st.booleans()):
+        a_family = APower(draw(positive), draw(st.floats(min_value=0.0, max_value=300.0)))
+    else:
+        a_family = ATable(tuple(sorted(draw(st.lists(positive, min_size=1, max_size=40)))))
+    digits = draw(st.sampled_from([15, 15, 15, 20]))
+    return Schedule(n=n, k_family=k_family, a_family=a_family,
+                    d_family=DShiftedPower(2.0, 6.0, 1.2), precision_digits=digits)
+
+
+@given(sched=schedules(), start=st.integers(min_value=1, max_value=5),
+       count=st.integers(min_value=1, max_value=45))
+@settings(max_examples=200, deadline=None)
+@example(sched=tampered(c=1e300), start=1, count=45)
+@example(sched=tampered(exponent=250.0), start=1, count=45)
+def test_random_families_equal_the_per_box_oracle(sched, start, count):
+    js = range(start, start + count)
+    assert column_outcome(sched, js) == oracle_outcome(sched, js)
