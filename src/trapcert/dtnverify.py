@@ -25,9 +25,10 @@ Bessel engine: all four checks reduce to sign tests of expressions of the
 form X * 2^(2 eY), so the common positive factor is dropped and only
 mantissa-sized numbers are combined.  This keeps orders up to 100 at
 rho = 0.05 (where |Y_nu| overflows binary64 by thousands of orders of
-magnitude) inside ordinary arithmetic.  The sweep takes the ladders of a
-batch of radii at once (`specfun.bessel_ladders`, equal to the scalar
-ladders bit for bit) and evaluates each check as a (radius x mode) array.
+magnitude) inside ordinary arithmetic.  The sweep takes the ladders of
+both order parities for a batch of radii in one pass
+(`specfun.ladder_batches`, equal to the scalar ladders bit for bit) and
+evaluates each check as a (radius x mode) array.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from trapcert.specfun import (
     T_RANGE,
     BesselDomainError,
     bessel_ladder,  # noqa: F401  (dtnverify.bessel_ladder stays importable)
-    bessel_ladders,
+    ladder_batches,
     cyl_bessel_scaled,
     spherical_hankel,
     spherical_order,
@@ -52,8 +53,9 @@ from trapcert.specfun import (
 IM_IDENTITY_TOL = 1e-9
 _SIGN_TOL = 1e-9
 _VIOLATION_CAP = 500
-# radii per batch of ladders: on the default sweep 32 radii keep the peak
-# RSS within about 0.6 MiB of one radius at a time, where 64 add 2.5 MiB
+# radii per batch of ladders (64 ladders, both parities): on the default
+# sweep 32 radii keep the peak RSS within about 0.5 MiB of one radius at a
+# time, where 64 add 2 MiB
 _SWEEP_CHUNK = 32
 
 DEFAULT_N_VALUES = (2, 3, 4, 5)
@@ -250,8 +252,8 @@ def verify_sweep(n_values: Sequence[int] = DEFAULT_N_VALUES,
 
     for start in range(0, rho_arr.size, _SWEEP_CHUNK):
         rhos = rho_arr[start:start + _SWEEP_CHUNK]
-        ladders = {parity: bessel_ladders(0.5 * parity, rhos, count)
-                   for parity, count in count_by_parity.items()}
+        ladders = dict(zip(count_by_parity, ladder_batches(
+            [(0.5 * parity, count) for parity, count in count_by_parity.items()], rhos)))
         rho = rhos[:, None]  # radius x mode below
         # per worst margin: one row maximum per radius for each (n, alpha)
         maxima = {"a": [], "re": [], "im": [], "bh": []}

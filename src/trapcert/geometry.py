@@ -49,6 +49,7 @@ import numpy as np
 from trapcert.sequences import (
     DerivedParams,
     DShiftedPower,
+    DTable,
     KLogGrowth,
     KTable,
     Schedule,
@@ -58,6 +59,7 @@ from trapcert.sequences import (
     padding,
     padding_tail_bound,
     sidelength,
+    sidelengths,
     volume_tail_bound,
 )
 
@@ -140,33 +142,37 @@ def _columns(i: int) -> int:
     return int(math.floor(i * math.log(i + math.e)))
 
 
-def _iter_plans(sched: Schedule) -> Iterator[LayerPlan]:
-    """Yield layer plans in order until the schedule can no longer supply a
-    complete level (finite tables) or forever (parametric families)."""
-    n = sched.n
+def _plans(sched: Schedule, limit: Optional[int]) -> List[LayerPlan]:
+    """Plans of the levels 1..limit, fewer where the tables cannot supply all
+    boxes and the padding of a level (limit None: all of them; a family must
+    then be a table).  Start indices follow from the box counts alone, so
+    one wavenumber evaluation gives the sides of every level start."""
+    k_end = len(sched.k_family.values) if isinstance(sched.k_family, KTable) else math.inf
+    d_end = len(sched.d_family.values) if isinstance(sched.d_family, DTable) else math.inf
+    levels: List[Tuple[int, int, int]] = []  # (columns, count, start index)
     b = 1
-    h = 0.0
-    i = 1
-    while True:
-        cols = _columns(i)
-        count = cols ** (n - 1)
-        try:
-            ell_b = sidelength(sched, b)
-            d_i = padding(sched, i)
-            sidelength(sched, b + count - 1)  # the whole level must exist
-        except ScheduleError:
-            return
-        pitch = ell_b + d_i / math.log(i + math.e)
-        yield LayerPlan(i=i, count=count, start_index=b, height=h,
-                        max_side=ell_b, pitch=pitch, cols=cols,
-                        width=cols * pitch)
-        try:
-            ell_next = sidelength(sched, b + count)
-        except ScheduleError:
-            return
-        h = h - ell_next - d_i
+    while (limit is None or len(levels) < limit) and len(levels) < d_end:
+        cols = _columns(len(levels) + 1)
+        count = cols ** (sched.n - 1)
+        if b + count - 1 > k_end:
+            break
+        levels.append((cols, count, b))
         b += count
-        i += 1
+    sides = sidelengths(sched, [start for _, _, start in levels]).tolist()
+    plans: List[LayerPlan] = []
+    h = 0.0
+    for i, ((cols, count, start), ell_b) in enumerate(zip(levels, sides), start=1):
+        if i > 1:  # the padding of the level above, d_{i-1}
+            h = h - ell_b - d_i
+        d_i = padding(sched, i)
+        pitch = ell_b + d_i / math.log(i + math.e)
+        if not all(map(math.isfinite, (ell_b, pitch, cols * pitch, h))):
+            raise ScheduleError(f"level {i} leaves binary64: side {ell_b!r}, "
+                                f"pitch {pitch!r}, height {h!r}")
+        plans.append(LayerPlan(i=i, count=count, start_index=start, height=h,
+                               max_side=ell_b, pitch=pitch, cols=cols,
+                               width=cols * pitch))
+    return plans
 
 
 def layer_plan(sched: Schedule, i: int) -> LayerPlan:
@@ -179,11 +185,10 @@ def iter_layer_plans(sched: Schedule, limit: int) -> Iterator[LayerPlan]:
     """The first `limit` level plans in order, one pass over the heights."""
     if limit < 1:
         raise GeometryError(f"limit must be >= 1, got {limit}")
-    for plan in _iter_plans(sched):
-        yield plan
-        if plan.i == limit:
-            return
-    raise ScheduleError(f"schedule tables cannot supply layer {limit}")
+    plans = _plans(sched, limit)
+    if len(plans) < limit:
+        raise ScheduleError(f"schedule tables cannot supply layer {limit}")
+    return iter(plans)
 
 
 # -------------------------------------------------------------------
@@ -273,11 +278,7 @@ def build_layered(sched: Schedule, layers: int) -> Tuple[Boxes, GeometrySummary]
                 and isinstance(sched.d_family, DShiftedPower))
     target = max(layers + 1, _MIN_EXTENSION) if infinite else None
 
-    plans: List[LayerPlan] = []
-    for plan in _iter_plans(sched):
-        plans.append(plan)
-        if target is not None and plan.i >= target:
-            break
+    plans = _plans(sched, target)
     if len(plans) < layers:
         raise ScheduleError(
             f"schedule tables support only {len(plans)} complete layers, "

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import mpmath as mp
 import numpy as np
@@ -215,8 +215,8 @@ def _growth_values(n: int, c: float, js: range, digits: int) -> np.ndarray:
                      * math.log(math.log(j + _E_E)) ** 2 for j in js], dtype=float)
 
 
-def wavenumbers(sched: Schedule, js: range) -> np.ndarray:
-    """k_j for j in the increasing range js."""
+def wavenumbers(sched: Schedule, js: Sequence[int]) -> np.ndarray:
+    """k_j for j in the increasing sequence js."""
     if js:
         _check_index(js[0], "wavenumber")
     fam = sched.k_family
@@ -258,6 +258,11 @@ def _side(n: int, k):
     """ell = pi sqrt(n) / k, for a float or an array of k."""
     with np.errstate(over="ignore"):  # inf, as for floats
         return math.pi * math.sqrt(n) / k
+
+
+def sidelengths(sched: Schedule, js: Sequence[int]) -> np.ndarray:
+    """ell_j = pi sqrt(n) / k_j for j in the increasing sequence js."""
+    return _side(sched.n, wavenumbers(sched, js))
 
 
 def sidelength(sched: Schedule, j: int) -> float:

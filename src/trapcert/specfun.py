@@ -34,17 +34,20 @@ Two routes run this algorithm.  The scalar route (`_ladder`, behind every
 public scalar evaluator) is the audited reference.  The batched route runs
 the same steps over numpy arrays of points: CF1 and CF2 as masked Lentz
 iterations in which each point leaves the running set once it converges,
-the two recurrences, the 2^500 rescaling and the Wronskian normalization
-as array operations, and one Temme series per distinct (mu, t) of a batch.
-`bessel_ladders` returns full ladders (the modal sweep), and
-`selftest_rows` takes the top-order entries of many (nu, t) at once.  The
-batched route equals the scalar one bit for bit: every point sees the same
-sequence of binary64 operations, and each of them (+ - * / sqrt, frexp,
-ldexp, comparisons) is correctly rounded or exact in numpy as in CPython.
-The only complex arithmetic, CF2's, is CPython's own product and Smith
-quotient written out in reals (numpy's complex division rounds
-differently), and its |z| < bound tests defer to CPython's abs() for the
-rare points too close to the bound to settle from z's squared modulus.
+the two recurrences and the Wronskian normalization as array operations,
+and one Temme series per distinct (mu, t) of a batch.  The 2^500 rescaling
+runs only on the steps where some point crosses it (a product by 1.0 is
+exact, so skipping it changes no bit).  `ladder_batches` returns full
+ladders of several base orders and counts in one pass (the modal sweep's
+two order parities), and `selftest_rows` takes the top-order entries of
+many (nu, t) at once.  The batched route equals the scalar one bit for
+bit: every point sees the same sequence of binary64 operations, and each of
+them (+ - * / sqrt, frexp, ldexp, comparisons) is correctly rounded or
+exact in numpy as in CPython.  The only complex arithmetic, CF2's, is
+CPython's own product and Smith quotient written out in reals (numpy's
+complex division rounds differently), and its |z| < bound tests defer to
+CPython's abs() for the rare points too close to the bound to settle from
+z's squared modulus.
 
 Accuracy: better than 1e-10 relative to the modulus M_nu = |H_nu| for
 nu <= 200 and t in [1e-3, 1e3] (observed ~1e-11 worst case).  Relative to
@@ -167,7 +170,7 @@ class Ladder:
 
     Entry i holds J_{mu0+i} = jm[i]*2^ej[i] (J' = jpm[i]*2^ej[i]) and the
     Y analogues.  The modal sweep, which needs every order at once, takes
-    the same ladders for many arguments from `bessel_ladders`.
+    the same ladders for many arguments from `ladder_batches`.
     """
 
     mu0: float
@@ -582,19 +585,27 @@ def _cf2_batch(mu: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _frexp_pair(v: np.ndarray, vp: np.ndarray, e: np.ndarray):
-    """(frexp mantissa of v, vp at v's scale, e plus v's exponent); a zero v
-    keeps v, vp and e, as the scalar route does."""
-    mm, ee = np.frexp(v)
-    return mm, np.ldexp(vp, -ee), e + ee
+    """(frexp mantissa of v, vp at v's scale, e plus v's exponent), written
+    over v, vp and e; a zero v keeps v, vp and e, as the scalar route does."""
+    ee = np.frexp(v, out=(v, np.empty(v.shape, dtype=np.int32)))[1]
+    np.ldexp(vp, -ee, out=vp)
+    e += ee
+    return v, vp, e
+
+
+def _prefix(k: int, *arrays: np.ndarray) -> Sequence[np.ndarray]:
+    """The first k entries of each array, as views."""
+    return arrays if k == arrays[0].size else [a[:k] for a in arrays]
 
 
 def _ladders(mu0: np.ndarray, x: np.ndarray, counts: np.ndarray, full: bool):
     """`_ladder` over arrays of points, bit for bit.
 
     Point p recurs from order mu0[p] + counts[p] down to mu0[p] and back up.
-    With `full` (all counts equal) every order is kept and six (P, count+1)
-    arrays (jm, jpm, ej, ym, ypm, ey) come back; otherwise only the running
-    state is kept and six (P,) arrays hold the entry of order mu0 + count.
+    With `full` every order is kept: six (P, max(counts) + 1) arrays come
+    back whose row p holds the ladder of point p in its first counts[p] + 1
+    columns.  Otherwise only the running state is kept and six (P,) arrays
+    hold the entry of order mu0 + count.
     """
     npts = x.size
     # the seeds, in the caller's order, so that a stall names its first point
@@ -612,47 +623,46 @@ def _ladders(mu0: np.ndarray, x: np.ndarray, counts: np.ndarray, full: bool):
     if hi.size:
         seed_a[hi], seed_b[hi] = _cf2_batch(mu0[hi], x[hi])
 
-    # recur in order of decreasing count: the points still recurring at any
-    # step are then a prefix of the arrays
+    # recur in order of decreasing count, so that the points taking any one
+    # step are a prefix of the arrays: the J recurrences all end at order
+    # mu0 (point p joins at step max(counts) - counts[p]) and the Y
+    # recurrences all start there
     order = np.argsort(-counts, kind="stable")
     mu0, x, counts, f_top, sgn, seed_a, seed_b = (
         a[order] for a in (mu0, x, counts, f_top, sgn, seed_a, seed_b))
     steps = int(counts[0])
-    running = np.searchsorted(-counts, -np.arange(steps + 1), side="left")
+    running = np.searchsorted(-counts, -np.arange(steps + 1), side="left").tolist()
+    wrap = -1 if full else 1  # order i sits in row i & wrap: two rows take turns
 
-    cur = sgn.copy()
-    curp = f_top * sgn
-    e = np.zeros(npts, dtype=np.int64)
-    if full:
-        jm = np.empty((npts, steps + 1))
-        jpm = np.empty((npts, steps + 1))
-        ej = np.zeros((npts, steps + 1), dtype=np.int64)
-        jm[:, steps], jpm[:, steps] = cur, curp
+    # J (jm) and J' (jpm); a row holds the top entry until the recurrence reaches it
+    jm = np.empty((steps + 1 if full else 2, npts))
+    jpm = np.empty_like(jm)
+    jm[:], jpm[:] = sgn, f_top * sgn
+    ej = np.zeros(jm.shape, dtype=np.int64)
     nu = mu0 + counts
-    for s in range(steps):
-        k = running[s]  # the points with more than s steps
-        c_, cp_, nu_, x_ = cur[:k], curp[:k], nu[:k], x[:k]
-        prev = (nu_ / x_) * c_ + cp_
-        prevp = ((nu_ - 1.0) / x_) * prev - c_
-        nu[:k] = nu_ - 1.0
-        big = np.abs(prev) > _RENORM
-        scale = np.where(big, _RENORM_INV, 1.0)
-        cur[:k], curp[:k] = prev * scale, prevp * scale
-        e[:k] += big * _EXP_STEP
-        if full:
-            i = steps - 1 - s
-            jm[:, i], jpm[:, i], ej[:, i] = cur, curp, e
+    e = np.zeros(npts, dtype=np.int64)
+    for i in range(steps - 1, -1, -1):
+        v, xk, c, cp, prev, prevp = _prefix(running[i], nu, x, jm[(i + 1) & wrap],
+                                            jpm[(i + 1) & wrap], jm[i & wrap], jpm[i & wrap])
+        r = v / xk
+        r *= c
+        np.add(r, cp, out=prev)
+        v -= 1.0
+        np.divide(v, xk, out=r)
+        r *= prev
+        np.subtract(r, c, out=prevp)
+        if np.abs(prev, out=r).max() > _RENORM:
+            big = r > _RENORM
+            prev[big] *= _RENORM_INV
+            prevp[big] *= _RENORM_INV
+            e[:big.size][big] += _EXP_STEP
+            ej[:i + 1] = e
 
-    j0 = cur
+    j0, jp0 = jm[0], jpm[0]
     j0[j0 == 0.0] = _TINY  # measure-zero hit of a J zero; nudge as usual
-    if full:
-        jm[:, 0] = j0
-    f_mu = curp / j0
+    f_mu = jp0 / j0
     w = 2.0 / (math.pi * x)
-    ymu = np.empty(npts)
-    ymu1 = np.empty(npts)
-    ypmu = np.empty(npts)
-    jmu = np.empty(npts)
+    ymu, ymu1, ypmu, jmu = (np.empty(npts) for _ in range(4))
     lo = np.flatnonzero(x < _XMIN)
     if lo.size:
         yl, y1l, ml, xl = seed_a[lo], seed_b[lo], mu0[lo], x[lo]
@@ -673,47 +683,48 @@ def _ladders(mu0: np.ndarray, x: np.ndarray, counts: np.ndarray, full: bool):
     # rescale the unnormalized J ladders so that order mu0 equals jmu
     sm, se = np.frexp(jmu)
     sig_m = sm / j0
-    sig_e = se - e
-    if full:
-        jm, jpm, ej = _frexp_pair(jm * sig_m[:, None], jpm * sig_m[:, None],
-                                  ej + sig_e[:, None])
-    else:
-        jm, jpm, ej = _frexp_pair(sgn * sig_m, f_top * sgn * sig_m, sig_e)
+    if not full:  # only the top entries are kept
+        jm, jpm, ej = sgn, f_top * sgn, np.zeros(npts, dtype=np.int64)
+    jm *= sig_m
+    jpm *= sig_m
+    ej += se - e
+    jm, jpm, ej = _frexp_pair(jm, jpm, ej)
 
-    # the running state (ya, yb, ypv) = (Y, Y of the next order, Y')
-    ya, yb, ypv = ymu, ymu1, ypmu
-    e = np.zeros(npts, dtype=np.int64)
-    ym0, ypm0, ey0 = _frexp_pair(ya, ypv, e)
-    ym0[ya == 0.0] = 0.0  # the scalar route stores +0.0 for a zero Y_mu
-    if full:
-        ym = np.empty((npts, steps + 1))
-        ypm = np.empty((npts, steps + 1))
-        ey = np.empty((npts, steps + 1), dtype=np.int64)
-        ym[:, 0], ypm[:, 0], ey[:, 0] = ym0, ypm0, ey0
+    # Y (ym) and Y' (ypm), with one more row of Y for the order above the top
+    ym = np.zeros((steps + 2 if full else 2, npts))
+    ypm = np.zeros((steps + 1 if full else 2, npts))
+    ey = np.zeros(ypm.shape, dtype=np.int64)
+    ym[0], ym[1], ypm[0] = ymu, ymu1, ypmu
     nu = mu0.copy()
+    e = np.zeros(npts, dtype=np.int64)
     for s in range(1, steps + 1):
-        k = running[s - 1]  # the points with at least s steps
-        nu_, x_ = nu[:k] + 1.0, x[:k]
-        ya_, yb_ = yb[:k], (2.0 * nu_ / x_) * yb[:k] - ya[:k]
-        big = (np.abs(ya_) > _RENORM) | (np.abs(yb_) > _RENORM)
-        scale = np.where(big, _RENORM_INV, 1.0)
-        ya_, yb_ = ya_ * scale, yb_ * scale
-        e[:k] += big * _EXP_STEP
-        ya[:k], yb[:k], nu[:k] = ya_, yb_, nu_
-        ypv[:k] = (nu_ / x_) * ya_ - yb_
-        if full:
-            ym[:, s], ypm[:, s], ey[:, s] = _frexp_pair(ya, ypv, e)
-    if not full:
-        ym, ypm, ey = _frexp_pair(ya, ypv, e)
-        base = counts == 0
-        ym[base], ypm[base], ey[base] = ym0[base], ypm0[base], ey0[base]
+        # the points with at least s steps; row s + 1 may be row s - 1
+        k = running[s - 1]
+        v, xk, ylo, ya, yb, ypv = _prefix(k, nu, x, ym[(s - 1) & wrap], ym[s & wrap],
+                                          ym[(s + 1) & wrap], ypm[s & wrap])
+        v += 1.0
+        r = 2.0 * v
+        r /= xk
+        r *= ya
+        np.subtract(r, ylo, out=yb)
+        pair = (ym[s:s + 2] if full else ym)[:, :k]
+        if np.abs(pair).max() > _RENORM:
+            big = (np.abs(pair) > _RENORM).any(axis=0)
+            pair[:, big] *= _RENORM_INV
+            e[:k][big] += _EXP_STEP
+            ey[s:] = e
+        np.divide(v, xk, out=r)
+        r *= ya
+        np.subtract(r, yb, out=ypv)
 
-    out = []
-    for a in (jm, jpm, ej, ym, ypm, ey):
-        back = np.empty_like(a)
-        back[order] = a
-        out.append(back)
-    return tuple(out)
+    if full:
+        ym, ypm, ey = _frexp_pair(ym[:steps + 1], ypm, ey)
+        ym[0][ymu == 0.0] = 0.0  # the scalar route stores +0.0 for a zero Y_mu
+    else:
+        ym, ypm, ey = _frexp_pair(np.choose(counts & 1, ym), np.choose(counts & 1, ypm), e)
+        ym[(counts == 0) & (ymu == 0.0)] = 0.0
+    back = slice(None) if np.all(order[:-1] < order[1:]) else np.argsort(order, kind="stable")
+    return tuple(a.T[back] for a in (jm, jpm, ej, ym, ypm, ey))
 
 
 @dataclass(frozen=True)
@@ -733,36 +744,42 @@ class LadderBatch:
     ey: np.ndarray
 
 
-def bessel_ladders(mu0: float, ts: Sequence[float], count: int) -> LadderBatch:
-    """`bessel_ladder(mu0, t, count)` for every t in ts, computed together.
+def ladder_batches(bases: Sequence[Tuple[float, int]],
+                   ts: Sequence[float]) -> List[LadderBatch]:
+    """`bessel_ladder(mu0, t, count)` for every t in ts and (mu0, count) in
+    bases, one LadderBatch per base, equal to the scalar ladders bit for bit.
 
-    Equal to the scalar ladders bit for bit; the same domain rules apply to
-    every argument."""
+    All len(bases) * len(ts) ladders run as one batch, so each recurrence
+    step is paid once for all of them.  The counts may differ: every ladder
+    keeps its own top order, and so its own bits.  The scalar domain rules
+    apply to every ladder."""
     t = np.asarray(ts, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise BesselDomainError("arguments must form a nonempty 1-d sequence")
-    for tv in t.tolist():
-        _validate(mu0 + count, tv)
-    if count < 0:
-        raise BesselDomainError("count must be >= 0")
-    if np.any(t < _XMIN) and not -0.5 <= mu0 <= 0.5:
-        raise BesselDomainError("ladder base order must lie in [-1/2, 1/2] for t < 2")
-    jm, jpm, ej, ym, ypm, ey = _ladders(
-        np.full(t.size, float(mu0)), t, np.full(t.size, count, dtype=np.int64), True)
-    return LadderBatch(mu0=mu0, t=t, jm=jm, jpm=jpm, ej=ej, ym=ym, ypm=ypm, ey=ey)
+    for mu0, count in bases:
+        for tv in t.tolist():
+            _validate(mu0 + count, tv)
+        if count < 0:
+            raise BesselDomainError("count must be >= 0")
+        if np.any(t < _XMIN) and not -0.5 <= mu0 <= 0.5:
+            raise BesselDomainError("ladder base order must lie in [-1/2, 1/2] for t < 2")
+    mu = np.repeat([float(mu0) for mu0, _ in bases], t.size)
+    counts = np.repeat(np.array([count for _, count in bases], dtype=np.int64), t.size)
+    arrays = _ladders(mu, np.tile(t, len(bases)), counts, True)
+    return [LadderBatch(mu0, t, *(a[g * t.size:(g + 1) * t.size, :count + 1] for a in arrays))
+            for g, (mu0, count) in enumerate(bases)]
 
 
-def _split_orders(nu: np.ndarray, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(mu, count) of `cyl_bessel_scaled`'s ladder for every (nu, t)."""
+def _scaled_entries(nu: np.ndarray, t: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """`cyl_bessel_scaled(nu[p], t[p])` for every p, bit for bit, as the six
+    arrays (jm, jpm, ej, ym, ypm, ey): the same ladder split per point."""
     nl = np.where(t < _XMIN, (nu + 0.5).astype(np.int64),
                   np.maximum(0, (nu - t + 1.5).astype(np.int64)))
-    return nu - nl, nl
+    return _ladders(nu - nl, t, nl, False)
 
 
-def _wronskian_residuals(nu: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """`wronskian_residual(nu[p], t[p])` for every p, bit for bit."""
-    mu, nl = _split_orders(nu, t)
-    jm, jpm, ej, ym, ypm, ey = _ladders(mu, t, nl, False)
+def _wronskian_residuals(t: np.ndarray, jm, jpm, ej, ym, ypm, ey) -> np.ndarray:
+    """`ScaledCylEval.wronskian_residual` of every entry, bit for bit."""
     w = 2.0 / (math.pi * t)
     cross = jm * ypm - jpm * ym
     return np.abs(cross * np.ldexp(1.0, ej + ey) - w) / w
@@ -830,6 +847,18 @@ def spherical_order(m: int, n: int) -> float:
     return m + 0.5 * n - 1.0
 
 
+def _hankel_pair(s: ScaledCylEval, n: int) -> Tuple[complex, complex]:
+    """(h, h') of dimension n from the scaled entry of order m + n/2 - 1."""
+    nu, t = s.nu, s.t
+    pp = 0.5 * n - 1.0
+    tp_m, tp_e = math.frexp(t ** (-pp))
+    hr = _to_plain(s.jm * tp_m, s.ej + tp_e, "Re h", nu, t)
+    hi = _to_plain(s.ym * tp_m, s.ey + tp_e, "Im h", nu, t)
+    hpr = _to_plain((s.jpm - pp * s.jm / t) * tp_m, s.ej + tp_e, "Re h'", nu, t)
+    hpi = _to_plain((s.ypm - pp * s.ym / t) * tp_m, s.ey + tp_e, "Im h'", nu, t)
+    return complex(hr, hi), complex(hpr, hpi)
+
+
 def spherical_hankel(m: int, n: int, t: float) -> SphEval:
     """h_m(n, t) = H_nu(t)/t^(n/2-1) with nu = m + n/2 - 1, plus moduli.
 
@@ -839,12 +868,7 @@ def spherical_hankel(m: int, n: int, t: float) -> SphEval:
     """
     nu = spherical_order(m, n)
     s = cyl_bessel_scaled(nu, t)
-    pp = 0.5 * n - 1.0
-    tp_m, tp_e = math.frexp(t ** (-pp))
-    hr = _to_plain(s.jm * tp_m, s.ej + tp_e, "Re h", nu, t)
-    hi = _to_plain(s.ym * tp_m, s.ey + tp_e, "Im h", nu, t)
-    hpr = _to_plain((s.jpm - pp * s.jm / t) * tp_m, s.ej + tp_e, "Re h'", nu, t)
-    hpi = _to_plain((s.ypm - pp * s.ym / t) * tp_m, s.ey + tp_e, "Im h'", nu, t)
+    h, hp = _hankel_pair(s, n)
     if s.ej >= s.ey:
         mm = math.hypot(s.jm, math.ldexp(s.ym, s.ey - s.ej))
         nn = math.hypot(s.jpm, math.ldexp(s.ypm, s.ey - s.ej))
@@ -854,9 +878,7 @@ def spherical_hankel(m: int, n: int, t: float) -> SphEval:
         nn = math.hypot(math.ldexp(s.jpm, s.ej - s.ey), s.ypm)
         em = s.ey
     return SphEval(
-        m=m, n=n, t=t,
-        h=complex(hr, hi),
-        hp=complex(hpr, hpi),
+        m=m, n=n, t=t, h=h, hp=hp,
         modM=_to_plain(mm, em, "M", nu, t),
         modN=_to_plain(nn, em, "N", nu, t),
     )
@@ -925,8 +947,8 @@ def validation_grid() -> Tuple[List[float], List[float]]:
 
 # arguments per batch of the residual grid: 3 x 201 orders = 603 points.
 # Batching by argument runs each Temme series once per selftest.  Measured
-# on the selftest: 10 arguments per batch take half the time of 3 but raise
-# the peak RSS by about 1 MiB more (3 stay within 0.2 MiB of the scalar loop).
+# on the selftest (2 cores, Python 3.11): 10 arguments per batch take 0.65
+# times the time of 3 but raise the peak RSS by 0.6 MiB more.
 _SELFTEST_BATCH_TS = 3
 # every point with (order index + argument index) % 20 == 0 is also run
 # through the scalar route: 20 arguments per order, 4,020 points in all
@@ -939,34 +961,43 @@ def selftest_rows(
 ) -> Iterator[Tuple[float, float, float, Optional[float], bool]]:
     """Yield (nu, t, wronskian_residual, halfint_relerr|None, ok) over the grid.
 
-    The residuals come from the batched route, a batch of arguments (every
-    order at each) at a time; a fixed sample of points also runs the scalar
-    `wronskian_residual`, and a residual that differs from the scalar one
-    in any bit fails its row.  halfint_relerr is populated where nu is a
+    Every point is evaluated once, on the batched route, a batch of
+    arguments (every order at each) at a time; a fixed sample of points
+    also runs the scalar `wronskian_residual`, and a residual that differs
+    from the scalar one in any bit fails its row.  halfint_relerr compares
+    the batched h_m(3, t) and h_m'(3, t) with the closed form where nu is a
     half-integer with nu - 0.5 <= 20 and t in [0.1, 100] (the closed-form
     validation box); elsewhere None.
     """
     nus, ts = validation_grid()
     nu_arr = np.array(nus)
     residuals = np.empty((len(nus), len(ts)))
+    # row of each half-integer order of the box in `errors`
+    half = {i: r for r, i in enumerate(
+        i for i, nu in enumerate(nus) if (nu * 2.0) % 2.0 == 1.0 and nu - 0.5 <= 20.0)}
+    errors = np.empty((len(half), len(ts)))
+    box = [0.1 <= t <= 100.0 for t in ts]
     for start in range(0, len(ts), _SELFTEST_BATCH_TS):
         tb = np.array(ts[start:start + _SELFTEST_BATCH_TS])
-        batch = _wronskian_residuals(np.tile(nu_arr, tb.size), np.repeat(tb, nu_arr.size))
+        t_b = np.repeat(tb, nu_arr.size)
+        entries = _scaled_entries(np.tile(nu_arr, tb.size), t_b)
+        batch = _wronskian_residuals(t_b, *entries)
         residuals[:, start:start + tb.size] = batch.reshape(tb.size, nu_arr.size).T
+        for b, t in enumerate(tb.tolist()):
+            for i, r in half.items() if box[start + b] else ():
+                s = ScaledCylEval(nus[i], t, *(a[b * nu_arr.size + i].item() for a in entries))
+                h, hp = _hankel_pair(s, 3)
+                ref_h, ref_hp = spherical_hankel_closed(int(nus[i] - 0.5), 3, t)
+                errors[r, start + b] = max(abs(h - ref_h) / abs(ref_h),
+                                           abs(hp - ref_hp) / abs(ref_hp))
     for i, nu in enumerate(nus):
-        half = (nu * 2.0) % 2.0 == 1.0 and nu - 0.5 <= 20.0
+        r = half.get(i)
         for j, (t, wr) in enumerate(zip(ts, residuals[i].tolist())):
             he: Optional[float] = None
             ok = wr <= wronskian_tol
             if (i + j) % _SELFTEST_SAMPLE == 0:
                 ok = (wronskian_residual(nu, t) == wr) and ok
-            if half and 0.1 <= t <= 100.0:
-                mm = int(nu - 0.5)
-                ref_h, ref_hp = spherical_hankel_closed(mm, 3, t)
-                got = spherical_hankel(mm, 3, t)
-                he = max(
-                    abs(got.h - ref_h) / abs(ref_h),
-                    abs(got.hp - ref_hp) / abs(ref_hp),
-                )
+            if r is not None and box[j]:
+                he = errors[r, j].item()
                 ok = ok and he <= halfint_tol
             yield nu, t, wr, he, ok

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -714,3 +715,17 @@ def test_run_values_outside_binary64_exit_2(tmp_path, capsys, command, case):
     cfg = write_config(tmp_path, _out_of_range_mappings()[case])
     assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: a derived value leaves binary64")
+
+
+@pytest.mark.parametrize("command", ["plan", "build", "certify", "plot", "report"])
+def test_run_subnormal_growth_constant_exit_2(tmp_path, capsys, command):
+    # c = 1e-320 makes every wavenumber subnormal and every side infinite
+    doc = demo_mapping(layers=3)
+    doc["schedule"]["wavenumbers"]["c"] = 1e-320
+    out = [] if command == "plan" else ["--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--config", write_config(tmp_path, doc)] + out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: level 1 leaves binary64: side inf, pitch inf, height 0.0\n"

@@ -267,7 +267,9 @@ def test_sweep_equals_per_radius_reference_on_the_default_grid():
     dict(n_values=(2, 4), m_max=40, rho_grid=np.geomspace(0.05, 200.0, 70),
          alphas=(-5.0,)),
     dict(n_values=(5, 2), m_max=100, rho_grid=default_rho_grid(40)),
-], ids=["capped", "edges", "negative-alpha", "default-orders"])
+    # the odd-order ladders one order shorter than the even ones
+    dict(n_values=(3, 4), m_max=100, rho_grid=np.geomspace(1e-3, 1e3, 45)),
+], ids=["capped", "edges", "negative-alpha", "default-orders", "unequal-parity-counts"])
 def test_sweep_equals_per_radius_reference(kwargs):
     got_records, ref_records = [], []
     got = verify_sweep(record_sink=got_records.append, **kwargs)

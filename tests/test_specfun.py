@@ -11,10 +11,10 @@ from trapcert.specfun import (
     BesselRangeError,
     ConvergenceError,
     bessel_ladder,
-    bessel_ladders,
     cyl_bessel,
     cyl_bessel_scaled,
     hankel_half_integer,
+    ladder_batches,
     spherical_hankel,
     spherical_hankel_closed,
     validation_grid,
@@ -263,6 +263,11 @@ def test_validation_grid_shape():
 # the batched route against the scalar route, bit for bit
 # -------------------------------------------------------------------
 
+def bessel_ladders(mu0, ts, count):
+    """`bessel_ladder(mu0, t, count)` for every t in ts, as one batch."""
+    return ladder_batches([(mu0, count)], ts)[0]
+
+
 def hexes(values):
     return [float(v).hex() for v in values]
 
@@ -311,6 +316,46 @@ def test_batched_ladders_equal_scalar_in_the_renormalization_corner(logt, count)
     assert_ladder_rows_equal(batch, 0.5, count)
 
 
+def parity_bases(n_values, m_max):
+    """The sweep's ladders: per order parity, base order and the largest count."""
+    counts = {}
+    for n in n_values:
+        counts[n % 2] = max(counts.get(n % 2, 0), m_max + (n - 2) // 2)
+    return [(0.5 * parity, count) for parity, count in counts.items()]
+
+
+@pytest.mark.parametrize("n_values", [(2, 5), (3, 4), (2, 3, 4, 5)])
+def test_merged_parity_ladders_equal_scalar(n_values):
+    # both parities in one batch, also when their counts differ: each keeps
+    # its own top order
+    ts = np.geomspace(1e-3, 1e3, 23)
+    bases = parity_bases(n_values, 100)
+    batches = ladder_batches(bases, ts)
+    assert len(batches) == len(bases)
+    for (mu0, count), batch in zip(bases, batches):
+        assert batch.mu0 == mu0 and batch.jm.shape == (ts.size, count + 1)
+        assert_ladder_rows_equal(batch, mu0, count)
+
+
+@pytest.mark.parametrize("mu0, count", [(0.0, 200), (0.5, 199)])
+def test_batched_ladders_where_only_some_points_renormalize(mu0, count):
+    # at t = 1e-3 the J ladder (downward) and the Y ladder (upward) pass
+    # 2^500 many times; at t = 1e3 neither does
+    batch = bessel_ladders(mu0, [1e-3, 1e3, 1e-3], count)
+    for e in (batch.ej, batch.ey):
+        assert e[0].max() - e[0].min() > 3000
+        assert e[1].max() - e[1].min() < 20
+    assert_ladder_rows_equal(batch, mu0, count)
+    # the top entries alone, as the selftest takes them
+    nu = np.full(3, mu0 + count)
+    got = specfun._scaled_entries(nu, batch.t)
+    for p, t in enumerate(batch.t.tolist()):
+        ref = cyl_bessel_scaled(mu0 + count, t)
+        jm, jpm, ej, ym, ypm, ey = (a[p] for a in got)
+        assert hexes((jm, jpm, ym, ypm)) == hexes((ref.jm, ref.jpm, ref.ym, ref.ypm))
+        assert (ej, ey) == (ref.ej, ref.ey)
+
+
 @given(points=st.lists(st.tuples(st.floats(min_value=0.0, max_value=200.0),
                                  st.floats(min_value=-3.0, max_value=3.0)),
                        min_size=1, max_size=8))
@@ -319,7 +364,7 @@ def test_batched_residuals_equal_scalar(points):
     # mixed top orders and counts in one batch
     nu = np.array([p[0] for p in points])
     t = np.array([10.0**p[1] for p in points])
-    got = specfun._wronskian_residuals(nu, t)
+    got = specfun._wronskian_residuals(t, *specfun._scaled_entries(nu, t))
     assert hexes(got) == hexes(wronskian_residual(a, b) for a, b in zip(nu.tolist(), t.tolist()))
 
 
