@@ -48,7 +48,6 @@ from trapcert.geometry import (
     connectivity_certificate,
     disjointness_certificate,
     iter_layer_plans,
-    plan_columns,
 )
 from trapcert.sequences import (
     APower,
@@ -337,8 +336,9 @@ def load_config(path: str) -> RunConfig:
 def _write_text_atomic(path: str, chunks: Iterable[str]) -> None:
     """Write the concatenated chunks via a temporary sibling and rename, so
     failures (also one raised while the chunks are produced) leave either
-    the old file or nothing."""
+    the old file or nothing.  A missing parent directory is created."""
     directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
@@ -584,7 +584,6 @@ def _effective_outputs(cfg: RunConfig, out_dir: Optional[str]) -> OutputPaths:
     filling defaults for paths the config left unset)."""
     if out_dir is None:
         return cfg.outputs
-    os.makedirs(out_dir, exist_ok=True)
 
     def pick(configured: Optional[str], default: str) -> str:
         name = Path(configured).name if configured else default
@@ -607,23 +606,18 @@ def _require_path(outputs: OutputPaths, kind: str, command: str) -> str:
 
 
 def _cmd_plan(cfg: RunConfig, outputs: OutputPaths, out) -> int:
+    boxes, _ = cfg.geometry()  # build's construction and checks, before any output
     sched = cfg.schedule()
-    if cfg.layout is None or cfg.truncation is None:
-        raise ConfigError("config needs 'layout' and a truncation for 'plan'")
-    if cfg.layout == "layered":  # build's checks, before any output
-        plans = list(iter_layer_plans(sched, cfg.truncation))
-        total = len(plan_columns(sched, plans)[0])
     print(f"schedule: {schedule_label(sched)}", file=out)
     if cfg.layout == "layered":
         print(f"{'level':>5} {'boxes':>6} {'first-j':>8} {'height':>12} "
               f"{'side':>10} {'pitch':>10} {'width':>10}", file=out)
-        for plan in plans:
+        for plan in iter_layer_plans(sched, cfg.truncation):
             print(f"{plan.i:>5} {plan.count:>6} {plan.start_index:>8} "
                   f"{plan.height:>12.6f} {plan.max_side:>10.6f} "
                   f"{plan.pitch:>10.6f} {plan.width:>10.6f}", file=out)
-        print(f"total boxes through level {cfg.truncation}: {total}", file=out)
+        print(f"total boxes through level {cfg.truncation}: {len(boxes)}", file=out)
     else:
-        boxes, _ = cfg.geometry()
         print(f"{'j':>5} {'k':>12} {'side':>10} {'base height':>12}", file=out)
         for j, k, side, depth in zip(boxes.j.tolist(), boxes.k.tolist(),
                                      boxes.side.tolist(), boxes.lo[:, -1].tolist()):
@@ -750,7 +744,7 @@ _ARTIFACT_FLAGS = _GEOMETRY_FLAGS + ("--out",)
 
 # subcommand -> (handler, help, the flags it reads)
 _COMMANDS = {
-    "plan": (_cmd_plan, "print the per-level layout table without building boxes",
+    "plan": (_cmd_plan, "build the arrangement and print its layout table",
              _GEOMETRY_FLAGS),
     "build": (_cmd_build, "build the arrangement, certify packing, write geometry JSON",
               _ARTIFACT_FLAGS),

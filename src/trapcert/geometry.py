@@ -38,16 +38,14 @@ the same bits as an all-pairs pass, at O(N log N) plus the candidates.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, fields
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from trapcert.sequences import (
-    DerivedParams,
     DShiftedPower,
     DTable,
     KLogGrowth,
@@ -55,7 +53,7 @@ from trapcert.sequences import (
     Schedule,
     ScheduleError,
     derived_columns,
-    derived_params,
+    derived_params,  # not called here; bench/tracer.py wraps this name
     padding,
     padding_tail_bound,
     sidelength,
@@ -241,27 +239,22 @@ def _grid(cols: int, axes: int) -> np.ndarray:
     return np.indices((cols,) * axes).reshape(axes, -1).T
 
 
-def plan_columns(sched: Schedule, plans: Sequence[LayerPlan]) -> Tuple[np.ndarray, ...]:
-    """The schedule columns (k, ell, eps, a) of the boxes on `plans`, the
-    first len(plans) levels: the gates a layered build passes before it
-    places a box.  More than MAX_BOXES boxes are refused from the plan
-    counts, before any column is evaluated."""
-    count = sum(plan.count for plan in plans)
-    if count > MAX_BOXES:
-        raise GeometryError(f"{len(plans)} layers hold {count} boxes, more than "
-                            f"the {MAX_BOXES} one build allows")
-    return derived_columns(sched, range(1, count + 1))
-
-
-def _summary(layout: str, boxes: Boxes, extent: float, w_big: float,
+def _summary(layout: str, boxes: Boxes, extent: float, widest: Tuple[str, float],
              heights: Tuple[float, float], vol_tail: float) -> GeometrySummary:
     """Summary of a build: the built volume exactly, and the circumradius
-    bound from the widest level `w_big` and the lower height `heights[0]`."""
+    bound from the widest level (`widest`: its name and width) and the lower
+    height `heights[0]`.  A bound past binary64 names the widest level."""
     n = boxes.lo.shape[1]
     sides = boxes.side.tolist()
     vol_lo = math.fsum(s ** n for s in sides)
-    # the first box spans [0, ell_1] vertically
-    r_gamma = math.sqrt((n - 1) * w_big ** 2 + max(sides[0], -heights[0]) ** 2)
+    where, w_big = widest
+    try:  # the first box spans [0, ell_1] vertically
+        r_gamma = math.sqrt((n - 1) * w_big ** 2 + max(sides[0], -heights[0]) ** 2)
+    except OverflowError:
+        r_gamma = math.inf
+    if r_gamma == math.inf:
+        raise ScheduleError(f"circumradius bound leaves binary64: width {w_big!r} "
+                            f"({where}), lowest height {heights[0]!r}")
     return GeometrySummary(dimension=n, layout=layout, box_count=len(sides),
                            horizontal_extent=extent, height_interval=heights,
                            volume_interval=(vol_lo, vol_lo + vol_tail),
@@ -286,8 +279,11 @@ def build_layered(sched: Schedule, layers: int) -> Tuple[Boxes, GeometrySummary]
         )
 
     built = plans[:layers]
-    k, side, gap, a = plan_columns(sched, built)
-    j_built = len(k)  # boxes are numbered from 1
+    j_built = sum(plan.count for plan in built)  # boxes are numbered from 1
+    if j_built > MAX_BOXES:
+        raise GeometryError(f"{layers} layers hold {j_built} boxes, more than "
+                            f"the {MAX_BOXES} one build allows")
+    k, side, gap, a = derived_columns(sched, range(1, j_built + 1))
     lo = np.concatenate([np.column_stack((plan.pitch * _grid(plan.cols, sched.n - 1),
                                           np.full(plan.count, plan.height)))
                          for plan in built])
@@ -296,6 +292,8 @@ def build_layered(sched: Schedule, layers: int) -> Tuple[Boxes, GeometrySummary]
                   k=k, a=a, lo=lo)
     j_all = plans[-1].start_index + plans[-1].count - 1
     m_ext = plans[-1].i
+    widest = max(plans, key=lambda p: p.width)
+    named_width = (f"level {widest.i}", widest.width)
 
     if infinite:
         d_tail = padding(sched, m_ext) + padding_tail_bound(sched, m_ext)
@@ -308,16 +306,16 @@ def build_layered(sched: Schedule, layers: int) -> Tuple[Boxes, GeometrySummary]
             vol_tail = (math.fsum(sidelength(sched, j) ** sched.n
                                   for j in range(j_built + 1, 4))
                         + volume_tail_bound(sched, 3))
-        w_big = max(max(p.width for p in plans),
-                    _width_tail_bound(sched, m_ext + 1))
+        w_tail = _width_tail_bound(sched, m_ext + 1)
+        if w_tail > widest.width:
+            named_width = (f"bound for the levels past {m_ext}", w_tail)
     else:
         # finite tables: every placeable level is in `plans`, so the deepest
         # level height and the full finite sums are exact
         h_lo = h_hi = plans[-1].height
         vol_tail = math.fsum(sidelength(sched, j) ** sched.n
                              for j in range(j_built + 1, j_all + 1))
-        w_big = max(p.width for p in plans)
-    return boxes, _summary("layered", boxes, max(p.width for p in plans), w_big,
+    return boxes, _summary("layered", boxes, widest.width, named_width,
                            (h_lo, h_hi), vol_tail)
 
 
@@ -328,6 +326,11 @@ def build_stacked(sched: Schedule, count: int) -> Tuple[Boxes, GeometrySummary]:
     only when sum 1/k_j does; of the built-in families only explicit tables
     certify that, so log-growth wavenumbers are rejected (their 1/k_j decay
     like j^(-1/n) up to logs, a divergent p-series for every n >= 2).
+
+    Box j needs k_j and d_{j-1}, so the table lengths give the last box the
+    recursion places, for the limit's depth and volume.  The first box that
+    cannot be built raises, its own checks before its padding, and so does a
+    side or depth past binary64.
     """
     if count < 1:
         raise GeometryError(f"count must be >= 1, got {count}")
@@ -337,34 +340,30 @@ def build_stacked(sched: Schedule, count: int) -> Tuple[Boxes, GeometrySummary]:
             "registrable for the log-growth family (divergent p-series), "
             "use an explicit wavenumber table"
         )
-    params: List[DerivedParams] = []
-    sides: List[float] = []
-    depths: List[float] = []  # of the built boxes
+    d_end = len(sched.d_family.values) if isinstance(sched.d_family, DTable) else math.inf
+    last = min(len(sched.k_family.values), d_end + 1)
+    # up to box d_end + 2, whose own checks come before its missing padding
+    k, side, gap, a = derived_columns(sched, range(1, min(count, d_end + 2) + 1))
+    if count > d_end + 1:
+        padding(sched, d_end + 1)  # raises the table's error
+    sides = side.tolist() + sidelengths(sched, range(count + 1, last + 1)).tolist()
+    depths: List[float] = []
     depth = 0.0
-    # past `count` the recursion continues exactly while the tables allow,
-    # which gives the limit
-    for j in itertools.count(1):
-        try:
-            p = derived_params(sched, j) if j <= count else None
-            side = sidelength(sched, j) if p is None else p.ell
-            if j > 1:
-                depth = depth - side - padding(sched, j - 1)
-        except ScheduleError:
-            if j <= count:
-                raise
-            break
-        sides.append(side)
-        if p is not None:
-            params.append(p)
-            depths.append(depth)
+    for j, side_j in enumerate(sides, start=1):
+        if j > 1:
+            depth = depth - side_j - padding(sched, j - 1)
+        if not (math.isfinite(side_j) and math.isfinite(depth)):
+            raise ScheduleError(f"box {j} leaves binary64: side {side_j!r}, "
+                                f"depth {depth!r}")
+        depths.append(depth)
     lo = np.zeros((count, sched.n))
-    lo[:, -1] = depths
-    k, side, gap, a = np.array([(p.k, p.ell, p.eps, p.a) for p in params]).T.copy()
+    lo[:, -1] = depths[:count]
     boxes = Boxes(j=np.arange(1, count + 1), layer=np.arange(1, count + 1), side=side,
                   gap=gap, k=k, a=a, lo=lo)
     vol_tail = math.fsum(s ** sched.n for s in sides[count:])
-    w_big = max(sides)
-    return boxes, _summary("stacked", boxes, w_big, w_big, (depth, depth), vol_tail)
+    # k increases, so box 1 is the widest
+    return boxes, _summary("stacked", boxes, sides[0], ("level 1", sides[0]),
+                           (depth, depth), vol_tail)
 
 
 # -------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,10 +445,10 @@ def test_run_build_dimension_nine(tmp_path, capsys):
 def test_run_stacked_needs_wavenumber_table(tmp_path, capsys):
     doc = demo_mapping(layout="stacked")
     cfg = write_config(tmp_path, doc)
-    assert run(["build", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert run(["build", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "summable" in err
-    assert not (tmp_path / "geometry.json").exists()
+    assert not (tmp_path / "out").exists()  # no artifact, no directory
 
 
 def test_run_table_exhausted_exit_2(tmp_path, capsys):
@@ -549,7 +550,7 @@ def test_effective_outputs_defaults(tmp_path):
     eff = _effective_outputs(cfg, str(tmp_path / "dir"))
     assert eff.json == str(tmp_path / "dir" / "custom.json")
     assert eff.csv == str(tmp_path / "dir" / "certificates.csv")
-    assert (tmp_path / "dir").is_dir()
+    assert not (tmp_path / "dir").exists()  # made by the first artifact written
     assert _effective_outputs(cfg, None) is cfg.outputs
 
 
@@ -673,7 +674,7 @@ def test_run_oversize_arrangement_exit_2(tmp_path, capsys, monkeypatch, command,
     assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"hold {count} boxes" in err
-    assert not [p for p in (tmp_path / "out").iterdir() if p.is_file()]
+    assert not (tmp_path / "out").exists()
 
 
 def _c_1e300():
@@ -682,10 +683,34 @@ def _c_1e300():
     return doc
 
 
+def _plan_build_cases():
+    tiny = []
+    for c in (1e-307, 1e-200, 1e-160):
+        doc = demo_mapping(layers=3)
+        doc["schedule"]["wavenumbers"]["c"] = c
+        tiny.append(doc)
+    # finite down to level 256; only the width bound past it leaves binary64
+    wide = demo_mapping(layers=3)
+    wide["schedule"]["paddings"].update(amplitude=1e300, exponent=1.0001)
+    two_layers = demo_mapping(layers=3)
+    two_layers["schedule"]["wavenumbers"] = {"family": "table",
+                                             "values": [5.0, 9.0, 17.0, 30.0, 40.0]}
+    two_layers["schedule"]["paddings"] = {"family": "table", "values": [0.7, 0.3, 0.1]}
+    return tiny + [wide, two_layers]
+
+
 @pytest.mark.parametrize("doc, message", [
     (_c_1e300(), "gap fraction 0.0 left (0,1) at n=2, k="),
     (demo_mapping(layers=10_000), "10000 layers hold 435585210 boxes, more than"),
-], ids=["c-1e300", "layers-10000"])
+] + list(zip(_plan_build_cases(), [
+    "a derived value leaves binary64: float division by zero\n",
+    "a derived value leaves binary64: float division by zero\n",
+    "a derived value leaves binary64: (34, 'Numerical result out of range')\n",
+    "circumradius bound leaves binary64: width 9.766419601969611e+299 "
+    "(bound for the levels past 256), lowest height -9.998129297044348e+303\n",
+    "schedule tables support only 2 complete layers, 3 requested\n",
+])), ids=["c-1e300", "layers-10000", "c-1e-307", "c-1e-200", "c-1e-160",
+          "padding-1e300", "table-of-2-layers"])
 def test_run_plan_refuses_what_build_refuses(tmp_path, capsys, doc, message):
     cfg = write_config(tmp_path, doc)
     assert run(["build", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
@@ -729,3 +754,28 @@ def test_run_subnormal_growth_constant_exit_2(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: level 1 leaves binary64: side inf, pitch inf, height 0.0\n"
+
+
+@pytest.mark.parametrize("command", ["plan", "build", "certify", "plot", "report"])
+def test_run_stacked_subnormal_wavenumber_exit_2(tmp_path, capsys, command):
+    doc = stacked_table_mapping()
+    doc["schedule"]["wavenumbers"]["values"][0] = 1e-320  # box 1 has side inf
+    out = [] if command == "plan" else ["--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--config", write_config(tmp_path, doc)] + out) == 2
+    assert capsys.readouterr() == (
+        "", "error: box 1 leaves binary64: side inf, depth 0.0\n")
+    assert not (tmp_path / "out").exists()
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_run_build_makes_the_configured_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the example config writes into ./out
+    assert run(["build", "--config", str(CONFIGS / "figure2d.json"),
+                "--layers", "3"]) == 0
+    assert capsys.readouterr().out.startswith("wrote out/geometry.json (9 boxes")
+    assert json.loads((tmp_path / "out" / "geometry.json").read_text())[
+        "summary"]["boxCount"] == 9

@@ -33,6 +33,7 @@ from trapcert.geometry import (
 )
 from trapcert.sequences import (
     APower,
+    ATable,
     DShiftedPower,
     DTable,
     KLogGrowth,
@@ -305,6 +306,79 @@ def test_stacked_rejects_parametric_wavenumbers():
 def test_stacked_count_past_table():
     with pytest.raises(ScheduleError):
         build_stacked(stacked_schedule(), 5)
+
+
+_B = math.pi * math.sqrt(2.0)  # the wavenumber of a unit square
+_K4 = KTable([_B, 2 * _B, 4 * _B, 8 * _B])
+_A = APower(1e-4, 0.25)
+_NEVER = "; tables are never extrapolated"
+
+
+@pytest.mark.parametrize("k, a, d, count, message", [
+    (KTable([_B, 2 * _B]), _A, DTable([1.0, 0.5, 0.25]), 3,
+     "wavenumber table has 2 entries, index 3 queried" + _NEVER),
+    (_K4, ATable([1e-4, 1e-4]), DTable([1.0, 0.5, 0.25]), 3,
+     "target table has 2 entries, index 3 queried" + _NEVER),
+    (_K4, _A, DTable([1.0]), 3, "padding table has 1 entries, index 2 queried" + _NEVER),
+    # box 3 lacks both its wavenumber and its padding d_2
+    (KTable([_B, 2 * _B]), _A, DTable([1.0]), 3,
+     "wavenumber table has 2 entries, index 3 queried" + _NEVER),
+    (_K4, ATable([1e-4, 1e-4, 1e300]), DTable([1.0]), 3,
+     "gap fraction 0.0 left (0,1) at n=2, k=17.771531752633464, a=1e+300; "
+     "the schedule violates its own hypotheses"),
+    # box 3 lacks its padding, box 4 its target or its gap fraction
+    (_K4, ATable([1e-4] * 3), DTable([1.0]), 4,
+     "padding table has 1 entries, index 2 queried" + _NEVER),
+    (_K4, ATable([1e-4, 1e-4, 1e-4, 1e300]), DTable([1.0]), 4,
+     "padding table has 1 entries, index 2 queried" + _NEVER),
+    (_K4, _A, DTable([1.0, 0.5]), 6, "padding table has 2 entries, index 3 queried" + _NEVER),
+], ids=["short-k", "short-a", "short-d", "own-checks-before-padding",
+        "gap-fraction-before-padding", "first-box-wins", "padding-before-gap-fraction",
+        "padding-before-short-k"])
+def test_stacked_short_tables_name_the_first_failing_box(k, a, d, count, message):
+    with pytest.raises(ScheduleError) as info:
+        build_stacked(Schedule(2, k, a, d), count)
+    assert str(info.value) == message
+
+
+def test_stacked_reads_columns_not_per_box_values(monkeypatch):
+    def per_box(*args):
+        raise AssertionError("a per-box schedule call")
+
+    monkeypatch.setattr(trapcert.geometry, "derived_params", per_box)
+    monkeypatch.setattr(trapcert.geometry, "sidelength", per_box)
+    boxes, summary = build_stacked(stacked_schedule(extra=True), 2)
+    assert boxes.side.tolist() == [1.0, 0.5]
+    assert summary.volume_interval == (1.25, 1.25 + 0.0625)
+
+
+@pytest.mark.parametrize("kvals, dvals, count, message", [
+    ([1e-320, 9.0], [0.5], 1, "box 1 leaves binary64: side inf, depth 0.0"),
+    # the limit's box 3 is not built, but its depth enters the summary
+    ([1.0, 2.0, 3.0], [1.5e308, 1e308], 2,
+     "box 3 leaves binary64: side 1.480960979386122, depth -inf"),
+], ids=["subnormal-wavenumber", "depth-of-the-limit"])
+def test_stacked_sides_and_depths_stay_in_binary64(kvals, dvals, count, message):
+    with pytest.raises(ScheduleError) as info:
+        build_stacked(Schedule(2, KTable(kvals), _A, DTable(dvals)), count)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build, sched, size, message", [
+    (build_layered,
+     Schedule(2, KLogGrowth(2.0), _A, DShiftedPower(1e300, 6.0, 1.0001)), 2,
+     "width 9.766419601969611e+299 (bound for the levels past 256), "
+     "lowest height -9.998129297044348e+303"),
+    (build_layered, Schedule(2, KTable([1.0, 2.0, 3.0, 4.0]), _A, DTable([1e300, 5e299])),
+     2, "width 9.668407688201361e+299 (level 2), lowest height -1e+300"),
+    # every depth is finite, the square of the lowest one is not
+    (build_stacked, Schedule(2, KTable([1.0, 2.0]), _A, DTable([1.5e308])), 2,
+     "width 4.442882938158366 (level 1), lowest height -1.5e+308"),
+], ids=["layered-width-tail-bound", "layered-table-level", "stacked-depth"])
+def test_circumradius_past_binary64_names_the_widest_level(build, sched, size, message):
+    with pytest.raises(ScheduleError) as info:
+        build(sched, size)
+    assert str(info.value) == f"circumradius bound leaves binary64: {message}"
 
 
 def test_stacked_disjointness_generic():
