@@ -71,10 +71,16 @@ from trapcert.dtnverify import (
     dtn_eigenvalue,
     verify_sweep,
 )
-from trapcert.cli import (
-    RunConfig,
-    load_config,
-    run,
-)
 
 __version__ = "0.1.0"
+
+# The command-line names load lazily (PEP 562), so that `python -m
+# trapcert.cli` does not find `trapcert.cli` imported by the package first.
+_CLI_NAMES = ("RunConfig", "load_config", "run")
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from trapcert import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -243,10 +243,16 @@ def _summary(layout: str, boxes: Boxes, extent: float, widest: Tuple[str, float]
              heights: Tuple[float, float], vol_tail: float) -> GeometrySummary:
     """Summary of a build: the built volume exactly, and the circumradius
     bound from the widest level (`widest`: its name and width) and the lower
-    height `heights[0]`.  A bound past binary64 names the widest level."""
+    height `heights[0]`.  A volume past binary64 names the widest box, a
+    bound past binary64 the widest level."""
     n = boxes.lo.shape[1]
     sides = boxes.side.tolist()
-    vol_lo = math.fsum(s ** n for s in sides)
+    try:
+        vol_lo = math.fsum(s ** n for s in sides)
+    except OverflowError:
+        big = int(np.argmax(boxes.side))
+        raise ScheduleError(f"built volume leaves binary64: box {boxes.j[big]} "
+                            f"has side {sides[big]!r}") from None
     where, w_big = widest
     try:  # the first box spans [0, ell_1] vertically
         r_gamma = math.sqrt((n - 1) * w_big ** 2 + max(sides[0], -heights[0]) ** 2)
@@ -712,11 +718,17 @@ def flood_fill_oracle(boxes: Boxes, resolution: float) -> bool:
 
     Each box contributes its closed square outline minus the aperture
     segment [t_1, t_1 + side*gap] on the bottom edge.  Cells whose closed
-    square meets a drawn segment are blocked (conservative), the outside is
-    flooded 4-connectedly from the padded border, and the answer is whether
-    every unblocked cell was reached.  Conservative blocking cannot
-    spuriously disconnect anything because every true passage is at least
-    4 cells wide under the resolution precondition.
+    square meets a drawn segment are blocked (conservative), and the answer
+    is whether the unblocked cells form one 4-connected component.
+    Conservative blocking cannot spuriously disconnect anything because
+    every true passage is at least 4 cells wide under the resolution
+    precondition.
+
+    The components are counted by run-length labeling with union-find
+    (`_one_component`), not by visiting cells: one vectorized pass over the
+    raster, then work in the number of free runs along rows (3,350 for the
+    767,921 free cells of the 5-layer figure).  Memory: the raster, one
+    byte a cell, plus integer arrays over its blocked cells and runs.
     """
     if not len(boxes):
         raise GeometryError("no boxes to rasterize")
@@ -730,22 +742,46 @@ def flood_fill_oracle(boxes: Boxes, resolution: float) -> bool:
             f"resolution {resolution} cannot resolve the smallest feature "
             f"{scale} (need < {scale / 4.0})"
         )
+    return _one_component(*_blocked_raster(boxes, resolution))
 
-    cells, width = _blocked_raster(boxes, resolution)
-    free = cells.count(0)
-    # 4-connected breadth-first fill from one cell of the free ring; the
-    # sentinel ring stops every step at the edge, so no bounds checks
-    cells[width + 1] = 1
-    queue = deque([width + 1])
-    reached = 0
-    while queue:
-        p = queue.popleft()
-        reached += 1
-        for q in (p - width, p + width, p - 1, p + 1):
-            if not cells[q]:
-                cells[q] = 1
-                queue.append(q)
-    return reached == free
+
+def _one_component(cells: bytearray, width: int) -> bool:
+    """Do the free (0) cells of a flat row-major raster, whose border cells
+    are all blocked, form exactly one 4-connected component?
+
+    Run-length labeling (Hoshen and Kopelman 1976): the free cells of a row
+    fall into maximal runs, each run is joined to every run of the next row
+    that shares a column with it, and union-find with path halving (Tarjan
+    1975) counts the components.  The blocked border ends every row, so the
+    runs are the gaps between consecutive blocked cells in flat order, and
+    the runs of the next row that meet a run form one contiguous range of
+    that order.  Cost: one vectorized pass over the raster for its B
+    blocked cells, then O(B + R log R) array work and near-linear
+    union-find over the R runs and their joins; memory: a few integer
+    arrays of length B or R, none the size of the raster.
+    """
+    blocked = np.flatnonzero(np.frombuffer(cells, dtype=np.uint8))
+    gap = np.flatnonzero(np.diff(blocked) > 1)
+    start, end = blocked[gap] + 1, blocked[gap + 1]  # run i is [start, end)
+    # the runs of the next row that share a column with run i end past
+    # start + width and begin before end + width: indices [first, last)
+    first = np.searchsorted(end, start + width, side="right")
+    last = np.searchsorted(start, end + width, side="left")
+    parent = list(range(len(start)))
+    components = len(start)
+    for i, below in enumerate(map(range, first.tolist(), last.tolist())):
+        for b in below:
+            a = i
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a != b:
+                parent[a] = b
+                components -= 1
+    return components == 1
 
 
 def _blocked_raster(boxes: Boxes, resolution: float) -> Tuple[bytearray, int]:

@@ -945,11 +945,14 @@ def validation_grid() -> Tuple[List[float], List[float]]:
     return nus, ts
 
 
-# arguments per batch of the residual grid: 3 x 201 orders = 603 points.
-# Batching by argument runs each Temme series once per selftest.  Measured
-# on the selftest (2 cores, Python 3.11): 10 arguments per batch take 0.65
-# times the time of 3 but raise the peak RSS by 0.6 MiB more.
-_SELFTEST_BATCH_TS = 3
+# arguments per batch of the residual grid: 10 x 201 orders = 2,010 points.
+# Batching by argument runs each Temme series once per selftest, and the
+# rows do not depend on the batch size.  Measured on the whole selftest
+# (2-core Xeon, Python 3.11.7, numpy 2.4, fresh interpreter, three runs
+# each): 3 arguments per batch take 1.61-1.84 s and reach a peak RSS of
+# 36.2 MiB, 10 take 0.89-1.12 s and reach 36.5 MiB.  The difference is
+# the fixed cost of a batch's numpy calls, paid 134 times against 40.
+_SELFTEST_BATCH_TS = 10
 # every point with (order index + argument index) % 20 == 0 is also run
 # through the scalar route: 20 arguments per order, 4,020 points in all
 _SELFTEST_SAMPLE = 20

@@ -705,7 +705,7 @@ def _plan_build_cases():
 ] + list(zip(_plan_build_cases(), [
     "a derived value leaves binary64: float division by zero\n",
     "a derived value leaves binary64: float division by zero\n",
-    "a derived value leaves binary64: (34, 'Numerical result out of range')\n",
+    "built volume leaves binary64: box 1 has side 3.702861224257109e+160\n",
     "circumradius bound leaves binary64: width 9.766419601969611e+299 "
     "(bound for the levels past 256), lowest height -9.998129297044348e+303\n",
     "schedule tables support only 2 complete layers, 3 requested\n",
@@ -739,7 +739,9 @@ def _out_of_range_mappings():
 def test_run_values_outside_binary64_exit_2(tmp_path, capsys, command, case):
     cfg = write_config(tmp_path, _out_of_range_mappings()[case])
     assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("error: a derived value leaves binary64")
+    assert capsys.readouterr().err == [
+        "error: built volume leaves binary64: box 1 has side 5.441398092702653e+300\n",
+        "error: a derived value leaves binary64: float division by zero\n"][case]
 
 
 @pytest.mark.parametrize("command", ["plan", "build", "certify", "plot", "report"])

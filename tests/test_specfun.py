@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -407,6 +408,21 @@ def test_selftest_rows_equal_the_scalar_loop():
         return nu.hex(), t.hex(), wr.hex(), None if he is None else he.hex(), ok
 
     assert [key(r) for r in got] == [key(r) for r in ref]
+
+
+# SHA-256 of the selftest rows, each row the repr of its tuple with every
+# float written by float.hex; the rows must not depend on the batch size
+SELFTEST_DIGEST = "b0e6f2fe1ccd21f3116a8dd910213b352859983206e21f7f161aafe2a4ec5cf4"
+
+
+@pytest.mark.parametrize("batch", [3, 10])
+def test_selftest_rows_do_not_depend_on_the_batch_size(monkeypatch, batch):
+    monkeypatch.setattr(specfun, "_SELFTEST_BATCH_TS", batch)
+    sha = hashlib.sha256()
+    for row in specfun.selftest_rows():
+        sha.update(repr(tuple(x.hex() if isinstance(x, float) else x
+                              for x in row)).encode())
+    assert sha.hexdigest() == SELFTEST_DIGEST
 
 
 def test_selftest_samples_the_scalar_route(monkeypatch):

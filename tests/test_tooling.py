@@ -71,6 +71,7 @@ def test_module_entry_point(tmp_path, monkeypatch, capsys):
     for argv in argvs:
         module = child(["-m", "trapcert.cli", *argv], tmp_path)
         assert module.returncode == 0, module.stderr
+        assert module.stderr == ""
         outs.append(module.stdout)
     codes, out = in_process(argvs, tmp_path / "in-process", monkeypatch, capsys)
     assert codes == [0, 0]
