@@ -17,10 +17,11 @@ a with positive margin.  The bounds are uniform in the cut-off radius, so a
 single record certifies every R larger than the circumradius of the
 arrangement.
 
-`certify_geometry` runs the chain on the columns of a `Boxes` and returns
-one `Certificates` column set.  Only correctly rounded operations run on
-arrays, so each column equals the public scalar functions box by box, bit
-for bit; eps^(3(n-1)/2) stays one Python float power per box.
+Each step of the chain is written once, on columns (the design identity
+and the defining relation in `sequences`); `certify_geometry` runs it over
+a `Boxes`, and the public scalar functions are one-element calls.  Arrays
+carry only correctly rounded operations and eps^(3(n-1)/2) stays one
+Python float power per box, so the columns are the scalar formulas' bits.
 
 The trace inequality used in the flux estimate is checked separately on
 separable polynomial-times-sine test functions with closed-form integrals.
@@ -35,6 +36,7 @@ from typing import Tuple
 import numpy as np
 
 from trapcert.geometry import Boxes
+from trapcert.sequences import defining_relation, design_identity
 
 _R_NOTE = "uniform in R above the circumradius"
 
@@ -65,18 +67,29 @@ def _s_minus_sin(s: float) -> float:
     return s - math.sin(s)
 
 
+def _box_gates(n: int, k, ell, eps) -> list:
+    """Domain and resonance gates of columns of boxes: k, ell > 0, eps in
+    (0,1), and k*ell = pi*sqrt(n) to 1e-12 relative."""
+    root = math.pi * math.sqrt(n)
+    with np.errstate(all="ignore"):
+        return [(k > 0.0) & (ell > 0.0) & (0.0 < eps) & (eps < 1.0),
+                ~(np.abs(k * ell - root) > 1e-12 * root)]
+
+
+def _box_messages(k, ell, eps) -> list:
+    return [f"need k, ell > 0 and eps in (0,1), got {k}, {ell}, {eps}",
+            f"k*ell = {k * ell!r} violates the resonance relation pi*sqrt(n)"]
+
+
 def quasimode_norms(n: int, k: float, ell: float, eps: float) -> QuasimodeNorms:
     """Closed-form norms; requires the resonance relation k*ell = pi*sqrt(n)
     (to 1e-12 relative), which makes the mode an exact Dirichlet eigenmode."""
     if n < 2:
         raise CertifyError(f"dimension must be >= 2, got {n}")
-    if not (k > 0.0 and ell > 0.0 and 0.0 < eps < 1.0):
-        raise CertifyError(f"need k, ell > 0 and eps in (0,1), got {k}, {ell}, {eps}")
-    target = math.pi * math.sqrt(n)
-    if abs(k * ell - target) > 1e-12 * target:
-        raise CertifyError(
-            f"k*ell = {k * ell!r} violates the resonance relation pi*sqrt(n)"
-        )
+    gates = _box_gates(n, *(np.array([v], float) for v in (k, ell, eps)))
+    for gate, message in zip(gates, _box_messages(k, ell, eps)):
+        if not gate[0]:
+            raise CertifyError(message)
     h1k = k * k * ell ** n / 2.0 ** (n - 1)
     s = 2.0 * k * ell * eps / math.sqrt(n)
     flux = (math.sqrt(n) / (4.0 * k)) ** (n - 3) * _s_minus_sin(s) ** (n - 1) / 16.0
@@ -89,23 +102,41 @@ def quasimode_norms(n: int, k: float, ell: float, eps: float) -> QuasimodeNorms:
 # inf-sup bound and resolvent floor
 # -------------------------------------------------------------------
 
-def infsup_upper(n: int, eps: float) -> float:
-    """c_n * eps^(3(n-1)/2), the aperture-driven inf-sup upper bound."""
+def _infsup(n: int, eps: np.ndarray) -> np.ndarray:
+    """c_n eps^(3(n-1)/2) over a column of eps, NaN where eps leaves (0,1)."""
     if n < 2:
         raise CertifyError(f"dimension must be >= 2, got {n}")
-    if not 0.0 < eps < 1.0:
-        raise CertifyError(f"eps must be in (0,1), got {eps}")
     c_n = (2.0 ** ((n - 1) / 2.0) * math.pi ** (n - 1.5)
            / (3.0 ** ((n - 1) / 2.0) * n ** 0.75))
-    return c_n * eps ** (1.5 * (n - 1))
+    p = 1.5 * (n - 1)
+    return c_n * np.array([e ** p if 0.0 < e < 1.0 else math.nan
+                           for e in eps.tolist()], dtype=float)
+
+
+def infsup_upper(n: int, eps: float) -> float:
+    """c_n * eps^(3(n-1)/2), the aperture-driven inf-sup upper bound."""
+    ub = _infsup(n, np.array([eps], float))[0].item()
+    if math.isnan(ub):
+        raise CertifyError(f"eps must be in (0,1), got {eps}")
+    return ub
 
 
 def _threshold(n: int, k, a):
     """sqrt(pi) n^(3/4) (1 + 2k sqrt(2k^2 a^2 + a)), for floats or arrays of
     k and a; by construction of the aperture fraction this equals
     1/infsup_upper up to roundoff."""
-    return (math.sqrt(math.pi) * n ** 0.75
-            * (1.0 + 2.0 * k * np.sqrt(2.0 * k * k * a * a + a)))
+    return math.sqrt(math.pi) * n ** 0.75 * design_identity(k, a)
+
+
+def _floor(threshold, k) -> Tuple[np.ndarray, np.ndarray]:
+    """The columns (c_prime_lb, c_lb) of `resolvent_lower`."""
+    with np.errstate(all="ignore"):
+        c_prime = (threshold - 1.0) / (2.0 * k)
+        c_prime = np.where(c_prime > 0.0, c_prime, 0.0)  # max(0.0, x), NaN to 0
+        s = c_prime * c_prime
+        disc = 8.0 * k * k * s
+        return c_prime, np.where(np.isinf(disc), c_prime / (math.sqrt(2.0) * k),
+                                 2.0 * s / (1.0 + np.sqrt(1.0 + disc)))
 
 
 def resolvent_lower(threshold: float, k: float) -> Tuple[float, float]:
@@ -122,12 +153,8 @@ def resolvent_lower(threshold: float, k: float) -> Tuple[float, float]:
     """
     if k <= 0.0:
         raise CertifyError(f"wavenumber must be positive, got {k}")
-    c_prime = max(0.0, (threshold - 1.0) / (2.0 * k))
-    s = c_prime * c_prime
-    disc = 8.0 * k * k * s
-    if math.isinf(disc):
-        return c_prime, c_prime / (math.sqrt(2.0) * k)
-    return c_prime, 2.0 * s / (1.0 + math.sqrt(1.0 + disc))
+    c_prime, c_lb = _floor(np.array([threshold], float), np.array([k], float))
+    return c_prime[0].item(), c_lb[0].item()
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,37 +186,27 @@ def certify_geometry(boxes: Boxes) -> Certificates:
     """
     n = boxes.lo.shape[1]
     k, a, eps, ell = boxes.k, boxes.a, boxes.gap, boxes.side
-    root = math.pi * math.sqrt(n)
+    ub = _infsup(n, eps)
     with np.errstate(all="ignore"):
-        ub = np.array([infsup_upper(n, e) if 0.0 < e < 1.0 else math.nan
-                       for e in eps.tolist()])
         inv = _threshold(n, k, a)
-        c_prime = (inv - 1.0) / (2.0 * k)
-        c_prime = np.where(c_prime > 0.0, c_prime, 0.0)  # max(0.0, x), NaN to 0
-        s = c_prime * c_prime
-        disc = 8.0 * k * k * s
-        c_lb = np.where(np.isinf(disc), c_prime / (math.sqrt(2.0) * k),
-                        2.0 * s / (1.0 + np.sqrt(1.0 + disc)))
+        c_prime, c_lb = _floor(inv, k)
         margin = c_lb - a
         gates = np.stack((
-            (k > 0.0) & (ell > 0.0) & (0.0 < eps) & (eps < 1.0),
-            ~(np.abs(k * ell - root) > 1e-12 * root),
+            *_box_gates(n, k, ell, eps),
             ~(np.abs(1.0 / ub - inv) > 1e-9 * inv),
             margin > 0.0,
-            2.0 * k * k * c_lb * c_lb + c_lb > 2.0 * k * k * a * a + a))
+            defining_relation(k, c_lb) > defining_relation(k, a)))
         failed = ~gates.all(axis=0)
         if failed.any():
             i = int(np.argmax(failed))
             j, ki, ai, ei, li = (c[i].item() for c in (boxes.j, k, a, eps, ell))
-            raise CertifyError([
-                f"need k, ell > 0 and eps in (0,1), got {ki}, {li}, {ei}",
-                f"k*ell = {ki * li!r} violates the resonance relation pi*sqrt(n)",
+            raise CertifyError((_box_messages(ki, li, ei) + [
                 f"box {j}: inf-sup routes disagree, 1/ub = "
                 f"{(1.0 / ub[i]).item()!r} vs identity {inv[i].item()!r}",
                 f"box {j}: resolvent floor {c_lb[i].item()!r} does not clear "
                 f"target {ai!r}",
                 f"box {j}: floor fails the defining relation",
-            ][int(np.argmin(gates[:, i]))])
+            ])[int(np.argmin(gates[:, i]))])
     return Certificates(j=boxes.j, k=k, a=a, eps=eps, infsup_ub=ub,
                         infsup_ub_inv_identity=inv, c_prime_lb=c_prime,
                         c_lb=c_lb, margin=margin)
@@ -208,17 +225,9 @@ class TraceTest:
     q: int
 
 
-def _trace_norms(n: int, a: float, test: TraceTest) -> Tuple[float, float, float]:
-    """(trace_sq, v_sq, grad_sq) in closed form.
-
-    All three are products of one-dimensional integrals:
-    int sin^2 = a/2 (or 0 for p=0), int cos^2 = a/2 (or a for p=0),
-    int (1-x/a)^(2q) = a/(2q+1), int (1-x/a)^(2q-2) = a/(2q-1).
-    """
-    s_fac = [a / 2.0 if p > 0 else 0.0 for p in test.p]
-    c_fac = [a / 2.0 if p > 0 else a for p in test.p]
-    iq0 = a / (2 * test.q + 1)
-    iq1 = a / (2 * test.q - 1)
+def _trace_product(a: float, test: TraceTest, s_fac, c_fac, iq0: float,
+                   iq1: float) -> Tuple[float, float, float]:
+    """(trace_sq, v_sq, grad_sq) from the one-dimensional integrals."""
     trace_sq = math.prod(s_fac)
     v_sq = trace_sq * iq0
     grad_sq = trace_sq * test.q ** 2 / (a * a) * iq1
@@ -226,6 +235,16 @@ def _trace_norms(n: int, a: float, test: TraceTest) -> Tuple[float, float, float
         rest = math.prod(s_fac[:i] + s_fac[i + 1:])
         grad_sq += (math.pi * p / a) ** 2 * c_fac[i] * rest * iq0
     return trace_sq, v_sq, grad_sq
+
+
+def _trace_norms(n: int, a: float, test: TraceTest) -> Tuple[float, float, float]:
+    """(trace_sq, v_sq, grad_sq) in closed form, from the one-dimensional
+    integrals int sin^2 = a/2 (or 0 for p=0), int cos^2 = a/2 (or a for p=0),
+    int (1-x/a)^(2q) = a/(2q+1), int (1-x/a)^(2q-2) = a/(2q-1).
+    """
+    return _trace_product(a, test, [a / 2.0 if p > 0 else 0.0 for p in test.p],
+                          [a / 2.0 if p > 0 else a for p in test.p],
+                          a / (2 * test.q + 1), a / (2 * test.q - 1))
 
 
 def trace_inequality_residual(n: int, a: float, test: TraceTest,
@@ -260,16 +279,10 @@ def trace_inequality_residual(n: int, a: float, test: TraceTest,
     def quad(vals: np.ndarray) -> float:
         return float(wt @ vals)
 
-    s_fac = [quad(np.sin(math.pi * p * t / a) ** 2) for p in test.p]
-    c_fac = [quad(np.cos(math.pi * p * t / a) ** 2) for p in test.p]
-    iq0 = quad((1.0 - t / a) ** (2 * test.q))
-    iq1 = quad((1.0 - t / a) ** (2 * test.q - 2))
-    q_trace = math.prod(s_fac)
-    q_v = q_trace * iq0
-    q_grad = q_trace * test.q ** 2 / (a * a) * iq1
-    for i, p in enumerate(test.p):
-        rest = math.prod(s_fac[:i] + s_fac[i + 1:])
-        q_grad += (math.pi * p / a) ** 2 * c_fac[i] * rest * iq0
+    q_trace, q_v, q_grad = _trace_product(
+        a, test, [quad(np.sin(math.pi * p * t / a) ** 2) for p in test.p],
+        [quad(np.cos(math.pi * p * t / a) ** 2) for p in test.p],
+        quad((1.0 - t / a) ** (2 * test.q)), quad((1.0 - t / a) ** (2 * test.q - 2)))
     scale = max(abs(v_sq), abs(grad_sq), a ** n)
     for closed, numeric in ((trace_sq, q_trace), (v_sq, q_v), (grad_sq, q_grad)):
         if abs(closed - numeric) > 1e-10 * max(abs(closed), scale * 1e-6):

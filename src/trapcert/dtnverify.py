@@ -202,6 +202,15 @@ def _np_ldexp(x, e) -> np.ndarray:
         return np.ldexp(x, np.clip(e, -4000, 4000).astype(np.int32))
 
 
+def _sign_margin(value: np.ndarray, terms, floor: np.ndarray):
+    """(scaled, violated) of `value`, a sum of `terms`: value over
+    max(floor, max |term|) (0 where every term is 0), and value > _SIGN_TOL
+    times that bound."""
+    scale = np.maximum.reduce([np.abs(term) for term in terms])
+    bound = np.maximum(floor, scale)
+    return np.where(scale > 0, value / bound, 0.0), value > _SIGN_TOL * bound
+
+
 def verify_sweep(n_values: Sequence[int] = DEFAULT_N_VALUES,
                  m_max: int = DEFAULT_M_MAX,
                  rho_grid: Optional[Sequence[float]] = None,
@@ -278,20 +287,15 @@ def verify_sweep(n_values: Sequence[int] = DEFAULT_N_VALUES,
             a2 = rho * rho * n2
             a3 = (4.0 * rho / math.pi) * inv2ey
             m_a = a1 + a2 - a3
-            scale_a = np.maximum(np.maximum(np.abs(a1), a2), a3)
-            tol_a = _SIGN_TOL * np.maximum(inv2ey, scale_a)
             a_mask = nu >= 0.5
-            a_scaled = np.where(scale_a > 0, m_a / np.maximum(inv2ey, scale_a), 0.0)
-            viol_a = (m_a > tol_a) & a_mask
+            a_scaled, viol_a = _sign_margin(m_a, (a1, a2, a3), inv2ey)
+            viol_a &= a_mask
 
             gj = jpt - (p_prime / rho) * jt
             gy = ypm - (p_prime / rho) * ym
             w2 = gj * gj + gy * gy
             re_wu = gj * jt + gy * ym
-            scale_re = np.maximum(np.abs(gj * jt), np.abs(gy * ym))
-            tol_re = _SIGN_TOL * np.maximum(inv2ey, scale_re)
-            re_scaled = np.where(scale_re > 0, re_wu / np.maximum(inv2ey, scale_re), 0.0)
-            viol_re = re_wu > tol_re
+            re_scaled, viol_re = _sign_margin(re_wu, (gj * jt, gy * ym), inv2ey)
 
             # pure mantissa cross product, then the shared power of two
             wron = jm * ypm - jpm * ym
@@ -315,15 +319,11 @@ def verify_sweep(n_values: Sequence[int] = DEFAULT_N_VALUES,
             for alpha in alpha_lists[n]:
                 b3 = alpha * rho * re_wu
                 m_b = b1 + b2 + b3 - b4
-                scale_b = np.maximum(np.maximum(np.abs(b1), b2),
-                                     np.maximum(np.abs(b3), b4))
-                tol_b = _SIGN_TOL * np.maximum(inv2ey, scale_b)
-                viol_b = m_b > tol_b
+                b_scaled, viol_b = _sign_margin(m_b, (b1, b2, b3, b4), inv2ey)
                 nviol = int(np.count_nonzero(viol_b))
                 counts["b"] += nviol
                 if alpha >= hyp:
                     counts["bh"] += nviol
-                    b_scaled = np.where(scale_b > 0, m_b / np.maximum(inv2ey, scale_b), 0.0)
                     maxima["bh"].append(b_scaled.max(axis=1).tolist())
                 checked += rhos.size * (m_max + 1)
                 per_alpha.append((alpha, m_b, viol_b | viol_a | viol_re | viol_im))

@@ -56,8 +56,8 @@ from trapcert.sequences import (
     derived_params,  # not called here; bench/tracer.py wraps this name
     padding,
     padding_tail_bound,
-    sidelength,
     sidelengths,
+    volume_sum,
     volume_tail_bound,
 )
 
@@ -243,25 +243,23 @@ def _summary(layout: str, boxes: Boxes, extent: float, widest: Tuple[str, float]
              heights: Tuple[float, float], vol_tail: float) -> GeometrySummary:
     """Summary of a build: the built volume exactly, and the circumradius
     bound from the widest level (`widest`: its name and width) and the lower
-    height `heights[0]`.  A volume past binary64 names the widest box, a
-    bound past binary64 the widest level."""
+    height `heights[0]`.  A volume past binary64 names the widest box (its
+    enclosure, its two parts), a bound past binary64 the widest level."""
     n = boxes.lo.shape[1]
-    sides = boxes.side.tolist()
-    try:
-        vol_lo = math.fsum(s ** n for s in sides)
-    except OverflowError:
-        big = int(np.argmax(boxes.side))
-        raise ScheduleError(f"built volume leaves binary64: box {boxes.j[big]} "
-                            f"has side {sides[big]!r}") from None
+    vol_lo = volume_sum(n, boxes.side, 1, "built volume")
     where, w_big = widest
     try:  # the first box spans [0, ell_1] vertically
-        r_gamma = math.sqrt((n - 1) * w_big ** 2 + max(sides[0], -heights[0]) ** 2)
+        r_gamma = math.sqrt((n - 1) * w_big ** 2
+                            + max(boxes.side[0].item(), -heights[0]) ** 2)
     except OverflowError:
         r_gamma = math.inf
     if r_gamma == math.inf:
         raise ScheduleError(f"circumradius bound leaves binary64: width {w_big!r} "
                             f"({where}), lowest height {heights[0]!r}")
-    return GeometrySummary(dimension=n, layout=layout, box_count=len(sides),
+    if not math.isfinite(vol_lo + vol_tail):
+        raise ScheduleError(f"volume enclosure leaves binary64: built volume "
+                            f"{vol_lo!r} plus tail {vol_tail!r}")
+    return GeometrySummary(dimension=n, layout=layout, box_count=len(boxes),
                            horizontal_extent=extent, height_interval=heights,
                            volume_interval=(vol_lo, vol_lo + vol_tail),
                            r_gamma_upper=r_gamma)
@@ -306,12 +304,10 @@ def build_layered(sched: Schedule, layers: int) -> Tuple[Boxes, GeometrySummary]
         ell_tail = _level_side_tail(sched, m_ext)
         h_lo = plans[-1].height - ell_tail - d_tail
         h_hi = plans[-1].height
-        if j_built >= 3:
-            vol_tail = volume_tail_bound(sched, j_built)
-        else:
-            vol_tail = (math.fsum(sidelength(sched, j) ** sched.n
-                                  for j in range(j_built + 1, 4))
-                        + volume_tail_bound(sched, 3))
+        # the analytic bound holds from box 3 on; a single level sums to there
+        vol_tail = (volume_sum(sched.n, sidelengths(sched, range(j_built + 1, 4)),
+                               j_built + 1, "volume tail")
+                    + volume_tail_bound(sched, max(j_built, 3)))
         w_tail = _width_tail_bound(sched, m_ext + 1)
         if w_tail > widest.width:
             named_width = (f"bound for the levels past {m_ext}", w_tail)
@@ -319,8 +315,8 @@ def build_layered(sched: Schedule, layers: int) -> Tuple[Boxes, GeometrySummary]
         # finite tables: every placeable level is in `plans`, so the deepest
         # level height and the full finite sums are exact
         h_lo = h_hi = plans[-1].height
-        vol_tail = math.fsum(sidelength(sched, j) ** sched.n
-                             for j in range(j_built + 1, j_all + 1))
+        vol_tail = volume_sum(sched.n, sidelengths(sched, range(j_built + 1, j_all + 1)),
+                              j_built + 1, "volume tail")
     return boxes, _summary("layered", boxes, widest.width, named_width,
                            (h_lo, h_hi), vol_tail)
 
@@ -352,7 +348,8 @@ def build_stacked(sched: Schedule, count: int) -> Tuple[Boxes, GeometrySummary]:
     k, side, gap, a = derived_columns(sched, range(1, min(count, d_end + 2) + 1))
     if count > d_end + 1:
         padding(sched, d_end + 1)  # raises the table's error
-    sides = side.tolist() + sidelengths(sched, range(count + 1, last + 1)).tolist()
+    tail = sidelengths(sched, range(count + 1, last + 1))
+    sides = side.tolist() + tail.tolist()
     depths: List[float] = []
     depth = 0.0
     for j, side_j in enumerate(sides, start=1):
@@ -366,7 +363,7 @@ def build_stacked(sched: Schedule, count: int) -> Tuple[Boxes, GeometrySummary]:
     lo[:, -1] = depths[:count]
     boxes = Boxes(j=np.arange(1, count + 1), layer=np.arange(1, count + 1), side=side,
                   gap=gap, k=k, a=a, lo=lo)
-    vol_tail = math.fsum(s ** sched.n for s in sides[count:])
+    vol_tail = volume_sum(sched.n, tail, count + 1, "volume tail")
     # k increases, so box 1 is the widest
     return boxes, _summary("stacked", boxes, sides[0], ("level 1", sides[0]),
                            (depth, depth), vol_tail)

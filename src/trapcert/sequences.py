@@ -14,12 +14,14 @@ is an error, never an extrapolation.  With ``precision_digits > 15`` the
 wavenumber formula is evaluated in software arbitrary precision and rounded
 once, so certificates do not hinge on binary64 rounding of nested logs.
 
-Each formula is written once, over a range of indices; the per-index
-functions are one-element calls.  Only correctly rounded operations
-(+ - * /, sqrt) run as numpy, in the scalar association order.  Logs and
-powers stay CPython's `math.log` and `**` per element: over 1M points
-numpy's log differed from `math.log` on 56 and its power from `**` on
-58,619 (numpy 2.4, AVX-512), and `x*x` differs from `x**2` on 822.
+Each formula is written once, over a range of indices, also those that
+`certify` and `geometry` share (the design identity, the defining relation,
+the volume sum); the per-index functions are one-element calls.  Only
+correctly rounded operations (+ - * /, sqrt) run as numpy, in the scalar
+association order.  Logs and powers stay CPython's `math.log` and `**` per
+element: over 1M points numpy's log differed from `math.log` on 56 and its
+power from `**` on 58,619 (numpy 2.4, AVX-512), and `x*x` differs from
+`x**2` on 822.
 """
 
 from __future__ import annotations
@@ -270,6 +272,16 @@ def sidelength(sched: Schedule, j: int) -> float:
     return _side(sched.n, wavenumber(sched, j))
 
 
+def defining_relation(k, c):
+    """2 k^2 c^2 + c, for floats or arrays."""
+    return 2.0 * k * k * c * c + c
+
+
+def design_identity(k, a):
+    """1 + 2k sqrt(2k^2 a^2 + a), for floats or arrays."""
+    return 1.0 + 2.0 * k * np.sqrt(defining_relation(k, a))
+
+
 def gap_fractions(n: int, k: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Aperture fractions eps in (0,1) for boxes at wavenumbers k, targets a.
 
@@ -285,7 +297,7 @@ def gap_fractions(n: int, k: np.ndarray, a: np.ndarray) -> np.ndarray:
         raise ScheduleError(f"dimension must be >= 2, got {n}")
     with np.errstate(all="ignore"):
         domain = (k > 0.0) & (a > 0.0)
-        x = np.where(domain, 1.0 + 2.0 * k * np.sqrt(2.0 * k * k * a * a + a), 1.0)
+        x = np.where(domain, design_identity(k, a), 1.0)
         p = -2.0 / (3.0 * n - 3.0)
         eps = _APERTURE_C * np.array([v ** p for v in x.tolist()], dtype=float)
         failed = ~(domain & (0.0 < eps) & (eps < 1.0))
@@ -382,10 +394,24 @@ def growth_floor_check(sched: Schedule, c: float, j_max: int) -> GrowthFloorRepo
     return GrowthFloorReport(c=c, j_max=j_max, failures=tuple(failures.tolist()))
 
 
+def volume_sum(n: int, sides: np.ndarray, first: int, what: str) -> float:
+    """sum ell^n over the sides of the boxes first, first + 1, ...; past
+    binary64 it raises, naming `what` and the largest side."""
+    try:
+        total = math.fsum(s ** n for s in sides.tolist())
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        big = int(np.argmax(sides))
+        raise ScheduleError(f"{what} leaves binary64: box {first + big} "
+                            f"has side {sides[big].item()!r}")
+    return total
+
+
 def partial_volume(sched: Schedule, J: int) -> float:
     """sum_{j<=J} ell_j^n, the total volume of the first J boxes."""
     _check_index(J, "volume")
-    return math.fsum(sidelength(sched, j) ** sched.n for j in range(1, J + 1))
+    return volume_sum(sched.n, sidelengths(sched, range(1, J + 1)), 1, "partial volume")
 
 
 def padding_tail_bound(sched: Schedule, i0: int) -> float:
@@ -414,7 +440,8 @@ def volume_tail_bound(sched: Schedule, J: int) -> float:
     fam = sched.k_family
     n = sched.n
     if isinstance(fam, KTable):
-        return math.fsum(_side(n, v) ** n for v in fam.values[J:])
+        return volume_sum(n, _side(n, np.array(fam.values[J:], dtype=float)), J + 1,
+                          "volume tail")
     if J < 3:
         raise ScheduleError("volume tail bound for the log-growth family needs J >= 3")
     return (

@@ -6,17 +6,23 @@ identities against mpmath-frozen references, and the inversion chain
 against random round trips.
 """
 
+import dataclasses
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
+import certify_oracle as oracle
+from certify_oracle import scalar_certify
 from columns import take, with_values
 from trapcert.certify import (
     CertifyError,
+    QuasimodeNorms,
     TraceTest,
     _threshold,
     _trace_norms,
@@ -244,32 +250,6 @@ def test_certify_rejects_tampered_box():
         certify_geometry(mistargeted)
 
 
-def scalar_certify(boxes):
-    """certify_geometry box by box through the public scalar functions and
-    the threshold in Python floats: the reference for its columns and for
-    its first error."""
-    n = boxes.lo.shape[1]
-    rows = []
-    for j, k, a, eps, ell in zip(boxes.j.tolist(), boxes.k.tolist(),
-                                 boxes.a.tolist(), boxes.gap.tolist(),
-                                 boxes.side.tolist()):
-        quasimode_norms(n, k, ell, eps)
-        ub = infsup_upper(n, eps)
-        inv = (math.sqrt(math.pi) * n ** 0.75
-               * (1.0 + 2.0 * k * math.sqrt(2.0 * k * k * a * a + a)))
-        if abs(1.0 / ub - inv) > 1e-9 * inv:
-            raise CertifyError(f"box {j}: inf-sup routes disagree, "
-                               f"1/ub = {1.0 / ub!r} vs identity {inv!r}")
-        c_prime, c_lb = resolvent_lower(inv, k)
-        if not c_lb - a > 0.0:
-            raise CertifyError(f"box {j}: resolvent floor {c_lb!r} does not "
-                               f"clear target {a!r}")
-        if not 2.0 * k * k * c_lb * c_lb + c_lb > 2.0 * k * k * a * a + a:
-            raise CertifyError(f"box {j}: floor fails the defining relation")
-        rows.append((j, k, a, eps, ub, inv, c_prime, c_lb, c_lb - a))
-    return rows
-
-
 @pytest.mark.parametrize("n, layers", [(2, 30), (3, 5), (4, 4)])
 def test_certificate_columns_equal_the_scalar_functions(n, layers):
     sched = demo_schedule(n)
@@ -380,3 +360,96 @@ def test_threshold_helper_matches_expansion():
     expect = math.sqrt(math.pi) * 3 ** 0.75 * (
         1.0 + 14.0 * math.sqrt(2.0 * 49.0 * 1e-6 + 1e-3))
     assert _threshold(n, k, a) == pytest.approx(expect, rel=1e-15)
+
+
+# -------------------------------------------------------------------
+# the one-element calls of the chain against the scalar oracle
+# -------------------------------------------------------------------
+
+def outcome(fn, *args):
+    """The type and float.hex of each float `fn` returns, or the type and
+    message of what it raises; a warning counts as raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = fn(*args)
+        except Exception as exc:
+            return type(exc).__name__, str(exc)
+    if isinstance(got, QuasimodeNorms):
+        got = dataclasses.astuple(got)
+    return [(type(v).__name__, v.hex()) for v in (got if isinstance(got, tuple) else (got,))]
+
+
+_ANY = st.floats(allow_nan=True, allow_infinity=True)
+_DIMENSION = st.integers(min_value=0, max_value=6)
+# inside (0,1), its edges and beyond
+_EPS = st.one_of(st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                           exclude_max=True),
+                 st.sampled_from([0.0, -0.0, 1.0, 5e-324, math.nan, math.inf]), _ANY)
+_K = st.one_of(st.floats(min_value=1e-3, max_value=1e3), _ANY)
+# on the resonance, off it by more than its 1e-12 tolerance, or anywhere
+_DETUNE = st.one_of(st.just(0.0), st.builds(
+    lambda m, e: m * 10.0 ** e, st.floats(min_value=-1.0, max_value=1.0),
+    st.integers(min_value=-16, max_value=-1)))
+
+
+@given(n=_DIMENSION, eps=_EPS)
+@settings(max_examples=300, deadline=None)
+@example(n=3, eps=0.25)
+@example(n=2, eps=1.0)
+@example(n=1, eps=0.5)
+def test_infsup_upper_equals_the_oracle(n, eps):
+    assert outcome(infsup_upper, n, eps) == outcome(oracle.infsup_upper, n, eps)
+
+
+@given(n=_DIMENSION, k=_K, ell=st.one_of(st.none(), _ANY), detune=_DETUNE, eps=_EPS)
+@settings(max_examples=300, deadline=None)
+@example(n=2, k=3.0, ell=None, detune=0.0, eps=0.3)
+@example(n=3, k=3.0, ell=None, detune=5e-12, eps=0.3)  # just past the tolerance
+@example(n=3, k=3.0, ell=None, detune=5e-13, eps=0.3)  # just inside it
+@example(n=4, k=3.0, ell=None, detune=0.0, eps=1.5)
+def test_quasimode_norms_equal_the_oracle(n, k, ell, detune, eps):
+    if ell is None:  # on or near the resonance k*ell = pi*sqrt(n)
+        ell = math.pi * math.sqrt(n) / k * (1.0 + detune) if k else 1.0
+    assert (outcome(quasimode_norms, n, k, ell, eps)
+            == outcome(oracle.quasimode_norms, n, k, ell, eps))
+
+
+@st.composite
+def thresholds(draw):
+    """(threshold, k): design thresholds 1 + 2k sqrt(2k^2 a^2 + a), also
+    where 8 k^2 S overflows (k from about 1e77), thresholds <= 1, and
+    anything."""
+    k = draw(st.one_of(st.floats(min_value=1e-3, max_value=1e3),
+                       st.floats(min_value=1e77, max_value=1e160), _ANY))
+    kind = draw(st.sampled_from(["design", "uninformative", "any"]))
+    if kind == "design" and 0.0 < k < math.inf:
+        a = draw(st.floats(min_value=1e-8, max_value=1.0))
+        return 1.0 + 2.0 * k * math.sqrt(2.0 * k * k * a * a + a), k
+    if kind == "uninformative":
+        return draw(st.floats(max_value=1.0)), k
+    return draw(_ANY), k
+
+
+@given(case=thresholds())
+@settings(max_examples=300, deadline=None)
+@example(case=(1.0 + 2e100 * math.sqrt(2e192 + 1e-4), 1e100))  # 8 k^2 S = inf
+@example(case=(1.0, 2.0))
+@example(case=(0.5, 2.0))
+@example(case=(3.0, 0.0))
+def test_resolvent_lower_equals_the_oracle(case):
+    assert outcome(resolvent_lower, *case) == outcome(oracle.resolvent_lower, *case)
+
+
+@given(n=st.integers(min_value=1, max_value=4), extra=st.sampled_from([0, 0, 0, 1]),
+       data=st.data(), q=st.integers(min_value=0, max_value=5),
+       a=st.one_of(st.floats(min_value=0.1, max_value=10.0), st.sampled_from([0.0, -1.0])),
+       quad_points=st.integers(min_value=4, max_value=40))
+@settings(max_examples=200, deadline=None)
+def test_trace_residual_equals_the_oracle(n, extra, data, q, a, quad_points):
+    # n - 1 frequencies but now and then one too many
+    p = data.draw(st.lists(st.integers(min_value=-1, max_value=6),
+                           min_size=max(0, n - 1 + extra), max_size=max(0, n - 1 + extra)))
+    args = (n, a, TraceTest(p=tuple(p), q=q), quad_points)
+    assert (outcome(trace_inequality_residual, *args)
+            == outcome(oracle.trace_inequality_residual, *args))

@@ -744,6 +744,26 @@ def test_run_values_outside_binary64_exit_2(tmp_path, capsys, command, case):
         "error: a derived value leaves binary64: float division by zero\n"][case]
 
 
+@pytest.mark.parametrize("command", ["build", "report"])
+@pytest.mark.parametrize("values, message", [
+    # two n = 3 cubes of side about 4.6e102: each volume is finite, the
+    # enclosure's upper end (built volume plus tail) is not
+    ([1.18e-102, 1.19e-102], "volume enclosure leaves binary64: built volume "
+     "9.805855253668339e+307 plus tail 9.560720364752048e+307"),
+    # the sum of the four tail volumes overflows
+    ([1.0e-102, 1.1e-102, 1.2e-102, 1.3e-102, 1.4e-102],
+     "volume tail leaves binary64: box 2 has side 4.946725538820594e+102"),
+], ids=["enclosure", "tail-sum"])
+def test_run_volume_past_binary64_exit_2(tmp_path, capsys, command, values, message):
+    doc = demo_mapping(dimension=3, layout="stacked", boxCount=1)
+    del doc["layers"]
+    doc["schedule"]["wavenumbers"] = {"family": "table", "values": values}
+    out = tmp_path / "out"
+    assert run([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["plan", "build", "certify", "plot", "report"])
 def test_run_subnormal_growth_constant_exit_2(tmp_path, capsys, command):
     # c = 1e-320 makes every wavenumber subnormal and every side infinite

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trapcert.geometry
+import trapcert.sequences
 from columns import make_boxes, take, with_values
 from packing_oracle import all_pairs_certificate, all_pairs_min_distance
 from trapcert.geometry import (
@@ -341,15 +342,42 @@ def test_stacked_short_tables_name_the_first_failing_box(k, a, d, count, message
     assert str(info.value) == message
 
 
-def test_stacked_reads_columns_not_per_box_values(monkeypatch):
+def no_per_box_schedule_calls(monkeypatch):
     def per_box(*args):
         raise AssertionError("a per-box schedule call")
 
     monkeypatch.setattr(trapcert.geometry, "derived_params", per_box)
-    monkeypatch.setattr(trapcert.geometry, "sidelength", per_box)
+    for name in ("derived_params", "sidelength", "wavenumber", "target_norm"):
+        monkeypatch.setattr(trapcert.sequences, name, per_box)
+
+
+def test_stacked_reads_columns_not_per_box_values(monkeypatch):
+    no_per_box_schedule_calls(monkeypatch)
     boxes, summary = build_stacked(stacked_schedule(extra=True), 2)
     assert boxes.side.tolist() == [1.0, 0.5]
     assert summary.volume_interval == (1.25, 1.25 + 0.0625)
+
+
+# n = 2 levels hold 1, 3 and 5 boxes: the wavenumber table ends inside level
+# 4, and the padding table allows three levels (or a stack of four boxes)
+_VOLUME_SCHEDULE = Schedule(2, KTable([3.0 + j for j in range(11)]), _A,
+                            DTable([0.9, 0.5, 0.3]))
+
+
+@pytest.mark.parametrize("build, built, last", [(build_stacked, 2, 4),
+                                                (build_layered, 4, 9)],
+                         ids=["stacked", "layered"])
+def test_volume_interval_equals_the_per_box_sum(monkeypatch, build, built, last):
+    no_per_box_schedule_calls(monkeypatch)
+    boxes, summary = build(_VOLUME_SCHEDULE, 2)
+    monkeypatch.undo()
+    assert len(boxes) == built
+    vol_lo = math.fsum(sidelength(_VOLUME_SCHEDULE, j) ** 2 for j in range(1, built + 1))
+    tail = math.fsum(sidelength(_VOLUME_SCHEDULE, j) ** 2
+                     for j in range(built + 1, last + 1))
+    assert tail > 0.0
+    assert [v.hex() for v in summary.volume_interval] == [vol_lo.hex(),
+                                                          (vol_lo + tail).hex()]
 
 
 @pytest.mark.parametrize("kvals, dvals, count, message", [

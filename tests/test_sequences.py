@@ -227,6 +227,21 @@ def test_padding_tail_bound_table_is_exact():
     assert padding_tail_bound(s, 3) == 0.0
 
 
+def test_volume_sums_past_binary64_raise_schedule_error():
+    # n = 3 cubes of side about 5e102: each finite, any two overflow
+    sched = Schedule(3, KTable([1.0e-102, 1.1e-102, 1.2e-102]), APower(1e-4, 0.25),
+                     DShiftedPower(2.0, 6.0, 1.2))
+    assert partial_volume(sched, 1) == sidelength(sched, 1) ** 3
+    with pytest.raises(ScheduleError) as info:
+        partial_volume(sched, 2)
+    assert str(info.value) == ("partial volume leaves binary64: box 1 has side "
+                               f"{sidelength(sched, 1)!r}")
+    with pytest.raises(ScheduleError) as info:
+        volume_tail_bound(sched, 1)
+    assert str(info.value) == ("volume tail leaves binary64: box 2 has side "
+                               f"{sidelength(sched, 2)!r}")
+
+
 @pytest.mark.parametrize("J", [10, 100])
 def test_volume_tail_bound_dominates_partial_sums(J):
     s = demo_schedule(2)
