@@ -26,9 +26,9 @@ form X * 2^(2 eY), so the common positive factor is dropped and only
 mantissa-sized numbers are combined.  This keeps orders up to 100 at
 rho = 0.05 (where |Y_nu| overflows binary64 by thousands of orders of
 magnitude) inside ordinary arithmetic.  The sweep takes the ladders of
-both order parities for a batch of radii in one pass
-(`specfun.ladder_batches`, equal to the scalar ladders bit for bit) and
-evaluates each check as a (radius x mode) array.
+both order parities for a batch of radii in one pass of the Bessel engine
+(`specfun.ladder_batches`) and evaluates each check as a (radius x mode)
+array.
 """
 
 from __future__ import annotations

@@ -240,13 +240,14 @@ def _grid(cols: int, axes: int) -> np.ndarray:
 
 
 def _summary(layout: str, boxes: Boxes, extent: float, widest: Tuple[str, float],
-             heights: Tuple[float, float], vol_tail: float) -> GeometrySummary:
-    """Summary of a build: the built volume exactly, and the circumradius
-    bound from the widest level (`widest`: its name and width) and the lower
-    height `heights[0]`.  A volume past binary64 names the widest box (its
-    enclosure, its two parts), a bound past binary64 the widest level."""
+             heights: Tuple[float, float], vol_lo: float,
+             vol_tail: float) -> GeometrySummary:
+    """Summary of a build from its built volume `vol_lo` and the volume
+    `vol_tail` past it, and the circumradius bound from the widest level
+    (`widest`: its name and width) and the lower height `heights[0]`.  An
+    enclosure past binary64 names its two parts, a bound past binary64 the
+    widest level."""
     n = boxes.lo.shape[1]
-    vol_lo = volume_sum(n, boxes.side, 1, "built volume")
     where, w_big = widest
     try:  # the first box spans [0, ell_1] vertically
         r_gamma = math.sqrt((n - 1) * w_big ** 2
@@ -299,6 +300,9 @@ def build_layered(sched: Schedule, layers: int) -> Tuple[Boxes, GeometrySummary]
     widest = max(plans, key=lambda p: p.width)
     named_width = (f"level {widest.i}", widest.width)
 
+    # the built boxes first: a build past binary64 names its largest box
+    # before any tail does
+    vol_lo = volume_sum(sched.n, boxes.side, 1, "built volume")
     if infinite:
         d_tail = padding(sched, m_ext) + padding_tail_bound(sched, m_ext)
         ell_tail = _level_side_tail(sched, m_ext)
@@ -318,7 +322,7 @@ def build_layered(sched: Schedule, layers: int) -> Tuple[Boxes, GeometrySummary]
         vol_tail = volume_sum(sched.n, sidelengths(sched, range(j_built + 1, j_all + 1)),
                               j_built + 1, "volume tail")
     return boxes, _summary("layered", boxes, widest.width, named_width,
-                           (h_lo, h_hi), vol_tail)
+                           (h_lo, h_hi), vol_lo, vol_tail)
 
 
 def build_stacked(sched: Schedule, count: int) -> Tuple[Boxes, GeometrySummary]:
@@ -363,10 +367,11 @@ def build_stacked(sched: Schedule, count: int) -> Tuple[Boxes, GeometrySummary]:
     lo[:, -1] = depths[:count]
     boxes = Boxes(j=np.arange(1, count + 1), layer=np.arange(1, count + 1), side=side,
                   gap=gap, k=k, a=a, lo=lo)
+    vol_lo = volume_sum(sched.n, boxes.side, 1, "built volume")
     vol_tail = volume_sum(sched.n, tail, count + 1, "volume tail")
     # k increases, so box 1 is the widest
     return boxes, _summary("stacked", boxes, sides[0], ("level 1", sides[0]),
-                           (depth, depth), vol_tail)
+                           (depth, depth), vol_lo, vol_tail)
 
 
 # -------------------------------------------------------------------

@@ -444,7 +444,11 @@ def volume_tail_bound(sched: Schedule, J: int) -> float:
                           "volume tail")
     if J < 3:
         raise ScheduleError("volume tail bound for the log-growth family needs J >= 3")
-    return (
-        (math.pi * math.sqrt(n)) ** n / fam.c ** n
-        * math.log(math.log(J)) ** (1 - 2 * n) / (2 * n - 1)
-    )
+    try:
+        bound = ((math.pi * math.sqrt(n) / fam.c) ** n
+                 * math.log(math.log(J)) ** (1 - 2 * n) / (2 * n - 1))
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ScheduleError(f"volume tail bound leaves binary64 at c={fam.c!r}, n={n}")
+    return bound

@@ -30,24 +30,24 @@ hundreds of orders, yet bilinear combinations (Wronskian, moduli ratios)
 remain perfectly representable.  Public evaluators convert to plain floats
 and raise :class:`BesselRangeError` rather than returning infinities.
 
-Two routes run this algorithm.  The scalar route (`_ladder`, behind every
-public scalar evaluator) is the audited reference.  The batched route runs
-the same steps over numpy arrays of points: CF1 and CF2 as masked Lentz
-iterations in which each point leaves the running set once it converges,
-the two recurrences and the Wronskian normalization as array operations,
-and one Temme series per distinct (mu, t) of a batch.  The 2^500 rescaling
-runs only on the steps where some point crosses it (a product by 1.0 is
-exact, so skipping it changes no bit).  `ladder_batches` returns full
-ladders of several base orders and counts in one pass (the modal sweep's
-two order parities), and `selftest_rows` takes the top-order entries of
-many (nu, t) at once.  The batched route equals the scalar one bit for
-bit: every point sees the same sequence of binary64 operations, and each of
-them (+ - * / sqrt, frexp, ldexp, comparisons) is correctly rounded or
-exact in numpy as in CPython.  The only complex arithmetic, CF2's, is
-CPython's own product and Smith quotient written out in reals (numpy's
-complex division rounds differently), and its |z| < bound tests defer to
-CPython's abs() for the rare points too close to the bound to settle from
-z's squared modulus.
+One engine runs this algorithm, `_ladders`, over numpy arrays of points:
+CF1 and CF2 as masked Lentz iterations in which each point leaves the
+running set once it converges, the two recurrences and the Wronskian
+normalization as array operations, and one Temme series per distinct
+(mu, t) of a batch.  The 2^500 rescaling runs only on the steps where some
+point crosses it (a product by 1.0 is exact, so skipping it changes no
+bit).  `ladder_batches` returns full ladders of several base orders and
+counts in one pass (the modal sweep's two order parities), `selftest_rows`
+takes the top-order entries of many (nu, t) at once, and every public
+scalar evaluator is a one-element call.  The test suite keeps the
+algorithm's scalar form, on Python floats, in `tests/oracles.py`, and
+requires the engine to equal it bit for bit: every point sees the same
+sequence of binary64 operations, and each of them (+ - * / sqrt, frexp,
+ldexp, comparisons) is correctly rounded or exact in numpy as in CPython.
+The only complex arithmetic, CF2's, is CPython's own product and Smith
+quotient written out in reals (numpy's complex division rounds
+differently), and its |z| < bound tests defer to CPython's abs() for the
+rare points too close to the bound to settle from z's squared modulus.
 
 Accuracy: better than 1e-10 relative to the modulus M_nu = |H_nu| for
 nu <= 200 and t in [1e-3, 1e3] (observed ~1e-11 worst case).  Relative to
@@ -156,105 +156,6 @@ class ScaledCylEval:
     ypm: float
     ey: int
 
-    def wronskian_residual(self) -> float:
-        """|J Y' - Y J' - 2/(pi t)| normalized by 2/(pi t)."""
-        w = 2.0 / (math.pi * self.t)
-        cross = self.jm * self.ypm - self.jpm * self.ym
-        # 2^(ej+ey) ~ |J*Y| / |mantissas| which is always moderate
-        return abs(cross * math.ldexp(1.0, self.ej + self.ey) - w) / w
-
-
-@dataclass(frozen=True)
-class Ladder:
-    """Scaled evaluations for the full run of orders mu0, mu0+1, ..., mu0+count.
-
-    Entry i holds J_{mu0+i} = jm[i]*2^ej[i] (J' = jpm[i]*2^ej[i]) and the
-    Y analogues.  The modal sweep, which needs every order at once, takes
-    the same ladders for many arguments from `ladder_batches`.
-    """
-
-    mu0: float
-    t: float
-    jm: List[float]
-    jpm: List[float]
-    ej: List[int]
-    ym: List[float]
-    ypm: List[float]
-    ey: List[int]
-
-    def entry(self, i: int) -> ScaledCylEval:
-        return ScaledCylEval(
-            nu=self.mu0 + i, t=self.t,
-            jm=self.jm[i], jpm=self.jpm[i], ej=self.ej[i],
-            ym=self.ym[i], ypm=self.ypm[i], ey=self.ey[i],
-        )
-
-
-# ===================================================================
-# continued fractions
-# ===================================================================
-
-def _cf1(nu: float, x: float) -> Tuple[float, int]:
-    """J_nu'(x)/J_nu(x) by modified Lentz, plus the sign of J_nu(x).
-
-    The fraction is  J'/J = nu/x - 1/(b1 - 1/(b2 - ...)),  b_k = 2(nu+k)/x.
-    Each negative Lentz denominator flips the recorded sign; the product of
-    flips is the sign of J_nu (the standard device for seeding the downward
-    recurrence with the true sign).
-    """
-    xi = 1.0 / x
-    f = nu * xi
-    if abs(f) < _TINY:
-        f = _TINY
-    c = f
-    d = 0.0
-    sign = 1
-    b = 2.0 * nu * xi
-    for _ in range(_MAXIT):
-        b += 2.0 * xi
-        d = b - d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b - 1.0 / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if d < 0.0:
-            sign = -sign
-        if abs(delta - 1.0) < _EPS:
-            return f, sign
-    raise ConvergenceError(f"CF1 stalled at nu={nu}, t={x}")
-
-
-def _cf2(mu: float, x: float) -> Tuple[float, float]:
-    """(p, q) with p + iq = H_mu'(x)/H_mu(x), valid for x >= 2.
-
-    Continued fraction  p+iq = -1/(2x) + i + (i/x) * K,  where
-    K = a1/(b1 + a2/(b2 + ...)), a_k = (k-1/2)^2 - mu^2, b_k = 2(x + ik).
-    """
-    f = complex(_TINY, 0.0)
-    c = f
-    d = 0j
-    mu2 = mu * mu
-    for k in range(1, _MAXIT):
-        a = (k - 0.5) ** 2 - mu2
-        b = complex(2.0 * x, 2.0 * k)
-        d = b + a * d
-        if abs(d) < _TINY:
-            d = complex(_TINY, 0.0)
-        c = b + a / c
-        if abs(c) < _TINY:
-            c = complex(_TINY, 0.0)
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < _EPS:
-            ratio = complex(-0.5 / x, 1.0) + complex(0.0, 1.0 / x) * f
-            return ratio.real, ratio.imag
-    raise ConvergenceError(f"CF2 stalled at mu={mu}, t={x}")
-
 
 # ===================================================================
 # Temme series for (Y_mu, Y_{mu+1}), |mu| <= 1/2, 0 < x < 2
@@ -345,117 +246,6 @@ def _temme_y(mu: float, x: float) -> Tuple[float, float]:
     raise ConvergenceError(f"Temme series stalled at mu={mu}, t={x}")
 
 
-# ===================================================================
-# the ladder: all orders mu0 .. mu0+count at one argument
-# ===================================================================
-
-def _ladder(mu0: float, x: float, count: int) -> Ladder:
-    top = mu0 + count
-    f_top, sgn = _cf1(top, x)
-
-    jm = [0.0] * (count + 1)
-    jpm = [0.0] * (count + 1)
-    ej = [0] * (count + 1)
-    cur = float(sgn)
-    curp = f_top * sgn
-    e = 0
-    jm[count] = cur
-    jpm[count] = curp
-    nu = top
-    for i in range(count - 1, -1, -1):
-        prev = (nu / x) * cur + curp
-        prevp = ((nu - 1.0) / x) * prev - cur
-        nu -= 1.0
-        cur, curp = prev, prevp
-        if abs(cur) > _RENORM:
-            cur *= _RENORM_INV
-            curp *= _RENORM_INV
-            e += _EXP_STEP
-        jm[i] = cur
-        jpm[i] = curp
-        ej[i] = e
-
-    if jm[0] == 0.0:
-        jm[0] = _TINY  # measure-zero hit of a J zero; nudge as usual
-    f_mu = jpm[0] / jm[0]
-    w = 2.0 / (math.pi * x)
-
-    if x < _XMIN:
-        ymu, ymu1 = _temme_y(mu0, x)
-        ypmu = (mu0 / x) * ymu - ymu1
-        jmu = w / (ypmu - f_mu * ymu)
-    else:
-        p, q = _cf2(mu0, x)
-        gam = (p - f_mu) / q
-        jmu = math.sqrt(w / ((p - f_mu) * gam + q))
-        if jm[0] < 0.0:
-            jmu = -jmu
-        ymu = gam * jmu
-        ypmu = q * jmu + p * ymu
-        ymu1 = (mu0 / x) * ymu - ypmu
-
-    # rescale the unnormalized J ladder so that order mu0 equals jmu
-    sm, se = math.frexp(jmu)
-    sig_m = sm / jm[0]
-    sig_e = se - ej[0]
-    for i in range(count + 1):
-        v = jm[i] * sig_m
-        vp = jpm[i] * sig_m
-        eei = ej[i] + sig_e
-        if v != 0.0:
-            mm, ee = math.frexp(v)
-            jm[i] = mm
-            jpm[i] = math.ldexp(vp, -ee)
-            ej[i] = eei + ee
-        else:
-            jm[i] = v
-            jpm[i] = vp
-            ej[i] = eei
-
-    ym = [0.0] * (count + 1)
-    ypm = [0.0] * (count + 1)
-    ey = [0] * (count + 1)
-    ya, yb = ymu, ymu1
-    e = 0
-    mm, ee = math.frexp(ya) if ya != 0.0 else (0.0, 0)
-    ym[0] = mm
-    ypm[0] = math.ldexp(ypmu, -ee) if ya != 0.0 else ypmu
-    ey[0] = ee
-    nu = mu0
-    for i in range(1, count + 1):
-        ya, yb = yb, (2.0 * (nu + 1.0) / x) * yb - ya
-        nu += 1.0
-        if abs(ya) > _RENORM or abs(yb) > _RENORM:
-            ya *= _RENORM_INV
-            yb *= _RENORM_INV
-            e += _EXP_STEP
-        ypv = (nu / x) * ya - yb
-        if ya != 0.0:
-            mm, ee = math.frexp(ya)
-            ym[i] = mm
-            ypm[i] = math.ldexp(ypv, -ee)
-            ey[i] = e + ee
-        else:
-            ym[i] = ya
-            ypm[i] = ypv
-            ey[i] = e
-    return Ladder(mu0=mu0, t=x, jm=jm, jpm=jpm, ej=ej, ym=ym, ypm=ypm, ey=ey)
-
-
-def bessel_ladder(mu0: float, t: float, count: int) -> Ladder:
-    """Scaled (J, Y) evaluations for all orders mu0 + 0..count at argument t.
-
-    For t < 2 the base order must satisfy |mu0| <= 1/2 (Temme seed); for
-    t >= 2 any mu0 in [-1/2, t + 1/2] is accepted (CF2 seed).
-    """
-    _validate(mu0 + count, t)
-    if count < 0:
-        raise BesselDomainError("count must be >= 0")
-    if t < _XMIN and not -0.5 <= mu0 <= 0.5:
-        raise BesselDomainError("ladder base order must lie in [-1/2, 1/2] for t < 2")
-    return _ladder(mu0, t, count)
-
-
 def _validate(nu: float, t: float) -> None:
     if not (math.isfinite(t) and t > 0.0):
         raise BesselDomainError(f"argument t must be finite and positive, got {t}")
@@ -464,7 +254,7 @@ def _validate(nu: float, t: float) -> None:
 
 
 # ===================================================================
-# the batched route: the scalar operations above over arrays of points
+# the engine: the continued fractions and the ladders over arrays of points
 # ===================================================================
 
 def _abs_below(re: np.ndarray, im: np.ndarray, bound: float) -> np.ndarray:
@@ -496,15 +286,19 @@ def _c_quot(ar, ai, br, bi):
 
 
 def _stall(kind: str, what: str, order: np.ndarray, t: np.ndarray) -> ConvergenceError:
-    """The scalar route's error, for the first point still running."""
+    """The stall error, naming the first point still running."""
     return ConvergenceError(f"{kind} stalled at {what}={float(order[0])}, t={float(t[0])}")
 
 
 def _cf1_batch(nu: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """`_cf1` over arrays of points: (J'/J, sign of J as +-1.0) per point.
+    """J_nu'(x)/J_nu(x) by modified Lentz, plus the sign of J_nu(x) as +-1.0,
+    per point.
 
-    Masked modified Lentz: every point runs the scalar iteration and leaves
-    the running set once it converges."""
+    The fraction is  J'/J = nu/x - 1/(b1 - 1/(b2 - ...)),  b_k = 2(nu+k)/x.
+    Each negative Lentz denominator flips the recorded sign; the product of
+    flips is the sign of J_nu (the standard device for seeding the downward
+    recurrence with the true sign).  Each point leaves the running set once
+    it converges."""
     f_out = np.empty_like(x)
     sign_out = np.empty_like(x)
     idx = np.arange(x.size)
@@ -538,11 +332,14 @@ def _cf1_batch(nu: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _cf2_batch(mu: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """`_cf2` over arrays of points, bit for bit.
+    """(p, q) with p + iq = H_mu'(x)/H_mu(x) per point, valid for x >= 2.
 
-    The scalar fraction runs on Python complex numbers; here each complex
-    step is CPython's own formula in real arithmetic: a float operand is a
-    complex with imaginary part 0.0, products are `_Py_c_prod` and
+    Continued fraction  p+iq = -1/(2x) + i + (i/x) * K,  where
+    K = a1/(b1 + a2/(b2 + ...)), a_k = (k-1/2)^2 - mu^2, b_k = 2(x + ik),
+    by modified Lentz; each point leaves the running set once it converges.
+    Each complex step is CPython's own formula in real arithmetic, so the
+    fraction rounds as it does on Python complex numbers: a float operand is
+    a complex with imaginary part 0.0, products are `_Py_c_prod` and
     quotients `_c_quot`.  (numpy's complex division multiplies by a
     reciprocal, which rounds differently.)"""
     p_out = np.empty_like(x)
@@ -586,7 +383,7 @@ def _cf2_batch(mu: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _frexp_pair(v: np.ndarray, vp: np.ndarray, e: np.ndarray):
     """(frexp mantissa of v, vp at v's scale, e plus v's exponent), written
-    over v, vp and e; a zero v keeps v, vp and e, as the scalar route does."""
+    over v, vp and e; a zero v keeps v, vp and e."""
     ee = np.frexp(v, out=(v, np.empty(v.shape, dtype=np.int32)))[1]
     np.ldexp(vp, -ee, out=vp)
     e += ee
@@ -599,7 +396,7 @@ def _prefix(k: int, *arrays: np.ndarray) -> Sequence[np.ndarray]:
 
 
 def _ladders(mu0: np.ndarray, x: np.ndarray, counts: np.ndarray, full: bool):
-    """`_ladder` over arrays of points, bit for bit.
+    """Scaled (J, Y) ladders at arrays of points: the Bessel engine.
 
     Point p recurs from order mu0[p] + counts[p] down to mu0[p] and back up.
     With `full` every order is kept: six (P, max(counts) + 1) arrays come
@@ -719,7 +516,7 @@ def _ladders(mu0: np.ndarray, x: np.ndarray, counts: np.ndarray, full: bool):
 
     if full:
         ym, ypm, ey = _frexp_pair(ym[:steps + 1], ypm, ey)
-        ym[0][ymu == 0.0] = 0.0  # the scalar route stores +0.0 for a zero Y_mu
+        ym[0][ymu == 0.0] = 0.0  # a zero Y_mu is stored as +0.0
     else:
         ym, ypm, ey = _frexp_pair(np.choose(counts & 1, ym), np.choose(counts & 1, ypm), e)
         ym[(counts == 0) & (ymu == 0.0)] = 0.0
@@ -731,8 +528,9 @@ def _ladders(mu0: np.ndarray, x: np.ndarray, counts: np.ndarray, full: bool):
 class LadderBatch:
     """Ladders of orders mu0, mu0+1, ..., mu0+count at every argument in t.
 
-    Row p, column i holds the scaled entry of order mu0+i at t[p], exactly
-    as `bessel_ladder(mu0, t[p], count).entry(i)` holds it."""
+    Row p, column i holds the scaled entry of order mu0+i at t[p]:
+    J = jm*2^ej, J' = jpm*2^ej, Y = ym*2^ey and Y' = ypm*2^ey, as in
+    `ScaledCylEval`."""
 
     mu0: float
     t: np.ndarray
@@ -746,13 +544,14 @@ class LadderBatch:
 
 def ladder_batches(bases: Sequence[Tuple[float, int]],
                    ts: Sequence[float]) -> List[LadderBatch]:
-    """`bessel_ladder(mu0, t, count)` for every t in ts and (mu0, count) in
-    bases, one LadderBatch per base, equal to the scalar ladders bit for bit.
+    """The ladders of orders mu0 + 0..count at every t in ts, for every
+    (mu0, count) in bases: one LadderBatch per base.
 
     All len(bases) * len(ts) ladders run as one batch, so each recurrence
     step is paid once for all of them.  The counts may differ: every ladder
-    keeps its own top order, and so its own bits.  The scalar domain rules
-    apply to every ladder."""
+    keeps its own top order, and so its own bits.  For t < 2 the base order
+    must satisfy |mu0| <= 1/2 (Temme seed); for t >= 2 any mu0 in
+    [-1/2, t + 1/2] is accepted (CF2 seed)."""
     t = np.asarray(ts, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise BesselDomainError("arguments must form a nonempty 1-d sequence")
@@ -770,18 +569,27 @@ def ladder_batches(bases: Sequence[Tuple[float, int]],
             for g, (mu0, count) in enumerate(bases)]
 
 
+def bessel_ladder(mu0: float, t: float, count: int) -> LadderBatch:
+    """`ladder_batches` for one base and one argument: the orders
+    mu0 + 0..count at t, as a one-row LadderBatch."""
+    return ladder_batches([(mu0, count)], [t])[0]
+
+
 def _scaled_entries(nu: np.ndarray, t: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """`cyl_bessel_scaled(nu[p], t[p])` for every p, bit for bit, as the six
-    arrays (jm, jpm, ej, ym, ypm, ey): the same ladder split per point."""
+    """The scaled entry of order nu[p] at t[p] for every p, as the six arrays
+    (jm, jpm, ej, ym, ypm, ey).  Point p recurs nl orders up from the base
+    nu - nl, which lies in [-1/2, 1/2] below t = 2 and at most t + 1/2
+    from t = 2 on."""
     nl = np.where(t < _XMIN, (nu + 0.5).astype(np.int64),
                   np.maximum(0, (nu - t + 1.5).astype(np.int64)))
     return _ladders(nu - nl, t, nl, False)
 
 
 def _wronskian_residuals(t: np.ndarray, jm, jpm, ej, ym, ypm, ey) -> np.ndarray:
-    """`ScaledCylEval.wronskian_residual` of every entry, bit for bit."""
+    """|J Y' - Y J' - 2/(pi t)| normalized by 2/(pi t), per scaled entry."""
     w = 2.0 / (math.pi * t)
     cross = jm * ypm - jpm * ym
+    # 2^(ej+ey) ~ |J*Y| / |mantissas| which is always moderate
     return np.abs(cross * np.ldexp(1.0, ej + ey) - w) / w
 
 
@@ -792,13 +600,8 @@ def _wronskian_residuals(t: np.ndarray, jm, jpm, ej, ym, ypm, ey) -> np.ndarray:
 def cyl_bessel_scaled(nu: float, t: float) -> ScaledCylEval:
     """Scaled (J_nu, Y_nu, J_nu', Y_nu') at t; never overflows internally."""
     _validate(nu, t)
-    if t < _XMIN:
-        nl = int(nu + 0.5)
-    else:
-        nl = max(0, int(nu - t + 1.5))
-    mu = nu - nl
-    lad = _ladder(mu, t, nl)
-    return lad.entry(nl)
+    entry = _scaled_entries(np.array([nu], dtype=float), np.array([t], dtype=float))
+    return ScaledCylEval(nu, t, *(a[0].item() for a in entry))
 
 
 def _to_plain(m: float, e: int, what: str, nu: float, t: float) -> float:
@@ -835,7 +638,8 @@ def wronskian_residual(nu: float, t: float) -> float:
     regimes where the plain evaluations would overflow (there it reports the
     engine's health rather than asserting it).
     """
-    return cyl_bessel_scaled(nu, t).wronskian_residual()
+    s = cyl_bessel_scaled(nu, t)
+    return float(_wronskian_residuals(t, s.jm, s.jpm, s.ej, s.ym, s.ypm, s.ey))
 
 
 def spherical_order(m: int, n: int) -> float:
@@ -949,13 +753,11 @@ def validation_grid() -> Tuple[List[float], List[float]]:
 # Batching by argument runs each Temme series once per selftest, and the
 # rows do not depend on the batch size.  Measured on the whole selftest
 # (2-core Xeon, Python 3.11.7, numpy 2.4, fresh interpreter, three runs
-# each): 3 arguments per batch take 1.61-1.84 s and reach a peak RSS of
-# 36.2 MiB, 10 take 0.89-1.12 s and reach 36.5 MiB.  The difference is
-# the fixed cost of a batch's numpy calls, paid 134 times against 40.
+# each): 3 arguments per batch take 1.00-1.67 s and reach a peak RSS of
+# 35.8-36.5 MiB, 10 take 0.73-0.87 s and reach 36.4-36.5 MiB.  The
+# difference is the fixed cost of a batch's numpy calls, paid 134 times
+# against 40.
 _SELFTEST_BATCH_TS = 10
-# every point with (order index + argument index) % 20 == 0 is also run
-# through the scalar route: 20 arguments per order, 4,020 points in all
-_SELFTEST_SAMPLE = 20
 
 
 def selftest_rows(
@@ -964,13 +766,13 @@ def selftest_rows(
 ) -> Iterator[Tuple[float, float, float, Optional[float], bool]]:
     """Yield (nu, t, wronskian_residual, halfint_relerr|None, ok) over the grid.
 
-    Every point is evaluated once, on the batched route, a batch of
-    arguments (every order at each) at a time; a fixed sample of points
-    also runs the scalar `wronskian_residual`, and a residual that differs
-    from the scalar one in any bit fails its row.  halfint_relerr compares
-    the batched h_m(3, t) and h_m'(3, t) with the closed form where nu is a
-    half-integer with nu - 0.5 <= 20 and t in [0.1, 100] (the closed-form
-    validation box); elsewhere None.
+    Every point is evaluated once, a batch of arguments (every order at
+    each) at a time.  halfint_relerr compares the h_m(3, t) and h_m'(3, t)
+    of the same batch with the closed form where nu is a half-integer with
+    nu - 0.5 <= 20 and t in [0.1, 100] (the closed-form validation box);
+    elsewhere None.  The test suite requires these rows to equal, bit for
+    bit, the scalar form of the engine in `tests/oracles.py` run on every
+    point.
     """
     nus, ts = validation_grid()
     nu_arr = np.array(nus)
@@ -998,8 +800,6 @@ def selftest_rows(
         for j, (t, wr) in enumerate(zip(ts, residuals[i].tolist())):
             he: Optional[float] = None
             ok = wr <= wronskian_tol
-            if (i + j) % _SELFTEST_SAMPLE == 0:
-                ok = (wronskian_residual(nu, t) == wr) and ok
             if r is not None and box[j]:
                 he = errors[r, j].item()
                 ok = ok and he <= halfint_tol

@@ -1,22 +1,38 @@
-"""Frozen reference values for the test suite, and the scalar selftest.
+"""Frozen reference values for the test suite, and the scalar Bessel engine.
 
-Every number here was produced by an independent route (mpmath at 45
-significant digits, or a closed form evaluated by hand) and then frozen as a
-binary64 literal.  Regenerate with  python tests/oracles.py  and compare the
-printed output against this file before editing anything.
+Every number in the tables was produced by an independent route (mpmath at
+45 significant digits, or a closed form evaluated by hand) and then frozen
+as a binary64 literal.  Regenerate with  python tests/oracles.py  and
+compare the printed output against this file before editing anything.
 
-`scalar_selftest_rows` is the special-function selftest as it ran before
-the batched ladders: one scalar `wronskian_residual` per grid point.  The
-tests require `specfun.selftest_rows` to yield the same rows bit for bit.
+`_cf1`, `_cf2` and `_ladder` are the Steed/Temme algorithm of
+`trapcert.specfun` in scalar form: one argument at a time, on Python floats
+and complex numbers (the Temme series, scalar already, is the package's
+own).  They are the bit reference for the package's one batched engine:
+the tests require `specfun._ladders` to equal `_ladder`, every public
+scalar evaluator to equal its value on `scalar_cyl_bessel_scaled`, and
+`specfun.selftest_rows` to equal `scalar_selftest_rows`, bit for bit.
 """
 
-from typing import Iterator, Optional, Tuple
+import math
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Tuple
 
 from trapcert.specfun import (
-    spherical_hankel,
+    _EPS,
+    _EXP_STEP,
+    _MAXIT,
+    _RENORM,
+    _RENORM_INV,
+    _TINY,
+    _XMIN,
+    ConvergenceError,
+    ScaledCylEval,
+    _hankel_pair,
+    _temme_y,
+    _validate,
     spherical_hankel_closed,
     validation_grid,
-    wronskian_residual,
 )
 
 # (nu, t, J, Y, J', Y') spanning the series region, the continued-fraction
@@ -88,6 +104,211 @@ SPH_TABLE = [
 ]
 
 
+# ===================================================================
+# the scalar engine
+# ===================================================================
+
+@dataclass(frozen=True)
+class Ladder:
+    """Scaled evaluations for the full run of orders mu0, mu0+1, ..., mu0+count.
+
+    Entry i holds J_{mu0+i} = jm[i]*2^ej[i] (J' = jpm[i]*2^ej[i]) and the
+    Y analogues.  The modal sweep, which needs every order at once, takes
+    the same ladders for many arguments from `ladder_batches`.
+    """
+
+    mu0: float
+    t: float
+    jm: List[float]
+    jpm: List[float]
+    ej: List[int]
+    ym: List[float]
+    ypm: List[float]
+    ey: List[int]
+
+    def entry(self, i: int) -> ScaledCylEval:
+        return ScaledCylEval(
+            nu=self.mu0 + i, t=self.t,
+            jm=self.jm[i], jpm=self.jpm[i], ej=self.ej[i],
+            ym=self.ym[i], ypm=self.ypm[i], ey=self.ey[i],
+        )
+
+
+def _cf1(nu: float, x: float) -> Tuple[float, int]:
+    """J_nu'(x)/J_nu(x) by modified Lentz, plus the sign of J_nu(x).
+
+    The fraction is  J'/J = nu/x - 1/(b1 - 1/(b2 - ...)),  b_k = 2(nu+k)/x.
+    Each negative Lentz denominator flips the recorded sign; the product of
+    flips is the sign of J_nu (the standard device for seeding the downward
+    recurrence with the true sign).
+    """
+    xi = 1.0 / x
+    f = nu * xi
+    if abs(f) < _TINY:
+        f = _TINY
+    c = f
+    d = 0.0
+    sign = 1
+    b = 2.0 * nu * xi
+    for _ in range(_MAXIT):
+        b += 2.0 * xi
+        d = b - d
+        if abs(d) < _TINY:
+            d = _TINY
+        c = b - 1.0 / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        delta = c * d
+        f *= delta
+        if d < 0.0:
+            sign = -sign
+        if abs(delta - 1.0) < _EPS:
+            return f, sign
+    raise ConvergenceError(f"CF1 stalled at nu={nu}, t={x}")
+
+
+def _cf2(mu: float, x: float) -> Tuple[float, float]:
+    """(p, q) with p + iq = H_mu'(x)/H_mu(x), valid for x >= 2.
+
+    Continued fraction  p+iq = -1/(2x) + i + (i/x) * K,  where
+    K = a1/(b1 + a2/(b2 + ...)), a_k = (k-1/2)^2 - mu^2, b_k = 2(x + ik).
+    """
+    f = complex(_TINY, 0.0)
+    c = f
+    d = 0j
+    mu2 = mu * mu
+    for k in range(1, _MAXIT):
+        a = (k - 0.5) ** 2 - mu2
+        b = complex(2.0 * x, 2.0 * k)
+        d = b + a * d
+        if abs(d) < _TINY:
+            d = complex(_TINY, 0.0)
+        c = b + a / c
+        if abs(c) < _TINY:
+            c = complex(_TINY, 0.0)
+        d = 1.0 / d
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) < _EPS:
+            ratio = complex(-0.5 / x, 1.0) + complex(0.0, 1.0 / x) * f
+            return ratio.real, ratio.imag
+    raise ConvergenceError(f"CF2 stalled at mu={mu}, t={x}")
+
+
+def _ladder(mu0: float, x: float, count: int) -> Ladder:
+    top = mu0 + count
+    f_top, sgn = _cf1(top, x)
+
+    jm = [0.0] * (count + 1)
+    jpm = [0.0] * (count + 1)
+    ej = [0] * (count + 1)
+    cur = float(sgn)
+    curp = f_top * sgn
+    e = 0
+    jm[count] = cur
+    jpm[count] = curp
+    nu = top
+    for i in range(count - 1, -1, -1):
+        prev = (nu / x) * cur + curp
+        prevp = ((nu - 1.0) / x) * prev - cur
+        nu -= 1.0
+        cur, curp = prev, prevp
+        if abs(cur) > _RENORM:
+            cur *= _RENORM_INV
+            curp *= _RENORM_INV
+            e += _EXP_STEP
+        jm[i] = cur
+        jpm[i] = curp
+        ej[i] = e
+
+    if jm[0] == 0.0:
+        jm[0] = _TINY  # measure-zero hit of a J zero; nudge as usual
+    f_mu = jpm[0] / jm[0]
+    w = 2.0 / (math.pi * x)
+
+    if x < _XMIN:
+        ymu, ymu1 = _temme_y(mu0, x)
+        ypmu = (mu0 / x) * ymu - ymu1
+        jmu = w / (ypmu - f_mu * ymu)
+    else:
+        p, q = _cf2(mu0, x)
+        gam = (p - f_mu) / q
+        jmu = math.sqrt(w / ((p - f_mu) * gam + q))
+        if jm[0] < 0.0:
+            jmu = -jmu
+        ymu = gam * jmu
+        ypmu = q * jmu + p * ymu
+        ymu1 = (mu0 / x) * ymu - ypmu
+
+    # rescale the unnormalized J ladder so that order mu0 equals jmu
+    sm, se = math.frexp(jmu)
+    sig_m = sm / jm[0]
+    sig_e = se - ej[0]
+    for i in range(count + 1):
+        v = jm[i] * sig_m
+        vp = jpm[i] * sig_m
+        eei = ej[i] + sig_e
+        if v != 0.0:
+            mm, ee = math.frexp(v)
+            jm[i] = mm
+            jpm[i] = math.ldexp(vp, -ee)
+            ej[i] = eei + ee
+        else:
+            jm[i] = v
+            jpm[i] = vp
+            ej[i] = eei
+
+    ym = [0.0] * (count + 1)
+    ypm = [0.0] * (count + 1)
+    ey = [0] * (count + 1)
+    ya, yb = ymu, ymu1
+    e = 0
+    mm, ee = math.frexp(ya) if ya != 0.0 else (0.0, 0)
+    ym[0] = mm
+    ypm[0] = math.ldexp(ypmu, -ee) if ya != 0.0 else ypmu
+    ey[0] = ee
+    nu = mu0
+    for i in range(1, count + 1):
+        ya, yb = yb, (2.0 * (nu + 1.0) / x) * yb - ya
+        nu += 1.0
+        if abs(ya) > _RENORM or abs(yb) > _RENORM:
+            ya *= _RENORM_INV
+            yb *= _RENORM_INV
+            e += _EXP_STEP
+        ypv = (nu / x) * ya - yb
+        if ya != 0.0:
+            mm, ee = math.frexp(ya)
+            ym[i] = mm
+            ypm[i] = math.ldexp(ypv, -ee)
+            ey[i] = e + ee
+        else:
+            ym[i] = ya
+            ypm[i] = ypv
+            ey[i] = e
+    return Ladder(mu0=mu0, t=x, jm=jm, jpm=jpm, ej=ej, ym=ym, ypm=ypm, ey=ey)
+
+
+def scalar_cyl_bessel_scaled(nu: float, t: float) -> ScaledCylEval:
+    """`specfun.cyl_bessel_scaled` on the scalar ladder."""
+    _validate(nu, t)
+    if t < _XMIN:
+        nl = int(nu + 0.5)
+    else:
+        nl = max(0, int(nu - t + 1.5))
+    mu = nu - nl
+    lad = _ladder(mu, t, nl)
+    return lad.entry(nl)
+
+
+def scalar_wronskian_residual(nu: float, t: float) -> float:
+    """`specfun.wronskian_residual` on the scalar ladder, in Python floats."""
+    s = scalar_cyl_bessel_scaled(nu, t)
+    w = 2.0 / (math.pi * s.t)
+    cross = s.jm * s.ypm - s.jpm * s.ym
+    return abs(cross * math.ldexp(1.0, s.ej + s.ey) - w) / w
+
+
 def scalar_selftest_rows(
     wronskian_tol: float = 1.0e-10,
     halfint_tol: float = 1.0e-10,
@@ -97,16 +318,15 @@ def scalar_selftest_rows(
     for nu in nus:
         half = (nu * 2.0) % 2.0 == 1.0 and nu - 0.5 <= 20.0
         for t in ts:
-            wr = wronskian_residual(nu, t)
+            wr = scalar_wronskian_residual(nu, t)
             he: Optional[float] = None
             ok = wr <= wronskian_tol
             if half and 0.1 <= t <= 100.0:
-                mm = int(nu - 0.5)
-                ref_h, ref_hp = spherical_hankel_closed(mm, 3, t)
-                got = spherical_hankel(mm, 3, t)
+                ref_h, ref_hp = spherical_hankel_closed(int(nu - 0.5), 3, t)
+                h, hp = _hankel_pair(scalar_cyl_bessel_scaled(nu, t), 3)
                 he = max(
-                    abs(got.h - ref_h) / abs(ref_h),
-                    abs(got.hp - ref_hp) / abs(ref_hp),
+                    abs(h - ref_h) / abs(ref_h),
+                    abs(hp - ref_hp) / abs(ref_hp),
                 )
                 ok = ok and he <= halfint_tol
             yield nu, t, wr, he, ok

@@ -1,8 +1,8 @@
 """Per-radius modal sweep: the reference for the batched `verify_sweep`.
 
 `per_radius_sweep` is the sweep as it ran before the batched ladders: one
-scalar `bessel_ladder` per base order and radius, and the four checks as
-1-d arrays over the modes of one (radius, dimension) at a time.  The tests
+scalar ladder (`oracles._ladder`) per base order and radius, and the four
+checks as 1-d arrays over the modes of one (radius, dimension) at a time.  The tests
 require `verify_sweep` to return the same `SweepSummary` and to hand the
 same records to a sink, field by field and bit for bit.
 """
@@ -23,7 +23,8 @@ from trapcert.dtnverify import (
     default_alphas,
     default_rho_grid,
 )
-from trapcert.specfun import bessel_ladder
+
+from oracles import _ladder
 
 _SIGN_TOL = 1e-9
 _VIOLATION_CAP = 500
@@ -63,9 +64,9 @@ def per_radius_sweep(n_values: Sequence[int] = DEFAULT_N_VALUES,
     for rho in rho_arr.tolist():
         ladders = {}
         if 0 in count_by_parity:
-            ladders[0] = bessel_ladder(0.0, rho, count_by_parity[0])
+            ladders[0] = _ladder(0.0, rho, count_by_parity[0])
         if 1 in count_by_parity:
-            ladders[1] = bessel_ladder(0.5, rho, count_by_parity[1])
+            ladders[1] = _ladder(0.5, rho, count_by_parity[1])
         for n in n_tuple:
             lad = ladders[n % 2]
             base = (n - 2) // 2

@@ -703,8 +703,8 @@ def _plan_build_cases():
     (_c_1e300(), "gap fraction 0.0 left (0,1) at n=2, k="),
     (demo_mapping(layers=10_000), "10000 layers hold 435585210 boxes, more than"),
 ] + list(zip(_plan_build_cases(), [
-    "a derived value leaves binary64: float division by zero\n",
-    "a derived value leaves binary64: float division by zero\n",
+    "built volume leaves binary64: box 1 has side 3.7028612242571093e+307\n",
+    "built volume leaves binary64: box 1 has side 3.702861224257109e+200\n",
     "built volume leaves binary64: box 1 has side 3.702861224257109e+160\n",
     "circumradius bound leaves binary64: width 9.766419601969611e+299 "
     "(bound for the levels past 256), lowest height -9.998129297044348e+303\n",
@@ -728,7 +728,8 @@ def _out_of_range_mappings():
     tiny_k["schedule"] = {"wavenumbers": {"family": "table", "values": [1e-300]},
                           "targets": {"family": "table", "values": [1.0]},
                           "paddings": {"family": "table", "values": [0.5]}}
-    # c^n underflows to 0 in the volume tail bound's denominator
+    # box 1 of side 3.7e170: its square overflows, and so does the volume
+    # tail bound (pi sqrt(n) / c)^n
     tiny_c = demo_mapping(layers=2)
     tiny_c["schedule"]["wavenumbers"]["c"] = 1e-170
     return [tiny_k, tiny_c]
@@ -741,7 +742,7 @@ def test_run_values_outside_binary64_exit_2(tmp_path, capsys, command, case):
     assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == [
         "error: built volume leaves binary64: box 1 has side 5.441398092702653e+300\n",
-        "error: a derived value leaves binary64: float division by zero\n"][case]
+        "error: built volume leaves binary64: box 1 has side 3.702861224257109e+170\n"][case]
 
 
 @pytest.mark.parametrize("command", ["build", "report"])

@@ -242,6 +242,16 @@ def test_volume_sums_past_binary64_raise_schedule_error():
                                f"{sidelength(sched, 2)!r}")
 
 
+@pytest.mark.parametrize("c, n", [(1e-170, 2), (1e-160, 2), (1e-103, 3), (1e-77, 4)])
+def test_volume_tail_bound_past_binary64_raises_schedule_error(c, n):
+    # (pi sqrt(n) / c)^n overflows; c^n alone underflows (at c = 1e-170, n = 2,
+    # to 0) or is subnormal
+    sched = Schedule(n, KLogGrowth(c), APower(1e-4, 0.25), DShiftedPower(2.0, 6.0, 1.2))
+    with pytest.raises(ScheduleError) as info:
+        volume_tail_bound(sched, 3)
+    assert str(info.value) == f"volume tail bound leaves binary64 at c={c!r}, n={n}"
+
+
 @pytest.mark.parametrize("J", [10, 100])
 def test_volume_tail_bound_dominates_partial_sums(J):
     s = demo_schedule(2)

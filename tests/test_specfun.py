@@ -1,12 +1,14 @@
+import dataclasses
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from trapcert import specfun
-from trapcert.dtnverify import default_rho_grid
+from trapcert import dtnverify, specfun
+from trapcert.dtnverify import a_nu, b_m, default_alphas, default_rho_grid, dtn_eigenvalue
 from trapcert.specfun import (
     BesselDomainError,
     BesselRangeError,
@@ -22,7 +24,15 @@ from trapcert.specfun import (
     wronskian_residual,
 )
 
-from oracles import JY_TABLE, LOG_EXTREME_TABLE, SPH_TABLE, scalar_selftest_rows
+import oracles
+from oracles import (
+    JY_TABLE,
+    LOG_EXTREME_TABLE,
+    SPH_TABLE,
+    scalar_cyl_bessel_scaled,
+    scalar_selftest_rows,
+    scalar_wronskian_residual,
+)
 
 LN2 = math.log(2.0)
 
@@ -49,7 +59,7 @@ def test_scaled_representation_beyond_float_range(nu, t, sj, lnj, sy, lny):
     assert math.copysign(1.0, s.ym) == sy
     assert math.isclose(math.log(abs(s.jm)) + s.ej * LN2, lnj, rel_tol=1e-12)
     assert math.isclose(math.log(abs(s.ym)) + s.ey * LN2, lny, rel_tol=1e-12)
-    assert s.wronskian_residual() <= 1e-12
+    assert wronskian_residual(nu, t) <= 1e-12
 
 
 @pytest.mark.parametrize("m,n,t,h,hp", SPH_TABLE)
@@ -127,14 +137,15 @@ def test_spherical_modulus_and_wronskian_invariants(m, n, logt):
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0])
 def test_modulus_strictly_decreasing(nu):
-    ts = [10.0 ** (-2.0 + 4.0 * i / 299.0) for i in range(300)]
+    ts = np.array([10.0 ** (-2.0 + 4.0 * i / 299.0) for i in range(300)])
+    # the engine's entries at all 300 arguments in one call
+    jm, _, ej, ym, _, ey = (a.tolist() for a in specfun._scaled_entries(np.full(300, nu), ts))
     prev = math.inf
-    for t in ts:
-        s = cyl_bessel_scaled(nu, t)
-        if s.ej >= s.ey:
-            lnm = math.log(math.hypot(s.jm, math.ldexp(s.ym, s.ey - s.ej))) + s.ej * LN2
+    for p in range(ts.size):
+        if ej[p] >= ey[p]:
+            lnm = math.log(math.hypot(jm[p], math.ldexp(ym[p], ey[p] - ej[p]))) + ej[p] * LN2
         else:
-            lnm = math.log(math.hypot(math.ldexp(s.jm, s.ej - s.ey), s.ym)) + s.ey * LN2
+            lnm = math.log(math.hypot(math.ldexp(jm[p], ej[p] - ey[p]), ym[p])) + ey[p] * LN2
         assert lnm < prev
         prev = lnm
 
@@ -176,19 +187,20 @@ def test_closed_form_base_cases():
 
 @pytest.mark.parametrize("mu0,t,count", [(0.0, 0.7, 40), (0.5, 35.0, 60), (0.25, 2.0, 10)])
 def test_ladder_matches_scalar_evaluations(mu0, t, count):
+    # one long ladder against the oracle's evaluation of each order on its own
     lad = bessel_ladder(mu0, t, count)
     for i in range(0, count + 1, 7):
-        e = lad.entry(i)
-        s = cyl_bessel_scaled(mu0 + i, t)
+        s = scalar_cyl_bessel_scaled(mu0 + i, t)
         for got_m, got_e, ref_m, ref_e in (
-            (e.jm, e.ej, s.jm, s.ej),
-            (e.ym, e.ey, s.ym, s.ey),
+            (lad.jm[0, i], lad.ej[0, i], s.jm, s.ej),
+            (lad.ym[0, i], lad.ey[0, i], s.ym, s.ey),
         ):
             got = math.log(abs(got_m)) + got_e * LN2
             ref = math.log(abs(ref_m)) + ref_e * LN2
             assert math.isclose(got, ref, rel_tol=0, abs_tol=1e-10)
             assert math.copysign(1.0, got_m) == math.copysign(1.0, ref_m)
-        assert e.wronskian_residual() <= 1e-12
+    entries = (lad.jm, lad.jpm, lad.ej, lad.ym, lad.ypm, lad.ey)
+    assert specfun._wronskian_residuals(t, *entries).max() <= 1e-12
 
 
 # -------------------------------------------------------------------
@@ -233,10 +245,12 @@ def test_against_scipy_dense_grid():
     import random
 
     rng = random.Random(20260823)
-    for _ in range(800):
-        nu = rng.uniform(0.0, 200.0)
-        t = 10.0 ** rng.uniform(-3.0, 3.0)
-        s = cyl_bessel_scaled(nu, t)
+    points = [(rng.uniform(0.0, 200.0), 10.0 ** rng.uniform(-3.0, 3.0)) for _ in range(800)]
+    nus = np.array([nu for nu, _ in points])
+    ts = np.array([t for _, t in points])
+    entries = [a.tolist() for a in specfun._scaled_entries(nus, ts)]
+    for p, (nu, t) in enumerate(points):
+        jm, jpm, ej, ym, ypm, ey = (a[p] for a in entries)
         refj = scipy_special.jv(nu, t)
         refy = scipy_special.yv(nu, t)
         refjp = scipy_special.jvp(nu, t)
@@ -245,8 +259,7 @@ def test_against_scipy_dense_grid():
             continue
         modM = math.hypot(refj, refy)
         modN = math.hypot(refjp, refyp)
-        got = [math.ldexp(m, e) for m, e in
-               ((s.jm, s.ej), (s.ym, s.ey), (s.jpm, s.ej), (s.ypm, s.ey))]
+        got = [math.ldexp(m, e) for m, e in ((jm, ej), (ym, ey), (jpm, ej), (ypm, ey))]
         assert abs(got[0] - refj) <= 1e-10 * modM
         assert abs(got[1] - refy) <= 1e-10 * modM
         assert abs(got[2] - refjp) <= 1e-10 * modN
@@ -261,7 +274,7 @@ def test_validation_grid_shape():
 
 
 # -------------------------------------------------------------------
-# the batched route against the scalar route, bit for bit
+# the engine against the scalar engine of tests/oracles.py, bit for bit
 # -------------------------------------------------------------------
 
 def bessel_ladders(mu0, ts, count):
@@ -275,7 +288,7 @@ def hexes(values):
 
 def assert_ladder_rows_equal(batch, mu0, count):
     for p, t in enumerate(batch.t.tolist()):
-        ref = specfun._ladder(mu0, t, count)
+        ref = oracles._ladder(mu0, t, count)
         for name in ("jm", "jpm", "ym", "ypm"):
             assert hexes(getattr(batch, name)[p]) == hexes(getattr(ref, name)), (name, t)
         for name in ("ej", "ey"):
@@ -351,7 +364,7 @@ def test_batched_ladders_where_only_some_points_renormalize(mu0, count):
     nu = np.full(3, mu0 + count)
     got = specfun._scaled_entries(nu, batch.t)
     for p, t in enumerate(batch.t.tolist()):
-        ref = cyl_bessel_scaled(mu0 + count, t)
+        ref = scalar_cyl_bessel_scaled(mu0 + count, t)
         jm, jpm, ej, ym, ypm, ey = (a[p] for a in got)
         assert hexes((jm, jpm, ym, ypm)) == hexes((ref.jm, ref.jpm, ref.ym, ref.ypm))
         assert (ej, ey) == (ref.ej, ref.ey)
@@ -366,7 +379,8 @@ def test_batched_residuals_equal_scalar(points):
     nu = np.array([p[0] for p in points])
     t = np.array([10.0**p[1] for p in points])
     got = specfun._wronskian_residuals(t, *specfun._scaled_entries(nu, t))
-    assert hexes(got) == hexes(wronskian_residual(a, b) for a, b in zip(nu.tolist(), t.tolist()))
+    assert hexes(got) == hexes(scalar_wronskian_residual(a, b)
+                               for a, b in zip(nu.tolist(), t.tolist()))
 
 
 @given(points=st.lists(st.tuples(st.floats(min_value=-0.5, max_value=200.0),
@@ -378,7 +392,7 @@ def test_batched_cf2_equals_scalar(points):
     x = np.array([p[1] for p in points])
     p, q = specfun._cf2_batch(mu, x)
     for i, (m, t) in enumerate(points):
-        assert hexes((p[i], q[i])) == hexes(specfun._cf2(m, t))
+        assert hexes((p[i], q[i])) == hexes(oracles._cf2(m, t))
 
 
 def test_batched_cf1_equals_scalar():
@@ -386,7 +400,7 @@ def test_batched_cf1_equals_scalar():
     x = np.array([1e-3, 1.9, 2.0, 40.0, 1000.0, 7.0])
     f, sign = specfun._cf1_batch(nu, x)
     for i in range(nu.size):
-        ref_f, ref_sign = specfun._cf1(float(nu[i]), float(x[i]))
+        ref_f, ref_sign = oracles._cf1(float(nu[i]), float(x[i]))
         assert (f[i].hex(), sign[i]) == (ref_f.hex(), float(ref_sign))
 
 
@@ -425,39 +439,15 @@ def test_selftest_rows_do_not_depend_on_the_batch_size(monkeypatch, batch):
     assert sha.hexdigest() == SELFTEST_DIGEST
 
 
-def test_selftest_samples_the_scalar_route(monkeypatch):
-    calls = []
-    scalar = specfun.wronskian_residual
-
-    def spy(nu, t):
-        calls.append((nu, t))
-        return scalar(nu, t)
-
-    monkeypatch.setattr(specfun, "wronskian_residual", spy)
-    rows = list(specfun.selftest_rows())
-    assert all(ok for *_, ok in rows)
-    nus, _ = validation_grid()
-    assert len(calls) >= 4000
-    assert {nu for nu, _ in calls} == set(nus)
-    assert any(t < 2.0 for _, t in calls) and any(t >= 2.0 for _, t in calls)
-
-
-def test_selftest_fails_a_row_whose_scalar_residual_differs(monkeypatch):
-    scalar = specfun.wronskian_residual
-    monkeypatch.setattr(specfun, "wronskian_residual",
-                        lambda nu, t: math.nextafter(scalar(nu, t), 1.0))
-    failed = [(nu, t) for nu, t, _, _, ok in specfun.selftest_rows() if not ok]
-    assert len(failed) >= 4000
-
-
 @pytest.mark.parametrize("kind", ["CF1", "CF2"])
 def test_batched_stall_names_the_first_point_like_the_scalar_route(monkeypatch, kind):
-    monkeypatch.setattr(specfun, "_MAXIT", 3)
+    for module in (specfun, oracles):
+        monkeypatch.setattr(module, "_MAXIT", 3)
     points = [(30.5, 40.0), (0.25, 2.5), (3.0, 900.0)]
     order = np.array([p[0] for p in points])
     t = np.array([p[1] for p in points])
-    batched, scalar = ((specfun._cf1_batch, specfun._cf1) if kind == "CF1"
-                       else (specfun._cf2_batch, specfun._cf2))
+    batched, scalar = ((specfun._cf1_batch, oracles._cf1) if kind == "CF1"
+                       else (specfun._cf2_batch, oracles._cf2))
     with pytest.raises(ConvergenceError) as ref:
         scalar(*points[0])
     with pytest.raises(ConvergenceError) as got:
@@ -475,3 +465,118 @@ def test_batched_ladders_domain():
         bessel_ladders(0.0, [], 5)
     with pytest.raises(BesselDomainError):
         bessel_ladders(0.0, [1.0], -1)
+
+
+# -------------------------------------------------------------------
+# the public scalar evaluators against the oracle route, bit for bit
+# -------------------------------------------------------------------
+
+def bits(value):
+    """value with every float written by float.hex and every type named."""
+    if dataclasses.is_dataclass(value):
+        return tuple(bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, complex):
+        return type(value).__name__, value.real.hex(), value.imag.hex()
+    if isinstance(value, float):
+        return type(value).__name__, value.hex()
+    return type(value).__name__, value
+
+
+def outcome(fn, *args):
+    """bits(fn(*args)), or the type and message of the error it raised: the
+    engine's errors, and an OverflowError of b_m's plain squares."""
+    try:
+        return bits(fn(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def on_oracle(fn, *args):
+    """outcome(fn, *args) with the scalar engine of tests/oracles.py behind
+    every `cyl_bessel_scaled` that fn reaches."""
+    with mock.patch.object(specfun, "cyl_bessel_scaled", scalar_cyl_bessel_scaled), \
+            mock.patch.object(dtnverify, "cyl_bessel_scaled", scalar_cyl_bessel_scaled):
+        return outcome(fn, *args)
+
+
+def cylindrical_outcomes(nu, t):
+    """(public, oracle) outcome of every cylindrical evaluator at (nu, t)."""
+    pairs = [(outcome(cyl_bessel_scaled, nu, t), outcome(scalar_cyl_bessel_scaled, nu, t)),
+             (outcome(wronskian_residual, nu, t), outcome(scalar_wronskian_residual, nu, t))]
+    return pairs + [(outcome(fn, nu, t), on_oracle(fn, nu, t)) for fn in (cyl_bessel, a_nu)]
+
+
+def spherical_outcomes(m, n, t):
+    """(public, oracle) outcome of every spherical evaluator at (m, n, t)."""
+    calls = [(spherical_hankel, m, n, t), (dtn_eigenvalue, m, n, 1.0, t)]
+    calls += [(b_m, m, n, t, alpha) for alpha in default_alphas(max(n, 2))]
+    return [(outcome(*call), on_oracle(*call)) for call in calls]
+
+
+# integer arguments too: the values keep the caller's types
+CYL_POINTS = [row[:2] for row in JY_TABLE + LOG_EXTREME_TABLE] + [(3, 1), (7, 40)]
+
+
+@pytest.mark.parametrize("nu,t", CYL_POINTS)
+def test_cylindrical_evaluators_equal_the_oracle_route(nu, t):
+    for got, ref in cylindrical_outcomes(nu, t):
+        assert got == ref
+
+
+@pytest.mark.parametrize("m,n,t", [row[:3] for row in SPH_TABLE] + [(100, 3, 0.01)])
+def test_spherical_evaluators_equal_the_oracle_route(m, n, t):
+    for got, ref in spherical_outcomes(m, n, t):
+        assert got == ref
+
+
+def test_the_oracle_route_covers_the_range_errors():
+    # plain values overflow here: cyl_bessel, spherical_hankel and the three
+    # b_m raise, while the scaled routes (A_nu, the DtN eigenvalue) do not
+    outcomes = cylindrical_outcomes(100.0, 0.01) + spherical_outcomes(100, 3, 0.01)
+    assert [got[0] for got, _ in outcomes].count("BesselRangeError") == 5
+
+
+@given(nu=st.floats(min_value=0.0, max_value=200.0),
+       logt=st.floats(min_value=-3.0, max_value=3.0))
+@settings(max_examples=40, deadline=None)
+def test_cylindrical_evaluators_equal_the_oracle_route_random(nu, logt):
+    for got, ref in cylindrical_outcomes(nu, 10.0**logt):
+        assert got == ref
+
+
+@given(m=st.integers(min_value=0, max_value=100),
+       n=st.integers(min_value=2, max_value=6),
+       logt=st.floats(min_value=-3.0, max_value=3.0))
+@settings(max_examples=30, deadline=None)
+def test_spherical_evaluators_equal_the_oracle_route_random(m, n, logt):
+    for got, ref in spherical_outcomes(m, n, 10.0**logt):
+        assert got == ref
+
+
+@pytest.mark.parametrize("nu,t", [(-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+                                  (math.nan, 1.0), (1.0, math.inf)])
+def test_cylindrical_domain_errors_equal_the_oracle_route(nu, t):
+    outcomes = cylindrical_outcomes(nu, t)
+    assert all(got == ref for got, ref in outcomes)
+    assert {got[0] for got, _ in outcomes} == {"BesselDomainError"}
+
+
+@pytest.mark.parametrize("m,n,t", [(-1, 3, 1.0), (0, 1, 1.0), (2, 3, 0.0), (2, 4, math.nan)])
+def test_spherical_domain_errors_equal_the_oracle_route(m, n, t):
+    outcomes = spherical_outcomes(m, n, t)
+    assert all(got == ref for got, ref in outcomes)
+    assert {got[0] for got, _ in outcomes} == {"BesselDomainError"}
+
+
+@pytest.mark.parametrize("maxit,nu,t,kind", [
+    (3, 30.5, 40.0, "CF1"), (8, 200.0, 2.5, "CF2"), (20, 1.0, 2.5, "CF2"),
+    (3, 50.0, 0.01, "Temme series"), (8, 0.25, 0.5, "Temme series")])
+def test_convergence_errors_equal_the_oracle_route(monkeypatch, maxit, nu, t, kind):
+    for module in (specfun, oracles):
+        monkeypatch.setattr(module, "_MAXIT", maxit)
+    outcomes = cylindrical_outcomes(nu, t)
+    if nu % 1.0 in (0.0, 0.5):  # also the order of h_m in dimension 2 or 3
+        outcomes += spherical_outcomes(int(nu), 2 + int(2.0 * (nu % 1.0)), t)
+    assert all(got == ref for got, ref in outcomes)
+    (error, message), = {got for got, _ in outcomes}
+    assert error == "ConvergenceError" and message.startswith(f"{kind} stalled at ")
