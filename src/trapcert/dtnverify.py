@@ -43,6 +43,7 @@ from trapcert.specfun import (
     NU_MAX,
     T_RANGE,
     BesselDomainError,
+    BesselRangeError,
     bessel_ladder,  # noqa: F401  (dtnverify.bessel_ladder stays importable)
     ladder_batches,
     cyl_bessel_scaled,
@@ -111,12 +112,17 @@ def b_m(m: int, n: int, rho: float, alpha: float) -> float:
     if m < 0 or n < 2 or rho <= 0.0:
         raise BesselDomainError(f"need m >= 0, n >= 2, rho > 0, got {m}, {n}, {rho}")
     ev = spherical_hankel(m, n, rho)
-    h2 = abs(ev.h) ** 2
-    hp2 = abs(ev.hp) ** 2
-    re_cross = (ev.hp * ev.h.conjugate()).real
     mu2 = m * (m + n - 2)
-    return ((rho * rho - mu2) * h2 + rho * rho * hp2
-            + alpha * rho * re_cross - (4.0 / math.pi) * rho ** (3 - n))
+    try:
+        value = ((rho * rho - mu2) * abs(ev.h) ** 2 + rho * rho * abs(ev.hp) ** 2
+                 + alpha * rho * (ev.hp * ev.h.conjugate()).real
+                 - (4.0 / math.pi) * rho ** (3 - n))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise BesselRangeError(f"B_m at m={m}, n={n}, rho={rho} exceeds binary64 "
+                               f"range; the sweep evaluates it in scaled form")
+    return value
 
 
 def dtn_eigenvalue(m: int, n: int, k: float, r: float) -> complex:

@@ -69,6 +69,9 @@ import numpy as np
 # the validated envelope of the accuracy claim above
 NU_MAX = 200.0
 T_RANGE = (1.0e-3, 1.0e3)
+# orders past this are refused: a ladder recurs about nu orders (0.2 s at
+# the ceiling), and far past it the step counts leave int64
+NU_CEILING = 1.0e4
 
 _EPS = 2.220446049250313e-16
 _TINY = 1.0e-300
@@ -249,8 +252,8 @@ def _temme_y(mu: float, x: float) -> Tuple[float, float]:
 def _validate(nu: float, t: float) -> None:
     if not (math.isfinite(t) and t > 0.0):
         raise BesselDomainError(f"argument t must be finite and positive, got {t}")
-    if not (math.isfinite(nu) and nu >= 0.0):
-        raise BesselDomainError(f"order nu must be finite and >= 0, got {nu}")
+    if not 0.0 <= nu <= NU_CEILING:
+        raise BesselDomainError(f"order nu must lie in [0, {NU_CEILING:g}], got {nu}")
 
 
 # ===================================================================

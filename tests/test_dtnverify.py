@@ -16,6 +16,7 @@ from trapcert.dtnverify import (
 )
 from trapcert.specfun import (
     BesselDomainError,
+    BesselRangeError,
     spherical_hankel,
     spherical_hankel_closed,
 )
@@ -148,6 +149,17 @@ def test_b_m_domain():
         b_m(-1, 3, 1.0, 1.0)
     with pytest.raises(BesselDomainError):
         b_m(0, 1, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("m", [85, 86])
+def test_b_m_past_binary64_raises_a_range_error(m):
+    # h itself is finite here, but |h|^2 is not
+    assert math.isfinite(abs(spherical_hankel(m, 3, 1.0).h))
+    with pytest.raises(BesselRangeError) as info:
+        b_m(m, 3, 1.0, 1.0)
+    assert isinstance(info.value, OverflowError)
+    assert f"m={m}, n=3, rho=1.0" in str(info.value)
+    assert b_m(84, 3, 1.0, 1.0) < -1e298  # the last order that fits
 
 
 # -------------------------------------------------------------------

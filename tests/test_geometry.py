@@ -8,6 +8,7 @@ recursions in binary64, so agreement is asserted at 1e-13 relative.
 import dataclasses
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,10 @@ from trapcert.geometry import (
     _blocked_raster,
     _feature_scale,
     _grid,
+    _pair_distances,
+    _partition,
+    _reach,
+    _sweep_pairs,
     _width_tail_bound,
     build_layered,
     build_stacked,
@@ -481,7 +486,10 @@ def test_sweep_matches_all_pairs_demo_n2(layers):
     assert assert_matches_all_pairs(boxes, S2).passed
 
 
-@pytest.mark.parametrize("n, layers", [(3, 8), (4, 4), (4, 5), (4, 6)])
+# n = 6 and 7 at 3 layers put 3,125 and 15,625 boxes on level 3, more than
+# the dense oracle's level block can hold in memory
+@pytest.mark.parametrize("n, layers", [(3, 8), (4, 4), (4, 5), (4, 6),
+                                       (5, 2), (5, 3), (6, 2), (7, 2)])
 def test_sweep_matches_all_pairs_higher_dimensions(n, layers):
     sched = demo_schedule(n)
     boxes, _ = build_layered(sched, layers)
@@ -551,6 +559,141 @@ def test_sweep_matches_all_pairs_random_boxes(case):
         apertures = [side * gap for side, gap in zip(boxes.side.tolist(),
                                                      boxes.gap.tolist()) if gap > 0.0]
         assert scale == min(apertures + [all_pairs_min_distance(boxes)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(box_lists(), st.one_of(st.none(), st.floats(0.0, 2.0)),
+       st.sampled_from([1, 5, 1 << 16]))
+def test_sweep_drops_only_pairs_proved_apart(case, delta, chunk):
+    # the contract of `_sweep_pairs`, pair by pair: every pair of one level
+    # comes out once or is apart (strictly, or farther than delta), and no
+    # pair of two levels comes out
+    _, boxes = case
+    lo, hi, level = boxes.lo, boxes.hi, boxes.layer
+    reach = None if delta is None else np.full(len(lo), _reach(delta))
+    seen = set()
+    with mock.patch.object(trapcert.geometry, "_PAIR_CHUNK", chunk):
+        for i, k in _sweep_pairs(lo, hi, reach, level):
+            assert len(i) <= max(chunk, len(lo))
+            for a, b in zip(i.tolist(), k.tolist()):
+                assert level[a] == level[b] and (min(a, b), max(a, b)) not in seen
+                seen.add((min(a, b), max(a, b)))
+    for a in range(len(lo)):
+        for b in range(a + 1, len(lo)):
+            if level[a] != level[b] or (a, b) in seen:
+                continue
+            if delta is None:
+                assert ((hi[a] < lo[b]) | (hi[b] < lo[a])).any()
+            else:
+                assert _pair_distances(lo[[a]], hi[[a]], lo[[b]], hi[[b]])[0] > delta
+
+
+def squares(corners, sides, layers=None):
+    """Level-2 squares (or on `layers`) with the given lower corners and sides."""
+    count = len(corners)
+    return make_boxes(range(1, count + 1), layers or [2] * count, sides, corners,
+                      gap=[0.1] * count, k=[10.0] * count, a=[1e-4] * count)
+
+
+def partition_axes(boxes, reach=None):
+    """The axes of `_partition`'s passes and the groups it leaves, as sets
+    of j."""
+    axes = []
+    sorted_on = trapcert.geometry._sorted_on
+
+    def spy(lo, hi, reach, rows, group, ax):
+        axes.append(ax)
+        return sorted_on(lo, hi, reach, rows, group, ax)
+
+    with mock.patch.object(trapcert.geometry, "_sorted_on", spy):
+        rows, group = _partition(boxes.lo, boxes.hi, reach, np.zeros(len(boxes), np.int64))
+    groups = {}
+    for r, g in zip(rows.tolist(), group.tolist()):
+        groups.setdefault(g, set()).add(int(boxes.j[r]))
+    return axes, sorted(groups.values(), key=min)
+
+
+def test_partition_splits_on_a_second_pass():
+    # box 3 spans the heights of boxes 1 and 2, so the vertical pass keeps
+    # all three together; the pass along x splits box 3 off, and only the
+    # second vertical pass splits box 1 from box 2
+    boxes = squares([(0.0, 0.0), (0.0, 2.0), (5.0, 0.0)], [1.0, 1.0, 3.0])
+    assert partition_axes(boxes) == ([1, 0, 1], [])
+    assert assert_matches_all_pairs(boxes, S2).disjoint
+    # in three dimensions: box 3 bridges boxes 1 and 2 along x until the
+    # pass along y splits it off, and the second pass along x splits them
+    cubes = make_boxes([1, 2, 3], [2, 2, 2], [1.0, 1.0, 3.0],
+                       [(0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.0, 5.0, 0.0)],
+                       gap=[0.1] * 3, k=[10.0] * 3, a=[1e-4] * 3)
+    assert partition_axes(cubes) == ([2, 0, 1, 2, 0], [])
+    assert assert_matches_all_pairs(cubes, demo_schedule(3)).disjoint
+
+
+def test_partition_keeps_boxes_touching_on_their_only_separating_axis():
+    # box 2 sits on box 1 (y = 1 is both a top and a bottom): the second
+    # vertical pass must not cut there, and the pair is an overlap
+    boxes = squares([(0.0, 0.0), (0.0, 1.0), (5.0, 0.0)], [1.0, 1.0, 3.0])
+    assert partition_axes(boxes) == ([1, 0, 1], [{1, 2}])
+    report = assert_matches_all_pairs(boxes, S2)
+    assert report.overlap_pairs == ((1, 2),)
+    # touching along x, the axis that splits last
+    boxes = squares([(0.0, 0.0), (1.0, 0.0), (0.0, 5.0)], [1.0, 1.0, 0.5])
+    assert partition_axes(boxes)[1] == [{1, 2}]
+    assert assert_matches_all_pairs(boxes, S2).overlap_pairs == ((1, 2),)
+
+
+def test_partition_merges_reach_widened_chains():
+    # the level's first pair is 0.5 apart, so every row is widened by 0.5:
+    # boxes 3, 4 and 5 stand in a chain of gaps 0.5 and 0.25 and share one
+    # group although boxes 3 and 5 are 1.75 apart; box 6, 0.5 + 2^-48 past
+    # box 5 (one ulp past the upward-rounded cut-off), stays apart, and the
+    # minimum is the chain's inner gap
+    corners = [(0.0, 0.0), (1.5, 0.0), (10.0, 0.0), (11.5, 0.0), (12.75, 0.0),
+               (14.25 + 2.0 ** -48, 0.0)]
+    boxes = squares(corners, [1.0] * 6)
+    reach = np.full(6, _reach(0.5))
+    assert partition_axes(boxes, reach)[1] == [{1, 2}, {3, 4, 5}]
+    assert partition_axes(boxes)[1] == []  # unwidened, every gap splits
+    report = assert_matches_all_pairs(boxes, S2)
+    assert [g.min_distance for g in report.in_layer] == [0.25]
+    # the chain's minimum is found however its rows are ordered
+    shuffled = take(boxes, [4, 0, 5, 2, 1, 3])
+    assert assert_matches_all_pairs(shuffled, S2).in_layer == report.in_layer
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_sweep_matches_all_pairs_non_finite(value):
+    # one box of level 4 leaves the reals: its level, and every level pair
+    # it joins, takes the all-pairs fallback; repr compares nan fields too
+    boxes, _ = build_layered(S2, 5)
+    row = int(np.flatnonzero(boxes.layer == 4)[2])
+    tampered = with_values(boxes, row, lo=(value, boxes.lo[row, 1]))
+    report = disjointness_certificate(tampered, S2)
+    with np.errstate(invalid="ignore"):  # the oracle meets inf - inf on its diagonal
+        oracle = all_pairs_certificate(tampered, S2)
+    assert repr(report) == repr(oracle)
+    if math.isnan(value):  # no axis separates a nan box from any other
+        assert not report.disjoint
+
+
+@pytest.mark.parametrize("n, layers, in_level_max", [(4, 6, 300), (9, 2, 30_000)])
+def test_sweep_work_counts(monkeypatch, n, layers, in_level_max):
+    # the partition leaves no overlap candidates on a valid build and a few
+    # per level for the minima (a one-axis sweep had 522,602 and 183,219
+    # at n=4, 7.2M of each at n=9)
+    sweep, counts = _sweep_pairs, []
+
+    def counting(*args):
+        chunks = list(sweep(*args))
+        counts.append(sum(len(i) for i, _ in chunks))
+        return iter(chunks)
+
+    monkeypatch.setattr(trapcert.geometry, "_sweep_pairs", counting)
+    sched = demo_schedule(n)
+    boxes, _ = build_layered(sched, layers)
+    assert disjointness_certificate(boxes, sched).passed
+    overlap, in_level = counts  # every level pair settles by its witness
+    assert overlap == 0 and 0 < in_level <= in_level_max
 
 
 def test_feature_scale_matches_all_pairs():

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -219,6 +220,26 @@ def test_overflow_is_signalled_not_inf():
         cyl_bessel(100.0, 0.01)
     with pytest.raises(BesselRangeError):
         spherical_hankel(100, 3, 0.01)
+
+
+@pytest.mark.parametrize("call", [
+    lambda nu: cyl_bessel_scaled(nu, 5.0),
+    lambda nu: wronskian_residual(nu, 1e-3),
+    lambda nu: bessel_ladder(0.0, 5.0, math.ceil(nu)),
+])
+@pytest.mark.parametrize("nu", [1e20, 1e9, math.nextafter(specfun.NU_CEILING, math.inf)])
+def test_orders_past_the_ceiling_are_refused_at_once(call, nu):
+    # before the ceiling, 1e20 cast the step count to int64 with a
+    # RuntimeWarning (an error under the test filter) and ran CF2 for 10 s
+    start = time.perf_counter()
+    with pytest.raises(BesselDomainError, match=r"order nu must lie in \[0, 10000\]"):
+        call(nu)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_the_order_ceiling_lies_past_every_order_in_use():
+    assert specfun.NU_CEILING > specfun.NU_MAX + 1
+    assert cyl_bessel_scaled(specfun.NU_CEILING, 1e3).nu == specfun.NU_CEILING
 
 
 def test_ladder_rejects_bad_base_order():
