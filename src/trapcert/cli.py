@@ -4,8 +4,8 @@ Everything a run produces (geometry JSON, certification CSV, figure SVG,
 text report) is a pure function of the configuration document, so re-running
 with the same config reproduces every artifact byte for byte.  Files are
 written to a temporary sibling and renamed into place, which leaves no
-partial artifact behind on failure.  The CSV and SVG emitters stream their
-text into that sibling in blocks of rows, one `%` call per block.
+partial artifact behind on failure.  The JSON, CSV and SVG emitters stream
+their text into that sibling in blocks of rows, one `%` call per block.
 
 Exit codes follow one contract for every subcommand: 0 on success, 1 when a
 certificate or sign check fails (the run itself worked, the claim did not
@@ -353,44 +353,43 @@ def _write_text_atomic(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-def geometry_document(boxes: Boxes, summary: GeometrySummary) -> dict:
-    """The JSON-ready document for a built arrangement.  All floats pass
-    through json.dumps unchanged, i.e. as shortest round-trip decimals."""
-    return {
-        "dimension": summary.dimension,
-        "layout": summary.layout,
-        "summary": {
-            "boxCount": summary.box_count,
-            "horizontalExtent": summary.horizontal_extent,
-            "heightInterval": list(summary.height_interval),
-            "volumeInterval": list(summary.volume_interval),
-            "rGammaUpper": summary.r_gamma_upper,
-        },
-        "boxes": [
-            {"j": j, "layer": layer, "side": side, "translation": lo,
-             "gap": gap, "wavenumber": k, "targetA": a}
-            for j, layer, side, lo, gap, k, a in zip(
-                boxes.j.tolist(), boxes.layer.tolist(), boxes.side.tolist(),
-                boxes.lo.tolist(), boxes.gap.tolist(), boxes.k.tolist(),
-                boxes.a.tolist())
-        ],
-    }
+def _json_blocks(boxes: Boxes, summary: GeometrySummary) -> Iterator[str]:
+    """`json.dumps(document, indent=1)` and a newline, in blocks: the head
+    from json.dumps, then one template row per box (`%r` is json's repr)."""
+    head = json.dumps({
+        "dimension": summary.dimension, "layout": summary.layout,
+        "summary": {"boxCount": summary.box_count,
+                    "horizontalExtent": summary.horizontal_extent,
+                    "heightInterval": list(summary.height_interval),
+                    "volumeInterval": list(summary.volume_interval),
+                    "rGammaUpper": summary.r_gamma_upper},
+        "boxes": []}, indent=1)
+    # rows open with their separator; the first block (or "," if none) drops it
+    row = (',\n  {\n   "j": %d,\n   "layer": %d,\n   "side": %r,\n   "translation": [\n'
+           + ",\n".join(["    %r"] * boxes.lo.shape[1])
+           + '\n   ],\n   "gap": %r,\n   "wavenumber": %r,\n   "targetA": %r\n  }')
+    columns = (boxes.j, boxes.layer, boxes.side, *boxes.lo.T, boxes.gap, boxes.k, boxes.a)
+    blocks = _row_blocks(row, columns)
+    if not all(np.isfinite(c).all() for c in columns):
+        # json's tokens: no key holds "nan" or "inf", no finite repr a letter but "e"
+        blocks = (t.replace("nan", "NaN").replace("inf", "Infinity") for t in blocks)
+    yield head[:-len("]\n}")] + next(blocks, ",")[1:]
+    yield from blocks
+    yield ("\n ]" if len(boxes) else "]") + "\n}\n"
 
 
-def emit_geometry_json(boxes: Boxes, summary: GeometrySummary,
-                       path: str) -> None:
-    text = json.dumps(geometry_document(boxes, summary), indent=1) + "\n"
-    _write_text_atomic(path, [text])
+def emit_geometry_json(boxes: Boxes, summary: GeometrySummary, path: str) -> None:
+    _write_text_atomic(path, _json_blocks(boxes, summary))
 
 
-# rows per `%` call of the CSV and SVG emitters: a block is a few hundred KiB
-# of text, and the artifact is streamed block by block
+# rows per `%` call of the emitters: a block is a few hundred KiB of text,
+# and the artifact is streamed block by block
 _BLOCK_ROWS = 2048
 
 
 def _row_blocks(row: str, columns: Sequence[np.ndarray]) -> Iterator[str]:
-    """The rows of `columns` formatted by the one-row %-template `row`,
-    _BLOCK_ROWS rows per `%` call."""
+    """The rows of `columns` (a CSV line, SVG path or JSON box each) formatted
+    by the one-row %-template `row`, _BLOCK_ROWS rows per `%` call."""
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
         yield (row * len(block)) % tuple(block.ravel().tolist())

@@ -288,10 +288,10 @@ def gap_fractions(n: int, k: np.ndarray, a: np.ndarray) -> np.ndarray:
     eps = (3/(2 pi^2))^(1/3) * (1 + 2k sqrt(2 k^2 a^2 + a))^(-2/(3n-3)).
 
     Strictly decreasing in both k and a: a harder target or a higher
-    frequency needs a smaller opening.  The prefactor is below 0.534, so the
-    result is structurally inside (0,1) for every valid input; the outgoing
-    range check is a misuse diagnostic, not a clamp.  The first box that
-    fails a check raises, naming its own values.
+    frequency needs a smaller opening.  The prefactor is below 0.534 and the
+    design identity is at least 1, so the result lies in (0,1) wherever the
+    identity is finite.  The first box that fails a check raises, naming
+    its own values.
     """
     if n < 2:
         raise ScheduleError(f"dimension must be >= 2, got {n}")
@@ -300,15 +300,14 @@ def gap_fractions(n: int, k: np.ndarray, a: np.ndarray) -> np.ndarray:
         x = np.where(domain, design_identity(k, a), 1.0)
         p = -2.0 / (3.0 * n - 3.0)
         eps = _APERTURE_C * np.array([v ** p for v in x.tolist()], dtype=float)
-        failed = ~(domain & (0.0 < eps) & (eps < 1.0))
+        failed = ~(domain & (x < math.inf))
     if failed.any():
         i = int(np.argmax(failed))
         ki, ai = k[i].item(), a[i].item()
         if not domain[i]:
             raise ScheduleError(f"gap fraction needs k > 0 and a > 0, got k={ki}, a={ai}")
-        raise ScheduleError(
-            f"gap fraction {eps[i].item()} left (0,1) at n={n}, k={ki}, a={ai}; "
-            "the schedule violates its own hypotheses")
+        raise ScheduleError(f"design identity 1 + 2k sqrt(2k^2 a^2 + a) leaves binary64 "
+                            f"at n={n}, k={ki}, a={ai}")
     return eps
 
 

@@ -69,9 +69,11 @@ import numpy as np
 # the validated envelope of the accuracy claim above
 NU_MAX = 200.0
 T_RANGE = (1.0e-3, 1.0e3)
-# orders past this are refused: a ladder recurs about nu orders (0.2 s at
-# the ceiling), and far past it the step counts leave int64
+# orders and arguments past these are refused: a ladder recurs about nu
+# orders and CF1 takes about t steps (0.2 s at either ceiling); far past them
+# the step counts leave int64 and CF1 stalls at _MAXIT (t near 1e5)
 NU_CEILING = 1.0e4
+T_CEILING = 1.0e4
 
 _EPS = 2.220446049250313e-16
 _TINY = 1.0e-300
@@ -87,7 +89,7 @@ _ZETA3 = 1.2020569031595942854
 
 
 class BesselDomainError(ValueError):
-    """Raised for arguments outside the mathematical domain (t <= 0, nu < 0)."""
+    """Raised for t <= 0, nu < 0 (the domain) or either past its ceiling."""
 
 
 class BesselRangeError(OverflowError):
@@ -250,8 +252,8 @@ def _temme_y(mu: float, x: float) -> Tuple[float, float]:
 
 
 def _validate(nu: float, t: float) -> None:
-    if not (math.isfinite(t) and t > 0.0):
-        raise BesselDomainError(f"argument t must be finite and positive, got {t}")
+    if not 0.0 < t <= T_CEILING:
+        raise BesselDomainError(f"argument t must lie in (0, {T_CEILING:g}], got {t}")
     if not 0.0 <= nu <= NU_CEILING:
         raise BesselDomainError(f"order nu must lie in [0, {NU_CEILING:g}], got {nu}")
 

@@ -1,10 +1,13 @@
-"""The CSV and SVG emitters as they ran before block formatting: one
-f-string per value.  The tests require `cli.certificates_csv` and
-`cli.svg_document` (and the files the streaming emitters write) to equal
+"""The emitters as they ran before block formatting: one f-string per
+value for the CSV and SVG, one dict per box through `json.dumps` for the
+geometry JSON.  The tests require `cli.certificates_csv`,
+`cli.svg_document` and the files the streaming emitters write to equal
 these byte for byte."""
 
+import json
+
 from trapcert.certify import Certificates
-from trapcert.geometry import Boxes, GeometryError
+from trapcert.geometry import Boxes, GeometryError, GeometrySummary
 
 _CSV_COLUMNS = ("j", "k", "a", "eps", "infsup_ub", "cprime_lb", "c_lb", "margin")
 
@@ -56,3 +59,31 @@ def svg_document(boxes: Boxes) -> str:
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+def geometry_document(boxes: Boxes, summary: GeometrySummary) -> dict:
+    """The JSON-ready document for a built arrangement.  All floats pass
+    through json.dumps unchanged, i.e. as shortest round-trip decimals."""
+    return {
+        "dimension": summary.dimension,
+        "layout": summary.layout,
+        "summary": {
+            "boxCount": summary.box_count,
+            "horizontalExtent": summary.horizontal_extent,
+            "heightInterval": list(summary.height_interval),
+            "volumeInterval": list(summary.volume_interval),
+            "rGammaUpper": summary.r_gamma_upper,
+        },
+        "boxes": [
+            {"j": j, "layer": layer, "side": side, "translation": lo,
+             "gap": gap, "wavenumber": k, "targetA": a}
+            for j, layer, side, lo, gap, k, a in zip(
+                boxes.j.tolist(), boxes.layer.tolist(), boxes.side.tolist(),
+                boxes.lo.tolist(), boxes.gap.tolist(), boxes.k.tolist(),
+                boxes.a.tolist())
+        ],
+    }
+
+
+def geometry_json(boxes: Boxes, summary: GeometrySummary) -> str:
+    return json.dumps(geometry_document(boxes, summary), indent=1) + "\n"

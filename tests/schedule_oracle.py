@@ -70,6 +70,10 @@ def gap_fraction(n: int, k: float, a: float) -> float:
     if not (k > 0.0 and a > 0.0):
         raise ScheduleError(f"gap fraction needs k > 0 and a > 0, got k={k}, a={a}")
     x = 1.0 + 2.0 * k * math.sqrt(2.0 * k * k * a * a + a)
+    if not math.isfinite(x):
+        raise ScheduleError(
+            f"design identity 1 + 2k sqrt(2k^2 a^2 + a) leaves binary64 at "
+            f"n={n}, k={k}, a={a}")
     eps = _APERTURE_C * x ** (-2.0 / (3.0 * n - 3.0))
     if not 0.0 < eps < 1.0:
         raise ScheduleError(

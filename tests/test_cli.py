@@ -22,7 +22,6 @@ from trapcert.cli import (
     config_from_mapping,
     emit_geometry_json,
     emit_svg,
-    geometry_document,
     load_config,
     render_report,
     run,
@@ -194,9 +193,11 @@ def test_load_config_errors(tmp_path):
 # emitters
 # -------------------------------------------------------------------
 
-def test_geometry_document_schema():
+def test_geometry_document_schema(tmp_path):
     boxes, summary = build_layered(demo_schedule(), 3)
-    doc = geometry_document(boxes, summary)
+    path = tmp_path / "geom.json"
+    emit_geometry_json(boxes, summary, str(path))
+    doc = json.loads(path.read_text(encoding="utf-8"))
     assert list(doc) == ["dimension", "layout", "summary", "boxes"]
     assert doc["summary"]["boxCount"] == 9
     assert len(doc["boxes"]) == 9
@@ -700,7 +701,8 @@ def _plan_build_cases():
 
 
 @pytest.mark.parametrize("doc, message", [
-    (_c_1e300(), "gap fraction 0.0 left (0,1) at n=2, k="),
+    (_c_1e300(), "design identity 1 + 2k sqrt(2k^2 a^2 + a) leaves binary64 "
+                 "at n=2, k="),
     (demo_mapping(layers=10_000), "10000 layers hold 435585210 boxes, more than"),
 ] + list(zip(_plan_build_cases(), [
     "built volume leaves binary64: box 1 has side 3.7028612242571093e+307\n",
@@ -743,6 +745,19 @@ def test_run_values_outside_binary64_exit_2(tmp_path, capsys, command, case):
     assert capsys.readouterr().err == [
         "error: built volume leaves binary64: box 1 has side 5.441398092702653e+300\n",
         "error: built volume leaves binary64: box 1 has side 3.702861224257109e+170\n"][case]
+
+
+@pytest.mark.parametrize("command", ["build", "certify", "report"])
+def test_run_design_identity_past_binary64_exit_2(tmp_path, capsys, command):
+    # 2k^2a^2 overflows at box 1; the gap fraction used to report 0.0
+    # "left (0,1)", as if the schedule broke its own hypotheses
+    doc = demo_mapping(layers=3)
+    doc["schedule"]["targets"]["amplitude"] = 1e160
+    out = tmp_path / "out"
+    assert run([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: design identity 1 + 2k sqrt(2k^2 a^2 + a) "
+                                       "leaves binary64 at n=2, k=2.39970264564788, "
+                                       "a=1e+160\n")
 
 
 @pytest.mark.parametrize("command", ["build", "report"])

@@ -1,8 +1,8 @@
-"""The block-formatted CSV and SVG emitters against the per-value oracle in
-`emitter_oracle`: byte equality at block boundaries and on values whose
-formatting has special cases (negative zero, tiny negatives, infinities,
-NaN, subnormals), the streamed files against the documents, and the checks
-that run before any file is created."""
+"""The block-formatted emitters (geometry JSON, CSV, SVG) against the
+per-value oracle in `emitter_oracle`: byte equality at block boundaries and
+on values whose formatting has special cases (negative zero, tiny
+negatives, infinities, NaN, subnormals), the streamed files against the
+documents, and the checks that run before any file is created."""
 
 import math
 import os
@@ -16,8 +16,8 @@ import emitter_oracle as oracle
 import trapcert.cli as cli
 from columns import make_boxes, take
 from trapcert.certify import Certificates, certify_geometry
-from trapcert.geometry import GeometryError, build_layered
-from trapcert.sequences import demo_schedule
+from trapcert.geometry import GeometryError, GeometrySummary, build_layered, build_stacked
+from trapcert.sequences import APower, DTable, KTable, Schedule, demo_schedule
 
 BLOCK = cli._BLOCK_ROWS
 SPECIAL = [0.0, -0.0, 1e-7, -1e-7, -4.9e-7, -5e-7, -5.000001e-7, 5e-7, 1e-300,
@@ -28,9 +28,9 @@ SPECIAL = [0.0, -0.0, 1e-7, -1e-7, -4.9e-7, -5e-7, -5.000001e-7, 5e-7, 1e-300,
 
 @pytest.fixture(scope="module")
 def built():
-    boxes, _ = build_layered(demo_schedule(), 50)
+    boxes, summary = build_layered(demo_schedule(), 50)
     assert len(boxes) == 4462 > 2 * BLOCK
-    return boxes, certify_geometry(boxes)
+    return boxes, certify_geometry(boxes), summary
 
 
 def certificates(values) -> Certificates:
@@ -121,7 +121,7 @@ def test_random_columns_equal_the_oracle_at_any_block_size(values, block):
 
 
 def test_emitters_stream_bounded_blocks(built, tmp_path, monkeypatch):
-    boxes, records = built
+    boxes, records, summary = built
     seen = []
     write = cli._write_text_atomic
 
@@ -140,6 +140,11 @@ def test_emitters_stream_bounded_blocks(built, tmp_path, monkeypatch):
     seen.clear()
     cli.emit_svg(boxes, str(tmp_path / "f.svg"))
     assert max(seen) == BLOCK and sum(seen) == len(boxes) + 5
+    seen.clear()
+    cli.emit_geometry_json(boxes, summary, str(tmp_path / "g.json"))
+    # the head rides with the first block; a planar box is 12 lines
+    assert len(seen) == 4 and seen[1] == 12 * BLOCK
+    assert sum(seen) == oracle.geometry_json(boxes, summary).count("\n")
 
 
 @pytest.mark.parametrize("case", ["empty", "non-planar"])
@@ -168,3 +173,93 @@ def test_failure_while_streaming_keeps_the_old_file(tmp_path):
         cli._write_text_atomic(str(path), chunks())
     assert path.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["f.txt"]
+
+
+# -------------------------------------------------------------------
+# geometry JSON
+# -------------------------------------------------------------------
+
+def assert_json_equals_the_oracle(boxes, summary, path):
+    expected = oracle.geometry_json(boxes, summary)
+    assert "".join(cli._json_blocks(boxes, summary)) == expected
+    cli.emit_geometry_json(boxes, summary, str(path))
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1])
+def test_json_equals_the_oracle_at_block_boundaries(built, tmp_path, rows):
+    boxes, _, summary = built
+    assert_json_equals_the_oracle(take(boxes, slice(0, rows)), summary,
+                                  tmp_path / "g.json")
+
+
+def stacked_schedule(n):
+    base = math.pi * math.sqrt(n)
+    return Schedule(n, KTable([base * 2.0 ** i for i in range(8)]), APower(1e-4, 0.25),
+                    DTable([0.5 ** i for i in range(7)]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_layered(demo_schedule(3), 4),
+    lambda: build_layered(demo_schedule(4), 3),
+    lambda: build_layered(demo_schedule(9), 2),
+    lambda: build_stacked(stacked_schedule(2), 6),
+    lambda: build_stacked(stacked_schedule(3), 6),
+], ids=["n3", "n4", "n9", "stacked-n2", "stacked-n3"])
+def test_json_equals_the_oracle_in_every_dimension(tmp_path, build):
+    boxes, summary = build()
+    assert_json_equals_the_oracle(boxes, summary, tmp_path / "g.json")
+
+
+JSON_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300, -1e-300,
+                1e300, -1e300, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+json_floats = st.one_of(st.sampled_from(JSON_SPECIAL),
+                        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+SUMMARY = GeometrySummary(dimension=2, layout="layered", box_count=1,
+                          horizontal_extent=1.0, height_interval=(-2.0, -1.0),
+                          volume_interval=(1.0, math.inf), r_gamma_upper=math.nan)
+
+
+@given(values=st.lists(json_floats, min_size=1, max_size=23),
+       n=st.integers(min_value=2, max_value=4),
+       block=st.integers(min_value=1, max_value=6))
+@settings(max_examples=300, deadline=None)
+def test_random_json_columns_equal_the_oracle_at_any_block_size(values, n, block):
+    # every float column is a rotation of `values`, so each value visits
+    # every column
+    count = len(values)
+    cols = [np.roll(values, shift) for shift in range(4 + n)]
+    boxes = make_boxes(j=range(1, count + 1), layer=range(count, 0, -1), side=cols[0],
+                       lo=np.column_stack(cols[4:]), gap=cols[1], k=cols[2], a=cols[3])
+    with mock.patch.object(cli, "_BLOCK_ROWS", block):
+        assert "".join(cli._json_blocks(boxes, SUMMARY)) == oracle.geometry_json(boxes, SUMMARY)
+
+
+def test_json_special_values_print_as_json_does():
+    count = len(JSON_SPECIAL)
+    boxes = make_boxes(j=range(1, count + 1), layer=[1] * count, side=JSON_SPECIAL,
+                       lo=np.column_stack((np.roll(JSON_SPECIAL, 1), np.roll(JSON_SPECIAL, 2))),
+                       gap=[0.5] * count, k=[1.0] * count, a=[1.0] * count)
+    text = "".join(cli._json_blocks(boxes, SUMMARY))
+    assert text == oracle.geometry_json(boxes, SUMMARY)
+    for literal in ('"side": NaN,', '"side": Infinity,', '"side": -Infinity,',
+                    '"side": -0.0,', '"side": 5e-324,', '"side": 1e+300,'):
+        assert literal in text
+
+
+def test_json_failure_while_streaming_keeps_the_old_file(built, tmp_path, monkeypatch):
+    boxes, _, summary = built
+    path = tmp_path / "g.json"
+    path.write_text("old\n")
+    blocks = cli._row_blocks
+
+    def failing(row, columns):
+        stream = blocks(row, columns)
+        yield next(stream)
+        raise GeometryError("stopped midway")
+
+    monkeypatch.setattr(cli, "_row_blocks", failing)
+    with pytest.raises(GeometryError, match="midway"):
+        cli.emit_geometry_json(boxes, summary, str(path))
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["g.json"]

@@ -330,8 +330,8 @@ _NEVER = "; tables are never extrapolated"
     (KTable([_B, 2 * _B]), _A, DTable([1.0]), 3,
      "wavenumber table has 2 entries, index 3 queried" + _NEVER),
     (_K4, ATable([1e-4, 1e-4, 1e300]), DTable([1.0]), 3,
-     "gap fraction 0.0 left (0,1) at n=2, k=17.771531752633464, a=1e+300; "
-     "the schedule violates its own hypotheses"),
+     "design identity 1 + 2k sqrt(2k^2 a^2 + a) leaves binary64 at n=2, "
+     "k=17.771531752633464, a=1e+300"),
     # box 3 lacks its padding, box 4 its target or its gap fraction
     (_K4, ATable([1e-4] * 3), DTable([1.0]), 4,
      "padding table has 1 entries, index 2 queried" + _NEVER),

@@ -152,19 +152,18 @@ def test_index_errors_equal_the_oracle(j):
         assert outcome(lambda: got(sched, j)) == expected
 
 
+IDENTITY = "design identity 1 + 2k sqrt(2k^2 a^2 + a) leaves binary64 at n=2"
 # (schedule, box count, exception type, text the message starts with)
 TAMPERED = [
-    (tampered(c=1e300), 1413, ScheduleError, "gap fraction 0.0 left (0,1) at n=2"),
+    (tampered(c=1e300), 1413, ScheduleError, IDENTITY),
     (tampered(exponent=2000.0), 1413, OverflowError, "(34, "),
     # j**100 first overflows deep in the range, at box 1210
     (tampered(amplitude=1e-300, exponent=100.0), 1413, OverflowError, "(34, "),
     # 2k^2a^2 first overflows deep in the range
-    (tampered(amplitude=1e-27, exponent=60.0), 1413, ScheduleError,
-     "gap fraction 0.0 left (0,1)"),
+    (tampered(amplitude=1e-27, exponent=60.0), 1413, ScheduleError, IDENTITY),
     # box 2 fails its gap fraction before box 4 runs past the target table
     (Schedule(n=2, k_family=KLogGrowth(2.0), a_family=ATable((1e-4, 1e300, 1e300)),
-              d_family=DShiftedPower(2.0, 6.0, 1.2)), 10, ScheduleError,
-     "gap fraction 0.0 left (0,1)"),
+              d_family=DShiftedPower(2.0, 6.0, 1.2)), 10, ScheduleError, IDENTITY),
     # box 31 runs past the wavenumber table before the target table ends
     (table_schedule(k_len=30, a_len=35), 40, ScheduleError,
      "wavenumber table has 30 entries, index 31"),

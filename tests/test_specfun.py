@@ -237,6 +237,26 @@ def test_orders_past_the_ceiling_are_refused_at_once(call, nu):
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize("call", [
+    lambda t: cyl_bessel_scaled(5.0, t),
+    lambda t: wronskian_residual(5.0, t),
+    lambda t: bessel_ladder(0.0, t, 5),
+])
+@pytest.mark.parametrize("t", [1e5, 1e6, math.inf, math.nextafter(specfun.T_CEILING, math.inf)])
+def test_arguments_past_the_ceiling_are_refused_at_once(call, t):
+    # before the ceiling, t = 1e5 ran CF1 to its iteration cap for 1.5 s and
+    # then raised ConvergenceError
+    start = time.perf_counter()
+    with pytest.raises(BesselDomainError, match=r"argument t must lie in \(0, 10000\]"):
+        call(t)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_the_argument_ceiling_lies_past_every_argument_in_use():
+    assert specfun.T_CEILING > specfun.T_RANGE[1]
+    assert cyl_bessel_scaled(5.0, specfun.T_CEILING).t == specfun.T_CEILING
+
+
 def test_the_order_ceiling_lies_past_every_order_in_use():
     assert specfun.NU_CEILING > specfun.NU_MAX + 1
     assert cyl_bessel_scaled(specfun.NU_CEILING, 1e3).nu == specfun.NU_CEILING
