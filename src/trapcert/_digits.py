@@ -1,0 +1,209 @@
+"""The bytes that `'%.17g' % v` and `'%.6f' % v` write, for a whole column
+at once.
+
+A formatter returns a uint8 canvas, one row per value, in which byte 0
+marks "no byte"; `join` lays canvases and literals side by side and drops
+those bytes.  The digits are those of an exact integer N, after Loitsch,
+"Printing floating-point numbers quickly and accurately with integers"
+(PLDI 2010):
+
+- `%.17g`: N = round-half-even(|x| 10^s), s = 16 - E.  10^s is held as a
+  double-double hi + lo, and TwoProduct (Veltkamp split, as numpy has no
+  fma) makes |x| hi = p + e exact.  E is decided on the unrounded p + e.
+  Where 10^s is a double (lo == 0) N is exact; elsewhere p + e is off by
+  less than 1e-14, so a value within 2^-40 of a rounding tie is left to `%`.
+- `%.6f`: N = round-half-even(|x| 10^6), exact by TwoProduct; a tie of the
+  rounded product is decided by the sign of its error.  The sign prints only
+  when N != 0, so a value that rounds to zero prints unsigned.
+
+Zero, subnormal, non-finite and out-of-range values get `%`, one by one.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import List, NamedTuple, Union
+
+import numpy as np
+
+# `%.17g` is computed for 1e-280 <= |x| < 1e290: every 10^s (s = 16 - E, E
+# one off) is in the table, and no Veltkamp split overflows
+_G_RANGE = (1e-280, 1e290)
+_S_LO, _S_HI = 16 - 292, 16 + 282
+_NEAR_TIE = 2.0 ** -40
+_F_MAX = 2.0 ** 32  # |x| 10^6 < 2^52, where every half-integer is a double
+_E16 = 10 ** 16
+_E_MAX = 299
+_POW10 = 10 ** np.arange(17, dtype=np.int64)
+_ZERO, _MINUS = ord("0"), ord("-")
+# a source row: [no byte, sign, d0, 16 digits, ".", "0", "e", exponent sign,
+# exponent digits]; `%.6f` puts the digits of N in d1..d16
+_SIGN, _D, _DOT, _NOUGHT, _E = 1, list(range(2, 19)), 19, 20, 21
+
+
+def _pad(rows):
+    width = max(map(len, rows))
+    return np.array([row + [0] * (width - len(row)) for row in rows], np.intp)
+
+
+def _power(s):
+    """10^s as hi + lo, each correctly rounded (so is int true division)."""
+    t = 10 ** abs(s)
+    if s >= 0:
+        return float(t), float(t - int(float(t)))
+    num, den = (1 / t).as_integer_ratio()
+    return 1 / t, (den - num * t) / (den * t)
+
+
+def _g17_layouts():
+    """Per (fixed notation at E = -4..16, or scientific; digits kept 1..17)
+    the source bytes of a `%.17g` field, in order."""
+    rows = []
+    for exp in [*range(-4, 17), None]:
+        for kept in range(1, 18):
+            point = ([_DOT] + _D[1:kept] if kept > 1 else []) + list(range(_E, 26))
+            if exp is not None and exp < 0:
+                point = [_NOUGHT, _DOT] + [_NOUGHT] * (-exp - 1) + _D[:kept]
+            elif exp is not None:
+                point = _D[:exp + 1] + ([_DOT] + _D[exp + 1:kept] if kept > exp + 1 else [])
+            rows.append([_SIGN] + ([_D[0]] if exp is None else []) + point)
+    return _pad(rows)
+
+
+class _Tables(NamedTuple):
+    groups: np.ndarray  # "0000".."9999" as uint32
+    hi: np.ndarray  # 10^s = hi + lo for s in [_S_LO, _S_HI]; lo == 0 where
+    lo: np.ndarray  # 10^s is a double
+    tails: np.ndarray  # exponent sign and digits as uint32, from E = -_E_MAX
+    f6: np.ndarray  # per layout case, the source bytes of a field in order
+    g17: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _tables() -> _Tables:
+    """Built on first use, so importing the module stays cheap."""
+    groups = np.stack([np.arange(10_000) // 10 ** k % 10 for k in (3, 2, 1, 0)], axis=1)
+    hi, lo = np.array([_power(s) for s in range(_S_LO, _S_HI + 1)]).T
+    # two exponent digits at least
+    tails = b"".join(b"%c%c%02d" % (b"+-"[e < 0], _ZERO + abs(e) // 100 if abs(e) > 99 else 0,
+                                     abs(e) % 100) for e in range(-_E_MAX, _E_MAX + 1))
+    # `%.6f` by digit count c >= 7 of N: the point ahead of the last six
+    f6 = [[_SIGN] + _D[17 - c:11] + [_DOT] + _D[11:] for c in range(17)]
+    return _Tables((groups + _ZERO).astype(np.uint8).view(np.uint32).ravel(), hi, lo,
+                   np.frombuffer(tails, np.uint32), _pad(f6), _g17_layouts())
+
+
+def _two_product(a, b):
+    """p = fl(a b) and e with p + e = a b exactly."""
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _split(a):
+    c = 134217729.0 * a  # 2^27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _source(lead, n, negative) -> np.ndarray:
+    """Source rows with digit d0 = `lead`, d1..d16 those of n < 10^16."""
+    high, low = np.divmod(n, 10 ** 8)
+    quads = np.stack([*np.divmod(high, 10 ** 4), *np.divmod(low, 10 ** 4)], axis=1)
+    src = np.zeros((len(n), 26), np.uint8)
+    src[:, _SIGN] = np.where(negative, _MINUS, 0)
+    src[:, _D[0]] = lead + _ZERO
+    src[:, _D[1]:_DOT] = _tables().groups[quads].view(np.uint8)
+    src[:, _DOT:_E + 1] = np.frombuffer(b".0e", np.uint8)
+    return src
+
+
+def _field(src, table, case, values, slow, template) -> np.ndarray:
+    """Row i is src[i, table[case[i]]], and `template % v` in `slow` rows."""
+    index = table[case]
+    index += (np.arange(len(src)) * src.shape[1])[:, None]
+    field = src.ravel().take(index)
+    rows = np.flatnonzero(slow)
+    if len(rows):
+        texts = [(template % v).encode("ascii") for v in values[rows].tolist()]
+        field = np.pad(field, ((0, 0), (0, max(0, max(map(len, texts)) - field.shape[1]))))
+        field[rows] = 0
+        for row, text in zip(rows.tolist(), texts):
+            field[row, :len(text)] = np.frombuffer(text, np.uint8)
+    return field
+
+
+def f6(values) -> np.ndarray:
+    """Canvas of `'%.6f' % v`, unsigned where v rounds to zero."""
+    values = np.asarray(values, dtype=float)
+    with np.errstate(invalid="ignore"):
+        slow = ~(np.abs(values) < _F_MAX)
+    p, e = _two_product(np.abs(np.where(slow, 0.0, values)), 1e6)
+    r = np.rint(p)
+    tie = np.abs(p - r) == 0.5
+    n = np.where(tie & (e != 0), p + np.copysign(0.5, e), r).astype(np.int64)
+    src = _source(0, n, np.signbit(values) & (n != 0))
+    count = np.maximum(np.searchsorted(_POW10, n, side="right"), 7)
+    return _field(src, _tables().f6, count, values, slow, "%.6f")
+
+
+def g17(values) -> np.ndarray:
+    """Canvas of `'%.17g' % v`."""
+    values = np.asarray(values, dtype=float)
+    a = np.abs(values)
+    with np.errstate(invalid="ignore"):
+        slow = ~((a >= _G_RANGE[0]) & (a < _G_RANGE[1]))
+    a[slow] = 1.0
+    exp = np.floor(np.log10(a)).astype(np.int64)
+    p, e, inexact = _scaled(a, exp)
+    # log10 may be one off next to 10^E: move E until 10^16 <= p + e < 10^17
+    off = _outside(p, e)
+    redo = np.flatnonzero(off)
+    if len(redo):
+        exp[redo] += off[redo]
+        p[redo], e[redo], inexact[redo] = _scaled(a[redo], exp[redo])
+        slow[redo] |= _outside(p[redo], e[redo]) != 0
+    slow |= inexact & (np.abs(e - np.floor(e) - 0.5) < _NEAR_TIE)
+    # p >= 10^16 > 2^53 is an even integer, so p + rint(e) rounds half-even
+    n = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    carry = n == 10 * _E16
+    n[carry] = _E16
+    exp += carry
+    lead = n // _E16
+    src = _source(lead, n - lead * _E16, np.signbit(values))
+    src[:, _E + 1:] = _tables().tails[exp + _E_MAX].view(np.uint8).reshape(-1, 4)
+    kept = 17 - np.argmax(src[:, _D[-1]:_SIGN:-1] != _ZERO, axis=1)
+    case = np.where((exp >= -4) & (exp < 17), exp + 4, 21) * 17 + kept - 1
+    return _field(src, _tables().g17, case, values, slow, "%.17g")
+
+
+def _scaled(a, exp):
+    """p + e ~ a 10^(16 - exp), and whether 10^(16 - exp) is inexact."""
+    tables, s = _tables(), 16 - exp - _S_LO
+    p, e = _two_product(a, tables.hi[s])
+    lo = tables.lo[s]
+    return p, e + a * lo, lo != 0
+
+
+def _outside(p, e):
+    """-1 where p + e < 10^16, +1 where p + e >= 10^17, else 0."""
+    low = (p < 1e16) | ((p == 1e16) & (e < 0))
+    high = (p > 1e17) | ((p == 1e17) & (e >= 0))
+    return high.astype(np.int64) - low
+
+
+def join(parts: List[Union[bytes, np.ndarray]]) -> str:
+    """The rows of literals and canvases side by side, as one string.
+    Empties `parts`, so that each canvas is freed once it is copied."""
+    rows = next(len(p) for p in parts if isinstance(p, np.ndarray))
+    widths = [len(p) if isinstance(p, bytes) else p.shape[1] for p in parts]
+    canvas = np.empty((rows, sum(widths)), np.uint8)
+    start = 0
+    for width in widths:
+        part = parts.pop(0)
+        canvas[:, start:start + width] = (np.frombuffer(part, np.uint8)
+                                          if isinstance(part, bytes) else part)
+        start += width
+    text = canvas.tobytes()
+    del canvas
+    return text.translate(None, b"\0").decode("ascii")

@@ -5,7 +5,9 @@ text report) is a pure function of the configuration document, so re-running
 with the same config reproduces every artifact byte for byte.  Files are
 written to a temporary sibling and renamed into place, which leaves no
 partial artifact behind on failure.  The JSON, CSV and SVG emitters stream
-their text into that sibling in blocks of rows, one `%` call per block.
+their text into that sibling in blocks of rows: the JSON block is one `%`
+call, and the CSV and SVG numbers come from the exact digit kernel in
+`trapcert._digits`, which writes the bytes of `%.17g` and `%.6f`.
 
 Exit codes follow one contract for every subcommand: 0 on success, 1 when a
 certificate or sign check fails (the run itself worked, the claim did not
@@ -21,12 +23,14 @@ import math
 import os
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from trapcert import _digits
 from trapcert.certify import Certificates, CertifyError, certify_geometry
 from trapcert.dtnverify import (
     DEFAULT_M_MAX,
@@ -248,9 +252,13 @@ def _parse_sweep(doc: Mapping) -> SweepParams:
         raw = doc["nValues"]
         if not isinstance(raw, list) or not raw:
             raise ConfigError("sweep.nValues must be a nonempty array")
-        params = replace(params, n_values=tuple(
-            _as_int(v, f"sweep.nValues[{i}]", 2, _MAX_SWEEP_SIZE)
-            for i, v in enumerate(raw)))
+        n_values = tuple(_as_int(v, f"sweep.nValues[{i}]", 2, _MAX_SWEEP_SIZE)
+                         for i, v in enumerate(raw))
+        repeated = sorted(n for n, count in Counter(n_values).items() if count > 1)
+        if repeated:
+            raise ConfigError(f"sweep.nValues repeats dimension(s) "
+                              f"{', '.join(map(str, repeated))}")
+        params = replace(params, n_values=n_values)
     if "mMax" in doc:
         params = replace(params, m_max=_as_int(doc["mMax"], "sweep.mMax", 0,
                                                _MAX_SWEEP_SIZE))
@@ -316,13 +324,26 @@ def config_from_mapping(doc: Mapping) -> RunConfig:
                      outputs=outputs, precision_digits=precision, sweep=sweep)
 
 
+def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a key given twice (json.loads
+    would keep the last value)."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ConfigError(f"config repeats the key {key!r} in one object")
+        seen.add(key)
+    return dict(pairs)
+
+
 def load_config(path: str) -> RunConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except ConfigError:
+        raise
     # also an over-long integer literal, or nesting past the recursion limit
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
@@ -341,9 +362,13 @@ def _write_text_atomic(path: str, chunks: Iterable[str]) -> None:
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
+        # mkstemp makes the file 0600; publish it with the mode open() gives
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            for chunk in chunks:
-                handle.write(chunk)
+            # each chunk is freed once written
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -382,22 +407,28 @@ def emit_geometry_json(boxes: Boxes, summary: GeometrySummary, path: str) -> Non
     _write_text_atomic(path, _json_blocks(boxes, summary))
 
 
-# rows per `%` call of the emitters: a block is a few hundred KiB of text,
+# rows per block of the emitters: a block is a few hundred KiB of text,
 # and the artifact is streamed block by block
 _BLOCK_ROWS = 2048
 
 
+def _blocks(count: int) -> Iterator[slice]:
+    for start in range(0, count, _BLOCK_ROWS):
+        yield slice(start, start + _BLOCK_ROWS)
+
+
 def _row_blocks(row: str, columns: Sequence[np.ndarray]) -> Iterator[str]:
-    """The rows of `columns` (a CSV line, SVG path or JSON box each) formatted
-    by the one-row %-template `row`, _BLOCK_ROWS rows per `%` call."""
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
+    """The rows of `columns` (a JSON box each) formatted by the one-row
+    %-template `row`, _BLOCK_ROWS rows per `%` call."""
+    for rows in _blocks(len(columns[0])):
+        block = np.column_stack([c[rows] for c in columns])
         yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def _svg_blocks(boxes: Boxes) -> Iterator[str]:
-    """The SVG text in blocks.  The arrangement is checked here, before the
-    first block is asked for."""
+    """The SVG text in blocks, every number `%.6f` with no sign on a value
+    that rounds to zero.  The arrangement is checked here, before the first
+    block is asked for."""
     if not len(boxes):
         raise GeometryError("nothing to draw: no boxes")
     if boxes.lo.shape[1] != 2:
@@ -413,19 +444,27 @@ def _svg_blocks(boxes: Boxes) -> Iterator[str]:
     view = (xs_lo - margin, -ys_hi - margin,
             (xs_hi - xs_lo) + 2.0 * margin, (ys_hi - ys_lo) + 2.0 * margin)
     stroke = max(1.0e-6, 0.02 * boxes.side.min().item())
-    head = ('<?xml version="1.0" encoding="UTF-8"?>\n'
-            '<svg xmlns="http://www.w3.org/2000/svg" viewBox="%.6f %.6f %.6f %.6f">\n'
-            '<g fill="#e6e6e6" stroke="#000000" stroke-width="%.6f" '
-            'stroke-linecap="butt" stroke-linejoin="miter">\n') % (*view, stroke)
-    (x0, y0), (x1, y1) = lo.T, hi.T
-    # start at the slot's inner end, trace bottom-right-top-left back to the
-    # corner; the fill closes the subpath, the stroke leaves it open
-    corners = (x0 + boxes.side * boxes.gap, -y0, x1, -y0, x1, -y1, x0, -y1, x0, -y0)
-    path = '<path d="M %.6f %.6f L %.6f %.6f L %.6f %.6f L %.6f %.6f L %.6f %.6f"/>\n'
-    blocks = itertools.chain([head], _row_blocks(path, corners), ["</g>\n</svg>\n"])
-    # a value that rounds to zero prints unsigned; "-0.000000" is never part
-    # of another %.6f field
-    return (text.replace("-0.000000", "0.000000") for text in blocks)
+    *view_text, stroke_text = _digits.join(
+        [_digits.f6(np.array([*view, stroke])), b" "]).split()
+    return itertools.chain([
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{" ".join(view_text)}">\n'
+        f'<g fill="#e6e6e6" stroke="#000000" stroke-width="{stroke_text}" '
+        'stroke-linecap="butt" stroke-linejoin="miter">\n'],
+        _path_blocks(boxes), ["</g>\n</svg>\n"])
+
+
+def _path_blocks(boxes: Boxes) -> Iterator[str]:
+    for rows in _blocks(len(boxes)):
+        (x0, y0), side = boxes.lo[rows].T, boxes.side[rows]
+        # the five distinct numbers of a path, each formatted once
+        slot, low, x1, top, left = (_digits.f6(c) for c in (
+            x0 + side * boxes.gap[rows], -y0, x0 + side, -(y0 + side), x0))
+        # start at the slot's inner end, trace bottom-right-top-left back to
+        # the corner; the fill closes the subpath, the stroke leaves it open
+        yield _digits.join([b'<path d="M ', slot, b" ", low, b" L ", x1, b" ", low,
+                             b" L ", x1, b" ", top, b" L ", left, b" ", top,
+                             b" L ", left, b" ", low, b'"/>\n'])
 
 
 def svg_document(boxes: Boxes) -> str:
@@ -440,16 +479,20 @@ def emit_svg(boxes: Boxes, path: str) -> None:
 
 
 _CSV_COLUMNS = ("j", "k", "a", "eps", "infsup_ub", "cprime_lb", "c_lb", "margin")
-# j, then 17 significant digits (round-trip exact) per value
-_CSV_ROW = "%d" + ",%.17g" * (len(_CSV_COLUMNS) - 1) + "\n"
 
 
 def _csv_blocks(records: Certificates) -> Iterator[str]:
     yield ",".join(_CSV_COLUMNS) + "\n"
-    # the indices are exact in binary64, so one float table holds every row
-    yield from _row_blocks(_CSV_ROW, (
-        records.j, records.k, records.a, records.eps, records.infsup_ub,
-        records.c_prime_lb, records.c_lb, records.margin))
+    columns = (records.k, records.a, records.eps, records.infsup_ub,
+               records.c_prime_lb, records.c_lb, records.margin)
+    for rows in _blocks(len(records)):
+        # 17 significant digits (round-trip exact) per value; an index
+        # below 2^53 prints the same by %.17g as by %d
+        parts = [_digits.g17(records.j[rows])]
+        for column in columns:
+            parts += [b",", _digits.g17(column[rows])]
+        parts.append(b"\n")
+        yield _digits.join(parts)
 
 
 def certificates_csv(records: Certificates) -> str:

@@ -173,6 +173,8 @@ def test_config_sweep_parsing():
     assert grid[0] == pytest.approx(0.1) and grid[-1] == pytest.approx(10.0)
     with pytest.raises(ConfigError, match="rhoMin"):
         config_from_mapping({"sweep": {"rhoMin": 5.0, "rhoMax": 1.0}})
+    with pytest.raises(ConfigError, match=r"^sweep.nValues repeats dimension\(s\) 2, 4$"):
+        config_from_mapping({"sweep": {"nValues": [4, 2, 3, 2, 4]}})
 
 
 def test_config_outputs_need_nonempty_paths():
@@ -651,6 +653,41 @@ def test_run_malformed_config_file_exit_2(tmp_path, capsys, content, message):
     assert run(["plan", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"dimension": 2, "layers": 3, "dimension": 3}', "dimension"),
+    ('{"sweep": {"mMax": 2, "rhoPoints": 3, "mMax": 3}}', "mMax"),
+], ids=["top-level", "nested"])
+def test_run_repeated_config_key_exit_2(tmp_path, capsys, text, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(["verify-dtn", "--config", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: config repeats the key '{key}' in one object\n")
+
+
+def test_run_repeated_sweep_dimension_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"sweep": {"nValues": [2, 2], "mMax": 1,
+                                            "rhoPoints": 2}})
+    assert run(["verify-dtn", "--config", cfg]) == 2
+    assert capsys.readouterr() == (
+        "", "error: sweep.nValues repeats dimension(s) 2\n")
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_artifacts_get_the_mode_open_gives(tmp_path, umask, mode):
+    cfg = write_config(tmp_path, {**demo_mapping(layers=2),
+                                  "sweep": {"nValues": [2], "mMax": 1, "rhoPoints": 2}})
+    old = os.umask(umask)
+    try:
+        for command in ("build", "certify", "plot", "report"):
+            assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    finally:
+        os.umask(old)
+    names = ("geometry.json", "certificates.csv", "figure.svg", "report.txt")
+    assert {name: (tmp_path / "out" / name).stat().st_mode & 0o777 for name in names} == \
+        dict.fromkeys(names, mode)
 
 
 OVERSIZE = [(dict(layers=10_000), 435_585_210),

@@ -1,0 +1,140 @@
+"""The digit kernel against `%`, value by value: `_digits.g17` must write
+the bytes of `'%.17g' % v` and `_digits.f6` those of `'%.6f' % v` (with
+"-0.000000" printed unsigned), on the values where a fast route goes wrong:
+neighbours of powers of ten and of d * 10^k, exact and near rounding ties,
+integers, random bit patterns of both signs, and blocks that mix kernel
+values with every value the kernel leaves to `%`."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from trapcert import _digits
+
+TINY = 2.0 ** -1022
+
+
+def lines(canvas):
+    return _digits.join([canvas, b"\n"]).split("\n")[:-1]
+
+
+def mismatches_g17(values):
+    values = np.asarray(values, dtype=float)
+    return [(v, got) for v, got in zip(values.tolist(), lines(_digits.g17(values)))
+            if got != "%.17g" % v]
+
+
+def f6_reference(v):
+    text = "%.6f" % v
+    return "0.000000" if text == "-0.000000" else text
+
+
+def mismatches_f6(values):
+    values = np.asarray(values, dtype=float)
+    return [(v, got) for v, got in zip(values.tolist(), lines(_digits.f6(values)))
+            if got != f6_reference(v)]
+
+
+def ulps(centres, reach=3):
+    """Every double within `reach` ulps of each centre, both signs."""
+    centres = np.asarray(centres, dtype=float)
+    out = [centres]
+    up = down = centres
+    for _ in range(reach):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    values = np.concatenate(out)
+    return np.concatenate([values, -values])
+
+
+def test_g17_around_d_times_powers_of_ten():
+    # one past the table on each side, so the edges of the range are crossed
+    exponents = np.arange(-282, 292)
+    centres = [float(Fraction(d) * Fraction(10) ** k)
+               for d in ("1", "9.9999999999999995", "9.99999999999999949", "5", "1.5", "2.5")
+               for k in exponents.tolist()]
+    assert mismatches_g17(ulps(centres)) == []
+
+
+def test_g17_exact_ties_of_small_multiples_of_powers_of_two():
+    m = np.arange(1, 64, 2, dtype=float)
+    q = np.arange(-1074, 1000)
+    values = np.ldexp(m[:, None], q[None, :]).ravel()
+    values = values[np.isfinite(values)]
+    assert mismatches_g17(np.concatenate([values, -values])) == []
+
+
+def test_g17_integers_up_to_ten_to_the_seventeen():
+    rng = np.random.default_rng(17)
+    powers = [10 ** k + step for k in range(18) for step in (-2, -1, 0, 1, 2)]
+    twos = [2 ** 53 + step for step in range(-4, 5)]
+    values = np.concatenate([np.array(powers + twos, dtype=float),
+                             rng.integers(0, 10 ** 17, 20_000).astype(float),
+                             rng.integers(0, 200_000, 2_000).astype(float)])
+    assert mismatches_g17(values) == []
+
+
+def test_g17_random_bit_patterns():
+    rng = np.random.default_rng(3)
+    values = rng.integers(0, 2 ** 64, 60_000, dtype=np.uint64).view(np.float64)
+    with np.errstate(invalid="ignore"):
+        assert mismatches_g17(values) == []
+
+
+def near_ties(t):
+    """Doubles x = m 2^(w+t) whose x 10^-t lies k/(2 5^t) from a half-integer,
+    for small odd k: the 17th digit is a near tie that 10^-t, no double,
+    cannot settle in binary64."""
+    five, out = 5 ** t, []
+    for w in range(int(math.log2(1e16 * five / 2 ** 53)) - 1,
+                   int(math.log2(1e17 * five / 2 ** 52)) + 2):
+        for k in range(-15, 16, 2):
+            # m 2^w = (5^t + k) / 2 (mod 5^t)
+            first = (five + k) // 2 * pow(2 ** w, -1, five) % five
+            out += [math.ldexp(m, w + t) for m in range(first, 2 ** 53, five)
+                    if m >= 2 ** 52 and 1e16 <= m * 2.0 ** w / five < 1e17]
+    return out
+
+
+def test_g17_values_the_kernel_leaves_to_percent():
+    ties = [v for t in (22, 23, 24) for v in near_ties(t)]
+    for v in ties:
+        scaled = Fraction(v) / 10 ** (math.floor(math.log10(v)) - 16)
+        assert abs(scaled % 1 - Fraction(1, 2)) < Fraction(1, 2 ** 40)
+    fallback = [0.0, -0.0, 5e-324, -TINY / 3, TINY, math.inf, -math.inf, math.nan,
+                1e-300, -1e300, 1.7976931348623157e308, *ties[:5]]
+    kernel = [1.0, -0.1, 1e16, 9.9999999999999996e-270, 123456.789, 2.5e-5]
+    values = np.array(fallback + kernel) * np.ones((3, 1))
+    assert mismatches_g17(values.ravel()) == []
+    assert mismatches_g17(values.ravel()[::-1]) == []
+    assert mismatches_g17(ties + [-v for v in ties]) == []
+
+
+def test_f6_ties_and_neighbours():
+    ties = [1 / 128, 3 * 2.0 ** -8, 2.0 ** -7 + 2.0 ** -20, 0.5, 2.5, 1e-6 / 2]
+    centres = ties + [5e-7, 1.5e-6, 2.5e-6, 0.0000125, 0.1, 1 / 3, 2.0 ** 32, 4e9]
+    dyadic = np.ldexp(np.arange(1, 200, 2, dtype=float)[:, None],
+                      -np.arange(1, 30)[None, :]).ravel()
+    assert mismatches_f6(np.concatenate([ulps(centres), dyadic, -dyadic])) == []
+
+
+def test_f6_random_magnitudes_and_fallbacks():
+    rng = np.random.default_rng(6)
+    values = np.concatenate([
+        rng.uniform(-1000, 1000, 20_000),
+        np.exp(rng.uniform(-20, 23, 20_000)) * rng.choice([-1, 1], 20_000),
+        [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1e300, -1e20,
+         2.0 ** 32, -(2.0 ** 32), np.nextafter(2.0 ** 32, 0)],
+    ])
+    assert mismatches_f6(values) == []
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_join_lays_literals_and_canvases_side_by_side(rows):
+    values = np.arange(rows) - 2.5
+    parts = [b"<", _digits.g17(values), b" ", _digits.f6(values), b">\n"]
+    expected = "".join("<%.17g %s>\n" % (v, f6_reference(v)) for v in values.tolist())
+    assert _digits.join(parts) == expected
+    assert parts == []
