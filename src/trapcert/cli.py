@@ -69,7 +69,7 @@ from trapcert.specfun import (
     BesselDomainError,
     BesselRangeError,
     ConvergenceError,
-    selftest_rows,
+    selftest_grid,
 )
 
 
@@ -436,9 +436,10 @@ def _svg_blocks(boxes: Boxes) -> Iterator[str]:
             f"SVG output is only defined for dimension 2, "
             f"got dimension {boxes.lo.shape[1]}"
         )
-    lo, hi = boxes.lo, boxes.hi
-    xs_lo, ys_lo = lo.min(axis=0).tolist()
-    xs_hi, ys_hi = hi.max(axis=0).tolist()
+    xs_lo, ys_lo = boxes.lo.min(axis=0).tolist()
+    # the upper corners' maxima a block at a time: boxes.hi would copy all of them
+    xs_hi, ys_hi = np.max([(boxes.lo[rows] + boxes.side[rows, None]).max(axis=0)
+                           for rows in _blocks(len(boxes))], axis=0).tolist()
     margin = 0.05 * max(xs_hi - xs_lo, ys_hi - ys_lo)
     # world y points up; SVG y points down
     view = (xs_lo - margin, -ys_hi - margin,
@@ -733,21 +734,19 @@ def _cmd_verify_dtn(cfg: RunConfig, outputs: OutputPaths, out) -> int:
     return 0
 
 
+def _worst(values: np.ndarray) -> float:
+    """The largest entry, at least 0.0, NaN skipped: what a Python max fold
+    from 0.0 keeps (a failing NaN is counted through the ok mask)."""
+    return float(np.fmax.reduce(values, axis=None, initial=0.0))
+
+
 def _cmd_selftest(cfg: RunConfig, outputs: OutputPaths, out) -> int:
-    rows = failures = 0
-    worst_wronskian = 0.0
-    worst_halfint = 0.0
-    for _, _, wr, herr, ok in selftest_rows():
-        rows += 1
-        worst_wronskian = max(worst_wronskian, wr)
-        if herr is not None:
-            worst_halfint = max(worst_halfint, herr)
-        if not ok:
-            failures += 1
+    grid = selftest_grid()
+    failures = grid.ok.size - int(np.count_nonzero(grid.ok))
     verdict = "pass" if failures == 0 else "FAIL"
-    print(f"special-function selftest: {rows} grid points, {failures} failures, "
-          f"worst wronskian residual {worst_wronskian:.3g}, "
-          f"worst half-integer error {worst_halfint:.3g}: {verdict}", file=out)
+    print(f"special-function selftest: {grid.ok.size} grid points, {failures} failures, "
+          f"worst wronskian residual {_worst(grid.residuals):.3g}, "
+          f"worst half-integer error {_worst(grid.halfint):.3g}: {verdict}", file=out)
     return 0 if failures == 0 else 1
 
 

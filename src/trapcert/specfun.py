@@ -37,17 +37,21 @@ normalization as array operations, and one Temme series per distinct
 (mu, t) of a batch.  The 2^500 rescaling runs only on the steps where some
 point crosses it (a product by 1.0 is exact, so skipping it changes no
 bit).  `ladder_batches` returns full ladders of several base orders and
-counts in one pass (the modal sweep's two order parities), `selftest_rows`
-takes the top-order entries of many (nu, t) at once, and every public
-scalar evaluator is a one-element call.  The test suite keeps the
-algorithm's scalar form, on Python floats, in `tests/oracles.py`, and
-requires the engine to equal it bit for bit: every point sees the same
-sequence of binary64 operations, and each of them (+ - * / sqrt, frexp,
+counts in one pass (the modal sweep's two order parities), `selftest_grid`
+takes the top-order entries of many (nu, t) at once and returns the
+selftest as arrays, and every public scalar evaluator is a one-element
+call.  The half-integer closed form, the engine's independent cross-check,
+has one array form too (`_half_integer_batch`), as has the (h, h') of a
+scaled entry (`_hankel_pairs`).  The test suite keeps the scalar forms,
+on Python floats and complex numbers, in `tests/oracles.py`, and requires
+the arrays to equal them bit for bit: every point sees the same sequence
+of binary64 operations, and each of them (+ - * / sqrt hypot, frexp,
 ldexp, comparisons) is correctly rounded or exact in numpy as in CPython.
-The only complex arithmetic, CF2's, is CPython's own product and Smith
-quotient written out in reals (numpy's complex division rounds
-differently), and its |z| < bound tests defer to CPython's abs() for the
-rare points too close to the bound to settle from z's squared modulus.
+Complex arithmetic, CF2's and the closed form's, is CPython's own product
+and Smith quotient written out in reals (numpy's complex division rounds
+differently); cos, sin and powers come from the math module, one call per
+argument; CF2's |z| < bound tests defer to CPython's abs() for the rare
+points too close to the bound to settle from z's squared modulus.
 
 Accuracy: better than 1e-10 relative to the modulus M_nu = |H_nu| for
 nu <= 200 and t in [1e-3, 1e3] (observed ~1e-11 worst case).  Relative to
@@ -279,6 +283,12 @@ def _abs_below(re: np.ndarray, im: np.ndarray, bound: float) -> np.ndarray:
     return out
 
 
+def _c_prod(ar, ai, br, bi):
+    """CPython's complex product (`_Py_c_prod`) in reals; a float operand
+    is a complex with imaginary part 0.0."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
 def _c_quot(ar, ai, br, bi):
     """CPython's complex quotient (Smith's method, `_Py_c_quot`) in reals."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -359,7 +369,8 @@ def _cf2_batch(mu: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         a = (k - 0.5) ** 2 - mu2
         br = 2.0 * x
         bi = 2.0 * k
-        dr, di = br + (a * dr - 0.0 * di), bi + (a * di + 0.0 * dr)
+        dr, di = _c_prod(a, 0.0, dr, di)
+        dr, di = br + dr, bi + di
         small = _abs_below(dr, di, _TINY)
         dr[small] = _TINY
         di[small] = 0.0
@@ -369,15 +380,14 @@ def _cf2_batch(mu: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         cr[small] = _TINY
         ci[small] = 0.0
         dr, di = _c_quot(1.0, 0.0, dr, di)
-        er = cr * dr - ci * di
-        ei = cr * di + ci * dr
-        fr, fi = fr * er - fi * ei, fr * ei + fi * er
+        er, ei = _c_prod(cr, ci, dr, di)
+        fr, fi = _c_prod(fr, fi, er, ei)
         done = _abs_below(er - 1.0, ei - 0.0, _EPS)
         if done.any():
-            xd, frd, fid = x[done], fr[done], fi[done]
-            xinv = 1.0 / xd
-            p_out[idx[done]] = -0.5 / xd + (0.0 * frd - xinv * fid)
-            q_out[idx[done]] = 1.0 + (0.0 * fid + xinv * frd)
+            xd = x[done]
+            zr, zi = _c_prod(0.0, 1.0 / xd, fr[done], fi[done])
+            p_out[idx[done]] = -0.5 / xd + zr
+            q_out[idx[done]] = 1.0 + zi
             keep = ~done
             if not keep.any():
                 return p_out, q_out
@@ -400,50 +410,14 @@ def _prefix(k: int, *arrays: np.ndarray) -> Sequence[np.ndarray]:
     return arrays if k == arrays[0].size else [a[:k] for a in arrays]
 
 
-def _ladders(mu0: np.ndarray, x: np.ndarray, counts: np.ndarray, full: bool):
-    """Scaled (J, Y) ladders at arrays of points: the Bessel engine.
-
-    Point p recurs from order mu0[p] + counts[p] down to mu0[p] and back up.
-    With `full` every order is kept: six (P, max(counts) + 1) arrays come
-    back whose row p holds the ladder of point p in its first counts[p] + 1
-    columns.  Otherwise only the running state is kept and six (P,) arrays
-    hold the entry of order mu0 + count.
-    """
-    npts = x.size
-    # the seeds, in the caller's order, so that a stall names its first point
-    f_top, sgn = _cf1_batch(mu0 + counts, x)
-    # Temme's (Y_mu, Y_mu+1) below t = 2, CF2's (p, q) from t = 2 on
-    seed_a = np.empty(npts)
-    seed_b = np.empty(npts)
-    lo = np.flatnonzero(x < _XMIN)
-    temme = {}  # one series per distinct (mu, t)
-    for i, m, t in zip(lo.tolist(), mu0[lo].tolist(), x[lo].tolist()):
-        if (m, t) not in temme:
-            temme[m, t] = _temme_y(m, t)
-        seed_a[i], seed_b[i] = temme[m, t]
-    hi = np.flatnonzero(x >= _XMIN)
-    if hi.size:
-        seed_a[hi], seed_b[hi] = _cf2_batch(mu0[hi], x[hi])
-
-    # recur in order of decreasing count, so that the points taking any one
-    # step are a prefix of the arrays: the J recurrences all end at order
-    # mu0 (point p joins at step max(counts) - counts[p]) and the Y
-    # recurrences all start there
-    order = np.argsort(-counts, kind="stable")
-    mu0, x, counts, f_top, sgn, seed_a, seed_b = (
-        a[order] for a in (mu0, x, counts, f_top, sgn, seed_a, seed_b))
-    steps = int(counts[0])
-    running = np.searchsorted(-counts, -np.arange(steps + 1), side="left").tolist()
+def _recur_down(nu: np.ndarray, x: np.ndarray, jm: np.ndarray, jpm: np.ndarray,
+                ej: np.ndarray, running: List[int], full: bool) -> np.ndarray:
+    """The J recurrence of `_ladders`, from the top orders nu down to mu0, in
+    the rows of jm and jpm; ej[:i + 1] takes the running exponents at each
+    rescaling, which come back."""
     wrap = -1 if full else 1  # order i sits in row i & wrap: two rows take turns
-
-    # J (jm) and J' (jpm); a row holds the top entry until the recurrence reaches it
-    jm = np.empty((steps + 1 if full else 2, npts))
-    jpm = np.empty_like(jm)
-    jm[:], jpm[:] = sgn, f_top * sgn
-    ej = np.zeros(jm.shape, dtype=np.int64)
-    nu = mu0 + counts
-    e = np.zeros(npts, dtype=np.int64)
-    for i in range(steps - 1, -1, -1):
+    e = np.zeros(x.size, dtype=np.int64)
+    for i in range(len(running) - 2, -1, -1):
         v, xk, c, cp, prev, prevp = _prefix(running[i], nu, x, jm[(i + 1) & wrap],
                                             jpm[(i + 1) & wrap], jm[i & wrap], jpm[i & wrap])
         r = v / xk
@@ -459,47 +433,18 @@ def _ladders(mu0: np.ndarray, x: np.ndarray, counts: np.ndarray, full: bool):
             prevp[big] *= _RENORM_INV
             e[:big.size][big] += _EXP_STEP
             ej[:i + 1] = e
+    return e
 
-    j0, jp0 = jm[0], jpm[0]
-    j0[j0 == 0.0] = _TINY  # measure-zero hit of a J zero; nudge as usual
-    f_mu = jp0 / j0
-    w = 2.0 / (math.pi * x)
-    ymu, ymu1, ypmu, jmu = (np.empty(npts) for _ in range(4))
-    lo = np.flatnonzero(x < _XMIN)
-    if lo.size:
-        yl, y1l, ml, xl = seed_a[lo], seed_b[lo], mu0[lo], x[lo]
-        ymu[lo], ymu1[lo] = yl, y1l
-        ypmu[lo] = (ml / xl) * yl - y1l
-        jmu[lo] = w[lo] / (ypmu[lo] - f_mu[lo] * yl)
-    hi = np.flatnonzero(x >= _XMIN)
-    if hi.size:
-        p, q, ml, xl, fl = seed_a[hi], seed_b[hi], mu0[hi], x[hi], f_mu[hi]
-        gam = (p - fl) / q
-        jh = np.sqrt(w[hi] / ((p - fl) * gam + q))
-        jh = np.where(j0[hi] < 0.0, -jh, jh)
-        yh = gam * jh
-        yph = q * jh + p * yh
-        jmu[hi], ymu[hi], ypmu[hi] = jh, yh, yph
-        ymu1[hi] = (ml / xl) * yh - yph
 
-    # rescale the unnormalized J ladders so that order mu0 equals jmu
-    sm, se = np.frexp(jmu)
-    sig_m = sm / j0
-    if not full:  # only the top entries are kept
-        jm, jpm, ej = sgn, f_top * sgn, np.zeros(npts, dtype=np.int64)
-    jm *= sig_m
-    jpm *= sig_m
-    ej += se - e
-    jm, jpm, ej = _frexp_pair(jm, jpm, ej)
-
-    # Y (ym) and Y' (ypm), with one more row of Y for the order above the top
-    ym = np.zeros((steps + 2 if full else 2, npts))
-    ypm = np.zeros((steps + 1 if full else 2, npts))
-    ey = np.zeros(ypm.shape, dtype=np.int64)
-    ym[0], ym[1], ypm[0] = ymu, ymu1, ypmu
+def _recur_up(mu0: np.ndarray, x: np.ndarray, ym: np.ndarray, ypm: np.ndarray,
+              ey: np.ndarray, running: List[int], full: bool) -> np.ndarray:
+    """The Y recurrence of `_ladders`, from the seeds in ym[0], ym[1] and
+    ypm[0] up to the top orders; ey[s:] takes the running exponents at each
+    rescaling, which come back."""
+    wrap = -1 if full else 1  # as in `_recur_down`
     nu = mu0.copy()
-    e = np.zeros(npts, dtype=np.int64)
-    for s in range(1, steps + 1):
+    e = np.zeros(x.size, dtype=np.int64)
+    for s in range(1, len(running)):
         # the points with at least s steps; row s + 1 may be row s - 1
         k = running[s - 1]
         v, xk, ylo, ya, yb, ypv = _prefix(k, nu, x, ym[(s - 1) & wrap], ym[s & wrap],
@@ -518,6 +463,100 @@ def _ladders(mu0: np.ndarray, x: np.ndarray, counts: np.ndarray, full: bool):
         np.divide(v, xk, out=r)
         r *= ya
         np.subtract(r, yb, out=ypv)
+    return e
+
+
+def _mu_seeds(mu0: np.ndarray, x: np.ndarray, seed_a: np.ndarray, seed_b: np.ndarray,
+              f_mu: np.ndarray, j_neg: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """(J_mu, Y_mu, Y_mu+1, Y_mu') at the base order mu = mu0 of each point,
+    from f_mu = J_mu'/J_mu of the unnormalized J ladder (whose J_mu is
+    negative where j_neg) and the seeds: Temme's (Y_mu, Y_mu+1) below
+    t = 2, CF2's (p, q) from t = 2 on, normalized through the Wronskian."""
+    w = 2.0 / (math.pi * x)
+    ymu, ymu1, ypmu, jmu = (np.empty(x.size) for _ in range(4))
+    lo = np.flatnonzero(x < _XMIN)
+    if lo.size:
+        yl, y1l, ml, xl = seed_a[lo], seed_b[lo], mu0[lo], x[lo]
+        ymu[lo], ymu1[lo] = yl, y1l
+        ypmu[lo] = (ml / xl) * yl - y1l
+        jmu[lo] = w[lo] / (ypmu[lo] - f_mu[lo] * yl)
+    hi = np.flatnonzero(x >= _XMIN)
+    if hi.size:
+        p, q, ml, xl, fl = seed_a[hi], seed_b[hi], mu0[hi], x[hi], f_mu[hi]
+        gam = (p - fl) / q
+        jh = np.sqrt(w[hi] / ((p - fl) * gam + q))
+        jh = np.where(j_neg[hi], -jh, jh)
+        yh = gam * jh
+        yph = q * jh + p * yh
+        jmu[hi], ymu[hi], ypmu[hi] = jh, yh, yph
+        ymu1[hi] = (ml / xl) * yh - yph
+    return jmu, ymu, ymu1, ypmu
+
+
+def _ladders(mu0: np.ndarray, x: np.ndarray, counts: np.ndarray, full: bool):
+    """Scaled (J, Y) ladders at arrays of points: the Bessel engine.
+
+    Point p recurs from order mu0[p] + counts[p] down to mu0[p] and back up.
+    With `full` every order is kept: six (P, max(counts) + 1) arrays come
+    back whose row p holds the ladder of point p in its first counts[p] + 1
+    columns.  Otherwise only the running state is kept and six (P,) arrays
+    hold the entry of order mu0 + count.
+    """
+    npts = x.size
+    # the seeds, in the caller's order, so that a stall names its first point
+    f_top, sgn = _cf1_batch(mu0 + counts, x)
+    # Temme's (Y_mu, Y_mu+1) below t = 2, CF2's (p, q) from t = 2 on
+    seed_a = np.empty(npts)
+    seed_b = np.empty(npts)
+    lo = np.flatnonzero(x < _XMIN)
+    if lo.size:  # one series per distinct (mu, t), run at its first point
+        _, first, where = np.unique(mu0[lo] + 1j * x[lo], return_index=True,
+                                    return_inverse=True)
+        series = [_temme_y(m, t) for m, t in zip(mu0[lo[first]].tolist(), x[lo[first]].tolist())]
+        seed_a[lo], seed_b[lo] = np.array(series)[where.ravel()].T
+    hi = np.flatnonzero(x >= _XMIN)
+    if hi.size:
+        seed_a[hi], seed_b[hi] = _cf2_batch(mu0[hi], x[hi])
+
+    # recur in order of decreasing count, so that the points taking any one
+    # step are a prefix of the arrays: the J recurrences all end at order
+    # mu0 (point p joins at step max(counts) - counts[p]) and the Y
+    # recurrences all start there
+    order = np.argsort(-counts, kind="stable")
+    mu0, x, counts, f_top, sgn, seed_a, seed_b = (
+        a[order] for a in (mu0, x, counts, f_top, sgn, seed_a, seed_b))
+    steps = int(counts[0])
+    running = np.searchsorted(-counts, -np.arange(steps + 1), side="left").tolist()
+
+    # J (jm) and J' (jpm); a row holds the top entry until the recurrence reaches it
+    jm = np.empty((steps + 1 if full else 2, npts))
+    jpm = np.empty_like(jm)
+    jm[:], jpm[:] = sgn, f_top * sgn
+    ej = np.zeros(jm.shape, dtype=np.int64)
+    e = _recur_down(mu0 + counts, x, jm, jpm, ej, running, full)
+
+    j0, jp0 = jm[0], jpm[0]
+    j0[j0 == 0.0] = _TINY  # measure-zero hit of a J zero; nudge as usual
+    jmu, ymu, ymu1, ypmu = _mu_seeds(mu0, x, seed_a, seed_b, jp0 / j0, j0 < 0.0)
+
+    # rescale the unnormalized J ladders so that order mu0 equals jmu
+    sm, se = np.frexp(jmu)
+    sig_m = sm / j0
+    if not full:  # only the top entries are kept
+        jm, jpm, ej = sgn, f_top * sgn, np.zeros(npts, dtype=np.int64)
+    jm *= sig_m
+    jpm *= sig_m
+    ej += se - e
+    jm, jpm, ej = _frexp_pair(jm, jpm, ej)
+    # what the Y ladder does not read is freed before its rows are allocated
+    del seed_a, seed_b, f_top, sgn, j0, jp0, jmu, sm, se, sig_m, e, lo, hi
+
+    # Y (ym) and Y' (ypm), with one more row of Y for the order above the top
+    ym = np.zeros((steps + 2 if full else 2, npts))
+    ypm = np.zeros((steps + 1 if full else 2, npts))
+    ey = np.zeros(ypm.shape, dtype=np.int64)
+    ym[0], ym[1], ypm[0] = ymu, ymu1, ypmu
+    e = _recur_up(mu0, x, ym, ypm, ey, running, full)
 
     if full:
         ym, ypm, ey = _frexp_pair(ym[:steps + 1], ypm, ey)
@@ -609,14 +648,21 @@ def cyl_bessel_scaled(nu: float, t: float) -> ScaledCylEval:
     return ScaledCylEval(nu, t, *(a[0].item() for a in entry))
 
 
+def _plain(m: np.ndarray, e: np.ndarray, what: str, nu, t) -> np.ndarray:
+    """m * 2^e per entry (exact, as ldexp), or BesselRangeError naming the
+    first entry that leaves binary64; nu and t broadcast against m."""
+    with np.errstate(over="ignore"):
+        v = np.ldexp(m, e)
+    bad = np.flatnonzero(np.isinf(v) & np.isfinite(m))
+    if bad.size:
+        nu, t, e = (np.broadcast_to(a, v.shape).flat[bad[0]] for a in (nu, t, e))
+        raise BesselRangeError(f"{what} at nu={nu}, t={t} exceeds binary64 range "
+                               f"(magnitude ~ 2^{e}); use the scaled evaluators")
+    return v
+
+
 def _to_plain(m: float, e: int, what: str, nu: float, t: float) -> float:
-    try:
-        return math.ldexp(m, e)
-    except OverflowError as exc:
-        raise BesselRangeError(
-            f"{what} at nu={nu}, t={t} exceeds binary64 range "
-            f"(magnitude ~ 2^{e}); use the scaled evaluators"
-        ) from exc
+    return _plain(np.float64(m), e, what, nu, t).item()
 
 
 def cyl_bessel(nu: float, t: float) -> CylEval:
@@ -656,16 +702,30 @@ def spherical_order(m: int, n: int) -> float:
     return m + 0.5 * n - 1.0
 
 
+def _libm(fn, t: np.ndarray) -> np.ndarray:
+    """fn, a function of one Python float, at every entry of t: the math
+    module's cos, sin and float ** round as libm does, which numpy's own
+    vectorized loops need not."""
+    t = np.asarray(t, dtype=float)
+    return np.array([fn(v) for v in t.ravel().tolist()]).reshape(t.shape)
+
+
+def _hankel_pairs(n: int, nu, t, jm, jpm, ej, ym, ypm, ey) -> Tuple[np.ndarray, ...]:
+    """(Re h, Im h, Re h', Im h') of dimension n from scaled entries of
+    order nu = m + n/2 - 1, with nu and t broadcast against the entries."""
+    pp = 0.5 * n - 1.0
+    tp_m, tp_e = np.frexp(_libm(lambda v: v ** (-pp), t))
+    return (_plain(jm * tp_m, ej + tp_e, "Re h", nu, t),
+            _plain(ym * tp_m, ey + tp_e, "Im h", nu, t),
+            _plain((jpm - pp * jm / t) * tp_m, ej + tp_e, "Re h'", nu, t),
+            _plain((ypm - pp * ym / t) * tp_m, ey + tp_e, "Im h'", nu, t))
+
+
 def _hankel_pair(s: ScaledCylEval, n: int) -> Tuple[complex, complex]:
     """(h, h') of dimension n from the scaled entry of order m + n/2 - 1."""
-    nu, t = s.nu, s.t
-    pp = 0.5 * n - 1.0
-    tp_m, tp_e = math.frexp(t ** (-pp))
-    hr = _to_plain(s.jm * tp_m, s.ej + tp_e, "Re h", nu, t)
-    hi = _to_plain(s.ym * tp_m, s.ey + tp_e, "Im h", nu, t)
-    hpr = _to_plain((s.jpm - pp * s.jm / t) * tp_m, s.ej + tp_e, "Re h'", nu, t)
-    hpi = _to_plain((s.ypm - pp * s.ym / t) * tp_m, s.ey + tp_e, "Im h'", nu, t)
-    return complex(hr, hi), complex(hpr, hpi)
+    hr, hi, hpr, hpi = _hankel_pairs(n, s.nu, s.t, *(np.array([v]) for v in (
+        s.jm, s.jpm, s.ej, s.ym, s.ypm, s.ey)))
+    return complex(hr[0], hi[0]), complex(hpr[0], hpi[0])
 
 
 def spherical_hankel(m: int, n: int, t: float) -> SphEval:
@@ -697,6 +757,75 @@ def spherical_hankel(m: int, n: int, t: float) -> SphEval:
 # closed forms for half-integer order (odd dimensions)
 # ===================================================================
 
+def _minus_i_power(k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(-1j) ** k per entry of k, as CPython's complex power gives it (its
+    signed zeros included): one Python power per distinct k."""
+    keys, where = np.unique(k, return_inverse=True)
+    powers = [(-1j) ** key for key in keys.tolist()]
+    table = np.array([[z.real for z in powers], [z.imag for z in powers]])
+    return table[0, where.reshape(k.shape)], table[1, where.reshape(k.shape)]
+
+
+def _poly_sum(mm: np.ndarray, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The closed form's sum_{s<mm} (i/(2t))^s (mm+s)!/(s!(mm-s)!) per point
+    (mm, an int array, and t of one shape), as the scalar loop
+    `term *= 1j * (mm + s + 1) * (mm - s) / (2(s + 1)t); acc += term` rounds
+    it.  The product (0, 1) * (mm + s + 1) * (mm - s) is (0, p) and its
+    Smith quotient by the real d = 2(s + 1)t > 0 is (0, p/d), so a step is
+    one `_c_prod` by (0, p/d).  The points run in order of decreasing mm,
+    so that those still adding terms are a prefix."""
+    shape, mm, t = mm.shape, mm.ravel(), t.ravel()
+    order = np.argsort(-mm, kind="stable")
+    mm, t = mm[order], t[order]
+    live = np.searchsorted(-mm, -np.arange(mm.max(initial=0)), side="left").tolist()
+    acc_r, acc_i = np.ones(mm.size), np.zeros(mm.size)
+    term_r, term_i = acc_r.copy(), acc_i.copy()
+    for s, k in enumerate(live):
+        m, tr, ti = mm[:k], term_r[:k], term_i[:k]
+        q = (m + (s + 1)) * 1.0 * (m - s) / ((s + 1) * 2.0 * t[:k])
+        tr[:], ti[:] = _c_prod(tr, ti, 0.0, q)
+        acc_r[:k] += tr
+        acc_i[:k] += ti
+    back = np.empty_like(order)
+    back[order] = np.arange(order.size)
+    return acc_r[back].reshape(shape), acc_i[back].reshape(shape)
+
+
+def _half_integer_batch(big_m: np.ndarray, t: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """`hankel_half_integer` over arrays: (Re H, Im H, Re H', Im H') of
+    order M + 1/2 at t, with the int array big_m and t broadcast against
+    each other.  Each operation is the scalar formula's, in CPython's
+    order; e^{it} and the prefactor are evaluated on t's own entries."""
+    sq = np.sqrt(2.0 / (math.pi * t))
+    pref = _c_prod(sq, 0.0, _libm(math.cos, t), _libm(math.sin, t))
+    shape = np.broadcast_shapes(big_m.shape, t.shape)
+    sum_m, sum_below = (_poly_sum(np.broadcast_to(mm, shape), np.broadcast_to(t, shape))
+                        for mm in (big_m, big_m - 1))
+    h = _c_prod(*_c_prod(*pref, *_minus_i_power(big_m + 1)), *sum_m)
+    below = _c_prod(*_c_prod(*pref, *_minus_i_power(big_m)), *sum_below)
+    below = [np.where(big_m == 0, p, b) for p, b in zip(pref, below)]  # H_{-1/2}
+    gh = _c_prod((big_m + 0.5) / t, 0.0, *h)
+    return h[0], h[1], below[0] - gh[0], below[1] - gh[1]
+
+
+def _spherical_closed_batch(m: np.ndarray, n: int, t: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """`spherical_hankel_closed` over arrays: (Re h, Im h, Re h', Im h')
+    for odd n, m and t broadcast.  Dividing (x, y) by the real t is
+    ((x + y*0)/t, (y - x*0)/t) in Smith's quotient."""
+    pp = 0.5 * n - 1.0
+    hr, hi, hpr, hpi = _half_integer_batch(m + (n - 3) // 2, t)
+    tp = _libm(lambda v: v ** (-pp), t)
+    xr, xi = _c_prod(pp, 0.0, hr, hi)
+    dr, di = hpr - (xr + xi * 0.0) / t, hpi - (xi - xr * 0.0) / t
+    return (*_c_prod(hr, hi, tp, 0.0), *_c_prod(dr, di, tp, 0.0))
+
+
+def _check_half_integer(big_m: int, t: float) -> None:
+    if big_m < 0:
+        raise BesselDomainError(f"closed form needs M >= 0, got {big_m}")
+    _validate(big_m + 0.5, t)
+
+
 def hankel_half_integer(big_m: int, t: float) -> Tuple[complex, complex]:
     """(H_{M+1/2}(t), H_{M+1/2}'(t)) from the finite closed form, M >= 0.
 
@@ -704,41 +833,21 @@ def hankel_half_integer(big_m: int, t: float) -> Tuple[complex, complex]:
                    sum_{s=0}^{M} (i/(2t))^s (M+s)!/(s!(M-s)!),
     with the derivative via H' = H_{M-1/2} - ((M+1/2)/t) H_{M+1/2} and
     H_{-1/2} = sqrt(2/(pi t)) e^{it}.  Entirely independent of the series/
-    continued-fraction engine; used as its cross-validation.
+    continued-fraction engine; used as its cross-validation.  A one-element
+    call of `_half_integer_batch`.
     """
-    if big_m < 0:
-        raise BesselDomainError(f"closed form needs M >= 0, got {big_m}")
-    _validate(big_m + 0.5, t)
-    pref = math.sqrt(2.0 / (math.pi * t)) * complex(math.cos(t), math.sin(t))
-
-    def poly_sum(mm: int) -> complex:
-        acc = complex(1.0, 0.0)
-        term = complex(1.0, 0.0)
-        for s in range(mm):
-            term *= complex(0.0, 1.0) * (mm + s + 1) * (mm - s) / ((s + 1) * 2.0 * t)
-            acc += term
-        return acc
-
-    h_m = pref * (-1j) ** (big_m + 1) * poly_sum(big_m)
-    if big_m == 0:
-        h_below = pref
-    else:
-        h_below = pref * (-1j) ** big_m * poly_sum(big_m - 1)
-    hp_m = h_below - ((big_m + 0.5) / t) * h_m
-    return h_m, hp_m
+    _check_half_integer(big_m, t)
+    hr, hi, hpr, hpi = _half_integer_batch(np.array([big_m]), np.array([t], dtype=float))
+    return complex(hr[0], hi[0]), complex(hpr[0], hpi[0])
 
 
 def spherical_hankel_closed(m: int, n: int, t: float) -> Tuple[complex, complex]:
     """(h_m(n,t), h_m'(n,t)) for odd n from the half-integer closed form."""
     if n < 2 or n % 2 == 0:
         raise BesselDomainError(f"closed form requires odd dimension n >= 3, got {n}")
-    big_m = m + (n - 3) // 2
-    hh, hhp = hankel_half_integer(big_m, t)
-    pp = 0.5 * n - 1.0
-    tp = t ** (-pp)
-    h = hh * tp
-    hp = (hhp - pp * hh / t) * tp
-    return h, hp
+    _check_half_integer(m + (n - 3) // 2, t)
+    hr, hi, hpr, hpi = _spherical_closed_batch(np.array([m]), n, np.array([t], dtype=float))
+    return complex(hr[0], hi[0]), complex(hpr[0], hpi[0])
 
 
 # ===================================================================
@@ -754,58 +863,92 @@ def validation_grid() -> Tuple[List[float], List[float]]:
     return nus, ts
 
 
-# arguments per batch of the residual grid: 10 x 201 orders = 2,010 points.
+# arguments per batch of the residual grid: 20 x 201 orders = 4,020 points.
 # Batching by argument runs each Temme series once per selftest, and the
-# rows do not depend on the batch size.  Measured on the whole selftest
-# (2-core Xeon, Python 3.11.7, numpy 2.4, fresh interpreter, three runs
-# each): 3 arguments per batch take 1.00-1.67 s and reach a peak RSS of
-# 35.8-36.5 MiB, 10 take 0.73-0.87 s and reach 36.4-36.5 MiB.  The
-# difference is the fixed cost of a batch's numpy calls, paid 134 times
-# against 40.
-_SELFTEST_BATCH_TS = 10
+# rows do not depend on the batch size.  A batch pays a fixed cost in numpy
+# calls (each CF1 and CF2 step, each recurrence step) on top of its points.
+# Measured in a fresh interpreter, `specfun-selftest` then the 5-layer flood
+# fill (2-core Xeon, Python 3.11.7, numpy 2.4.6, five runs each, peak RSS
+# as VmHWM): 10 arguments per batch take 0.38-0.50 s at 37.6 MiB, 20 take
+# 0.25-0.34 s at 37.7-37.8 MiB, 25 take 0.23-0.30 s at 38.1-38.3 MiB and
+# 40 take 0.25-0.28 s at 38.9-39.1 MiB.
+_SELFTEST_BATCH_TS = 20
+
+
+@dataclass(frozen=True)
+class SelftestGrid:
+    """The selftest over the grid of `validation_grid`, as arrays.
+
+    residuals[i, j] is the Wronskian residual at (nus[i], ts[j]).  The
+    closed-form box is the half-integer orders nus[half_rows] (nu - 1/2 =
+    0..20) at the arguments ts[box] (t in [0.1, 100]); halfint[r, j] is
+    the larger relative error of h_m(3, ts[j]) and h_m'(3, ts[j]) against
+    the closed form at order nus[half_rows[r]], NaN outside the box.
+    ok[i, j] is the residual within its tolerance and, in the box, the
+    error within its own."""
+
+    nus: List[float]
+    ts: List[float]
+    residuals: np.ndarray
+    half_rows: np.ndarray
+    box: np.ndarray
+    halfint: np.ndarray
+    ok: np.ndarray
+
+
+def _halfint_errors(h: Sequence[np.ndarray], ref: Sequence[np.ndarray]) -> np.ndarray:
+    """max(|h - ref_h|/|ref_h|, |h' - ref_h'|/|ref_h'|) per point, from the
+    real and imaginary parts of both pairs, with the hypot of CPython's
+    complex abs and Python's max(a, b) (b only where b > a)."""
+    err_h, err_hp = (np.hypot(h[k] - ref[k], h[k + 1] - ref[k + 1])
+                     / np.hypot(ref[k], ref[k + 1]) for k in (0, 2))
+    return np.where(err_hp > err_h, err_hp, err_h)
+
+
+def selftest_grid(wronskian_tol: float = 1.0e-10,
+                  halfint_tol: float = 1.0e-10) -> SelftestGrid:
+    """Every grid point evaluated once, a batch of arguments (every order at
+    each) at a time; the h and h' of the box come from the same entries and
+    meet the closed form, which runs first in one array call."""
+    nus, ts = validation_grid()
+    nu_arr, t_arr = np.array(nus), np.array(ts)
+    half_rows = np.flatnonzero(((nu_arr * 2.0) % 2.0 == 1.0) & (nu_arr - 0.5 <= 20.0))
+    box = (0.1 <= t_arr) & (t_arr <= 100.0)
+    nu_h = nu_arr[half_rows, None]
+    ref = _spherical_closed_batch((nu_h - 0.5).astype(np.int64), 3, t_arr[box])
+    ref_col = np.cumsum(box) - 1  # the column of ref of each argument in the box
+    residuals = np.empty((nu_arr.size, t_arr.size))
+    halfint = np.full((half_rows.size, t_arr.size), np.nan)
+    for start in range(0, t_arr.size, _SELFTEST_BATCH_TS):
+        tb = t_arr[start:start + _SELFTEST_BATCH_TS]
+        t_b = np.repeat(tb, nu_arr.size)
+        entries = [a.reshape(tb.size, nu_arr.size)
+                   for a in _scaled_entries(np.tile(nu_arr, tb.size), t_b)]
+        residuals[:, start:start + tb.size] = _wronskian_residuals(tb[:, None], *entries).T
+        js = np.flatnonzero(box[start:start + tb.size])
+        if js.size:
+            h = _hankel_pairs(3, nu_h, tb[js], *(a[js][:, half_rows].T for a in entries))
+            halfint[:, start + js] = _halfint_errors(h, [r[:, ref_col[start + js]] for r in ref])
+    ok = residuals <= wronskian_tol
+    ok[np.ix_(half_rows, box)] &= halfint[:, box] <= halfint_tol
+    return SelftestGrid(nus, ts, residuals, half_rows, box, halfint, ok)
 
 
 def selftest_rows(
     wronskian_tol: float = 1.0e-10,
     halfint_tol: float = 1.0e-10,
 ) -> Iterator[Tuple[float, float, float, Optional[float], bool]]:
-    """Yield (nu, t, wronskian_residual, halfint_relerr|None, ok) over the grid.
-
-    Every point is evaluated once, a batch of arguments (every order at
-    each) at a time.  halfint_relerr compares the h_m(3, t) and h_m'(3, t)
-    of the same batch with the closed form where nu is a half-integer with
-    nu - 0.5 <= 20 and t in [0.1, 100] (the closed-form validation box);
-    elsewhere None.  The test suite requires these rows to equal, bit for
-    bit, the scalar form of the engine in `tests/oracles.py` run on every
-    point.
+    """Yield (nu, t, wronskian_residual, halfint_relerr|None, ok) over the
+    grid: `selftest_grid` one point at a time, halfint_relerr None outside
+    the closed-form box.  The test suite requires these rows to equal, bit
+    for bit, the scalar form of the engine in `tests/oracles.py` run on
+    every point.
     """
-    nus, ts = validation_grid()
-    nu_arr = np.array(nus)
-    residuals = np.empty((len(nus), len(ts)))
-    # row of each half-integer order of the box in `errors`
-    half = {i: r for r, i in enumerate(
-        i for i, nu in enumerate(nus) if (nu * 2.0) % 2.0 == 1.0 and nu - 0.5 <= 20.0)}
-    errors = np.empty((len(half), len(ts)))
-    box = [0.1 <= t <= 100.0 for t in ts]
-    for start in range(0, len(ts), _SELFTEST_BATCH_TS):
-        tb = np.array(ts[start:start + _SELFTEST_BATCH_TS])
-        t_b = np.repeat(tb, nu_arr.size)
-        entries = _scaled_entries(np.tile(nu_arr, tb.size), t_b)
-        batch = _wronskian_residuals(t_b, *entries)
-        residuals[:, start:start + tb.size] = batch.reshape(tb.size, nu_arr.size).T
-        for b, t in enumerate(tb.tolist()):
-            for i, r in half.items() if box[start + b] else ():
-                s = ScaledCylEval(nus[i], t, *(a[b * nu_arr.size + i].item() for a in entries))
-                h, hp = _hankel_pair(s, 3)
-                ref_h, ref_hp = spherical_hankel_closed(int(nus[i] - 0.5), 3, t)
-                errors[r, start + b] = max(abs(h - ref_h) / abs(ref_h),
-                                           abs(hp - ref_hp) / abs(ref_hp))
-    for i, nu in enumerate(nus):
-        r = half.get(i)
-        for j, (t, wr) in enumerate(zip(ts, residuals[i].tolist())):
-            he: Optional[float] = None
-            ok = wr <= wronskian_tol
-            if r is not None and box[j]:
-                he = errors[r, j].item()
-                ok = ok and he <= halfint_tol
-            yield nu, t, wr, he, ok
+    grid = selftest_grid(wronskian_tol, halfint_tol)
+    half = dict(zip(grid.half_rows.tolist(), grid.halfint.tolist()))
+    box = grid.box.tolist()
+    for i, nu in enumerate(grid.nus):
+        errors = half.get(i)
+        for j, (t, wr, ok) in enumerate(zip(grid.ts, grid.residuals[i].tolist(),
+                                            grid.ok[i].tolist())):
+            yield nu, t, wr, errors[j] if errors and box[j] else None, ok

@@ -12,6 +12,9 @@ own).  They are the bit reference for the package's one batched engine:
 the tests require `specfun._ladders` to equal `_ladder`, every public
 scalar evaluator to equal its value on `scalar_cyl_bessel_scaled`, and
 `specfun.selftest_rows` to equal `scalar_selftest_rows`, bit for bit.
+Likewise `hankel_half_integer`, `spherical_hankel_closed` and
+`hankel_pair` are the closed form and the (h, h') of a scaled entry on
+Python complex numbers, the bit reference for the package's array forms.
 """
 
 import math
@@ -26,12 +29,12 @@ from trapcert.specfun import (
     _RENORM_INV,
     _TINY,
     _XMIN,
+    BesselDomainError,
+    BesselRangeError,
     ConvergenceError,
     ScaledCylEval,
-    _hankel_pair,
     _temme_y,
     _validate,
-    spherical_hankel_closed,
     validation_grid,
 )
 
@@ -309,6 +312,68 @@ def scalar_wronskian_residual(nu: float, t: float) -> float:
     return abs(cross * math.ldexp(1.0, s.ej + s.ey) - w) / w
 
 
+def hankel_half_integer(big_m: int, t: float) -> Tuple[complex, complex]:
+    """`specfun.hankel_half_integer` on Python complex numbers: the finite
+    closed form of (H_{M+1/2}(t), H_{M+1/2}'(t)), M >= 0."""
+    if big_m < 0:
+        raise BesselDomainError(f"closed form needs M >= 0, got {big_m}")
+    _validate(big_m + 0.5, t)
+    pref = math.sqrt(2.0 / (math.pi * t)) * complex(math.cos(t), math.sin(t))
+
+    def poly_sum(mm: int) -> complex:
+        acc = complex(1.0, 0.0)
+        term = complex(1.0, 0.0)
+        for s in range(mm):
+            term *= complex(0.0, 1.0) * (mm + s + 1) * (mm - s) / ((s + 1) * 2.0 * t)
+            acc += term
+        return acc
+
+    h_m = pref * (-1j) ** (big_m + 1) * poly_sum(big_m)
+    if big_m == 0:
+        h_below = pref
+    else:
+        h_below = pref * (-1j) ** big_m * poly_sum(big_m - 1)
+    hp_m = h_below - ((big_m + 0.5) / t) * h_m
+    return h_m, hp_m
+
+
+def spherical_hankel_closed(m: int, n: int, t: float) -> Tuple[complex, complex]:
+    """`specfun.spherical_hankel_closed` on Python complex numbers."""
+    if n < 2 or n % 2 == 0:
+        raise BesselDomainError(f"closed form requires odd dimension n >= 3, got {n}")
+    big_m = m + (n - 3) // 2
+    hh, hhp = hankel_half_integer(big_m, t)
+    pp = 0.5 * n - 1.0
+    tp = t ** (-pp)
+    h = hh * tp
+    hp = (hhp - pp * hh / t) * tp
+    return h, hp
+
+
+def to_plain(m: float, e: int, what: str, nu: float, t: float) -> float:
+    """`specfun._plain` on one Python float."""
+    try:
+        return math.ldexp(m, e)
+    except OverflowError as exc:
+        raise BesselRangeError(
+            f"{what} at nu={nu}, t={t} exceeds binary64 range "
+            f"(magnitude ~ 2^{e}); use the scaled evaluators"
+        ) from exc
+
+
+def hankel_pair(s: ScaledCylEval, n: int) -> Tuple[complex, complex]:
+    """`specfun._hankel_pair` on Python floats: (h, h') of dimension n from
+    the scaled entry of order m + n/2 - 1."""
+    nu, t = s.nu, s.t
+    pp = 0.5 * n - 1.0
+    tp_m, tp_e = math.frexp(t ** (-pp))
+    hr = to_plain(s.jm * tp_m, s.ej + tp_e, "Re h", nu, t)
+    hi = to_plain(s.ym * tp_m, s.ey + tp_e, "Im h", nu, t)
+    hpr = to_plain((s.jpm - pp * s.jm / t) * tp_m, s.ej + tp_e, "Re h'", nu, t)
+    hpi = to_plain((s.ypm - pp * s.ym / t) * tp_m, s.ey + tp_e, "Im h'", nu, t)
+    return complex(hr, hi), complex(hpr, hpi)
+
+
 def scalar_selftest_rows(
     wronskian_tol: float = 1.0e-10,
     halfint_tol: float = 1.0e-10,
@@ -323,7 +388,7 @@ def scalar_selftest_rows(
             ok = wr <= wronskian_tol
             if half and 0.1 <= t <= 100.0:
                 ref_h, ref_hp = spherical_hankel_closed(int(nu - 0.5), 3, t)
-                h, hp = _hankel_pair(scalar_cyl_bessel_scaled(nu, t), 3)
+                h, hp = hankel_pair(scalar_cyl_bessel_scaled(nu, t), 3)
                 he = max(
                     abs(h - ref_h) / abs(ref_h),
                     abs(hp - ref_hp) / abs(ref_hp),

@@ -465,11 +465,38 @@ def test_run_table_exhausted_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+SELFTEST_LINE = ("special-function selftest: 80400 grid points, {} failures, "
+                 "worst wronskian residual {}, worst half-integer error {}: {}\n")
+
+
 def test_run_specfun_selftest(capsys):
     assert run(["specfun-selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "0 failures" in out
-    assert "pass" in out
+    assert capsys.readouterr().out == SELFTEST_LINE.format(0, "4.02e-15", "8.43e-13", "pass")
+
+
+@pytest.mark.parametrize("bad", [math.nan, 2e-10])
+@pytest.mark.parametrize("grid", ["_wronskian_residuals", "_halfint_errors"])
+def test_run_specfun_selftest_fails_on_one_bad_value(monkeypatch, capsys, grid, bad):
+    # one residual (or closed-form error) of the first batch that has any is
+    # NaN or past the 1e-10 tolerance: one failure, and a NaN never becomes
+    # the printed worst value, as in a Python max fold from 0.0
+    import trapcert.specfun
+
+    real = getattr(trapcert.specfun, grid)
+    first = iter([True])
+
+    def one_bad(*args):
+        values = real(*args)
+        if next(first, False):
+            values[2, 3] = bad  # not the worst entry of either grid
+        return values
+
+    monkeypatch.setattr(trapcert.specfun, grid, one_bad)
+    assert run(["specfun-selftest"]) == 1
+    worst = ["4.02e-15", "8.43e-13"]
+    if bad == 2e-10:  # a finite bad value is the new worst of its grid
+        worst[grid == "_halfint_errors"] = "2e-10"
+    assert capsys.readouterr().out == SELFTEST_LINE.format(1, *worst, "FAIL")
 
 
 def stacked_table_mapping():

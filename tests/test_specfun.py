@@ -182,6 +182,56 @@ def test_closed_form_base_cases():
     assert abs(h1 - ref1) <= 1e-14
 
 
+def test_batched_closed_form_equals_the_scalar_oracle_on_the_selftest_box():
+    # the selftest's closed-form box: m = 0..20, t in [0.1, 100]
+    m, ts = np.arange(21), np.array(validation_grid()[1])
+    ts = ts[(0.1 <= ts) & (ts <= 100.0)]
+    got = specfun._spherical_closed_batch(m[:, None], 3, ts)
+    assert got[0].shape == (21, ts.size) and m.size * ts.size == 5859
+    hr, hi, hpr, hpi = (a.tolist() for a in got)
+    for i, mi in enumerate(m.tolist()):
+        for j, t in enumerate(ts.tolist()):
+            pair = complex(hr[i][j], hi[i][j]), complex(hpr[i][j], hpi[i][j])
+            assert bits(pair) == bits(oracles.spherical_hankel_closed(mi, 3, t)), (mi, t)
+
+
+@pytest.mark.parametrize("big_m", [0, 20])
+@pytest.mark.parametrize("t", [0.1, 100.0])
+def test_half_integer_closed_form_equals_the_scalar_oracle(big_m, t):
+    assert outcome(hankel_half_integer, big_m, t) == outcome(oracles.hankel_half_integer,
+                                                             big_m, t)
+    assert outcome(spherical_hankel_closed, big_m, 3, t) == outcome(
+        oracles.spherical_hankel_closed, big_m, 3, t)
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 19])
+@pytest.mark.parametrize("t", [0.1, 2.5, 100.0, 3])
+def test_closed_form_in_dimension_5_equals_the_scalar_oracle(m, t):
+    got = outcome(spherical_hankel_closed, m, 5, t)
+    assert got == outcome(oracles.spherical_hankel_closed, m, 5, t)
+    assert got[0][0] == "complex"  # a value, not an error
+
+
+@pytest.mark.parametrize("call", [
+    (spherical_hankel_closed, 2, 2, 1.0), (spherical_hankel_closed, 2, 4, 1.0),
+    (spherical_hankel_closed, -1, 3, 1.0), (spherical_hankel_closed, -3, 5, 1.0),
+    (hankel_half_integer, -1, 1.0), (hankel_half_integer, 2, 0.0),
+    (hankel_half_integer, 2, math.nan)])
+def test_closed_form_rejections_equal_the_scalar_oracle(call):
+    fn, *args = call
+    got = outcome(fn, *args)
+    assert got == outcome(getattr(oracles, fn.__name__), *args)
+    assert got[0] == "BesselDomainError"
+
+
+def test_hankel_pair_range_errors_equal_the_scalar_oracle():
+    # Y_{100.5}(0.01) overflows: the first component named is Im h
+    s = scalar_cyl_bessel_scaled(100.5, 0.01)
+    got = outcome(specfun._hankel_pair, s, 3)
+    assert got == outcome(oracles.hankel_pair, s, 3)
+    assert got[0] == "BesselRangeError" and got[1].startswith("Im h at nu=100.5, t=0.01 ")
+
+
 # -------------------------------------------------------------------
 # ladder consistency
 # -------------------------------------------------------------------
@@ -516,6 +566,8 @@ def bits(value):
     """value with every float written by float.hex and every type named."""
     if dataclasses.is_dataclass(value):
         return tuple(bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
     if isinstance(value, complex):
         return type(value).__name__, value.real.hex(), value.imag.hex()
     if isinstance(value, float):
@@ -534,9 +586,10 @@ def outcome(fn, *args):
 
 def on_oracle(fn, *args):
     """outcome(fn, *args) with the scalar engine of tests/oracles.py behind
-    every `cyl_bessel_scaled` that fn reaches."""
+    every `cyl_bessel_scaled` that fn reaches, and its scalar (h, h')."""
     with mock.patch.object(specfun, "cyl_bessel_scaled", scalar_cyl_bessel_scaled), \
-            mock.patch.object(dtnverify, "cyl_bessel_scaled", scalar_cyl_bessel_scaled):
+            mock.patch.object(dtnverify, "cyl_bessel_scaled", scalar_cyl_bessel_scaled), \
+            mock.patch.object(specfun, "_hankel_pair", oracles.hankel_pair):
         return outcome(fn, *args)
 
 
