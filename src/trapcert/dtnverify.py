@@ -26,9 +26,14 @@ form X * 2^(2 eY), so the common positive factor is dropped and only
 mantissa-sized numbers are combined.  This keeps orders up to 100 at
 rho = 0.05 (where |Y_nu| overflows binary64 by thousands of orders of
 magnitude) inside ordinary arithmetic.  The sweep takes the ladders of
-both order parities for a batch of radii in one pass of the Bessel engine
+both order parities for 128 radii in one pass of the Bessel engine
 (`specfun.ladder_batches`) and evaluates each check as a (radius x mode)
-array.
+array on 32 of those radii at a time.  Each ladder's bits do not depend on
+its batch (every engine decision is per point), so the sizes set only speed
+and memory: on the default sweep the 128-radius batches make 16 engine
+calls, not 63, and cut `verify-dtn` from 0.49 to 0.33 reference seconds
+(`bench/run.py`); the 32-radius check blocks keep the allocation peak at
+2.1 MiB (4.8 MiB at 128).
 """
 
 from __future__ import annotations
@@ -54,10 +59,14 @@ from trapcert.specfun import (
 IM_IDENTITY_TOL = 1e-9
 _SIGN_TOL = 1e-9
 _VIOLATION_CAP = 500
-# radii per batch of ladders (64 ladders, both parities): on the default
-# sweep 32 radii keep the peak RSS within about 0.5 MiB of one radius at a
-# time, where 64 add 2 MiB
+# radii per block of (radius x mode) checks: their temporaries and one
+# engine batch set the sweep's allocation peak, 2.1 MiB at 32 radii and
+# 4.8 MiB at 128
 _SWEEP_CHUNK = 32
+# radii per Bessel engine call (256 ladders, both parities), a multiple of
+# the check block: at 32 radii numpy's per-call overhead dominated every
+# recurrence step, and 256 radii add 1.5 MiB of peak RSS for no gain
+_LADDER_BATCH = 4 * _SWEEP_CHUNK
 
 DEFAULT_N_VALUES = (2, 3, 4, 5)
 DEFAULT_M_MAX = 100
@@ -266,9 +275,14 @@ def verify_sweep(n_values: Sequence[int] = DEFAULT_N_VALUES,
     truncated = False
 
     for start in range(0, rho_arr.size, _SWEEP_CHUNK):
+        if start % _LADDER_BATCH == 0:
+            # the last batch's ladders, and the views into them, die first
+            ladders = lad = jm = jpm = ej = ym = ypm = ey = checks = None
+            ladders = dict(zip(count_by_parity, ladder_batches(
+                [(0.5 * parity, count) for parity, count in count_by_parity.items()],
+                rho_arr[start:start + _LADDER_BATCH])))
+        rows = slice(start % _LADDER_BATCH, start % _LADDER_BATCH + _SWEEP_CHUNK)
         rhos = rho_arr[start:start + _SWEEP_CHUNK]
-        ladders = dict(zip(count_by_parity, ladder_batches(
-            [(0.5 * parity, count) for parity, count in count_by_parity.items()], rhos)))
         rho = rhos[:, None]  # radius x mode below
         # per worst margin: one row maximum per radius for each (n, alpha)
         maxima = {"a": [], "re": [], "im": [], "bh": []}
@@ -277,8 +291,8 @@ def verify_sweep(n_values: Sequence[int] = DEFAULT_N_VALUES,
             lad = ladders[n % 2]
             base = (n - 2) // 2
             sl = slice(base, base + m_max + 1)
-            jm, jpm, ej = lad.jm[:, sl], lad.jpm[:, sl], lad.ej[:, sl]
-            ym, ypm, ey = lad.ym[:, sl], lad.ypm[:, sl], lad.ey[:, sl]
+            jm, jpm, ej = lad.jm[rows, sl], lad.jpm[rows, sl], lad.ej[rows, sl]
+            ym, ypm, ey = lad.ym[rows, sl], lad.ypm[rows, sl], lad.ey[rows, sl]
 
             p_prime = n / 2.0 - 1.0
             nu = m_idx + p_prime

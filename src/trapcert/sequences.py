@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
-import mpmath as mp
 import numpy as np
 
 _E_E = math.exp(math.e)
@@ -208,6 +207,7 @@ def _table_values(values: Tuple[float, ...], js: range, what: str) -> np.ndarray
 def _growth_values(n: int, c: float, js: range, digits: int) -> np.ndarray:
     """c (j ln(j+e))^(1/n) ln^2(ln(j+e^e)) for j in js."""
     if digits > 15:
+        import mpmath as mp  # only here: its import costs about 30 ms, 3.3 MiB
         with mp.workdps(digits):
             root, e_e = mp.mpf(1) / n, mp.exp(mp.e)
             return np.array([float(c * (jj * mp.log(jj + mp.e)) ** root

@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import trapcert.dtnverify
 from trapcert.dtnverify import (
     a_nu,
     b_m,
@@ -264,6 +266,18 @@ def bits(value):
     return value
 
 
+# grids that cross both batch boundaries (32-radius check blocks, 128-radius
+# engine batches), by the radius index of their 500th and 501st violations:
+# the last radius of a descending grid, and a radius inside the second
+# engine batch of an ascending one
+CAP_CASES = {
+    128: dict(n_values=(2, 5), m_max=3, rho_grid=np.geomspace(300.0, 0.1, 129),
+              alphas=(0.0, 3.0)),
+    148: dict(n_values=(2, 3), m_max=3, rho_grid=np.geomspace(0.05, 200.0, 161),
+              alphas=(0.0, 3.0)),
+}
+
+
 def test_sweep_equals_per_radius_reference_on_the_default_grid():
     got = verify_sweep()
     assert bits(got) == bits(per_radius_sweep())
@@ -281,7 +295,9 @@ def test_sweep_equals_per_radius_reference_on_the_default_grid():
     dict(n_values=(5, 2), m_max=100, rho_grid=default_rho_grid(40)),
     # the odd-order ladders one order shorter than the even ones
     dict(n_values=(3, 4), m_max=100, rho_grid=np.geomspace(1e-3, 1e3, 45)),
-], ids=["capped", "edges", "negative-alpha", "default-orders", "unequal-parity-counts"])
+    *CAP_CASES.values(),
+], ids=["capped", "edges", "negative-alpha", "default-orders", "unequal-parity-counts",
+        *(f"cap-at-radius-{index}" for index in CAP_CASES)])
 def test_sweep_equals_per_radius_reference(kwargs):
     got_records, ref_records = [], []
     got = verify_sweep(record_sink=got_records.append, **kwargs)
@@ -290,3 +306,30 @@ def test_sweep_equals_per_radius_reference(kwargs):
     assert bits(got_records) == bits(ref_records)
     assert len(got_records) == got.checked_modes
     assert bits(verify_sweep(**kwargs)) == bits(per_radius_sweep(**kwargs))
+
+
+@pytest.mark.parametrize("index", sorted(CAP_CASES))
+def test_cap_cases_pass_the_cap_inside_the_second_engine_batch(index, monkeypatch):
+    kwargs = CAP_CASES[index]
+    capped = verify_sweep(**kwargs)
+    assert capped.violations_truncated
+    monkeypatch.setattr(trapcert.dtnverify, "_VIOLATION_CAP", 10**6)
+    full = verify_sweep(**kwargs)
+    radius_index = {rho: i for i, rho in enumerate(kwargs["rho_grid"].tolist())}
+    assert [radius_index[rec.rho] for rec in full.violations[499:501]] == [index, index]
+    assert bits(full.violations[:500]) == bits(capped.violations)
+
+
+def test_default_sweep_allocation_peak():
+    """The allocation peak of the default sweep, set by one engine batch of
+    ladders and one block of checks: 2.1 MiB at 128 and 32 radii, where
+    128-radius check blocks, or the last batch's ladders kept alive while
+    the engine runs the next, cross the bound."""
+    verify_sweep(m_max=2, rho_grid=[1.0])  # import-time and first-call caches
+    tracemalloc.start()
+    try:
+        verify_sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20

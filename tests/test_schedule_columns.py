@@ -7,7 +7,11 @@ import ast
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -110,6 +114,30 @@ def test_family_columns_equal_the_per_box_oracle(sched):
     assert column_outcome(sched, js) == oracle_outcome(sched, js)
     for sub in (range(7, 8), range(3, 17)):
         assert column_outcome(sched, sub) == oracle_outcome(sched, sub)
+
+
+MPMATH_CHILD = """
+import json, sys
+import trapcert, trapcert.cli
+from trapcert.sequences import demo_schedule, derived_columns
+before = "mpmath" in sys.modules
+columns = derived_columns(demo_schedule(2, precision_digits=30), range(1, 31))
+print(json.dumps([before, "mpmath" in sys.modules,
+                  [[float(v).hex() for v in column] for column in columns]]))
+"""
+
+
+def test_mpmath_is_imported_only_for_extended_precision():
+    src = str(Path(trapcert.sequences.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + ([path] if path else [])))
+    child = subprocess.run([sys.executable, "-c", MPMATH_CHILD], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    before, after, columns = json.loads(child.stdout)
+    assert (before, after) == (False, True)
+    sched = demo_schedule(2, precision_digits=30)
+    assert ("ok", columns) == oracle_outcome(sched, range(1, 31))
 
 
 def test_stacked_table_columns_equal_the_per_box_oracle():
