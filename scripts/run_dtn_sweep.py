@@ -5,8 +5,9 @@ Checks, over every dimension and mode order in the configured grid, that the
 interior kernel A_nu and the boundary combination B_m stay nonpositive,
 that Re(h' conj(h)) <= 0, and that the Wronskian normalization holds.  The
 default grid (n in {2,3,4,5}, m <= 100, 2000 radii, three multipliers each)
-makes about 2.4 million checks and takes about a second, most of it in
-the batched Bessel ladders.
+makes about 2.4 million checks in about a third of a second on a 2-core
+Xeon VM, split about evenly between the check arithmetic and the batched
+Bessel ladders.
 """
 from __future__ import annotations
 

@@ -594,7 +594,7 @@ def render_report(stages: StageOutputs) -> str:
         lines.append(f"  circumradius <= {s.r_gamma_upper:.6g}")
     if stages.disjointness is not None:
         d = stages.disjointness
-        verdict = "pass" if d.passed else f"FAIL ({len(d.overlap_pairs)} overlaps)"
+        verdict = "pass" if d.passed else f"FAIL ({d.failure})"
         lines.append(f"  disjointness: {verdict}")
     if stages.connectivity is not None:
         c = stages.connectivity
@@ -681,8 +681,7 @@ def _cmd_build(cfg: RunConfig, outputs: OutputPaths, out) -> int:
     path = _require_path(outputs, "json", "build")
     boxes, summary, disj, conn = _geometry_with_certificates(cfg)
     if not disj.passed:
-        print(f"disjointness certificate failed: "
-              f"{len(disj.overlap_pairs)} overlapping pairs", file=sys.stderr)
+        print(f"disjointness certificate failed: {disj.failure}", file=sys.stderr)
         return 1
     if not conn.passed:
         failed = [f.name for f in conn.facts if not f.passed]

@@ -27,17 +27,19 @@ mantissa-sized numbers are combined.  This keeps orders up to 100 at
 rho = 0.05 (where |Y_nu| overflows binary64 by thousands of orders of
 magnitude) inside ordinary arithmetic.  The sweep takes the ladders of
 both order parities for 128 radii in one pass of the Bessel engine
-(`specfun.ladder_batches`) and evaluates each check as a (radius x mode)
-array on 32 of those radii at a time.  Each ladder's bits do not depend on
-its batch (every engine decision is per point), so the sizes set only speed
-and memory: on the default sweep the 128-radius batches make 16 engine
-calls, not 63, and cut `verify-dtn` from 0.49 to 0.33 reference seconds
-(`bench/run.py`); the 32-radius check blocks keep the allocation peak at
-2.1 MiB (4.8 MiB at 128).
+(`specfun.ladder_batches`).  Blocks of 8 of those radii gather them into
+(radius x dimension x mode) arrays, on which A, Re(h' conj h) and the
+Wronskian residual are evaluated once, and B once with a multiplier axis;
+counts, worst margins and records all come from those arrays.  Each
+ladder's bits do not depend on its batch (every engine decision is per
+point), so the sizes set only speed and memory: on the default sweep the
+128-radius batches make 16 engine calls, not 63, and the 8-radius check
+blocks keep the allocation peak at 2.4 MiB (3.6 MiB at 16 radii).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -59,14 +61,15 @@ from trapcert.specfun import (
 IM_IDENTITY_TOL = 1e-9
 _SIGN_TOL = 1e-9
 _VIOLATION_CAP = 500
-# radii per block of (radius x mode) checks: their temporaries and one
-# engine batch set the sweep's allocation peak, 2.1 MiB at 32 radii and
-# 4.8 MiB at 128
-_SWEEP_CHUNK = 32
+# radii per block of checks: a block's (radius x dimension x multiplier x
+# mode) temporaries and one engine batch set the sweep's allocation peak,
+# 2.4 MiB at 8 radii and 3.6 MiB at 16; 16-radius blocks raised the peak
+# RSS of `verify-dtn` by about 1.4 MiB for at most a few percent of its time
+_SWEEP_CHUNK = 8
 # radii per Bessel engine call (256 ladders, both parities), a multiple of
 # the check block: at 32 radii numpy's per-call overhead dominated every
 # recurrence step, and 256 radii add 1.5 MiB of peak RSS for no gain
-_LADDER_BATCH = 4 * _SWEEP_CHUNK
+_LADDER_BATCH = 128
 
 DEFAULT_N_VALUES = (2, 3, 4, 5)
 DEFAULT_M_MAX = 100
@@ -217,13 +220,14 @@ def _np_ldexp(x, e) -> np.ndarray:
         return np.ldexp(x, np.clip(e, -4000, 4000).astype(np.int32))
 
 
-def _sign_margin(value: np.ndarray, terms, floor: np.ndarray):
-    """(scaled, violated) of `value`, a sum of `terms`: value over
-    max(floor, max |term|) (0 where every term is 0), and value > _SIGN_TOL
-    times that bound."""
-    scale = np.maximum.reduce([np.abs(term) for term in terms])
+def _sign_margin(terms, floor: np.ndarray):
+    """The sum `value` of `terms`, which may differ in shape where they
+    broadcast; value over max(floor, max |term|), 0 where every term is 0;
+    and whether value > _SIGN_TOL times that bound."""
+    value = functools.reduce(np.add, terms)
+    scale = functools.reduce(np.maximum, (np.abs(term) for term in terms))
     bound = np.maximum(floor, scale)
-    return np.where(scale > 0, value / bound, 0.0), value > _SIGN_TOL * bound
+    return value, np.where(scale > 0, value / bound, 0.0), value > _SIGN_TOL * bound
 
 
 def verify_sweep(n_values: Sequence[int] = DEFAULT_N_VALUES,
@@ -253,9 +257,9 @@ def verify_sweep(n_values: Sequence[int] = DEFAULT_N_VALUES,
             f"rho grid must be a nonempty 1-d sequence inside the validated "
             f"envelope [{t_lo:g}, {t_hi:g}]")
     n_tuple = tuple(int(n) for n in n_values)
-    if any(n < 2 for n in n_tuple):
-        raise BesselDomainError(f"dimensions must be >= 2, got {n_tuple}")
-    if m_max + max(n_tuple, default=2) / 2.0 - 1.0 > NU_MAX:
+    if not n_tuple or any(n < 2 for n in n_tuple):
+        raise BesselDomainError(f"dimensions must be >= 2 and at least one, got {n_tuple}")
+    if m_max + max(n_tuple) / 2.0 - 1.0 > NU_MAX:
         raise BesselDomainError(f"orders above nu = {NU_MAX:g} leave the "
                                 f"validated envelope")
 
@@ -264,130 +268,106 @@ def verify_sweep(n_values: Sequence[int] = DEFAULT_N_VALUES,
     for n in n_tuple:
         count_by_parity[n % 2] = max(count_by_parity.get(n % 2, 0),
                                      m_max + (n - 2) // 2)
+    # (dimension x multiplier x mode) tables; the block arrays below put a
+    # radius axis in front, and those without a multiplier have length 1 there
     m_idx = np.arange(m_max + 1)
-    alpha_lists = {n: default_alphas(n) if alphas is None else tuple(float(a) for a in alphas)
-                   for n in n_tuple}
+    n_col = np.array(n_tuple)[:, None, None]
+    p_prime = n_col / 2.0 - 1.0
+    nu = m_idx + p_prime
+    mu2 = (m_idx * (m_idx + n_col - 2)).astype(float)
+    a_mask = nu >= 0.5
+    alpha = np.array([default_alphas(n) if alphas is None else alphas for n in n_tuple],
+                     dtype=float).reshape(len(n_tuple), -1, 1)
+    hyp = alpha[:, :, 0] >= np.maximum(1.0, n_col[:, :, 0] - 2.0)
 
-    checked = 0
-    counts = {"a": 0, "b": 0, "bh": 0, "re": 0, "im": 0}
+    counts = dict.fromkeys(("a", "b", "bh", "re", "im"), 0)
     worst = {"a": -math.inf, "bh": -math.inf, "re": -math.inf, "im": 0.0}
     violations: List[ModeCheckRecord] = []
     truncated = False
 
     for start in range(0, rho_arr.size, _SWEEP_CHUNK):
         if start % _LADDER_BATCH == 0:
-            # the last batch's ladders, and the views into them, die first
-            ladders = lad = jm = jpm = ej = ym = ypm = ey = checks = None
+            # the last batch's ladders die first
+            ladders = None
             ladders = dict(zip(count_by_parity, ladder_batches(
                 [(0.5 * parity, count) for parity, count in count_by_parity.items()],
                 rho_arr[start:start + _LADDER_BATCH])))
         rows = slice(start % _LADDER_BATCH, start % _LADDER_BATCH + _SWEEP_CHUNK)
         rhos = rho_arr[start:start + _SWEEP_CHUNK]
-        rho = rhos[:, None]  # radius x mode below
-        # per worst margin: one row maximum per radius for each (n, alpha)
-        maxima = {"a": [], "re": [], "im": [], "bh": []}
-        checks = []  # (n, its arrays) for the dimensions that emit records
-        for n in n_tuple:
-            lad = ladders[n % 2]
-            base = (n - 2) // 2
-            sl = slice(base, base + m_max + 1)
-            jm, jpm, ej = lad.jm[rows, sl], lad.jpm[rows, sl], lad.ej[rows, sl]
-            ym, ypm, ey = lad.ym[rows, sl], lad.ypm[rows, sl], lad.ey[rows, sl]
+        rho = rhos[:, None, None, None]  # radius x dimension x multiplier x mode
+        # both parities' ladders, gathered as (radius x dimension x 1 x mode)
+        jm, jpm, ej, ym, ypm, ey = (
+            np.stack([getattr(ladders[n % 2], name)[rows, (n - 2) // 2:(n - 2) // 2 + m_max + 1]
+                      for n in n_tuple], axis=1)[:, :, None]
+            for name in ("jm", "jpm", "ej", "ym", "ypm", "ey"))
 
-            p_prime = n / 2.0 - 1.0
-            nu = m_idx + p_prime
-            mu2 = (m_idx * (m_idx + n - 2)).astype(float)
-            eta = _np_ldexp(1.0, ej - ey)
-            jt, jpt = jm * eta, jpm * eta
-            inv2ey = _np_ldexp(1.0, -2 * ey)
+        eta = _np_ldexp(1.0, ej - ey)
+        jt, jpt = jm * eta, jpm * eta
+        inv2ey = _np_ldexp(1.0, -2 * ey)
+        m2 = jt * jt + ym * ym
+        a3 = (4.0 * rho / math.pi) * inv2ey
+        # A and B subtract a3 as the term -a3: x + (-y) is x - y exactly
+        m_a, a_scaled, viol_a = _sign_margin(
+            (m2 * (rho * rho - nu * nu), rho * rho * (jpt * jpt + ypm * ypm), -a3), inv2ey)
+        viol_a &= a_mask
 
-            m2 = jt * jt + ym * ym
-            n2 = jpt * jpt + ypm * ypm
-            a1 = m2 * (rho * rho - nu * nu)
-            a2 = rho * rho * n2
-            a3 = (4.0 * rho / math.pi) * inv2ey
-            m_a = a1 + a2 - a3
-            a_mask = nu >= 0.5
-            a_scaled, viol_a = _sign_margin(m_a, (a1, a2, a3), inv2ey)
-            viol_a &= a_mask
+        gj = jpt - (p_prime / rho) * jt
+        gy = ypm - (p_prime / rho) * ym
+        re_wu, re_scaled, viol_re = _sign_margin((gj * jt, gy * ym), inv2ey)
 
-            gj = jpt - (p_prime / rho) * jt
-            gy = ypm - (p_prime / rho) * ym
-            w2 = gj * gj + gy * gy
-            re_wu = gj * jt + gy * ym
-            re_scaled, viol_re = _sign_margin(re_wu, (gj * jt, gy * ym), inv2ey)
+        # pure mantissa cross product, then the shared power of two
+        im_resid = np.abs((jm * ypm - jpm * ym) * _np_ldexp(math.pi * rho / 2.0, ej + ey) - 1.0)
+        viol_im = im_resid > IM_IDENTITY_TOL
 
-            # pure mantissa cross product, then the shared power of two
-            wron = jm * ypm - jpm * ym
-            im_resid = np.abs(wron * _np_ldexp(math.pi * rho / 2.0, ej + ey) - 1.0)
-            viol_im = im_resid > IM_IDENTITY_TOL
+        m_b, b_scaled, viol_b = _sign_margin(
+            ((rho * rho - mu2) * m2, rho * rho * (gj * gj + gy * gy), alpha * rho * re_wu, -a3),
+            inv2ey)
 
-            b1 = (rho * rho - mu2) * m2
-            b2 = rho * rho * w2
-            b4 = a3
-            hyp = max(1.0, float(n - 2))
+        counts["a"] += int(np.count_nonzero(viol_a))
+        counts["b"] += int(np.count_nonzero(viol_b))
+        counts["bh"] += int(np.count_nonzero(viol_b & hyp[:, :, None]))
+        counts["re"] += int(np.count_nonzero(viol_re))
+        counts["im"] += int(np.count_nonzero(viol_im))
+        for key, maxima in (("a", np.where(a_mask, a_scaled, -math.inf).max(axis=-1)),
+                            ("bh", b_scaled.max(axis=-1)[:, hyp]),
+                            ("re", re_scaled.max(axis=-1)),
+                            ("im", im_resid.max(axis=-1))):
+            # the per-mode maxima folded by Python's max in (radius, dimension,
+            # multiplier) order, which skips a NaN maximum instead of keeping it
+            worst[key] = max([worst[key], *maxima.ravel().tolist()])
 
-            counts["a"] += int(np.count_nonzero(viol_a))
-            counts["re"] += int(np.count_nonzero(viol_re))
-            counts["im"] += int(np.count_nonzero(viol_im))
-            if a_mask.any():
-                maxima["a"].append(a_scaled[:, a_mask].max(axis=1).tolist())
-            maxima["re"].append(re_scaled.max(axis=1).tolist())
-            maxima["im"].append(im_resid.max(axis=1).tolist())
-
-            per_alpha = []
-            for alpha in alpha_lists[n]:
-                b3 = alpha * rho * re_wu
-                m_b = b1 + b2 + b3 - b4
-                b_scaled, viol_b = _sign_margin(m_b, (b1, b2, b3, b4), inv2ey)
-                nviol = int(np.count_nonzero(viol_b))
-                counts["b"] += nviol
-                if alpha >= hyp:
-                    counts["bh"] += nviol
-                    maxima["bh"].append(b_scaled.max(axis=1).tolist())
-                checked += rhos.size * (m_max + 1)
-                per_alpha.append((alpha, m_b, viol_b | viol_a | viol_re | viol_im))
-            if record_sink is not None or any(bad.any() for _, _, bad in per_alpha):
-                checks.append((n, nu, m_a, re_wu, im_resid, ey, per_alpha))
-
-        # Python's max in the order of the radius, dimension, multiplier loops
-        for key, columns in maxima.items():
-            for row in zip(*columns):
-                for value in row:
-                    worst[key] = max(worst[key], value)
-        if not checks:
-            continue
-        # records in the order of the radius, dimension, multiplier, mode loops
-        for r, rho_r in enumerate(rhos.tolist()):
-            for n, nu, m_a, re_wu, im_resid, ey, per_alpha in checks:
-                rho_pow = rho_r ** (2 - n)
-                for alpha, m_b, bad in per_alpha:
-                    want = (np.nonzero(bad[r])[0] if record_sink is None
-                            else range(m_max + 1))
-                    for mi in want:
-                        mi = int(mi)
-                        two_ey = int(2 * ey[r, mi])
-                        rec = ModeCheckRecord(
-                            n=n, m=mi, nu=float(nu[mi]), rho=rho_r, alpha=alpha,
-                            a_nu=_ldexp_sat(float(m_a[r, mi]), two_ey),
-                            b_m=_ldexp_sat(float(m_b[r, mi]), two_ey) * rho_pow,
-                            re_sign=_ldexp_sat(float(re_wu[r, mi]), two_ey) * rho_pow,
-                            im_identity_residual=float(im_resid[r, mi]),
-                        )
-                        if record_sink is not None:
-                            record_sink(rec)
-                        if bad[r, mi]:
-                            if len(violations) < _VIOLATION_CAP:
-                                violations.append(rec)
-                            else:
-                                truncated = True
+        # records in (radius, dimension, multiplier, mode) order; without a
+        # sink, only the violations that still fit under the cap are built
+        bad = viol_b | (viol_a | viol_re | viol_im)
+        points = np.nonzero(bad if record_sink is None else np.ones_like(bad))
+        if record_sink is None:
+            room = _VIOLATION_CAP - len(violations)
+            truncated |= points[0].size > room
+            points = [index[:room] for index in points]
+        for r, d, k, mi in zip(*(index.tolist() for index in points)):
+            n, rho_r, two_ey = n_tuple[d], float(rhos[r]), int(2 * ey[r, d, 0, mi])
+            rho_pow = rho_r ** (2 - n)
+            rec = ModeCheckRecord(
+                n=n, m=mi, nu=float(nu[d, 0, mi]), rho=rho_r, alpha=float(alpha[d, k, 0]),
+                a_nu=_ldexp_sat(float(m_a[r, d, 0, mi]), two_ey),
+                b_m=_ldexp_sat(float(m_b[r, d, k, mi]), two_ey) * rho_pow,
+                re_sign=_ldexp_sat(float(re_wu[r, d, 0, mi]), two_ey) * rho_pow,
+                im_identity_residual=float(im_resid[r, d, 0, mi]),
+            )
+            if record_sink is not None:
+                record_sink(rec)
+            if bad[r, d, k, mi]:
+                if len(violations) < _VIOLATION_CAP:
+                    violations.append(rec)
+                else:
+                    truncated = True
 
     return SweepSummary(
         n_values=n_tuple,
         m_max=m_max,
         rho_count=int(rho_arr.size),
         alphas=None if alphas is None else tuple(float(a) for a in alphas),
-        checked_modes=checked,
+        checked_modes=int(rho_arr.size * alpha.size * (m_max + 1)),
         a_violations=counts["a"],
         b_violations=counts["b"],
         b_violations_hypothesis=counts["bh"],

@@ -426,13 +426,25 @@ class DisjointnessReport:
         return not self.overlap_pairs
 
     @property
-    def passed(self) -> bool:
+    def failure(self) -> Optional[str]:
+        """The first failing check with its level(s) and values: the
+        overlaps, else an in-layer gap off its promised value, else a
+        cross-level distance below its floor; None when all pass."""
         if self.overlap_pairs:
-            return False
-        if any(g.relative_error > 1e-12 for g in self.in_layer):
-            return False
-        return all(g.min_distance >= g.required * (1.0 - 1e-12)
-                   for g in self.cross)
+            return f"{len(self.overlap_pairs)} overlapping pairs"
+        for g in self.in_layer:
+            if g.relative_error > 1e-12:
+                return (f"level {g.layer} in-layer gap {g.min_distance:.6g} against "
+                        f"{g.expected:.6g}, relative error {g.relative_error:.3g}")
+        for g in self.cross:
+            if not g.min_distance >= g.required * (1.0 - 1e-12):
+                return (f"levels {g.layer_a} and {g.layer_b} {g.min_distance:.6g} apart, "
+                        f"below the floor {g.required:.6g}")
+        return None
+
+    @property
+    def passed(self) -> bool:
+        return self.failure is None
 
 
 # candidate pairs examined per numpy step; bounds the working memory of the

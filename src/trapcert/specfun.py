@@ -873,6 +873,10 @@ def validation_grid() -> Tuple[List[float], List[float]]:
 # 0.25-0.34 s at 37.7-37.8 MiB, 25 take 0.23-0.30 s at 38.1-38.3 MiB and
 # 40 take 0.25-0.28 s at 38.9-39.1 MiB.
 _SELFTEST_BATCH_TS = 20
+# the selftest's bounds on the Wronskian residual and the half-integer
+# closed-form error
+_SELFTEST_WRONSKIAN_TOL = 1.0e-10
+_SELFTEST_HALFINT_TOL = 1.0e-10
 
 
 @dataclass(frozen=True)
@@ -905,8 +909,7 @@ def _halfint_errors(h: Sequence[np.ndarray], ref: Sequence[np.ndarray]) -> np.nd
     return np.where(err_hp > err_h, err_hp, err_h)
 
 
-def selftest_grid(wronskian_tol: float = 1.0e-10,
-                  halfint_tol: float = 1.0e-10) -> SelftestGrid:
+def selftest_grid() -> SelftestGrid:
     """Every grid point evaluated once, a batch of arguments (every order at
     each) at a time; the h and h' of the box come from the same entries and
     meet the closed form, which runs first in one array call."""
@@ -929,22 +932,19 @@ def selftest_grid(wronskian_tol: float = 1.0e-10,
         if js.size:
             h = _hankel_pairs(3, nu_h, tb[js], *(a[js][:, half_rows].T for a in entries))
             halfint[:, start + js] = _halfint_errors(h, [r[:, ref_col[start + js]] for r in ref])
-    ok = residuals <= wronskian_tol
-    ok[np.ix_(half_rows, box)] &= halfint[:, box] <= halfint_tol
+    ok = residuals <= _SELFTEST_WRONSKIAN_TOL
+    ok[np.ix_(half_rows, box)] &= halfint[:, box] <= _SELFTEST_HALFINT_TOL
     return SelftestGrid(nus, ts, residuals, half_rows, box, halfint, ok)
 
 
-def selftest_rows(
-    wronskian_tol: float = 1.0e-10,
-    halfint_tol: float = 1.0e-10,
-) -> Iterator[Tuple[float, float, float, Optional[float], bool]]:
+def selftest_rows() -> Iterator[Tuple[float, float, float, Optional[float], bool]]:
     """Yield (nu, t, wronskian_residual, halfint_relerr|None, ok) over the
     grid: `selftest_grid` one point at a time, halfint_relerr None outside
     the closed-form box.  The test suite requires these rows to equal, bit
     for bit, the scalar form of the engine in `tests/oracles.py` run on
     every point.
     """
-    grid = selftest_grid(wronskian_tol, halfint_tol)
+    grid = selftest_grid()
     half = dict(zip(grid.half_rows.tolist(), grid.halfint.tolist()))
     box = grid.box.tolist()
     for i, nu in enumerate(grid.nus):

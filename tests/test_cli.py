@@ -881,3 +881,23 @@ def test_run_build_makes_the_configured_directory(tmp_path, monkeypatch, capsys)
     assert capsys.readouterr().out.startswith("wrote out/geometry.json (9 boxes")
     assert json.loads((tmp_path / "out" / "geometry.json").read_text())[
         "summary"]["boxCount"] == 9
+
+
+def test_run_packing_failure_names_the_first_failing_check(tmp_path, monkeypatch, capsys):
+    # paddings of order 1e-12: no two boxes overlap, but the in-layer gap of
+    # level 2 misses its promised value by a relative 1.65e-3, far past the
+    # 1e-12 tolerance, so the failure is a gap, not a count of 0 overlaps
+    doc = json.loads((CONFIGS / "figure2d.json").read_text())
+    doc["schedule"]["paddings"] = {"family": "shifted-power", "amplitude": 1e-12,
+                                   "shift": 6, "exponent": 1.2}
+    doc["layers"] = 3
+    cfg = write_config(tmp_path, doc)
+    monkeypatch.chdir(tmp_path)
+    failure = "level 2 in-layer gap 5.30687e-14 against 5.31564e-14, relative error 0.00165"
+    assert run(["build", "--config", cfg]) == 1
+    assert capsys.readouterr() == ("", f"disjointness certificate failed: {failure}\n")
+    assert not (tmp_path / "out" / "geometry.json").exists()
+    assert run(["report", "--config", cfg]) == 1
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert f"  disjointness: FAIL ({failure})\n" in report
+    assert "overlap" not in report

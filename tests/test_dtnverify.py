@@ -23,6 +23,7 @@ from trapcert.specfun import (
     spherical_hankel_closed,
 )
 
+from compare import assert_sequences_equal
 from sweep_oracle import per_radius_sweep
 
 RHO_SAMPLE = default_rho_grid(60)
@@ -234,6 +235,8 @@ def test_sweep_input_validation():
     with pytest.raises(BesselDomainError):
         verify_sweep(n_values=(1,), m_max=3, rho_grid=np.array([1.0]))
     with pytest.raises(BesselDomainError):
+        verify_sweep(n_values=(), m_max=3, rho_grid=np.array([1.0]))
+    with pytest.raises(BesselDomainError):
         verify_sweep(n_values=(2,), m_max=-1, rho_grid=np.array([1.0]))
     with pytest.raises(BesselDomainError):
         verify_sweep(n_values=(2,), m_max=3, rho_grid=np.array([-1.0, 2.0]))
@@ -266,7 +269,18 @@ def bits(value):
     return value
 
 
-# grids that cross both batch boundaries (32-radius check blocks, 128-radius
+def assert_summaries_equal(got, ref):
+    """Every field of two summaries, bit for bit, the violations one record
+    at a time."""
+    def entries(summary):
+        return ([(f.name, getattr(summary, f.name)) for f in dataclasses.fields(summary)
+                 if f.name != "violations"]
+                + [("violations", i, rec) for i, rec in enumerate(summary.violations)])
+
+    assert_sequences_equal(entries(got), entries(ref), key=bits)
+
+
+# grids that cross both batch boundaries (8-radius check blocks, 128-radius
 # engine batches), by the radius index of their 500th and 501st violations:
 # the last radius of a descending grid, and a radius inside the second
 # engine batch of an ascending one
@@ -280,7 +294,7 @@ CAP_CASES = {
 
 def test_sweep_equals_per_radius_reference_on_the_default_grid():
     got = verify_sweep()
-    assert bits(got) == bits(per_radius_sweep())
+    assert_summaries_equal(got, per_radius_sweep())
     assert got.checked_modes == 2000 * 101 * 12
 
 
@@ -302,10 +316,10 @@ def test_sweep_equals_per_radius_reference(kwargs):
     got_records, ref_records = [], []
     got = verify_sweep(record_sink=got_records.append, **kwargs)
     ref = per_radius_sweep(record_sink=ref_records.append, **kwargs)
-    assert bits(got) == bits(ref)
-    assert bits(got_records) == bits(ref_records)
+    assert_summaries_equal(got, ref)
+    assert_sequences_equal(got_records, ref_records, key=bits)
     assert len(got_records) == got.checked_modes
-    assert bits(verify_sweep(**kwargs)) == bits(per_radius_sweep(**kwargs))
+    assert_summaries_equal(verify_sweep(**kwargs), per_radius_sweep(**kwargs))
 
 
 @pytest.mark.parametrize("index", sorted(CAP_CASES))
@@ -317,14 +331,14 @@ def test_cap_cases_pass_the_cap_inside_the_second_engine_batch(index, monkeypatc
     full = verify_sweep(**kwargs)
     radius_index = {rho: i for i, rho in enumerate(kwargs["rho_grid"].tolist())}
     assert [radius_index[rec.rho] for rec in full.violations[499:501]] == [index, index]
-    assert bits(full.violations[:500]) == bits(capped.violations)
+    assert_sequences_equal(full.violations[:500], capped.violations, key=bits)
 
 
 def test_default_sweep_allocation_peak():
     """The allocation peak of the default sweep, set by one engine batch of
-    ladders and one block of checks: 2.1 MiB at 128 and 32 radii, where
-    128-radius check blocks, or the last batch's ladders kept alive while
-    the engine runs the next, cross the bound."""
+    ladders and one block of checks: 2.4 MiB at 128 and 8 radii, where
+    16-radius check blocks (3.6 MiB), or the last batch's ladders kept
+    alive while the engine runs the next (3.3 MiB), cross the bound."""
     verify_sweep(m_max=2, rho_grid=[1.0])  # import-time and first-call caches
     tracemalloc.start()
     try:
@@ -333,3 +347,14 @@ def test_default_sweep_allocation_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 2**20
+
+
+def test_a_cap_equal_to_the_violation_count_truncates_nothing(monkeypatch):
+    kwargs = CAP_CASES[128]
+    monkeypatch.setattr(trapcert.dtnverify, "_VIOLATION_CAP", 10**6)
+    full = verify_sweep(**kwargs).violations
+    for cap, truncated in ((len(full), False), (len(full) - 1, True)):
+        monkeypatch.setattr(trapcert.dtnverify, "_VIOLATION_CAP", cap)
+        got = verify_sweep(**kwargs)
+        assert got.violations_truncated is truncated
+        assert_sequences_equal(got.violations, full[:cap], key=bits)

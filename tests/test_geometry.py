@@ -19,7 +19,10 @@ import trapcert.sequences
 from columns import make_boxes, take, with_values
 from packing_oracle import all_pairs_certificate, all_pairs_min_distance
 from trapcert.geometry import (
+    CrossLayerGap,
+    DisjointnessReport,
     GeometryError,
+    InLayerGap,
     ResolutionTooCoarseError,
     _blocked_raster,
     _feature_scale,
@@ -461,6 +464,21 @@ def test_disjointness_flags_overlap():
     assert not report.disjoint
     assert (1, 2) in report.overlap_pairs
     assert not report.passed
+    assert report.failure == f"{len(report.overlap_pairs)} overlapping pairs"
+
+
+def test_disjointness_failure_names_the_first_failing_check():
+    gaps = (InLayerGap(1, 2.0, 2.0), InLayerGap(2, 1.0, 1.25), InLayerGap(3, 1.0, 2.0))
+    floors = (CrossLayerGap(1, 2, 3.0, 3.0, 3.0), CrossLayerGap(1, 3, 0.5, 0.75, None),
+              CrossLayerGap(2, 3, 0.25, 0.75, 0.75))
+    report = DisjointnessReport(9, ((0, 1), (2, 3)), gaps, floors)
+    assert report.failure == "2 overlapping pairs"
+    report = dataclasses.replace(report, overlap_pairs=())
+    assert report.failure == "level 2 in-layer gap 1 against 1.25, relative error 0.2"
+    report = dataclasses.replace(report, in_layer=gaps[:1])
+    assert report.failure == "levels 1 and 3 0.5 apart, below the floor 0.75"
+    report = dataclasses.replace(report, cross=floors[:1])
+    assert report.failure is None and report.passed
 
 
 def test_disjointness_touching_closures_flagged():

@@ -26,6 +26,7 @@ from trapcert.specfun import (
 )
 
 import oracles
+from compare import assert_sequences_equal
 from oracles import (
     JY_TABLE,
     LOG_EXTREME_TABLE,
@@ -512,7 +513,7 @@ def test_selftest_rows_equal_the_scalar_loop():
         nu, t, wr, he, ok = row
         return nu.hex(), t.hex(), wr.hex(), None if he is None else he.hex(), ok
 
-    assert [key(r) for r in got] == [key(r) for r in ref]
+    assert_sequences_equal(got, ref, key=key)
 
 
 # SHA-256 of the selftest rows, each row the repr of its tuple with every
