@@ -23,8 +23,9 @@ a `Boxes`, and the public scalar functions are one-element calls.  Arrays
 carry only correctly rounded operations and eps^(3(n-1)/2) stays one
 Python float power per box, so the columns are the scalar formulas' bits.
 
-The trace inequality used in the flux estimate is checked separately on
-separable polynomial-times-sine test functions with closed-form integrals.
+The trace inequality used in the flux estimate is checked in the tests, on
+separable polynomial-times-sine test functions with closed-form integrals
+(`tests/certify_oracle.py`).
 """
 
 from __future__ import annotations
@@ -211,85 +212,3 @@ def certify_geometry(boxes: Boxes) -> Certificates:
                         infsup_ub_inv_identity=inv, c_prime_lb=c_prime,
                         c_lb=c_lb, margin=margin)
 
-
-# -------------------------------------------------------------------
-# trace inequality on separable test functions
-# -------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TraceTest:
-    """Separable test function on [0, a]^n:
-    prod_{i<n} sin(pi p_i x_i / a) * (1 - x_n/a)^q."""
-
-    p: Tuple[int, ...]
-    q: int
-
-
-def _trace_product(a: float, test: TraceTest, s_fac, c_fac, iq0: float,
-                   iq1: float) -> Tuple[float, float, float]:
-    """(trace_sq, v_sq, grad_sq) from the one-dimensional integrals."""
-    trace_sq = math.prod(s_fac)
-    v_sq = trace_sq * iq0
-    grad_sq = trace_sq * test.q ** 2 / (a * a) * iq1
-    for i, p in enumerate(test.p):
-        rest = math.prod(s_fac[:i] + s_fac[i + 1:])
-        grad_sq += (math.pi * p / a) ** 2 * c_fac[i] * rest * iq0
-    return trace_sq, v_sq, grad_sq
-
-
-def _trace_norms(n: int, a: float, test: TraceTest) -> Tuple[float, float, float]:
-    """(trace_sq, v_sq, grad_sq) in closed form, from the one-dimensional
-    integrals int sin^2 = a/2 (or 0 for p=0), int cos^2 = a/2 (or a for p=0),
-    int (1-x/a)^(2q) = a/(2q+1), int (1-x/a)^(2q-2) = a/(2q-1).
-    """
-    return _trace_product(a, test, [a / 2.0 if p > 0 else 0.0 for p in test.p],
-                          [a / 2.0 if p > 0 else a for p in test.p],
-                          a / (2 * test.q + 1), a / (2 * test.q - 1))
-
-
-def trace_inequality_residual(n: int, a: float, test: TraceTest,
-                              quad_points: int = 24) -> Tuple[float, float]:
-    """(lhs, rhs) of the boundary-trace inequality for the separable test:
-    lhs = squared trace norm on the face x_n = 0, rhs = 2 ||v|| ||grad v||.
-
-    The closed forms are cross-checked against Gauss-Legendre quadrature of
-    each one-dimensional factor with `quad_points` nodes (>= 8 so the
-    oscillatory factors are resolved); disagreement beyond 1e-10 relative
-    raises, as does a violated inequality.
-    """
-    if n < 2:
-        raise CertifyError(f"dimension must be >= 2, got {n}")
-    if a <= 0.0:
-        raise CertifyError(f"cube side must be positive, got {a}")
-    if len(test.p) != n - 1:
-        raise CertifyError(f"need {n - 1} frequencies, got {len(test.p)}")
-    if any(p < 0 for p in test.p) or test.q < 1:
-        raise CertifyError("frequencies must be >= 0 and the power >= 1")
-    if quad_points < 8:
-        raise CertifyError(f"need at least 8 quadrature points, got {quad_points}")
-
-    trace_sq, v_sq, grad_sq = _trace_norms(n, a, test)
-    lhs = trace_sq
-    rhs = 2.0 * math.sqrt(v_sq) * math.sqrt(grad_sq)
-
-    x, w = np.polynomial.legendre.leggauss(quad_points)
-    t = 0.5 * a * (x + 1.0)
-    wt = 0.5 * a * w
-
-    def quad(vals: np.ndarray) -> float:
-        return float(wt @ vals)
-
-    q_trace, q_v, q_grad = _trace_product(
-        a, test, [quad(np.sin(math.pi * p * t / a) ** 2) for p in test.p],
-        [quad(np.cos(math.pi * p * t / a) ** 2) for p in test.p],
-        quad((1.0 - t / a) ** (2 * test.q)), quad((1.0 - t / a) ** (2 * test.q - 2)))
-    scale = max(abs(v_sq), abs(grad_sq), a ** n)
-    for closed, numeric in ((trace_sq, q_trace), (v_sq, q_v), (grad_sq, q_grad)):
-        if abs(closed - numeric) > 1e-10 * max(abs(closed), scale * 1e-6):
-            raise CertifyError(
-                f"closed form {closed!r} disagrees with quadrature {numeric!r}"
-            )
-
-    if lhs > rhs + 1e-12 * max(1.0, rhs):
-        raise CertifyError(f"trace inequality violated: {lhs!r} > {rhs!r}")
-    return lhs, rhs

@@ -51,9 +51,10 @@ from trapcert.geometry import (
     build_stacked,
     connectivity_certificate,
     disjointness_certificate,
-    iter_layer_plans,
+    layer_plans,
 )
 from trapcert.sequences import (
+    MIN_PRECISION_DIGITS,
     APower,
     ATable,
     DShiftedPower,
@@ -122,7 +123,7 @@ class RunConfig:
     layout: Optional[str] = None
     truncation: Optional[int] = None
     outputs: OutputPaths = OutputPaths()
-    precision_digits: int = 15
+    precision_digits: int = MIN_PRECISION_DIGITS
     sweep: Optional[SweepParams] = None
 
     def schedule(self) -> Schedule:
@@ -314,9 +315,10 @@ def config_from_mapping(doc: Mapping) -> RunConfig:
         truncation = _as_int(doc["boxCount"], "boxCount", 1, _MAX_TRUNCATION)
 
     outputs = _parse_outputs(doc["outputs"]) if "outputs" in doc else OutputPaths()
-    precision = 15
+    precision = MIN_PRECISION_DIGITS
     if "precisionDigits" in doc:
-        precision = _as_int(doc["precisionDigits"], "precisionDigits", 15, _MAX_PRECISION)
+        precision = _as_int(doc["precisionDigits"], "precisionDigits",
+                            MIN_PRECISION_DIGITS, _MAX_PRECISION)
     sweep = _parse_sweep(doc["sweep"]) if "sweep" in doc else None
 
     return RunConfig(dimension=dimension, k_family=k_family, a_family=a_family,
@@ -468,14 +470,9 @@ def _path_blocks(boxes: Boxes) -> Iterator[str]:
                              b" L ", left, b" ", low, b'"/>\n'])
 
 
-def svg_document(boxes: Boxes) -> str:
-    """Vector figure of a planar arrangement: per box, the closed outline
-    minus the slot on the bottom edge (anchored at the box corner), grey
-    interior fill, 5% view margin.  Planar only."""
-    return "".join(_svg_blocks(boxes))
-
-
 def emit_svg(boxes: Boxes, path: str) -> None:
+    """Vector figure of a planar arrangement: per box, the closed outline
+    minus the slot on the bottom edge, grey fill, 5% view margin."""
     _write_text_atomic(path, _svg_blocks(boxes))
 
 
@@ -496,13 +493,9 @@ def _csv_blocks(records: Certificates) -> Iterator[str]:
         yield _digits.join(parts)
 
 
-def certificates_csv(records: Certificates) -> str:
-    """CSV text of a certification run: one row per box, 17 significant
-    digits (round-trip exact), LF line endings."""
-    return "".join(_csv_blocks(records))
-
-
 def emit_certificates_csv(records: Certificates, path: str) -> None:
+    """One row per box, 17 significant digits (round-trip exact), LF line
+    endings."""
     _write_text_atomic(path, _csv_blocks(records))
 
 
@@ -655,7 +648,7 @@ def _cmd_plan(cfg: RunConfig, outputs: OutputPaths, out) -> int:
     if cfg.layout == "layered":
         print(f"{'level':>5} {'boxes':>6} {'first-j':>8} {'height':>12} "
               f"{'side':>10} {'pitch':>10} {'width':>10}", file=out)
-        for plan in iter_layer_plans(sched, cfg.truncation):
+        for plan in layer_plans(sched, cfg.truncation):
             print(f"{plan.i:>5} {plan.count:>6} {plan.start_index:>8} "
                   f"{plan.height:>12.6f} {plan.max_side:>10.6f} "
                   f"{plan.pitch:>10.6f} {plan.width:>10.6f}", file=out)
@@ -843,8 +836,8 @@ def run(argv: Sequence[str]) -> int:
             cfg = replace(cfg, dimension=_as_int(args.dimension, "--dimension", 2,
                                                  _MAX_DIMENSION))
         if args.precision is not None:
-            cfg = replace(cfg, precision_digits=_as_int(args.precision, "--precision",
-                                                        15, _MAX_PRECISION))
+            cfg = replace(cfg, precision_digits=_as_int(
+                args.precision, "--precision", MIN_PRECISION_DIGITS, _MAX_PRECISION))
         outputs = _effective_outputs(cfg, args.out)
         return _COMMANDS[args.command][0](cfg, outputs, sys.stdout)
     except CertifyError as exc:

@@ -123,11 +123,11 @@ def b_m(m: int, n: int, rho: float, alpha: float) -> float:
     """The per-mode Morawetz combination B_m(rho) at multiplier alpha."""
     if m < 0 or n < 2 or rho <= 0.0:
         raise BesselDomainError(f"need m >= 0, n >= 2, rho > 0, got {m}, {n}, {rho}")
-    ev = spherical_hankel(m, n, rho)
+    h, hp = spherical_hankel(m, n, rho)
     mu2 = m * (m + n - 2)
     try:
-        value = ((rho * rho - mu2) * abs(ev.h) ** 2 + rho * rho * abs(ev.hp) ** 2
-                 + alpha * rho * (ev.hp * ev.h.conjugate()).real
+        value = ((rho * rho - mu2) * abs(h) ** 2 + rho * rho * abs(hp) ** 2
+                 + alpha * rho * (hp * h.conjugate()).real
                  - (4.0 / math.pi) * rho ** (3 - n))
     except OverflowError:
         value = math.inf

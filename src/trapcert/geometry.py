@@ -45,9 +45,8 @@ bits as an all-pairs pass, at O(N log N) per pass plus the candidates.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, fields
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -146,7 +145,7 @@ def _columns(i: int) -> int:
     return int(math.floor(i * math.log(i + math.e)))
 
 
-def _plans(sched: Schedule, limit: Optional[int]) -> List[LayerPlan]:
+def layer_plans(sched: Schedule, limit: Optional[int]) -> List[LayerPlan]:
     """Plans of the levels 1..limit, fewer where the tables cannot supply all
     boxes and the padding of a level (limit None: all of them; a family must
     then be a table).  Start indices follow from the box counts alone, so
@@ -177,22 +176,6 @@ def _plans(sched: Schedule, limit: Optional[int]) -> List[LayerPlan]:
                                max_side=ell_b, pitch=pitch, cols=cols,
                                width=cols * pitch))
     return plans
-
-
-def layer_plan(sched: Schedule, i: int) -> LayerPlan:
-    """Plan of level i (heights are cumulative, so levels 1..i-1 are
-    evaluated on the way)."""
-    return deque(iter_layer_plans(sched, i), maxlen=1)[0]
-
-
-def iter_layer_plans(sched: Schedule, limit: int) -> Iterator[LayerPlan]:
-    """The first `limit` level plans in order, one pass over the heights."""
-    if limit < 1:
-        raise GeometryError(f"limit must be >= 1, got {limit}")
-    plans = _plans(sched, limit)
-    if len(plans) < limit:
-        raise ScheduleError(f"schedule tables cannot supply layer {limit}")
-    return iter(plans)
 
 
 # -------------------------------------------------------------------
@@ -282,7 +265,7 @@ def build_layered(sched: Schedule, layers: int) -> Tuple[Boxes, GeometrySummary]
                 and isinstance(sched.d_family, DShiftedPower))
     target = max(layers + 1, _MIN_EXTENSION) if infinite else None
 
-    plans = _plans(sched, target)
+    plans = layer_plans(sched, target)
     if len(plans) < layers:
         raise ScheduleError(
             f"schedule tables support only {len(plans)} complete layers, "

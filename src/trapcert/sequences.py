@@ -16,7 +16,7 @@ once, so certificates do not hinge on binary64 rounding of nested logs.
 
 Each formula is written once, over a range of indices, also those that
 `certify` and `geometry` share (the design identity, the defining relation,
-the volume sum); the per-index functions are one-element calls.  Only
+the volume sum); `derived_params` is the one per-box call.  Only
 correctly rounded operations (+ - * /, sqrt) run as numpy, in the scalar
 association order.  Logs and powers stay CPython's `math.log` and `**` per
 element: over 1M points numpy's log differed from `math.log` on 56 and its
@@ -36,6 +36,9 @@ _E_E = math.exp(math.e)
 # (3/(2 pi^2))^(1/3), the dimensional prefactor of the gap-fraction formula;
 # since the other factor is < 1, eps < 0.5336 always
 _APERTURE_C = (3.0 / (2.0 * math.pi**2)) ** (1.0 / 3.0)
+# the decimal digits binary64 carries: the least precision_digits, and the
+# default; above it wavenumbers are evaluated in mpmath
+MIN_PRECISION_DIGITS = 15
 
 
 class ScheduleError(ValueError):
@@ -166,16 +169,16 @@ class Schedule:
     k_family: KFamily
     a_family: AFamily
     d_family: DFamily
-    precision_digits: int = 15
+    precision_digits: int = MIN_PRECISION_DIGITS
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ScheduleError(f"dimension must be >= 2, got {self.n}")
-        if self.precision_digits < 15:
-            raise ScheduleError("precision_digits must be >= 15")
+        if self.precision_digits < MIN_PRECISION_DIGITS:
+            raise ScheduleError(f"precision_digits must be >= {MIN_PRECISION_DIGITS}")
 
 
-def demo_schedule(n: int = 2, precision_digits: int = 15) -> Schedule:
+def demo_schedule(n: int = 2, precision_digits: int = MIN_PRECISION_DIGITS) -> Schedule:
     """The standard demonstration schedule: wavenumbers on the growth floor
     with c = 2, a_j = j^(1/4)/10000, d_i = 2(i+6)^(-6/5)."""
     return Schedule(
@@ -206,7 +209,7 @@ def _table_values(values: Tuple[float, ...], js: range, what: str) -> np.ndarray
 
 def _growth_values(n: int, c: float, js: range, digits: int) -> np.ndarray:
     """c (j ln(j+e))^(1/n) ln^2(ln(j+e^e)) for j in js."""
-    if digits > 15:
+    if digits > MIN_PRECISION_DIGITS:
         import mpmath as mp  # only here: its import costs about 30 ms, 3.3 MiB
         with mp.workdps(digits):
             root, e_e = mp.mpf(1) / n, mp.exp(mp.e)
@@ -227,11 +230,6 @@ def wavenumbers(sched: Schedule, js: Sequence[int]) -> np.ndarray:
     return _growth_values(sched.n, fam.c, js, sched.precision_digits)
 
 
-def wavenumber(sched: Schedule, j: int) -> float:
-    """k_j under the schedule's wavenumber family."""
-    return wavenumbers(sched, range(j, j + 1))[0].item()
-
-
 def target_norms(sched: Schedule, js: range) -> np.ndarray:
     """a_j for j in the increasing range js."""
     if js:
@@ -240,11 +238,6 @@ def target_norms(sched: Schedule, js: range) -> np.ndarray:
     if isinstance(fam, ATable):
         return _table_values(fam.values, js, "target")
     return np.array([fam.amplitude * float(j) ** fam.exponent for j in js], dtype=float)
-
-
-def target_norm(sched: Schedule, j: int) -> float:
-    """a_j, the resolvent norm the j-th box is required to certify."""
-    return target_norms(sched, range(j, j + 1))[0].item()
 
 
 def padding(sched: Schedule, i: int) -> float:
@@ -265,11 +258,6 @@ def _side(n: int, k):
 def sidelengths(sched: Schedule, js: Sequence[int]) -> np.ndarray:
     """ell_j = pi sqrt(n) / k_j for j in the increasing sequence js."""
     return _side(sched.n, wavenumbers(sched, js))
-
-
-def sidelength(sched: Schedule, j: int) -> float:
-    """ell_j = pi sqrt(n) / k_j."""
-    return _side(sched.n, wavenumber(sched, j))
 
 
 def defining_relation(k, c):
@@ -309,11 +297,6 @@ def gap_fractions(n: int, k: np.ndarray, a: np.ndarray) -> np.ndarray:
         raise ScheduleError(f"design identity 1 + 2k sqrt(2k^2 a^2 + a) leaves binary64 "
                             f"at n={n}, k={ki}, a={ai}")
     return eps
-
-
-def gap_fraction(n: int, k: float, a: float) -> float:
-    """eps of one box (see :func:`gap_fractions`)."""
-    return gap_fractions(n, np.array([k], float), np.array([a], float))[0].item()
 
 
 @dataclass(frozen=True)
@@ -405,12 +388,6 @@ def volume_sum(n: int, sides: np.ndarray, first: int, what: str) -> float:
         raise ScheduleError(f"{what} leaves binary64: box {first + big} "
                             f"has side {sides[big].item()!r}")
     return total
-
-
-def partial_volume(sched: Schedule, J: int) -> float:
-    """sum_{j<=J} ell_j^n, the total volume of the first J boxes."""
-    _check_index(J, "volume")
-    return volume_sum(sched.n, sidelengths(sched, range(1, J + 1)), 1, "partial volume")
 
 
 def padding_tail_bound(sched: Schedule, i0: int) -> float:

@@ -1,8 +1,8 @@
 """Self-contained Bessel/Hankel engine for real order nu >= 0 and t > 0.
 
-Provides J_nu, Y_nu, their derivatives, the first-kind Hankel combination
-H_nu = J_nu + i Y_nu, the moduli M_nu = |H_nu| and N_nu = |H_nu'|, and the
-associated spherical Hankel functions
+Provides J_nu, Y_nu and their derivatives in scaled form, the first-kind
+Hankel combination H_nu = J_nu + i Y_nu, and the associated spherical
+Hankel functions
 
     h_m(n, t) = H_{m + n/2 - 1}(t) / t^{n/2 - 1},
 
@@ -27,8 +27,8 @@ Algorithm (classic Steed/Temme route):
 All internal values are carried as (mantissa, base-2 exponent) pairs: near
 the corner nu ~ 100, t ~ 0.01 the magnitude of Y exceeds binary64 range by
 hundreds of orders, yet bilinear combinations (Wronskian, moduli ratios)
-remain perfectly representable.  Public evaluators convert to plain floats
-and raise :class:`BesselRangeError` rather than returning infinities.
+remain perfectly representable.  Conversions to plain floats raise
+:class:`BesselRangeError` rather than returning infinities.
 
 One engine runs this algorithm, `_ladders`, over numpy arrays of points:
 CF1 and CF2 as masked Lentz iterations in which each point leaves the
@@ -39,9 +39,10 @@ point crosses it (a product by 1.0 is exact, so skipping it changes no
 bit).  `ladder_batches` returns full ladders of several base orders and
 counts in one pass (the modal sweep's two order parities), `selftest_grid`
 takes the top-order entries of many (nu, t) at once and returns the
-selftest as arrays, and every public scalar evaluator is a one-element
-call.  The half-integer closed form, the engine's independent cross-check,
-has one array form too (`_half_integer_batch`), as has the (h, h') of a
+selftest as arrays, and `cyl_bessel_scaled` takes one entry, which the
+scalar cross-check routes (`wronskian_residual`, `spherical_hankel`) read.
+The half-integer closed form, the engine's independent cross-check, has
+one array form too (`_half_integer_batch`), as has the (h, h') of a
 scaled entry (`_hankel_pairs`).  The test suite keeps the scalar forms,
 on Python floats and complex numbers, in `tests/oracles.py`, and requires
 the arrays to equal them bit for bit: every point sees the same sequence
@@ -66,18 +67,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-# the validated envelope of the accuracy claim above
+# the validated envelope of the accuracy claim above; orders and arguments
+# outside it are refused
 NU_MAX = 200.0
 T_RANGE = (1.0e-3, 1.0e3)
-# orders and arguments past these are refused: a ladder recurs about nu
-# orders and CF1 takes about t steps (0.2 s at either ceiling); far past them
-# the step counts leave int64 and CF1 stalls at _MAXIT (t near 1e5)
-NU_CEILING = 1.0e4
-T_CEILING = 1.0e4
 
 _EPS = 2.220446049250313e-16
 _TINY = 1.0e-300
@@ -93,7 +90,7 @@ _ZETA3 = 1.2020569031595942854
 
 
 class BesselDomainError(ValueError):
-    """Raised for t <= 0, nu < 0 (the domain) or either past its ceiling."""
+    """Raised for an input outside the domain or the validated envelope."""
 
 
 class BesselRangeError(OverflowError):
@@ -113,41 +110,6 @@ class ConvergenceError(ArithmeticError):
 # ===================================================================
 # public result types
 # ===================================================================
-
-@dataclass(frozen=True)
-class CylEval:
-    """Point evaluation of the cylindrical pair (J_nu, Y_nu) and derivatives.
-
-    Satisfies the Wronskian identity
-    |j*yp - y*jp - 2/(pi t)| <= 1e-10 * max(1, 2/(pi t))
-    everywhere in the validated envelope; all four values are finite.
-    """
-
-    nu: float
-    t: float
-    j: float
-    y: float
-    jp: float
-    yp: float
-
-
-@dataclass(frozen=True)
-class SphEval:
-    """Spherical Hankel evaluation h_m(n, t) with modulus data.
-
-    h, hp are h_m and its t-derivative; modM and modN are the cylindrical
-    moduli M_nu = |H_nu(t)| and N_nu = |H_nu'(t)| at nu = m + n/2 - 1,
-    so that |h| = modM / t^(n/2-1).
-    """
-
-    m: int
-    n: int
-    t: float
-    h: complex
-    hp: complex
-    modM: float
-    modN: float
-
 
 @dataclass(frozen=True)
 class ScaledCylEval:
@@ -256,10 +218,11 @@ def _temme_y(mu: float, x: float) -> Tuple[float, float]:
 
 
 def _validate(nu: float, t: float) -> None:
-    if not 0.0 < t <= T_CEILING:
-        raise BesselDomainError(f"argument t must lie in (0, {T_CEILING:g}], got {t}")
-    if not 0.0 <= nu <= NU_CEILING:
-        raise BesselDomainError(f"order nu must lie in [0, {NU_CEILING:g}], got {nu}")
+    if not T_RANGE[0] <= t <= T_RANGE[1]:
+        raise BesselDomainError(
+            f"argument t must lie in [{T_RANGE[0]:g}, {T_RANGE[1]:g}], got {t}")
+    if not 0.0 <= nu <= NU_MAX:
+        raise BesselDomainError(f"order nu must lie in [0, {NU_MAX:g}], got {nu}")
 
 
 # ===================================================================
@@ -661,27 +624,6 @@ def _plain(m: np.ndarray, e: np.ndarray, what: str, nu, t) -> np.ndarray:
     return v
 
 
-def _to_plain(m: float, e: int, what: str, nu: float, t: float) -> float:
-    return _plain(np.float64(m), e, what, nu, t).item()
-
-
-def cyl_bessel(nu: float, t: float) -> CylEval:
-    """Plain binary64 evaluation of J_nu(t), Y_nu(t) and derivatives.
-
-    Raises :class:`BesselRangeError` instead of returning infinities when
-    Y_nu leaves the representable range (which for nu <= 200 also covers the
-    regime where J would underflow: ln J ~ -ln Y - ln nu).
-    """
-    s = cyl_bessel_scaled(nu, t)
-    return CylEval(
-        nu=nu, t=t,
-        j=_to_plain(s.jm, s.ej, "J", nu, t),
-        y=_to_plain(s.ym, s.ey, "Y", nu, t),
-        jp=_to_plain(s.jpm, s.ej, "J'", nu, t),
-        yp=_to_plain(s.ypm, s.ey, "Y'", nu, t),
-    )
-
-
 def wronskian_residual(nu: float, t: float) -> float:
     """|J_nu Y_nu' - Y_nu J_nu' - 2/(pi t)| normalized by 2/(pi t).
 
@@ -728,29 +670,14 @@ def _hankel_pair(s: ScaledCylEval, n: int) -> Tuple[complex, complex]:
     return complex(hr[0], hi[0]), complex(hpr[0], hpi[0])
 
 
-def spherical_hankel(m: int, n: int, t: float) -> SphEval:
-    """h_m(n, t) = H_nu(t)/t^(n/2-1) with nu = m + n/2 - 1, plus moduli.
+def spherical_hankel(m: int, n: int, t: float) -> Tuple[complex, complex]:
+    """(h_m(n, t), h_m'(n, t)), h_m(n, t) = H_nu(t)/t^(n/2-1), nu = m + n/2 - 1.
 
     For odd n these agree with the finite trigonometric closed forms (see
     :func:`spherical_hankel_closed`) to ~1e-12; the pair is kept as two
     independent routes on purpose.
     """
-    nu = spherical_order(m, n)
-    s = cyl_bessel_scaled(nu, t)
-    h, hp = _hankel_pair(s, n)
-    if s.ej >= s.ey:
-        mm = math.hypot(s.jm, math.ldexp(s.ym, s.ey - s.ej))
-        nn = math.hypot(s.jpm, math.ldexp(s.ypm, s.ey - s.ej))
-        em = s.ej
-    else:
-        mm = math.hypot(math.ldexp(s.jm, s.ej - s.ey), s.ym)
-        nn = math.hypot(math.ldexp(s.jpm, s.ej - s.ey), s.ypm)
-        em = s.ey
-    return SphEval(
-        m=m, n=n, t=t, h=h, hp=hp,
-        modM=_to_plain(mm, em, "M", nu, t),
-        modN=_to_plain(nn, em, "N", nu, t),
-    )
+    return _hankel_pair(cyl_bessel_scaled(spherical_order(m, n), t), n)
 
 
 # ===================================================================
@@ -936,19 +863,3 @@ def selftest_grid() -> SelftestGrid:
     ok[np.ix_(half_rows, box)] &= halfint[:, box] <= _SELFTEST_HALFINT_TOL
     return SelftestGrid(nus, ts, residuals, half_rows, box, halfint, ok)
 
-
-def selftest_rows() -> Iterator[Tuple[float, float, float, Optional[float], bool]]:
-    """Yield (nu, t, wronskian_residual, halfint_relerr|None, ok) over the
-    grid: `selftest_grid` one point at a time, halfint_relerr None outside
-    the closed-form box.  The test suite requires these rows to equal, bit
-    for bit, the scalar form of the engine in `tests/oracles.py` run on
-    every point.
-    """
-    grid = selftest_grid()
-    half = dict(zip(grid.half_rows.tolist(), grid.halfint.tolist()))
-    box = grid.box.tolist()
-    for i, nu in enumerate(grid.nus):
-        errors = half.get(i)
-        for j, (t, wr, ok) in enumerate(zip(grid.ts, grid.residuals[i].tolist(),
-                                            grid.ok[i].tolist())):
-            yield nu, t, wr, errors[j] if errors and box[j] else None, ok

@@ -1,17 +1,24 @@
 """The per-box certificate chain as it ran before the column code, in
-Python floats.
+Python floats, and the trace inequality of the flux estimate.
 
 These are the scalar references: `trapcert.certify` writes each step of
 the chain once, on columns, and its scalar functions are one-element calls
 of that code.  The tests require those calls, and every column of
 `certify_geometry`, to equal the functions here bit for bit, and to raise
-the same first error with the same message.  `trace_inequality_residual`
-here keeps its two copies of the product formula, one per route.
+the same first error with the same message.
+
+The trace inequality lives only here: `trace_inequality_residual` checks
+it on separable test functions, with closed-form integrals cross-checked
+against quadrature (it keeps its two copies of the product formula, one
+per route), and `quadrature_trace_norms` is a third, independent route.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from trapcert.certify import CertifyError, QuasimodeNorms, _s_minus_sin
 
@@ -84,7 +91,24 @@ def scalar_certify(boxes):
     return rows
 
 
+@dataclass(frozen=True)
+class TraceTest:
+    """Separable test function on [0, a]^n:
+    prod_{i<n} sin(pi p_i x_i / a) * (1 - x_n/a)^q."""
+
+    p: Tuple[int, ...]
+    q: int
+
+
 def trace_inequality_residual(n, a, test, quad_points=24):
+    """(lhs, rhs) of the boundary-trace inequality for the separable test:
+    lhs = squared trace norm on the face x_n = 0, rhs = 2 ||v|| ||grad v||.
+
+    The closed forms are cross-checked against Gauss-Legendre quadrature of
+    each one-dimensional factor with `quad_points` nodes (>= 8 so the
+    oscillatory factors are resolved); disagreement beyond 1e-10 relative
+    raises, as does a violated inequality.
+    """
     if n < 2:
         raise CertifyError(f"dimension must be >= 2, got {n}")
     if a <= 0.0:
@@ -136,3 +160,25 @@ def trace_inequality_residual(n, a, test, quad_points=24):
     if lhs > rhs + 1e-12 * max(1.0, rhs):
         raise CertifyError(f"trace inequality violated: {lhs!r} > {rhs!r}")
     return lhs, rhs
+
+
+def quadrature_trace_norms(n, a, test, m=48):
+    """Face, volume, and gradient norms of the separable test function by
+    one-dimensional Gauss quadrature of each factor, the tail's derivative
+    taken as it is rather than through the closed-form power."""
+    x, w = leggauss(m)
+    x, w = 0.5 * a + 0.5 * a * x, 0.5 * a * w
+    sin_sq = [float(w @ np.sin(math.pi * p * x / a) ** 2) for p in test.p]
+    cos_sq = [float(w @ np.cos(math.pi * p * x / a) ** 2) for p in test.p]
+    tail_sq = float(w @ (1.0 - x / a) ** (2 * test.q))
+    dtail_sq = float(w @ ((test.q / a) * (1.0 - x / a) ** (test.q - 1)) ** 2)
+    lhs = float(np.prod(sin_sq))
+    vol = lhs * tail_sq
+    grad = lhs * dtail_sq
+    for i, p in enumerate(test.p):
+        term = (math.pi * p / a) ** 2 * cos_sq[i] * tail_sq
+        for jj, _ in enumerate(test.p):
+            if jj != i:
+                term *= sin_sq[jj]
+        grad += term
+    return lhs, vol, grad

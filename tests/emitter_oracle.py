@@ -1,8 +1,7 @@
 """The emitters as they ran before block formatting: one f-string per
 value for the CSV and SVG, one dict per box through `json.dumps` for the
-geometry JSON.  The tests require `cli.certificates_csv`,
-`cli.svg_document` and the files the streaming emitters write to equal
-these byte for byte."""
+geometry JSON.  The tests require the files the streaming emitters write
+to equal these byte for byte."""
 
 import json
 

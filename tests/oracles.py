@@ -11,7 +11,8 @@ and complex numbers (the Temme series, scalar already, is the package's
 own).  They are the bit reference for the package's one batched engine:
 the tests require `specfun._ladders` to equal `_ladder`, every public
 scalar evaluator to equal its value on `scalar_cyl_bessel_scaled`, and
-`specfun.selftest_rows` to equal `scalar_selftest_rows`, bit for bit.
+the arrays of `specfun.selftest_grid` to equal `scalar_selftest_rows`,
+bit for bit.
 Likewise `hankel_half_integer`, `spherical_hankel_closed` and
 `hankel_pair` are the closed form and the (h, h') of a scaled entry on
 Python complex numbers, the bit reference for the package's array forms.
@@ -378,7 +379,9 @@ def scalar_selftest_rows(
     wronskian_tol: float = 1.0e-10,
     halfint_tol: float = 1.0e-10,
 ) -> Iterator[Tuple[float, float, float, Optional[float], bool]]:
-    """`selftest_rows` one scalar evaluation per grid point."""
+    """The rows (nu, t, wronskian_residual, halfint_relerr|None, ok) of the
+    selftest grid, one scalar evaluation per grid point, halfint_relerr None
+    outside the closed-form box."""
     nus, ts = validation_grid()
     for nu in nus:
         half = (nu * 2.0) % 2.0 == 1.0 and nu - 0.5 <= 20.0

@@ -1,4 +1,5 @@
-"""Tests for the per-box certificate chain and the trace inequality.
+"""Tests for the per-box certificate chain, and for the trace inequality of
+`certify_oracle`.
 
 The closed-form norms are checked against full tensor-product Gauss
 quadrature (no factorization shared with the implementation), the algebraic
@@ -18,22 +19,25 @@ from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
 import certify_oracle as oracle
-from certify_oracle import scalar_certify
+import schedule_oracle
+from certify_oracle import (
+    TraceTest,
+    quadrature_trace_norms,
+    scalar_certify,
+    trace_inequality_residual,
+)
 from columns import take, with_values
 from trapcert.certify import (
     CertifyError,
     QuasimodeNorms,
-    TraceTest,
     _threshold,
-    _trace_norms,
     certify_geometry,
     infsup_upper,
     quasimode_norms,
     resolvent_lower,
-    trace_inequality_residual,
 )
 from trapcert.geometry import build_layered
-from trapcert.sequences import demo_schedule, gap_fraction
+from trapcert.sequences import demo_schedule, gap_fractions
 
 # mpmath, 40 digits
 C2 = 0.86051176034558705
@@ -161,7 +165,7 @@ def test_inverse_identity_random():
         n = rng.choice((2, 3, 4, 5))
         k = 10.0 ** rng.uniform(-0.3, 2.7)
         a = 10.0 ** rng.uniform(-8.0, 1.0)
-        eps = gap_fraction(n, k, a)
+        eps = gap_fractions(n, np.array([k]), np.array([a])).item()
         lhs = 1.0 / infsup_upper(n, eps)
         rhs = (math.sqrt(math.pi) * n ** 0.75
                * (1.0 + 2.0 * k * math.sqrt(2.0 * k * k * a * a + a)))
@@ -263,7 +267,7 @@ def test_certificate_columns_equal_the_scalar_functions(n, layers):
     assert len(got) == len(want) == len(boxes)
     assert [[v.hex() if isinstance(v, float) else v for v in row] for row in got] == [
         [v.hex() if isinstance(v, float) else v for v in row] for row in want]
-    assert [gap_fraction(n, k, a).hex() for k, a in zip(
+    assert [schedule_oracle.gap_fraction(n, k, a).hex() for k, a in zip(
         records.k.tolist(), records.a.tolist())] == [e.hex() for e in records.eps.tolist()]
 
 
@@ -338,7 +342,7 @@ def test_trace_randomized_and_second_form():
         a = rng.choice((0.5, 1.0, 2.0))
         lhs, rhs = trace_inequality_residual(n, a, test)
         assert lhs <= rhs * (1 + 1e-12)
-        _, v_sq, grad_sq = _trace_norms(n, a, test)
+        _, v_sq, grad_sq = quadrature_trace_norms(n, a, test)
         for k in (1.0, 10.0):
             assert lhs <= (grad_sq + k * k * v_sq) / k + 1e-12
 
@@ -440,16 +444,3 @@ def thresholds(draw):
 def test_resolvent_lower_equals_the_oracle(case):
     assert outcome(resolvent_lower, *case) == outcome(oracle.resolvent_lower, *case)
 
-
-@given(n=st.integers(min_value=1, max_value=4), extra=st.sampled_from([0, 0, 0, 1]),
-       data=st.data(), q=st.integers(min_value=0, max_value=5),
-       a=st.one_of(st.floats(min_value=0.1, max_value=10.0), st.sampled_from([0.0, -1.0])),
-       quad_points=st.integers(min_value=4, max_value=40))
-@settings(max_examples=200, deadline=None)
-def test_trace_residual_equals_the_oracle(n, extra, data, q, a, quad_points):
-    # n - 1 frequencies but now and then one too many
-    p = data.draw(st.lists(st.integers(min_value=-1, max_value=6),
-                           min_size=max(0, n - 1 + extra), max_size=max(0, n - 1 + extra)))
-    args = (n, a, TraceTest(p=tuple(p), q=q), quad_points)
-    assert (outcome(trace_inequality_residual, *args)
-            == outcome(oracle.trace_inequality_residual, *args))

@@ -18,14 +18,13 @@ from trapcert.cli import (
     RunConfig,
     StageOutputs,
     SweepParams,
-    certificates_csv,
     config_from_mapping,
+    emit_certificates_csv,
     emit_geometry_json,
     emit_svg,
     load_config,
     render_report,
     run,
-    svg_document,
 )
 from trapcert.certify import certify_geometry
 from trapcert.geometry import (
@@ -232,10 +231,11 @@ def test_geometry_json_byte_stable(tmp_path):
     assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
 
 
-def test_certificates_csv_format():
+def test_certificates_csv_format(tmp_path):
     boxes, _ = build_layered(demo_schedule(), 2)
     records = certify_geometry(boxes)
-    text = certificates_csv(records)
+    emit_certificates_csv(records, str(tmp_path / "c.csv"))
+    text = (tmp_path / "c.csv").read_bytes().decode("utf-8")
     lines = text.split("\n")
     assert lines[0] == "j,k,a,eps,infsup_ub,cprime_lb,c_lb,margin"
     assert lines[-1] == ""  # trailing LF
@@ -248,10 +248,11 @@ def test_certificates_csv_format():
     assert float(fields[7]) == records.margin[0]
 
 
-def test_svg_single_box_slot():
+def test_svg_single_box_slot(tmp_path):
     box = make_boxes(j=[1], layer=[1], side=[1.0], lo=[(0.0, 0.0)], gap=[0.5],
                      k=[3.0], a=[0.1])
-    text = svg_document(box)
+    emit_svg(box, str(tmp_path / "f.svg"))
+    text = (tmp_path / "f.svg").read_text(encoding="utf-8")
     assert text.startswith('<?xml version="1.0" encoding="UTF-8"?>\n')
     assert 'viewBox="-0.050000 -1.050000 1.100000 1.100000"' in text
     # the bottom edge starts at x = 0.5: the slot [0, 0.5] stays open
@@ -263,23 +264,24 @@ def test_svg_single_box_slot():
 
 def test_svg_one_path_per_box_in_index_order(tmp_path):
     boxes, _ = build_layered(demo_schedule(), 3)
-    text = svg_document(boxes)
+    path = tmp_path / "fig.svg"
+    emit_svg(boxes, str(path))
+    text = path.read_text(encoding="utf-8")
     assert text.count("<path") == len(boxes)
     # box 1 spans the full first level, so its outline comes first
     first_path = text.split("<path")[1]
     assert f"{boxes.side[0] * boxes.gap[0]:.6f}" in first_path
-    path = tmp_path / "fig.svg"
-    emit_svg(boxes, str(path))
     emit_svg(boxes, str(tmp_path / "fig2.svg"))
     assert path.read_bytes() == (tmp_path / "fig2.svg").read_bytes()
 
 
-def test_svg_rejects_other_dimensions():
+def test_svg_rejects_other_dimensions(tmp_path):
     boxes, _ = build_layered(demo_schedule(3), 2)
     with pytest.raises(GeometryError, match="dimension 2"):
-        svg_document(boxes)
+        emit_svg(boxes, str(tmp_path / "f.svg"))
     with pytest.raises(GeometryError, match="no boxes"):
-        svg_document([])
+        emit_svg([], str(tmp_path / "f.svg"))
+    assert not os.listdir(tmp_path)
 
 
 # -------------------------------------------------------------------

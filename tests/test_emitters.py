@@ -33,6 +33,12 @@ def built():
     return boxes, certify_geometry(boxes), summary
 
 
+def written(emit, data, path) -> str:
+    """The text that `emit` streams into the file `path`."""
+    emit(data, str(path))
+    return path.read_bytes().decode("utf-8")
+
+
 def certificates(values) -> Certificates:
     """Certificates whose seven float columns are rotations of `values`."""
     values = np.asarray(values, dtype=float)
@@ -47,31 +53,24 @@ def certificates(values) -> Certificates:
 def test_csv_equals_the_oracle_at_block_boundaries(built, tmp_path, rows):
     records = certify_geometry(take(built[0], slice(0, rows)))
     expected = oracle.certificates_csv(records)
-    assert cli.certificates_csv(records) == expected
-    path = tmp_path / "c.csv"
-    cli.emit_certificates_csv(records, str(path))
-    assert path.read_bytes() == expected.encode("utf-8")
+    assert written(cli.emit_certificates_csv, records, tmp_path / "c.csv") == expected
 
 
 @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1])
 def test_svg_equals_the_oracle_at_block_boundaries(built, tmp_path, rows):
     boxes = take(built[0], slice(0, rows))
-    expected = oracle.svg_document(boxes)
-    assert cli.svg_document(boxes) == expected
-    path = tmp_path / "f.svg"
-    cli.emit_svg(boxes, str(path))
-    assert path.read_bytes() == expected.encode("utf-8")
+    assert written(cli.emit_svg, boxes, tmp_path / "f.svg") == oracle.svg_document(boxes)
 
 
-def test_csv_special_values_equal_the_oracle():
+def test_csv_special_values_equal_the_oracle(tmp_path):
     records = certificates(SPECIAL)
-    text = cli.certificates_csv(records)
+    text = written(cli.emit_certificates_csv, records, tmp_path / "c.csv")
     assert text == oracle.certificates_csv(records)
     for literal in (",-0,", ",inf,", ",-inf,", ",nan,", ",4.9406564584124654e-324,"):
         assert literal in text
 
 
-def test_svg_negative_zero_and_tiny_negatives_equal_the_oracle():
+def test_svg_negative_zero_and_tiny_negatives_equal_the_oracle(tmp_path):
     # corners at 0 and just below: -y of a level at height 0 is -0.0, and a
     # tiny negative rounds to -0.000000, which must print as 0.000000
     count = len(SPECIAL)
@@ -80,17 +79,17 @@ def test_svg_negative_zero_and_tiny_negatives_equal_the_oracle():
     boxes = make_boxes(j=range(1, count + 1), layer=[1] * count,
                        side=[abs(v) + 1e-7 for v in np.roll(finite, 5)], lo=lo,
                        gap=[0.5] * count, k=[1.0] * count, a=[1.0] * count)
-    text = cli.svg_document(boxes)
+    text = written(cli.emit_svg, boxes, tmp_path / "f.svg")
     assert text == oracle.svg_document(boxes)
     assert " -0.000000" not in text and '"-0.000000' not in text
 
 
-def test_svg_non_finite_coordinates_equal_the_oracle():
+def test_svg_non_finite_coordinates_equal_the_oracle(tmp_path):
     lo = [(0.0, 0.0), (math.inf, 1.0), (math.nan, -2.0), (5e-324, -5e-324)]
     boxes = make_boxes(j=[1, 2, 3, 4], layer=[1] * 4, side=[1.0, 2.0, 5e-324, 1e-300],
                        lo=lo, gap=[0.5] * 4, k=[1.0] * 4, a=[1.0] * 4)
     with np.errstate(all="ignore"):
-        assert cli.svg_document(boxes) == oracle.svg_document(boxes)
+        assert written(cli.emit_svg, boxes, tmp_path / "f.svg") == oracle.svg_document(boxes)
 
 
 finite_or_not = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
@@ -106,7 +105,8 @@ def test_percent_format_equals_format_spec(v):
 @given(values=st.lists(finite_or_not, min_size=1, max_size=23),
        block=st.integers(min_value=1, max_value=6))
 @settings(max_examples=300, deadline=None)
-def test_random_columns_equal_the_oracle_at_any_block_size(values, block):
+def test_random_columns_equal_the_oracle_at_any_block_size(tmp_path_factory, values,
+                                                           block):
     records = certificates(values)
     small = [v if math.isfinite(v) else 0.0 for v in values]
     count = len(small)
@@ -115,9 +115,11 @@ def test_random_columns_equal_the_oracle_at_any_block_size(values, block):
                        lo=np.column_stack((small, np.roll(small, 2))),
                        gap=[0.25] * count, k=[1.0] * count, a=[1.0] * count)
     # corners past binary64 overflow in both emitters alike
+    out = tmp_path_factory.getbasetemp()
     with mock.patch.object(cli, "_BLOCK_ROWS", block), np.errstate(all="ignore"):
-        assert cli.certificates_csv(records) == oracle.certificates_csv(records)
-        assert cli.svg_document(boxes) == oracle.svg_document(boxes)
+        assert (written(cli.emit_certificates_csv, records, out / "random.csv")
+                == oracle.certificates_csv(records))
+        assert written(cli.emit_svg, boxes, out / "random.svg") == oracle.svg_document(boxes)
 
 
 def test_emitters_stream_bounded_blocks(built, tmp_path, monkeypatch):

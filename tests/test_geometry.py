@@ -37,7 +37,7 @@ from trapcert.geometry import (
     connectivity_certificate,
     disjointness_certificate,
     flood_fill_oracle,
-    layer_plan,
+    layer_plans,
     suggested_resolution,
 )
 from trapcert.sequences import (
@@ -51,8 +51,8 @@ from trapcert.sequences import (
     ScheduleError,
     demo_schedule,
     padding,
-    partial_volume,
-    sidelength,
+    sidelengths,
+    volume_sum,
 )
 
 S2 = demo_schedule()
@@ -82,8 +82,8 @@ def rel(x, y):
 def test_layer_plan_frozen_values():
     starts = {1: 1, 2: 2, 3: 5, 4: 10}
     cols = {1: 1, 2: 3, 3: 5, 4: 7}
-    for i in (1, 2, 3, 4):
-        p = layer_plan(S2, i)
+    for i, p in enumerate(layer_plans(S2, 4), start=1):
+        assert p.i == i
         assert p.start_index == starts[i]
         assert p.cols == cols[i]
         assert p.count == cols[i]
@@ -99,20 +99,14 @@ def test_layer_plan_frozen_values():
 
 
 def test_layer_plan_pitch_exceeds_side():
-    for i in range(1, 20):
-        p = layer_plan(S2, i)
+    for p in layer_plans(S2, 19):
         assert p.pitch > p.max_side
-
-
-def test_layer_plan_bad_index():
-    with pytest.raises(GeometryError):
-        layer_plan(S2, 0)
 
 
 def test_width_peak_at_level_two():
     # widths are not monotone (the floor in the column count causes small
     # upticks) but level 2 is the global maximum
-    widths = [layer_plan(S2, i).width for i in range(1, 31)]
+    widths = [p.width for p in layer_plans(S2, 30)]
     assert widths.index(max(widths)) == 1
     assert all(w < widths[1] for w in widths[2:])
 
@@ -164,9 +158,8 @@ def test_first_box_at_origin_with_demo_side():
 
 def test_box_fields_match_schedule():
     boxes, _ = build_layered(S2, 3)
-    for j, side, lo, hi in zip(boxes.j.tolist(), boxes.side.tolist(),
-                               boxes.lo.tolist(), boxes.hi.tolist()):
-        assert side == sidelength(S2, j)
+    assert boxes.side.tolist() == sidelengths(S2, boxes.j.tolist()).tolist()
+    for side, lo, hi in zip(boxes.side.tolist(), boxes.lo.tolist(), boxes.hi.tolist()):
         assert all(h - l == pytest.approx(side, rel=1e-15) for l, h in zip(lo, hi))
     assert boxes.j[2] == 3 and boxes.layer[2] == 2
 
@@ -174,7 +167,7 @@ def test_box_fields_match_schedule():
 def test_second_level_translations_row_major():
     boxes, _ = build_layered(S2, 2)
     level2 = boxes.lo[boxes.layer == 2].tolist()
-    p = layer_plan(S2, 2)
+    p = layer_plans(S2, 2)[1]
     for r, lo in enumerate(level2):
         assert lo == [p.pitch * r, p.height]
     assert rel(level2[1][0], PITCHES[2]) < 1e-13
@@ -186,7 +179,7 @@ def test_three_d_translations_row_major():
     boxes, _ = build_layered(sched, 2)
     level2 = boxes.lo[boxes.layer == 2].tolist()
     assert len(level2) == 9
-    p = layer_plan(sched, 2)
+    p = layer_plans(sched, 2)[1]
     digits = [(r // 3, r % 3) for r in range(9)]
     for (d0, d1), lo in zip(digits, level2):
         assert lo == [p.pitch * d0, p.pitch * d1, p.height]
@@ -199,8 +192,7 @@ def test_translations_match_the_digit_formula(n, layers):
     sched = demo_schedule(n)
     boxes, _ = build_layered(sched, layers)
     expected = []
-    for i in range(1, layers + 1):
-        p = layer_plan(sched, i)
+    for p in layer_plans(sched, layers):
         for r in range(p.count):
             digits = [(r // p.cols ** (n - 2 - a)) % p.cols for a in range(n - 1)]
             expected.append([p.pitch * d for d in digits] + [p.height])
@@ -232,7 +224,8 @@ def test_summary_demo_values():
     # the enclosure sits strictly below every built box
     assert hi < boxes.lo[:, -1].min()
     vlo, vhi = summary.volume_interval
-    assert vlo == pytest.approx(partial_volume(S2, 1413), rel=1e-15)
+    assert vlo == pytest.approx(volume_sum(2, sidelengths(S2, range(1, 1414)), 1, "volume"),
+                                rel=1e-15)
     assert vlo < vhi
 
 
@@ -355,8 +348,7 @@ def no_per_box_schedule_calls(monkeypatch):
         raise AssertionError("a per-box schedule call")
 
     monkeypatch.setattr(trapcert.geometry, "derived_params", per_box)
-    for name in ("derived_params", "sidelength", "wavenumber", "target_norm"):
-        monkeypatch.setattr(trapcert.sequences, name, per_box)
+    monkeypatch.setattr(trapcert.sequences, "derived_params", per_box)
 
 
 def test_stacked_reads_columns_not_per_box_values(monkeypatch):
@@ -380,9 +372,9 @@ def test_volume_interval_equals_the_per_box_sum(monkeypatch, build, built, last)
     boxes, summary = build(_VOLUME_SCHEDULE, 2)
     monkeypatch.undo()
     assert len(boxes) == built
-    vol_lo = math.fsum(sidelength(_VOLUME_SCHEDULE, j) ** 2 for j in range(1, built + 1))
-    tail = math.fsum(sidelength(_VOLUME_SCHEDULE, j) ** 2
-                     for j in range(built + 1, last + 1))
+    sides = sidelengths(_VOLUME_SCHEDULE, range(1, last + 1)).tolist()
+    vol_lo = math.fsum(v ** 2 for v in sides[:built])
+    tail = math.fsum(v ** 2 for v in sides[built:])
     assert tail > 0.0
     assert [v.hex() for v in summary.volume_interval] == [vol_lo.hex(),
                                                           (vol_lo + tail).hex()]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,67 +15,67 @@ from trapcert.sequences import (
     ScheduleError,
     demo_schedule,
     derived_params,
-    gap_fraction,
+    gap_fractions,
     growth_floor_check,
     padding,
     padding_tail_bound,
-    partial_volume,
-    sidelength,
-    target_norm,
+    sidelengths,
+    target_norms,
+    volume_sum,
     volume_tail_bound,
-    wavenumber,
+    wavenumbers,
 )
 
 # mpmath at 40 digits on k_j = c (j ln(j+e))^(1/n) ln^2(ln(j+e^e))
 K_DEMO_N2 = {1: 2.39970264564788, 2: 3.8442257339827814, 3: 5.18176595172093,
              1413: 796.2600108375052}
 K_DEMO_N3_J1 = 2.2931487014498675
-EPS_SPEC_POINT = 0.5172287745907581  # gap_fraction(2, 2.39988, 1e-4), 40-digit eval
+EPS_SPEC_POINT = 0.5172287745907581  # eps at n=2, k=2.39988, a=1e-4, 40-digit eval
 VOLUME_DEMO_N2 = {1: 3.4277953115267144, 10: 7.113260601167245,
                   1413: 8.421993379295522}
 
 
 def test_wavenumber_frozen_values():
-    s = demo_schedule(2)
-    for j, ref in K_DEMO_N2.items():
-        assert math.isclose(wavenumber(s, j), ref, rel_tol=1e-13)
-    assert math.isclose(wavenumber(demo_schedule(3), 1), K_DEMO_N3_J1, rel_tol=1e-13)
+    np.testing.assert_allclose(wavenumbers(demo_schedule(2), list(K_DEMO_N2)),
+                               list(K_DEMO_N2.values()), rtol=1e-13)
+    np.testing.assert_allclose(wavenumbers(demo_schedule(3), [1]), [K_DEMO_N3_J1],
+                               rtol=1e-13)
 
 
 def test_wavenumber_extended_precision_agrees():
-    lo = demo_schedule(2)
-    hi = demo_schedule(2, precision_digits=40)
-    for j in (1, 2, 17, 1413):
-        assert math.isclose(wavenumber(lo, j), wavenumber(hi, j), rel_tol=1e-13)
+    js = [1, 2, 17, 1413]
+    np.testing.assert_allclose(wavenumbers(demo_schedule(2), js),
+                               wavenumbers(demo_schedule(2, precision_digits=40), js),
+                               rtol=1e-13)
 
 
 def test_wavenumber_table_lookup_and_bounds():
     s = Schedule(2, KTable((5.0, 7.0, 11.0)), APower(1e-4, 0.25),
                  DShiftedPower(2.0, 6.0, 1.2))
-    assert wavenumber(s, 3) == 11.0
+    assert wavenumbers(s, range(1, 4)).tolist() == [5.0, 7.0, 11.0]
     with pytest.raises(ScheduleError):
-        wavenumber(s, 4)
+        wavenumbers(s, range(3, 5))
     with pytest.raises(ScheduleError):
-        wavenumber(s, 0)
+        wavenumbers(s, range(0, 2))
 
 
 def test_wavenumber_strictly_increasing():
-    s = demo_schedule(2)
-    ks = [wavenumber(s, j) for j in range(1, 501)]
-    assert all(b > a for a, b in zip(ks, ks[1:]))
+    ks = wavenumbers(demo_schedule(2), range(1, 501))
+    assert (np.diff(ks) > 0.0).all()
 
 
 def test_sidelength_is_pi_root_n_over_k():
     for n in (2, 3, 5):
         s = demo_schedule(n)
-        for j in (1, 4, 40):
-            assert sidelength(s, j) == math.pi * math.sqrt(n) / wavenumber(s, j)
+        js = [1, 4, 40]
+        assert sidelengths(s, js).tolist() == [
+            math.pi * math.sqrt(n) / k for k in wavenumbers(s, js).tolist()]
 
 
 def test_target_norm_demo_family():
-    s = demo_schedule(2)
-    assert target_norm(s, 1) == 1e-4
-    assert target_norm(s, 16) == 2.0 * target_norm(s, 1)  # 16^(1/4) = 2 exactly
+    a = target_norms(demo_schedule(2), range(1, 17))
+    assert a[0] == 1e-4
+    assert a[15] == 2.0 * a[0]  # 16^(1/4) = 2 exactly
 
 
 def test_padding_positive_decreasing():
@@ -89,63 +90,61 @@ def test_padding_positive_decreasing():
 # -------------------------------------------------------------------
 
 def test_gap_fraction_frozen_value():
-    got = gap_fraction(2, 2.39988, 1e-4)
+    got = gap_fractions(2, np.array([2.39988]), np.array([1e-4]))[0]
     assert math.isclose(got, EPS_SPEC_POINT, rel_tol=1e-13)
     assert round(got, 4) == 0.5172
 
 
-@given(
-    n=st.integers(min_value=2, max_value=6),
-    logk=st.floats(min_value=-2.0, max_value=4.0),
-    loga=st.floats(min_value=-9.0, max_value=9.0),
-)
-@settings(max_examples=300, deadline=None)
-def test_gap_fraction_in_unit_interval(n, logk, loga):
-    assert 0.0 < gap_fraction(n, 10.0**logk, 10.0**loga) < 1.0
+def columns(logk, loga):
+    """Columns (k, a) of 1 to 20 boxes, from base-10 exponents in the ranges
+    logk and loga."""
+    return st.lists(st.tuples(st.floats(*logk), st.floats(*loga)), min_size=1,
+                    max_size=20).map(lambda pts: tuple(10.0 ** np.array(pts).T))
+
+
+@given(n=st.integers(min_value=2, max_value=6), ka=columns((-2.0, 4.0), (-9.0, 9.0)))
+@settings(max_examples=100, deadline=None)
+def test_gap_fraction_in_unit_interval(n, ka):
+    eps = gap_fractions(n, *ka)
+    assert ((0.0 < eps) & (eps < 1.0)).all()
 
 
 def test_gap_fraction_monotone_in_each_argument():
-    avals = [10.0 ** (-4 + 0.9 * i) for i in range(10)]
-    eps_a = [gap_fraction(2, 2.4, a) for a in avals]
-    assert all(b < a for a, b in zip(eps_a, eps_a[1:]))
-    kvals = [10.0 ** (-1 + 0.5 * i) for i in range(10)]
-    eps_k = [gap_fraction(3, k, 1e-2) for k in kvals]
-    assert all(b < a for a, b in zip(eps_k, eps_k[1:]))
+    avals = 10.0 ** (-4 + 0.9 * np.arange(10))
+    assert (np.diff(gap_fractions(2, np.full(10, 2.4), avals)) < 0.0).all()
+    kvals = 10.0 ** (-1 + 0.5 * np.arange(10))
+    assert (np.diff(gap_fractions(3, kvals, np.full(10, 1e-2))) < 0.0).all()
 
 
 def test_gap_fraction_vanishes_for_large_targets():
-    vals = [gap_fraction(2, 1.0, a) for a in (1e3, 1e6, 1e9)]
+    vals = gap_fractions(2, np.ones(3), np.array([1e3, 1e6, 1e9]))
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 1e-4
 
 
-@given(
-    n=st.integers(min_value=2, max_value=5),
-    logk=st.floats(min_value=-1.0, max_value=3.0),
-    loga=st.floats(min_value=-6.0, max_value=6.0),
-)
-@settings(max_examples=300, deadline=None)
-def test_gap_fraction_inverts_algebraically(n, logk, loga):
-    k, a = 10.0**logk, 10.0**loga
-    eps = gap_fraction(n, k, a)
-    x = 1.0 + 2.0 * k * math.sqrt(2.0 * k * k * a * a + a)
+@given(n=st.integers(min_value=2, max_value=5), ka=columns((-1.0, 3.0), (-6.0, 6.0)))
+@settings(max_examples=100, deadline=None)
+def test_gap_fraction_inverts_algebraically(n, ka):
+    eps = gap_fractions(n, *ka).tolist()
     pref = (3.0 / (2.0 * math.pi**2)) ** (1.0 / 3.0)
-    assert math.isclose(x, (pref / eps) ** ((3.0 * n - 3.0) / 2.0), rel_tol=1e-12)
+    for k, a, e in zip(*(c.tolist() for c in ka), eps):
+        x = 1.0 + 2.0 * k * math.sqrt(2.0 * k * k * a * a + a)
+        assert math.isclose(x, (pref / e) ** ((3.0 * n - 3.0) / 2.0), rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("k,a", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
 def test_gap_fraction_domain_errors(k, a):
     with pytest.raises(ScheduleError):
-        gap_fraction(2, k, a)
+        gap_fractions(2, np.array([1.0, k]), np.array([1.0, a]))
 
 
 def test_derived_params_bundle():
     s = demo_schedule(2)
     p = derived_params(s, 1)
     assert p.j == 1
-    assert p.k == wavenumber(s, 1)
+    assert p.k == wavenumbers(s, [1])[0]
     assert p.ell == math.pi * math.sqrt(2) / p.k
-    assert p.eps == gap_fraction(2, p.k, p.a)
+    assert p.eps == gap_fractions(2, np.array([p.k]), np.array([p.a]))[0]
     assert p.a == 1e-4
 
 
@@ -185,31 +184,32 @@ def test_growth_floor_zero_constant_vacuous():
 def test_partial_volume_unit_cube():
     s = Schedule(2, KTable((math.pi * math.sqrt(2.0),)), APower(1.0, 0.0),
                  DShiftedPower(2.0, 6.0, 1.2))
-    assert math.isclose(sidelength(s, 1), 1.0, rel_tol=1e-15)
-    assert math.isclose(partial_volume(s, 1), 1.0, rel_tol=1e-15)
+    sides = sidelengths(s, [1])
+    assert math.isclose(sides[0], 1.0, rel_tol=1e-15)
+    assert math.isclose(volume_sum(2, sides, 1, "volume"), 1.0, rel_tol=1e-15)
 
 
 @pytest.mark.parametrize("J,ref", sorted(VOLUME_DEMO_N2.items()))
 def test_partial_volume_frozen_values(J, ref):
-    assert math.isclose(partial_volume(demo_schedule(2), J), ref, rel_tol=1e-12)
+    sides = sidelengths(demo_schedule(2), range(1, J + 1))
+    assert math.isclose(volume_sum(2, sides, 1, "volume"), ref, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_partial_volume_identity(n):
     s = demo_schedule(n)
-    J = 200
-    direct = partial_volume(s, J)
+    js = range(1, 201)
+    direct = volume_sum(n, sidelengths(s, js), 1, "volume")
     via_k = (math.pi**n * n ** (n / 2.0)
-             * math.fsum(wavenumber(s, j) ** (-n) for j in range(1, J + 1)))
+             * math.fsum(k ** (-n) for k in wavenumbers(s, js).tolist()))
     assert math.isclose(direct, via_k, rel_tol=1e-12)
 
 
 def test_partial_inverse_power_sum_dominates_last_term():
     # j * k_j^-n <= sum_{i<=j} k_i^-n: the increasing-k rearrangement bound
-    s = demo_schedule(2)
     acc = 0.0
-    for j in range(1, 301):
-        kinv = wavenumber(s, j) ** (-2.0)
+    for j, k in enumerate(wavenumbers(demo_schedule(2), range(1, 301)).tolist(), start=1):
+        kinv = k ** (-2.0)
         acc += kinv
         assert j * kinv <= acc * (1.0 + 1e-15)
 
@@ -231,15 +231,16 @@ def test_volume_sums_past_binary64_raise_schedule_error():
     # n = 3 cubes of side about 5e102: each finite, any two overflow
     sched = Schedule(3, KTable([1.0e-102, 1.1e-102, 1.2e-102]), APower(1e-4, 0.25),
                      DShiftedPower(2.0, 6.0, 1.2))
-    assert partial_volume(sched, 1) == sidelength(sched, 1) ** 3
+    sides = sidelengths(sched, range(1, 3))
+    assert volume_sum(3, sides[:1], 1, "partial volume") == sides[0] ** 3
     with pytest.raises(ScheduleError) as info:
-        partial_volume(sched, 2)
+        volume_sum(3, sides, 1, "partial volume")
     assert str(info.value) == ("partial volume leaves binary64: box 1 has side "
-                               f"{sidelength(sched, 1)!r}")
+                               f"{sides[0].item()!r}")
     with pytest.raises(ScheduleError) as info:
         volume_tail_bound(sched, 1)
     assert str(info.value) == ("volume tail leaves binary64: box 2 has side "
-                               f"{sidelength(sched, 2)!r}")
+                               f"{sides[1].item()!r}")
 
 
 @pytest.mark.parametrize("c, n", [(1e-170, 2), (1e-160, 2), (1e-103, 3), (1e-77, 4)])
@@ -255,7 +256,7 @@ def test_volume_tail_bound_past_binary64_raises_schedule_error(c, n):
 @pytest.mark.parametrize("J", [10, 100])
 def test_volume_tail_bound_dominates_partial_sums(J):
     s = demo_schedule(2)
-    tail = math.fsum(sidelength(s, j) ** 2 for j in range(J + 1, J + 5001))
+    tail = volume_sum(2, sidelengths(s, range(J + 1, J + 5001)), J + 1, "volume")
     assert tail < volume_tail_bound(s, J)
 
 
@@ -264,11 +265,11 @@ def test_weyl_consistency_of_demo_schedule():
     # wavenumbers grow fast enough for the total volume they imply
     n = 2
     s = demo_schedule(n)
-    J = 300
-    budget = partial_volume(s, J) + volume_tail_bound(s, J)
+    js = range(1, 301)
+    budget = volume_sum(n, sidelengths(s, js), 1, "volume") + volume_tail_bound(s, js[-1])
     floor = math.pi * math.sqrt(n) * budget ** (-1.0 / n)
-    for j in range(1, J + 1):
-        assert j ** (-1.0 / n) * wavenumber(s, j) >= floor * (1.0 - 1e-14)
+    for j, k in zip(js, wavenumbers(s, js).tolist()):
+        assert j ** (-1.0 / n) * k >= floor * (1.0 - 1e-14)
 
 
 # -------------------------------------------------------------------
@@ -321,6 +322,6 @@ def test_schedule_validation_errors():
 
 def test_tables_accept_lists():
     s = Schedule(2, KTable([5.0, 7.0]), ATable([1.0, 1.0]), DTable([0.5, 0.25]))
-    assert wavenumber(s, 2) == 7.0
-    assert target_norm(s, 2) == 1.0
+    assert wavenumbers(s, range(1, 3)).tolist() == [5.0, 7.0]
+    assert target_norms(s, range(1, 3)).tolist() == [1.0, 1.0]
     assert padding(s, 2) == 0.25

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import math
 import time
 from unittest import mock
@@ -15,10 +14,10 @@ from trapcert.specfun import (
     BesselRangeError,
     ConvergenceError,
     bessel_ladder,
-    cyl_bessel,
     cyl_bessel_scaled,
     hankel_half_integer,
     ladder_batches,
+    selftest_grid,
     spherical_hankel,
     spherical_hankel_closed,
     validation_grid,
@@ -45,13 +44,11 @@ LN2 = math.log(2.0)
 
 @pytest.mark.parametrize("nu,t,j,y,jp,yp", JY_TABLE)
 def test_against_frozen_references(nu, t, j, y, jp, yp):
-    e = cyl_bessel(nu, t)
-    modM = math.hypot(j, y)
-    modN = math.hypot(jp, yp)
-    assert abs(e.j - j) <= 1e-12 * modM
-    assert abs(e.y - y) <= 1e-12 * modM
-    assert abs(e.jp - jp) <= 1e-12 * modN
-    assert abs(e.yp - yp) <= 1e-12 * modN
+    s = cyl_bessel_scaled(nu, t)
+    got = np.ldexp([s.jm, s.ym, s.jpm, s.ypm], [s.ej, s.ey, s.ej, s.ey])
+    # error relative to the moduli M = |H| and N = |H'|
+    scale = np.repeat([math.hypot(j, y), math.hypot(jp, yp)], 2)
+    assert (np.abs(got - [j, y, jp, yp]) <= 1e-12 * scale).all()
 
 
 @pytest.mark.parametrize("nu,t,sj,lnj,sy,lny", LOG_EXTREME_TABLE)
@@ -66,35 +63,36 @@ def test_scaled_representation_beyond_float_range(nu, t, sj, lnj, sy, lny):
 
 @pytest.mark.parametrize("m,n,t,h,hp", SPH_TABLE)
 def test_spherical_frozen_references(m, n, t, h, hp):
-    e = spherical_hankel(m, n, t)
-    assert abs(e.h - h) <= 1e-12 * abs(h)
-    assert abs(e.hp - hp) <= 1e-12 * abs(hp)
+    got_h, got_hp = spherical_hankel(m, n, t)
+    assert abs(got_h - h) <= 1e-12 * abs(h)
+    assert abs(got_hp - hp) <= 1e-12 * abs(hp)
 
 
 def test_series_value_small_argument():
     # power series J_0(t) = 1 - t^2/4 + t^4/64 - ..., first three terms
     t = 1e-3
     ref = 1.0 - t * t / 4.0 + t**4 / 64.0
-    assert math.isclose(cyl_bessel(0.0, t).j, ref, rel_tol=1e-12)
+    s = cyl_bessel_scaled(0.0, t)
+    assert math.isclose(math.ldexp(s.jm, s.ej), ref, rel_tol=1e-12)
 
 
 def test_half_integer_closed_value():
     # J_{1/2}(t) = sqrt(2/(pi t)) sin t, so J_{1/2}(pi/2) = 2/pi
-    e = cyl_bessel(0.5, math.pi / 2.0)
-    assert math.isclose(e.j, 2.0 / math.pi, rel_tol=1e-13)
+    s = cyl_bessel_scaled(0.5, math.pi / 2.0)
+    assert math.isclose(math.ldexp(s.jm, s.ej), 2.0 / math.pi, rel_tol=1e-13)
 
 
 def test_h0_dimension_three_closed_form():
     # h_0(3,t) = -i sqrt(2/pi) e^{it} / t
     t = 1.0
     ref = -1j * math.sqrt(2.0 / math.pi) * complex(math.cos(t), math.sin(t)) / t
-    e = spherical_hankel(0, 3, t)
-    assert abs(e.h - ref) <= 1e-13 * abs(ref)
+    h, _ = spherical_hankel(0, 3, t)
+    assert abs(h - ref) <= 1e-13 * abs(ref)
 
 
 def test_wronskian_closed_form_dimension_two():
-    e = spherical_hankel(0, 2, 1.0)
-    assert math.isclose((e.hp * e.h.conjugate()).imag, 2.0 / math.pi, rel_tol=1e-12)
+    h, hp = spherical_hankel(0, 2, 1.0)
+    assert math.isclose((hp * h.conjugate()).imag, 2.0 / math.pi, rel_tol=1e-12)
 
 
 # -------------------------------------------------------------------
@@ -129,11 +127,14 @@ def test_wronskian_residual_finite_in_overflow_regime():
 def test_spherical_modulus_and_wronskian_invariants(m, n, logt):
     t = 10.0**logt
     try:
-        e = spherical_hankel(m, n, t)
+        h, hp = spherical_hankel(m, n, t)
     except BesselRangeError:
         return
-    assert math.isclose(abs(e.h), e.modM / t ** (n / 2 - 1), rel_tol=1e-12)
-    im = (e.hp * e.h.conjugate()).imag
+    # |h| t^(n/2-1) is the cylindrical modulus M = |H_nu|, from the scaled entry
+    s = cyl_bessel_scaled(m + n / 2 - 1, t)
+    mod = math.hypot(math.ldexp(s.jm, s.ej), math.ldexp(s.ym, s.ey))
+    assert math.isclose(abs(h), mod / t ** (n / 2 - 1), rel_tol=1e-12)
+    im = (hp * h.conjugate()).imag
     assert math.isclose(im, 2.0 / (math.pi * t ** (n - 1)), rel_tol=1e-9)
 
 
@@ -161,12 +162,12 @@ def test_modulus_strictly_decreasing(nu):
 def test_odd_dimension_matches_closed_form(m, n, logt):
     t = 10.0**logt
     try:
-        e = spherical_hankel(m, n, t)
+        h, hp = spherical_hankel(m, n, t)
     except BesselRangeError:
         return
     h_ref, hp_ref = spherical_hankel_closed(m, n, t)
-    assert abs(e.h - h_ref) <= 1e-10 * abs(h_ref)
-    assert abs(e.hp - hp_ref) <= 1e-10 * abs(hp_ref)
+    assert abs(h - h_ref) <= 1e-10 * abs(h_ref)
+    assert abs(hp - hp_ref) <= 1e-10 * abs(hp_ref)
 
 
 def test_closed_form_base_cases():
@@ -263,27 +264,28 @@ def test_ladder_matches_scalar_evaluations(mu0, t, count):
                                   (math.nan, 1.0), (1.0, math.inf)])
 def test_domain_errors(nu, t):
     with pytest.raises(BesselDomainError):
-        cyl_bessel(nu, t)
+        cyl_bessel_scaled(nu, t)
 
 
 def test_overflow_is_signalled_not_inf():
     with pytest.raises(BesselRangeError):
-        cyl_bessel(100.0, 0.01)
-    with pytest.raises(BesselRangeError):
         spherical_hankel(100, 3, 0.01)
 
 
+# a ladder of 1e4 orders takes about 0.2 s, and CF1 about as long at t = 1e4,
+# so a refusal within 0.1 s there shows that nothing ran
 @pytest.mark.parametrize("call", [
     lambda nu: cyl_bessel_scaled(nu, 5.0),
     lambda nu: wronskian_residual(nu, 1e-3),
     lambda nu: bessel_ladder(0.0, 5.0, math.ceil(nu)),
 ])
-@pytest.mark.parametrize("nu", [1e20, 1e9, math.nextafter(specfun.NU_CEILING, math.inf)])
+@pytest.mark.parametrize("nu", [1e20, 1e9, math.nextafter(1.0e4, math.inf),
+                                math.nextafter(specfun.NU_MAX, math.inf)])
 def test_orders_past_the_ceiling_are_refused_at_once(call, nu):
-    # before the ceiling, 1e20 cast the step count to int64 with a
-    # RuntimeWarning (an error under the test filter) and ran CF2 for 10 s
+    # the validated envelope's edge is the ceiling; far past it, 1e20 cast
+    # the step count to int64 with a RuntimeWarning and ran CF2 for 10 s
     start = time.perf_counter()
-    with pytest.raises(BesselDomainError, match=r"order nu must lie in \[0, 10000\]"):
+    with pytest.raises(BesselDomainError, match=r"order nu must lie in \[0, 200\]"):
         call(nu)
     assert time.perf_counter() - start < 0.1
 
@@ -293,24 +295,22 @@ def test_orders_past_the_ceiling_are_refused_at_once(call, nu):
     lambda t: wronskian_residual(5.0, t),
     lambda t: bessel_ladder(0.0, t, 5),
 ])
-@pytest.mark.parametrize("t", [1e5, 1e6, math.inf, math.nextafter(specfun.T_CEILING, math.inf)])
+@pytest.mark.parametrize("t", [1e5, 1e6, math.inf, math.nextafter(1.0e4, math.inf),
+                               math.nextafter(specfun.T_RANGE[1], math.inf),
+                               math.nextafter(specfun.T_RANGE[0], 0.0)])
 def test_arguments_past_the_ceiling_are_refused_at_once(call, t):
-    # before the ceiling, t = 1e5 ran CF1 to its iteration cap for 1.5 s and
-    # then raised ConvergenceError
+    # the validated envelope's edges; t = 1e5 ran CF1 to its iteration cap
+    # for 1.5 s and then raised ConvergenceError
     start = time.perf_counter()
-    with pytest.raises(BesselDomainError, match=r"argument t must lie in \(0, 10000\]"):
+    with pytest.raises(BesselDomainError,
+                       match=r"argument t must lie in \[0.001, 1000\]"):
         call(t)
     assert time.perf_counter() - start < 0.1
 
 
-def test_the_argument_ceiling_lies_past_every_argument_in_use():
-    assert specfun.T_CEILING > specfun.T_RANGE[1]
-    assert cyl_bessel_scaled(5.0, specfun.T_CEILING).t == specfun.T_CEILING
-
-
-def test_the_order_ceiling_lies_past_every_order_in_use():
-    assert specfun.NU_CEILING > specfun.NU_MAX + 1
-    assert cyl_bessel_scaled(specfun.NU_CEILING, 1e3).nu == specfun.NU_CEILING
+def test_the_envelope_edges_are_accepted():
+    for nu, t in ((specfun.NU_MAX, specfun.T_RANGE[0]), (0.0, specfun.T_RANGE[1])):
+        assert wronskian_residual(nu, t) <= 1e-10
 
 
 def test_ladder_rejects_bad_base_order():
@@ -505,30 +505,28 @@ def test_abs_below_decides_like_complex_abs():
 
 
 def test_selftest_rows_equal_the_scalar_loop():
-    got = list(specfun.selftest_rows())
+    grid = selftest_grid()
     ref = list(scalar_selftest_rows())
-    assert len(got) == len(ref) == 80400
-
-    def key(row):
-        nu, t, wr, he, ok = row
-        return nu.hex(), t.hex(), wr.hex(), None if he is None else he.hex(), ok
-
-    assert_sequences_equal(got, ref, key=key)
-
-
-# SHA-256 of the selftest rows, each row the repr of its tuple with every
-# float written by float.hex; the rows must not depend on the batch size
-SELFTEST_DIGEST = "b0e6f2fe1ccd21f3116a8dd910213b352859983206e21f7f161aafe2a4ec5cf4"
+    assert len(ref) == grid.ok.size == 80400
+    # the scalar rows as (order x argument) arrays, NaN where a row has no
+    # closed-form error
+    nu, t, wr, he, ok = (np.array([np.nan if v is None else v for v in column])
+                         .reshape(grid.ok.shape) for column in zip(*ref))
+    assert nu[:, 0].tolist() == grid.nus and t[0].tolist() == grid.ts
+    halfint = np.full(grid.ok.shape, np.nan)
+    halfint[grid.half_rows] = grid.halfint
+    for got, want in ((grid.residuals, wr), (halfint, he)):
+        assert_sequences_equal(hexes(got.ravel()), hexes(want.ravel()))
+    assert_sequences_equal(grid.ok.ravel().tolist(), ok.ravel().tolist())
 
 
 @pytest.mark.parametrize("batch", [3, 10])
 def test_selftest_rows_do_not_depend_on_the_batch_size(monkeypatch, batch):
+    ref = selftest_grid()
     monkeypatch.setattr(specfun, "_SELFTEST_BATCH_TS", batch)
-    sha = hashlib.sha256()
-    for row in specfun.selftest_rows():
-        sha.update(repr(tuple(x.hex() if isinstance(x, float) else x
-                              for x in row)).encode())
-    assert sha.hexdigest() == SELFTEST_DIGEST
+    got = selftest_grid()
+    for name in ("residuals", "half_rows", "box", "halfint", "ok"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 @pytest.mark.parametrize("kind", ["CF1", "CF2"])
@@ -598,7 +596,7 @@ def cylindrical_outcomes(nu, t):
     """(public, oracle) outcome of every cylindrical evaluator at (nu, t)."""
     pairs = [(outcome(cyl_bessel_scaled, nu, t), outcome(scalar_cyl_bessel_scaled, nu, t)),
              (outcome(wronskian_residual, nu, t), outcome(scalar_wronskian_residual, nu, t))]
-    return pairs + [(outcome(fn, nu, t), on_oracle(fn, nu, t)) for fn in (cyl_bessel, a_nu)]
+    return pairs + [(outcome(a_nu, nu, t), on_oracle(a_nu, nu, t))]
 
 
 def spherical_outcomes(m, n, t):
@@ -625,10 +623,10 @@ def test_spherical_evaluators_equal_the_oracle_route(m, n, t):
 
 
 def test_the_oracle_route_covers_the_range_errors():
-    # plain values overflow here: cyl_bessel, spherical_hankel and the three
-    # b_m raise, while the scaled routes (A_nu, the DtN eigenvalue) do not
+    # plain values overflow here: spherical_hankel and the three b_m raise,
+    # while the scaled routes (A_nu, the DtN eigenvalue) do not
     outcomes = cylindrical_outcomes(100.0, 0.01) + spherical_outcomes(100, 3, 0.01)
-    assert [got[0] for got, _ in outcomes].count("BesselRangeError") == 5
+    assert [got[0] for got, _ in outcomes].count("BesselRangeError") == 4
 
 
 @given(nu=st.floats(min_value=0.0, max_value=200.0),

@@ -1,10 +1,13 @@
 """The command-line entry points, each run in a child interpreter at tiny
 size: `scripts/make_figure.py`, `scripts/run_dtn_sweep.py` and
 `python -m trapcert.cli`.  Their stdout and artifacts must equal those of
-the same subcommands run in process through `trapcert.cli.run`."""
+the same subcommands run in process through `trapcert.cli.run`.  And every
+public name of the package has a caller outside the tests."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,3 +86,65 @@ def test_module_entry_point(tmp_path, monkeypatch, capsys):
     assert missing.returncode == 2
     assert missing.stdout == ""
     assert missing.stderr.splitlines()[-1].startswith("error: cannot read config")
+
+
+# public names whose only callers are tests: independent cross-check routes
+CROSS_CHECK_ROUTES = {
+    "quasimode_norms": "closed-form mode norms, against tensor quadrature",
+    "infsup_upper": "scalar inf-sup bound, against the scalar chain",
+    "resolvent_lower": "scalar resolvent floor, round trips and the scalar chain",
+    "a_nu": "scalar A_nu, against the sweep's records",
+    "b_m": "scalar B_m, against the sweep's records",
+    "dtn_eigenvalue": "scalar DtN eigenvalue, against the scalar engine",
+    "hankel_half_integer": "closed form of H_(M+1/2), independent of the engine",
+}
+PACKAGE = ROOT / "src" / "trapcert"
+MODULES = {path.stem for path in PACKAGE.glob("*.py")} | {"trapcert"}
+
+
+def references(tree, skip=(), strings=False):
+    """The names that `tree` reads outside the nodes in `skip`: bare names,
+    attributes of the package's modules, imports, and with `strings` every
+    string constant (the benchmark tracer names its targets by string)."""
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and MODULES & {
+                getattr(node.value, "id", None), getattr(node.value, "attr", None)}:
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    outside = set()
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        outside |= references(ast.parse(block))
+    for folder in ("bench", "scripts"):
+        for path in (ROOT / folder).glob("*.py"):
+            outside |= references(ast.parse(path.read_text(encoding="utf-8")),
+                                  strings=folder == "bench")
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py")}
+    read = {module: references(tree) for module, tree in trees.items()}
+    uncalled = []
+    for module, tree in trees.items():
+        elsewhere = outside.union(*(names for key, names in read.items() if key != module))
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names = [top.name]
+            else:  # assignments, annotated or not
+                targets = getattr(top, "targets", []) + [getattr(top, "target", None)]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            own = {id(node) for node in ast.walk(top)}
+            uncalled += [name for name in names if not name.startswith("_")
+                         and name not in elsewhere and name not in references(tree, own)]
+    assert sorted(uncalled) == sorted(CROSS_CHECK_ROUTES), (
+        set(uncalled) ^ set(CROSS_CHECK_ROUTES))
