@@ -39,8 +39,6 @@ import numpy as np
 from trapcert.geometry import Boxes
 from trapcert.sequences import defining_relation, design_identity
 
-_R_NOTE = "uniform in R above the circumradius"
-
 
 class CertifyError(ValueError):
     """A certificate precondition or invariant failed."""
@@ -171,7 +169,6 @@ class Certificates:
     c_prime_lb: np.ndarray
     c_lb: np.ndarray
     margin: np.ndarray
-    r_note: str = _R_NOTE
 
     def __len__(self) -> int:
         return len(self.j)

@@ -391,18 +391,15 @@ def _json_blocks(boxes: Boxes, summary: GeometrySummary) -> Iterator[str]:
                     "volumeInterval": list(summary.volume_interval),
                     "rGammaUpper": summary.r_gamma_upper},
         "boxes": []}, indent=1)
-    # rows open with their separator; the first block (or "," if none) drops it
+    # rows open with their separator; the first block drops it
     row = (',\n  {\n   "j": %d,\n   "layer": %d,\n   "side": %r,\n   "translation": [\n'
            + ",\n".join(["    %r"] * boxes.lo.shape[1])
            + '\n   ],\n   "gap": %r,\n   "wavenumber": %r,\n   "targetA": %r\n  }')
     columns = (boxes.j, boxes.layer, boxes.side, *boxes.lo.T, boxes.gap, boxes.k, boxes.a)
     blocks = _row_blocks(row, columns)
-    if not all(np.isfinite(c).all() for c in columns):
-        # json's tokens: no key holds "nan" or "inf", no finite repr a letter but "e"
-        blocks = (t.replace("nan", "NaN").replace("inf", "Infinity") for t in blocks)
-    yield head[:-len("]\n}")] + next(blocks, ",")[1:]
+    yield head[:-len("]\n}")] + next(blocks)[1:]
     yield from blocks
-    yield ("\n ]" if len(boxes) else "]") + "\n}\n"
+    yield "\n ]\n}\n"
 
 
 def emit_geometry_json(boxes: Boxes, summary: GeometrySummary, path: str) -> None:
@@ -431,8 +428,6 @@ def _svg_blocks(boxes: Boxes) -> Iterator[str]:
     """The SVG text in blocks, every number `%.6f` with no sign on a value
     that rounds to zero.  The arrangement is checked here, before the first
     block is asked for."""
-    if not len(boxes):
-        raise GeometryError("nothing to draw: no boxes")
     if boxes.lo.shape[1] != 2:
         raise GeometryError(
             f"SVG output is only defined for dimension 2, "

@@ -195,7 +195,6 @@ class SweepSummary:
     n_values: Tuple[int, ...]
     m_max: int
     rho_count: int
-    alphas: Optional[Tuple[float, ...]]
     checked_modes: int
     a_violations: int
     b_violations: int
@@ -366,7 +365,6 @@ def verify_sweep(n_values: Sequence[int] = DEFAULT_N_VALUES,
         n_values=n_tuple,
         m_max=m_max,
         rho_count=int(rho_arr.size),
-        alphas=None if alphas is None else tuple(float(a) for a in alphas),
         checked_modes=int(rho_arr.size * alpha.size * (m_max + 1)),
         a_violations=counts["a"],
         b_violations=counts["b"],

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -103,7 +103,15 @@ class LayerPlan:
 
 @dataclass(frozen=True, eq=False)
 class Boxes:
-    """Open boxes as read-only columns, one row per box in index order."""
+    """Open boxes as read-only columns, one row per box in index order.
+
+    What both builders guarantee is checked here, so every consumer may
+    rely on it: at least one box; one entry per box in every column, with
+    corners `lo` of shape (N, n), n >= 2; `j` strictly increasing and
+    `layer` nondecreasing, so each level is one run of rows; and every
+    value and every upper corner lo + side finite.  Any other arrangement
+    raises GeometryError.
+    """
 
     j: np.ndarray
     layer: np.ndarray
@@ -116,6 +124,26 @@ class Boxes:
     def __post_init__(self) -> None:
         for f in fields(self):
             getattr(self, f.name).flags.writeable = False
+        if not len(self.j):
+            raise GeometryError("an arrangement needs at least one box")
+        if any(c.shape != (len(self.j),) for c in (self.j, self.layer, self.side, self.gap,
+                                                     self.k, self.a)):
+            raise GeometryError("j, layer, side, gap, k and a need one entry per box")
+        if self.lo.ndim != 2 or self.lo.shape[0] != len(self.j) or self.lo.shape[1] < 2:
+            raise GeometryError(f"corners of shape {self.lo.shape} for {len(self.j)} "
+                                f"boxes, need (N, n) with n >= 2")
+        if not (self.j[1:] > self.j[:-1]).all():
+            raise GeometryError("box indices j must increase strictly")
+        if not (self.layer[1:] >= self.layer[:-1]).all():
+            raise GeometryError("levels must not decrease along the rows")
+        # a column is finite iff its extrema are, and lo + side lies between
+        # the sums of the extrema of lo and side: no (N, n) array is made
+        with np.errstate(over="ignore", invalid="ignore"):
+            bounds = [self.lo.min(axis=0) + self.side.min(),
+                      self.lo.max(axis=0) + self.side.max(),
+                      *(f(c) for c in (self.gap, self.k, self.a) for f in (np.min, np.max))]
+        if not np.isfinite(np.hstack(bounds)).all():
+            raise GeometryError("every value and every upper corner must be finite")
 
     def __len__(self) -> int:
         return len(self.j)
@@ -182,8 +210,8 @@ def layer_plans(sched: Schedule, limit: Optional[int]) -> List[LayerPlan]:
 # analytic layer tails (log-growth wavenumbers + shifted-power paddings)
 # -------------------------------------------------------------------
 
-def _layer_tail_constants(sched: Schedule) -> Tuple[float, float]:
-    """(A_n, C_n) for the level-start lower bound B_i >= A_n i^n ln^(n-1) i.
+def _layer_tail_constant(sched: Schedule) -> float:
+    """C_n, from A_n in the level-start lower bound B_i >= A_n i^n ln^(n-1) i.
 
     Chain, valid for i >= 26: a level j >= i/2 contributes at least
     (0.9 j ln j)^(n-1) boxes once j ln j >= 10, there are at least i/2 such
@@ -195,14 +223,13 @@ def _layer_tail_constants(sched: Schedule) -> Tuple[float, float]:
     """
     n = sched.n
     a_n = 0.2025 ** (n - 1) / 2.0
-    c_n = (a_n * n / 2.0) ** (1.0 / n)
-    return a_n, c_n
+    return (a_n * n / 2.0) ** (1.0 / n)
 
 
 def _level_side_tail(sched: Schedule, m: int) -> float:
     """Upper bound on sum_{i>m} ell_{B_i} for the parametric families."""
     assert m >= _MIN_EXTENSION
-    _, c_n = _layer_tail_constants(sched)
+    c_n = _layer_tail_constant(sched)
     c = sched.k_family.c
     return math.pi * math.sqrt(sched.n) / (c * c_n * math.log(math.log(m)))
 
@@ -210,7 +237,7 @@ def _level_side_tail(sched: Schedule, m: int) -> float:
 def _width_tail_bound(sched: Schedule, i0: int) -> float:
     """Upper bound on sup_{i>=i0} of the level width cols_i * h_i."""
     assert i0 > _MIN_EXTENSION
-    _, c_n = _layer_tail_constants(sched)
+    c_n = _layer_tail_constant(sched)
     c = sched.k_family.c
     d = sched.d_family
     ell_part = (math.pi * math.sqrt(sched.n) * math.log(i0 + math.e)
@@ -529,28 +556,21 @@ def _sweep_pairs(lo: np.ndarray, hi: np.ndarray,
     exact arithmetic on some axis (the cut-off is rounded upward), so its
     computed separation on that axis is >= u_a.  The groups are first split
     on every axis (`_partition`); inside them the rows are swept along the
-    axis with the fewest candidates.  Non-finite coordinates make every pair
-    of a group a candidate.  Each chunk holds at most _PAIR_CHUNK pairs
-    unless one row alone has more.
+    axis with the fewest candidates.  Each chunk holds at most _PAIR_CHUNK
+    pairs unless one row alone has more.
     """
     if group is None:
         group = np.zeros(len(lo), dtype=np.int64)
-    if np.isfinite(lo).all() and np.isfinite(hi).all():
-        rows, group = _partition(lo, hi, reach, group)
-        rank = np.arange(len(rows))
-        best = None
-        for ax in range(lo.shape[1]):
-            o, _, key_lo, key_cut = _sorted_on(lo, hi, reach, rows, group, ax)
-            e = np.maximum(np.searchsorted(key_lo, key_cut, side="right"),
-                           rank + 1)
-            total = int((e - rank - 1).sum())
-            if best is None or total < best[0]:
-                best = (total, o, e)
-        _, order, ends = best
-    else:
-        order = np.argsort(group, kind="stable")
-        ends = np.searchsorted(group[order], group[order], side="right")
-        rank = np.arange(len(order))
+    rows, group = _partition(lo, hi, reach, group)
+    rank = np.arange(len(rows))
+    best = None
+    for ax in range(lo.shape[1]):
+        o, _, key_lo, key_cut = _sorted_on(lo, hi, reach, rows, group, ax)
+        e = np.maximum(np.searchsorted(key_lo, key_cut, side="right"), rank + 1)
+        total = int((e - rank - 1).sum())
+        if best is None or total < best[0]:
+            best = (total, o, e)
+    _, order, ends = best
     m = len(order)
     counts = ends - rank - 1
     csum = np.cumsum(counts)
@@ -630,44 +650,32 @@ def disjointness_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessRepor
     chunk of candidate pairs.
     """
     lo, hi = boxes.lo, boxes.hi
-    js, layer_of = boxes.j, boxes.layer
 
-    firsts, seconds = [], []
+    pairs = [np.empty((2, 0), dtype=np.int64)]
     for i, k in _sweep_pairs(lo, hi, None):
         # strict separation along some axis, either direction
         apart = ((hi[i] < lo[k]) | (hi[k] < lo[i])).any(axis=1)
-        i, k = i[~apart], k[~apart]
-        keep = js[i] != js[k]
-        i, k = i[keep], k[keep]
-        swap = js[i] > js[k]
-        firsts.append(np.where(swap, k, i))
-        seconds.append(np.where(swap, i, k))
-    overlaps: Tuple[Tuple[int, int], ...] = ()
-    if firsts:
-        first, second = np.concatenate(firsts), np.concatenate(seconds)
-        o = np.lexsort((second, first))
-        overlaps = tuple(zip(js[first[o]].tolist(), js[second[o]].tolist()))
+        pairs.append(np.sort((i[~apart], k[~apart]), axis=0))  # rows are in j order
+    first, second = np.concatenate(pairs, axis=1)
+    o = np.lexsort((second, first))
+    overlaps = tuple(zip(boxes.j[first[o]].tolist(), boxes.j[second[o]].tolist()))
 
-    by_layer = np.argsort(layer_of, kind="stable")
-    layer_ids, starts, sizes = np.unique(layer_of[by_layer], return_index=True,
+    # each level is one run of rows, from starts[p] on
+    layer_ids, starts, sizes = np.unique(boxes.layer, return_index=True,
                                          return_counts=True)
-    groups = np.split(by_layer, starts[1:])
     layers = layer_ids.tolist()
-    level = np.searchsorted(layer_ids, layer_of)
+    level = np.repeat(np.arange(len(layers)), sizes)
 
     # one sweep for every level, each widened by the distance of its first
     # two boxes
     multi = np.flatnonzero(sizes > 1)
-    first, second = by_layer[starts[multi]], by_layer[starts[multi] + 1]
+    first, second = starts[multi], starts[multi] + 1
     reach = np.zeros(len(layers))
     reach[multi] = [_reach(d) for d in
                     _pair_distances(lo[first], hi[first], lo[second], hi[second]).tolist()]
     minima = np.full(len(layers), math.inf)
     for i, k in _sweep_pairs(lo, hi, reach[level], level):
-        # a nan distance (non-finite coordinates) is its level's minimum, as
-        # in the all-pairs pass; ufunc.at flags it where reductions do not
-        with np.errstate(invalid="ignore"):
-            np.minimum.at(minima, level[i], _pair_distances(lo[i], hi[i], lo[k], hi[k]))
+        np.minimum.at(minima, level[i], _pair_distances(lo[i], hi[i], lo[k], hi[k]))
     in_layer = [InLayerGap(layer=layers[p], min_distance=float(minima[p]),
                            expected=padding(sched, layers[p])
                            / math.log(layers[p] + math.e))
@@ -675,28 +683,24 @@ def disjointness_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessRepor
 
     cross: List[CrossLayerGap] = []
     if len(layers) > 1:
-        n_lay = len(layers)
-        bb_lo = np.array([lo[pos].min(axis=0) for pos in groups])
-        bb_hi = np.array([hi[pos].max(axis=0) for pos in groups])
-        lowest = np.array([pos[np.argmin(lo[pos, -1])] for pos in groups])
-        highest = np.array([pos[np.argmax(hi[pos, -1])] for pos in groups])
-        finite = np.array([np.isfinite(lo[pos]).all() and np.isfinite(hi[pos]).all()
-                           for pos in groups])
-        ia, ib = np.triu_indices(n_lay, 1)
+        bb_lo = np.minimum.reduceat(lo, starts)
+        bb_hi = np.maximum.reduceat(hi, starts)
+        # the first row of each level at its lowest bottom and highest top
+        lowest = np.lexsort((lo[:, -1], level))[starts]
+        highest = np.lexsort((-hi[:, -1], level))[starts]
+        ia, ib = np.triu_indices(len(layers), 1)
         bound = _pair_distances(bb_lo[ia], bb_hi[ia], bb_lo[ib], bb_hi[ib])
         a_up = bb_lo[ia, -1] >= bb_lo[ib, -1]
         wa = np.where(a_up, lowest[ia], lowest[ib])
         wb = np.where(a_up, highest[ib], highest[ia])
         witness = _pair_distances(lo[wa], hi[wa], lo[wb], hi[wb])
-        exact = finite[ia] & finite[ib] & (witness == bound)
+        exact = witness == bound
         for p, (a, b) in enumerate(zip(ia.tolist(), ib.tolist())):
             if exact[p]:
                 measured = float(bound[p])
             else:
-                pos = np.concatenate((groups[a], groups[b]))
-                label = np.repeat([0, 1], [len(groups[a]), len(groups[b])])
-                measured = _min_distance(lo[pos], hi[pos], float(witness[p]),
-                                         label)
+                pos = np.r_[starts[a]:starts[a] + sizes[a], starts[b]:starts[b] + sizes[b]]
+                measured = _min_distance(lo[pos], hi[pos], float(witness[p]), level[pos])
             la, lb = layers[a], layers[b]
             constructive = padding(sched, la) if lb == la + 1 else None
             cross.append(CrossLayerGap(
@@ -737,14 +741,12 @@ def connectivity_certificate(boxes: Boxes,
     any level bottom (minus its gap) only a finite index prefix of boxes
     lives.  Each fact is checked on the emitted data, not re-derived."""
     bad_eps = boxes.j[~(boxes.gap > 0.0)][:5].tolist()
-    # per level, in level order: the base height of its last box, its
-    # highest top and its highest box bottom
-    by_layer = np.argsort(boxes.layer, kind="stable")
-    layers, starts, sizes = np.unique(boxes.layer[by_layer], return_index=True,
-                                      return_counts=True)
-    base = boxes.lo[by_layer, -1]
+    # per level, in level order (each level is one run of rows): the base
+    # height of its last box, its highest top and its highest box bottom
+    layers, starts, sizes = np.unique(boxes.layer, return_index=True, return_counts=True)
+    base = boxes.lo[:, -1]
     height = base[starts + sizes - 1]
-    top = np.maximum.reduceat(boxes.hi[by_layer, -1], starts)
+    top = np.maximum.reduceat(base + boxes.side, starts)
     bottom = np.maximum.reduceat(base, starts)
     gaps = height[:-1] - top[1:]
     # a level has a box above a cut iff its highest bottom is; so the boxes
@@ -811,8 +813,6 @@ def flood_fill_oracle(boxes: Boxes, resolution: float) -> bool:
     767,921 free cells of the 5-layer figure).  Memory: the raster, one
     byte a cell, plus integer arrays over its blocked cells and runs.
     """
-    if not len(boxes):
-        raise GeometryError("no boxes to rasterize")
     if boxes.lo.shape[1] != 2:
         raise GeometryError("flood-fill oracle is defined for dimension 2 only")
     if resolution <= 0.0:

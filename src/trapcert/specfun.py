@@ -229,23 +229,6 @@ def _validate(nu: float, t: float) -> None:
 # the engine: the continued fractions and the ladders over arrays of points
 # ===================================================================
 
-def _abs_below(re: np.ndarray, im: np.ndarray, bound: float) -> np.ndarray:
-    """abs(complex(re, im)) < bound, decided as CPython decides it.
-
-    CPython's complex abs is libm hypot (error below one ulp).  The sum of
-    the scaled squares settles every point whose modulus lies farther than
-    a relative 1e-12 from the bound; the rare rest go through abs() itself.
-    """
-    with np.errstate(over="ignore", under="ignore"):
-        u = re / bound
-        v = im / bound
-        s = u * u + v * v
-    out = s < 1.0 - 1.0e-12
-    for i in np.flatnonzero(~out & (s <= 1.0 + 1.0e-12)):
-        out[i] = abs(complex(re[i], im[i])) < bound
-    return out
-
-
 def _c_prod(ar, ai, br, bi):
     """CPython's complex product (`_Py_c_prod`) in reals; a float operand
     is a complex with imaginary part 0.0."""
@@ -256,7 +239,7 @@ def _c_quot(ar, ai, br, bi):
     """CPython's complex quotient (Smith's method, `_Py_c_quot`) in reals."""
     with np.errstate(divide="ignore", invalid="ignore"):
         real_big = np.abs(br) >= np.abs(bi)
-        ratio = np.where(real_big, bi / br, br / bi)
+        ratio = np.where(real_big, bi, br) / np.where(real_big, br, bi)
         denom = np.where(real_big, br + bi * ratio, br * ratio + bi)
         qr = np.where(real_big, ar + ai * ratio, ar * ratio + ai) / denom
         qi = np.where(real_big, ai - ar * ratio, ai * ratio - ar) / denom
@@ -318,7 +301,8 @@ def _cf2_batch(mu: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     Each complex step is CPython's own formula in real arithmetic, so the
     fraction rounds as it does on Python complex numbers: a float operand is
     a complex with imaginary part 0.0, products are `_Py_c_prod` and
-    quotients `_c_quot`.  (numpy's complex division multiplies by a
+    quotients `_c_quot`; a modulus is np.hypot, the libm hypot that
+    CPython's complex abs calls.  (numpy's complex division multiplies by a
     reciprocal, which rounds differently.)"""
     p_out = np.empty_like(x)
     q_out = np.empty_like(x)
@@ -334,18 +318,18 @@ def _cf2_batch(mu: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         bi = 2.0 * k
         dr, di = _c_prod(a, 0.0, dr, di)
         dr, di = br + dr, bi + di
-        small = _abs_below(dr, di, _TINY)
+        small = np.hypot(dr, di) < _TINY
         dr[small] = _TINY
         di[small] = 0.0
         qr, qi = _c_quot(a, 0.0, cr, ci)
         cr, ci = br + qr, bi + qi
-        small = _abs_below(cr, ci, _TINY)
+        small = np.hypot(cr, ci) < _TINY
         cr[small] = _TINY
         ci[small] = 0.0
         dr, di = _c_quot(1.0, 0.0, dr, di)
         er, ei = _c_prod(cr, ci, dr, di)
         fr, fi = _c_prod(fr, fi, er, ei)
-        done = _abs_below(er - 1.0, ei - 0.0, _EPS)
+        done = np.hypot(er - 1.0, ei - 0.0) < _EPS
         if done.any():
             xd = x[done]
             zr, zi = _c_prod(0.0, 1.0 / xd, fr[done], fi[done])

@@ -26,8 +26,6 @@ def _f6(value: float) -> str:
 
 
 def svg_document(boxes: Boxes) -> str:
-    if not len(boxes):
-        raise GeometryError("nothing to draw: no boxes")
     if boxes.lo.shape[1] != 2:
         raise GeometryError(
             f"SVG output is only defined for dimension 2, "

@@ -159,7 +159,6 @@ def per_radius_sweep(n_values: Sequence[int] = DEFAULT_N_VALUES,
         n_values=n_tuple,
         m_max=m_max,
         rho_count=int(rho_arr.size),
-        alphas=None if alphas is None else tuple(float(a) for a in alphas),
         checked_modes=checked,
         a_violations=counts["a"],
         b_violations=counts["b"],

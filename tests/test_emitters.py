@@ -51,7 +51,7 @@ def certificates(values) -> Certificates:
 
 @pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1])
 def test_csv_equals_the_oracle_at_block_boundaries(built, tmp_path, rows):
-    records = certify_geometry(take(built[0], slice(0, rows)))
+    records = take(built[1], slice(0, rows))
     expected = oracle.certificates_csv(records)
     assert written(cli.emit_certificates_csv, records, tmp_path / "c.csv") == expected
 
@@ -85,7 +85,9 @@ def test_svg_negative_zero_and_tiny_negatives_equal_the_oracle(tmp_path):
 
 
 def test_svg_non_finite_coordinates_equal_the_oracle(tmp_path):
-    lo = [(0.0, 0.0), (math.inf, 1.0), (math.nan, -2.0), (5e-324, -5e-324)]
+    # every corner is finite, but the view's width overflows to inf, and so
+    # do the view coordinates derived from it
+    lo = [(0.0, 0.0), (1e308, 1.0), (-1e308, -2.0), (5e-324, -5e-324)]
     boxes = make_boxes(j=[1, 2, 3, 4], layer=[1] * 4, side=[1.0, 2.0, 5e-324, 1e-300],
                        lo=lo, gap=[0.5] * 4, k=[1.0] * 4, a=[1.0] * 4)
     with np.errstate(all="ignore"):
@@ -108,13 +110,13 @@ def test_percent_format_equals_format_spec(v):
 def test_random_columns_equal_the_oracle_at_any_block_size(tmp_path_factory, values,
                                                            block):
     records = certificates(values)
-    small = [v if math.isfinite(v) else 0.0 for v in values]
+    # the boxes keep every upper corner finite, as a `Boxes` must
+    small = [v if abs(v) <= 1e307 else 0.0 for v in values]
     count = len(small)
     boxes = make_boxes(j=range(1, count + 1), layer=[1] * count,
                        side=[min(abs(v), 1e300) for v in np.roll(small, 1)],
                        lo=np.column_stack((small, np.roll(small, 2))),
                        gap=[0.25] * count, k=[1.0] * count, a=[1.0] * count)
-    # corners past binary64 overflow in both emitters alike
     out = tmp_path_factory.getbasetemp()
     with mock.patch.object(cli, "_BLOCK_ROWS", block), np.errstate(all="ignore"):
         assert (written(cli.emit_certificates_csv, records, out / "random.csv")
@@ -149,10 +151,9 @@ def test_emitters_stream_bounded_blocks(built, tmp_path, monkeypatch):
     assert sum(seen) == oracle.geometry_json(boxes, summary).count("\n")
 
 
-@pytest.mark.parametrize("case", ["empty", "non-planar"])
+@pytest.mark.parametrize("case", ["non-planar"])
 def test_svg_refused_before_any_file_is_created(tmp_path, monkeypatch, case):
-    boxes = (take(build_layered(demo_schedule(), 2)[0], slice(0, 0)) if case == "empty"
-             else build_layered(demo_schedule(3), 2)[0])
+    boxes = build_layered(demo_schedule(3), 2)[0]
 
     def no_file(*args, **kwargs):
         raise AssertionError("a file was created")
@@ -188,7 +189,7 @@ def assert_json_equals_the_oracle(boxes, summary, path):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
-@pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1])
+@pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1])
 def test_json_equals_the_oracle_at_block_boundaries(built, tmp_path, rows):
     boxes, _, summary = built
     assert_json_equals_the_oracle(take(boxes, slice(0, rows)), summary,
@@ -213,10 +214,12 @@ def test_json_equals_the_oracle_in_every_dimension(tmp_path, build):
     assert_json_equals_the_oracle(boxes, summary, tmp_path / "g.json")
 
 
+# finite and at most 1e307 in magnitude, so that every lo + side a test
+# makes of them stays finite, as a `Boxes` requires
 JSON_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300, -1e-300,
-                1e300, -1e300, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+                1e300, -1e300, 1e307, -1e307]
 json_floats = st.one_of(st.sampled_from(JSON_SPECIAL),
-                        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+                        st.floats(-1e307, 1e307, allow_subnormal=True))
 SUMMARY = GeometrySummary(dimension=2, layout="layered", box_count=1,
                           horizontal_extent=1.0, height_interval=(-2.0, -1.0),
                           volume_interval=(1.0, math.inf), r_gamma_upper=math.nan)
@@ -231,7 +234,8 @@ def test_random_json_columns_equal_the_oracle_at_any_block_size(values, n, block
     # every column
     count = len(values)
     cols = [np.roll(values, shift) for shift in range(4 + n)]
-    boxes = make_boxes(j=range(1, count + 1), layer=range(count, 0, -1), side=cols[0],
+    boxes = make_boxes(j=range(1, count + 1), layer=[1 + r // 2 for r in range(count)],
+                       side=cols[0],
                        lo=np.column_stack(cols[4:]), gap=cols[1], k=cols[2], a=cols[3])
     with mock.patch.object(cli, "_BLOCK_ROWS", block):
         assert "".join(cli._json_blocks(boxes, SUMMARY)) == oracle.geometry_json(boxes, SUMMARY)
@@ -244,8 +248,8 @@ def test_json_special_values_print_as_json_does():
                        gap=[0.5] * count, k=[1.0] * count, a=[1.0] * count)
     text = "".join(cli._json_blocks(boxes, SUMMARY))
     assert text == oracle.geometry_json(boxes, SUMMARY)
-    for literal in ('"side": NaN,', '"side": Infinity,', '"side": -Infinity,',
-                    '"side": -0.0,', '"side": 5e-324,', '"side": 1e+300,'):
+    for literal in ('"side": -0.0,', '"side": 5e-324,', '"side": 1e+300,',
+                    '"side": -1e+307,'):
         assert literal in text
 
 

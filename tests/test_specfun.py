@@ -496,12 +496,23 @@ def test_batched_cf1_equals_scalar():
         assert (f[i].hex(), sign[i]) == (ref_f.hex(), float(ref_sign))
 
 
-def test_abs_below_decides_like_complex_abs():
-    bound = 2.0**-52
-    re = np.array([bound, -bound, 0.6 * bound, bound * (1 - 1e-13), 0.0, 1e300, -1e-310])
-    im = np.array([0.0, 1e-40, 0.8 * bound, 1e-30, bound, 1.0, 0.0])
-    got = specfun._abs_below(re, im, bound)
-    assert got.tolist() == [abs(complex(a, b)) < bound for a, b in zip(re, im)]
+def test_numpy_hypot_equals_complex_abs():
+    # CF2 decides |z| < bound by np.hypot, which must be the libm hypot of
+    # CPython's complex abs: on random bit patterns, and on moduli within
+    # 1e-12 relative of the two bounds it meets, _TINY = 1e-300 and 2^-52
+    rng = np.random.default_rng(19)
+    re, im = rng.integers(0, 2**64, size=(2, 20000), dtype=np.uint64).view(float)
+    for bound in (1e-300, 2.0**-52):
+        r = bound * (1.0 + rng.uniform(-1e-12, 1e-12, 10000))
+        theta = rng.uniform(0.0, 2.0 * math.pi, 10000)
+        re = np.concatenate((re, r * np.cos(theta), [bound, -bound, 0.6 * bound,
+                                                     bound * (1 - 1e-13), 0.0, 1e300, -1e-310]))
+        im = np.concatenate((im, r * np.sin(theta), [0.0, 1e-40, 0.8 * bound, 1e-30, bound,
+                                                     1.0, 0.0]))
+    want = np.array([abs(complex(a, b)) for a, b in zip(re.tolist(), im.tolist())])
+    with np.errstate(invalid="ignore"):  # signalling NaNs among the bit patterns
+        got = np.hypot(re, im)
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_selftest_rows_equal_the_scalar_loop():
