@@ -151,15 +151,16 @@ def test_emitters_stream_bounded_blocks(built, tmp_path, monkeypatch):
     assert sum(seen) == oracle.geometry_json(boxes, summary).count("\n")
 
 
-@pytest.mark.parametrize("case", ["non-planar"])
+@pytest.mark.parametrize("case", ["empty", "non-planar"])
 def test_svg_refused_before_any_file_is_created(tmp_path, monkeypatch, case):
-    boxes = build_layered(demo_schedule(3), 2)[0]
-
     def no_file(*args, **kwargs):
         raise AssertionError("a file was created")
 
     monkeypatch.setattr(cli.tempfile, "mkstemp", no_file)
     with pytest.raises(GeometryError):
+        # an empty arrangement is refused already when its `Boxes` is made
+        boxes = (take(build_layered(demo_schedule(), 2)[0], slice(0, 0)) if case == "empty"
+                 else build_layered(demo_schedule(3), 2)[0])
         cli.emit_svg(boxes, str(tmp_path / "f.svg"))
     assert os.listdir(tmp_path) == []
 
@@ -189,9 +190,14 @@ def assert_json_equals_the_oracle(boxes, summary, path):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
-@pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1])
+@pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1])
 def test_json_equals_the_oracle_at_block_boundaries(built, tmp_path, rows):
     boxes, _, summary = built
+    if rows == 0:
+        # no document of zero boxes exists: an empty `Boxes` is refused
+        with pytest.raises(GeometryError, match="at least one box"):
+            take(boxes, slice(0, 0))
+        return
     assert_json_equals_the_oracle(take(boxes, slice(0, rows)), summary,
                                   tmp_path / "g.json")
 
