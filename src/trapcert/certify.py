@@ -31,6 +31,7 @@ separable polynomial-times-sine test functions with closed-form integrals
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -101,20 +102,22 @@ def quasimode_norms(n: int, k: float, ell: float, eps: float) -> QuasimodeNorms:
 # inf-sup bound and resolvent floor
 # -------------------------------------------------------------------
 
-def _infsup(n: int, eps: np.ndarray) -> np.ndarray:
-    """c_n eps^(3(n-1)/2) over a column of eps, NaN where eps leaves (0,1)."""
+def _infsup(n: int, eps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """c_n eps^(3(n-1)/2) over a column of eps, NaN where eps leaves (0,1),
+    and where eps^(3(n-1)/2) is a normal binary64 (else the bound lost bits)."""
     if n < 2:
         raise CertifyError(f"dimension must be >= 2, got {n}")
     c_n = (2.0 ** ((n - 1) / 2.0) * math.pi ** (n - 1.5)
            / (3.0 ** ((n - 1) / 2.0) * n ** 0.75))
     p = 1.5 * (n - 1)
-    return c_n * np.array([e ** p if 0.0 < e < 1.0 else math.nan
-                           for e in eps.tolist()], dtype=float)
+    power = np.array([e ** p if 0.0 < e < 1.0 else math.nan
+                      for e in eps.tolist()], dtype=float)
+    return c_n * power, power >= sys.float_info.min
 
 
 def infsup_upper(n: int, eps: float) -> float:
     """c_n * eps^(3(n-1)/2), the aperture-driven inf-sup upper bound."""
-    ub = _infsup(n, np.array([eps], float))[0].item()
+    ub = _infsup(n, np.array([eps], float))[0][0].item()
     if math.isnan(ub):
         raise CertifyError(f"eps must be in (0,1), got {eps}")
     return ub
@@ -177,34 +180,42 @@ class Certificates:
 def certify_geometry(boxes: Boxes) -> Certificates:
     """Certify every box of a built arrangement.
 
-    Every box passes five gates or the call fails, naming the first
+    Every box passes seven gates or the call fails, naming the first
     failing box and its first failing gate: the domain and resonance checks
-    of `quasimode_norms`, the two routes to the inf-sup bound agreeing to
-    1e-9 relative, a positive margin, and the defining relation.
+    of `quasimode_norms`; eps^(3(n-1)/2) normal and a finite threshold and
+    margin, else ArithmeticError, as a bound outside binary64 proves
+    nothing; the inf-sup routes agreeing to 1e-9 relative, a positive
+    margin, and the defining relation.
     """
     n = boxes.lo.shape[1]
     k, a, eps, ell = boxes.k, boxes.a, boxes.gap, boxes.side
-    ub = _infsup(n, eps)
+    ub, normal = _infsup(n, eps)
     with np.errstate(all="ignore"):
         inv = _threshold(n, k, a)
         c_prime, c_lb = _floor(inv, k)
         margin = c_lb - a
         gates = np.stack((
             *_box_gates(n, k, ell, eps),
+            normal,
+            (np.abs(inv) < math.inf) & (np.abs(margin) < math.inf),
             ~(np.abs(1.0 / ub - inv) > 1e-9 * inv),
             margin > 0.0,
             defining_relation(k, c_lb) > defining_relation(k, a)))
         failed = ~gates.all(axis=0)
         if failed.any():
             i = int(np.argmax(failed))
+            gate = int(np.argmin(gates[:, i]))
             j, ki, ai, ei, li = (c[i].item() for c in (boxes.j, k, a, eps, ell))
-            raise CertifyError((_box_messages(ki, li, ei) + [
+            error = ArithmeticError if gate in (2, 3) else CertifyError
+            raise error((_box_messages(ki, li, ei) + [
+                f"box {j}: eps^(3(n-1)/2) = {ei ** (1.5 * (n - 1))!r} is below the normal range",
+                f"box {j}: threshold {inv[i].item()!r} or margin {margin[i].item()!r} is not finite",
                 f"box {j}: inf-sup routes disagree, 1/ub = "
                 f"{(1.0 / ub[i]).item()!r} vs identity {inv[i].item()!r}",
                 f"box {j}: resolvent floor {c_lb[i].item()!r} does not clear "
                 f"target {ai!r}",
                 f"box {j}: floor fails the defining relation",
-            ])[int(np.argmin(gates[:, i]))])
+            ])[gate])
     return Certificates(j=boxes.j, k=k, a=a, eps=eps, infsup_ub=ub,
                         infsup_ub_inv_identity=inv, c_prime_lb=c_prime,
                         c_lb=c_lb, margin=margin)

@@ -24,23 +24,16 @@ import os
 import sys
 import tempfile
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from trapcert import _digits
 from trapcert.certify import Certificates, CertifyError, certify_geometry
-from trapcert.dtnverify import (
-    DEFAULT_M_MAX,
-    DEFAULT_N_VALUES,
-    DEFAULT_RHO_MAX,
-    DEFAULT_RHO_MIN,
-    DEFAULT_RHO_POINTS,
-    SweepSummary,
-    verify_sweep,
-)
+from trapcert.dtnverify import SweepParams, SweepSummary, verify_sweep
 from trapcert.geometry import (
     Boxes,
     ConnectivityReport,
@@ -93,20 +86,6 @@ class OutputPaths:
 
 
 @dataclass(frozen=True)
-class SweepParams:
-    """Grid for the modal sign-check sweep."""
-
-    n_values: Tuple[int, ...] = DEFAULT_N_VALUES
-    m_max: int = DEFAULT_M_MAX
-    rho_points: int = DEFAULT_RHO_POINTS
-    rho_min: float = DEFAULT_RHO_MIN
-    rho_max: float = DEFAULT_RHO_MAX
-
-    def rho_grid(self) -> np.ndarray:
-        return np.geomspace(self.rho_min, self.rho_max, self.rho_points)
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Parsed run configuration.
 
@@ -145,10 +124,8 @@ class RunConfig:
                 "config needs 'layout' and a truncation ('layers' or "
                 "'boxCount') for geometry commands"
             )
-        sched = self.schedule()
-        if self.layout == "layered":
-            return build_layered(sched, self.truncation)
-        return build_stacked(sched, self.truncation)
+        build = build_layered if self.layout == "layered" else build_stacked
+        return build(self.schedule(), self.truncation)
 
 
 def _as_mapping(value, where: str) -> Mapping:
@@ -157,7 +134,7 @@ def _as_mapping(value, where: str) -> Mapping:
     return value
 
 
-def _reject_unknown(doc: Mapping, allowed: Sequence[str], where: str) -> None:
+def _reject_unknown(doc: Mapping, allowed: Iterable[str], where: str) -> None:
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
         raise ConfigError(
@@ -166,17 +143,8 @@ def _reject_unknown(doc: Mapping, allowed: Sequence[str], where: str) -> None:
         )
 
 
-# Upper bounds of the integer settings.  Past them a box index or a
-# precision no longer converts to binary64 (at 32 dimensions and 10,000
-# layers the box indices already reach about 1e154).  The sweep's bound
-# only keeps its sizes convertible; orders past the special-function
-# envelope are rejected by the sweep itself.
-_MAX_DIMENSION = 32
-_MAX_TRUNCATION = 10_000
-_MAX_PRECISION = 1_000
-_MAX_SWEEP_SIZE = 1_000_000
-
-
+# A reader takes a JSON value and the name it goes by in messages (its key,
+# `object.key`, or the flag that overrides the key) and returns the setting.
 def _as_int(value, where: str, minimum: int, maximum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
@@ -205,125 +173,123 @@ def _as_str(value, where: str) -> str:
     return value
 
 
-def _as_number_list(value, where: str) -> List[float]:
+def _as_choice(value, where: str, choices: Iterable[str]) -> str:
+    name = _as_str(value, where)
+    if name not in choices:
+        names = " or ".join(f"'{choice}'" for choice in choices)
+        raise ConfigError(f"{where} must be {names}, got {name!r}")
+    return name
+
+
+def _as_array(value, where: str, item=_as_float) -> tuple:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{where} must be a nonempty array")
-    return [_as_float(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
-# schedule key -> {family: (constructor, its parameter keys, or None for a
-# table of "values")}
+def _read_object(value, where: str, table: Mapping[str, Tuple[str, Callable]]) -> dict:
+    """The fields that the JSON object `value` sets, through `table`: key ->
+    (field, reader of (value, name)).  Keys outside the table are refused;
+    the others are read in the table's order, named `where.key` (top-level
+    keys bare)."""
+    doc = _as_mapping(value, where)
+    _reject_unknown(doc, table, where)
+    prefix = "" if where == "config" else f"{where}."
+    return {field: read(doc[key], prefix + key)
+            for key, (field, read) in table.items() if key in doc}
+
+
+# schedule key -> {family name: its class, whose fields are the family's keys}
 _FAMILIES = {
-    "wavenumbers": {"log-growth": (KLogGrowth, ("c",)), "table": (KTable, None)},
-    "targets": {"power": (APower, ("amplitude", "exponent")),
-                "table": (ATable, None)},
-    "paddings": {"shifted-power": (DShiftedPower, ("amplitude", "shift", "exponent")),
-                 "table": (DTable, None)},
+    "wavenumbers": {"log-growth": KLogGrowth, "table": KTable},
+    "targets": {"power": APower, "table": ATable},
+    "paddings": {"shifted-power": DShiftedPower, "table": DTable},
 }
 
 
-def _parse_family(key: str, doc: Mapping):
-    where = f"schedule.{key}"
-    doc = _as_mapping(doc, where)
-    fam = _as_str(doc.get("family"), f"{where}.family")
-    families = _FAMILIES[key]
-    if fam not in families:
-        names = " or ".join(f"'{name}'" for name in families)
-        raise ConfigError(f"{where}.family must be {names}, got {fam!r}")
-    constructor, keys = families[fam]
-    _reject_unknown(doc, ("family",) + (keys or ("values",)), where)
-    if keys is None:
-        return constructor(tuple(_as_number_list(doc.get("values"), f"{where}.values")))
-    return constructor(*(_as_float(doc.get(k), f"{where}.{k}") for k in keys))
+def _read_family(value, where: str, families: Mapping[str, type]):
+    doc = _as_mapping(value, where)
+    fam = _as_choice(doc.get("family"), f"{where}.family", families)
+    keys = [f.name for f in fields(families[fam])]
+    _reject_unknown(doc, ["family", *keys], where)
+    # a table's one key is its array of "values", any other key a number
+    return families[fam](*((_as_array if key == "values" else _as_float)(
+        doc.get(key), f"{where}.{key}") for key in keys))
 
 
-def _parse_outputs(doc: Mapping) -> OutputPaths:
-    doc = _as_mapping(doc, "outputs")
-    _reject_unknown(doc, ("json", "csv", "svg", "report"), "outputs")
-    return OutputPaths(**{key: _as_str(doc[key], f"outputs.{key}")
-                          for key in doc})
+def _read_schedule(value, where: str) -> dict:
+    """All three families, as the RunConfig fields k_family, a_family, d_family."""
+    doc = _as_mapping(value, where)
+    _reject_unknown(doc, _FAMILIES, where)
+    for key in _FAMILIES:
+        if key not in doc:
+            raise ConfigError(f"schedule needs '{key}'")
+    return {field: _read_family(doc[key], f"{where}.{key}", families) for field, (key, families)
+            in zip(("k_family", "a_family", "d_family"), _FAMILIES.items())}
 
 
-def _parse_sweep(doc: Mapping) -> SweepParams:
-    doc = _as_mapping(doc, "sweep")
-    _reject_unknown(doc, ("nValues", "mMax", "rhoPoints", "rhoMin", "rhoMax"),
-                    "sweep")
-    params = SweepParams()
-    if "nValues" in doc:
-        raw = doc["nValues"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("sweep.nValues must be a nonempty array")
-        n_values = tuple(_as_int(v, f"sweep.nValues[{i}]", 2, _MAX_SWEEP_SIZE)
-                         for i, v in enumerate(raw))
-        repeated = sorted(n for n, count in Counter(n_values).items() if count > 1)
-        if repeated:
-            raise ConfigError(f"sweep.nValues repeats dimension(s) "
-                              f"{', '.join(map(str, repeated))}")
-        params = replace(params, n_values=n_values)
-    if "mMax" in doc:
-        params = replace(params, m_max=_as_int(doc["mMax"], "sweep.mMax", 0,
-                                               _MAX_SWEEP_SIZE))
-    if "rhoPoints" in doc:
-        params = replace(params,
-                         rho_points=_as_int(doc["rhoPoints"], "sweep.rhoPoints",
-                                            2, _MAX_SWEEP_SIZE))
-    if "rhoMin" in doc:
-        params = replace(params, rho_min=_as_float(doc["rhoMin"], "sweep.rhoMin"))
-    if "rhoMax" in doc:
-        params = replace(params, rho_max=_as_float(doc["rhoMax"], "sweep.rhoMax"))
+def _read_outputs(value, where: str) -> OutputPaths:
+    keys = {f.name: (f.name, _as_str) for f in fields(OutputPaths)}
+    return OutputPaths(**_read_object(value, where, keys))
+
+
+_sweep_size = partial(_as_int, maximum=1_000_000)
+
+
+def _read_n_values(value, where: str) -> Tuple[int, ...]:
+    n_values = _as_array(value, where, partial(_sweep_size, minimum=2))
+    repeated = sorted(n for n, count in Counter(n_values).items() if count > 1)
+    if repeated:
+        raise ConfigError(f"{where} repeats dimension(s) {', '.join(map(str, repeated))}")
+    return n_values
+
+
+_SWEEP_KEYS = {
+    "nValues": ("n_values", _read_n_values),
+    "mMax": ("m_max", partial(_sweep_size, minimum=0)),
+    "rhoPoints": ("rho_points", partial(_sweep_size, minimum=2)),
+    "rhoMin": ("rho_min", _as_float),
+    "rhoMax": ("rho_max", _as_float),
+}
+
+
+def _read_sweep(value, where: str) -> SweepParams:
+    """`SweepParams()` with the fields that the object sets.  Its size bound
+    only keeps the sizes convertible; the sweep itself refuses orders past
+    the special-function envelope."""
+    params = SweepParams(**_read_object(value, where, _SWEEP_KEYS))
     if not (0.0 < params.rho_min < params.rho_max):
         raise ConfigError("sweep needs 0 < rhoMin < rhoMax")
     return params
 
 
-_TOP_KEYS = ("dimension", "schedule", "layout", "layers", "boxCount",
-             "outputs", "precisionDigits", "sweep")
+# Past the upper bounds of the integer settings a box index or a precision
+# no longer converts to binary64 (at 32 dimensions and 10,000 layers the box
+# indices already reach about 1e154).
+_truncation = partial(_as_int, minimum=1, maximum=10_000)
+_CONFIG_KEYS = {
+    "dimension": ("dimension", partial(_as_int, minimum=2, maximum=32)),
+    "schedule": ("schedule", _read_schedule),
+    "layout": ("layout", partial(_as_choice, choices=("layered", "stacked"))),
+    "layers": ("truncation", _truncation),
+    "boxCount": ("truncation", _truncation),
+    "outputs": ("outputs", _read_outputs),
+    "precisionDigits": ("precision_digits",
+                        partial(_as_int, minimum=MIN_PRECISION_DIGITS, maximum=1_000)),
+    "sweep": ("sweep", _read_sweep),
+}
+
+# flag -> the config key whose reader takes its value, under the flag's name
+_OVERRIDES = {"--layers": "layers", "--dimension": "dimension", "--precision": "precisionDigits"}
 
 
 def config_from_mapping(doc: Mapping) -> RunConfig:
     """Build a RunConfig from a parsed JSON document, rejecting unknown keys
     at every level."""
-    doc = _as_mapping(doc, "config")
-    _reject_unknown(doc, _TOP_KEYS, "config")
-
-    dimension = None
-    if "dimension" in doc:
-        dimension = _as_int(doc["dimension"], "dimension", 2, _MAX_DIMENSION)
-
-    k_family = a_family = d_family = None
-    if "schedule" in doc:
-        sdoc = _as_mapping(doc["schedule"], "schedule")
-        _reject_unknown(sdoc, tuple(_FAMILIES), "schedule")
-        for key in _FAMILIES:
-            if key not in sdoc:
-                raise ConfigError(f"schedule needs '{key}'")
-        k_family, a_family, d_family = (_parse_family(key, sdoc[key])
-                                        for key in _FAMILIES)
-
-    layout = None
-    if "layout" in doc:
-        layout = _as_str(doc["layout"], "layout")
-        if layout not in ("layered", "stacked"):
-            raise ConfigError(f"layout must be 'layered' or 'stacked', got {layout!r}")
-
+    values = _read_object(doc, "config", _CONFIG_KEYS)
     if "layers" in doc and "boxCount" in doc:
         raise ConfigError("give either 'layers' or 'boxCount', not both")
-    truncation = None
-    if "layers" in doc:
-        truncation = _as_int(doc["layers"], "layers", 1, _MAX_TRUNCATION)
-    elif "boxCount" in doc:
-        truncation = _as_int(doc["boxCount"], "boxCount", 1, _MAX_TRUNCATION)
-
-    outputs = _parse_outputs(doc["outputs"]) if "outputs" in doc else OutputPaths()
-    precision = MIN_PRECISION_DIGITS
-    if "precisionDigits" in doc:
-        precision = _as_int(doc["precisionDigits"], "precisionDigits",
-                            MIN_PRECISION_DIGITS, _MAX_PRECISION)
-    sweep = _parse_sweep(doc["sweep"]) if "sweep" in doc else None
-
-    return RunConfig(dimension=dimension, k_family=k_family, a_family=a_family,
-                     d_family=d_family, layout=layout, truncation=truncation,
-                     outputs=outputs, precision_digits=precision, sweep=sweep)
+    return RunConfig(**values.pop("schedule", {}), **values)
 
 
 def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
@@ -615,15 +581,9 @@ def _effective_outputs(cfg: RunConfig, out_dir: Optional[str]) -> OutputPaths:
     filling defaults for paths the config left unset)."""
     if out_dir is None:
         return cfg.outputs
-
-    def pick(configured: Optional[str], default: str) -> str:
-        name = Path(configured).name if configured else default
-        return str(Path(out_dir) / name)
-
-    return OutputPaths(json=pick(cfg.outputs.json, "geometry.json"),
-                       csv=pick(cfg.outputs.csv, "certificates.csv"),
-                       svg=pick(cfg.outputs.svg, "figure.svg"),
-                       report=pick(cfg.outputs.report, "report.txt"))
+    defaults = ("geometry.json", "certificates.csv", "figure.svg", "report.txt")
+    return OutputPaths(*(str(Path(out_dir) / (Path(path).name if path else default))
+                         for path, default in zip(astuple(cfg.outputs), defaults)))
 
 
 def _require_path(outputs: OutputPaths, kind: str, command: str) -> str:
@@ -767,7 +727,7 @@ def _cmd_report(cfg: RunConfig, outputs: OutputPaths, out) -> int:
     return 0 if stages.passed else 1
 
 
-_GEOMETRY_FLAGS = ("--config", "--layers", "--dimension", "--precision")
+_GEOMETRY_FLAGS = ("--config", *_OVERRIDES)
 _ARTIFACT_FLAGS = _GEOMETRY_FLAGS + ("--out",)
 
 # subcommand -> (handler, help, the flags it reads)
@@ -824,15 +784,11 @@ def run(argv: Sequence[str]) -> int:
 
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        if args.layers is not None:
-            cfg = replace(cfg, truncation=_as_int(args.layers, "--layers", 1,
-                                                  _MAX_TRUNCATION))
-        if args.dimension is not None:
-            cfg = replace(cfg, dimension=_as_int(args.dimension, "--dimension", 2,
-                                                 _MAX_DIMENSION))
-        if args.precision is not None:
-            cfg = replace(cfg, precision_digits=_as_int(
-                args.precision, "--precision", MIN_PRECISION_DIGITS, _MAX_PRECISION))
+        for flag, key in _OVERRIDES.items():
+            value = getattr(args, flag[2:])
+            if value is not None:
+                field, read = _CONFIG_KEYS[key]
+                cfg = replace(cfg, **{field: read(value, flag)})
         outputs = _effective_outputs(cfg, args.out)
         return _COMMANDS[args.command][0](cfg, outputs, sys.stdout)
     except CertifyError as exc:

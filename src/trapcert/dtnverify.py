@@ -71,16 +71,22 @@ _SWEEP_CHUNK = 8
 # recurrence step, and 256 radii add 1.5 MiB of peak RSS for no gain
 _LADDER_BATCH = 128
 
-DEFAULT_N_VALUES = (2, 3, 4, 5)
-DEFAULT_M_MAX = 100
-DEFAULT_RHO_POINTS = 2000
-DEFAULT_RHO_MIN = 0.05
-DEFAULT_RHO_MAX = 200.0
 
+@dataclass(frozen=True)
+class SweepParams:
+    """The grid of the modal sign-check sweep: dimensions `n_values`, modes
+    m = 0..`m_max`, `rho_points` radii log-spaced on [`rho_min`, `rho_max`].
+    `SweepParams()` is the default sweep, run by `verify_sweep` without a
+    grid and by `verify-dtn` without a config; a config's "sweep" sets it."""
 
-def default_rho_grid(points: int = DEFAULT_RHO_POINTS) -> np.ndarray:
-    """Logarithmic rho grid on [0.05, 200]."""
-    return np.geomspace(DEFAULT_RHO_MIN, DEFAULT_RHO_MAX, points)
+    n_values: Tuple[int, ...] = (2, 3, 4, 5)
+    m_max: int = 100
+    rho_points: int = 2000
+    rho_min: float = 0.05
+    rho_max: float = 200.0
+
+    def rho_grid(self) -> np.ndarray:
+        return np.geomspace(self.rho_min, self.rho_max, self.rho_points)
 
 
 def default_alphas(n: int) -> Tuple[float, ...]:
@@ -229,26 +235,29 @@ def _sign_margin(terms, floor: np.ndarray):
     return value, np.where(scale > 0, value / bound, 0.0), value > _SIGN_TOL * bound
 
 
-def verify_sweep(n_values: Sequence[int] = DEFAULT_N_VALUES,
-                 m_max: int = DEFAULT_M_MAX,
+def verify_sweep(n_values: Sequence[int] = SweepParams.n_values,
+                 m_max: int = SweepParams.m_max,
                  rho_grid: Optional[Sequence[float]] = None,
                  alphas: Optional[Sequence[float]] = None,
                  record_sink: Optional[Callable[[ModeCheckRecord], None]] = None,
                  ) -> SweepSummary:
     """Run all four checks over a (n, m, rho, alpha) grid.
 
-    With `alphas=None` each dimension uses `default_alphas(n)`; an explicit
-    sequence is applied to every dimension, which permits probing
-    multipliers below the hypothesis threshold (their B violations are
-    counted separately from the in-hypothesis count).  `record_sink`, when
-    given, receives every ModeCheckRecord; the default keeps only
-    violating records (capped) and aggregate statistics.  Radii outside
-    [1e-3, 1e3] and orders nu = m + n/2 - 1 above 200, where the
-    special-function engine is not validated, raise BesselDomainError.
+    The dimensions, the largest mode and the radii default to those of
+    `SweepParams()`, the default sweep; `rho_grid` is any sequence of
+    radii, checked in the order given.  With `alphas=None` each dimension
+    uses `default_alphas(n)`; an explicit sequence is applied to every
+    dimension, which permits probing multipliers below the hypothesis
+    threshold (their B violations are counted separately from the
+    in-hypothesis count).  `record_sink`, when given, receives every
+    ModeCheckRecord; the default keeps only violating records (capped) and
+    aggregate statistics.  Radii outside [1e-3, 1e3] and orders
+    nu = m + n/2 - 1 above 200, where the special-function engine is not
+    validated, raise BesselDomainError.
     """
     if m_max < 0:
         raise BesselDomainError(f"m_max must be >= 0, got {m_max}")
-    rho_arr = default_rho_grid() if rho_grid is None else np.asarray(rho_grid, dtype=float)
+    rho_arr = SweepParams().rho_grid() if rho_grid is None else np.asarray(rho_grid, dtype=float)
     t_lo, t_hi = T_RANGE
     if (rho_arr.ndim != 1 or rho_arr.size == 0
             or not np.all((rho_arr >= t_lo) & (rho_arr <= t_hi))):

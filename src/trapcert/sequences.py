@@ -364,7 +364,10 @@ def growth_floor_check(sched: Schedule, c: float, j_max: int) -> GrowthFloorRepo
 
     c = 0 passes vacuously for positive wavenumbers.  The floor is evaluated
     through the same code path as :class:`KLogGrowth`, so a schedule defined
-    on the floor passes bit-for-bit.
+    on the floor passes bit-for-bit.  That is all the report's growth-floor
+    line shows: `report` runs this check only on a log-growth schedule and
+    passes the family's own c, so the line passes by construction.  It
+    would test something only on a table, which the report never checks.
     """
     _check_index(j_max, "j_max")
     if c < 0.0 or not math.isfinite(c):

@@ -13,15 +13,13 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from trapcert.dtnverify import (
-    DEFAULT_M_MAX,
-    DEFAULT_N_VALUES,
     IM_IDENTITY_TOL,
     ModeCheckRecord,
+    SweepParams,
     SweepSummary,
     _ldexp_sat,
     _np_ldexp,
     default_alphas,
-    default_rho_grid,
 )
 
 from oracles import _ladder
@@ -30,14 +28,14 @@ _SIGN_TOL = 1e-9
 _VIOLATION_CAP = 500
 
 
-def per_radius_sweep(n_values: Sequence[int] = DEFAULT_N_VALUES,
-                     m_max: int = DEFAULT_M_MAX,
+def per_radius_sweep(n_values: Sequence[int] = SweepParams.n_values,
+                     m_max: int = SweepParams.m_max,
                      rho_grid: Optional[Sequence[float]] = None,
                      alphas: Optional[Sequence[float]] = None,
                      record_sink: Optional[Callable[[ModeCheckRecord], None]] = None,
                      ) -> SweepSummary:
     """`verify_sweep` one radius at a time (inputs assumed valid)."""
-    rho_arr = default_rho_grid() if rho_grid is None else np.asarray(rho_grid, dtype=float)
+    rho_arr = SweepParams().rho_grid() if rho_grid is None else np.asarray(rho_grid, dtype=float)
     n_tuple = tuple(int(n) for n in n_values)
     count_by_parity = {}
     for n in n_tuple:

@@ -26,7 +26,7 @@ from trapcert.certify import (
     resolvent_lower,
 )
 from trapcert.cli import run
-from trapcert.dtnverify import a_nu, b_m, default_rho_grid, verify_sweep
+from trapcert.dtnverify import SweepParams, a_nu, b_m, verify_sweep
 from trapcert.geometry import (
     build_layered,
     disjointness_certificate,
@@ -242,7 +242,7 @@ def test_criterion_08_dtn_sweep_clean():
 # -------------------------------------------------------------------
 
 def test_criterion_09_exact_boundary_cases():
-    grid = default_rho_grid()
+    grid = SweepParams().rho_grid()
     worst_a = max(abs(a_nu(0.5, float(t))) / max(1.0, 4.0 * t / math.pi)
                   for t in grid)
     worst_b = max(abs(b_m(0, 3, float(r), 1.0)) / max(1.0, 4.0 / (math.pi * r))

@@ -10,6 +10,7 @@ against random round trips.
 import dataclasses
 import math
 import random
+import sys
 import warnings
 
 import numpy as np
@@ -26,7 +27,7 @@ from certify_oracle import (
     scalar_certify,
     trace_inequality_residual,
 )
-from columns import take, with_values
+from columns import make_boxes, take, with_values
 from trapcert.certify import (
     CertifyError,
     QuasimodeNorms,
@@ -309,6 +310,46 @@ def test_certify_two_failing_gates_report_the_earlier():
     assert abs(1.0 / infsup_upper(2, eps) - inv) > 1e-9 * inv
     with pytest.raises(CertifyError, match="violates the resonance relation"):
         certify_geometry(tampered)
+
+
+def one_box(n, k, eps, a):
+    """A hand-made box on the resonance relation, at the origin."""
+    return make_boxes([1], [1], [ell_for(n, k)], [0.0] * n, [eps], [k], [a])
+
+
+@pytest.mark.parametrize("n, eps", [(2, 1e-210), (2, 1e-250), (32, 1.4e-7)])
+def test_certify_refuses_a_subnormal_aperture_power(n, eps):
+    # 1e-250 ** 1.5 underflows to 0.0; the others keep a few bits
+    power = eps ** (1.5 * (n - 1))
+    assert power < sys.float_info.min
+    with pytest.raises(ArithmeticError) as info:
+        certify_geometry(one_box(n, 1.0, eps, 1e-3))
+    assert not isinstance(info.value, CertifyError)
+    assert str(info.value) == f"box 1: eps^(3(n-1)/2) = {power!r} is below the normal range"
+
+
+@pytest.mark.parametrize("k, a, values", [
+    (1e200, 1.0, "inf or margin inf"),  # 2k^2 a^2 overflows
+    (1.0, -1e-3, "nan or margin 0.001"),  # sqrt(2k^2 a^2 + a) of a negative
+])
+def test_certify_refuses_a_threshold_outside_binary64(k, a, values):
+    # eps is not the box's designed gap fraction, so its power stays normal
+    with pytest.raises(ArithmeticError) as info:
+        certify_geometry(one_box(2, k, 0.5, a))
+    assert str(info.value) == f"box 1: threshold {values} is not finite"
+
+
+def test_certify_range_and_claim_gates_report_the_first_box():
+    boxes, _ = build_layered(demo_schedule(), 10)
+    out_of_range = with_values(boxes, 5, gap=1e-250)
+    with pytest.raises(ArithmeticError, match="^box 6: eps"):
+        certify_geometry(out_of_range)
+    # a failed claim on an earlier box is reported first, as a claim failure
+    with pytest.raises(CertifyError, match="^box 3: inf-sup routes disagree"):
+        certify_geometry(with_values(out_of_range, 2, a=1.0))
+    # and on a later one the range refusal comes first
+    with pytest.raises(ArithmeticError, match="^box 6: eps"):
+        certify_geometry(with_values(out_of_range, 8, a=1.0))
 
 
 # -------------------------------------------------------------------

@@ -17,7 +17,8 @@ from trapcert.cli import (
     OutputPaths,
     RunConfig,
     StageOutputs,
-    SweepParams,
+    _CONFIG_KEYS,
+    _OVERRIDES,
     config_from_mapping,
     emit_certificates_csv,
     emit_geometry_json,
@@ -27,6 +28,7 @@ from trapcert.cli import (
     run,
 )
 from trapcert.certify import certify_geometry
+from trapcert.dtnverify import SweepParams
 from trapcert.geometry import (
     GeometryError,
     build_layered,
@@ -621,6 +623,30 @@ def test_run_huge_box_count_and_flags_exit_2(tmp_path, capsys):
     assert "3 layers hold 4656613490750788862073 boxes" in capsys.readouterr().err
 
 
+# the documented bounds of the settings that a flag overrides
+BOUNDS = {"dimension": (2, 32), "layers": (1, 10_000), "precisionDigits": (15, 1_000)}
+
+
+@pytest.mark.parametrize("flag, key", list(_OVERRIDES.items()))
+def test_flag_and_config_key_share_their_bounds(tmp_path, capsys, flag, key):
+    assert set(BOUNDS) == set(_OVERRIDES.values())
+    low, high = BOUNDS[key]
+    cfg = write_config(tmp_path, demo_mapping(layers=1))
+    field = _CONFIG_KEYS[key][0]
+    for value in (low, high):
+        assert getattr(config_from_mapping(demo_mapping(**{key: value})), field) == value
+        # accepted: whatever else refuses the run, it is not the flag
+        run(["plan", "--config", cfg, flag, str(value)])
+        assert flag not in capsys.readouterr().err
+    for value, refusal in ((high + 1, f"must be <= {high}"),
+                           (low - 1, f"must be >= {low}, got {low - 1}")):
+        with pytest.raises(ConfigError) as info:
+            config_from_mapping(demo_mapping(**{key: value}))
+        assert str(info.value) == f"{key} {refusal}"
+        assert run(["plan", "--config", cfg, flag, str(value)]) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} {refusal}\n")
+
+
 @pytest.mark.parametrize("sweep", [dict(mMax=HUGE), dict(nValues=[2, HUGE]),
                                    dict(rhoPoints=HUGE)],
                          ids=["mMax", "nValues", "rhoPoints"])
@@ -901,3 +927,50 @@ def test_run_packing_failure_names_the_first_failing_check(tmp_path, monkeypatch
     report = (tmp_path / "out" / "report.txt").read_text()
     assert f"  disjointness: FAIL ({failure})\n" in report
     assert "overlap" not in report
+
+
+# one box on the stacked layout at the edge of binary64: eps^(3(n-1)/2) is
+# subnormal, so the inf-sup bound has lost bits (n=32), or the threshold has
+# overflowed as well (n=2 at 5e153, n=32 at 2e153); both used to pass with an
+# inf margin or fail the inf-sup routes, and now exit 2 before any output
+RANGE_EDGE = {
+    (2, 5e153): "5.513288954218137e-309",
+    (2, 4e153): "8.61451399096584e-309",
+    (2, 3e153): "1.531469153949482e-308",
+    (32, 2e153): "1.8374e-320",
+    (32, 1e153): "7.3487e-320",
+    (32, 5e152): "2.9396e-319",
+}
+
+
+def one_box_mapping(n, k):
+    doc = stacked_table_mapping()
+    doc.update(dimension=n, boxCount=1)
+    doc["schedule"] = {key: {"family": "table", "values": [value]} for key, value in
+                       (("wavenumbers", k), ("targets", 1.0), ("paddings", 1.0))}
+    return doc
+
+
+@pytest.mark.parametrize("n, k", list(RANGE_EDGE))
+def test_run_refuses_a_box_whose_bound_leaves_binary64(tmp_path, monkeypatch, capsys, n, k):
+    cfg = write_config(tmp_path, one_box_mapping(n, k))
+    monkeypatch.chdir(tmp_path)
+    err = (f"error: a derived value leaves binary64: box 1: eps^(3(n-1)/2) = "
+           f"{RANGE_EDGE[n, k]} is below the normal range\n")
+    assert run(["certify", "--config", cfg, "--out", "out"]) == 2
+    assert capsys.readouterr() == ("", err)
+    assert run(["report", "--config", cfg]) == 2
+    assert capsys.readouterr() == ("", err)
+    assert run(["report", "--config", cfg, "--out", "out"]) == 2
+    assert capsys.readouterr() == ("", err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_certifies_a_box_inside_binary64s_normal_range(tmp_path, capsys):
+    cfg = write_config(tmp_path, one_box_mapping(2, 2e153))
+    assert run(["certify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.endswith("(1 certificates, min margin 1.9809 at j=1)\n")
+    assert run(["report", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "certification: 1 boxes, min margin 1.9809 at j=1: pass\n" in out
+    assert out.endswith("overall: pass\n")

@@ -9,10 +9,10 @@ import pytest
 
 import trapcert.dtnverify
 from trapcert.dtnverify import (
+    SweepParams,
     a_nu,
     b_m,
     default_alphas,
-    default_rho_grid,
     dtn_eigenvalue,
     verify_sweep,
 )
@@ -26,7 +26,7 @@ from trapcert.specfun import (
 from compare import assert_sequences_equal
 from sweep_oracle import per_radius_sweep
 
-RHO_SAMPLE = default_rho_grid(60)
+RHO_SAMPLE = SweepParams(rho_points=60).rho_grid()
 
 
 # -------------------------------------------------------------------
@@ -171,7 +171,7 @@ def test_b_m_past_binary64_raises_a_range_error(m):
 
 def test_sweep_small_grid_clean():
     summary = verify_sweep(n_values=(2, 3), m_max=15,
-                           rho_grid=default_rho_grid(100))
+                           rho_grid=SweepParams(rho_points=100).rho_grid())
     assert summary.passed
     assert summary.a_violations == 0
     assert summary.b_violations == 0
@@ -196,7 +196,7 @@ def test_sweep_covers_extreme_orders():
 
 def test_sweep_alpha_below_hypothesis_records_violations():
     summary = verify_sweep(n_values=(4,), m_max=10,
-                           rho_grid=default_rho_grid(50), alphas=(0.0,))
+                           rho_grid=SweepParams(rho_points=50).rho_grid(), alphas=(0.0,))
     assert summary.b_violations > 0
     assert summary.b_violations_hypothesis == 0
     assert summary.passed  # the covered claims still hold
@@ -306,7 +306,7 @@ def test_sweep_equals_per_radius_reference_on_the_default_grid():
     dict(n_values=(3,), m_max=0, rho_grid=[1e-3, 1.9999999999999998, 2.0, 1e3]),
     dict(n_values=(2, 4), m_max=40, rho_grid=np.geomspace(0.05, 200.0, 70),
          alphas=(-5.0,)),
-    dict(n_values=(5, 2), m_max=100, rho_grid=default_rho_grid(40)),
+    dict(n_values=(5, 2), m_max=100, rho_grid=SweepParams(rho_points=40).rho_grid()),
     # the odd-order ladders one order shorter than the even ones
     dict(n_values=(3, 4), m_max=100, rho_grid=np.geomspace(1e-3, 1e3, 45)),
     *CAP_CASES.values(),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from trapcert import dtnverify, specfun
-from trapcert.dtnverify import a_nu, b_m, default_alphas, default_rho_grid, dtn_eigenvalue
+from trapcert.dtnverify import SweepParams, a_nu, b_m, default_alphas, dtn_eigenvalue
 from trapcert.specfun import (
     BesselDomainError,
     BesselRangeError,
@@ -390,7 +390,7 @@ def assert_ladder_rows_equal(batch, mu0, count):
 @pytest.mark.parametrize("mu0", [0.0, 0.5])
 def test_batched_ladders_equal_scalar_on_the_default_sweep(mu0):
     # the default sweep's ladders: orders mu0 .. mu0 + 101 at 2,000 radii
-    batch = bessel_ladders(mu0, default_rho_grid(), 101)
+    batch = bessel_ladders(mu0, SweepParams().rho_grid(), 101)
     assert batch.jm.shape == (2000, 102)
     assert_ladder_rows_equal(batch, mu0, 101)
 

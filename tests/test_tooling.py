@@ -10,8 +10,10 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
+from trapcert import cli
 from trapcert.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -148,3 +150,17 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                          and name not in elsewhere and name not in references(tree, own)]
     assert sorted(uncalled) == sorted(CROSS_CHECK_ROUTES), (
         set(uncalled) ^ set(CROSS_CHECK_ROUTES))
+
+
+def test_readme_configuration_names_every_accepted_key():
+    """Every key the config readers accept, and every family name, appears
+    quoted or in backticks in README's Configuration section."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    keys = [*cli._CONFIG_KEYS, *cli._SWEEP_KEYS, *(f.name for f in fields(cli.OutputPaths)),
+            *cli._FAMILIES, "family"]
+    for families in cli._FAMILIES.values():
+        for name, family in families.items():
+            keys += [name, *(f.name for f in fields(family))]
+    assert sorted({key for key in keys
+                   if not re.search(f"[`\"]{re.escape(key)}[`\"]", section)}) == []
