@@ -180,12 +180,12 @@ class Certificates:
 def certify_geometry(boxes: Boxes) -> Certificates:
     """Certify every box of a built arrangement.
 
-    Every box passes seven gates or the call fails, naming the first
+    Every box passes eight gates or the call fails, naming the first
     failing box and its first failing gate: the domain and resonance checks
-    of `quasimode_norms`; eps^(3(n-1)/2) normal and a finite threshold and
-    margin, else ArithmeticError, as a bound outside binary64 proves
-    nothing; the inf-sup routes agreeing to 1e-9 relative, a positive
-    margin, and the defining relation.
+    of `quasimode_norms` and a positive target a; eps^(3(n-1)/2) normal and
+    a finite threshold and margin, else ArithmeticError, as a bound outside
+    binary64 proves nothing; the inf-sup routes agreeing to 1e-9 relative,
+    a positive margin, and the defining relation.
     """
     n = boxes.lo.shape[1]
     k, a, eps, ell = boxes.k, boxes.a, boxes.gap, boxes.side
@@ -196,6 +196,7 @@ def certify_geometry(boxes: Boxes) -> Certificates:
         margin = c_lb - a
         gates = np.stack((
             *_box_gates(n, k, ell, eps),
+            a > 0.0,
             normal,
             (np.abs(inv) < math.inf) & (np.abs(margin) < math.inf),
             ~(np.abs(1.0 / ub - inv) > 1e-9 * inv),
@@ -206,8 +207,9 @@ def certify_geometry(boxes: Boxes) -> Certificates:
             i = int(np.argmax(failed))
             gate = int(np.argmin(gates[:, i]))
             j, ki, ai, ei, li = (c[i].item() for c in (boxes.j, k, a, eps, ell))
-            error = ArithmeticError if gate in (2, 3) else CertifyError
+            error = ArithmeticError if gate in (3, 4) else CertifyError
             raise error((_box_messages(ki, li, ei) + [
+                f"box {j}: need target a > 0, got {ai!r}",
                 f"box {j}: eps^(3(n-1)/2) = {ei ** (1.5 * (n - 1))!r} is below the normal range",
                 f"box {j}: threshold {inv[i].item()!r} or margin {margin[i].item()!r} is not finite",
                 f"box {j}: inf-sup routes disagree, 1/ub = "

@@ -518,7 +518,7 @@ def _sweep_line(w: SweepSummary) -> str:
     print it."""
     return (f"dtn sweep: n in {{{', '.join(str(n) for n in w.n_values)}}}, "
             f"m <= {w.m_max}, {w.rho_count} radii, {w.checked_modes} checks: "
-            f"{w.a_violations} interior, {w.b_violations_hypothesis} boundary, "
+            f"{w.a_violations} interior, {w.b_violations} boundary, "
             f"{w.re_violations} sign, {w.im_violations} wronskian violations: "
             f"{'pass' if w.passed else 'FAIL'}")
 
@@ -654,7 +654,7 @@ def _cmd_certify(cfg: RunConfig, outputs: OutputPaths, out) -> int:
 
 def _cmd_plot(cfg: RunConfig, outputs: OutputPaths, out) -> int:
     path = _require_path(outputs, "svg", "plot")
-    if cfg.dimension != 2:
+    if cfg.dimension not in (None, 2):
         raise ConfigError(
             f"'plot' draws planar figures only, config has dimension {cfg.dimension}"
         )
@@ -673,10 +673,9 @@ def _cmd_verify_dtn(cfg: RunConfig, outputs: OutputPaths, out) -> int:
     summary = _sweep(cfg.sweep if cfg.sweep is not None else SweepParams())
     print(_sweep_line(summary), file=out)
     if not summary.passed:
-        for rec in summary.violations[:20]:
-            print(f"  n={rec.n} m={rec.m} rho={rec.rho:.6g} "
-                  f"alpha={rec.alpha:g}: A={rec.a_nu:.6g} B={rec.b_m:.6g}",
-                  file=sys.stderr)
+        print(f"  worst scaled margins: interior {summary.worst_a_scaled:.6g}, "
+              f"boundary {summary.worst_b_scaled:.6g}, sign {summary.worst_re_scaled:.6g}, "
+              f"wronskian residual {summary.worst_im_residual:.6g}", file=sys.stderr)
         return 1
     return 0
 

@@ -29,12 +29,13 @@ magnitude) inside ordinary arithmetic.  The sweep takes the ladders of
 both order parities for 128 radii in one pass of the Bessel engine
 (`specfun.ladder_batches`).  Blocks of 8 of those radii gather them into
 (radius x dimension x mode) arrays, on which A, Re(h' conj h) and the
-Wronskian residual are evaluated once, and B once with a multiplier axis;
-counts, worst margins and records all come from those arrays.  Each
-ladder's bits do not depend on its batch (every engine decision is per
-point), so the sizes set only speed and memory: on the default sweep the
-128-radius batches make 16 engine calls, not 63, and the 8-radius check
-blocks keep the allocation peak at 2.4 MiB (3.6 MiB at 16 radii).
+Wronskian residual are evaluated once, and B once with a multiplier axis
+(`_check_blocks`); `verify_sweep` folds those arrays into four violation
+counts and four worst margins.  Each ladder's bits do not depend on its
+batch (every engine decision is per point), so the sizes set only speed
+and memory: on the default sweep the 128-radius batches make 16 engine
+calls, not 63, and the 8-radius check blocks keep the allocation peak at
+2.4 MiB (3.6 MiB at 16 radii).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,7 +61,6 @@ from trapcert.specfun import (
 
 IM_IDENTITY_TOL = 1e-9
 _SIGN_TOL = 1e-9
-_VIOLATION_CAP = 500
 # radii per block of checks: a block's (radius x dimension x multiplier x
 # mode) temporaries and one engine batch set the sweep's allocation peak,
 # 2.4 MiB at 8 radii and 3.6 MiB at 16; 16-radius blocks raised the peak
@@ -167,35 +167,14 @@ def dtn_eigenvalue(m: int, n: int, k: float, r: float) -> complex:
 # -------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ModeCheckRecord:
-    """One (dimension, mode, radius, multiplier) check point.
-
-    `a_nu` and `b_m` are the plain values (saturating to +-inf when they
-    leave binary64 range; the sign checks happen in scaled space and never
-    saturate).  `re_sign` is Re(h' conj h); `im_identity_residual` is the
-    relative defect of Im(h' conj h) against 2/(pi rho^(n-1)).
-    """
-
-    n: int
-    m: int
-    nu: float
-    rho: float
-    alpha: float
-    a_nu: float
-    b_m: float
-    re_sign: float
-    im_identity_residual: float
-
-
-@dataclass(frozen=True)
 class SweepSummary:
     """Violation counts and worst scaled margins over a verification sweep.
 
-    `b_violations` counts every positive B_m beyond tolerance at any
-    checked multiplier; `b_violations_hypothesis` restricts to multipliers
-    alpha >= max(1, n-2), the regime the sign claim covers.  Worst margins
-    are dimensionless (value over its own scale) and should sit at or below
-    zero up to roundoff.
+    Every multiplier of the sweep, `default_alphas(n)`, meets the hypothesis
+    alpha >= max(1, n-2), so `b_violations` counts violations of the claim.
+    Worst margins are dimensionless (value over its own scale) and should
+    sit at or below zero up to roundoff; the Wronskian's is the largest
+    relative residual.
     """
 
     n_values: Tuple[int, ...]
@@ -204,19 +183,16 @@ class SweepSummary:
     checked_modes: int
     a_violations: int
     b_violations: int
-    b_violations_hypothesis: int
     re_violations: int
     im_violations: int
     worst_a_scaled: float
-    worst_b_scaled_hypothesis: float
+    worst_b_scaled: float
     worst_re_scaled: float
     worst_im_residual: float
-    violations: Tuple[ModeCheckRecord, ...]
-    violations_truncated: bool
 
     @property
     def passed(self) -> bool:
-        return (self.a_violations == 0 and self.b_violations_hypothesis == 0
+        return (self.a_violations == 0 and self.b_violations == 0
                 and self.re_violations == 0 and self.im_violations == 0)
 
 
@@ -235,25 +211,86 @@ def _sign_margin(terms, floor: np.ndarray):
     return value, np.where(scale > 0, value / bound, 0.0), value > _SIGN_TOL * bound
 
 
+def _check_blocks(n_tuple: Tuple[int, ...], m_max: int, rho_arr: np.ndarray,
+                  alpha_table: Sequence[Sequence[float]]) -> Iterator[tuple]:
+    """The four checks over valid inputs, one block of `_SWEEP_CHUNK` radii
+    at a time.
+
+    Each block is a (margin, violation mask) pair per family, in the order
+    A, B, Re(h' conj h), Wronskian, as (radius x dimension x multiplier x
+    mode) arrays.  The margins are scaled, the Wronskian's the relative
+    residual.  Only B has a multiplier axis, `alpha_table[d]` for the d-th
+    dimension (one row per dimension, all of one length); the others have
+    length 1 there.  At orders nu < 1/2, which its claim leaves out, A's
+    margin is -inf and its mask False.
+    """
+    # ladder entry of order nu = m + n/2 - 1 sits at index m + (n-2)//2
+    count_by_parity = {}
+    for n in n_tuple:
+        count_by_parity[n % 2] = max(count_by_parity.get(n % 2, 0),
+                                     m_max + (n - 2) // 2)
+    # (dimension x multiplier x mode) tables; the block arrays below put a
+    # radius axis in front, and those without a multiplier have length 1 there
+    m_idx = np.arange(m_max + 1)
+    n_col = np.array(n_tuple)[:, None, None]
+    p_prime = n_col / 2.0 - 1.0
+    nu = m_idx + p_prime
+    mu2 = (m_idx * (m_idx + n_col - 2)).astype(float)
+    a_mask = nu >= 0.5
+    alpha = np.array(alpha_table, dtype=float).reshape(len(n_tuple), -1, 1)
+
+    for start in range(0, rho_arr.size, _SWEEP_CHUNK):
+        if start % _LADDER_BATCH == 0:
+            # the last batch's ladders die first
+            ladders = None
+            ladders = dict(zip(count_by_parity, ladder_batches(
+                [(0.5 * parity, count) for parity, count in count_by_parity.items()],
+                rho_arr[start:start + _LADDER_BATCH])))
+        rows = slice(start % _LADDER_BATCH, start % _LADDER_BATCH + _SWEEP_CHUNK)
+        rho = rho_arr[start:start + _SWEEP_CHUNK, None, None, None]
+        # both parities' ladders, gathered as (radius x dimension x 1 x mode)
+        jm, jpm, ej, ym, ypm, ey = (
+            np.stack([getattr(ladders[n % 2], name)[rows, (n - 2) // 2:(n - 2) // 2 + m_max + 1]
+                      for n in n_tuple], axis=1)[:, :, None]
+            for name in ("jm", "jpm", "ej", "ym", "ypm", "ey"))
+
+        eta = _np_ldexp(1.0, ej - ey)
+        jt, jpt = jm * eta, jpm * eta
+        inv2ey = _np_ldexp(1.0, -2 * ey)
+        m2 = jt * jt + ym * ym
+        a3 = (4.0 * rho / math.pi) * inv2ey
+        # A and B subtract a3 as the term -a3: x + (-y) is x - y exactly
+        _, a_scaled, viol_a = _sign_margin(
+            (m2 * (rho * rho - nu * nu), rho * rho * (jpt * jpt + ypm * ypm), -a3), inv2ey)
+
+        gj = jpt - (p_prime / rho) * jt
+        gy = ypm - (p_prime / rho) * ym
+        re_wu, re_scaled, viol_re = _sign_margin((gj * jt, gy * ym), inv2ey)
+
+        # pure mantissa cross product, then the shared power of two
+        im_resid = np.abs((jm * ypm - jpm * ym) * _np_ldexp(math.pi * rho / 2.0, ej + ey) - 1.0)
+
+        _, b_scaled, viol_b = _sign_margin(
+            ((rho * rho - mu2) * m2, rho * rho * (gj * gj + gy * gy), alpha * rho * re_wu, -a3),
+            inv2ey)
+
+        yield ((np.where(a_mask, a_scaled, -math.inf), viol_a & a_mask),
+               (b_scaled, viol_b), (re_scaled, viol_re),
+               (im_resid, im_resid > IM_IDENTITY_TOL))
+
+
 def verify_sweep(n_values: Sequence[int] = SweepParams.n_values,
                  m_max: int = SweepParams.m_max,
-                 rho_grid: Optional[Sequence[float]] = None,
-                 alphas: Optional[Sequence[float]] = None,
-                 record_sink: Optional[Callable[[ModeCheckRecord], None]] = None,
-                 ) -> SweepSummary:
-    """Run all four checks over a (n, m, rho, alpha) grid.
+                 rho_grid: Optional[Sequence[float]] = None) -> SweepSummary:
+    """Run all four checks over a (n, m, rho) grid, B at each of
+    `default_alphas(n)`.
 
     The dimensions, the largest mode and the radii default to those of
     `SweepParams()`, the default sweep; `rho_grid` is any sequence of
-    radii, checked in the order given.  With `alphas=None` each dimension
-    uses `default_alphas(n)`; an explicit sequence is applied to every
-    dimension, which permits probing multipliers below the hypothesis
-    threshold (their B violations are counted separately from the
-    in-hypothesis count).  `record_sink`, when given, receives every
-    ModeCheckRecord; the default keeps only violating records (capped) and
-    aggregate statistics.  Radii outside [1e-3, 1e3] and orders
-    nu = m + n/2 - 1 above 200, where the special-function engine is not
-    validated, raise BesselDomainError.
+    radii, checked in the order given.  The summary folds the blocks of
+    `_check_blocks` into its counts and worst margins.  Radii outside
+    [1e-3, 1e3] and orders nu = m + n/2 - 1 above 200, where the
+    special-function engine is not validated, raise BesselDomainError.
     """
     if m_max < 0:
         raise BesselDomainError(f"m_max must be >= 0, got {m_max}")
@@ -271,119 +308,15 @@ def verify_sweep(n_values: Sequence[int] = SweepParams.n_values,
         raise BesselDomainError(f"orders above nu = {NU_MAX:g} leave the "
                                 f"validated envelope")
 
-    # ladder entry of order nu = m + n/2 - 1 sits at index m + (n-2)//2
-    count_by_parity = {}
-    for n in n_tuple:
-        count_by_parity[n % 2] = max(count_by_parity.get(n % 2, 0),
-                                     m_max + (n - 2) // 2)
-    # (dimension x multiplier x mode) tables; the block arrays below put a
-    # radius axis in front, and those without a multiplier have length 1 there
-    m_idx = np.arange(m_max + 1)
-    n_col = np.array(n_tuple)[:, None, None]
-    p_prime = n_col / 2.0 - 1.0
-    nu = m_idx + p_prime
-    mu2 = (m_idx * (m_idx + n_col - 2)).astype(float)
-    a_mask = nu >= 0.5
-    alpha = np.array([default_alphas(n) if alphas is None else alphas for n in n_tuple],
-                     dtype=float).reshape(len(n_tuple), -1, 1)
-    hyp = alpha[:, :, 0] >= np.maximum(1.0, n_col[:, :, 0] - 2.0)
-
-    counts = dict.fromkeys(("a", "b", "bh", "re", "im"), 0)
-    worst = {"a": -math.inf, "bh": -math.inf, "re": -math.inf, "im": 0.0}
-    violations: List[ModeCheckRecord] = []
-    truncated = False
-
-    for start in range(0, rho_arr.size, _SWEEP_CHUNK):
-        if start % _LADDER_BATCH == 0:
-            # the last batch's ladders die first
-            ladders = None
-            ladders = dict(zip(count_by_parity, ladder_batches(
-                [(0.5 * parity, count) for parity, count in count_by_parity.items()],
-                rho_arr[start:start + _LADDER_BATCH])))
-        rows = slice(start % _LADDER_BATCH, start % _LADDER_BATCH + _SWEEP_CHUNK)
-        rhos = rho_arr[start:start + _SWEEP_CHUNK]
-        rho = rhos[:, None, None, None]  # radius x dimension x multiplier x mode
-        # both parities' ladders, gathered as (radius x dimension x 1 x mode)
-        jm, jpm, ej, ym, ypm, ey = (
-            np.stack([getattr(ladders[n % 2], name)[rows, (n - 2) // 2:(n - 2) // 2 + m_max + 1]
-                      for n in n_tuple], axis=1)[:, :, None]
-            for name in ("jm", "jpm", "ej", "ym", "ypm", "ey"))
-
-        eta = _np_ldexp(1.0, ej - ey)
-        jt, jpt = jm * eta, jpm * eta
-        inv2ey = _np_ldexp(1.0, -2 * ey)
-        m2 = jt * jt + ym * ym
-        a3 = (4.0 * rho / math.pi) * inv2ey
-        # A and B subtract a3 as the term -a3: x + (-y) is x - y exactly
-        m_a, a_scaled, viol_a = _sign_margin(
-            (m2 * (rho * rho - nu * nu), rho * rho * (jpt * jpt + ypm * ypm), -a3), inv2ey)
-        viol_a &= a_mask
-
-        gj = jpt - (p_prime / rho) * jt
-        gy = ypm - (p_prime / rho) * ym
-        re_wu, re_scaled, viol_re = _sign_margin((gj * jt, gy * ym), inv2ey)
-
-        # pure mantissa cross product, then the shared power of two
-        im_resid = np.abs((jm * ypm - jpm * ym) * _np_ldexp(math.pi * rho / 2.0, ej + ey) - 1.0)
-        viol_im = im_resid > IM_IDENTITY_TOL
-
-        m_b, b_scaled, viol_b = _sign_margin(
-            ((rho * rho - mu2) * m2, rho * rho * (gj * gj + gy * gy), alpha * rho * re_wu, -a3),
-            inv2ey)
-
-        counts["a"] += int(np.count_nonzero(viol_a))
-        counts["b"] += int(np.count_nonzero(viol_b))
-        counts["bh"] += int(np.count_nonzero(viol_b & hyp[:, :, None]))
-        counts["re"] += int(np.count_nonzero(viol_re))
-        counts["im"] += int(np.count_nonzero(viol_im))
-        for key, maxima in (("a", np.where(a_mask, a_scaled, -math.inf).max(axis=-1)),
-                            ("bh", b_scaled.max(axis=-1)[:, hyp]),
-                            ("re", re_scaled.max(axis=-1)),
-                            ("im", im_resid.max(axis=-1))):
+    alpha_table = [default_alphas(n) for n in n_tuple]
+    counts = [0, 0, 0, 0]
+    worst = [-math.inf, -math.inf, -math.inf, 0.0]
+    for block in _check_blocks(n_tuple, m_max, rho_arr, alpha_table):
+        for family, (margin, violated) in enumerate(block):
+            counts[family] += int(np.count_nonzero(violated))
             # the per-mode maxima folded by Python's max in (radius, dimension,
             # multiplier) order, which skips a NaN maximum instead of keeping it
-            worst[key] = max([worst[key], *maxima.ravel().tolist()])
-
-        # records in (radius, dimension, multiplier, mode) order; without a
-        # sink, only the violations that still fit under the cap are built
-        bad = viol_b | (viol_a | viol_re | viol_im)
-        points = np.nonzero(bad if record_sink is None else np.ones_like(bad))
-        if record_sink is None:
-            room = _VIOLATION_CAP - len(violations)
-            truncated |= points[0].size > room
-            points = [index[:room] for index in points]
-        for r, d, k, mi in zip(*(index.tolist() for index in points)):
-            n, rho_r, two_ey = n_tuple[d], float(rhos[r]), int(2 * ey[r, d, 0, mi])
-            rho_pow = rho_r ** (2 - n)
-            rec = ModeCheckRecord(
-                n=n, m=mi, nu=float(nu[d, 0, mi]), rho=rho_r, alpha=float(alpha[d, k, 0]),
-                a_nu=_ldexp_sat(float(m_a[r, d, 0, mi]), two_ey),
-                b_m=_ldexp_sat(float(m_b[r, d, k, mi]), two_ey) * rho_pow,
-                re_sign=_ldexp_sat(float(re_wu[r, d, 0, mi]), two_ey) * rho_pow,
-                im_identity_residual=float(im_resid[r, d, 0, mi]),
-            )
-            if record_sink is not None:
-                record_sink(rec)
-            if bad[r, d, k, mi]:
-                if len(violations) < _VIOLATION_CAP:
-                    violations.append(rec)
-                else:
-                    truncated = True
-
-    return SweepSummary(
-        n_values=n_tuple,
-        m_max=m_max,
-        rho_count=int(rho_arr.size),
-        checked_modes=int(rho_arr.size * alpha.size * (m_max + 1)),
-        a_violations=counts["a"],
-        b_violations=counts["b"],
-        b_violations_hypothesis=counts["bh"],
-        re_violations=counts["re"],
-        im_violations=counts["im"],
-        worst_a_scaled=worst["a"],
-        worst_b_scaled_hypothesis=worst["bh"],
-        worst_re_scaled=worst["re"],
-        worst_im_residual=worst["im"],
-        violations=tuple(violations),
-        violations_truncated=truncated,
-    )
+            worst[family] = max([worst[family], *margin.max(axis=-1).ravel().tolist()])
+    return SweepSummary(n_tuple, m_max, int(rho_arr.size),
+                        int(rho_arr.size * np.size(alpha_table) * (m_max + 1)),
+                        *counts, *worst)

@@ -76,6 +76,8 @@ def scalar_certify(boxes):
                                  boxes.a.tolist(), boxes.gap.tolist(),
                                  boxes.side.tolist()):
         quasimode_norms(n, k, ell, eps)
+        if not a > 0.0:
+            raise CertifyError(f"box {j}: need target a > 0, got {a!r}")
         ub = infsup_upper(n, eps)
         inv = threshold(n, k, a)
         if abs(1.0 / ub - inv) > 1e-9 * inv:

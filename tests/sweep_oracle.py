@@ -1,63 +1,39 @@
-"""Per-radius modal sweep: the reference for the batched `verify_sweep`.
+"""Per-radius modal checks: the reference for the batched `_check_blocks`.
 
-`per_radius_sweep` is the sweep as it ran before the batched ladders: one
+`per_radius_checks` is the sweep as it ran before the batched ladders: one
 scalar ladder (`oracles._ladder`) per base order and radius, and the four
-checks as 1-d arrays over the modes of one (radius, dimension) at a time.  The tests
-require `verify_sweep` to return the same `SweepSummary` and to hand the
-same records to a sink, field by field and bit for bit.
+checks as 1-d arrays over the modes of one (radius, dimension) at a time.
+It returns each family's scaled margins and violation masks stacked into
+(radius x dimension x multiplier x mode) arrays, the layout of the
+kernel's blocks; the tests require the two to agree bit for bit.
 """
 
 import math
-from typing import Callable, List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from trapcert.dtnverify import (
-    IM_IDENTITY_TOL,
-    ModeCheckRecord,
-    SweepParams,
-    SweepSummary,
-    _ldexp_sat,
-    _np_ldexp,
-    default_alphas,
-)
+from trapcert.dtnverify import IM_IDENTITY_TOL, _np_ldexp
 
 from oracles import _ladder
 
 _SIGN_TOL = 1e-9
-_VIOLATION_CAP = 500
 
 
-def per_radius_sweep(n_values: Sequence[int] = SweepParams.n_values,
-                     m_max: int = SweepParams.m_max,
-                     rho_grid: Optional[Sequence[float]] = None,
-                     alphas: Optional[Sequence[float]] = None,
-                     record_sink: Optional[Callable[[ModeCheckRecord], None]] = None,
-                     ) -> SweepSummary:
-    """`verify_sweep` one radius at a time (inputs assumed valid)."""
-    rho_arr = SweepParams().rho_grid() if rho_grid is None else np.asarray(rho_grid, dtype=float)
+def per_radius_checks(n_values: Sequence[int], m_max: int, rho_grid: Sequence[float],
+                      alpha_table: Sequence[Sequence[float]]):
+    """The (margin, violation mask) pairs of A, B, Re(h' conj h) and the
+    Wronskian residual, B at the multipliers `alpha_table[d]` of the d-th
+    dimension (inputs assumed valid)."""
+    rho_arr = np.asarray(rho_grid, dtype=float)
     n_tuple = tuple(int(n) for n in n_values)
     count_by_parity = {}
     for n in n_tuple:
         count_by_parity[n % 2] = max(count_by_parity.get(n % 2, 0),
                                      m_max + (n - 2) // 2)
     m_idx = np.arange(m_max + 1)
-
-    checked = 0
-    counts = {"a": 0, "b": 0, "bh": 0, "re": 0, "im": 0}
-    worst = {"a": -math.inf, "bh": -math.inf, "re": -math.inf, "im": 0.0}
-    violations: List[ModeCheckRecord] = []
-    truncated = False
-
-    def plain(scaled: float, two_ey: int, rho_pow: float) -> float:
-        return _ldexp_sat(scaled, two_ey) * rho_pow
-
-    def note_violation(rec: ModeCheckRecord) -> None:
-        nonlocal truncated
-        if len(violations) < _VIOLATION_CAP:
-            violations.append(rec)
-        else:
-            truncated = True
+    # one list per family of (margin, mask) rows, one row per (radius, dimension)
+    rows = [[] for _ in range(4)]
 
     for rho in rho_arr.tolist():
         ladders = {}
@@ -65,7 +41,7 @@ def per_radius_sweep(n_values: Sequence[int] = SweepParams.n_values,
             ladders[0] = _ladder(0.0, rho, count_by_parity[0])
         if 1 in count_by_parity:
             ladders[1] = _ladder(0.5, rho, count_by_parity[1])
-        for n in n_tuple:
+        for n, alphas in zip(n_tuple, alpha_table):
             lad = ladders[n % 2]
             base = (n - 2) // 2
             sl = slice(base, base + m_max + 1)
@@ -93,7 +69,8 @@ def per_radius_sweep(n_values: Sequence[int] = SweepParams.n_values,
             tol_a = _SIGN_TOL * np.maximum(inv2ey, scale_a)
             a_mask = nu >= 0.5
             a_scaled = np.where(scale_a > 0, m_a / np.maximum(inv2ey, scale_a), 0.0)
-            viol_a = (m_a > tol_a) & a_mask
+            rows[0].append(([np.where(a_mask, a_scaled, -math.inf)],
+                            [(m_a > tol_a) & a_mask]))
 
             gj = jpt - (p_prime / rho) * jt
             gy = ypm - (p_prime / rho) * ym
@@ -102,71 +79,28 @@ def per_radius_sweep(n_values: Sequence[int] = SweepParams.n_values,
             scale_re = np.maximum(np.abs(gj * jt), np.abs(gy * ym))
             tol_re = _SIGN_TOL * np.maximum(inv2ey, scale_re)
             re_scaled = np.where(scale_re > 0, re_wu / np.maximum(inv2ey, scale_re), 0.0)
-            viol_re = re_wu > tol_re
-
-            wron = jm * ypm - jpm * ym
-            im_resid = np.abs(wron * _np_ldexp(math.pi * rho / 2.0, ej + ey) - 1.0)
-            viol_im = im_resid > IM_IDENTITY_TOL
 
             b1 = (rho * rho - mu2) * m2
             b2 = rho * rho * w2
             b4 = a3
-            alpha_list = default_alphas(n) if alphas is None else tuple(float(a) for a in alphas)
-            hyp = max(1.0, float(n - 2))
-            rho_pow = rho ** (2 - n)
-
-            counts["a"] += int(np.count_nonzero(viol_a))
-            counts["re"] += int(np.count_nonzero(viol_re))
-            counts["im"] += int(np.count_nonzero(viol_im))
-            worst["a"] = max(worst["a"], float(a_scaled[a_mask].max()) if a_mask.any() else -math.inf)
-            worst["re"] = max(worst["re"], float(re_scaled.max()))
-            worst["im"] = max(worst["im"], float(im_resid.max()))
-
-            for alpha in alpha_list:
+            b_rows = ([], [])
+            for alpha in alphas:
                 b3 = alpha * rho * re_wu
                 m_b = b1 + b2 + b3 - b4
                 scale_b = np.maximum(np.maximum(np.abs(b1), b2),
                                      np.maximum(np.abs(b3), b4))
                 tol_b = _SIGN_TOL * np.maximum(inv2ey, scale_b)
-                viol_b = m_b > tol_b
-                nviol = int(np.count_nonzero(viol_b))
-                counts["b"] += nviol
-                if alpha >= hyp:
-                    counts["bh"] += nviol
-                    b_scaled = np.where(scale_b > 0, m_b / np.maximum(inv2ey, scale_b), 0.0)
-                    worst["bh"] = max(worst["bh"], float(b_scaled.max()))
-                checked += m_max + 1
+                b_rows[0].append(np.where(scale_b > 0, m_b / np.maximum(inv2ey, scale_b), 0.0))
+                b_rows[1].append(m_b > tol_b)
+            rows[1].append(b_rows)
+            rows[2].append(([re_scaled], [re_wu > tol_re]))
 
-                want = (np.nonzero(viol_b | viol_a | viol_re | viol_im)[0]
-                        if record_sink is None else range(m_max + 1))
-                for mi in want:
-                    mi = int(mi)
-                    rec = ModeCheckRecord(
-                        n=n, m=mi, nu=float(nu[mi]), rho=rho, alpha=alpha,
-                        a_nu=plain(float(m_a[mi]), int(2 * ey[mi]), 1.0),
-                        b_m=plain(float(m_b[mi]), int(2 * ey[mi]), rho_pow),
-                        re_sign=plain(float(re_wu[mi]), int(2 * ey[mi]), rho_pow),
-                        im_identity_residual=float(im_resid[mi]),
-                    )
-                    if record_sink is not None:
-                        record_sink(rec)
-                    if (viol_b[mi] or viol_a[mi] or viol_re[mi] or viol_im[mi]):
-                        note_violation(rec)
+            wron = jm * ypm - jpm * ym
+            im_resid = np.abs(wron * _np_ldexp(math.pi * rho / 2.0, ej + ey) - 1.0)
+            rows[3].append(([im_resid], [im_resid > IM_IDENTITY_TOL]))
 
-    return SweepSummary(
-        n_values=n_tuple,
-        m_max=m_max,
-        rho_count=int(rho_arr.size),
-        checked_modes=checked,
-        a_violations=counts["a"],
-        b_violations=counts["b"],
-        b_violations_hypothesis=counts["bh"],
-        re_violations=counts["re"],
-        im_violations=counts["im"],
-        worst_a_scaled=worst["a"],
-        worst_b_scaled_hypothesis=worst["bh"],
-        worst_re_scaled=worst["re"],
-        worst_im_residual=worst["im"],
-        violations=tuple(violations),
-        violations_truncated=truncated,
-    )
+    def stack(family, part):
+        return np.array([row[part] for row in family]).reshape(
+            rho_arr.size, len(n_tuple), -1, m_max + 1)
+
+    return [(stack(family, 0), stack(family, 1)) for family in rows]

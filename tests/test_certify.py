@@ -285,6 +285,8 @@ TAMPERED = {
                  "box 6: inf-sup routes disagree"),
     "domain": (lambda b: with_values(with_values(b, 9, side=-1.0), 3, gap=1.5),
                "need k, ell > 0 and eps in (0,1), got 6.47"),
+    "negative-target": (lambda b: with_values(with_values(b, 8, a=-1.0), 20, a=0.0),
+                        "box 9: need target a > 0, got -1.0"),
 }
 
 
@@ -330,13 +332,22 @@ def test_certify_refuses_a_subnormal_aperture_power(n, eps):
 
 @pytest.mark.parametrize("k, a, values", [
     (1e200, 1.0, "inf or margin inf"),  # 2k^2 a^2 overflows
-    (1.0, -1e-3, "nan or margin 0.001"),  # sqrt(2k^2 a^2 + a) of a negative
 ])
 def test_certify_refuses_a_threshold_outside_binary64(k, a, values):
     # eps is not the box's designed gap fraction, so its power stays normal
     with pytest.raises(ArithmeticError) as info:
         certify_geometry(one_box(2, k, 0.5, a))
+    assert not isinstance(info.value, CertifyError)
     assert str(info.value) == f"box 1: threshold {values} is not finite"
+
+
+@pytest.mark.parametrize("a", [-1e-3, 0.0])
+def test_certify_refuses_a_nonpositive_target(a):
+    # the target gate comes before the range gates: a negative target makes
+    # the threshold NaN
+    with pytest.raises(CertifyError) as info:
+        certify_geometry(one_box(2, 1.0, 0.5, a))
+    assert str(info.value) == f"box 1: need target a > 0, got {a!r}"
 
 
 def test_certify_range_and_claim_gates_report_the_first_box():

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import trapcert.dtnverify
 from columns import make_boxes
 from trapcert.cli import (
     ConfigError,
@@ -389,6 +390,22 @@ def test_run_plot_dimension_guard(tmp_path):
     assert run(["plot", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("case", ["sweep-only", "no-dimension"])
+def test_run_plot_without_a_geometry_refuses_like_build(tmp_path, capsys, case):
+    if case == "sweep-only":
+        cfg = str(CONFIGS / "dtn_sweep.json")
+    else:
+        doc = demo_mapping()
+        del doc["dimension"]
+        cfg = write_config(tmp_path, doc)
+    assert run(["build", "--config", cfg, "--out", str(tmp_path / "b")]) == 2
+    build = capsys.readouterr()
+    assert build.out == "" and build.err.startswith("error: config needs ")
+    assert run(["plot", "--config", cfg, "--out", str(tmp_path / "p")]) == 2
+    assert capsys.readouterr() == build
+    assert not (tmp_path / "b").exists() and not (tmp_path / "p").exists()
+
+
 def test_run_verify_dtn_small(tmp_path, capsys):
     cfg = write_config(tmp_path, {"sweep": {"nValues": [2], "mMax": 5,
                                             "rhoPoints": 40}})
@@ -546,6 +563,23 @@ def test_report_and_verify_dtn_print_one_sweep_line(tmp_path, capsys):
                     "0 interior, 0 boundary, 0 sign, 0 wronskian violations: pass\n")
     assert run(["report", "--config", cfg]) == 0
     assert line in capsys.readouterr().out
+
+
+def test_report_and_verify_dtn_fail_a_failed_sweep(tmp_path, capsys, monkeypatch):
+    # a tolerance of -1 times the scale flags every check whose scaled
+    # margin lies above -1
+    monkeypatch.setattr(trapcert.dtnverify, "_SIGN_TOL", -1.0)
+    cfg = write_config(tmp_path, {"sweep": {"nValues": [2, 3], "mMax": 4,
+                                            "rhoPoints": 20}})
+    line = ("dtn sweep: n in {2, 3}, m <= 4, 20 radii, 600 checks: 180 interior, "
+            "556 boundary, 169 sign, 0 wronskian violations: FAIL\n")
+    assert run(["verify-dtn", "--config", cfg]) == 1
+    assert capsys.readouterr() == (
+        line, "  worst scaled margins: interior 5.33114e-16, boundary 4.58434e-16, "
+              "sign -7.95767e-06, wronskian residual 4.44089e-16\n")
+    assert run(["report", "--config", cfg]) == 1
+    assert capsys.readouterr() == (
+        "certificate report\n==================\n\n" + line + "\noverall: FAIL\n", "")
 
 
 @pytest.mark.parametrize("sweep", [{"rhoMax": 1.0e6}, {"mMax": 300}])

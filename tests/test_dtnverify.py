@@ -1,15 +1,15 @@
 """Tests for the mode-by-mode sign checks and the verification sweep."""
 
-import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import trapcert.dtnverify
 from trapcert.dtnverify import (
     SweepParams,
+    SweepSummary,
+    _check_blocks,
     a_nu,
     b_m,
     default_alphas,
@@ -23,8 +23,7 @@ from trapcert.specfun import (
     spherical_hankel_closed,
 )
 
-from compare import assert_sequences_equal
-from sweep_oracle import per_radius_sweep
+from sweep_oracle import per_radius_checks
 
 RHO_SAMPLE = SweepParams(rho_points=60).rho_grid()
 
@@ -177,11 +176,10 @@ def test_sweep_small_grid_clean():
     assert summary.b_violations == 0
     assert summary.re_violations == 0
     assert summary.im_violations == 0
-    assert summary.violations == ()
     # 2 dims x 3 alphas x 100 rho x 16 modes
     assert summary.checked_modes == 2 * 3 * 100 * 16
     assert summary.worst_im_residual <= 1e-9
-    assert summary.worst_b_scaled_hypothesis <= 1e-12
+    assert summary.worst_b_scaled <= 1e-12
     assert summary.worst_a_scaled <= 1e-12
 
 
@@ -191,44 +189,59 @@ def test_sweep_covers_extreme_orders():
     summary = verify_sweep(n_values=(4,), m_max=100,
                            rho_grid=np.array([0.05]))
     assert summary.passed
-    assert math.isfinite(summary.worst_b_scaled_hypothesis)
+    assert math.isfinite(summary.worst_b_scaled)
+
+
+def checks(n_values, m_max, rho_grid, alphas=None):
+    """The kernel's blocks joined along the radius axis, and the per-radius
+    reference's arrays, B at `alphas` for every dimension (by default at
+    each dimension's `default_alphas`)."""
+    n_tuple = tuple(n_values)
+    table = [default_alphas(n) if alphas is None else alphas for n in n_tuple]
+    rho_arr = np.asarray(rho_grid, dtype=float)
+    blocks = list(_check_blocks(n_tuple, m_max, rho_arr, table))
+    got = [tuple(np.concatenate([block[family][part] for block in blocks])
+                 for part in (0, 1)) for family in range(4)]
+    return got, per_radius_checks(n_tuple, m_max, rho_arr, table)
 
 
 def test_sweep_alpha_below_hypothesis_records_violations():
-    summary = verify_sweep(n_values=(4,), m_max=10,
-                           rho_grid=SweepParams(rho_points=50).rho_grid(), alphas=(0.0,))
-    assert summary.b_violations > 0
-    assert summary.b_violations_hypothesis == 0
-    assert summary.passed  # the covered claims still hold
-    assert len(summary.violations) > 0
-    assert all(r.alpha == 0.0 for r in summary.violations)
-
-
-def test_sweep_record_sink_streams_everything():
-    records = []
-    summary = verify_sweep(n_values=(3,), m_max=4,
-                           rho_grid=np.array([0.8, 5.0]),
-                           record_sink=records.append)
-    assert len(records) == 1 * 3 * 2 * 5
-    assert summary.checked_modes == len(records)
-    for rec in records:
-        assert rec.n == 3
-        assert rec.nu == rec.m + 0.5
-        assert rec.im_identity_residual <= 1e-9
-        assert rec.alpha in default_alphas(3)
+    rho_grid = SweepParams(rho_points=50).rho_grid()
+    got, _ = checks((4,), 10, rho_grid, alphas=(0.0,))
+    (_, a_mask), (b_margin, b_mask), (_, re_mask), (_, im_mask) = got
+    assert b_mask.shape == (50, 1, 1, 11)
+    assert np.count_nonzero(b_mask) > 0 and b_margin.max() > 0.0
+    # the claims the multiplier does not enter still hold
+    assert not (a_mask.any() or re_mask.any() or im_mask.any())
+    assert verify_sweep(n_values=(4,), m_max=10, rho_grid=rho_grid).passed
 
 
 def test_sweep_records_match_scalar_routes():
-    records = []
-    verify_sweep(n_values=(3,), m_max=3, rho_grid=np.array([5.0]),
-                 alphas=(2.0,), record_sink=records.append)
-    for rec in records:
-        scale = max(1.0, 4.0 * rec.rho / math.pi)
-        assert abs(rec.a_nu - a_nu(rec.nu, rec.rho)) <= 1e-9 * scale
-        assert abs(rec.b_m - b_m(rec.m, rec.n, rec.rho, rec.alpha)) <= 1e-9 * scale
-        h, hp = spherical_hankel(rec.m, rec.n, rec.rho)
-        re_ref = (hp * h.conjugate()).real
-        assert abs(rec.re_sign - re_ref) <= 1e-9 * max(1.0, abs(re_ref))
+    """The kernel's scaled margins of A, B and Re(h' conj h) against the
+    scalar routes: each family's plain value times rho^(n-2) over the
+    largest of 1 and its terms' moduli, from the spherical engine."""
+    n, rho, alpha = 3, 5.0, 2.0
+    got, _ = checks((n,), 3, [rho], alphas=(alpha,))
+    (a_margin, _), (b_margin, _), (re_margin, _), _ = got
+    p_prime = n / 2.0 - 1.0
+    for m in range(4):
+        nu, mu2 = m + p_prime, m * (m + n - 2)
+        h, hp = spherical_hankel(m, n, rho)
+        # the cylindrical H_nu, and G = H_nu' - (p'/rho) H_nu
+        big_h, g = rho ** p_prime * h, rho ** p_prime * hp
+        big_hp = g + (p_prime / rho) * big_h
+        re_cyl = (g * big_h.conjugate()).real
+        a_terms = (abs(big_h) ** 2 * (rho * rho - nu * nu), rho * rho * abs(big_hp) ** 2,
+                   4.0 * rho / math.pi)
+        b_terms = ((rho * rho - mu2) * abs(big_h) ** 2, rho * rho * abs(g) ** 2,
+                   alpha * rho * re_cyl, 4.0 * rho / math.pi)
+        re_terms = (g.real * big_h.real, g.imag * big_h.imag)
+        for margin, plain, terms in (
+                (a_margin, a_nu(nu, rho), a_terms),
+                (b_margin, b_m(m, n, rho, alpha) * rho ** (n - 2), b_terms),
+                (re_margin, (hp * h.conjugate()).real * rho ** (n - 2), re_terms)):
+            bound = max(1.0, *(abs(term) for term in terms))
+            assert abs(margin[0, 0, 0, m] - plain / bound) <= 1e-9
 
 
 def test_sweep_input_validation():
@@ -255,52 +268,58 @@ def test_sweep_rejects_inputs_outside_the_envelope(n_values, m_max, rho):
 
 
 # -------------------------------------------------------------------
-# the batched sweep against the per-radius reference, field for field
+# the batched kernel against the per-radius reference, bit for bit
 # -------------------------------------------------------------------
 
-def bits(value):
-    """A comparison key that tells apart every float bit pattern."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, (tuple, list)):
-        return [bits(v) for v in value]
-    if dataclasses.is_dataclass(value):
-        return [(f.name, bits(getattr(value, f.name))) for f in dataclasses.fields(value)]
-    return value
+FAMILIES = ("A", "B", "Re", "Wronskian")
 
 
-def assert_summaries_equal(got, ref):
-    """Every field of two summaries, bit for bit, the violations one record
-    at a time."""
-    def entries(summary):
-        return ([(f.name, getattr(summary, f.name)) for f in dataclasses.fields(summary)
-                 if f.name != "violations"]
-                + [("violations", i, rec) for i, rec in enumerate(summary.violations)])
-
-    assert_sequences_equal(entries(got), entries(ref), key=bits)
+def raw_bytes(array):
+    """The bytes of each entry along a last axis: equal bits, equal rows."""
+    return np.ascontiguousarray(array).view(np.uint8).reshape(*array.shape, -1)
 
 
-# grids that cross both batch boundaries (8-radius check blocks, 128-radius
-# engine batches), by the radius index of their 500th and 501st violations:
-# the last radius of a descending grid, and a radius inside the second
-# engine batch of an ascending one
-CAP_CASES = {
-    128: dict(n_values=(2, 5), m_max=3, rho_grid=np.geomspace(300.0, 0.1, 129),
-              alphas=(0.0, 3.0)),
-    148: dict(n_values=(2, 3), m_max=3, rho_grid=np.geomspace(0.05, 200.0, 161),
-              alphas=(0.0, 3.0)),
-}
+def assert_checks_equal(got, ref):
+    """Every family's margins and masks, shape and bits; the message names
+    the first differing (radius, dimension, multiplier, mode)."""
+    for name, got_pair, ref_pair in zip(FAMILIES, got, ref):
+        for part, g, r in zip(("margin", "mask"), got_pair, ref_pair):
+            assert g.shape == r.shape, (name, part, g.shape, r.shape)
+            differ = (raw_bytes(g) != raw_bytes(r)).any(axis=-1)
+            if differ.any():
+                index = tuple(int(i[0]) for i in np.nonzero(differ))
+                pytest.fail(f"{name} {part} differs first at {index}: "
+                            f"got {g[index]!r}, ref {r[index]!r}")
+
+
+def folded(ref, kwargs):
+    """The summary the per-radius arrays fold into, for default multipliers."""
+    rho_arr = np.asarray(kwargs["rho_grid"], dtype=float)
+    margins = [margin for margin, _ in ref]
+    return SweepSummary(
+        tuple(kwargs["n_values"]), kwargs["m_max"], rho_arr.size, ref[1][1].size,
+        *(int(np.count_nonzero(mask)) for _, mask in ref),
+        *(max(start, float(margin.max())) for margin, start in
+          zip(margins, (-math.inf, -math.inf, -math.inf, 0.0))))
 
 
 def test_sweep_equals_per_radius_reference_on_the_default_grid():
-    got = verify_sweep()
-    assert_summaries_equal(got, per_radius_sweep())
-    assert got.checked_modes == 2000 * 101 * 12
+    params = SweepParams()
+    kwargs = dict(n_values=params.n_values, m_max=params.m_max, rho_grid=params.rho_grid())
+    got, ref = checks(**kwargs)
+    assert_checks_equal(got, ref)
+    summary = verify_sweep()
+    assert summary == folded(ref, kwargs)
+    assert summary.checked_modes == 2000 * 101 * 12
+    assert [value.hex() for value in (summary.worst_a_scaled, summary.worst_b_scaled,
+                                      summary.worst_re_scaled, summary.worst_im_residual)] == [
+        "0x1.0e9fc16c877b1p-49", "0x1.a3ebcb74c258fp-51", "-0x1.0b03e302b8380p-17",
+        "0x1.4000000000000p-48"]
 
 
 @pytest.mark.parametrize("kwargs", [
-    # violations past the cap, a repeated dimension, radii on both sides of
-    # t = 2 and a grid that is not a multiple of the batch
+    # multipliers below the hypothesis, a repeated dimension, radii on both
+    # sides of t = 2 and a grid that is not a multiple of the batch
     dict(n_values=(2, 3, 3, 7), m_max=12, rho_grid=np.geomspace(0.01, 300.0, 77),
          alphas=(0.0, 0.5, 1.0, 3.0)),
     dict(n_values=(3,), m_max=0, rho_grid=[1e-3, 1.9999999999999998, 2.0, 1e3]),
@@ -309,29 +328,21 @@ def test_sweep_equals_per_radius_reference_on_the_default_grid():
     dict(n_values=(5, 2), m_max=100, rho_grid=SweepParams(rho_points=40).rho_grid()),
     # the odd-order ladders one order shorter than the even ones
     dict(n_values=(3, 4), m_max=100, rho_grid=np.geomspace(1e-3, 1e3, 45)),
-    *CAP_CASES.values(),
+    # grids whose 500th and 501st violations (all of B at alpha = 0) lie past
+    # both batch boundaries (8-radius check blocks, 128-radius engine
+    # batches): at radius index 128, the last of a descending grid, and 148,
+    # inside the second engine batch of an ascending one
+    dict(n_values=(2, 5), m_max=3, rho_grid=np.geomspace(300.0, 0.1, 129),
+         alphas=(0.0, 3.0)),
+    dict(n_values=(2, 3), m_max=3, rho_grid=np.geomspace(0.05, 200.0, 161),
+         alphas=(0.0, 3.0)),
 ], ids=["capped", "edges", "negative-alpha", "default-orders", "unequal-parity-counts",
-        *(f"cap-at-radius-{index}" for index in CAP_CASES)])
+        "cap-at-radius-128", "cap-at-radius-148"])
 def test_sweep_equals_per_radius_reference(kwargs):
-    got_records, ref_records = [], []
-    got = verify_sweep(record_sink=got_records.append, **kwargs)
-    ref = per_radius_sweep(record_sink=ref_records.append, **kwargs)
-    assert_summaries_equal(got, ref)
-    assert_sequences_equal(got_records, ref_records, key=bits)
-    assert len(got_records) == got.checked_modes
-    assert_summaries_equal(verify_sweep(**kwargs), per_radius_sweep(**kwargs))
-
-
-@pytest.mark.parametrize("index", sorted(CAP_CASES))
-def test_cap_cases_pass_the_cap_inside_the_second_engine_batch(index, monkeypatch):
-    kwargs = CAP_CASES[index]
-    capped = verify_sweep(**kwargs)
-    assert capped.violations_truncated
-    monkeypatch.setattr(trapcert.dtnverify, "_VIOLATION_CAP", 10**6)
-    full = verify_sweep(**kwargs)
-    radius_index = {rho: i for i, rho in enumerate(kwargs["rho_grid"].tolist())}
-    assert [radius_index[rec.rho] for rec in full.violations[499:501]] == [index, index]
-    assert_sequences_equal(full.violations[:500], capped.violations, key=bits)
+    got, ref = checks(**kwargs)
+    assert_checks_equal(got, ref)
+    if "alphas" not in kwargs:
+        assert verify_sweep(**kwargs) == folded(ref, kwargs)
 
 
 def test_default_sweep_allocation_peak():
@@ -347,14 +358,3 @@ def test_default_sweep_allocation_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 2**20
-
-
-def test_a_cap_equal_to_the_violation_count_truncates_nothing(monkeypatch):
-    kwargs = CAP_CASES[128]
-    monkeypatch.setattr(trapcert.dtnverify, "_VIOLATION_CAP", 10**6)
-    full = verify_sweep(**kwargs).violations
-    for cap, truncated in ((len(full), False), (len(full) - 1, True)):
-        monkeypatch.setattr(trapcert.dtnverify, "_VIOLATION_CAP", cap)
-        got = verify_sweep(**kwargs)
-        assert got.violations_truncated is truncated
-        assert_sequences_equal(got.violations, full[:cap], key=bits)

@@ -95,8 +95,8 @@ CROSS_CHECK_ROUTES = {
     "quasimode_norms": "closed-form mode norms, against tensor quadrature",
     "infsup_upper": "scalar inf-sup bound, against the scalar chain",
     "resolvent_lower": "scalar resolvent floor, round trips and the scalar chain",
-    "a_nu": "scalar A_nu, against the sweep's records",
-    "b_m": "scalar B_m, against the sweep's records",
+    "a_nu": "scalar A_nu, against the sweep kernel's scaled margins",
+    "b_m": "scalar B_m, against the sweep kernel's scaled margins",
     "dtn_eigenvalue": "scalar DtN eigenvalue, against the scalar engine",
     "hankel_half_integer": "closed form of H_(M+1/2), independent of the engine",
 }
