@@ -289,6 +289,10 @@ def config_from_mapping(doc: Mapping) -> RunConfig:
     values = _read_object(doc, "config", _CONFIG_KEYS)
     if "layers" in doc and "boxCount" in doc:
         raise ConfigError("give either 'layers' or 'boxCount', not both")
+    for layout, key, other in (("layered", "layers", "boxCount"),
+                               ("stacked", "boxCount", "layers")):
+        if values.get("layout") == layout and other in doc:
+            raise ConfigError(f"layout '{layout}' takes '{key}', not '{other}'")
     return RunConfig(**values.pop("schedule", {}), **values)
 
 

@@ -59,8 +59,8 @@ from trapcert.sequences import (
     ScheduleError,
     derived_columns,
     derived_params,  # not called here; bench/tracer.py wraps this name
-    padding,
     padding_tail_bound,
+    paddings,
     sidelengths,
     volume_sum,
     volume_tail_bound,
@@ -190,12 +190,12 @@ def layer_plans(sched: Schedule, limit: Optional[int]) -> List[LayerPlan]:
         levels.append((cols, count, b))
         b += count
     sides = sidelengths(sched, [start for _, _, start in levels]).tolist()
+    pads = paddings(sched, range(1, len(levels) + 1)).tolist()
     plans: List[LayerPlan] = []
     h = 0.0
-    for i, ((cols, count, start), ell_b) in enumerate(zip(levels, sides), start=1):
+    for i, ((cols, count, start), ell_b, d_i) in enumerate(zip(levels, sides, pads), start=1):
         if i > 1:  # the padding of the level above, d_{i-1}
-            h = h - ell_b - d_i
-        d_i = padding(sched, i)
+            h = h - ell_b - pads[i - 2]
         pitch = ell_b + d_i / math.log(i + math.e)
         if not all(map(math.isfinite, (ell_b, pitch, cols * pitch, h))):
             raise ScheduleError(f"level {i} leaves binary64: side {ell_b!r}, "
@@ -320,7 +320,7 @@ def build_layered(sched: Schedule, layers: int) -> Tuple[Boxes, GeometrySummary]
     # before any tail does
     vol_lo = volume_sum(sched.n, boxes.side, 1, "built volume")
     if infinite:
-        d_tail = padding(sched, m_ext) + padding_tail_bound(sched, m_ext)
+        d_tail = paddings(sched, [m_ext]).item() + padding_tail_bound(sched, m_ext)
         ell_tail = _level_side_tail(sched, m_ext)
         h_lo = plans[-1].height - ell_tail - d_tail
         h_hi = plans[-1].height
@@ -366,15 +366,16 @@ def build_stacked(sched: Schedule, count: int) -> Tuple[Boxes, GeometrySummary]:
     last = min(len(sched.k_family.values), d_end + 1)
     # up to box d_end + 2, whose own checks come before its missing padding
     k, side, gap, a = derived_columns(sched, range(1, min(count, d_end + 2) + 1))
-    if count > d_end + 1:
-        padding(sched, d_end + 1)  # raises the table's error
     tail = sidelengths(sched, range(count + 1, last + 1))
     sides = side.tolist() + tail.tolist()
+    # d_{j-1} for the boxes j >= 2; past the table when count > d_end + 1,
+    # which raises the table's error
+    pads = paddings(sched, range(1, len(sides))).tolist()
     depths: List[float] = []
     depth = 0.0
     for j, side_j in enumerate(sides, start=1):
         if j > 1:
-            depth = depth - side_j - padding(sched, j - 1)
+            depth = depth - side_j - pads[j - 2]
         if not (math.isfinite(side_j) and math.isfinite(depth)):
             raise ScheduleError(f"box {j} leaves binary64: side {side_j!r}, "
                                 f"depth {depth!r}")
@@ -394,42 +395,22 @@ def build_stacked(sched: Schedule, count: int) -> Tuple[Boxes, GeometrySummary]:
 # certificates
 # -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InLayerGap:
-    """Minimum distance between distinct boxes of one level, with the value
-    the construction promises (d_i / ln(i+e))."""
+@dataclass(frozen=True, eq=False)
+class DisjointnessReport:
+    """The overlapping pairs (j, j') with j < j', and the measured gaps as
+    numpy record arrays, columns read as `report.cross.min_distance`.
 
-    layer: int
-    min_distance: float
-    expected: float
-
-    @property
-    def relative_error(self) -> float:
-        return abs(self.min_distance - self.expected) / self.expected
-
-
-@dataclass(frozen=True)
-class CrossLayerGap:
-    """Minimum distance between the boxes of two levels.
-
-    `required` is the floor d_{i'-1} for levels i < i'.  For adjacent levels
-    `constructive_gap` is the padding the height recursion inserted, which
-    the measured distance must reproduce; it is None otherwise.
+    `in_layer` has one row per level with two or more boxes: `layer`, the
+    minimum distance between its boxes and the value the construction
+    promises, `expected` = d_i / ln(i+e).  `cross` has one row per pair of
+    levels i < i', in order: `layer_a`, `layer_b`, the minimum distance
+    between their boxes and the floor `required` = d_{i'-1}.
     """
 
-    layer_a: int
-    layer_b: int
-    min_distance: float
-    required: float
-    constructive_gap: Optional[float]
-
-
-@dataclass(frozen=True)
-class DisjointnessReport:
     box_count: int
     overlap_pairs: Tuple[Tuple[int, int], ...]
-    in_layer: Tuple[InLayerGap, ...]
-    cross: Tuple[CrossLayerGap, ...]
+    in_layer: np.recarray
+    cross: np.recarray
 
     @property
     def disjoint(self) -> bool:
@@ -442,14 +423,19 @@ class DisjointnessReport:
         cross-level distance below its floor; None when all pass."""
         if self.overlap_pairs:
             return f"{len(self.overlap_pairs)} overlapping pairs"
-        for g in self.in_layer:
-            if g.relative_error > 1e-12:
-                return (f"level {g.layer} in-layer gap {g.min_distance:.6g} against "
-                        f"{g.expected:.6g}, relative error {g.relative_error:.3g}")
-        for g in self.cross:
-            if not g.min_distance >= g.required * (1.0 - 1e-12):
-                return (f"levels {g.layer_a} and {g.layer_b} {g.min_distance:.6g} apart, "
-                        f"below the floor {g.required:.6g}")
+        g = self.in_layer
+        error = np.abs(g.min_distance - g.expected) / g.expected
+        off = np.flatnonzero(error > 1e-12)
+        if off.size:
+            p = off[0]
+            return (f"level {g.layer[p]} in-layer gap {g.min_distance[p]:.6g} against "
+                    f"{g.expected[p]:.6g}, relative error {error[p]:.3g}")
+        g = self.cross
+        low = np.flatnonzero(~(g.min_distance >= g.required * (1.0 - 1e-12)))
+        if low.size:
+            p = low[0]
+            return (f"levels {g.layer_a[p]} and {g.layer_b[p]} {g.min_distance[p]:.6g} apart, "
+                    f"below the floor {g.required[p]:.6g}")
         return None
 
     @property
@@ -634,10 +620,13 @@ def disjointness_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessRepor
     upper level against the highest box of the lower level) attains it, it
     is the minimum, and otherwise the two levels are swept together.  All
     distances are one formula, so the report equals the all-pairs
-    computation bit for bit.
+    computation bit for bit.  Its rows are columns of these arrays and of
+    one `paddings` call.
 
     Cost: O(N log N) for each partition pass and each sweep axis, plus the
-    candidate pairs, plus O(L^2 n) vectorized bounds for L levels.  A pair
+    candidate pairs, plus O(L^2 n) array work for L levels; only the level
+    pairs whose witness misses the bound (none on either builder's
+    arrangements) are visited one by one.  A pair
     split across groups is proved apart by the comparison that cuts it: the
     box at the cut starts beyond the upper coordinate of every box before it
     in its group (widened by the level's reach, rounded upward, for the
@@ -661,9 +650,7 @@ def disjointness_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessRepor
     overlaps = tuple(zip(boxes.j[first[o]].tolist(), boxes.j[second[o]].tolist()))
 
     # each level is one run of rows, from starts[p] on
-    layer_ids, starts, sizes = np.unique(boxes.layer, return_index=True,
-                                         return_counts=True)
-    layers = layer_ids.tolist()
+    layers, starts, sizes = np.unique(boxes.layer, return_index=True, return_counts=True)
     level = np.repeat(np.arange(len(layers)), sizes)
 
     # one sweep for every level, each widened by the distance of its first
@@ -676,45 +663,35 @@ def disjointness_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessRepor
     minima = np.full(len(layers), math.inf)
     for i, k in _sweep_pairs(lo, hi, reach[level], level):
         np.minimum.at(minima, level[i], _pair_distances(lo[i], hi[i], lo[k], hi[k]))
-    in_layer = [InLayerGap(layer=layers[p], min_distance=float(minima[p]),
-                           expected=padding(sched, layers[p])
-                           / math.log(layers[p] + math.e))
-                for p in multi.tolist()]
 
-    cross: List[CrossLayerGap] = []
-    if len(layers) > 1:
-        bb_lo = np.minimum.reduceat(lo, starts)
-        bb_hi = np.maximum.reduceat(hi, starts)
-        # the first row of each level at its lowest bottom and highest top
-        lowest = np.lexsort((lo[:, -1], level))[starts]
-        highest = np.lexsort((-hi[:, -1], level))[starts]
-        ia, ib = np.triu_indices(len(layers), 1)
-        bound = _pair_distances(bb_lo[ia], bb_hi[ia], bb_lo[ib], bb_hi[ib])
-        a_up = bb_lo[ia, -1] >= bb_lo[ib, -1]
-        wa = np.where(a_up, lowest[ia], lowest[ib])
-        wb = np.where(a_up, highest[ib], highest[ia])
-        witness = _pair_distances(lo[wa], hi[wa], lo[wb], hi[wb])
-        exact = witness == bound
-        for p, (a, b) in enumerate(zip(ia.tolist(), ib.tolist())):
-            if exact[p]:
-                measured = float(bound[p])
-            else:
-                pos = np.r_[starts[a]:starts[a] + sizes[a], starts[b]:starts[b] + sizes[b]]
-                measured = _min_distance(lo[pos], hi[pos], float(witness[p]), level[pos])
-            la, lb = layers[a], layers[b]
-            constructive = padding(sched, la) if lb == la + 1 else None
-            cross.append(CrossLayerGap(
-                layer_a=la, layer_b=lb, min_distance=measured,
-                required=padding(sched, lb - 1),
-                constructive_gap=constructive,
-            ))
+    bb_lo = np.minimum.reduceat(lo, starts)
+    bb_hi = np.maximum.reduceat(hi, starts)
+    # the first row of each level at its lowest bottom and highest top
+    lowest = np.lexsort((lo[:, -1], level))[starts]
+    highest = np.lexsort((-hi[:, -1], level))[starts]
+    ia, ib = np.triu_indices(len(layers), 1)
+    between = _pair_distances(bb_lo[ia], bb_hi[ia], bb_lo[ib], bb_hi[ib])
+    a_up = bb_lo[ia, -1] >= bb_lo[ib, -1]
+    wa = np.where(a_up, lowest[ia], lowest[ib])
+    wb = np.where(a_up, highest[ib], highest[ia])
+    witness = _pair_distances(lo[wa], hi[wa], lo[wb], hi[wb])
+    # where the witness misses the bound, the two levels are swept together
+    for p in np.flatnonzero(witness != between).tolist():
+        a, b = ia[p], ib[p]
+        pos = np.r_[starts[a]:starts[a] + sizes[a], starts[b]:starts[b] + sizes[b]]
+        between[p] = _min_distance(lo[pos], hi[pos], float(witness[p]), level[pos])
 
-    return DisjointnessReport(
-        box_count=len(boxes),
-        overlap_pairs=overlaps,
-        in_layer=tuple(in_layer),
-        cross=tuple(cross),
-    )
+    # d_i at every level with two or more boxes (its promised gap), then
+    # above every level but the first (the floor under it)
+    need, at = np.unique(np.concatenate((layers[multi], layers[1:] - 1)), return_inverse=True)
+    d = paddings(sched, need.tolist())[at]
+    log_e = np.array([math.log(i + math.e) for i in layers[multi].tolist()])
+    in_layer = np.rec.fromarrays((layers[multi], minima[multi], d[:len(multi)] / log_e),
+                                 names="layer,min_distance,expected")
+    cross = np.rec.fromarrays((layers[ia], layers[ib], between, d[len(multi) + ib - 1]),
+                              names="layer_a,layer_b,min_distance,required")
+    return DisjointnessReport(box_count=len(boxes), overlap_pairs=overlaps,
+                              in_layer=in_layer, cross=cross)
 
 
 @dataclass(frozen=True)

@@ -199,11 +199,11 @@ def _check_index(j: int, what: str) -> None:
         raise ScheduleError(f"{what} index must be >= 1, got {j}")
 
 
-def _table_values(values: Tuple[float, ...], js: range, what: str) -> np.ndarray:
+def _table_values(values: Tuple[float, ...], js: Sequence[int], what: str) -> np.ndarray:
     if js and js[-1] > len(values):
-        raise ScheduleError(
-            f"{what} table has {len(values)} entries, index "
-            f"{max(js[0], len(values) + 1)} queried; tables are never extrapolated")
+        past = next(j for j in js if j > len(values))
+        raise ScheduleError(f"{what} table has {len(values)} entries, index {past} "
+                            f"queried; tables are never extrapolated")
     return np.array([values[j - 1] for j in js], dtype=float)
 
 
@@ -240,13 +240,16 @@ def target_norms(sched: Schedule, js: range) -> np.ndarray:
     return np.array([fam.amplitude * float(j) ** fam.exponent for j in js], dtype=float)
 
 
-def padding(sched: Schedule, i: int) -> float:
-    """d_i, the vertical padding below layer i."""
-    _check_index(i, "padding")
+def paddings(sched: Schedule, js: Sequence[int]) -> np.ndarray:
+    """d_i, the vertical padding below level i, for i in the increasing
+    sequence js."""
+    if js:
+        _check_index(js[0], "padding")
     fam = sched.d_family
     if isinstance(fam, DTable):
-        return _table_values(fam.values, range(i, i + 1), "padding")[0].item()
-    return fam.amplitude * (i + fam.shift) ** (-fam.exponent)
+        return _table_values(fam.values, js, "padding")
+    return np.array([fam.amplitude * (i + fam.shift) ** (-fam.exponent) for i in js],
+                    dtype=float)
 
 
 def _side(n: int, k):

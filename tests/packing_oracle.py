@@ -3,9 +3,10 @@
 `all_pairs_certificate` builds the same `DisjointnessReport` as
 `trapcert.geometry.disjointness_certificate` by brute force: a chunked N x N
 overlap test, one all-pairs distance matrix per level and one all-pairs
-block per pair of levels.  It costs O(N^2) time and memory, so the tests run
-it only on small arrangements and require the two reports to be equal,
-field by field and bit for bit.
+block per pair of levels, each row in a Python loop with the scalar padding
+of `schedule_oracle`.  It costs O(N^2) time and memory, so the tests run it
+only on small arrangements and require the two reports to be equal, field
+by field and bit for bit (each record array by dtype and bytes).
 """
 
 import math
@@ -13,13 +14,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from trapcert.geometry import (
-    Boxes,
-    CrossLayerGap,
-    DisjointnessReport,
-    InLayerGap,
-)
-from trapcert.sequences import Schedule, padding
+from schedule_oracle import padding
+from trapcert.geometry import Boxes, DisjointnessReport
+from trapcert.sequences import Schedule
 
 
 def _group_min_distance(lo_a, hi_a, lo_b, hi_b) -> float:
@@ -65,31 +62,34 @@ def all_pairs_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessReport:
     for pos, la in enumerate(layer_of):
         idx[la].append(pos)
 
-    in_layer: List[InLayerGap] = []
+    in_layer: List[Tuple[int, float, float]] = []
     for la in layers:
         pos = idx[la]
         if len(pos) < 2:
             continue
         measured = _in_group_min_distance(lo[pos], hi[pos])
         expected = padding(sched, la) / math.log(la + math.e)
-        in_layer.append(InLayerGap(layer=la, min_distance=measured,
-                                   expected=expected))
+        in_layer.append((la, measured, expected))
 
-    cross: List[CrossLayerGap] = []
+    cross: List[Tuple[int, int, float, float]] = []
     for a_idx, la in enumerate(layers):
         for lb in layers[a_idx + 1:]:
             measured = _group_min_distance(lo[idx[la]], hi[idx[la]],
                                            lo[idx[lb]], hi[idx[lb]])
-            constructive = padding(sched, la) if lb == la + 1 else None
-            cross.append(CrossLayerGap(
-                layer_a=la, layer_b=lb, min_distance=measured,
-                required=padding(sched, lb - 1),
-                constructive_gap=constructive,
-            ))
+            cross.append((la, lb, measured, padding(sched, lb - 1)))
 
     return DisjointnessReport(
         box_count=n_boxes,
         overlap_pairs=tuple(overlaps),
-        in_layer=tuple(in_layer),
-        cross=tuple(cross),
+        in_layer=_records(in_layer, "layer,min_distance,expected", 1),
+        cross=_records(cross, "layer_a,layer_b,min_distance,required", 2),
     )
+
+
+def _records(rows, names: str, ints: int) -> np.recarray:
+    """The rows as a record array whose first `ints` fields are int64 and
+    the others float64 (the dtype is explicit, so it also holds for no
+    rows)."""
+    fields = names.split(",")
+    dtype = [(name, np.int64 if f < ints else np.float64) for f, name in enumerate(fields)]
+    return np.rec.array(np.array(rows, dtype=dtype))

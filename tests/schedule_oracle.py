@@ -4,7 +4,8 @@
 box index, in the order wavenumber, target, gap fraction.  The tests
 require `sequences.derived_columns` (and the one-element calls built on
 it) to equal it bit for bit, and to raise the same exception with the same
-message on the first failing box.
+message on the first failing box.  `padding` is the same reference for
+`sequences.paddings`.
 """
 
 import math
@@ -14,6 +15,7 @@ import mpmath as mp
 from trapcert.sequences import (
     ATable,
     DerivedParams,
+    DTable,
     KTable,
     Schedule,
     ScheduleError,
@@ -62,6 +64,14 @@ def target_norm(sched: Schedule, j: int) -> float:
     if isinstance(fam, ATable):
         return _table_lookup(fam.values, j, "target")
     return fam.amplitude * float(j) ** fam.exponent
+
+
+def padding(sched: Schedule, i: int) -> float:
+    _check_index(i, "padding")
+    fam = sched.d_family
+    if isinstance(fam, DTable):
+        return _table_lookup(fam.values, i, "padding")
+    return fam.amplitude * (i + fam.shift) ** (-fam.exponent)
 
 
 def gap_fraction(n: int, k: float, a: float) -> float:

@@ -34,7 +34,7 @@ from trapcert.geometry import (
     layer_plans,
     suggested_resolution,
 )
-from trapcert.sequences import demo_schedule, gap_fractions, padding
+from trapcert.sequences import demo_schedule, gap_fractions, paddings
 from trapcert.specfun import selftest_grid
 
 
@@ -301,10 +301,14 @@ def test_criterion_11_packing_invariants():
     boxes, _ = build_layered(sched, 3)
     report = disjointness_certificate(boxes, sched)
     disjoint_ok = report.disjoint and not report.overlap_pairs
-    in_layer_ok = all(g.relative_error <= 1.0e-12 for g in report.in_layer)
-    adjacent = [g for g in report.cross if g.layer_b == g.layer_a + 1]
-    cross_ok = bool(adjacent) and all(
-        g.constructive_gap == padding(sched, g.layer_a) for g in adjacent)
+    gaps = report.in_layer
+    in_layer_ok = bool((abs(gaps.min_distance - gaps.expected) / gaps.expected
+                        <= 1.0e-12).all())
+    # each adjacent pair's measured distance against d_(layer_a)
+    adjacent = report.cross[report.cross.layer_b == report.cross.layer_a + 1]
+    d = paddings(sched, adjacent.layer_a.tolist())
+    cross_ok = len(adjacent) > 0 and bool(
+        (abs(adjacent.min_distance - d) / d <= 1.0e-12).all())
 
     res = suggested_resolution(boxes)
     open_connected = flood_fill_oracle(boxes, res)

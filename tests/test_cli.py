@@ -117,6 +117,25 @@ def test_config_truncation_exclusive():
         config_from_mapping(demo_mapping(boxCount=7))
 
 
+@pytest.mark.parametrize("layout, key, other", [("layered", "layers", "boxCount"),
+                                                ("stacked", "boxCount", "layers")])
+def test_config_refuses_the_truncation_key_of_the_other_layout(tmp_path, capsys, layout,
+                                                               key, other):
+    doc = demo_mapping() if layout == "layered" else stacked_table_mapping()
+    doc[other] = doc.pop(key)
+    refusal = f"layout '{layout}' takes '{key}', not '{other}'"
+    with pytest.raises(ConfigError) as info:
+        config_from_mapping(doc)
+    assert str(info.value) == refusal
+    assert run(["plan", "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr() == ("", f"error: {refusal}\n")
+    # --layers overrides the key the layout takes
+    doc[key] = doc.pop(other)
+    assert run(["plan", "--config", write_config(tmp_path, doc), "--layers", "2"]) == 0
+    total = "total boxes through level 2: 4" if layout == "layered" else "total boxes: 2"
+    assert capsys.readouterr().out.endswith(f"{total}\n")
+
+
 def test_config_type_validation():
     with pytest.raises(ConfigError, match="dimension"):
         config_from_mapping(demo_mapping(dimension="2"))
@@ -466,6 +485,7 @@ def test_run_build_dimension_nine(tmp_path, capsys):
 
 def test_run_stacked_needs_wavenumber_table(tmp_path, capsys):
     doc = demo_mapping(layout="stacked")
+    doc["boxCount"] = doc.pop("layers")
     cfg = write_config(tmp_path, doc)
     assert run(["build", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -539,7 +559,9 @@ def test_run_plan_stacked_prints_the_built_depths(tmp_path, capsys):
 
 
 def test_run_plan_stacked_log_growth_exit_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, demo_mapping(layout="stacked"))
+    doc = demo_mapping(layout="stacked")
+    doc["boxCount"] = doc.pop("layers")
+    cfg = write_config(tmp_path, doc)
     assert run(["plan", "--config", cfg]) == 2
     assert "summable" in capsys.readouterr().err
 

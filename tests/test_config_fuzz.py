@@ -49,6 +49,15 @@ SWEEP = st.fixed_dictionaries(
     optional={"nValues": st.lists(st.integers(2, 4), min_size=1, max_size=2),
               "rhoMin": NUMBER, "rhoMax": NUMBER})
 
+
+def _truncation_key(doc):
+    """The document with its truncation under the key its layout takes."""
+    if doc["layout"] == "stacked":
+        doc = dict(doc)
+        doc["boxCount"] = doc.pop("layers")
+    return doc
+
+
 # a document always holds a sweep, so that verify-dtn never falls back to
 # its 2,000-radius default grid
 WELL_FORMED = st.fixed_dictionaries({
@@ -57,7 +66,7 @@ WELL_FORMED = st.fixed_dictionaries({
     "layout": st.sampled_from(["layered", "stacked"]),
     "layers": st.integers(1, 4),
     "sweep": SWEEP,
-}, optional={"precisionDigits": st.integers(15, 30)})
+}, optional={"precisionDigits": st.integers(15, 30)}).map(_truncation_key)
 
 KEYS = ("dimension", "schedule", "layout", "layers", "sweep", "boxCount",
         "precisionDigits", "outputs")

@@ -19,10 +19,8 @@ from columns import make_boxes, take, with_values
 from packing_oracle import all_pairs_certificate, all_pairs_min_distance
 from trapcert.geometry import (
     Boxes,
-    CrossLayerGap,
     DisjointnessReport,
     GeometryError,
-    InLayerGap,
     ResolutionTooCoarseError,
     _blocked_raster,
     _feature_scale,
@@ -50,7 +48,7 @@ from trapcert.sequences import (
     Schedule,
     ScheduleError,
     demo_schedule,
-    padding,
+    paddings,
     sidelengths,
     volume_sum,
 )
@@ -208,10 +206,10 @@ def test_heights_strictly_decreasing_with_constructive_gaps():
                                  boxes.side.tolist()):
         height[layer] = base
         top[layer] = max(top.get(layer, -math.inf), base + side)
-    for i in range(1, 6):
+    for i, d_i in enumerate(paddings(S2, range(1, 6)).tolist(), start=1):
         gap = height[i] - top[i + 1]
         assert gap > 0.0
-        assert rel(gap, padding(S2, i)) < 1e-12
+        assert rel(gap, d_i) < 1e-12
 
 
 def test_summary_demo_values():
@@ -414,9 +412,13 @@ def test_stacked_disjointness_generic():
     boxes, _ = build_stacked(sched, 3)
     report = disjointness_certificate(boxes, sched)
     assert report.passed and report.disjoint
-    assert report.in_layer == ()  # singleton levels
-    adjacent = [g for g in report.cross if g.constructive_gap is not None]
-    assert [g.constructive_gap for g in adjacent] == [1.0, 0.5]
+    assert len(report.in_layer) == 0  # singleton levels
+    adjacent = report.cross[report.cross.layer_b == report.cross.layer_a + 1]
+    assert adjacent.layer_a.tolist() == [1, 2]
+    # the measured gaps are the paddings the depth recursion inserted
+    d = paddings(sched, adjacent.layer_a.tolist())
+    assert d.tolist() == [1.0, 0.5]
+    assert (abs(adjacent.min_distance - d) / d <= 1e-12).all()
 
 
 # -------------------------------------------------------------------
@@ -471,16 +473,19 @@ def test_disjointness_demo_three_layers():
     report = disjointness_certificate(boxes, S2)
     assert report.passed
     assert report.overlap_pairs == ()
-    gaps = {g.layer: g for g in report.in_layer}
-    assert set(gaps) == {2, 3}
-    assert rel(gaps[3].expected, GAP_IN_LAYER_3) < 1e-13
-    assert gaps[3].relative_error <= 1e-12
-    for g in report.cross:
-        if g.constructive_gap is not None:
-            assert g.constructive_gap == padding(S2, g.layer_a)
-            assert rel(g.min_distance, g.constructive_gap) <= 1e-12
-        assert g.required == padding(S2, g.layer_b - 1)
-        assert g.min_distance >= g.required * (1 - 1e-12)
+    gaps = report.in_layer
+    assert gaps.layer.tolist() == [2, 3]
+    assert rel(gaps.expected[1], GAP_IN_LAYER_3) < 1e-13
+    assert rel(gaps.min_distance[1], gaps.expected[1]) <= 1e-12
+    cross = report.cross
+    assert list(zip(cross.layer_a.tolist(), cross.layer_b.tolist())) == [(1, 2), (1, 3),
+                                                                         (2, 3)]
+    d = paddings(S2, range(1, 3))
+    assert cross.required.tolist() == [d[0], d[1], d[1]]
+    # adjacent levels are exactly their padding apart, the others farther
+    assert rel(cross.min_distance[0], d[0]) <= 1e-12
+    assert rel(cross.min_distance[2], d[1]) <= 1e-12
+    assert (cross.min_distance >= cross.required * (1 - 1e-12)).all()
 
 
 def test_disjointness_demo_thirty_layers():
@@ -489,7 +494,8 @@ def test_disjointness_demo_thirty_layers():
     assert report.passed
     assert report.box_count == 1413
     assert len(report.cross) == 30 * 29 // 2
-    assert max(g.relative_error for g in report.in_layer) <= 1e-12
+    gaps = report.in_layer
+    assert (abs(gaps.min_distance - gaps.expected) / gaps.expected <= 1e-12).all()
 
 
 def test_disjointness_flags_overlap():
@@ -503,9 +509,10 @@ def test_disjointness_flags_overlap():
 
 
 def test_disjointness_failure_names_the_first_failing_check():
-    gaps = (InLayerGap(1, 2.0, 2.0), InLayerGap(2, 1.0, 1.25), InLayerGap(3, 1.0, 2.0))
-    floors = (CrossLayerGap(1, 2, 3.0, 3.0, 3.0), CrossLayerGap(1, 3, 0.5, 0.75, None),
-              CrossLayerGap(2, 3, 0.25, 0.75, 0.75))
+    gaps = np.rec.fromrecords([(1, 2.0, 2.0), (2, 1.0, 1.25), (3, 1.0, 2.0)],
+                              names="layer,min_distance,expected")
+    floors = np.rec.fromrecords([(1, 2, 3.0, 3.0), (1, 3, 0.5, 0.75), (2, 3, 0.25, 0.75)],
+                                names="layer_a,layer_b,min_distance,required")
     report = DisjointnessReport(9, ((0, 1), (2, 3)), gaps, floors)
     assert report.failure == "2 overlapping pairs"
     report = dataclasses.replace(report, overlap_pairs=())
@@ -528,8 +535,12 @@ def test_disjointness_touching_closures_flagged():
 def assert_matches_all_pairs(boxes, sched):
     report = disjointness_certificate(boxes, sched)
     oracle = all_pairs_certificate(boxes, sched)
-    assert report == oracle
-    assert repr(report) == repr(oracle)  # same types and float bits
+    assert repr((report.box_count, report.overlap_pairs)) == repr(
+        (oracle.box_count, oracle.overlap_pairs))  # same types as well
+    for name in ("in_layer", "cross"):
+        got, want = getattr(report, name), getattr(oracle, name)
+        assert isinstance(got, np.recarray), name
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     return report
 
 
@@ -698,10 +709,11 @@ def test_partition_merges_reach_widened_chains():
     assert partition_axes(boxes, reach)[1] == [{1, 2}, {3, 4, 5}]
     assert partition_axes(boxes)[1] == []  # unwidened, every gap splits
     report = assert_matches_all_pairs(boxes, S2)
-    assert [g.min_distance for g in report.in_layer] == [0.25]
+    assert report.in_layer.min_distance.tolist() == [0.25]
     # the chain's minimum is found however its boxes are numbered
     shuffled = squares([corners[r] for r in [4, 0, 5, 2, 1, 3]], [1.0] * 6)
-    assert assert_matches_all_pairs(shuffled, S2).in_layer == report.in_layer
+    assert assert_matches_all_pairs(shuffled, S2).in_layer.tobytes() == (
+        report.in_layer.tobytes())
 
 
 @pytest.mark.parametrize("n, layers, in_level_max", [(4, 6, 300), (9, 2, 30_000)])

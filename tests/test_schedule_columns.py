@@ -36,6 +36,7 @@ from trapcert.sequences import (
     derived_params,
     gap_fractions,
     growth_floor_check,
+    paddings,
     sidelengths,
     target_norms,
     wavenumbers,
@@ -185,6 +186,16 @@ def test_index_errors_equal_the_oracle(j):
         assert expected[0] is ScheduleError
         query = j if got is derived_params else range(j, j + 3)
         assert outcome(lambda: got(sched, query)) == expected
+
+
+@pytest.mark.parametrize("js", [range(1, 200), [3, 7, 40], range(0, 3), range(-3, 0),
+                                range(58, 63), [2, 62, 70]])
+@pytest.mark.parametrize("sched", [demo_schedule(2), table_schedule()],
+                         ids=["shifted-power", "table"])
+def test_paddings_equal_the_oracle(sched, js):
+    # the values, or the error of the first index that fails
+    assert outcome(lambda: hexes(paddings(sched, js))) == outcome(
+        lambda: [oracle.padding(sched, i).hex() for i in js])
 
 
 IDENTITY = "design identity 1 + 2k sqrt(2k^2 a^2 + a) leaves binary64 at n=2"

@@ -17,8 +17,8 @@ from trapcert.sequences import (
     derived_params,
     gap_fractions,
     growth_floor_check,
-    padding,
     padding_tail_bound,
+    paddings,
     sidelengths,
     target_norms,
     volume_sum,
@@ -80,7 +80,7 @@ def test_target_norm_demo_family():
 
 def test_padding_positive_decreasing():
     s = demo_schedule(2)
-    ds = [padding(s, i) for i in range(1, 200)]
+    ds = paddings(s, range(1, 200)).tolist()
     assert all(d > 0 for d in ds)
     assert all(b < a for a, b in zip(ds, ds[1:]))
 
@@ -217,7 +217,7 @@ def test_partial_inverse_power_sum_dominates_last_term():
 @pytest.mark.parametrize("i0", [10, 100])
 def test_padding_tail_bound_dominates_partial_sums(i0):
     s = demo_schedule(2)
-    tail = math.fsum(padding(s, i) for i in range(i0 + 1, 11 * i0))
+    tail = math.fsum(paddings(s, range(i0 + 1, 11 * i0)).tolist())
     assert tail < padding_tail_bound(s, i0)
 
 
@@ -324,4 +324,4 @@ def test_tables_accept_lists():
     s = Schedule(2, KTable([5.0, 7.0]), ATable([1.0, 1.0]), DTable([0.5, 0.25]))
     assert wavenumbers(s, range(1, 3)).tolist() == [5.0, 7.0]
     assert target_norms(s, range(1, 3)).tolist() == [1.0, 1.0]
-    assert padding(s, 2) == 0.25
+    assert paddings(s, [2]).tolist() == [0.25]

@@ -540,6 +540,30 @@ def test_selftest_rows_do_not_depend_on_the_batch_size(monkeypatch, batch):
         assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
+def test_sweep_ladder_route_holds_the_selftest_bounds():
+    # the DtN sweep takes its entries from `ladder_batches`, whose bits need
+    # not equal the per-point route the selftest checks: the integer and the
+    # half-integer ladders cover the selftest grid and meet both its bounds
+    nus, ts = validation_grid()
+    t = np.array(ts)
+    ladders = ladder_batches([(0.0, 100), (0.5, 99)], ts)
+    assert sorted(b.mu0 + i for b in ladders for i in range(b.jm.shape[1])) == nus
+    names = ("jm", "jpm", "ej", "ym", "ypm", "ey")
+    residuals = np.concatenate([specfun._wronskian_residuals(
+        t[:, None], *(getattr(b, name) for name in names)) for b in ladders], axis=1)
+    assert residuals.size == 80_400
+    assert residuals.max() <= specfun._SELFTEST_WRONSKIAN_TOL
+    # the closed-form box: orders m + 1/2 for m = 0..20, t in [0.1, 100]
+    box = (0.1 <= t) & (t <= 100.0)
+    m = np.arange(21)
+    half = ladders[1]
+    h = specfun._hankel_pairs(3, m + 0.5, t[box, None],
+                              *(getattr(half, name)[box, :21] for name in names))
+    errors = specfun._halfint_errors(h, specfun._spherical_closed_batch(m, 3, t[box, None]))
+    assert errors.size == 5_859
+    assert errors.max() <= specfun._SELFTEST_HALFINT_TOL
+
+
 @pytest.mark.parametrize("kind", ["CF1", "CF2"])
 def test_batched_stall_names_the_first_point_like_the_scalar_route(monkeypatch, kind):
     for module in (specfun, oracles):
