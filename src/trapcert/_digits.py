@@ -1,22 +1,24 @@
-"""The bytes that `'%.17g' % v` and `'%.6f' % v` write, for a whole column
-at once.
+"""The bytes that `'%.17g' % v`, `'%.6f' % v` and `'%d' % v` write, for a
+column, or a stack of columns, at once.
 
 A formatter returns a uint8 canvas, one row per value, in which byte 0
 marks "no byte"; `join` lays canvases and literals side by side and drops
-those bytes.  The digits are those of an exact integer N, after Loitsch,
-"Printing floating-point numbers quickly and accurately with integers"
-(PLDI 2010):
+those bytes, as bytes.  The digits are those of an exact integer N, after
+Loitsch, "Printing floating-point numbers quickly and accurately with
+integers" (PLDI 2010); leading zeros are byte 0, the units digit kept:
 
 - `%.17g`: N = round-half-even(|x| 10^s), s = 16 - E.  10^s is held as a
   double-double hi + lo, and TwoProduct (Veltkamp split, as numpy has no
   fma) makes |x| hi = p + e exact.  E is decided on the unrounded p + e.
   Where 10^s is a double (lo == 0) N is exact; elsewhere p + e is off by
   less than 1e-14, so a value within 2^-40 of a rounding tie is left to `%`.
+  A table per layout is gathered one output column at a time.
 - `%.6f`: N = round-half-even(|x| 10^6), exact by TwoProduct; a tie of the
-  rounded product is decided by the sign of its error.  The sign prints only
-  when N != 0, so a value that rounds to zero prints unsigned.
+  rounded product is decided by the sign of its error.  One layout: sign,
+  integer digits, ".", 6 decimals; the sign only where N != 0.
+- `%d`: the digits of an integer 1 <= v < 10^16.
 
-Zero, subnormal, non-finite and out-of-range values get `%`, one by one.
+Zero, subnormal, non-finite and out-of-range floats get `%`, one by one.
 """
 
 from __future__ import annotations
@@ -36,14 +38,9 @@ _E16 = 10 ** 16
 _E_MAX = 299
 _POW10 = 10 ** np.arange(17, dtype=np.int64)
 _ZERO, _MINUS = ord("0"), ord("-")
-# a source row: [no byte, sign, d0, 16 digits, ".", "0", "e", exponent sign,
-# exponent digits]; `%.6f` puts the digits of N in d1..d16
+# a `%.17g` source row: [no byte, sign, d0, 16 digits, ".", "0", "e",
+# exponent sign, exponent digits]
 _SIGN, _D, _DOT, _NOUGHT, _E = 1, list(range(2, 19)), 19, 20, 21
-
-
-def _pad(rows):
-    width = max(map(len, rows))
-    return np.array([row + [0] * (width - len(row)) for row in rows], np.intp)
 
 
 def _power(s):
@@ -57,7 +54,7 @@ def _power(s):
 
 def _g17_layouts():
     """Per (fixed notation at E = -4..16, or scientific; digits kept 1..17)
-    the source bytes of a `%.17g` field, in order."""
+    the source bytes of a `%.17g` field, in order; one column per case."""
     rows = []
     for exp in [*range(-4, 17), None]:
         for kept in range(1, 18):
@@ -67,7 +64,8 @@ def _g17_layouts():
             elif exp is not None:
                 point = _D[:exp + 1] + ([_DOT] + _D[exp + 1:kept] if kept > exp + 1 else [])
             rows.append([_SIGN] + ([_D[0]] if exp is None else []) + point)
-    return _pad(rows)
+    width = max(map(len, rows))
+    return np.array([row + [0] * (width - len(row)) for row in rows], np.intp).T.copy()
 
 
 class _Tables(NamedTuple):
@@ -75,8 +73,7 @@ class _Tables(NamedTuple):
     hi: np.ndarray  # 10^s = hi + lo for s in [_S_LO, _S_HI]; lo == 0 where
     lo: np.ndarray  # 10^s is a double
     tails: np.ndarray  # exponent sign and digits as uint32, from E = -_E_MAX
-    f6: np.ndarray  # per layout case, the source bytes of a field in order
-    g17: np.ndarray
+    g17: np.ndarray  # per output byte, the source byte of each layout case
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,10 +84,8 @@ def _tables() -> _Tables:
     # two exponent digits at least
     tails = b"".join(b"%c%c%02d" % (b"+-"[e < 0], _ZERO + abs(e) // 100 if abs(e) > 99 else 0,
                                      abs(e) % 100) for e in range(-_E_MAX, _E_MAX + 1))
-    # `%.6f` by digit count c >= 7 of N: the point ahead of the last six
-    f6 = [[_SIGN] + _D[17 - c:11] + [_DOT] + _D[11:] for c in range(17)]
     return _Tables((groups + _ZERO).astype(np.uint8).view(np.uint32).ravel(), hi, lo,
-                   np.frombuffer(tails, np.uint32), _pad(f6), _g17_layouts())
+                   np.frombuffer(tails, np.uint32), _g17_layouts())
 
 
 def _two_product(a, b):
@@ -106,23 +101,30 @@ def _split(a):
     return high, a - high
 
 
-def _source(lead, n, negative) -> np.ndarray:
-    """Source rows with digit d0 = `lead`, d1..d16 those of n < 10^16."""
-    high, low = np.divmod(n, 10 ** 8)
-    quads = np.stack([*np.divmod(high, 10 ** 4), *np.divmod(low, 10 ** 4)], axis=1)
-    src = np.zeros((len(n), 26), np.uint8)
-    src[:, _SIGN] = np.where(negative, _MINUS, 0)
-    src[:, _D[0]] = lead + _ZERO
-    src[:, _D[1]:_DOT] = _tables().groups[quads].view(np.uint8)
-    src[:, _DOT:_E + 1] = np.frombuffer(b".0e", np.uint8)
-    return src
+def _digits16(n, units=0) -> np.ndarray:
+    """The 16 digits of each n < 10^16, leading zeros before column `units` byte 0."""
+    groups, high = _tables().groups, n // 10 ** 8
+    digits = np.empty((len(n), 4), np.uint32)
+    # the halves below 10^8 as int32, which divides faster than int64
+    for k, half in enumerate((high.astype(np.int32), (n - high * 10 ** 8).astype(np.int32))):
+        top = half // 10 ** 4
+        digits[:, 2 * k], digits[:, 2 * k + 1] = groups.take(top), groups.take(half - top * 10 ** 4)
+    digits = digits.view(np.uint8)
+    digits[:, :units] *= n[:, None] >= _POW10[15:15 - units:-1]
+    return digits
 
 
-def _field(src, table, case, values, slow, template) -> np.ndarray:
-    """Row i is src[i, table[case[i]]], and `template % v` in `slow` rows."""
-    index = table[case]
-    index += (np.arange(len(src)) * src.shape[1])[:, None]
-    field = src.ravel().take(index)
+def _field(src, table, case) -> np.ndarray:
+    """Row i is src[i, table[:, case[i]]], one output column at a time."""
+    flat, base = src.ravel(), np.arange(0, src.size, src.shape[1])
+    field = np.empty((len(src), len(table)), np.uint8)
+    for w, column in enumerate(table):
+        field[:, w] = flat.take(base + column.take(case))
+    return field
+
+
+def _fallback(field, values, slow, template) -> np.ndarray:
+    """`field` with `template % v` in its `slow` rows, widened to fit."""
     rows = np.flatnonzero(slow)
     if len(rows):
         texts = [(template % v).encode("ascii") for v in values[rows].tolist()]
@@ -133,23 +135,35 @@ def _field(src, table, case, values, slow, template) -> np.ndarray:
     return field
 
 
+def d(values) -> np.ndarray:
+    """Canvas of `'%d' % v`, for integers 1 <= v < 10^16."""
+    values = np.asarray(values, dtype=np.int64)
+    if not ((values >= 1) & (values < _E16)).all():
+        raise ValueError("the '%d' canvas takes integers 1 <= v < 10^16")
+    return _digits16(values, 15)
+
+
 def f6(values) -> np.ndarray:
     """Canvas of `'%.6f' % v`, unsigned where v rounds to zero."""
-    values = np.asarray(values, dtype=float)
+    shape = np.shape(values)
+    values = np.asarray(values, dtype=float).ravel()
     with np.errstate(invalid="ignore"):
         slow = ~(np.abs(values) < _F_MAX)
     p, e = _two_product(np.abs(np.where(slow, 0.0, values)), 1e6)
     r = np.rint(p)
     tie = np.abs(p - r) == 0.5
     n = np.where(tie & (e != 0), p + np.copysign(0.5, e), r).astype(np.int64)
-    src = _source(0, n, np.signbit(values) & (n != 0))
-    count = np.maximum(np.searchsorted(_POW10, n, side="right"), 7)
-    return _field(src, _tables().f6, count, values, slow, "%.6f")
+    del p, e, r, tie
+    places = len(str(n.max(initial=0) // 10 ** 6))  # integer digits of the largest
+    field = np.insert(_digits16(n, 9)[:, 10 - places:], [0, places], [0, ord(".")], axis=1)
+    np.copyto(field[:, 0], _MINUS, where=np.signbit(values) & (n != 0))
+    return _fallback(field, values, slow, "%.6f").reshape(*shape, -1)
 
 
 def g17(values) -> np.ndarray:
     """Canvas of `'%.17g' % v`."""
-    values = np.asarray(values, dtype=float)
+    shape = np.shape(values)
+    values = np.asarray(values, dtype=float).ravel()
     a = np.abs(values)
     with np.errstate(invalid="ignore"):
         slow = ~((a >= _G_RANGE[0]) & (a < _G_RANGE[1]))
@@ -166,15 +180,21 @@ def g17(values) -> np.ndarray:
     slow |= inexact & (np.abs(e - np.floor(e) - 0.5) < _NEAR_TIE)
     # p >= 10^16 > 2^53 is an even integer, so p + rint(e) rounds half-even
     n = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    del a, p, e, inexact, off  # freed before the layout is built, to lower the peak
     carry = n == 10 * _E16
     n[carry] = _E16
     exp += carry
-    lead = n // _E16
-    src = _source(lead, n - lead * _E16, np.signbit(values))
+    src = np.zeros((len(n), 26), np.uint8)
+    np.copyto(src[:, _SIGN], _MINUS, where=np.signbit(values))
+    src[:, _D[0]] = n // _E16 + _ZERO
+    n %= _E16
+    src[:, _D[1]:_DOT] = _digits16(n)
+    src[:, _DOT:_E + 1] = np.frombuffer(b".0e", np.uint8)
     src[:, _E + 1:] = _tables().tails[exp + _E_MAX].view(np.uint8).reshape(-1, 4)
     kept = 17 - np.argmax(src[:, _D[-1]:_SIGN:-1] != _ZERO, axis=1)
     case = np.where((exp >= -4) & (exp < 17), exp + 4, 21) * 17 + kept - 1
-    return _field(src, _tables().g17, case, values, slow, "%.17g")
+    del n, exp, carry, kept
+    return _fallback(_field(src, _tables().g17, case), values, slow, "%.17g").reshape(*shape, -1)
 
 
 def _scaled(a, exp):
@@ -192,8 +212,8 @@ def _outside(p, e):
     return high.astype(np.int64) - low
 
 
-def join(parts: List[Union[bytes, np.ndarray]]) -> str:
-    """The rows of literals and canvases side by side, as one string.
+def join(parts: List[Union[bytes, np.ndarray]]) -> bytes:
+    """The rows of literals and canvases side by side, as one bytes object.
     Empties `parts`, so that each canvas is freed once it is copied."""
     rows = next(len(p) for p in parts if isinstance(p, np.ndarray))
     widths = [len(p) if isinstance(p, bytes) else p.shape[1] for p in parts]
@@ -206,4 +226,4 @@ def join(parts: List[Union[bytes, np.ndarray]]) -> str:
         start += width
     text = canvas.tobytes()
     del canvas
-    return text.translate(None, b"\0").decode("ascii")
+    return text.translate(None, b"\0")

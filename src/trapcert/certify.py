@@ -38,7 +38,7 @@ from typing import Tuple
 import numpy as np
 
 from trapcert.geometry import Boxes
-from trapcert.sequences import defining_relation, design_identity
+from trapcert.sequences import defining_relation, design_identity, powers
 
 
 class CertifyError(ValueError):
@@ -110,8 +110,7 @@ def _infsup(n: int, eps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     c_n = (2.0 ** ((n - 1) / 2.0) * math.pi ** (n - 1.5)
            / (3.0 ** ((n - 1) / 2.0) * n ** 0.75))
     p = 1.5 * (n - 1)
-    power = np.array([e ** p if 0.0 < e < 1.0 else math.nan
-                      for e in eps.tolist()], dtype=float)
+    power = powers(np.where((eps > 0.0) & (eps < 1.0), eps, math.nan), p)
     return c_n * power, power >= sys.float_info.min
 
 

@@ -7,7 +7,7 @@ written to a temporary sibling and renamed into place, which leaves no
 partial artifact behind on failure.  The JSON, CSV and SVG emitters stream
 their text into that sibling in blocks of rows: the JSON block is one `%`
 call, and the CSV and SVG numbers come from the exact digit kernel in
-`trapcert._digits`, which writes the bytes of `%.17g` and `%.6f`.
+`trapcert._digits`, which writes the bytes of `%.17g`, `%.6f` and `%d`.
 
 Exit codes follow one contract for every subcommand: 0 on success, 1 when a
 certificate or sign check fails (the run itself worked, the claim did not
@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import astuple, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -326,10 +326,10 @@ def load_config(path: str) -> RunConfig:
 # deterministic emitters
 # -------------------------------------------------------------------
 
-def _write_text_atomic(path: str, chunks: Iterable[str]) -> None:
-    """Write the concatenated chunks via a temporary sibling and rename, so
-    failures (also one raised while the chunks are produced) leave either
-    the old file or nothing.  A missing parent directory is created."""
+def _write_text_atomic(path: str, chunks: Iterable[Union[str, bytes]]) -> None:
+    """Write the concatenated chunks (str as UTF-8) via a temporary sibling
+    and rename, so failures (also one raised while the chunks are produced)
+    leave either the old file or nothing.  Makes a missing parent directory."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
@@ -338,9 +338,10 @@ def _write_text_atomic(path: str, chunks: Iterable[str]) -> None:
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            # each chunk is freed once written
-            handle.writelines(chunks)
+        with os.fdopen(fd, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+                del chunk  # freed once written, not while the next one is made
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -394,7 +395,7 @@ def _row_blocks(row: str, columns: Sequence[np.ndarray]) -> Iterator[str]:
         yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
-def _svg_blocks(boxes: Boxes) -> Iterator[str]:
+def _svg_blocks(boxes: Boxes) -> Iterator[Union[str, bytes]]:
     """The SVG text in blocks, every number `%.6f` with no sign on a value
     that rounds to zero.  The arrangement is checked here, before the first
     block is asked for."""
@@ -413,7 +414,7 @@ def _svg_blocks(boxes: Boxes) -> Iterator[str]:
             (xs_hi - xs_lo) + 2.0 * margin, (ys_hi - ys_lo) + 2.0 * margin)
     stroke = max(1.0e-6, 0.02 * boxes.side.min().item())
     *view_text, stroke_text = _digits.join(
-        [_digits.f6(np.array([*view, stroke])), b" "]).split()
+        [_digits.f6(np.array([*view, stroke])), b" "]).decode("ascii").split()
     return itertools.chain([
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{" ".join(view_text)}">\n'
@@ -422,17 +423,18 @@ def _svg_blocks(boxes: Boxes) -> Iterator[str]:
         _path_blocks(boxes), ["</g>\n</svg>\n"])
 
 
-def _path_blocks(boxes: Boxes) -> Iterator[str]:
+def _path_blocks(boxes: Boxes) -> Iterator[bytes]:
     for rows in _blocks(len(boxes)):
         (x0, y0), side = boxes.lo[rows].T, boxes.side[rows]
-        # the five distinct numbers of a path, each formatted once
-        slot, low, x1, top, left = (_digits.f6(c) for c in (
+        # the five distinct numbers of a path, each formatted once, in one call
+        slot, low, x1, top, left = _digits.f6((
             x0 + side * boxes.gap[rows], -y0, x0 + side, -(y0 + side), x0))
         # start at the slot's inner end, trace bottom-right-top-left back to
         # the corner; the fill closes the subpath, the stroke leaves it open
-        yield _digits.join([b'<path d="M ', slot, b" ", low, b" L ", x1, b" ", low,
-                             b" L ", x1, b" ", top, b" L ", left, b" ", top,
-                             b" L ", left, b" ", low, b'"/>\n'])
+        parts = [b'<path d="M ', slot, b" ", low, b" L ", x1, b" ", low, b" L ", x1, b" ",
+                 top, b" L ", left, b" ", top, b" L ", left, b" ", low, b'"/>\n']
+        del slot, low, x1, top, left  # so that `join` frees the canvas once copied
+        yield _digits.join(parts)
 
 
 def emit_svg(boxes: Boxes, path: str) -> None:
@@ -444,17 +446,19 @@ def emit_svg(boxes: Boxes, path: str) -> None:
 _CSV_COLUMNS = ("j", "k", "a", "eps", "infsup_ub", "cprime_lb", "c_lb", "margin")
 
 
-def _csv_blocks(records: Certificates) -> Iterator[str]:
+def _csv_blocks(records: Certificates) -> Iterator[Union[str, bytes]]:
     yield ",".join(_CSV_COLUMNS) + "\n"
     columns = (records.k, records.a, records.eps, records.infsup_ub,
                records.c_prime_lb, records.c_lb, records.margin)
     for rows in _blocks(len(records)):
-        # 17 significant digits (round-trip exact) per value; an index
-        # below 2^53 prints the same by %.17g as by %d
-        parts = [_digits.g17(records.j[rows])]
-        for column in columns:
-            parts += [b",", _digits.g17(column[rows])]
+        # 17 significant digits (round-trip exact) per value, in two kernel
+        # calls: more columns per call would hold more temporaries at once
+        parts = [_digits.d(records.j[rows])]
+        for batch in (columns[:4], columns[4:]):
+            for canvas in _digits.g17([column[rows] for column in batch]):
+                parts += [b",", canvas]
         parts.append(b"\n")
+        del canvas  # so that `join` frees the canvases once copied
         yield _digits.join(parts)
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence, Tuple, Union
 
 import numpy as np
@@ -220,6 +221,11 @@ def _growth_values(n: int, c: float, js: range, digits: int) -> np.ndarray:
                      * math.log(math.log(j + _E_E)) ** 2 for j in js], dtype=float)
 
 
+def powers(x: np.ndarray, p: float) -> np.ndarray:
+    """x ** p per element, by CPython's float power (pow raises as ** does)."""
+    return np.fromiter(map(pow, x.tolist(), repeat(p)), float, len(x))
+
+
 def wavenumbers(sched: Schedule, js: Sequence[int]) -> np.ndarray:
     """k_j for j in the increasing sequence js."""
     if js:
@@ -290,7 +296,7 @@ def gap_fractions(n: int, k: np.ndarray, a: np.ndarray) -> np.ndarray:
         domain = (k > 0.0) & (a > 0.0)
         x = np.where(domain, design_identity(k, a), 1.0)
         p = -2.0 / (3.0 * n - 3.0)
-        eps = _APERTURE_C * np.array([v ** p for v in x.tolist()], dtype=float)
+        eps = _APERTURE_C * powers(x, p)
         failed = ~(domain & (x < math.inf))
     if failed.any():
         i = int(np.argmax(failed))
@@ -386,7 +392,7 @@ def volume_sum(n: int, sides: np.ndarray, first: int, what: str) -> float:
     """sum ell^n over the sides of the boxes first, first + 1, ...; past
     binary64 it raises, naming `what` and the largest side."""
     try:
-        total = math.fsum(s ** n for s in sides.tolist())
+        total = math.fsum(map(pow, sides.tolist(), repeat(n)))
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):

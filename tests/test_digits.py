@@ -1,23 +1,28 @@
 """The digit kernel against `%`, value by value: `_digits.g17` must write
-the bytes of `'%.17g' % v` and `_digits.f6` those of `'%.6f' % v` (with
-"-0.000000" printed unsigned), on the values where a fast route goes wrong:
-neighbours of powers of ten and of d * 10^k, exact and near rounding ties,
-integers, random bit patterns of both signs, and blocks that mix kernel
-values with every value the kernel leaves to `%`."""
+the bytes of `'%.17g' % v`, `_digits.f6` those of `'%.6f' % v` (with
+"-0.000000" printed unsigned) and `_digits.d` those of `'%d' % v`, on the
+values where a fast route goes wrong: neighbours of powers of ten and of
+d * 10^k, exact and near rounding ties, integers, random bit patterns of
+both signs, and blocks that mix kernel values with every value the kernel
+leaves to `%`.  A call over several columns stacked end to end must write
+what one call per column writes, also in the CSV emitter's batches."""
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import trapcert.cli as cli
 from trapcert import _digits
+from trapcert.certify import Certificates
 
 TINY = 2.0 ** -1022
 
 
 def lines(canvas):
-    return _digits.join([canvas, b"\n"]).split("\n")[:-1]
+    return _digits.join([canvas, b"\n"]).decode("ascii").split("\n")[:-1]
 
 
 def mismatches_g17(values):
@@ -136,5 +141,58 @@ def test_join_lays_literals_and_canvases_side_by_side(rows):
     values = np.arange(rows) - 2.5
     parts = [b"<", _digits.g17(values), b" ", _digits.f6(values), b">\n"]
     expected = "".join("<%.17g %s>\n" % (v, f6_reference(v)) for v in values.tolist())
-    assert _digits.join(parts) == expected
+    assert _digits.join(parts) == expected.encode("ascii")
     assert parts == []
+
+
+def test_d_equals_percent_d():
+    rng = np.random.default_rng(16)
+    edges = [10 ** k + step for k in range(17) for step in (-1, 0, 1)]
+    values = ([v for v in edges if 1 <= v < 10 ** 16]
+              + rng.integers(1, 10 ** rng.integers(1, 17, 20_000)).tolist())
+    assert lines(_digits.d(values)) == ["%d" % v for v in values]
+
+
+@pytest.mark.parametrize("bad", [0, -1, 10 ** 16, 2 ** 62])
+def test_d_refuses_values_outside_its_guard(bad):
+    assert lines(_digits.d([1, 10 ** 16 - 1])) == ["1", "9999999999999999"]
+    with pytest.raises(ValueError, match=r"1 <= v < 10\^16"):
+        _digits.d([7, bad])
+
+
+# columns a kernel may be given stacked; the second widens the `f6` canvas
+# (1e300 prints 308 bytes) and the third and fourth hold values `g17` leaves
+# to `%` (NaN, and near ties that 10^-22 cannot settle)
+PARTS = [np.array([1.0, -0.1, 123456.789, 0.5]),
+         np.array([1e300, -2.5, 2.0 ** 32 - 1, -4e-7]),
+         np.array([math.nan, 3.0, -math.inf, 5e-324]),
+         np.array(near_ties(22)[:3] + [1e-5]),
+         np.array([9.9999999999999995e-5, 1e16, -0.0, 7.0])]
+
+
+@pytest.mark.parametrize("kernel, widened", [(_digits.g17, False), (_digits.f6, True)])
+def test_a_stacked_call_writes_what_its_parts_write(kernel, widened):
+    whole = kernel(np.concatenate(PARTS))
+    parts = [kernel(part) for part in PARTS]
+    assert (whole.shape[1] > parts[0].shape[1]) == widened
+    assert _digits.join([whole, b"\n"]) == b"".join(_digits.join([c, b"\n"]) for c in parts)
+    # a stacked canvas splits into its columns' canvases, as the emitters use it
+    rows = [_digits.join([column, b"\n"]) for column in whole.reshape(len(PARTS), 4, -1)]
+    assert rows == [_digits.join([canvas, b"\n"]) for canvas in parts]
+
+
+@pytest.mark.parametrize("block", [1, 3, 2048])
+def test_csv_blocks_write_every_column_in_order(block):
+    # seven distinct columns, each holding kernel and fallback values
+    values = np.concatenate(PARTS)
+    columns = [np.roll(values, 3 * shift) * (shift + 1) for shift in range(7)]
+    records = Certificates(j=np.arange(1, len(values) + 1), k=columns[0], a=columns[1],
+                           eps=columns[2], infsup_ub=columns[3],
+                           infsup_ub_inv_identity=columns[3], c_prime_lb=columns[4],
+                           c_lb=columns[5], margin=columns[6])
+    with mock.patch.object(cli, "_BLOCK_ROWS", block):
+        chunks = list(cli._csv_blocks(records))
+    expected = "".join("%d" % j + "".join(",%.17g" % c[j - 1] for c in columns) + "\n"
+                       for j in records.j.tolist())
+    assert chunks[0] == ",".join(cli._CSV_COLUMNS) + "\n"
+    assert b"".join(chunks[1:]) == expected.encode("ascii")
