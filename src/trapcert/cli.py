@@ -47,7 +47,6 @@ from trapcert.geometry import (
     layer_plans,
 )
 from trapcert.sequences import (
-    MIN_PRECISION_DIGITS,
     APower,
     ATable,
     DShiftedPower,
@@ -102,7 +101,6 @@ class RunConfig:
     layout: Optional[str] = None
     truncation: Optional[int] = None
     outputs: OutputPaths = OutputPaths()
-    precision_digits: int = MIN_PRECISION_DIGITS
     sweep: Optional[SweepParams] = None
 
     def schedule(self) -> Schedule:
@@ -115,7 +113,6 @@ class RunConfig:
             k_family=self.k_family,
             a_family=self.a_family,
             d_family=self.d_family,
-            precision_digits=self.precision_digits,
         )
 
     def geometry(self) -> Tuple[Boxes, GeometrySummary]:
@@ -263,9 +260,9 @@ def _read_sweep(value, where: str) -> SweepParams:
     return params
 
 
-# Past the upper bounds of the integer settings a box index or a precision
-# no longer converts to binary64 (at 32 dimensions and 10,000 layers the box
-# indices already reach about 1e154).
+# Past the upper bounds of the integer settings a box index no longer
+# converts to binary64 (at 32 dimensions and 10,000 layers the box indices
+# already reach about 1e154).
 _truncation = partial(_as_int, minimum=1, maximum=10_000)
 _CONFIG_KEYS = {
     "dimension": ("dimension", partial(_as_int, minimum=2, maximum=32)),
@@ -274,13 +271,11 @@ _CONFIG_KEYS = {
     "layers": ("truncation", _truncation),
     "boxCount": ("truncation", _truncation),
     "outputs": ("outputs", _read_outputs),
-    "precisionDigits": ("precision_digits",
-                        partial(_as_int, minimum=MIN_PRECISION_DIGITS, maximum=1_000)),
     "sweep": ("sweep", _read_sweep),
 }
 
 # flag -> the config key whose reader takes its value, under the flag's name
-_OVERRIDES = {"--layers": "layers", "--dimension": "dimension", "--precision": "precisionDigits"}
+_OVERRIDES = {"--layers": "layers", "--dimension": "dimension"}
 
 
 def config_from_mapping(doc: Mapping) -> RunConfig:
@@ -757,7 +752,6 @@ _FLAGS = {
     "--config": dict(metavar="PATH", required=True, help="JSON run configuration"),
     "--layers": dict(type=int, metavar="N", help="override the configured truncation"),
     "--dimension": dict(type=int, metavar="N", help="override the configured dimension"),
-    "--precision": dict(type=int, metavar="D", help="override precisionDigits"),
     "--out": dict(metavar="DIR", help="redirect all artifacts into DIR"),
 }
 

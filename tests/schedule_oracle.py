@@ -10,8 +10,6 @@ message on the first failing box.  `padding` is the same reference for
 
 import math
 
-import mpmath as mp
-
 from trapcert.sequences import (
     ATable,
     DerivedParams,
@@ -39,13 +37,7 @@ def _table_lookup(values, j: int, what: str) -> float:
     return values[j - 1]
 
 
-def growth_value(n: int, c: float, j: int, digits: int) -> float:
-    if digits > 15:
-        with mp.workdps(digits):
-            jj = mp.mpf(j)
-            val = (c * (jj * mp.log(jj + mp.e)) ** (mp.mpf(1) / n)
-                   * mp.log(mp.log(jj + mp.exp(mp.e))) ** 2)
-            return float(val)
+def growth_value(n: int, c: float, j: int) -> float:
     return (c * (j * math.log(j + math.e)) ** (1.0 / n)
             * math.log(math.log(j + _E_E)) ** 2)
 
@@ -55,7 +47,7 @@ def wavenumber(sched: Schedule, j: int) -> float:
     fam = sched.k_family
     if isinstance(fam, KTable):
         return _table_lookup(fam.values, j, "wavenumber")
-    return growth_value(sched.n, fam.c, j, sched.precision_digits)
+    return growth_value(sched.n, fam.c, j)
 
 
 def target_norm(sched: Schedule, j: int) -> float:

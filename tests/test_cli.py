@@ -79,7 +79,6 @@ def test_config_round_trip():
     assert cfg.d_family == DShiftedPower(2.0, 6.0, 1.2)
     assert cfg.layout == "layered"
     assert cfg.truncation == 4
-    assert cfg.precision_digits == 15
     assert cfg.sweep is None
     sched = cfg.schedule()
     assert sched == demo_schedule()
@@ -147,8 +146,6 @@ def test_config_type_validation():
     doc["schedule"]["targets"]["amplitude"] = "big"
     with pytest.raises(ConfigError, match="amplitude"):
         config_from_mapping(doc)
-    with pytest.raises(ConfigError, match="precisionDigits"):
-        config_from_mapping(demo_mapping(precisionDigits=10))
     with pytest.raises(ConfigError, match="layout"):
         config_from_mapping(demo_mapping(layout="spiral"))
 
@@ -470,8 +467,6 @@ def test_run_config_errors_exit_2(tmp_path, capsys):
     assert run(["build", "--config", cfg]) == 2  # no output path anywhere
     assert run(["build", "--config", cfg, "--layers", "-3",
                 "--out", str(tmp_path)]) == 2
-    assert run(["certify", "--config", cfg, "--precision", "3",
-                "--out", str(tmp_path)]) == 2
     capsys.readouterr()
 
 
@@ -650,11 +645,10 @@ HUGE = 10**400  # written out by json.dumps as 401 digits
     ("plan", dict(dimension=33)),
     ("plan", dict(layers=HUGE)),
     ("plan", dict(layers=10_001)),
-    ("plan", dict(precisionDigits=HUGE)),
     ("build", dict(dimension=HUGE)),
     ("certify", dict(layers=HUGE)),
 ], ids=["dimension-401-digits", "dimension-33", "layers-401-digits", "layers-10001",
-        "precision-401-digits", "build-dimension", "certify-layers"])
+        "build-dimension", "certify-layers"])
 def test_run_huge_integers_exit_2(tmp_path, capsys, command, overrides):
     cfg = write_config(tmp_path, demo_mapping(**overrides))
     assert run([command, "--config", cfg, "--out", str(tmp_path)]
@@ -664,12 +658,30 @@ def test_run_huge_integers_exit_2(tmp_path, capsys, command, overrides):
     assert not (tmp_path / "geometry.json").exists()
 
 
+@pytest.mark.parametrize("command", ["plan", "build", "certify", "plot", "report"])
+def test_precision_key_and_flag_are_refused(tmp_path, capsys, command):
+    # wavenumbers have one route, binary64: there is no precision to set
+    out = ["--out", str(tmp_path / "out")] if command != "plan" else []
+    cfg = write_config(tmp_path, demo_mapping(precisionDigits=30))
+    assert run([command, "--config", cfg, *out]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: unknown key(s) in config: precisionDigits (allowed: boxCount, "
+        "dimension, layers, layout, outputs, schedule, sweep)\n"))
+    cfg = write_config(tmp_path, demo_mapping(), name="ok.json")
+    assert run([command, "--config", cfg, "--precision", "30", *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert captured.err.endswith("error: unrecognized arguments: --precision 30\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "ok.json"]
+
+
 def test_run_huge_box_count_and_flags_exit_2(tmp_path, capsys):
     doc = stacked_table_mapping()
     doc["boxCount"] = HUGE
     assert run(["plan", "--config", write_config(tmp_path, doc)]) == 2
     cfg = write_config(tmp_path, demo_mapping(), name="ok.json")
-    for flag in ("--dimension", "--layers", "--precision"):
+    for flag in ("--dimension", "--layers"):
         assert run(["plan", "--config", cfg, flag, str(HUGE)]) == 2
         assert f"error: {flag} must be <= " in capsys.readouterr().err
     # the bounds themselves are accepted; the plan is then refused only by
@@ -680,7 +692,7 @@ def test_run_huge_box_count_and_flags_exit_2(tmp_path, capsys):
 
 
 # the documented bounds of the settings that a flag overrides
-BOUNDS = {"dimension": (2, 32), "layers": (1, 10_000), "precisionDigits": (15, 1_000)}
+BOUNDS = {"dimension": (2, 32), "layers": (1, 10_000)}
 
 
 @pytest.mark.parametrize("flag, key", list(_OVERRIDES.items()))

@@ -66,10 +66,9 @@ WELL_FORMED = st.fixed_dictionaries({
     "layout": st.sampled_from(["layered", "stacked"]),
     "layers": st.integers(1, 4),
     "sweep": SWEEP,
-}, optional={"precisionDigits": st.integers(15, 30)}).map(_truncation_key)
+}).map(_truncation_key)
 
-KEYS = ("dimension", "schedule", "layout", "layers", "sweep", "boxCount",
-        "precisionDigits", "outputs")
+KEYS = ("dimension", "schedule", "layout", "layers", "sweep", "boxCount", "outputs")
 
 
 def _spoil(case):

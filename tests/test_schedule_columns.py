@@ -7,11 +7,7 @@ import ast
 import inspect
 import json
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,13 +71,12 @@ def oracle_outcome(sched, js):
     return "ok", [[getattr(p, name).hex() for p in result[1]] for name in COLUMNS]
 
 
-def table_schedule(n=2, k_len=40, a_len=40, digits=15):
+def table_schedule(n=2, k_len=40, a_len=40):
     return Schedule(
         n=n,
         k_family=KTable(tuple(1.5 + 0.37 * j + 0.01 * j * j for j in range(k_len))),
         a_family=ATable(tuple(1e-4 * (1.0 + j // 3) for j in range(a_len))),
         d_family=DTable(tuple(0.5 / (i + 1) ** 1.5 for i in range(60))),
-        precision_digits=digits,
     )
 
 
@@ -106,40 +101,15 @@ def test_built_columns_equal_the_per_box_oracle(n, layers):
              a_family=APower(1e-3, 0.5), d_family=DShiftedPower(2.0, 6.0, 1.2)),
     Schedule(n=2, k_family=KLogGrowth(2.0), a_family=ATable((1e-4,) * 30),
              d_family=DTable(tuple(1.0 / (i + 2) ** 2 for i in range(30)))),
-    demo_schedule(2, precision_digits=30),
-    demo_schedule(3, precision_digits=30),
+    demo_schedule(2),
+    demo_schedule(3),
     tampered(c=1e-320),  # subnormal wavenumbers: infinite sides, no warning
-], ids=["all-tables", "k-table", "a-table", "digits-30-n2", "digits-30-n3",
-        "c-1e-320"])
+], ids=["all-tables", "k-table", "a-table", "demo-n2", "demo-n3", "c-1e-320"])
 def test_family_columns_equal_the_per_box_oracle(sched):
     js = range(1, 31)
     assert column_outcome(sched, js) == oracle_outcome(sched, js)
     for sub in (range(7, 8), range(3, 17)):
         assert column_outcome(sched, sub) == oracle_outcome(sched, sub)
-
-
-MPMATH_CHILD = """
-import json, sys
-import trapcert, trapcert.cli
-from trapcert.sequences import demo_schedule, derived_columns
-before = "mpmath" in sys.modules
-columns = derived_columns(demo_schedule(2, precision_digits=30), range(1, 31))
-print(json.dumps([before, "mpmath" in sys.modules,
-                  [[float(v).hex() for v in column] for column in columns]]))
-"""
-
-
-def test_mpmath_is_imported_only_for_extended_precision():
-    src = str(Path(trapcert.sequences.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + ([path] if path else [])))
-    child = subprocess.run([sys.executable, "-c", MPMATH_CHILD], env=env,
-                           capture_output=True, text=True, timeout=300)
-    assert child.returncode == 0, child.stderr
-    before, after, columns = json.loads(child.stdout)
-    assert (before, after) == (False, True)
-    sched = demo_schedule(2, precision_digits=30)
-    assert ("ok", columns) == oracle_outcome(sched, range(1, 31))
 
 
 def test_stacked_table_columns_equal_the_per_box_oracle():
@@ -152,8 +122,7 @@ def test_stacked_table_columns_equal_the_per_box_oracle():
 
 def test_one_element_calls_equal_the_oracle():
     js = [1, 2, 17, 30]
-    for sched in (demo_schedule(2), demo_schedule(4), table_schedule(),
-                  demo_schedule(2, precision_digits=40)):
+    for sched in (demo_schedule(2), demo_schedule(4), table_schedule()):
         ks = [oracle.wavenumber(sched, j) for j in js]
         assert hexes(wavenumbers(sched, js)) == hexes(ks)
         assert hexes(sidelengths(sched, js)) == hexes(
@@ -264,7 +233,7 @@ def test_growth_floor_check_equals_the_scalar_loop():
     for c in (0.0, 0.5, 1.0, 2.0):
         failures = tuple(j for j in range(1, 61)
                          if not oracle.wavenumber(sched, j)
-                         >= (0.0 if c == 0.0 else oracle.growth_value(2, c, j, 15)))
+                         >= (0.0 if c == 0.0 else oracle.growth_value(2, c, j)))
         assert growth_floor_check(sched, c, 60).failures == failures
     assert growth_floor_check(demo_schedule(3), 2.0, 500).passed
     with pytest.raises(ScheduleError, match="index 61 queried"):
@@ -307,9 +276,8 @@ def schedules(draw):
         a_family = APower(draw(positive), draw(st.floats(min_value=0.0, max_value=300.0)))
     else:
         a_family = ATable(tuple(sorted(draw(st.lists(positive, min_size=1, max_size=40)))))
-    digits = draw(st.sampled_from([15, 15, 15, 20]))
     return Schedule(n=n, k_family=k_family, a_family=a_family,
-                    d_family=DShiftedPower(2.0, 6.0, 1.2), precision_digits=digits)
+                    d_family=DShiftedPower(2.0, 6.0, 1.2))
 
 
 @given(sched=schedules(), start=st.integers(min_value=1, max_value=5),

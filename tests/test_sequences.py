@@ -1,9 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trapcert.geometry import build_layered
 from trapcert.sequences import (
     APower,
     ATable,
@@ -42,11 +44,21 @@ def test_wavenumber_frozen_values():
                                rtol=1e-13)
 
 
+def growth_at_40_digits(n, js):
+    """k_j of the demonstration family (c = 2) at 40 digits, rounded once."""
+    with mp.workdps(40):
+        root, e_e = mp.mpf(1) / n, mp.exp(mp.e)
+        return [float(2 * (j * mp.log(j + mp.e)) ** root * mp.log(mp.log(j + e_e)) ** 2)
+                for j in map(mp.mpf, js)]
+
+
 def test_wavenumber_extended_precision_agrees():
-    js = [1, 2, 17, 1413]
-    np.testing.assert_allclose(wavenumbers(demo_schedule(2), js),
-                               wavenumbers(demo_schedule(2, precision_digits=40), js),
-                               rtol=1e-13)
+    # measured: at most 4 ulps at n=2 over j <= 169,999, 5 at n=3, 4 at n=4
+    for n, js in ((2, [*range(1, 2001), 166_590]), (3, range(1, 2001)),
+                  (4, range(1, 2001))):
+        ks = wavenumbers(demo_schedule(n), js).tolist()
+        for j, k, ref in zip(js, ks, growth_at_40_digits(n, js)):
+            assert abs(k - ref) <= 8 * math.ulp(ref), (n, j, k, ref)
 
 
 def test_wavenumber_table_lookup_and_bounds():
@@ -62,6 +74,15 @@ def test_wavenumber_table_lookup_and_bounds():
 def test_wavenumber_strictly_increasing():
     ks = wavenumbers(demo_schedule(2), range(1, 501))
     assert (np.diff(ks) > 0.0).all()
+
+
+@pytest.mark.parametrize("n, layers", [(2, 256), (3, 10), (4, 6)],
+                         ids=["n2-256-layers", "n3-10-layers", "n4-6-layers"])
+def test_built_wavenumbers_strictly_increase(n, layers):
+    # the paper's hypothesis on k_j, for the k_j that the boxes carry
+    boxes, _ = build_layered(demo_schedule(n), layers)
+    assert boxes.j.tolist() == list(range(1, len(boxes) + 1))
+    assert (np.diff(boxes.k) > 0.0).all()
 
 
 def test_sidelength_is_pi_root_n_over_k():
@@ -316,8 +337,6 @@ def test_families_reject_non_finite_values(make):
 def test_schedule_validation_errors():
     with pytest.raises(ScheduleError):
         Schedule(1, KLogGrowth(2.0), APower(1e-4, 0.25), DShiftedPower(2.0, 6.0, 1.2))
-    with pytest.raises(ScheduleError):
-        demo_schedule(2, precision_digits=10)
 
 
 def test_tables_accept_lists():

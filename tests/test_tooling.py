@@ -90,6 +90,36 @@ def test_module_entry_point(tmp_path, monkeypatch, capsys):
     assert missing.stderr.splitlines()[-1].startswith("error: cannot read config")
 
 
+# mpmath is a test dependency only: None in sys.modules makes its import fail
+NUMPY_ONLY_CHILD = """
+import json, sys
+sys.modules["mpmath"] = None
+from trapcert.cli import run
+codes = [run(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps(codes))
+"""
+
+
+def test_every_command_runs_on_numpy_alone(tmp_path, monkeypatch, capsys):
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"sweep": {"nValues": [2, 3], "mMax": 5,
+                                           "rhoPoints": 20}}), encoding="utf-8")
+    argvs = ([["plan", "--config", FIGURE, "--layers", "3"]]
+             + [[command, "--config", FIGURE, "--layers", "3", "--out", "np"]
+                for command in ("build", "certify", "plot", "report")]
+             + [["verify-dtn", "--config", str(sweep)], ["specfun-selftest"]])
+    script = child(["-c", NUMPY_ONLY_CHILD, json.dumps(argvs)], tmp_path)
+    assert script.returncode == 0, script.stderr
+    assert script.stderr == ""
+    *lines, codes = script.stdout.splitlines(keepends=True)
+    assert json.loads(codes) == [0] * len(argvs)
+    assert in_process(argvs, tmp_path / "in-process", monkeypatch, capsys) == (
+        [0] * len(argvs), "".join(lines))
+    for name in ARTIFACTS:
+        assert ((tmp_path / "np" / name).read_bytes()
+                == (tmp_path / "in-process" / "np" / name).read_bytes()), name
+
+
 # public names whose only callers are tests: independent cross-check routes
 CROSS_CHECK_ROUTES = {
     "quasimode_norms": "closed-form mode norms, against tensor quadrature",
