@@ -1,5 +1,5 @@
-"""The bytes that `'%.17g' % v`, `'%.6f' % v` and `'%d' % v` write, for a
-column, or a stack of columns, at once.
+"""The bytes that `'%.17g' % v`, `'%r' % v`, `'%.6f' % v` and `'%d' % v`
+write, for a column, or a stack of columns, at once.
 
 A formatter returns a uint8 canvas, one row per value, in which byte 0
 marks "no byte"; `join` lays canvases and literals side by side and drops
@@ -7,18 +7,26 @@ those bytes, as bytes.  The digits are those of an exact integer N, after
 Loitsch, "Printing floating-point numbers quickly and accurately with
 integers" (PLDI 2010); leading zeros are byte 0, the units digit kept:
 
-- `%.17g`: N = round-half-even(|x| 10^s), s = 16 - E.  10^s is held as a
+- `%.17g` and `%r`: V = |x| 10^s, s = 16 - E.  10^s is held as a
   double-double hi + lo, and TwoProduct (Veltkamp split, as numpy has no
   fma) makes |x| hi = p + e exact.  E is decided on the unrounded p + e.
-  Where 10^s is a double (lo == 0) N is exact; elsewhere p + e is off by
-  less than 1e-14, so a value within 2^-40 of a rounding tie is left to `%`.
-  A table per layout is gathered one output column at a time.
+  Where 10^s is a double (lo == 0) V is exact; elsewhere p + e is off by
+  less than 1e-14.  `%.17g` writes N17 = round-half-even(V).  `%r` writes
+  the shortest digits that read back as x, the nearest of them (Adams,
+  "Ryu", PLDI 2018): of the integers within h, half an ulp of x scaled
+  alike, of V, the multiple of 100, else 10, else 1 nearest V (2h < 23).
+  A value within 2^-40 of a tie 10^s does not settle, and for `%r` one
+  within 2^-30 of a tie or of an end of that interval (which counts for
+  an even significand only), or a power of two, whose interval is
+  asymmetric, is left to `%`.  A table per layout is gathered one output
+  column at a time; `%r` is fixed for -4 <= E < 16, with ".0" on integers.
 - `%.6f`: N = round-half-even(|x| 10^6), exact by TwoProduct; a tie of the
   rounded product is decided by the sign of its error.  One layout: sign,
   integer digits, ".", 6 decimals; the sign only where N != 0.
 - `%d`: the digits of an integer 1 <= v < 10^16.
 
-Zero, subnormal, non-finite and out-of-range floats get `%`, one by one.
+Zero is a layout case; subnormal, non-finite and out-of-range floats get
+`%`, one by one.
 """
 
 from __future__ import annotations
@@ -28,17 +36,18 @@ from typing import List, NamedTuple, Union
 
 import numpy as np
 
-# `%.17g` is computed for 1e-280 <= |x| < 1e290: every 10^s (s = 16 - E, E
+# `%.17g` and `%r` are computed for 1e-280 <= |x| < 1e290: every 10^s (s = 16 - E, E
 # one off) is in the table, and no Veltkamp split overflows
 _G_RANGE = (1e-280, 1e290)
 _S_LO, _S_HI = 16 - 292, 16 + 282
 _NEAR_TIE = 2.0 ** -40
+_NEAR_END = 2.0 ** -30
 _F_MAX = 2.0 ** 32  # |x| 10^6 < 2^52, where every half-integer is a double
 _E16 = 10 ** 16
 _E_MAX = 299
 _POW10 = 10 ** np.arange(17, dtype=np.int64)
 _ZERO, _MINUS = ord("0"), ord("-")
-# a `%.17g` source row: [no byte, sign, d0, 16 digits, ".", "0", "e",
+# a `%.17g` or `%r` source row: [no byte, sign, d0, 16 digits, ".", "0", "e",
 # exponent sign, exponent digits]
 _SIGN, _D, _DOT, _NOUGHT, _E = 1, list(range(2, 19)), 19, 20, 21
 
@@ -52,20 +61,24 @@ def _power(s):
     return 1 / t, (den - num * t) / (den * t)
 
 
-def _g17_layouts():
-    """Per (fixed notation at E = -4..16, or scientific; digits kept 1..17)
-    the source bytes of a `%.17g` field, in order; one column per case."""
+@functools.lru_cache(maxsize=None)
+def _layouts(template):
+    """E from which `template` is scientific, and per (fixed notation at
+    E = -4..top - 1, or scientific; digits kept 1..17) the source bytes of
+    its field in order, a column each, and their count.  Built on first use."""
+    top, integral = (16, [_DOT, _NOUGHT]) if template == "%r" else (17, [])
     rows = []
-    for exp in [*range(-4, 17), None]:
+    for exp in [*range(-4, top), None]:
         for kept in range(1, 18):
             point = ([_DOT] + _D[1:kept] if kept > 1 else []) + list(range(_E, 26))
             if exp is not None and exp < 0:
                 point = [_NOUGHT, _DOT] + [_NOUGHT] * (-exp - 1) + _D[:kept]
             elif exp is not None:
-                point = _D[:exp + 1] + ([_DOT] + _D[exp + 1:kept] if kept > exp + 1 else [])
+                point = _D[:exp + 1] + ([_DOT] + _D[exp + 1:kept] if kept > exp + 1 else integral)
             rows.append([_SIGN] + ([_D[0]] if exp is None else []) + point)
     width = max(map(len, rows))
-    return np.array([row + [0] * (width - len(row)) for row in rows], np.intp).T.copy()
+    return (top, np.array([row + [0] * (width - len(row)) for row in rows], np.intp).T.copy(),
+            np.array(list(map(len, rows))))
 
 
 class _Tables(NamedTuple):
@@ -73,7 +86,6 @@ class _Tables(NamedTuple):
     hi: np.ndarray  # 10^s = hi + lo for s in [_S_LO, _S_HI]; lo == 0 where
     lo: np.ndarray  # 10^s is a double
     tails: np.ndarray  # exponent sign and digits as uint32, from E = -_E_MAX
-    g17: np.ndarray  # per output byte, the source byte of each layout case
 
 
 @functools.lru_cache(maxsize=None)
@@ -85,7 +97,7 @@ def _tables() -> _Tables:
     tails = b"".join(b"%c%c%02d" % (b"+-"[e < 0], _ZERO + abs(e) // 100 if abs(e) > 99 else 0,
                                      abs(e) % 100) for e in range(-_E_MAX, _E_MAX + 1))
     return _Tables((groups + _ZERO).astype(np.uint8).view(np.uint32).ravel(), hi, lo,
-                   np.frombuffer(tails, np.uint32), _g17_layouts())
+                   np.frombuffer(tails, np.uint32))
 
 
 def _two_product(a, b):
@@ -162,12 +174,22 @@ def f6(values) -> np.ndarray:
 
 def g17(values) -> np.ndarray:
     """Canvas of `'%.17g' % v`."""
+    return _kernel(values, "%.17g")
+
+
+def r(values) -> np.ndarray:
+    """Canvas of `'%r' % v`: repr(v), which json.dumps writes."""
+    return _kernel(values, "%r")
+
+
+def _kernel(values, template) -> np.ndarray:
     shape = np.shape(values)
     values = np.asarray(values, dtype=float).ravel()
     a = np.abs(values)
+    zero = values == 0  # laid out as 1.0 is, with the digit 0
     with np.errstate(invalid="ignore"):
-        slow = ~((a >= _G_RANGE[0]) & (a < _G_RANGE[1]))
-    a[slow] = 1.0
+        slow = ~((a >= _G_RANGE[0]) & (a < _G_RANGE[1]) | zero)
+    a[slow | zero] = 1.0
     exp = np.floor(np.log10(a)).astype(np.int64)
     p, e, inexact = _scaled(a, exp)
     # log10 may be one off next to 10^E: move E until 10^16 <= p + e < 10^17
@@ -177,10 +199,30 @@ def g17(values) -> np.ndarray:
         exp[redo] += off[redo]
         p[redo], e[redo], inexact[redo] = _scaled(a[redo], exp[redo])
         slow[redo] |= _outside(p[redo], e[redo]) != 0
-    slow |= inexact & (np.abs(e - np.floor(e) - 0.5) < _NEAR_TIE)
-    # p >= 10^16 > 2^53 is an even integer, so p + rint(e) rounds half-even
-    n = p.astype(np.int64) + np.rint(e).astype(np.int64)
-    del a, p, e, inexact, off  # freed before the layout is built, to lower the peak
+    # p >= 10^16 > 2^53 is an even integer, so N17 = p + rint(e) rounds half-even
+    rounded = np.rint(e)
+    n = p.astype(np.int64) + rounded.astype(np.int64)
+    e -= rounded  # V - N17
+    del off, rounded
+    if template == "%r":  # the multiple of 100, 10 or 1 nearest V within h
+        m = np.frexp(a)[0]
+        half = p * 2.0 ** -54 / m  # h
+        x = n % 100 + e  # V above the multiple of 100 at or below N17
+        step, near = x, m == 0.5
+        for unit in (1, 10, 100):
+            nearest = np.rint(x / unit) * unit
+            dist = np.abs(nearest - x)
+            inside = dist < half
+            step = np.where(inside, nearest, step)
+            near |= np.abs(dist - half) < _NEAR_END  # an end of the interval
+            near |= inside & (np.abs(dist - unit / 2) < _NEAR_END)  # a tie inside it
+        n += step.astype(np.int64) - n % 100
+        del m, half, x, step, nearest, dist, inside
+    else:  # a tie that 10^s does not settle
+        near = inexact & (np.abs(np.abs(e) - 0.5) < _NEAR_TIE)
+    slow |= near & ~zero
+    # freed before the layout is built, to lower the peak
+    del a, p, e, inexact, near
     carry = n == 10 * _E16
     n[carry] = _E16
     exp += carry
@@ -192,9 +234,13 @@ def g17(values) -> np.ndarray:
     src[:, _DOT:_E + 1] = np.frombuffer(b".0e", np.uint8)
     src[:, _E + 1:] = _tables().tails[exp + _E_MAX].view(np.uint8).reshape(-1, 4)
     kept = 17 - np.argmax(src[:, _D[-1]:_SIGN:-1] != _ZERO, axis=1)
-    case = np.where((exp >= -4) & (exp < 17), exp + 4, 21) * 17 + kept - 1
+    np.copyto(src[:, _D[0]], _ZERO, where=zero)
+    top, table, lengths = _layouts(template)
+    case = np.where((exp >= -4) & (exp < top), exp + 4, top + 4) * 17 + kept - 1
     del n, exp, carry, kept
-    return _fallback(_field(src, _tables().g17, case), values, slow, "%.17g").reshape(*shape, -1)
+    # only as wide as the longest field of the call
+    field = _field(src, table[:lengths.take(case).max(initial=1)], case)
+    return _fallback(field, values, slow, template).reshape(*shape, -1)
 
 
 def _scaled(a, exp):

@@ -5,9 +5,9 @@ text report) is a pure function of the configuration document, so re-running
 with the same config reproduces every artifact byte for byte.  Files are
 written to a temporary sibling and renamed into place, which leaves no
 partial artifact behind on failure.  The JSON, CSV and SVG emitters stream
-their text into that sibling in blocks of rows: the JSON block is one `%`
-call, and the CSV and SVG numbers come from the exact digit kernel in
-`trapcert._digits`, which writes the bytes of `%.17g`, `%.6f` and `%d`.
+their text into that sibling in blocks of rows, and the numbers in a block
+come from the exact digit kernel in `trapcert._digits`, which writes the
+bytes of `%r` (as json.dumps does), `%.17g`, `%.6f` and `%d`.
 
 Exit codes follow one contract for every subcommand: 0 on success, 1 when a
 certificate or sign check fails (the run itself worked, the claim did not
@@ -346,9 +346,10 @@ def _write_text_atomic(path: str, chunks: Iterable[Union[str, bytes]]) -> None:
         raise
 
 
-def _json_blocks(boxes: Boxes, summary: GeometrySummary) -> Iterator[str]:
+def _json_blocks(boxes: Boxes, summary: GeometrySummary) -> Iterator[bytes]:
     """`json.dumps(document, indent=1)` and a newline, in blocks: the head
-    from json.dumps, then one template row per box (`%r` is json's repr)."""
+    from json.dumps, then the boxes, each number laid out by the digit
+    kernel as json.dumps writes it: `%d` for j and layer, repr for a float."""
     head = json.dumps({
         "dimension": summary.dimension, "layout": summary.layout,
         "summary": {"boxCount": summary.box_count,
@@ -356,16 +357,31 @@ def _json_blocks(boxes: Boxes, summary: GeometrySummary) -> Iterator[str]:
                     "heightInterval": list(summary.height_interval),
                     "volumeInterval": list(summary.volume_interval),
                     "rGammaUpper": summary.r_gamma_upper},
-        "boxes": []}, indent=1)
-    # rows open with their separator; the first block drops it
-    row = (',\n  {\n   "j": %d,\n   "layer": %d,\n   "side": %r,\n   "translation": [\n'
-           + ",\n".join(["    %r"] * boxes.lo.shape[1])
-           + '\n   ],\n   "gap": %r,\n   "wavenumber": %r,\n   "targetA": %r\n  }')
-    columns = (boxes.j, boxes.layer, boxes.side, *boxes.lo.T, boxes.gap, boxes.k, boxes.a)
-    blocks = _row_blocks(row, columns)
-    yield head[:-len("]\n}")] + next(blocks)[1:]
-    yield from blocks
-    yield "\n ]\n}\n"
+        "boxes": []}, indent=1)[:-len("]\n}")].encode("utf-8")
+    floats = (boxes.side, *boxes.lo.T, boxes.gap, boxes.k, boxes.a)
+    keys = [b',\n  {\n   "j": ', b',\n   "layer": ', b',\n   "side": ',
+            b',\n   "translation": [\n    ', *[b',\n    '] * (len(floats) - 5),
+            b'\n   ],\n   "gap": ', b',\n   "wavenumber": ', b',\n   "targetA": ']
+    for rows in _blocks(len(boxes)):
+        fields = [_ints(boxes.j[rows]), _ints(boxes.layer[rows])]
+        # four float columns per kernel call: more would hold more temporaries at once
+        for start in range(0, len(floats), 4):
+            fields += list(_digits.r([column[rows] for column in floats[start:start + 4]]))
+        parts = [*itertools.chain.from_iterable(zip(keys, fields)), b"\n  }"]
+        del fields  # so that `join` frees the canvases once copied
+        block = _digits.join(parts)
+        # rows open with their separator; the first block drops it
+        yield head + memoryview(block)[1:] if rows.start == 0 else block
+        del block  # freed once written, not while the next block is made
+    yield b"\n ]\n}\n"
+
+
+def _ints(column: np.ndarray) -> np.ndarray:
+    """Canvas of `'%d' % v`, by the kernel where its guard admits the column."""
+    try:
+        return _digits.d(column)
+    except ValueError:
+        return column.astype("S20").view(np.uint8).reshape(len(column), -1)
 
 
 def emit_geometry_json(boxes: Boxes, summary: GeometrySummary, path: str) -> None:
@@ -380,14 +396,6 @@ _BLOCK_ROWS = 2048
 def _blocks(count: int) -> Iterator[slice]:
     for start in range(0, count, _BLOCK_ROWS):
         yield slice(start, start + _BLOCK_ROWS)
-
-
-def _row_blocks(row: str, columns: Sequence[np.ndarray]) -> Iterator[str]:
-    """The rows of `columns` (a JSON box each) formatted by the one-row
-    %-template `row`, _BLOCK_ROWS rows per `%` call."""
-    for rows in _blocks(len(columns[0])):
-        block = np.column_stack([c[rows] for c in columns])
-        yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def _svg_blocks(boxes: Boxes) -> Iterator[Union[str, bytes]]:

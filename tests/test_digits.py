@@ -1,11 +1,13 @@
 """The digit kernel against `%`, value by value: `_digits.g17` must write
-the bytes of `'%.17g' % v`, `_digits.f6` those of `'%.6f' % v` (with
-"-0.000000" printed unsigned) and `_digits.d` those of `'%d' % v`, on the
-values where a fast route goes wrong: neighbours of powers of ten and of
-d * 10^k, exact and near rounding ties, integers, random bit patterns of
-both signs, and blocks that mix kernel values with every value the kernel
-leaves to `%`.  A call over several columns stacked end to end must write
-what one call per column writes, also in the CSV emitter's batches."""
+the bytes of `'%.17g' % v`, `_digits.r` those of `'%r' % v`, `_digits.f6`
+those of `'%.6f' % v` (with "-0.000000" printed unsigned) and `_digits.d`
+those of `'%d' % v`, on the values where a fast route goes wrong:
+neighbours of powers of ten, of powers of two and of d * 10^k, exact and
+near rounding ties, integers, the switches between fixed and scientific
+notation, the ends of repr's interval, random bit patterns of both signs,
+and blocks that mix kernel values with every value the kernel leaves to
+`%`.  A call over several columns stacked end to end must write what one
+call per column writes, also in the CSV emitter's batches."""
 
 import math
 from fractions import Fraction
@@ -17,6 +19,8 @@ import pytest
 import trapcert.cli as cli
 from trapcert import _digits
 from trapcert.certify import Certificates
+from trapcert.geometry import build_layered
+from trapcert.sequences import demo_schedule
 
 TINY = 2.0 ** -1022
 
@@ -29,6 +33,12 @@ def mismatches_g17(values):
     values = np.asarray(values, dtype=float)
     return [(v, got) for v, got in zip(values.tolist(), lines(_digits.g17(values)))
             if got != "%.17g" % v]
+
+
+def mismatches_r(values):
+    values = np.asarray(values, dtype=float)
+    return [(v, got) for v, got in zip(values.tolist(), lines(_digits.r(values)))
+            if got != "%r" % v]
 
 
 def f6_reference(v):
@@ -117,6 +127,96 @@ def test_g17_values_the_kernel_leaves_to_percent():
     assert mismatches_g17(ties + [-v for v in ties]) == []
 
 
+def test_r_random_bit_patterns():
+    rng = np.random.default_rng(25)
+    for _ in range(8):
+        values = rng.integers(0, 2 ** 64, 2 ** 17, dtype=np.uint64).view(np.float64)
+        with np.errstate(invalid="ignore"):
+            assert mismatches_r(values) == []
+
+
+def test_r_powers_of_two_and_their_neighbours():
+    # the interval of a power of two is asymmetric; the kernel leaves it to `%`
+    assert mismatches_r(ulps(np.ldexp(1.0, np.arange(-1074, 1024)), reach=1)) == []
+
+
+def test_r_around_d_times_powers_of_ten():
+    centres = [float(Fraction(d) * Fraction(10) ** k)
+               for d in ("1", "2", "3", "5", "7", "9", "1.5", "2.5", "9.5", "1.25",
+                         "9.9999999999999995", "1.2345678901234567")
+               for k in range(-307, 308)]
+    assert mismatches_r(ulps(centres, reach=1)) == []
+
+
+def test_r_short_decimals_and_integers():
+    rng = np.random.default_rng(9)
+    short = [float("%.*e" % (digits, v)) for digits in range(16)
+             for v in np.exp(rng.uniform(-690, 700, 2_000)).tolist()]
+    integers = np.concatenate([[2.0, 1e16, 123456789012345.0, 2.0 ** 53, 2.0 ** 53 + 2],
+                               rng.integers(0, 10 ** 17, 20_000).astype(float)])
+    assert mismatches_r(short) == []
+    assert mismatches_r(integers) == []
+    assert lines(_digits.r([2.0, 1e16, 123456789012345.0])) == ["2.0", "1e+16",
+                                                               "123456789012345.0"]
+
+
+def test_r_exact_and_near_ties_between_two_shortest_candidates():
+    # x = k + 1/4 or k + 3/4 in [2^50, 2^51): 10 x lies halfway between two
+    # 17-digit integers, both inside the interval, and repr rounds half-even;
+    # near ties that 10^-t cannot settle are left to `%`
+    rng = np.random.default_rng(50)
+    k = rng.integers(2 ** 50, 2 ** 51, 5_000).astype(float)
+    ties = np.concatenate([k + 0.25, k + 0.75, [v for t in (22, 23, 24) for v in near_ties(t)]])
+    assert lines(_digits.r([1125899906842624.25, -1125899906842626.75])) == [
+        "1125899906842624.2", "-1125899906842626.8"]
+    assert mismatches_r(np.concatenate([ties, -ties])) == []
+
+
+def test_r_interval_ends():
+    # in [2^54, 10^17) a double is a multiple of its ulp u = 4, 8 or 16, so
+    # x -+ u/2 can be a multiple of 10, 100 or 1000: a shorter candidate
+    # exactly at an end of the interval, inside only for an even significand
+    rng = np.random.default_rng(54)
+    values, parities = [], set()
+    for low, u in ((2 ** 54, 4), (2 ** 55, 8), (2 ** 56, 16)):
+        for step in (10, 100, 1000):
+            ends = rng.integers(low // step + 1, min(2 * low, 10 ** 17) // step, 3_000) * step
+            exact = [x for c in ends.tolist() for x in (c - u // 2, c + u // 2) if x % u == 0]
+            values += exact
+            parities |= {x // u % 2 for x in exact}
+    assert len(values) > 10_000 and parities == {0, 1}
+    assert mismatches_r(np.array(values, dtype=float)) == []
+
+
+def test_r_notation_switches():
+    # fixed notation for 1e-4 <= |x| < 1e16, scientific outside
+    switches = [1e-4, 1e-5, 1e16, 1e15, 9.9999999999999995e-5, 9999999999999998.0,
+                1.0000000000000002e16, 0.00012345678901234567]
+    assert mismatches_r(ulps(switches, reach=3)) == []
+    assert lines(_digits.r([1e-4, 1e-5, 1e16, 9999999999999998.0])) == [
+        "0.0001", "1e-05", "1e+16", "9999999999999998.0"]
+
+
+def test_r_values_the_kernel_leaves_to_percent():
+    fallback = [5e-324, -TINY / 3, TINY, math.inf, -math.inf, math.nan, 1e-300,
+                -1e300, 1.7976931348623157e308, 1125899906842624.25, 0.5, -2.0 ** -60]
+    kernel = [0.0, -0.0, 1.0 / 3, -0.1, 1e16, 123456.789, 2.5e-5, 1e-280]
+    values = np.array(fallback + kernel) * np.ones((3, 1))
+    assert mismatches_r(values.ravel()) == []
+    assert mismatches_r(values.ravel()[::-1]) == []
+    assert lines(_digits.r([0.0, -0.0])) == ["0.0", "-0.0"]
+
+
+@pytest.mark.parametrize("n, layers", [(2, 60), (4, 6)])
+def test_r_leaves_few_figure_values_to_percent(n, layers):
+    boxes, _ = build_layered(demo_schedule(n), layers)
+    columns = np.array([boxes.side, *boxes.lo.T, boxes.gap, boxes.k, boxes.a])
+    with mock.patch.object(_digits, "_fallback", wraps=_digits._fallback) as fallback:
+        assert mismatches_r(columns.ravel()) == []
+    slow = fallback.call_args.args[2]
+    assert slow.sum() <= 0.05 * columns.size
+
+
 def test_f6_ties_and_neighbours():
     ties = [1 / 128, 3 * 2.0 ** -8, 2.0 ** -7 + 2.0 ** -20, 0.5, 2.5, 1e-6 / 2]
     centres = ties + [5e-7, 1.5e-6, 2.5e-6, 0.0000125, 0.1, 1 / 3, 2.0 ** 32, 4e9]
@@ -170,11 +270,15 @@ PARTS = [np.array([1.0, -0.1, 123456.789, 0.5]),
          np.array([9.9999999999999995e-5, 1e16, -0.0, 7.0])]
 
 
-@pytest.mark.parametrize("kernel, widened", [(_digits.g17, False), (_digits.f6, True)])
+@pytest.mark.parametrize("kernel, widened",
+                         [(_digits.g17, False), (_digits.r, False), (_digits.f6, True)])
 def test_a_stacked_call_writes_what_its_parts_write(kernel, widened):
     whole = kernel(np.concatenate(PARTS))
     parts = [kernel(part) for part in PARTS]
-    assert (whole.shape[1] > parts[0].shape[1]) == widened
+    # a canvas is as wide as its longest field, and no `%.17g` or repr field
+    # is longer than 24 bytes
+    assert whole.shape[1] == max(canvas.shape[1] for canvas in parts) > parts[0].shape[1]
+    assert (whole.shape[1] > 24) == widened
     assert _digits.join([whole, b"\n"]) == b"".join(_digits.join([c, b"\n"]) for c in parts)
     # a stacked canvas splits into its columns' canvases, as the emitters use it
     rows = [_digits.join([column, b"\n"]) for column in whole.reshape(len(PARTS), 4, -1)]

@@ -162,10 +162,16 @@ def test_emitter_allocation_peaks(built):
     50-layer figure stays at most the peak of the kernel that made one call
     per column, 1,042,667 and 1,080,227 bytes (numpy 2.4).  A (rows, width)
     gather index for the whole field, or all seven CSV float columns in one
-    call, crosses the bound."""
-    boxes, records, _ = built
+    call, crosses the bound.  The geometry JSON of the 50-layer figure and
+    of the 6-layer n=4 figure stays at most the peak of the one `%` call per
+    block that it replaces, 1,537,325 and 1,795,777 bytes."""
+    boxes, records, summary = built
+    boxes4, summary4 = build_layered(demo_schedule(4), 6)
+    assert len(boxes4) == 3224 > BLOCK
     for blocks, bound in ((lambda: cli._csv_blocks(records), 1_042_667),
-                          (lambda: cli._svg_blocks(boxes), 1_080_227)):
+                          (lambda: cli._svg_blocks(boxes), 1_080_227),
+                          (lambda: cli._json_blocks(boxes, summary), 1_537_325),
+                          (lambda: cli._json_blocks(boxes4, summary4), 1_795_777)):
         streamed(blocks())  # first-call caches
         tracemalloc.start()
         try:
@@ -208,9 +214,13 @@ def test_failure_while_streaming_keeps_the_old_file(tmp_path):
 # geometry JSON
 # -------------------------------------------------------------------
 
+def json_text(boxes, summary):
+    return b"".join(cli._json_blocks(boxes, summary)).decode("utf-8")
+
+
 def assert_json_equals_the_oracle(boxes, summary, path):
     expected = oracle.geometry_json(boxes, summary)
-    assert "".join(cli._json_blocks(boxes, summary)) == expected
+    assert json_text(boxes, summary) == expected
     cli.emit_geometry_json(boxes, summary, str(path))
     assert path.read_bytes() == expected.encode("utf-8")
 
@@ -269,7 +279,7 @@ def test_random_json_columns_equal_the_oracle_at_any_block_size(values, n, block
                        side=cols[0],
                        lo=np.column_stack(cols[4:]), gap=cols[1], k=cols[2], a=cols[3])
     with mock.patch.object(cli, "_BLOCK_ROWS", block):
-        assert "".join(cli._json_blocks(boxes, SUMMARY)) == oracle.geometry_json(boxes, SUMMARY)
+        assert json_text(boxes, SUMMARY) == oracle.geometry_json(boxes, SUMMARY)
 
 
 def test_json_special_values_print_as_json_does():
@@ -277,25 +287,36 @@ def test_json_special_values_print_as_json_does():
     boxes = make_boxes(j=range(1, count + 1), layer=[1] * count, side=JSON_SPECIAL,
                        lo=np.column_stack((np.roll(JSON_SPECIAL, 1), np.roll(JSON_SPECIAL, 2))),
                        gap=[0.5] * count, k=[1.0] * count, a=[1.0] * count)
-    text = "".join(cli._json_blocks(boxes, SUMMARY))
+    text = json_text(boxes, SUMMARY)
     assert text == oracle.geometry_json(boxes, SUMMARY)
     for literal in ('"side": -0.0,', '"side": 5e-324,', '"side": 1e+300,',
                     '"side": -1e+307,'):
         assert literal in text
 
 
+def test_json_writes_every_int64_a_boxes_admits():
+    # j and layer outside the `d` kernel's 1 <= v < 10^16 still print as %d
+    j = [-2 ** 63, -1, 0, 1, 10 ** 16 - 1, 10 ** 16, 2 ** 63 - 1]
+    layer = [-5, 0, 0, 1, 9, 10 ** 16, 2 ** 63 - 1]
+    boxes = make_boxes(j=j, layer=layer, side=[1.0] * 7, lo=np.zeros((7, 2)),
+                       gap=[0.5] * 7, k=[1.0] * 7, a=[1.0] * 7)
+    text = json_text(boxes, SUMMARY)
+    assert text == oracle.geometry_json(boxes, SUMMARY)
+    assert '"j": -9223372036854775808,' in text and '"layer": 10000000000000000,' in text
+
+
 def test_json_failure_while_streaming_keeps_the_old_file(built, tmp_path, monkeypatch):
     boxes, _, summary = built
     path = tmp_path / "g.json"
     path.write_text("old\n")
-    blocks = cli._row_blocks
+    blocks = cli._json_blocks
 
-    def failing(row, columns):
-        stream = blocks(row, columns)
+    def failing(boxes, summary):
+        stream = blocks(boxes, summary)
         yield next(stream)
         raise GeometryError("stopped midway")
 
-    monkeypatch.setattr(cli, "_row_blocks", failing)
+    monkeypatch.setattr(cli, "_json_blocks", failing)
     with pytest.raises(GeometryError, match="midway"):
         cli.emit_geometry_json(boxes, summary, str(path))
     assert path.read_text() == "old\n"

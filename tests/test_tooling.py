@@ -13,10 +13,13 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import trapcert
 from trapcert import cli
 from trapcert.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
+# the `src/` this session imports the package from, which children run too
+SRC = Path(trapcert.__file__).resolve().parents[1]
 FIGURE = str(ROOT / "configs" / "figure2d.json")
 ARTIFACTS = ("geometry.json", "certificates.csv", "figure.svg", "report.txt")
 
@@ -24,7 +27,7 @@ ARTIFACTS = ("geometry.json", "certificates.csv", "figure.svg", "report.txt")
 def child(args, cwd):
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + ([path] if path else [])))
+        [str(SRC)] + ([path] if path else [])))
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
 
