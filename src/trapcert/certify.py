@@ -18,10 +18,10 @@ single record certifies every R larger than the circumradius of the
 arrangement.
 
 Each step of the chain is written once, on columns (the design identity
-and the defining relation in `sequences`); `certify_geometry` runs it over
-a `Boxes`, and the public scalar functions are one-element calls.  Arrays
-carry only correctly rounded operations and eps^(3(n-1)/2) stays one
-Python float power per box, so the columns are the scalar formulas' bits.
+and the defining relation in `sequences`), and `certify_geometry` runs it
+over a `Boxes`.  Arrays carry only correctly rounded operations and
+eps^(3(n-1)/2) stays one Python float power per box, so the columns are
+the bits of the scalar chain that `tests/certify_oracle.py` keeps.
 
 The trace inequality used in the flux estimate is checked in the tests, on
 separable polynomial-times-sine test functions with closed-form integrals
@@ -114,23 +114,20 @@ def _infsup(n: int, eps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return c_n * power, power >= sys.float_info.min
 
 
-def infsup_upper(n: int, eps: float) -> float:
-    """c_n * eps^(3(n-1)/2), the aperture-driven inf-sup upper bound."""
-    ub = _infsup(n, np.array([eps], float))[0][0].item()
-    if math.isnan(ub):
-        raise CertifyError(f"eps must be in (0,1), got {eps}")
-    return ub
-
-
 def _threshold(n: int, k, a):
     """sqrt(pi) n^(3/4) (1 + 2k sqrt(2k^2 a^2 + a)), for floats or arrays of
-    k and a; by construction of the aperture fraction this equals
-    1/infsup_upper up to roundoff."""
+    k and a; by construction of the aperture fraction this equals 1/ub of
+    `_infsup` up to roundoff."""
     return math.sqrt(math.pi) * n ** 0.75 * design_identity(k, a)
 
 
 def _floor(threshold, k) -> Tuple[np.ndarray, np.ndarray]:
-    """The columns (c_prime_lb, c_lb) of `resolvent_lower`."""
+    """Invert 'resolvent norm exceeds threshold' over columns (k > 0) into
+    (c_prime_lb, c_lb): (threshold - 1)/(2k) clamped at zero, then the
+    positive root C of 2 k^2 C^2 + C = S = c_prime_lb^2 in the rationalized
+    form 2S / (1 + sqrt(1 + 8 k^2 S)), accurate for small S.  Where 8 k^2 S
+    overflows (from k ~ 1e78 at a = 1e-4) the denominator is sqrt(8) k
+    c_prime_lb to far below one rounding, and C = c_prime_lb / (sqrt(2) k)."""
     with np.errstate(all="ignore"):
         c_prime = (threshold - 1.0) / (2.0 * k)
         c_prime = np.where(c_prime > 0.0, c_prime, 0.0)  # max(0.0, x), NaN to 0
@@ -138,24 +135,6 @@ def _floor(threshold, k) -> Tuple[np.ndarray, np.ndarray]:
         disc = 8.0 * k * k * s
         return c_prime, np.where(np.isinf(disc), c_prime / (math.sqrt(2.0) * k),
                                  2.0 * s / (1.0 + np.sqrt(1.0 + disc)))
-
-
-def resolvent_lower(threshold: float, k: float) -> Tuple[float, float]:
-    """Invert 'resolvent norm exceeds threshold' into lower bounds.
-
-    Returns (c_prime_lb, c_lb): the bound on the derived constant
-    (threshold - 1)/(2k), then the positive root C of 2 k^2 C^2 + C = S
-    with S = c_prime_lb^2, evaluated in the rationalized form
-    2S / (1 + sqrt(1 + 8 k^2 S)) which stays accurate for small S.  Where
-    8 k^2 S overflows binary64 (from k ~ 1e78 at a target of 1e-4), the
-    denominator equals sqrt(8) k c_prime_lb to far below one rounding, and
-    C = c_prime_lb / (sqrt(2) k) is used instead.  Both clamp at zero when
-    the threshold carries no information (threshold <= 1).
-    """
-    if k <= 0.0:
-        raise CertifyError(f"wavenumber must be positive, got {k}")
-    c_prime, c_lb = _floor(np.array([threshold], float), np.array([k], float))
-    return c_prime[0].item(), c_lb[0].item()
 
 
 @dataclass(frozen=True, eq=False)

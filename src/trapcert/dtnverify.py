@@ -35,7 +35,9 @@ counts and four worst margins.  Each ladder's bits do not depend on its
 batch (every engine decision is per point), so the sizes set only speed
 and memory: on the default sweep the 128-radius batches make 16 engine
 calls, not 63, and the 8-radius check blocks keep the allocation peak at
-2.4 MiB (3.6 MiB at 16 radii).
+2.4 MiB (3.6 MiB at 16 radii).  The tests hold each block to a per-radius
+reference and the identities of A, B and the eigenvalue to plain Hankel
+values from the engine (`tests/sweep_oracle.py`).
 """
 
 from __future__ import annotations
@@ -51,12 +53,9 @@ from trapcert.specfun import (
     NU_MAX,
     T_RANGE,
     BesselDomainError,
-    BesselRangeError,
-    bessel_ladder,  # noqa: F401  (dtnverify.bessel_ladder stays importable)
+    # the benchmark tracer wraps this name here; ROADMAP item 1 drops it
+    bessel_ladder,  # noqa: F401
     ladder_batches,
-    cyl_bessel_scaled,
-    spherical_hankel,
-    spherical_order,
 )
 
 IM_IDENTITY_TOL = 1e-9
@@ -93,78 +92,6 @@ def default_alphas(n: int) -> Tuple[float, ...]:
     """Hypothesis threshold, the applications value n-1, and n."""
     return (float(max(1, n - 2)), float(n - 1), float(n))
 
-
-def _ldexp_sat(x: float, e: int) -> float:
-    """math.ldexp that saturates to +-inf instead of raising."""
-    if x == 0.0:
-        return 0.0
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.copysign(math.inf, x)
-
-
-# -------------------------------------------------------------------
-# scalar routes (plain arithmetic, independent of the sweep kernels)
-# -------------------------------------------------------------------
-
-def a_nu(nu: float, t: float) -> float:
-    """A_nu(t) = M^2 (t^2 - nu^2) + t^2 N^2 - 4t/pi, cylindrical moduli.
-
-    Claimed nonpositive for nu >= 1/2; below 1/2 the value is returned
-    uninterpreted (it can be positive there).
-    """
-    if nu < 0.0 or t <= 0.0:
-        raise BesselDomainError(f"need nu >= 0 and t > 0, got {nu}, {t}")
-    ev = cyl_bessel_scaled(nu, t)
-    eta = _ldexp_sat(1.0, ev.ej - ev.ey)
-    jt, jpt = ev.jm * eta, ev.jpm * eta
-    m2 = jt * jt + ev.ym * ev.ym
-    n2 = jpt * jpt + ev.ypm * ev.ypm
-    scaled = m2 * (t * t - nu * nu) + t * t * n2 - (4.0 * t / math.pi) * _ldexp_sat(1.0, -2 * ev.ey)
-    return _ldexp_sat(scaled, 2 * ev.ey)
-
-
-def b_m(m: int, n: int, rho: float, alpha: float) -> float:
-    """The per-mode Morawetz combination B_m(rho) at multiplier alpha."""
-    if m < 0 or n < 2 or rho <= 0.0:
-        raise BesselDomainError(f"need m >= 0, n >= 2, rho > 0, got {m}, {n}, {rho}")
-    h, hp = spherical_hankel(m, n, rho)
-    mu2 = m * (m + n - 2)
-    try:
-        value = ((rho * rho - mu2) * abs(h) ** 2 + rho * rho * abs(hp) ** 2
-                 + alpha * rho * (hp * h.conjugate()).real
-                 - (4.0 / math.pi) * rho ** (3 - n))
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise BesselRangeError(f"B_m at m={m}, n={n}, rho={rho} exceeds binary64 "
-                               f"range; the sweep evaluates it in scaled form")
-    return value
-
-
-def dtn_eigenvalue(m: int, n: int, k: float, r: float) -> complex:
-    """DtN eigenvalue k h'_m(rho)/h_m(rho) at rho = kR.
-
-    Evaluated from the scaled cylindrical pair so that large orders at
-    small radii stay inside binary64: the shared power of two in h and h'
-    cancels in the ratio.
-    """
-    if k <= 0.0 or r <= 0.0:
-        raise BesselDomainError(f"need k > 0 and R > 0, got {k}, {r}")
-    rho = k * r
-    nu = spherical_order(m, n)
-    p_prime = n / 2.0 - 1.0
-    ev = cyl_bessel_scaled(nu, rho)
-    eta = _ldexp_sat(1.0, ev.ej - ev.ey)
-    num = complex(ev.jpm * eta, ev.ypm)   # (H' ) / 2^ey
-    den = complex(ev.jm * eta, ev.ym)     # (H  ) / 2^ey
-    return k * (num / den - p_prime / rho)
-
-
-# -------------------------------------------------------------------
-# sweep
-# -------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SweepSummary:

@@ -39,11 +39,10 @@ point crosses it (a product by 1.0 is exact, so skipping it changes no
 bit).  `ladder_batches` returns full ladders of several base orders and
 counts in one pass (the modal sweep's two order parities), `selftest_grid`
 takes the top-order entries of many (nu, t) at once and returns the
-selftest as arrays, and `cyl_bessel_scaled` takes one entry, which the
-scalar cross-check routes (`wronskian_residual`, `spherical_hankel`) read.
-The half-integer closed form, the engine's independent cross-check, has
-one array form too (`_half_integer_batch`), as has the (h, h') of a
-scaled entry (`_hankel_pairs`).  The test suite keeps the scalar forms,
+selftest as arrays.  The half-integer closed form, the engine's independent
+cross-check, has one array form too (`_half_integer_batch`), as has the
+(h, h') of a scaled entry (`_hankel_pairs`); the one-point evaluators are
+one-element calls of these.  The test suite keeps the scalar forms,
 on Python floats and complex numbers, in `tests/oracles.py`, and requires
 the arrays to equal them bit for bit: every point sees the same sequence
 of binary64 operations, and each of them (+ - * / sqrt hypot, frexp,
@@ -703,10 +702,16 @@ def _poly_sum(mm: np.ndarray, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _half_integer_batch(big_m: np.ndarray, t: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """`hankel_half_integer` over arrays: (Re H, Im H, Re H', Im H') of
-    order M + 1/2 at t, with the int array big_m and t broadcast against
-    each other.  Each operation is the scalar formula's, in CPython's
-    order; e^{it} and the prefactor are evaluated on t's own entries."""
+    """(Re H, Im H, Re H', Im H') of order M + 1/2 at t, the int array
+    big_m >= 0 and t broadcast, from the finite closed form
+
+        H_{M+1/2}(t) = sqrt(2/(pi t)) (-i)^(M+1) e^{it}
+                       sum_{s=0}^{M} (i/(2t))^s (M+s)!/(s!(M-s)!),
+
+    H' = H_{M-1/2} - ((M+1/2)/t) H_{M+1/2}, the sum at M = -1 giving exactly
+    H_{-1/2} = sqrt(2/(pi t)) e^{it}; independent of the engine.  Each
+    operation is the scalar formula's, in CPython's order; e^{it} and the
+    prefactor use t's own entries."""
     sq = np.sqrt(2.0 / (math.pi * t))
     pref = _c_prod(sq, 0.0, _libm(math.cos, t), _libm(math.sin, t))
     shape = np.broadcast_shapes(big_m.shape, t.shape)
@@ -714,7 +719,6 @@ def _half_integer_batch(big_m: np.ndarray, t: np.ndarray) -> Tuple[np.ndarray, .
                         for mm in (big_m, big_m - 1))
     h = _c_prod(*_c_prod(*pref, *_minus_i_power(big_m + 1)), *sum_m)
     below = _c_prod(*_c_prod(*pref, *_minus_i_power(big_m)), *sum_below)
-    below = [np.where(big_m == 0, p, b) for p, b in zip(pref, below)]  # H_{-1/2}
     gh = _c_prod((big_m + 0.5) / t, 0.0, *h)
     return h[0], h[1], below[0] - gh[0], below[1] - gh[1]
 
@@ -731,32 +735,14 @@ def _spherical_closed_batch(m: np.ndarray, n: int, t: np.ndarray) -> Tuple[np.nd
     return (*_c_prod(hr, hi, tp, 0.0), *_c_prod(dr, di, tp, 0.0))
 
 
-def _check_half_integer(big_m: int, t: float) -> None:
-    if big_m < 0:
-        raise BesselDomainError(f"closed form needs M >= 0, got {big_m}")
-    _validate(big_m + 0.5, t)
-
-
-def hankel_half_integer(big_m: int, t: float) -> Tuple[complex, complex]:
-    """(H_{M+1/2}(t), H_{M+1/2}'(t)) from the finite closed form, M >= 0.
-
-    H_{M+1/2}(t) = sqrt(2/(pi t)) (-i)^(M+1) e^{it}
-                   sum_{s=0}^{M} (i/(2t))^s (M+s)!/(s!(M-s)!),
-    with the derivative via H' = H_{M-1/2} - ((M+1/2)/t) H_{M+1/2} and
-    H_{-1/2} = sqrt(2/(pi t)) e^{it}.  Entirely independent of the series/
-    continued-fraction engine; used as its cross-validation.  A one-element
-    call of `_half_integer_batch`.
-    """
-    _check_half_integer(big_m, t)
-    hr, hi, hpr, hpi = _half_integer_batch(np.array([big_m]), np.array([t], dtype=float))
-    return complex(hr[0], hi[0]), complex(hpr[0], hpi[0])
-
-
 def spherical_hankel_closed(m: int, n: int, t: float) -> Tuple[complex, complex]:
     """(h_m(n,t), h_m'(n,t)) for odd n from the half-integer closed form."""
     if n < 2 or n % 2 == 0:
         raise BesselDomainError(f"closed form requires odd dimension n >= 3, got {n}")
-    _check_half_integer(m + (n - 3) // 2, t)
+    big_m = m + (n - 3) // 2
+    if big_m < 0:
+        raise BesselDomainError(f"closed form needs M >= 0, got {big_m}")
+    _validate(big_m + 0.5, t)
     hr, hi, hpr, hpi = _spherical_closed_batch(np.array([m]), n, np.array([t], dtype=float))
     return complex(hr[0], hi[0]), complex(hpr[0], hpi[0])
 

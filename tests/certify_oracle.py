@@ -2,10 +2,10 @@
 Python floats, and the trace inequality of the flux estimate.
 
 These are the scalar references: `trapcert.certify` writes each step of
-the chain once, on columns, and its scalar functions are one-element calls
-of that code.  The tests require those calls, and every column of
-`certify_geometry`, to equal the functions here bit for bit, and to raise
-the same first error with the same message.
+the chain once, on columns.  The tests require those steps (`_infsup`,
+`_floor`), and every column of `certify_geometry`, to equal the functions
+here bit for bit, and `certify_geometry` to raise the same first error
+with the same message.
 
 The trace inequality lives only here: `trace_inequality_residual` checks
 it on separable test functions, with closed-form integrals cross-checked

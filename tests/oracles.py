@@ -314,7 +314,7 @@ def scalar_wronskian_residual(nu: float, t: float) -> float:
 
 
 def hankel_half_integer(big_m: int, t: float) -> Tuple[complex, complex]:
-    """`specfun.hankel_half_integer` on Python complex numbers: the finite
+    """`specfun._half_integer_batch` on Python complex numbers: the finite
     closed form of (H_{M+1/2}(t), H_{M+1/2}'(t)), M >= 0."""
     if big_m < 0:
         raise BesselDomainError(f"closed form needs M >= 0, got {big_m}")

@@ -6,6 +6,8 @@ checks as 1-d arrays over the modes of one (radius, dimension) at a time.
 It returns each family's scaled margins and violation masks stacked into
 (radius x dimension x multiplier x mode) arrays, the layout of the
 kernel's blocks; the tests require the two to agree bit for bit.
+`hankel`, `a_terms` and `b_terms` give plain values of the families from
+the engine's per-point route, for the tests of their identities.
 """
 
 import math
@@ -14,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from trapcert.dtnverify import IM_IDENTITY_TOL, _np_ldexp
+from trapcert.specfun import _hankel_pairs, _scaled_entries
 
 from oracles import _ladder
 
@@ -104,3 +107,29 @@ def per_radius_checks(n_values: Sequence[int], m_max: int, rho_grid: Sequence[fl
             rho_arr.size, len(n_tuple), -1, m_max + 1)
 
     return [(stack(family, 0), stack(family, 1)) for family in rows]
+
+
+def hankel(n, nu, rho):
+    """(h, h') of dimension n at orders nu = m + n/2 - 1 and radii rho, as
+    complex arrays of their broadcast shape, from one call of the engine's
+    per-point route and `_hankel_pairs`; n = 2 gives the cylindrical pair."""
+    shape = np.broadcast_shapes(np.shape(nu), np.shape(rho))
+    nu, rho = (np.broadcast_to(np.asarray(a, float), shape).ravel() for a in (nu, rho))
+    hr, hi, hpr, hpi = _hankel_pairs(n, nu, rho, *_scaled_entries(nu, rho))
+    return (hr + 1j * hi).reshape(shape), (hpr + 1j * hpi).reshape(shape)
+
+
+def a_terms(nu, t):
+    """The terms of A_nu(t), which sum to it: M^2 (t^2 - nu^2), t^2 N^2 and
+    -4t/pi, M and N the moduli of the cylindrical H_nu and H_nu'."""
+    big_h, big_hp = hankel(2, nu, t)
+    return (np.abs(big_h) ** 2 * (t * t - nu * nu), t * t * np.abs(big_hp) ** 2,
+            -4.0 * t / math.pi)
+
+
+def b_terms(m, n, rho, alpha, h, hp):
+    """The terms of B_m(rho) at multiplier alpha, from the values (h, h'):
+    (rho^2 - m(m+n-2)) |h|^2, rho^2 |h'|^2, alpha rho Re(h' conj h) and
+    -(4/pi) rho^(3-n)."""
+    return ((rho * rho - m * (m + n - 2)) * np.abs(h) ** 2, rho * rho * np.abs(hp) ** 2,
+            alpha * rho * (hp * np.conj(h)).real, -(4.0 / math.pi) * rho ** (3.0 - n))

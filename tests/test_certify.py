@@ -31,14 +31,14 @@ from columns import make_boxes, take, with_values
 from trapcert.certify import (
     CertifyError,
     QuasimodeNorms,
+    _floor,
+    _infsup,
     _threshold,
     certify_geometry,
-    infsup_upper,
     quasimode_norms,
-    resolvent_lower,
 )
 from trapcert.geometry import build_layered
-from trapcert.sequences import demo_schedule, gap_fractions
+from trapcert.sequences import demo_schedule, design_identity, gap_fractions
 
 # mpmath, 40 digits
 C2 = 0.86051176034558705
@@ -51,7 +51,7 @@ J1 = dict(eps=0.5172299436649542, ub=0.32009751231805513,
           inv=3.1240480213616297, c_prime=0.44256483719218718,
           c_lb=0.094031001208279918, margin=0.093931001208279918)
 J2_C_LB = 0.039080740852892609
-# resolvent_lower on quoted literals
+# the resolvent floor on quoted literals
 LITERAL_C_LB = 0.09401197696116271
 TRACE_WORKED_RHS = 1.1958076954784512
 TRACE_N3_CASE = (0.1225, 0.56926850328985251)
@@ -59,6 +59,10 @@ TRACE_N3_CASE = (0.1225, 0.56926850328985251)
 
 def ell_for(n, k):
     return math.pi * math.sqrt(n) / k
+
+
+def column(*values):
+    return np.array(values, dtype=float)
 
 
 # -------------------------------------------------------------------
@@ -149,15 +153,16 @@ def test_norms_reject_broken_resonance():
 
 def test_infsup_constants_frozen():
     # eps = 1/4 makes the power factor exact: 0.25^1.5 = 1/8, 0.25^3 = 1/64
-    assert_allclose(infsup_upper(2, 0.25), C2 / 8.0, rtol=1e-15)
-    assert_allclose(infsup_upper(3, 0.25), C3 / 64.0, rtol=1e-15)
+    assert_allclose(_infsup(2, column(0.25))[0], [C2 / 8.0], rtol=1e-15)
+    assert_allclose(_infsup(3, column(0.25))[0], [C3 / 64.0], rtol=1e-15)
 
 
 def test_infsup_domain():
-    with pytest.raises(CertifyError):
-        infsup_upper(2, 1.0)
-    with pytest.raises(CertifyError):
-        infsup_upper(1, 0.3)
+    # eps outside (0,1) gives NaN, which fails every gate of certify_geometry
+    ub, normal = _infsup(2, column(1.0, 0.0, -0.5, math.inf, math.nan, 0.5))
+    assert np.isnan(ub[:5]).all() and not normal[:5].any() and ub[5] > 0.0
+    with pytest.raises(CertifyError, match="dimension must be >= 2"):
+        _infsup(1, column(0.3))
 
 
 def test_inverse_identity_random():
@@ -166,50 +171,40 @@ def test_inverse_identity_random():
         n = rng.choice((2, 3, 4, 5))
         k = 10.0 ** rng.uniform(-0.3, 2.7)
         a = 10.0 ** rng.uniform(-8.0, 1.0)
-        eps = gap_fractions(n, np.array([k]), np.array([a])).item()
-        lhs = 1.0 / infsup_upper(n, eps)
+        eps = gap_fractions(n, column(k), column(a))
+        lhs = 1.0 / _infsup(n, eps)[0].item()
         rhs = (math.sqrt(math.pi) * n ** 0.75
                * (1.0 + 2.0 * k * math.sqrt(2.0 * k * k * a * a + a)))
         assert abs(lhs - rhs) <= 1e-9 * rhs
 
 
 def test_resolvent_lower_quoted_literals():
-    c_prime, c_lb = resolvent_lower(3.12396, 2.39988)
-    assert_allclose(c_lb, LITERAL_C_LB, rtol=1e-12)
-    assert round(c_lb, 5) == 0.09401
-
-
-def test_resolvent_lower_round_trip():
-    # ranges keep threshold - 1 well above roundoff of the literal 1;
-    # below k ~ 1, a ~ 1e-6 the forward map itself discards the digits
-    rng = random.Random(915)
-    for _ in range(1000):
-        k = 10.0 ** rng.uniform(0.0, 3.0)
-        a = 10.0 ** rng.uniform(-6.0, 2.0)
-        threshold = 1.0 + 2.0 * k * math.sqrt(2.0 * k * k * a * a + a)
-        _, c_lb = resolvent_lower(threshold, k)
-        assert abs(c_lb - a) <= 1e-12 * a
+    c_prime, c_lb = _floor(column(3.12396), column(2.39988))
+    assert_allclose(c_lb, [LITERAL_C_LB], rtol=1e-12)
+    assert round(c_lb.item(), 5) == 0.09401
 
 
 def test_resolvent_lower_round_trip_where_the_product_overflows():
     # 8 k^2 S leaves binary64 from k ~ 1e77 (a = 0.3) or 1e78 (a = 1e-4);
     # the floor must still come back as the target, not as 0
-    for k in (1e100, 1e150, 2e150, 1e153):
-        for a in (1e-4, 0.3):
-            threshold = 1.0 + 2.0 * k * math.sqrt(2.0 * k * k * a * a + a)
-            c_prime, c_lb = resolvent_lower(threshold, k)
-            assert math.isinf(8.0 * k * k * c_prime * c_prime)
-            assert abs(c_lb - a) <= 1e-12 * a
+    k = column(1e100, 1e150, 2e150, 1e153).repeat(2)
+    a = column(1e-4, 0.3)[[0, 1] * 4]
+    c_prime, c_lb = _floor(design_identity(k, a), k)
+    with np.errstate(over="ignore"):
+        assert np.isinf(8.0 * k * k * c_prime * c_prime).all()
+    assert (np.abs(c_lb - a) <= 1e-12 * a).all()
 
 
 def test_resolvent_lower_uninformative_threshold():
-    assert resolvent_lower(1.0, 2.0) == (0.0, 0.0)
-    assert resolvent_lower(0.5, 2.0) == (0.0, 0.0)
+    c_prime, c_lb = _floor(column(1.0, 0.5, math.nan), column(2.0, 2.0, 2.0))
+    assert c_prime.tolist() == c_lb.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_resolvent_lower_domain():
-    with pytest.raises(CertifyError):
-        resolvent_lower(3.0, 0.0)
+    # the floor needs k > 0, which certify_geometry's first gate enforces
+    for k in (0.0, -2.0):
+        with pytest.raises(CertifyError, match=f"^need k, ell > 0 and eps in \\(0,1\\), got {k}"):
+            certify_geometry(make_boxes([1], [1], [1.0], [0.0, 0.0], [0.5], [k], [1e-3]))
 
 
 # -------------------------------------------------------------------
@@ -309,7 +304,7 @@ def test_certify_two_failing_gates_report_the_earlier():
     k, a, eps = tampered.k[0].item(), tampered.a[0].item(), tampered.gap[0].item()
     # the box also fails the routes gate, which comes after the resonance
     inv = _threshold(2, k, a)
-    assert abs(1.0 / infsup_upper(2, eps) - inv) > 1e-9 * inv
+    assert abs(1.0 / _infsup(2, column(eps))[0].item() - inv) > 1e-9 * inv
     with pytest.raises(CertifyError, match="violates the resonance relation"):
         certify_geometry(tampered)
 
@@ -418,7 +413,7 @@ def test_threshold_helper_matches_expansion():
 
 
 # -------------------------------------------------------------------
-# the one-element calls of the chain against the scalar oracle
+# the column steps of the chain against the scalar oracle
 # -------------------------------------------------------------------
 
 def outcome(fn, *args):
@@ -454,7 +449,11 @@ _DETUNE = st.one_of(st.just(0.0), st.builds(
 @example(n=2, eps=1.0)
 @example(n=1, eps=0.5)
 def test_infsup_upper_equals_the_oracle(n, eps):
-    assert outcome(infsup_upper, n, eps) == outcome(oracle.infsup_upper, n, eps)
+    # the column gives NaN where the oracle refuses eps
+    want = outcome(oracle.infsup_upper, n, eps)
+    if want[0] == "CertifyError" and want[1].startswith("eps must be in (0,1)"):
+        want = [("float", "nan")]
+    assert outcome(lambda: _infsup(n, column(eps))[0].item()) == want
 
 
 @given(n=_DIMENSION, k=_K, ell=st.one_of(st.none(), _ANY), detune=_DETUNE, eps=_EPS)
@@ -493,5 +492,8 @@ def thresholds(draw):
 @example(case=(0.5, 2.0))
 @example(case=(3.0, 0.0))
 def test_resolvent_lower_equals_the_oracle(case):
-    assert outcome(resolvent_lower, *case) == outcome(oracle.resolvent_lower, *case)
+    # the oracle refuses k <= 0, as certify_geometry's first gate does
+    want = outcome(oracle.resolvent_lower, *case)
+    if want[0] != "CertifyError":
+        assert outcome(lambda: tuple(c.item() for c in _floor(*map(column, case)))) == want
 

@@ -10,22 +10,21 @@ from trapcert.dtnverify import (
     SweepParams,
     SweepSummary,
     _check_blocks,
-    a_nu,
-    b_m,
     default_alphas,
-    dtn_eigenvalue,
     verify_sweep,
 )
-from trapcert.specfun import (
-    BesselDomainError,
-    BesselRangeError,
-    spherical_hankel,
-    spherical_hankel_closed,
-)
+from trapcert.specfun import BesselDomainError, spherical_hankel
 
-from sweep_oracle import per_radius_checks
+import oracles
+from sweep_oracle import a_terms, b_terms, hankel, per_radius_checks
 
 RHO_SAMPLE = SweepParams(rho_points=60).rho_grid()
+
+
+def eigenvalue(m, n, k, r):
+    """The DtN eigenvalue k h_m'(rho)/h_m(rho) at rho = kR."""
+    h, hp = spherical_hankel(m, n, k * r)
+    return k * hp / h
 
 
 # -------------------------------------------------------------------
@@ -35,33 +34,33 @@ RHO_SAMPLE = SweepParams(rho_points=60).rho_grid()
 def test_dtn_eigenvalue_n3_mode0_closed_form():
     # h_0 in dimension 3 gives h'/h = i - 1/rho, so the eigenvalue is ik - 1/R
     for k, r in ((1.0, 1.0), (3.7, 0.4), (0.3, 11.0), (50.0, 2.0)):
-        lam = dtn_eigenvalue(0, 3, k, r)
+        lam = eigenvalue(0, 3, k, r)
         ref = complex(-1.0 / r, k)
         assert abs(lam - ref) <= 1e-12 * abs(ref)
 
 
 def test_dtn_eigenvalue_outgoing_signs():
-    lam = dtn_eigenvalue(0, 2, 1.0, 1.0)
+    lam = eigenvalue(0, 2, 1.0, 1.0)
     assert lam.imag > 0.0 and lam.real <= 0.0
     for n in (2, 3, 4, 5):
         for m in (0, 1, 7, 40):
             for rho in (0.1, 2.0, 80.0):
-                lam = dtn_eigenvalue(m, n, 1.0, rho)
+                lam = eigenvalue(m, n, 1.0, rho)
                 assert lam.imag > 0.0
                 assert lam.real <= 1e-9
 
 
 def test_dtn_eigenvalue_evanescent_trend():
-    res = [dtn_eigenvalue(m, 3, 1.0, 5.0).real for m in range(51)]
+    res = [eigenvalue(m, 3, 1.0, 5.0).real for m in range(51)]
     assert all(b < a for a, b in zip(res, res[1:]))
     assert res[-1] < -5.0
 
 
 def test_dtn_eigenvalue_domain():
     with pytest.raises(BesselDomainError):
-        dtn_eigenvalue(0, 3, 0.0, 1.0)
+        eigenvalue(0, 3, 0.0, 1.0)
     with pytest.raises(BesselDomainError):
-        dtn_eigenvalue(0, 3, 1.0, -2.0)
+        eigenvalue(0, 3, 1.0, -2.0)
 
 
 # -------------------------------------------------------------------
@@ -69,29 +68,30 @@ def test_dtn_eigenvalue_domain():
 # -------------------------------------------------------------------
 
 def test_a_half_vanishes_identically():
-    for t in RHO_SAMPLE:
-        scale = max(1.0, 4.0 * t / math.pi, (2.0 / (math.pi * t)) * abs(t * t - 0.25))
-        assert abs(a_nu(0.5, float(t))) <= 1e-10 * scale
+    t = RHO_SAMPLE
+    scale = np.maximum(np.maximum(1.0, 4.0 * t / math.pi),
+                       (2.0 / (math.pi * t)) * np.abs(t * t - 0.25))
+    assert (np.abs(sum(a_terms(0.5, t))) <= 1e-10 * scale).all()
 
 
 def test_a_nu_nonpositive_for_covered_orders():
-    assert a_nu(1.0, 1.0) < 0.0
-    for nu in (0.5, 1.0, 2.5, 7.0, 33.0):
-        for t in (0.3, 1.0, 4.0, 60.0):
-            assert a_nu(nu, t) <= 1e-9 * max(1.0, 4.0 * t / math.pi)
+    assert sum(a_terms(1.0, 1.0)) < 0.0
+    nu, t = np.meshgrid([0.5, 1.0, 2.5, 7.0, 33.0], [0.3, 1.0, 4.0, 60.0])
+    assert (sum(a_terms(nu, t)) <= 1e-9 * np.maximum(1.0, 4.0 * t / math.pi)).all()
 
 
 def test_a_nu_probe_below_half_can_be_positive():
     # nu < 1/2 is outside the claim; the probe documents that the bound
     # genuinely needs the hypothesis
-    assert a_nu(0.0, 0.1) > 0.0
+    assert sum(a_terms(0.0, 0.1)) > 0.0
 
 
 def test_a_nu_domain():
-    with pytest.raises(BesselDomainError):
-        a_nu(-0.5, 1.0)
-    with pytest.raises(BesselDomainError):
-        a_nu(1.0, 0.0)
+    # the claim covers orders nu >= 1/2, so the sweep leaves out n = 2, m = 0
+    # (where the probe above is positive) and checks every other mode
+    (a_margin, a_mask), *_ = checks((2, 3), 2, RHO_SAMPLE)[0]
+    assert (a_margin[:, 0, 0, 0] == -math.inf).all() and not a_mask[:, 0, 0, 0].any()
+    assert np.isfinite(a_margin[:, 0, 0, 1:]).all() and np.isfinite(a_margin[:, 1]).all()
 
 
 # -------------------------------------------------------------------
@@ -100,68 +100,41 @@ def test_a_nu_domain():
 
 def test_b0_n3_alpha1_vanishes():
     # closed form: B_0(n=3) = rho^(-2) (2/pi) (1 - alpha)
-    for rho in RHO_SAMPLE:
-        scale = max(1.0, 4.0 / (math.pi * float(rho)))
-        assert abs(b_m(0, 3, float(rho), 1.0)) <= 1e-10 * scale
+    rho = RHO_SAMPLE
+    b = sum(b_terms(0, 3, rho, 1.0, *hankel(3, 0.5, rho)))
+    assert (np.abs(b) <= 1e-10 * np.maximum(1.0, 4.0 / (math.pi * rho))).all()
 
 
 def test_b0_n3_alpha2_closed_form():
-    assert abs(b_m(0, 3, 1.0, 2.0) + 2.0 / math.pi) <= 1e-10
-    for rho in (0.25, 1.0, 7.0):
-        ref = (2.0 / math.pi) * (1.0 - 2.0) / rho ** 2
-        assert b_m(0, 3, rho, 2.0) == pytest.approx(ref, rel=1e-10)
+    rho = np.array([1.0, 0.25, 1.0, 7.0])
+    b = sum(b_terms(0, 3, rho, 2.0, *hankel(3, 0.5, rho)))
+    assert abs(b[0] + 2.0 / math.pi) <= 1e-10
+    assert b[1:] == pytest.approx((2.0 / math.pi) * (1.0 - 2.0) / rho[1:] ** 2, rel=1e-10)
 
 
 def test_b_m_nonpositive_inside_hypothesis():
-    assert b_m(5, 2, 10.0, 1.0) <= 0.0
+    assert sum(b_terms(5, 2, 10.0, 1.0, *hankel(2, 5.0, 10.0))) <= 0.0
+    m, rho = (a.ravel() for a in np.meshgrid([0, 1, 6, 25], [0.2, 1.5, 40.0]))
     for n in (2, 3, 4, 5):
-        hyp = max(1, n - 2)
-        for m in (0, 1, 6, 25):
-            for rho in (0.2, 1.5, 40.0):
-                val = b_m(m, n, rho, float(hyp))
-                assert val <= 1e-9 * max(1.0, 4.0 / math.pi * rho ** (3 - n))
+        b = sum(b_terms(m, n, rho, float(max(1, n - 2)), *hankel(n, m + n / 2.0 - 1.0, rho)))
+        assert (b <= 1e-9 * np.maximum(1.0, 4.0 / math.pi * rho ** (3 - n))).all()
 
 
 def test_b0_n2_alpha1_boundary():
     # the m=0, n=2 case needs alpha >= 1 and comes close to equality
-    vals = [b_m(0, 2, float(rho), 1.0) for rho in RHO_SAMPLE]
-    assert all(v <= 1e-9 * max(1.0, 4.0 / math.pi * r)
-               for v, r in zip(vals, RHO_SAMPLE))
-    assert max(vals) > -1e-2  # near-equality region exists
+    vals = sum(b_terms(0, 2, RHO_SAMPLE, 1.0, *hankel(2, 0.0, RHO_SAMPLE)))
+    assert (vals <= 1e-9 * np.maximum(1.0, 4.0 / math.pi * RHO_SAMPLE)).all()
+    assert vals.max() > -1e-2  # near-equality region exists
 
 
 def test_b_m_two_routes_agree_odd_dimensions():
+    # the engine's (h, h') against the closed form of tests/oracles.py
+    m, rho = (a.ravel() for a in np.meshgrid(np.arange(0, 21, 4), [0.6, 3.0, 30.0]))
     for n in (3, 5):
-        for m in range(0, 21, 4):
-            for rho in (0.6, 3.0, 30.0):
-                general = b_m(m, n, rho, float(n - 1))
-                h, hp = spherical_hankel_closed(m, n, rho)
-                mu2 = m * (m + n - 2)
-                t1 = (rho * rho - mu2) * abs(h) ** 2
-                t2 = rho * rho * abs(hp) ** 2
-                t3 = (n - 1) * rho * (hp * h.conjugate()).real
-                t4 = (4.0 / math.pi) * rho ** (3 - n)
-                closed = t1 + t2 + t3 - t4
-                scale = max(abs(t1), t2, abs(t3), t4)
-                assert abs(general - closed) <= 1e-10 * scale
-
-
-def test_b_m_domain():
-    with pytest.raises(BesselDomainError):
-        b_m(-1, 3, 1.0, 1.0)
-    with pytest.raises(BesselDomainError):
-        b_m(0, 1, 1.0, 1.0)
-
-
-@pytest.mark.parametrize("m", [85, 86])
-def test_b_m_past_binary64_raises_a_range_error(m):
-    # h itself is finite here, but |h|^2 is not
-    assert math.isfinite(abs(spherical_hankel(m, 3, 1.0)[0]))
-    with pytest.raises(BesselRangeError) as info:
-        b_m(m, 3, 1.0, 1.0)
-    assert isinstance(info.value, OverflowError)
-    assert f"m={m}, n=3, rho=1.0" in str(info.value)
-    assert b_m(84, 3, 1.0, 1.0) < -1e298  # the last order that fits
+        general = sum(b_terms(m, n, rho, n - 1.0, *hankel(n, m + n / 2.0 - 1.0, rho)))
+        for i, (mi, ri) in enumerate(zip(m.tolist(), rho.tolist())):
+            terms = b_terms(mi, n, ri, n - 1.0, *oracles.spherical_hankel_closed(mi, n, ri))
+            assert abs(general[i] - sum(terms)) <= 1e-10 * max(abs(t) for t in terms)
 
 
 # -------------------------------------------------------------------
@@ -217,9 +190,9 @@ def test_sweep_alpha_below_hypothesis_records_violations():
 
 
 def test_sweep_records_match_scalar_routes():
-    """The kernel's scaled margins of A, B and Re(h' conj h) against the
-    scalar routes: each family's plain value times rho^(n-2) over the
-    largest of 1 and its terms' moduli, from the spherical engine."""
+    """The kernel's scaled margins of A, B and Re(h' conj h) against plain
+    values from `spherical_hankel`: each family's value times rho^(n-2)
+    over the largest of 1 and its cylindrical terms' moduli."""
     n, rho, alpha = 3, 5.0, 2.0
     got, _ = checks((n,), 3, [rho], alphas=(alpha,))
     (a_margin, _), (b_margin, _), (re_margin, _), _ = got
@@ -231,15 +204,15 @@ def test_sweep_records_match_scalar_routes():
         big_h, g = rho ** p_prime * h, rho ** p_prime * hp
         big_hp = g + (p_prime / rho) * big_h
         re_cyl = (g * big_h.conjugate()).real
-        a_terms = (abs(big_h) ** 2 * (rho * rho - nu * nu), rho * rho * abs(big_hp) ** 2,
-                   4.0 * rho / math.pi)
-        b_terms = ((rho * rho - mu2) * abs(big_h) ** 2, rho * rho * abs(g) ** 2,
-                   alpha * rho * re_cyl, 4.0 * rho / math.pi)
-        re_terms = (g.real * big_h.real, g.imag * big_h.imag)
+        a_cyl = (abs(big_h) ** 2 * (rho * rho - nu * nu), rho * rho * abs(big_hp) ** 2,
+                 -4.0 * rho / math.pi)
+        b_cyl = ((rho * rho - mu2) * abs(big_h) ** 2, rho * rho * abs(g) ** 2,
+                 alpha * rho * re_cyl, -4.0 * rho / math.pi)
+        re_parts = (g.real * big_h.real, g.imag * big_h.imag)
         for margin, plain, terms in (
-                (a_margin, a_nu(nu, rho), a_terms),
-                (b_margin, b_m(m, n, rho, alpha) * rho ** (n - 2), b_terms),
-                (re_margin, (hp * h.conjugate()).real * rho ** (n - 2), re_terms)):
+                (a_margin, sum(a_cyl), a_cyl),
+                (b_margin, sum(b_terms(m, n, rho, alpha, h, hp)) * rho ** (n - 2), b_cyl),
+                (re_margin, (hp * h.conjugate()).real * rho ** (n - 2), re_parts)):
             bound = max(1.0, *(abs(term) for term in terms))
             assert abs(margin[0, 0, 0, m] - plain / bound) <= 1e-9
 

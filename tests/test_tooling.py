@@ -17,6 +17,8 @@ import trapcert
 from trapcert import cli
 from trapcert.cli import run
 
+import mutants
+
 ROOT = Path(__file__).resolve().parents[1]
 # the `src/` this session imports the package from, which children run too
 SRC = Path(trapcert.__file__).resolve().parents[1]
@@ -126,12 +128,6 @@ def test_every_command_runs_on_numpy_alone(tmp_path, monkeypatch, capsys):
 # public names whose only callers are tests: independent cross-check routes
 CROSS_CHECK_ROUTES = {
     "quasimode_norms": "closed-form mode norms, against tensor quadrature",
-    "infsup_upper": "scalar inf-sup bound, against the scalar chain",
-    "resolvent_lower": "scalar resolvent floor, round trips and the scalar chain",
-    "a_nu": "scalar A_nu, against the sweep kernel's scaled margins",
-    "b_m": "scalar B_m, against the sweep kernel's scaled margins",
-    "dtn_eigenvalue": "scalar DtN eigenvalue, against the scalar engine",
-    "hankel_half_integer": "closed form of H_(M+1/2), independent of the engine",
 }
 PACKAGE = ROOT / "src" / "trapcert"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")} | {"trapcert"}
@@ -183,6 +179,12 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                          and name not in elsewhere and name not in references(tree, own)]
     assert sorted(uncalled) == sorted(CROSS_CHECK_ROUTES), (
         set(uncalled) ^ set(CROSS_CHECK_ROUTES))
+
+
+def test_every_mutant_edits_one_place():
+    """Each row of the mutation table applies once and compiles; `python
+    tests/mutants.py` runs the mutants themselves."""
+    assert mutants.check_table() == []
 
 
 def test_readme_configuration_names_every_accepted_key():
