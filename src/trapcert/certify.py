@@ -1,4 +1,4 @@
-"""Per-box certificates: quasimode norms, inf-sup bound, resolvent floor.
+"""Per-box certificates: resonance gates, inf-sup bound, resolvent floor.
 
 For a box of side ell with k*ell = pi*sqrt(n), the product Dirichlet mode
 u(x) = prod_i sin(k x_i / sqrt(n)) has fully explicit norms: the squared
@@ -23,9 +23,10 @@ over a `Boxes`.  Arrays carry only correctly rounded operations and
 eps^(3(n-1)/2) stays one Python float power per box, so the columns are
 the bits of the scalar chain that `tests/certify_oracle.py` keeps.
 
-The trace inequality used in the flux estimate is checked in the tests, on
-separable polynomial-times-sine test functions with closed-form integrals
-(`tests/certify_oracle.py`).
+The mode's closed-form norms and the trace inequality used in the flux
+estimate are checked in the tests (`tests/certify_oracle.py`): the norms
+against tensor quadrature, the inequality on separable
+polynomial-times-sine test functions with closed-form integrals.
 """
 
 from __future__ import annotations
@@ -44,63 +45,6 @@ from trapcert.sequences import defining_relation, design_identity, powers
 class CertifyError(ValueError):
     """A certificate precondition or invariant failed."""
 
-
-# -------------------------------------------------------------------
-# quasimode norms
-# -------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuasimodeNorms:
-    """Squared norms of the product Dirichlet mode of one box."""
-
-    h1k_norm_sq: float
-    flux_norm_sq: float
-    flux_cubic_ub: float
-
-
-def _s_minus_sin(s: float) -> float:
-    """s - sin(s), series below s = 1/2 to dodge the cancellation."""
-    if s < 0.5:
-        s2 = s * s
-        return s * s2 * (1.0 / 6 - s2 * (1.0 / 120 - s2 * (1.0 / 5040
-                         - s2 * (1.0 / 362880 - s2 / 39916800))))
-    return s - math.sin(s)
-
-
-def _box_gates(n: int, k, ell, eps) -> list:
-    """Domain and resonance gates of columns of boxes: k, ell > 0, eps in
-    (0,1), and k*ell = pi*sqrt(n) to 1e-12 relative."""
-    root = math.pi * math.sqrt(n)
-    with np.errstate(all="ignore"):
-        return [(k > 0.0) & (ell > 0.0) & (0.0 < eps) & (eps < 1.0),
-                ~(np.abs(k * ell - root) > 1e-12 * root)]
-
-
-def _box_messages(k, ell, eps) -> list:
-    return [f"need k, ell > 0 and eps in (0,1), got {k}, {ell}, {eps}",
-            f"k*ell = {k * ell!r} violates the resonance relation pi*sqrt(n)"]
-
-
-def quasimode_norms(n: int, k: float, ell: float, eps: float) -> QuasimodeNorms:
-    """Closed-form norms; requires the resonance relation k*ell = pi*sqrt(n)
-    (to 1e-12 relative), which makes the mode an exact Dirichlet eigenmode."""
-    if n < 2:
-        raise CertifyError(f"dimension must be >= 2, got {n}")
-    gates = _box_gates(n, *(np.array([v], float) for v in (k, ell, eps)))
-    for gate, message in zip(gates, _box_messages(k, ell, eps)):
-        if not gate[0]:
-            raise CertifyError(message)
-    h1k = k * k * ell ** n / 2.0 ** (n - 1)
-    s = 2.0 * k * ell * eps / math.sqrt(n)
-    flux = (math.sqrt(n) / (4.0 * k)) ** (n - 3) * _s_minus_sin(s) ** (n - 1) / 16.0
-    cubic = ((k * ell * eps) ** (3 * (n - 1))
-             / (3.0 ** (n - 1) * k ** (n - 3) * float(n) ** n))
-    return QuasimodeNorms(h1k_norm_sq=h1k, flux_norm_sq=flux, flux_cubic_ub=cubic)
-
-
-# -------------------------------------------------------------------
-# inf-sup bound and resolvent floor
-# -------------------------------------------------------------------
 
 def _infsup(n: int, eps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """c_n eps^(3(n-1)/2) over a column of eps, NaN where eps leaves (0,1),
@@ -159,21 +103,25 @@ def certify_geometry(boxes: Boxes) -> Certificates:
     """Certify every box of a built arrangement.
 
     Every box passes eight gates or the call fails, naming the first
-    failing box and its first failing gate: the domain and resonance checks
-    of `quasimode_norms` and a positive target a; eps^(3(n-1)/2) normal and
-    a finite threshold and margin, else ArithmeticError, as a bound outside
-    binary64 proves nothing; the inf-sup routes agreeing to 1e-9 relative,
-    a positive margin, and the defining relation.
+    failing box and its first failing gate: k, ell > 0 and eps in (0,1);
+    the resonance k*ell = pi*sqrt(n) to 1e-12 relative, which makes the
+    product mode an exact Dirichlet eigenmode; a positive target a;
+    eps^(3(n-1)/2) normal and a finite threshold and margin, else
+    ArithmeticError, as a bound outside binary64 proves nothing; the
+    inf-sup routes agreeing to 1e-9 relative, a positive margin, and the
+    defining relation.
     """
     n = boxes.lo.shape[1]
     k, a, eps, ell = boxes.k, boxes.a, boxes.gap, boxes.side
+    root = math.pi * math.sqrt(n)
     ub, normal = _infsup(n, eps)
     with np.errstate(all="ignore"):
         inv = _threshold(n, k, a)
         c_prime, c_lb = _floor(inv, k)
         margin = c_lb - a
         gates = np.stack((
-            *_box_gates(n, k, ell, eps),
+            (k > 0.0) & (ell > 0.0) & (0.0 < eps) & (eps < 1.0),
+            ~(np.abs(k * ell - root) > 1e-12 * root),
             a > 0.0,
             normal,
             (np.abs(inv) < math.inf) & (np.abs(margin) < math.inf),
@@ -186,7 +134,9 @@ def certify_geometry(boxes: Boxes) -> Certificates:
             gate = int(np.argmin(gates[:, i]))
             j, ki, ai, ei, li = (c[i].item() for c in (boxes.j, k, a, eps, ell))
             error = ArithmeticError if gate in (3, 4) else CertifyError
-            raise error((_box_messages(ki, li, ei) + [
+            raise error([
+                f"need k, ell > 0 and eps in (0,1), got {ki}, {li}, {ei}",
+                f"k*ell = {ki * li!r} violates the resonance relation pi*sqrt(n)",
                 f"box {j}: need target a > 0, got {ai!r}",
                 f"box {j}: eps^(3(n-1)/2) = {ei ** (1.5 * (n - 1))!r} is below the normal range",
                 f"box {j}: threshold {inv[i].item()!r} or margin {margin[i].item()!r} is not finite",
@@ -195,7 +145,7 @@ def certify_geometry(boxes: Boxes) -> Certificates:
                 f"box {j}: resolvent floor {c_lb[i].item()!r} does not clear "
                 f"target {ai!r}",
                 f"box {j}: floor fails the defining relation",
-            ])[gate])
+            ][gate])
     return Certificates(j=boxes.j, k=k, a=a, eps=eps, infsup_ub=ub,
                         infsup_ub_inv_identity=inv, c_prime_lb=c_prime,
                         c_lb=c_lb, margin=margin)

@@ -413,10 +413,6 @@ class DisjointnessReport:
     cross: np.recarray
 
     @property
-    def disjoint(self) -> bool:
-        return not self.overlap_pairs
-
-    @property
     def failure(self) -> Optional[str]:
         """The first failing check with its level(s) and values: the
         overlaps, else an in-layer gap off its promised value, else a

@@ -50,8 +50,8 @@ ldexp, comparisons) is correctly rounded or exact in numpy as in CPython.
 Complex arithmetic, CF2's and the closed form's, is CPython's own product
 and Smith quotient written out in reals (numpy's complex division rounds
 differently); cos, sin and powers come from the math module, one call per
-argument; CF2's |z| < bound tests defer to CPython's abs() for the rare
-points too close to the bound to settle from z's squared modulus.
+argument; CF2's |z| < bound tests take |z| as np.hypot, the libm hypot
+that CPython's complex abs() calls, so they settle as abs() does.
 
 Accuracy: better than 1e-10 relative to the modulus M_nu = |H_nu| for
 nu <= 200 and t in [1e-3, 1e3] (observed ~1e-11 worst case).  Relative to

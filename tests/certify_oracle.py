@@ -1,11 +1,15 @@
 """The per-box certificate chain as it ran before the column code, in
-Python floats, and the trace inequality of the flux estimate.
+Python floats, the closed-form norms of the quasimode, and the trace
+inequality of the flux estimate.
 
 These are the scalar references: `trapcert.certify` writes each step of
 the chain once, on columns.  The tests require those steps (`_infsup`,
 `_floor`), and every column of `certify_geometry`, to equal the functions
 here bit for bit, and `certify_geometry` to raise the same first error
 with the same message.
+
+The quasimode's norms live only here: `quasimode_norms` gives them in
+closed form, and the tests check them against tensor quadrature.
 
 The trace inequality lives only here: `trace_inequality_residual` checks
 it on separable test functions, with closed-form integrals cross-checked
@@ -20,10 +24,31 @@ from typing import Tuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from trapcert.certify import CertifyError, QuasimodeNorms, _s_minus_sin
+from trapcert.certify import CertifyError
 
 
-def quasimode_norms(n, k, ell, eps):
+@dataclass(frozen=True)
+class QuasimodeNorms:
+    """Squared norms of the product Dirichlet mode of one box."""
+
+    h1k_norm_sq: float
+    flux_norm_sq: float
+    flux_cubic_ub: float
+
+
+def _s_minus_sin(s):
+    """s - sin(s), series below s = 1/2 to dodge the cancellation."""
+    if s < 0.5:
+        s2 = s * s
+        return s * s2 * (1.0 / 6 - s2 * (1.0 / 120 - s2 * (1.0 / 5040
+                         - s2 * (1.0 / 362880 - s2 / 39916800))))
+    return s - math.sin(s)
+
+
+def resonant_box(n, k, ell, eps):
+    """The domain and resonance gates of one box: k, ell > 0, eps in (0,1),
+    and k*ell = pi*sqrt(n) to 1e-12 relative, which makes the product mode
+    an exact Dirichlet eigenmode."""
     if n < 2:
         raise CertifyError(f"dimension must be >= 2, got {n}")
     if not (k > 0.0 and ell > 0.0 and 0.0 < eps < 1.0):
@@ -33,6 +58,14 @@ def quasimode_norms(n, k, ell, eps):
         raise CertifyError(
             f"k*ell = {k * ell!r} violates the resonance relation pi*sqrt(n)"
         )
+
+
+def quasimode_norms(n, k, ell, eps):
+    """Closed-form norms of the product mode u(x) = prod_i sin(k x_i / sqrt(n))
+    of a box that passes `resonant_box`: the squared H1_k norm over the box,
+    the squared normal flux through the aperture [0, eps*ell]^(n-1), and its
+    cubic bound from s - sin s <= s^3/6."""
+    resonant_box(n, k, ell, eps)
     h1k = k * k * ell ** n / 2.0 ** (n - 1)
     s = 2.0 * k * ell * eps / math.sqrt(n)
     flux = (math.sqrt(n) / (4.0 * k)) ** (n - 3) * _s_minus_sin(s) ** (n - 1) / 16.0
@@ -75,7 +108,7 @@ def scalar_certify(boxes):
     for j, k, a, eps, ell in zip(boxes.j.tolist(), boxes.k.tolist(),
                                  boxes.a.tolist(), boxes.gap.tolist(),
                                  boxes.side.tolist()):
-        quasimode_norms(n, k, ell, eps)
+        resonant_box(n, k, ell, eps)
         if not a > 0.0:
             raise CertifyError(f"box {j}: need target a > 0, got {a!r}")
         ub = infsup_upper(n, eps)

@@ -25,6 +25,12 @@ MUTANTS = [
      ("tests/test_certify.py::test_resolvent_lower_quoted_literals",
       "tests/test_certify.py::test_resolvent_lower_equals_the_oracle",
       "tests/test_acceptance.py::test_criterion_06_resolvent_round_trip")),
+    ("resonance-tolerance", "certify.py",
+     "k * ell - root) > 1e-12 * root", "k * ell - root) > 1e-6 * root",
+     ("tests/test_certify.py::test_certify_gates_a_resonant_box_as_the_oracle",)),
+    ("aperture-edge", "certify.py",
+     "(0.0 < eps) & (eps < 1.0)", "(0.0 < eps) & (eps <= 1.0)",
+     ("tests/test_certify.py::test_certify_names_the_first_failing_box_and_gate",)),
     ("floor-overflow-branch", "certify.py",
      "c_prime / (math.sqrt(2.0) * k)", "c_prime / (2.0 * k)",
      ("tests/test_certify.py::test_resolvent_lower_round_trip_where_the_product_overflows",
@@ -35,8 +41,7 @@ MUTANTS = [
       "tests/test_specfun.py::test_closed_form_in_dimension_5_equals_the_scalar_oracle")),
     ("hankel-pairs-derivative-sign", "specfun.py",
      "_plain((jpm - pp * jm / t) * tp_m", "_plain((jpm + pp * jm / t) * tp_m",
-     ("tests/test_dtnverify.py::test_b0_n3_alpha1_vanishes",
-      "tests/test_dtnverify.py::test_b_m_two_routes_agree_odd_dimensions",
+     ("tests/test_dtnverify.py::test_b_m_two_routes_agree_odd_dimensions",
       "tests/test_acceptance.py::test_criterion_09_exact_boundary_cases")),
     ("a-family-drops-4t-over-pi", "dtnverify.py",
      "rho * rho * (jpt * jpt + ypm * ypm), -a3), inv2ey)",

@@ -51,7 +51,8 @@ def test_run_labeling_matches_the_cell_fill(layers, which, factor):
     cells, width = _blocked_raster(case, res)
     expected = scipy_one_component(cells, width)
     assert expected == (which == "none")
-    assert bfs_one_component(cells, width) == expected
+    if layers <= 4:  # the cell-by-cell BFS takes seconds on larger rasters
+        assert bfs_one_component(cells, width) == expected
     assert _one_component(cells, width) == expected
     if which == "none" or len(case) > 1:  # a lone sealed box has no feature
         assert flood_fill_oracle(case, res) == expected

@@ -411,7 +411,7 @@ def test_stacked_disjointness_generic():
     sched = stacked_schedule(extra=True)
     boxes, _ = build_stacked(sched, 3)
     report = disjointness_certificate(boxes, sched)
-    assert report.passed and report.disjoint
+    assert report.passed and not report.overlap_pairs
     assert len(report.in_layer) == 0  # singleton levels
     adjacent = report.cross[report.cross.layer_b == report.cross.layer_a + 1]
     assert adjacent.layer_a.tolist() == [1, 2]
@@ -502,7 +502,7 @@ def test_disjointness_flags_overlap():
     boxes, _ = build_layered(S2, 2)
     tampered = with_values(boxes, 1, lo=(0.5, 0.0))
     report = disjointness_certificate(tampered, S2)
-    assert not report.disjoint
+    assert report.overlap_pairs
     assert (1, 2) in report.overlap_pairs
     assert not report.passed
     assert report.failure == f"{len(report.overlap_pairs)} overlapping pairs"
@@ -529,7 +529,7 @@ def test_disjointness_touching_closures_flagged():
     side = boxes.side[0]
     tampered = with_values(take(boxes, [0, 1]), 1, lo=(side, 0.0))
     report = disjointness_certificate(tampered, S2)
-    assert not report.disjoint
+    assert report.overlap_pairs
 
 
 def assert_matches_all_pairs(boxes, sched):
@@ -673,14 +673,14 @@ def test_partition_splits_on_a_second_pass():
     # second vertical pass splits box 1 from box 2
     boxes = squares([(0.0, 0.0), (0.0, 2.0), (5.0, 0.0)], [1.0, 1.0, 3.0])
     assert partition_axes(boxes) == ([1, 0, 1], [])
-    assert assert_matches_all_pairs(boxes, S2).disjoint
+    assert not assert_matches_all_pairs(boxes, S2).overlap_pairs
     # in three dimensions: box 3 bridges boxes 1 and 2 along x until the
     # pass along y splits it off, and the second pass along x splits them
     cubes = make_boxes([1, 2, 3], [2, 2, 2], [1.0, 1.0, 3.0],
                        [(0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.0, 5.0, 0.0)],
                        gap=[0.1] * 3, k=[10.0] * 3, a=[1e-4] * 3)
     assert partition_axes(cubes) == ([2, 0, 1, 2, 0], [])
-    assert assert_matches_all_pairs(cubes, demo_schedule(3)).disjoint
+    assert not assert_matches_all_pairs(cubes, demo_schedule(3)).overlap_pairs
 
 
 def test_partition_keeps_boxes_touching_on_their_only_separating_axis():

@@ -125,10 +125,6 @@ def test_every_command_runs_on_numpy_alone(tmp_path, monkeypatch, capsys):
                 == (tmp_path / "in-process" / "np" / name).read_bytes()), name
 
 
-# public names whose only callers are tests: independent cross-check routes
-CROSS_CHECK_ROUTES = {
-    "quasimode_norms": "closed-form mode norms, against tensor quadrature",
-}
 PACKAGE = ROOT / "src" / "trapcert"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")} | {"trapcert"}
 
@@ -153,22 +149,39 @@ def references(tree, skip=(), strings=False):
     return names
 
 
+def attributes(tree):
+    """Every attribute name that `tree` reads, of any object."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
+    """Every public module-level name, and every public method or property
+    of a class, is read by the package, the benchmark, the scripts or the
+    README's examples, not by the tests alone."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     outside = set()
+    members_read = set()  # attribute names, so a member is read as `x.name`
     for block in re.findall(r"```python\n(.*?)```", readme, re.S):
         outside |= references(ast.parse(block))
+        members_read |= attributes(ast.parse(block))
     for folder in ("bench", "scripts"):
         for path in (ROOT / folder).glob("*.py"):
-            outside |= references(ast.parse(path.read_text(encoding="utf-8")),
-                                  strings=folder == "bench")
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            outside |= references(tree, strings=folder == "bench")
+            members_read |= attributes(tree)
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in PACKAGE.glob("*.py")}
     read = {module: references(tree) for module, tree in trees.items()}
-    uncalled = []
+    members_read |= outside.union(*map(attributes, trees.values()))
+    uncalled, unused_members = [], []
     for module, tree in trees.items():
         elsewhere = outside.union(*(names for key, names in read.items() if key != module))
         for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                unused_members += [f"{top.name}.{member.name}" for member in top.body
+                                   if isinstance(member, ast.FunctionDef)
+                                   and not member.name.startswith("_")
+                                   and member.name not in members_read]
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                 names = [top.name]
             else:  # assignments, annotated or not
@@ -177,8 +190,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             own = {id(node) for node in ast.walk(top)}
             uncalled += [name for name in names if not name.startswith("_")
                          and name not in elsewhere and name not in references(tree, own)]
-    assert sorted(uncalled) == sorted(CROSS_CHECK_ROUTES), (
-        set(uncalled) ^ set(CROSS_CHECK_ROUTES))
+    assert (uncalled, unused_members) == ([], [])
 
 
 def test_every_mutant_edits_one_place():
