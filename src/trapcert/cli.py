@@ -614,10 +614,12 @@ def _cmd_plan(cfg: RunConfig, outputs: OutputPaths, out) -> int:
     if cfg.layout == "layered":
         print(f"{'level':>5} {'boxes':>6} {'first-j':>8} {'height':>12} "
               f"{'side':>10} {'pitch':>10} {'width':>10}", file=out)
-        for plan in layer_plans(sched, cfg.truncation):
-            print(f"{plan.i:>5} {plan.count:>6} {plan.start_index:>8} "
-                  f"{plan.height:>12.6f} {plan.max_side:>10.6f} "
-                  f"{plan.pitch:>10.6f} {plan.width:>10.6f}", file=out)
+        plans = layer_plans(sched, cfg.truncation)
+        for i, count, start, height, side, pitch, width in zip(
+                plans.i.tolist(), plans.count, plans.start, plans.height.tolist(),
+                plans.max_side.tolist(), plans.pitch.tolist(), plans.width.tolist()):
+            print(f"{i:>5} {count:>6} {start:>8} {height:>12.6f} {side:>10.6f} "
+                  f"{pitch:>10.6f} {width:>10.6f}", file=out)
         print(f"total boxes through level {cfg.truncation}: {len(boxes)}", file=out)
     else:
         print(f"{'j':>5} {'k':>12} {'side':>10} {'base height':>12}", file=out)

@@ -36,10 +36,15 @@ is strictly apart on that axis (or, for a minimum distance, where the
 upper coordinates are widened by the distance of a pair already in hand
 and rounded upward, apart by more than that distance).  Inside the groups a
 sort-and-sweep along one axis yields the remaining candidates, and only
-these are measured, in bounded chunks.  Every distance, and every bound
-used to skip pairs, is one per-pair formula that is monotone under
-rounding, so the certificate proves the same facts and reports the same
-bits as an all-pairs pass, at O(N log N) per pass plus the candidates.
+these are measured, in bounded chunks.  One such sweep, from the levels as
+groups, finds both the overlaps and the minimum gaps inside every level;
+levels are compared by their bounding boxes, and only the levels whose
+bounding boxes meet are swept together, for overlaps across levels.  Every
+distance, and every bound used to skip pairs, is one per-pair formula that
+is monotone under rounding, so the certificate proves the same facts and
+reports the same bits as an all-pairs pass, at O(N log N) per pass plus
+the candidates, plus O(L^2 n) time and memory for the pairs of L levels
+(O(N^2) on the stacked layout, where every box is a level).
 """
 
 from __future__ import annotations
@@ -81,24 +86,6 @@ class GeometryError(ValueError):
 
 class ResolutionTooCoarseError(GeometryError):
     """Raster resolution cannot resolve the narrowest geometric feature."""
-
-
-# -------------------------------------------------------------------
-# layer plans
-# -------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LayerPlan:
-    """Derived data of level i: grid shape, indices, height, and pitch."""
-
-    i: int
-    count: int
-    start_index: int
-    height: float
-    max_side: float
-    pitch: float
-    cols: int
-    width: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,41 +156,75 @@ class GeometrySummary:
     r_gamma_upper: float
 
 
-def _columns(i: int) -> int:
-    return int(math.floor(i * math.log(i + math.e)))
+# -------------------------------------------------------------------
+# layer plans
+# -------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class LayerPlans:
+    """Levels 1..L as columns, one entry per level: `i`, the box `count`,
+    the `start` index of its first box, the grid's `cols` along each
+    horizontal axis, the `height` of its base, the `max_side` of its first
+    (largest) box, the `pitch` and the `width` cols * pitch.  Counts and
+    starts are Python integers, exact past int64 (at n = 32 the levels past
+    the built ones hold about 10^97 boxes); the others are numpy arrays."""
+
+    i: np.ndarray
+    count: Tuple[int, ...]
+    start: Tuple[int, ...]
+    cols: np.ndarray
+    height: np.ndarray
+    max_side: np.ndarray
+    pitch: np.ndarray
+    width: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.i)
 
 
-def layer_plans(sched: Schedule, limit: Optional[int]) -> List[LayerPlan]:
+def layer_plans(sched: Schedule, limit: Optional[int]) -> LayerPlans:
     """Plans of the levels 1..limit, fewer where the tables cannot supply all
     boxes and the padding of a level (limit None: all of them; a family must
     then be a table).  Start indices follow from the box counts alone, so
     one wavenumber evaluation gives the sides of every level start."""
     k_end = len(sched.k_family.values) if isinstance(sched.k_family, KTable) else math.inf
     d_end = len(sched.d_family.values) if isinstance(sched.d_family, DTable) else math.inf
-    levels: List[Tuple[int, int, int]] = []  # (columns, count, start index)
+    logs: List[float] = []  # ln(i + e), for the column count and the pitch
+    cols: List[int] = []
+    counts: List[int] = []
+    starts: List[int] = []
     b = 1
-    while (limit is None or len(levels) < limit) and len(levels) < d_end:
-        cols = _columns(len(levels) + 1)
-        count = cols ** (sched.n - 1)
+    while (limit is None or len(cols) < limit) and len(cols) < d_end:
+        i = len(cols) + 1
+        log_i = math.log(i + math.e)
+        c = int(math.floor(i * log_i))
+        count = c ** (sched.n - 1)
         if b + count - 1 > k_end:
             break
-        levels.append((cols, count, b))
+        logs.append(log_i)
+        cols.append(c)
+        counts.append(count)
+        starts.append(b)
         b += count
-    sides = sidelengths(sched, [start for _, _, start in levels]).tolist()
-    pads = paddings(sched, range(1, len(levels) + 1)).tolist()
-    plans: List[LayerPlan] = []
-    h = 0.0
-    for i, ((cols, count, start), ell_b, d_i) in enumerate(zip(levels, sides, pads), start=1):
-        if i > 1:  # the padding of the level above, d_{i-1}
-            h = h - ell_b - pads[i - 2]
-        pitch = ell_b + d_i / math.log(i + math.e)
-        if not all(map(math.isfinite, (ell_b, pitch, cols * pitch, h))):
-            raise ScheduleError(f"level {i} leaves binary64: side {ell_b!r}, "
-                                f"pitch {pitch!r}, height {h!r}")
-        plans.append(LayerPlan(i=i, count=count, start_index=start, height=h,
-                               max_side=ell_b, pitch=pitch, cols=cols,
-                               width=cols * pitch))
-    return plans
+    m = len(cols)
+    cols_arr = np.array(cols, dtype=np.int64)
+    sides = sidelengths(sched, starts)
+    pads = paddings(sched, range(1, m + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pitch = sides + pads / np.array(logs)
+        width = cols_arr * pitch
+        # H_i = (H_{i-1} - ell_{B_i}) - d_{i-1}, as one left fold over
+        # [0, ell_2, d_1, ell_3, d_2, ...]; the last entry is not read
+        fold = np.zeros(2 * m)
+        fold[1:-1] = np.column_stack((sides[1:], pads[:-1])).ravel()
+        height = np.subtract.accumulate(fold)[::2]
+    bad = np.flatnonzero(~np.isfinite(np.stack((sides, pitch, width, height))).all(axis=0))
+    if bad.size:
+        p = bad[0]
+        raise ScheduleError(f"level {p + 1} leaves binary64: side {sides[p].item()!r}, "
+                            f"pitch {pitch[p].item()!r}, height {height[p].item()!r}")
+    return LayerPlans(i=np.arange(1, m + 1), count=tuple(counts), start=tuple(starts),
+                      cols=cols_arr, height=height, max_side=sides, pitch=pitch, width=width)
 
 
 # -------------------------------------------------------------------
@@ -299,22 +320,29 @@ def build_layered(sched: Schedule, layers: int) -> Tuple[Boxes, GeometrySummary]
             f"{layers} requested"
         )
 
-    built = plans[:layers]
-    j_built = sum(plan.count for plan in built)  # boxes are numbered from 1
+    # boxes are numbered from 1
+    j_built = plans.start[layers - 1] + plans.count[layers - 1] - 1
     if j_built > MAX_BOXES:
         raise GeometryError(f"{layers} layers hold {j_built} boxes, more than "
                             f"the {MAX_BOXES} one build allows")
     k, side, gap, a = derived_columns(sched, range(1, j_built + 1))
-    lo = np.concatenate([np.column_stack((plan.pitch * _grid(plan.cols, sched.n - 1),
-                                          np.full(plan.count, plan.height)))
-                         for plan in built])
-    layer = np.repeat([plan.i for plan in built], [plan.count for plan in built])
+    lo = np.empty((j_built, sched.n))
+    layer = np.empty(j_built, dtype=np.int64)
+    for i, start, count, cols, pitch, height in zip(
+            range(1, layers + 1), plans.start, plans.count, plans.cols.tolist(),
+            plans.pitch.tolist(), plans.height.tolist()):
+        rows = slice(start - 1, start - 1 + count)
+        np.multiply(pitch, _grid(cols, sched.n - 1), out=lo[rows, :-1])
+        lo[rows, -1] = height
+        layer[rows] = i
     boxes = Boxes(j=np.arange(1, j_built + 1), layer=layer, side=side, gap=gap,
                   k=k, a=a, lo=lo)
-    j_all = plans[-1].start_index + plans[-1].count - 1
-    m_ext = plans[-1].i
-    widest = max(plans, key=lambda p: p.width)
-    named_width = (f"level {widest.i}", widest.width)
+    j_all = plans.start[-1] + plans.count[-1] - 1
+    m_ext = len(plans)
+    h_last = plans.height[-1].item()
+    w = int(np.argmax(plans.width))  # the first widest level
+    extent = plans.width[w].item()
+    named_width = (f"level {w + 1}", extent)
 
     # the built boxes first: a build past binary64 names its largest box
     # before any tail does
@@ -322,22 +350,22 @@ def build_layered(sched: Schedule, layers: int) -> Tuple[Boxes, GeometrySummary]
     if infinite:
         d_tail = paddings(sched, [m_ext]).item() + padding_tail_bound(sched, m_ext)
         ell_tail = _level_side_tail(sched, m_ext)
-        h_lo = plans[-1].height - ell_tail - d_tail
-        h_hi = plans[-1].height
+        h_lo = h_last - ell_tail - d_tail
+        h_hi = h_last
         # the analytic bound holds from box 3 on; a single level sums to there
         vol_tail = (volume_sum(sched.n, sidelengths(sched, range(j_built + 1, 4)),
                                j_built + 1, "volume tail")
                     + volume_tail_bound(sched, max(j_built, 3)))
         w_tail = _width_tail_bound(sched, m_ext + 1)
-        if w_tail > widest.width:
+        if w_tail > extent:
             named_width = (f"bound for the levels past {m_ext}", w_tail)
     else:
         # finite tables: every placeable level is in `plans`, so the deepest
         # level height and the full finite sums are exact
-        h_lo = h_hi = plans[-1].height
+        h_lo = h_hi = h_last
         vol_tail = volume_sum(sched.n, sidelengths(sched, range(j_built + 1, j_all + 1)),
                               j_built + 1, "volume tail")
-    return boxes, _summary("layered", boxes, widest.width, named_width,
+    return boxes, _summary("layered", boxes, extent, named_width,
                            (h_lo, h_hi), vol_lo, vol_tail)
 
 
@@ -592,6 +620,19 @@ def _min_distance(lo: np.ndarray, hi: np.ndarray, delta: float,
     return float(best)
 
 
+def _level_runs(boxes: Boxes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The levels in row order, with the first row and the row count of
+    each: `Boxes` keeps `layer` nondecreasing, so each level is one run."""
+    starts = np.r_[0, np.flatnonzero(np.diff(boxes.layer)) + 1]
+    return boxes.layer[starts], starts, np.diff(np.r_[starts, len(boxes)])
+
+
+def _apart(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
+    """Whether some axis strictly separates the closed boxes of each
+    row-aligned pair (a_r, b_r), in either direction."""
+    return ((hi_a < lo_b) | (hi_b < lo_a)).any(axis=1)
+
+
 def disjointness_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessReport:
     """Exact pairwise closure-disjointness plus the quantitative gap floors,
     by partition and sort-and-sweep (sweep-and-prune, Cohen et al.,
@@ -599,17 +640,20 @@ def disjointness_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessRepor
 
     Disjointness is decided by strict comparison of computed coordinates,
     no tolerance: two closed boxes are disjoint iff some axis strictly
-    separates them.  A pair split across groups by `_partition`, or dropped
-    by the sweep inside a group, has closed projections that do not meet on
-    one axis, which is its proof, and every other pair gets the all-axes
-    test.
+    separates them.  Every pair a sweep drops or `_partition` splits across
+    groups has closed projections that do not meet on one axis, which is its
+    proof, and every other pair gets the all-axes test.
 
-    Per-level and per-level-pair minimum distances are then measured and
-    compared against the schedule's promised separations.  The minima of
-    all levels come from one partition and sweep that starts from the
-    levels as groups, each level's rows widened by the distance of one of
-    its pairs, which is an upper bound on its minimum, so every pair left
-    out is farther away.
+    One partition and sweep serves both the overlaps and the gaps inside
+    the levels.  It starts from the levels as groups, each level's rows
+    widened by the distance of one of its pairs (an upper bound on its
+    minimum distance, so every pair left out is farther away), and it drops
+    a pair only when the two are at least that reach u > 0 apart on some
+    axis, so every pair of one level whose closures meet is among its
+    candidates.  Two levels whose bounding boxes are strictly apart on some
+    axis hold no pair that meets; the rows of the levels whose bounding box
+    meets another level's (none on either builder's arrangements) are swept
+    together once more, for the pairs across levels.
     For two levels, the distance between their bounding boxes is a lower
     bound on every pair's computed distance (the per-pair formula is
     monotone under rounding); when one witness pair (the lowest box of the
@@ -620,53 +664,62 @@ def disjointness_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessRepor
     one `paddings` call.
 
     Cost: O(N log N) for each partition pass and each sweep axis, plus the
-    candidate pairs, plus O(L^2 n) array work for L levels; only the level
-    pairs whose witness misses the bound (none on either builder's
-    arrangements) are visited one by one.  A pair
-    split across groups is proved apart by the comparison that cuts it: the
-    box at the cut starts beyond the upper coordinate of every box before it
-    in its group (widened by the level's reach, rounded upward, for the
-    minima), and every box after the cut starts no lower.  On the layered
-    arrangement the vertical pass separates the levels and the horizontal
-    passes separate each level's grid, so a valid arrangement leaves no
-    overlap candidates and, for the minima, only the boxes within a level's
-    reach of their neighbours (80 pairs at n=4 with 6 layers, where a
-    one-axis sweep had 522,602 and 183,219).  Memory is O(N) plus a fixed
-    chunk of candidate pairs.
+    candidate pairs, plus O(L^2 n) time and memory for the L(L-1)/2 pairs of
+    L levels; only the level pairs whose witness misses the bound are
+    visited one by one.  On the layered arrangement the vertical pass
+    separates the levels and the horizontal passes separate each level's
+    grid, so only the boxes within a level's reach of their neighbours
+    remain (80 pairs at n=4 with 6 layers, where a one-axis sweep had
+    522,602).  On the stacked layout every box is a level, so L = N and the
+    level-pair arrays take O(N^2) memory.  Beside them the sweep holds O(N)
+    plus a fixed chunk of candidate pairs.
     """
     lo, hi = boxes.lo, boxes.hi
-
-    pairs = [np.empty((2, 0), dtype=np.int64)]
-    for i, k in _sweep_pairs(lo, hi, None):
-        # strict separation along some axis, either direction
-        apart = ((hi[i] < lo[k]) | (hi[k] < lo[i])).any(axis=1)
-        pairs.append(np.sort((i[~apart], k[~apart]), axis=0))  # rows are in j order
-    first, second = np.concatenate(pairs, axis=1)
-    o = np.lexsort((second, first))
-    overlaps = tuple(zip(boxes.j[first[o]].tolist(), boxes.j[second[o]].tolist()))
-
-    # each level is one run of rows, from starts[p] on
-    layers, starts, sizes = np.unique(boxes.layer, return_index=True, return_counts=True)
+    layers, starts, sizes = _level_runs(boxes)
     level = np.repeat(np.arange(len(layers)), sizes)
 
-    # one sweep for every level, each widened by the distance of its first
-    # two boxes
+    # one sweep for the overlaps and the minima inside every level, each
+    # level widened by the distance of its first two boxes
     multi = np.flatnonzero(sizes > 1)
     first, second = starts[multi], starts[multi] + 1
     reach = np.zeros(len(layers))
     reach[multi] = [_reach(d) for d in
                     _pair_distances(lo[first], hi[first], lo[second], hi[second]).tolist()]
     minima = np.full(len(layers), math.inf)
+    pairs = [np.empty((2, 0), dtype=np.int64)]
     for i, k in _sweep_pairs(lo, hi, reach[level], level):
-        np.minimum.at(minima, level[i], _pair_distances(lo[i], hi[i], lo[k], hi[k]))
+        lo_i, hi_i, lo_k, hi_k = lo[i], hi[i], lo[k], hi[k]
+        meet = ~_apart(lo_i, hi_i, lo_k, hi_k)
+        pairs.append(np.sort((i[meet], k[meet]), axis=0))  # rows are in j order
+        np.minimum.at(minima, level[i], _pair_distances(lo_i, hi_i, lo_k, hi_k))
 
     bb_lo = np.minimum.reduceat(lo, starts)
     bb_hi = np.maximum.reduceat(hi, starts)
-    # the first row of each level at its lowest bottom and highest top
-    lowest = np.lexsort((lo[:, -1], level))[starts]
-    highest = np.lexsort((-hi[:, -1], level))[starts]
     ia, ib = np.triu_indices(len(layers), 1)
-    between = _pair_distances(bb_lo[ia], bb_hi[ia], bb_lo[ib], bb_hi[ib])
+    lo_a, hi_a, lo_b, hi_b = bb_lo[ia], bb_hi[ia], bb_lo[ib], bb_hi[ib]
+    between = _pair_distances(lo_a, hi_a, lo_b, hi_b)
+    # two levels whose bounding boxes are strictly apart on some axis hold
+    # no pair that meets; the rows of the others are swept together
+    meets = ~_apart(lo_a, hi_a, lo_b, hi_b)
+    swept = np.zeros(len(layers), dtype=bool)
+    swept[ia[meets]] = swept[ib[meets]] = True
+    del lo_a, hi_a, lo_b, hi_b, meets  # O(N^2) on the stacked layout
+    meeting = np.flatnonzero(swept[level])
+    if len(meeting):
+        for i, k in _sweep_pairs(lo[meeting], hi[meeting]):
+            i, k = meeting[i], meeting[k]
+            meet = (level[i] != level[k]) & ~_apart(lo[i], hi[i], lo[k], hi[k])
+            pairs.append(np.sort((i[meet], k[meet]), axis=0))
+    first, second = np.concatenate(pairs, axis=1)
+    o = np.lexsort((second, first))
+    overlaps = tuple(zip(boxes.j[first[o]].tolist(), boxes.j[second[o]].tolist()))
+
+    # the first row of each level at its lowest bottom and at its highest top
+    rows = np.arange(len(lo))
+    lowest = np.minimum.reduceat(np.where(lo[:, -1] == bb_lo[level, -1], rows, len(lo)),
+                                 starts)
+    highest = np.minimum.reduceat(np.where(hi[:, -1] == bb_hi[level, -1], rows, len(lo)),
+                                  starts)
     a_up = bb_lo[ia, -1] >= bb_lo[ib, -1]
     wa = np.where(a_up, lowest[ia], lowest[ib])
     wb = np.where(a_up, highest[ib], highest[ia])
@@ -716,7 +769,7 @@ def connectivity_certificate(boxes: Boxes,
     bad_eps = boxes.j[~(boxes.gap > 0.0)][:5].tolist()
     # per level, in level order (each level is one run of rows): the base
     # height of its last box, its highest top and its highest box bottom
-    layers, starts, sizes = np.unique(boxes.layer, return_index=True, return_counts=True)
+    layers, starts, sizes = _level_runs(boxes)
     base = boxes.lo[:, -1]
     height = base[starts + sizes - 1]
     top = np.maximum.reduceat(base + boxes.side, starts)

@@ -48,6 +48,19 @@ MUTANTS = [
      "rho * rho * (jpt * jpt + ypm * ypm)), inv2ey)",
      ("tests/test_dtnverify.py::test_sweep_records_match_scalar_routes",
       "tests/test_dtnverify.py::test_sweep_equals_per_radius_reference")),
+    ("meeting-levels-unswept", "geometry.py",
+     "    if len(meeting):", "    if False:",
+     ("tests/test_geometry.py::test_overlap_across_the_level_boundary",
+      "tests/test_geometry.py::test_stacked_column_with_one_touching_pair",
+      "tests/test_geometry.py::test_sweep_matches_all_pairs_tampered")),
+    ("level-box-separation-non-strict", "geometry.py",
+     "meets = ~_apart(lo_a, hi_a, lo_b, hi_b)",
+     "meets = ~((hi_a <= lo_b) | (hi_b <= lo_a)).any(axis=1)",
+     ("tests/test_geometry.py::test_stacked_column_with_one_touching_pair",)),
+    ("height-fold-reassociated", "geometry.py",
+     "fold[1:-1] = np.column_stack((sides[1:], pads[:-1])).ravel()",
+     "fold[1:-1:2] = sides[1:] + pads[:-1]",
+     ("tests/test_schedule_columns.py::test_layer_plans_equal_the_level_loop",)),
 ]
 
 

@@ -94,3 +94,30 @@ def derived_params(sched: Schedule, j: int) -> DerivedParams:
         eps=gap_fraction(sched.n, k, a),
         a=a,
     )
+
+
+def layer_plans(sched: Schedule, limit):
+    """The level loop as it ran before the plan columns: one tuple (i, count,
+    start, cols, height, max_side, pitch, width) per level 1..limit (all
+    levels the tables allow when limit is None), the height as the running
+    (H - ell) - d, raising at the first level that leaves binary64."""
+    k_end = len(sched.k_family.values) if isinstance(sched.k_family, KTable) else math.inf
+    d_end = len(sched.d_family.values) if isinstance(sched.d_family, DTable) else math.inf
+    rows = []
+    b, h = 1, 0.0
+    while (limit is None or len(rows) < limit) and len(rows) < d_end:
+        i = len(rows) + 1
+        cols = int(math.floor(i * math.log(i + math.e)))
+        count = cols ** (sched.n - 1)
+        if b + count - 1 > k_end:
+            break
+        ell = math.pi * math.sqrt(sched.n) / wavenumber(sched, b)
+        if i > 1:
+            h = h - ell - padding(sched, i - 1)
+        pitch = ell + padding(sched, i) / math.log(i + math.e)
+        if not all(map(math.isfinite, (ell, pitch, cols * pitch, h))):
+            raise ScheduleError(f"level {i} leaves binary64: side {ell!r}, "
+                                f"pitch {pitch!r}, height {h!r}")
+        rows.append((i, count, b, cols, h, ell, pitch, cols * pitch))
+        b += count
+    return rows

@@ -64,7 +64,7 @@ def test_criterion_01_layered_figure_count():
 # -------------------------------------------------------------------
 
 def test_criterion_02_layer_two_count():
-    counts = {n: layer_plans(demo_schedule(n), 2)[1].count for n in (2, 3, 4)}
+    counts = {n: layer_plans(demo_schedule(n), 2).count[1] for n in (2, 3, 4)}
     ok = all(counts[n] == 3 ** (n - 1) for n in (2, 3, 4))
     _verdict(2, ok, f"level-2 box counts {counts} match 3^(n-1) exactly")
 

@@ -968,6 +968,79 @@ def test_run_stacked_subnormal_wavenumber_exit_2(tmp_path, capsys, command):
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
+# `plan` stdout for configs/figure2d.json as the per-level loop printed it
+# before the plan columns: as configured, at n=3 and at n=4
+PLAN_FIGURE2D = {
+    (): """\
+schedule: n=2; wavenumbers log-growth(c=2); targets power(0.0001 * j^0.25); paddings shifted-power(2 * (i+6)^-1.2)
+level  boxes  first-j       height       side      pitch      width
+    1      1        1     0.000000   1.851431   1.998852   1.998852
+    2      3        2    -1.349332   1.155729   1.262042   3.786125
+    3      5        5    -2.088869   0.574599   0.656724   3.283618
+    4      7       10    -2.553351   0.321283   0.387531   2.712718
+    5     10       17    -2.881069   0.201526   0.256602   2.566024
+    6     12       27    -3.126962   0.133340   0.180164   2.161965
+    7     15       39    -3.324465   0.096109   0.136614   2.049204
+    8     18       54    -3.488749   0.072177   0.107705   1.938681
+    9     22       72    -3.629277   0.056257   0.087776   1.931083
+   10     25       94    -3.751684   0.044833   0.073064   1.826607
+   11     28      119    -3.860282   0.036804   0.062296   1.744294
+   12     32      147    -3.957966   0.030927   0.054106   1.731402
+   13     35      179    -4.046657   0.026361   0.047566   1.664794
+   14     39      214    -4.127924   0.022851   0.042353   1.651782
+   15     43      253    -4.202872   0.020020   0.038042   1.635790
+   16     46      296    -4.272387   0.017711   0.034434   1.583969
+   17     50      342    -4.337219   0.015840   0.031418   1.570909
+   18     54      392    -4.397935   0.014269   0.028830   1.556837
+   19     58      446    -4.455008   0.012939   0.026591   1.542295
+   20     62      504    -4.508835   0.011802   0.024639   1.527619
+   21     66      566    -4.559750   0.010823   0.022925   1.513021
+   22     70      632    -4.608040   0.009973   0.021409   1.498630
+   23     74      702    -4.653952   0.009231   0.020061   1.484527
+   24     78      776    -4.697698   0.008578   0.018856   1.470757
+   25     83      854    -4.739465   0.008000   0.017773   1.475119
+   26     87      937    -4.779410   0.007481   0.016788   1.460598
+   27     91     1024    -4.817677   0.007018   0.015897   1.446647
+   28     95     1115    -4.854397   0.006602   0.015087   1.433226
+   29    100     1210    -4.889682   0.006228   0.014346   1.434649
+   30    104     1310    -4.923633   0.005887   0.013665   1.421179
+total boxes through level 30: 1413
+""",
+    ("--dimension", "3", "--layers", "10"): """\
+schedule: n=3; wavenumbers log-growth(c=2); targets power(0.0001 * j^0.25); paddings shifted-power(2 * (i+6)^-1.2)
+level  boxes  first-j       height       side      pitch      width
+    1      1        1     0.000000   2.372894   2.520315   2.520315
+    2      9        2    -1.903078   1.709475   1.815788   5.447363
+    3     25       11    -2.702248   0.634232   0.716357   3.581784
+    4     49       36    -3.130465   0.285018   0.351266   2.458862
+    5    100       85    -3.417597   0.160941   0.216018   2.160176
+    6    144      185    -3.629045   0.098894   0.145718   1.748617
+    7    225      329    -3.800841   0.070402   0.110906   1.663597
+    8    324      554    -3.945434   0.052486   0.088014   1.584244
+    9    484      878    -4.070590   0.040885   0.072405   1.592903
+   10    625     1362    -4.180627   0.032462   0.060694   1.517343
+total boxes through level 10: 1986
+""",
+    ("--dimension", "4", "--layers", "6"): """\
+schedule: n=4; wavenumbers log-growth(c=2); targets power(0.0001 * j^0.25); paddings shifted-power(2 * (i+6)^-1.2)
+level  boxes  first-j       height       side      pitch      width
+    1      1        1     0.000000   2.802917   2.950339   2.950339
+    2     27        2    -2.362868   2.169265   2.275578   6.826733
+    3    125       29    -3.087602   0.559796   0.641920   3.209602
+    4    343      154    -3.453221   0.222421   0.288669   2.020683
+    5   1000      497    -3.705147   0.125734   0.180811   1.808108
+    6   1728     1497    -3.895195   0.077494   0.124319   1.491823
+total boxes through level 6: 3224
+""",
+}
+
+
+@pytest.mark.parametrize("flags", PLAN_FIGURE2D, ids=["configured", "n3-10", "n4-6"])
+def test_run_plan_prints_the_recorded_table(capsys, flags):
+    assert run(["plan", "--config", str(CONFIGS / "figure2d.json"), *flags]) == 0
+    assert capsys.readouterr() == (PLAN_FIGURE2D[flags], "")
+
+
 def test_run_build_makes_the_configured_directory(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # the example config writes into ./out
     assert run(["build", "--config", str(CONFIGS / "figure2d.json"),

@@ -1,7 +1,8 @@
 """The range functions of `sequences` against the per-box scalar oracle in
-`schedule_oracle`: every column value equal by `float.hex`, and on schedules
-that fail, the same exception with the same message, from the first
-failing box, with nothing printed and no warning raised."""
+`schedule_oracle`, and `geometry.layer_plans` against its per-level loop:
+every column value equal by `float.hex`, and on schedules that fail, the
+same exception with the same message, from the first failing box or level,
+with nothing printed and no warning raised."""
 
 import ast
 import inspect
@@ -17,7 +18,7 @@ import schedule_oracle as oracle
 import trapcert.certify
 import trapcert.sequences
 from trapcert.cli import run
-from trapcert.geometry import build_layered, build_stacked
+from trapcert.geometry import build_layered, build_stacked, layer_plans
 from trapcert.sequences import (
     APower,
     ATable,
@@ -226,6 +227,46 @@ def test_cli_stderr_is_the_oracle_message(tmp_path, capfd, c, amplitude, exponen
         assert run([command, "--config", str(cfg), "--out", str(tmp_path / "out")]
                    if command != "plan" else [command, "--config", str(cfg)]) == 2
         assert capfd.readouterr() == ("", f"{lead}{message}\n")
+
+
+def hex_rows(rows):
+    return [tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows]
+
+
+def plan_rows(sched, limit):
+    """`layer_plans` as the oracle's tuples, floats by `float.hex`."""
+    plans = layer_plans(sched, limit)
+    assert all(type(v) is int for v in plans.count + plans.start)  # exact, past int64
+    return hex_rows(zip(plans.i.tolist(), plans.count, plans.start, plans.cols.tolist(),
+                        plans.height.tolist(), plans.max_side.tolist(),
+                        plans.pitch.tolist(), plans.width.tolist()))
+
+
+_K9 = KTable([1.0 + j for j in range(9)])  # levels 1..3 at n = 2
+PLAN_CASES = {
+    "n2-300": (demo_schedule(2), 300),
+    "n3-257": (demo_schedule(3), 257),
+    "n4-257": (demo_schedule(4), 257),
+    "n32-257": (demo_schedule(32), 257),
+    "perturbed": (Schedule(2, KLogGrowth(2.0), APower(1.1e-4, 0.25),
+                           DShiftedPower(2.1, 5.75, 1.2)), 60),
+    "tables": (table_schedule(), None),
+    "subnormal-c": (Schedule(2, KLogGrowth(1e-320), APower(1e-4, 0.25),
+                             DShiftedPower(2.0, 6.0, 1.2)), 3),
+    "height-overflows": (Schedule(2, _K9, APower(1e-4, 0.25),
+                                  DTable([1.5e308, 9e307, 5e307])), None),
+    "width-overflows": (Schedule(2, _K9, APower(1e-4, 0.25),
+                                 DTable([1.7e308, 1e308, 5e307])), None),
+}
+
+
+@pytest.mark.parametrize("sched, limit", PLAN_CASES.values(), ids=PLAN_CASES.keys())
+def test_layer_plans_equal_the_level_loop(sched, limit):
+    # every column bit for bit, the heights in the loop's (H - ell) - d
+    # order, or the message of the first level that leaves binary64
+    expected = outcome(lambda: hex_rows(oracle.layer_plans(sched, limit)))
+    assert outcome(lambda: plan_rows(sched, limit)) == expected
+    assert expected[0] == "ok" or expected[1].startswith("level ")
 
 
 def test_growth_floor_check_equals_the_scalar_loop():
