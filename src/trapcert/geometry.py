@@ -432,7 +432,8 @@ class DisjointnessReport:
     minimum distance between its boxes and the value the construction
     promises, `expected` = d_i / ln(i+e).  `cross` has one row per pair of
     levels i < i', in order: `layer_a`, `layer_b`, the minimum distance
-    between their boxes and the floor `required` = d_{i'-1}.
+    between their boxes, the floor `required` = d_{i'-1} and the `rounding`
+    the floor allows for (see `disjointness_certificate`).
     """
 
     box_count: int
@@ -455,7 +456,7 @@ class DisjointnessReport:
             return (f"level {g.layer[p]} in-layer gap {g.min_distance[p]:.6g} against "
                     f"{g.expected[p]:.6g}, relative error {error[p]:.3g}")
         g = self.cross
-        low = np.flatnonzero(~(g.min_distance >= g.required * (1.0 - 1e-12)))
+        low = np.flatnonzero(~(g.required - g.min_distance <= g.rounding))
         if low.size:
             p = low[0]
             return (f"levels {g.layer_a[p]} and {g.layer_b[p]} {g.min_distance[p]:.6g} apart, "
@@ -663,6 +664,13 @@ def disjointness_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessRepor
     computation bit for bit.  Its rows are columns of these arrays and of
     one `paddings` call.
 
+    A floor d holds up to the rounding of the placement: a level sits at
+    H' = fl(fl(H - ell) - d) under the base H of the level above, ell its
+    tallest side, with top fl(H' + ell) and gap fl(H - top).  Each result
+    is within half its spacing sp of the exact one and the errors add, so
+    the gap is within `rounding` = (sp(H - ell) + sp(H') + sp(top) +
+    sp(H - top)) / 2 of d; the levels farther up are farther away.
+
     Cost: O(N log N) for each partition pass and each sweep axis, plus the
     candidate pairs, plus O(L^2 n) time and memory for the L(L-1)/2 pairs of
     L levels; only the level pairs whose witness misses the bound are
@@ -737,8 +745,12 @@ def disjointness_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessRepor
     log_e = np.array([math.log(i + math.e) for i in layers[multi].tolist()])
     in_layer = np.rec.fromarrays((layers[multi], minima[multi], d[:len(multi)] / log_e),
                                  names="layer,min_distance,expected")
-    cross = np.rec.fromarrays((layers[ia], layers[ib], between, d[len(multi) + ib - 1]),
-                              names="layer_a,layer_b,min_distance,required")
+    h, top, tall = bb_lo[:, -1], bb_hi[1:, -1], np.maximum.reduceat(boxes.side, starts)[1:]
+    rounding = np.r_[0.0, 0.5 * sum(np.spacing(np.abs(v)) for v in
+                                    (h[:-1] - tall, h[1:], top, h[:-1] - top))]
+    cross = np.rec.fromarrays((layers[ia], layers[ib], between, d[len(multi) + ib - 1],
+                               rounding[ib]),
+                              names="layer_a,layer_b,min_distance,required,rounding")
     return DisjointnessReport(box_count=len(boxes), overlap_pairs=overlaps,
                               in_layer=in_layer, cross=cross)
 

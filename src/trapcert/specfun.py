@@ -33,13 +33,13 @@ remain perfectly representable.  Conversions to plain floats raise
 One engine runs this algorithm, `_ladders`, over numpy arrays of points:
 CF1 and CF2 as masked Lentz iterations in which each point leaves the
 running set once it converges, the two recurrences and the Wronskian
-normalization as array operations, and one Temme series per distinct
-(mu, t) of a batch.  The 2^500 rescaling runs only on the steps where some
-point crosses it (a product by 1.0 is exact, so skipping it changes no
-bit).  `ladder_batches` returns full ladders of several base orders and
-counts in one pass (the modal sweep's two order parities), `selftest_grid`
-takes the top-order entries of many (nu, t) at once and returns the
-selftest as arrays.  The half-integer closed form, the engine's independent
+normalization as array operations, and one seed per distinct (mu, t) of a
+batch.  The 2^500 rescaling runs only on the steps where some point
+crosses it (a product by 1.0 is exact, so skipping it changes no bit).
+`ladder_batches` returns full ladders of several base orders and counts in
+one pass (the modal sweep's two order parities), `selftest_grid` takes the
+top-order entries of many (nu, t) at once and returns the selftest as
+arrays.  The half-integer closed form, the engine's independent
 cross-check, has one array form too (`_half_integer_batch`), as has the
 (h, h') of a scaled entry (`_hankel_pairs`); the one-point evaluators are
 one-element calls of these.  The test suite keeps the scalar forms,
@@ -451,18 +451,21 @@ def _ladders(mu0: np.ndarray, x: np.ndarray, counts: np.ndarray, full: bool):
     npts = x.size
     # the seeds, in the caller's order, so that a stall names its first point
     f_top, sgn = _cf1_batch(mu0 + counts, x)
-    # Temme's (Y_mu, Y_mu+1) below t = 2, CF2's (p, q) from t = 2 on
-    seed_a = np.empty(npts)
-    seed_b = np.empty(npts)
-    lo = np.flatnonzero(x < _XMIN)
-    if lo.size:  # one series per distinct (mu, t), run at its first point
-        _, first, where = np.unique(mu0[lo] + 1j * x[lo], return_index=True,
-                                    return_inverse=True)
-        series = [_temme_y(m, t) for m, t in zip(mu0[lo[first]].tolist(), x[lo[first]].tolist())]
-        seed_a[lo], seed_b[lo] = np.array(series)[where.ravel()].T
-    hi = np.flatnonzero(x >= _XMIN)
-    if hi.size:
-        seed_a[hi], seed_b[hi] = _cf2_batch(mu0[hi], x[hi])
+    # Temme's (Y_mu, Y_mu+1) below t = 2, CF2's (p, q) from t = 2 on, once per
+    # distinct (mu, t) in order of first use, so a stall names the caller's
+    # first point; merge sorts, as numpy's quicksort maps 0.3 MiB more code
+    first, where = np.unique(mu0 + 1j * x, return_index=True, return_inverse=True)[1:]
+    use = np.argsort(first, kind="stable")  # the keys in order of first use
+    where, first = np.argsort(use, kind="stable")[where.ravel()], first[use]
+    lo = x[first] < _XMIN
+    seeds = np.empty((2, first.size))
+    if lo.any():
+        seeds[:, lo] = np.array(
+            [_temme_y(m, t) for m, t in zip(mu0[first[lo]].tolist(), x[first[lo]].tolist())]).T
+    if not lo.all():
+        seeds[:, ~lo] = _cf2_batch(mu0[first[~lo]], x[first[~lo]])
+    seed_a, seed_b = seeds[:, where]
+    del first, where, lo, seeds
 
     # recur in order of decreasing count, so that the points taking any one
     # step are a prefix of the arrays: the J recurrences all end at order
@@ -495,7 +498,7 @@ def _ladders(mu0: np.ndarray, x: np.ndarray, counts: np.ndarray, full: bool):
     ej += se - e
     jm, jpm, ej = _frexp_pair(jm, jpm, ej)
     # what the Y ladder does not read is freed before its rows are allocated
-    del seed_a, seed_b, f_top, sgn, j0, jp0, jmu, sm, se, sig_m, e, lo, hi
+    del seed_a, seed_b, f_top, sgn, j0, jp0, jmu, sm, se, sig_m, e
 
     # Y (ym) and Y' (ypm), with one more row of Y for the order above the top
     ym = np.zeros((steps + 2 if full else 2, npts))
@@ -761,14 +764,14 @@ def validation_grid() -> Tuple[List[float], List[float]]:
 
 
 # arguments per batch of the residual grid: 20 x 201 orders = 4,020 points.
-# Batching by argument runs each Temme series once per selftest, and the
-# rows do not depend on the batch size.  A batch pays a fixed cost in numpy
-# calls (each CF1 and CF2 step, each recurrence step) on top of its points.
-# Measured in a fresh interpreter, `specfun-selftest` then the 5-layer flood
-# fill (2-core Xeon, Python 3.11.7, numpy 2.4.6, five runs each, peak RSS
-# as VmHWM): 10 arguments per batch take 0.38-0.50 s at 37.6 MiB, 20 take
-# 0.25-0.34 s at 37.7-37.8 MiB, 25 take 0.23-0.30 s at 38.1-38.3 MiB and
-# 40 take 0.25-0.28 s at 38.9-39.1 MiB.
+# Batching by argument runs each seed once per selftest, and the rows do not
+# depend on the batch size.  A batch pays a fixed cost in numpy calls (each
+# CF1 and CF2 step, each recurrence step) on top of its points.  Measured in
+# a fresh interpreter, `specfun-selftest` then the 5-layer flood fill (2-core
+# Xeon, Python 3.11.7, numpy 2.4.6, five runs each, peak RSS as VmHWM): 10
+# arguments per batch take 0.23-0.27 s at 33.6-33.7 MiB, 20 take 0.17-0.18 s
+# at 33.6 MiB, 25 take 0.16-0.19 s at 33.9-34.1 MiB and 40 take 0.14-0.16 s
+# at 34.7-34.9 MiB.
 _SELFTEST_BATCH_TS = 20
 # the selftest's bounds on the Wronskian residual and the half-integer
 # closed-form error

@@ -57,6 +57,16 @@ MUTANTS = [
      "meets = ~_apart(lo_a, hi_a, lo_b, hi_b)",
      "meets = ~((hi_a <= lo_b) | (hi_b <= lo_a)).any(axis=1)",
      ("tests/test_geometry.py::test_stacked_column_with_one_touching_pair",)),
+    ("seeds-read-in-sorted-order", "specfun.py",
+     'np.argsort(use, kind="stable")[where.ravel()], first[use]',
+     "where.ravel(), first[use]",
+     ("tests/test_specfun.py::test_scaled_entries_with_shared_seeds_equal_one_point_calls",)),
+    ("seeds-run-in-sorted-order", "specfun.py",
+     'use = np.argsort(first, kind="stable")', "use = np.arange(first.size)",
+     ("tests/test_specfun.py::test_seed_stall_names_the_callers_first_point",)),
+    ("floor-rounding-dropped", "geometry.py",
+     "~(g.required - g.min_distance <= g.rounding)", "~(g.required - g.min_distance <= 0.0)",
+     ("tests/test_geometry.py::test_stacked_floor_allows_the_rounding_of_the_placement",)),
     ("height-fold-reassociated", "geometry.py",
      "fold[1:-1] = np.column_stack((sides[1:], pads[:-1])).ravel()",
      "fold[1:-1:2] = sides[1:] + pads[:-1]",

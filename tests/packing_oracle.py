@@ -71,19 +71,34 @@ def all_pairs_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessReport:
         expected = padding(sched, la) / math.log(la + math.e)
         in_layer.append((la, measured, expected))
 
-    cross: List[Tuple[int, int, float, float]] = []
+    # the rounding of each level's placement under the level above it
+    rounding = {lb: _placement_rounding(boxes, idx[la], idx[lb])
+                for la, lb in zip(layers, layers[1:])}
+    cross: List[Tuple[int, int, float, float, float]] = []
     for a_idx, la in enumerate(layers):
         for lb in layers[a_idx + 1:]:
             measured = _group_min_distance(lo[idx[la]], hi[idx[la]],
                                            lo[idx[lb]], hi[idx[lb]])
-            cross.append((la, lb, measured, padding(sched, lb - 1)))
+            cross.append((la, lb, measured, padding(sched, lb - 1), rounding[lb]))
 
     return DisjointnessReport(
         box_count=n_boxes,
         overlap_pairs=tuple(overlaps),
         in_layer=_records(in_layer, "layer,min_distance,expected", 1),
-        cross=_records(cross, "layer_a,layer_b,min_distance,required", 2),
+        cross=_records(cross, "layer_a,layer_b,min_distance,required,rounding", 2),
     )
+
+
+def _placement_rounding(boxes: Boxes, upper: List[int], lower: List[int]) -> float:
+    """Half an ulp of each rounded result of the lower level's placement:
+    H - ell, its base, its top and the gap H - top, with H the upper
+    level's base and ell the lower level's tallest side."""
+    above = min(boxes.lo[p, -1].item() for p in upper)
+    base = min(boxes.lo[p, -1].item() for p in lower)
+    top = max(boxes.hi[p, -1].item() for p in lower)
+    tall = max(boxes.side[p].item() for p in lower)
+    return 0.5 * (math.ulp(above - tall) + math.ulp(base) + math.ulp(top)
+                  + math.ulp(above - top))
 
 
 def _records(rows, names: str, ints: int) -> np.recarray:

@@ -422,6 +422,39 @@ def test_stacked_disjointness_generic():
     assert (abs(adjacent.min_distance - d) / d <= 1e-12).all()
 
 
+# 30 boxes whose depth reaches about -115 while the paddings shrink to 0.0064:
+# the gap of levels 26 and 27 rounds 1.37e-14 below d_26
+DEEP_STACK = Schedule(2, KTable([1.0 + 0.01 * (j - 1) for j in range(1, 31)]),
+                      ATable([1e-4] * 30), DTable([i ** -1.5 for i in range(1, 30)]))
+
+
+def test_stacked_floor_allows_the_rounding_of_the_placement():
+    boxes, _ = build_stacked(DEEP_STACK, 30)
+    report = assert_matches_all_pairs(boxes, DEEP_STACK)
+    assert report.passed
+    adjacent = report.cross[report.cross.layer_b == report.cross.layer_a + 1]
+    short = adjacent.required - adjacent.min_distance
+    assert np.argmax(short) == 25 and short[25] == pytest.approx(1.37e-14, rel=0.01)
+    assert (short <= adjacent.rounding).all()
+    # each bound is two spacings of its level's depth at most
+    assert (adjacent.rounding <= 2.0 * np.spacing(-boxes.lo[1:, -1])).all()
+    # a level's bound also serves the levels above the one over it
+    rows = report.cross.layer_b == 27
+    assert (report.cross.rounding[rows] == adjacent.rounding[25]).all()
+
+
+def test_stacked_floor_fails_one_bound_past_the_rounding():
+    boxes, _ = build_stacked(DEEP_STACK, 30)
+    cross = disjointness_certificate(boxes, DEEP_STACK).cross
+    row, = cross[(cross.layer_a == 26) & (cross.layer_b == 27)]
+    # box 27 raised so that its gap is one bound-width short of the allowance
+    gap = row.required - 2.0 * row.rounding
+    depth = boxes.lo[25, -1] - gap - boxes.side[26]
+    report = disjointness_certificate(with_values(boxes, 26, lo=(0.0, depth)), DEEP_STACK)
+    assert report.failure == ("levels 26 and 27 0.00754293 apart, "
+                              "below the floor 0.00754293")
+
+
 # -------------------------------------------------------------------
 # the Boxes invariant
 # -------------------------------------------------------------------
@@ -512,8 +545,10 @@ def test_disjointness_flags_overlap():
 def test_disjointness_failure_names_the_first_failing_check():
     gaps = np.rec.fromrecords([(1, 2.0, 2.0), (2, 1.0, 1.25), (3, 1.0, 2.0)],
                               names="layer,min_distance,expected")
-    floors = np.rec.fromrecords([(1, 2, 3.0, 3.0), (1, 3, 0.5, 0.75), (2, 3, 0.25, 0.75)],
-                                names="layer_a,layer_b,min_distance,required")
+    # a distance passes at most `rounding` below its floor
+    floors = np.rec.fromrecords([(1, 2, 2.75, 3.0, 0.25), (1, 3, 0.5, 0.75, 0.125),
+                                 (2, 3, 0.25, 0.75, 0.125)],
+                                names="layer_a,layer_b,min_distance,required,rounding")
     report = DisjointnessReport(9, ((0, 1), (2, 3)), gaps, floors)
     assert report.failure == "2 overlapping pairs"
     report = dataclasses.replace(report, overlap_pairs=())

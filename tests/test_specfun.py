@@ -585,6 +585,41 @@ def test_batched_stall_names_the_first_point_like_the_scalar_route(monkeypatch, 
     assert str(got.value).startswith(f"{kind} stalled at ")
 
 
+# (nu, t) whose seeds share a key (mu, t), mu = nu - nl, in an order unlike
+# np.unique's sorted one: below t = 2 ((0.25, 1.5) at nl = 0 and 3,
+# (-0.25, 0.5) at nl = 1 and 11), from t = 2 on with nl = 0 ((1.0, 5.0)
+# twice) and with nl > 0 ((4.25, 5.0) at nl = 6 and 7)
+SHARED_SEEDS = [(0.25, 1.5), (0.75, 0.5), (3.25, 1.5), (1.0, 5.0), (10.75, 0.5),
+                (10.25, 5.0), (1.0, 5.0), (0.25, 1.5), (11.25, 5.0), (0.0, 3.0)]
+
+
+def test_scaled_entries_with_shared_seeds_equal_one_point_calls():
+    nu, t = (np.array(column) for column in zip(*SHARED_SEEDS))
+    with mock.patch.object(specfun, "_temme_y", wraps=specfun._temme_y) as temme, \
+            mock.patch.object(specfun, "_cf2_batch", wraps=specfun._cf2_batch) as cf2:
+        batch = specfun._scaled_entries(nu, t)
+    # one seed per distinct key, each kind in order of first use
+    assert [c.args for c in temme.call_args_list] == [(0.25, 1.5), (-0.25, 0.5)]
+    assert cf2.call_count == 1
+    mu_cf2, t_cf2 = cf2.call_args.args
+    assert mu_cf2.tolist() == [1.0, 4.25, 0.0] and t_cf2.tolist() == [5.0, 5.0, 3.0]
+    for p, point in enumerate(SHARED_SEEDS):
+        alone = specfun._scaled_entries(*(np.array([v]) for v in point))
+        assert [a[p].tobytes() for a in batch] == [a[0].tobytes() for a in alone], point
+
+
+def test_seed_stall_names_the_callers_first_point(monkeypatch):
+    # in 30 steps CF1 converges at these points and CF2 does not; the first
+    # point's key (0.25, 2.5) sorts after (0.0, 2.0)
+    for module in (specfun, oracles):
+        monkeypatch.setattr(module, "_MAXIT", 30)
+    with pytest.raises(ConvergenceError) as got:
+        specfun._scaled_entries(np.array([0.25, 0.0, 0.25]), np.array([2.5, 2.0, 2.5]))
+    assert str(got.value) == "CF2 stalled at mu=0.25, t=2.5"
+    assert outcome(scalar_cyl_bessel_scaled, 0.25, 2.5) == ("ConvergenceError",
+                                                            str(got.value))
+
+
 def test_batched_ladders_domain():
     with pytest.raises(BesselDomainError):
         bessel_ladders(0.75, [1.0, 3.0], 5)  # Temme seed needs |mu0| <= 1/2 below t=2
