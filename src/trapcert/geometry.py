@@ -37,14 +37,15 @@ upper coordinates are widened by the distance of a pair already in hand
 and rounded upward, apart by more than that distance).  Inside the groups a
 sort-and-sweep along one axis yields the remaining candidates, and only
 these are measured, in bounded chunks.  One such sweep, from the levels as
-groups, finds both the overlaps and the minimum gaps inside every level;
-levels are compared by their bounding boxes, and only the levels whose
-bounding boxes meet are swept together, for overlaps across levels.  Every
+groups, finds both the overlaps and the minimum gaps inside every level.
+Across levels nothing is swept: the levels are stacked, the highest top of
+each strictly below the lowest bottom of every level above it, so one gap
+per level below the first settles every pair of levels at once.  Every
 distance, and every bound used to skip pairs, is one per-pair formula that
-is monotone under rounding, so the certificate proves the same facts and
-reports the same bits as an all-pairs pass, at O(N log N) per pass plus
-the candidates, plus O(L^2 n) time and memory for the pairs of L levels
-(O(N^2) on the stacked layout, where every box is a level).
+is monotone under rounding, so the certificate reports the same bits as an
+all-pairs pass inside the levels and a lower bound for every pair across
+them, at O(N log N) per pass plus the candidates, in O(N) memory beside a
+fixed chunk of candidate pairs.
 """
 
 from __future__ import annotations
@@ -425,15 +426,19 @@ def build_stacked(sched: Schedule, count: int) -> Tuple[Boxes, GeometrySummary]:
 
 @dataclass(frozen=True, eq=False)
 class DisjointnessReport:
-    """The overlapping pairs (j, j') with j < j', and the measured gaps as
-    numpy record arrays, columns read as `report.cross.min_distance`.
+    """The overlapping pairs (j, j') with j < j' inside the levels, and the
+    measured gaps as numpy record arrays, columns read as
+    `report.cross.min_distance`.
 
     `in_layer` has one row per level with two or more boxes: `layer`, the
     minimum distance between its boxes and the value the construction
-    promises, `expected` = d_i / ln(i+e).  `cross` has one row per pair of
-    levels i < i', in order: `layer_a`, `layer_b`, the minimum distance
-    between their boxes, the floor `required` = d_{i'-1} and the `rounding`
-    the floor allows for (see `disjointness_certificate`).
+    promises, `expected` = d_i / ln(i+e).  `cross` has one row per level i'
+    below the first, in order: `layer_a`, the level i right above it,
+    `layer_b` = i', the distance of the vertical gap between i' and the
+    levels above it, a lower bound on the distance between every box of i'
+    and every box above it (0 where they are not stacked), the floor
+    `required` = d_{i'-1} and the `rounding` the floor allows for (see
+    `disjointness_certificate`).
     """
 
     box_count: int
@@ -444,10 +449,16 @@ class DisjointnessReport:
     @property
     def failure(self) -> Optional[str]:
         """The first failing check with its level(s) and values: the
-        overlaps, else an in-layer gap off its promised value, else a
-        cross-level distance below its floor; None when all pass."""
+        overlaps, else two levels not stacked, else an in-layer gap off its
+        promised value, else a cross-level distance below its floor; None
+        when all pass."""
         if self.overlap_pairs:
             return f"{len(self.overlap_pairs)} overlapping pairs"
+        g = self.cross
+        flat = np.flatnonzero(~(g.min_distance > 0.0))
+        if flat.size:
+            p = flat[0]
+            return f"levels {g.layer_a[p]} and {g.layer_b[p]} not stacked"
         g = self.in_layer
         error = np.abs(g.min_distance - g.expected) / g.expected
         off = np.flatnonzero(error > 1e-12)
@@ -600,11 +611,9 @@ def _sweep_pairs(lo: np.ndarray, hi: np.ndarray,
         r = e
 
 
-def _min_distance(lo: np.ndarray, hi: np.ndarray, delta: float,
-                  label: Optional[np.ndarray] = None) -> float:
-    """Minimum computed distance over the pairs of rows (over the pairs with
-    different labels, when given), where delta is the computed distance of
-    one such pair.
+def _min_distance(lo: np.ndarray, hi: np.ndarray, delta: float) -> float:
+    """Minimum computed distance over the pairs of rows, where delta is the
+    computed distance of one pair.
 
     Every pair the delta-widened sweep drops has a computed distance
     > delta >= the minimum, so the minimum over the candidates is the
@@ -612,11 +621,6 @@ def _min_distance(lo: np.ndarray, hi: np.ndarray, delta: float,
     """
     best = math.inf
     for i, k in _sweep_pairs(lo, hi, np.full(len(lo), _reach(delta))):
-        if label is not None:
-            keep = label[i] != label[k]
-            i, k = i[keep], k[keep]
-            if not len(i):
-                continue
         best = np.minimum(best, _pair_distances(lo[i], hi[i], lo[k], hi[k]).min())
     return float(best)
 
@@ -635,9 +639,9 @@ def _apart(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
 
 
 def disjointness_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessReport:
-    """Exact pairwise closure-disjointness plus the quantitative gap floors,
-    by partition and sort-and-sweep (sweep-and-prune, Cohen et al.,
-    I-COLLIDE 1995).
+    """Exact closure-disjointness plus the quantitative gap floors: a
+    partition and sort-and-sweep (sweep-and-prune, Cohen et al., I-COLLIDE
+    1995) inside the levels, and a stacking lemma across them.
 
     Disjointness is decided by strict comparison of computed coordinates,
     no tolerance: two closed boxes are disjoint iff some axis strictly
@@ -651,18 +655,28 @@ def disjointness_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessRepor
     minimum distance, so every pair left out is farther away), and it drops
     a pair only when the two are at least that reach u > 0 apart on some
     axis, so every pair of one level whose closures meet is among its
-    candidates.  Two levels whose bounding boxes are strictly apart on some
-    axis hold no pair that meets; the rows of the levels whose bounding box
-    meets another level's (none on either builder's arrangements) are swept
-    together once more, for the pairs across levels.
-    For two levels, the distance between their bounding boxes is a lower
-    bound on every pair's computed distance (the per-pair formula is
-    monotone under rounding); when one witness pair (the lowest box of the
-    upper level against the highest box of the lower level) attains it, it
-    is the minimum, and otherwise the two levels are swept together.  All
-    distances are one formula, so the report equals the all-pairs
-    computation bit for bit.  Its rows are columns of these arrays and of
-    one `paddings` call.
+    candidates, and each level's minimum is the all-pairs one bit for bit.
+
+    Across levels, a stacking lemma.  For each level i' below the first,
+    let b be the lowest bottom of the levels above it, t the highest top of
+    i' and g = fl(b - t).  A rounded difference has the sign of the exact
+    one, so g > 0 iff b > t: every box above i' starts higher than every
+    box of i' ends, so each pair of a box of i' and a box above it is
+    strictly apart on the vertical axis and does not meet.  Rounding is
+    monotone, so the pair's computed vertical separation is at least g;
+    squaring, adding nonnegative terms and sqrt are monotone too, so its
+    computed distance is at least fl(sqrt(fl(g^2))), the row's
+    `min_distance`.  In binary64 fl(sqrt(fl(g^2))) = g when g^2 is normal
+    and finite (2^-511 <= g < 2^512); a subnormal g^2 may move the row off
+    g, and one that flushes to zero makes it 0, which counts as not
+    stacked.  Either way the row is at most every pair's computed distance
+    (inf past overflow, as is every pair's).  On both builders'
+    arrangements, where every side is nonnegative, the lowest bottoms of
+    stacked levels fall from level to level, so b is the bottom of the
+    level right above i', and the row is the minimum over the pairs of the
+    two levels, bit for bit: the first box of each level is at once its
+    lowest and its highest, and the two overlap horizontally.  Levels that
+    are not stacked fail the certificate; their pairs are not examined.
 
     A floor d holds up to the rounding of the placement: a level sits at
     H' = fl(fl(H - ell) - d) under the base H of the level above, ell its
@@ -672,15 +686,13 @@ def disjointness_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessRepor
     sp(H - top)) / 2 of d; the levels farther up are farther away.
 
     Cost: O(N log N) for each partition pass and each sweep axis, plus the
-    candidate pairs, plus O(L^2 n) time and memory for the L(L-1)/2 pairs of
-    L levels; only the level pairs whose witness misses the bound are
-    visited one by one.  On the layered arrangement the vertical pass
-    separates the levels and the horizontal passes separate each level's
-    grid, so only the boxes within a level's reach of their neighbours
-    remain (80 pairs at n=4 with 6 layers, where a one-axis sweep had
-    522,602).  On the stacked layout every box is a level, so L = N and the
-    level-pair arrays take O(N^2) memory.  Beside them the sweep holds O(N)
-    plus a fixed chunk of candidate pairs.
+    candidate pairs, plus O(N) for the level gaps, in O(N) memory beside a
+    fixed chunk of candidate pairs.  On the layered arrangement the vertical
+    pass separates the levels and the horizontal passes separate each
+    level's grid, so only the boxes within a level's reach of their
+    neighbours remain (80 pairs at n=4 with 6 layers, where a one-axis sweep
+    had 522,602); on the stacked layout every level is one box, and no pair
+    is swept.
     """
     lo, hi = boxes.lo, boxes.hi
     layers, starts, sizes = _level_runs(boxes)
@@ -700,43 +712,9 @@ def disjointness_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessRepor
         meet = ~_apart(lo_i, hi_i, lo_k, hi_k)
         pairs.append(np.sort((i[meet], k[meet]), axis=0))  # rows are in j order
         np.minimum.at(minima, level[i], _pair_distances(lo_i, hi_i, lo_k, hi_k))
-
-    bb_lo = np.minimum.reduceat(lo, starts)
-    bb_hi = np.maximum.reduceat(hi, starts)
-    ia, ib = np.triu_indices(len(layers), 1)
-    lo_a, hi_a, lo_b, hi_b = bb_lo[ia], bb_hi[ia], bb_lo[ib], bb_hi[ib]
-    between = _pair_distances(lo_a, hi_a, lo_b, hi_b)
-    # two levels whose bounding boxes are strictly apart on some axis hold
-    # no pair that meets; the rows of the others are swept together
-    meets = ~_apart(lo_a, hi_a, lo_b, hi_b)
-    swept = np.zeros(len(layers), dtype=bool)
-    swept[ia[meets]] = swept[ib[meets]] = True
-    del lo_a, hi_a, lo_b, hi_b, meets  # O(N^2) on the stacked layout
-    meeting = np.flatnonzero(swept[level])
-    if len(meeting):
-        for i, k in _sweep_pairs(lo[meeting], hi[meeting]):
-            i, k = meeting[i], meeting[k]
-            meet = (level[i] != level[k]) & ~_apart(lo[i], hi[i], lo[k], hi[k])
-            pairs.append(np.sort((i[meet], k[meet]), axis=0))
     first, second = np.concatenate(pairs, axis=1)
     o = np.lexsort((second, first))
     overlaps = tuple(zip(boxes.j[first[o]].tolist(), boxes.j[second[o]].tolist()))
-
-    # the first row of each level at its lowest bottom and at its highest top
-    rows = np.arange(len(lo))
-    lowest = np.minimum.reduceat(np.where(lo[:, -1] == bb_lo[level, -1], rows, len(lo)),
-                                 starts)
-    highest = np.minimum.reduceat(np.where(hi[:, -1] == bb_hi[level, -1], rows, len(lo)),
-                                  starts)
-    a_up = bb_lo[ia, -1] >= bb_lo[ib, -1]
-    wa = np.where(a_up, lowest[ia], lowest[ib])
-    wb = np.where(a_up, highest[ib], highest[ia])
-    witness = _pair_distances(lo[wa], hi[wa], lo[wb], hi[wb])
-    # where the witness misses the bound, the two levels are swept together
-    for p in np.flatnonzero(witness != between).tolist():
-        a, b = ia[p], ib[p]
-        pos = np.r_[starts[a]:starts[a] + sizes[a], starts[b]:starts[b] + sizes[b]]
-        between[p] = _min_distance(lo[pos], hi[pos], float(witness[p]), level[pos])
 
     # d_i at every level with two or more boxes (its promised gap), then
     # above every level but the first (the floor under it)
@@ -745,11 +723,17 @@ def disjointness_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessRepor
     log_e = np.array([math.log(i + math.e) for i in layers[multi].tolist()])
     in_layer = np.rec.fromarrays((layers[multi], minima[multi], d[:len(multi)] / log_e),
                                  names="layer,min_distance,expected")
-    h, top, tall = bb_lo[:, -1], bb_hi[1:, -1], np.maximum.reduceat(boxes.side, starts)[1:]
-    rounding = np.r_[0.0, 0.5 * sum(np.spacing(np.abs(v)) for v in
-                                    (h[:-1] - tall, h[1:], top, h[:-1] - top))]
-    cross = np.rec.fromarrays((layers[ia], layers[ib], between, d[len(multi) + ib - 1],
-                               rounding[ib]),
+    # each level's lowest bottom and highest top; the stacking lemma's gap
+    # under every level but the first, from the lowest bottom above it, as
+    # a computed distance
+    h = np.minimum.reduceat(lo[:, -1], starts)
+    top = np.maximum.reduceat(hi[:, -1], starts)[1:]
+    tall = np.maximum.reduceat(boxes.side, starts)[1:]
+    gap = np.minimum.accumulate(h)[:-1] - top
+    between = np.sqrt(np.maximum(gap, 0.0) ** 2)
+    rounding = 0.5 * sum(np.spacing(np.abs(v)) for v in
+                         (h[:-1] - tall, h[1:], top, h[:-1] - top))
+    cross = np.rec.fromarrays((layers[:-1], layers[1:], between, d[len(multi):], rounding),
                               names="layer_a,layer_b,min_distance,required,rounding")
     return DisjointnessReport(box_count=len(boxes), overlap_pairs=overlaps,
                               in_layer=in_layer, cross=cross)

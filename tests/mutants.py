@@ -48,15 +48,15 @@ MUTANTS = [
      "rho * rho * (jpt * jpt + ypm * ypm)), inv2ey)",
      ("tests/test_dtnverify.py::test_sweep_records_match_scalar_routes",
       "tests/test_dtnverify.py::test_sweep_equals_per_radius_reference")),
-    ("meeting-levels-unswept", "geometry.py",
-     "    if len(meeting):", "    if False:",
-     ("tests/test_geometry.py::test_overlap_across_the_level_boundary",
-      "tests/test_geometry.py::test_stacked_column_with_one_touching_pair",
-      "tests/test_geometry.py::test_sweep_matches_all_pairs_tampered")),
-    ("level-box-separation-non-strict", "geometry.py",
-     "meets = ~_apart(lo_a, hi_a, lo_b, hi_b)",
-     "meets = ~((hi_a <= lo_b) | (hi_b <= lo_a)).any(axis=1)",
+    ("stacking-non-strict", "geometry.py",
+     "~(g.min_distance > 0.0)", "~(g.min_distance >= 0.0)",
      ("tests/test_geometry.py::test_stacked_column_with_one_touching_pair",)),
+    ("stacking-gate-dropped", "geometry.py",
+     "        if flat.size:", "        if False:",
+     ("tests/test_geometry.py::test_interleaved_levels_fail_below_any_floor",)),
+    ("stacking-adjacent-only", "geometry.py",
+     "gap = np.minimum.accumulate(h)[:-1] - top", "gap = h[:-1] - top",
+     ("tests/test_geometry.py::test_inverted_box_does_not_hide_an_overlap",)),
     ("seeds-read-in-sorted-order", "specfun.py",
      'np.argsort(use, kind="stable")[where.ravel()], first[use]',
      "where.ravel(), first[use]",

@@ -1,12 +1,17 @@
-"""All-pairs packing certificate: the dense reference for the sweep.
+"""All-pairs packing certificate: the dense reference for the sweep and
+the stacking lemma.
 
-`all_pairs_certificate` builds the same `DisjointnessReport` as
+`all_pairs_certificate` builds a `DisjointnessReport` like
 `trapcert.geometry.disjointness_certificate` by brute force: a chunked N x N
 overlap test, one all-pairs distance matrix per level and one all-pairs
 block per pair of levels, each row in a Python loop with the scalar padding
-of `schedule_oracle`.  It costs O(N^2) time and memory, so the tests run it
-only on small arrangements and require the two reports to be equal, field
-by field and bit for bit (each record array by dtype and bytes).
+of `schedule_oracle`.  Its overlaps include the pairs across levels, and
+its `cross` has a row for every pair of levels i < i', where the
+certificate keeps one per level i' below the first.  It costs O(N^2) time
+and memory, so the tests run it only on small arrangements: the overlaps
+inside the levels and the in-layer rows must equal the certificate's bit
+for bit, and each certificate row must bound the oracle's rows of its
+level (see `assert_matches_all_pairs` in test_geometry.py).
 """
 
 import math

@@ -54,7 +54,7 @@ def test_tracer_counters_read_real_return_values(tmp_path):
     # None for the size of the file the call writes)
     cases = {
         "geometry.build_layered": ((sched, 3), 9),
-        "geometry.disjointness_certificate": ((boxes, sched), 3),  # level pairs
+        "geometry.disjointness_certificate": ((boxes, sched), 2),  # adjacent level pairs
         "certify.certify_geometry": ((boxes,), 9),
         "cli.emit_geometry_json": ((boxes, summary, paths["g.json"]), None),
         "cli.emit_certificates_csv": ((records, paths["c.csv"]), None),

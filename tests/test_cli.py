@@ -676,6 +676,24 @@ def test_precision_key_and_flag_are_refused(tmp_path, capsys, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "ok.json"]
 
 
+def test_run_build_stacked_at_the_box_count_bound(tmp_path, monkeypatch, capsys):
+    # 10,000 one-box levels, the most `boxCount` allows: the packing
+    # certificate keeps one row per level, where a table of all pairs of
+    # levels would need about 7 GiB
+    count = 10_000
+    doc = demo_mapping(layout="stacked", boxCount=count)
+    del doc["layers"]
+    doc["schedule"]["wavenumbers"] = {"family": "table",
+                                      "values": [10.0 + j for j in range(count)]}
+    doc["schedule"]["paddings"] = {"family": "table",
+                                   "values": [1.0 / (i + 1) ** 2 for i in range(1, count)]}
+    cfg = write_config(tmp_path, doc)
+    monkeypatch.chdir(tmp_path)
+    assert run(["build", "--config", cfg, "--out", "out"]) == 0
+    assert capsys.readouterr() == (
+        "wrote out/geometry.json (10000 boxes, disjointness and connectivity certified)\n", "")
+
+
 def test_run_huge_box_count_and_flags_exit_2(tmp_path, capsys):
     doc = stacked_table_mapping()
     doc["boxCount"] = HUGE

@@ -7,6 +7,7 @@ recursions in binary64, so agreement is asserted at 1e-13 relative.
 
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -414,12 +415,12 @@ def test_stacked_disjointness_generic():
     report = disjointness_certificate(boxes, sched)
     assert report.passed and not report.overlap_pairs
     assert len(report.in_layer) == 0  # singleton levels
-    adjacent = report.cross[report.cross.layer_b == report.cross.layer_a + 1]
-    assert adjacent.layer_a.tolist() == [1, 2]
+    cross = report.cross
+    assert cross.layer_a.tolist() == [1, 2] and cross.layer_b.tolist() == [2, 3]
     # the measured gaps are the paddings the depth recursion inserted
-    d = paddings(sched, adjacent.layer_a.tolist())
+    d = paddings(sched, cross.layer_a.tolist())
     assert d.tolist() == [1.0, 0.5]
-    assert (abs(adjacent.min_distance - d) / d <= 1e-12).all()
+    assert (abs(cross.min_distance - d) / d <= 1e-12).all()
 
 
 # 30 boxes whose depth reaches about -115 while the paddings shrink to 0.0064:
@@ -432,15 +433,12 @@ def test_stacked_floor_allows_the_rounding_of_the_placement():
     boxes, _ = build_stacked(DEEP_STACK, 30)
     report = assert_matches_all_pairs(boxes, DEEP_STACK)
     assert report.passed
-    adjacent = report.cross[report.cross.layer_b == report.cross.layer_a + 1]
-    short = adjacent.required - adjacent.min_distance
+    cross = report.cross
+    short = cross.required - cross.min_distance
     assert np.argmax(short) == 25 and short[25] == pytest.approx(1.37e-14, rel=0.01)
-    assert (short <= adjacent.rounding).all()
+    assert (short <= cross.rounding).all()
     # each bound is two spacings of its level's depth at most
-    assert (adjacent.rounding <= 2.0 * np.spacing(-boxes.lo[1:, -1])).all()
-    # a level's bound also serves the levels above the one over it
-    rows = report.cross.layer_b == 27
-    assert (report.cross.rounding[rows] == adjacent.rounding[25]).all()
+    assert (cross.rounding <= 2.0 * np.spacing(-boxes.lo[1:, -1])).all()
 
 
 def test_stacked_floor_fails_one_bound_past_the_rounding():
@@ -512,14 +510,11 @@ def test_disjointness_demo_three_layers():
     assert rel(gaps.expected[1], GAP_IN_LAYER_3) < 1e-13
     assert rel(gaps.min_distance[1], gaps.expected[1]) <= 1e-12
     cross = report.cross
-    assert list(zip(cross.layer_a.tolist(), cross.layer_b.tolist())) == [(1, 2), (1, 3),
-                                                                         (2, 3)]
+    assert list(zip(cross.layer_a.tolist(), cross.layer_b.tolist())) == [(1, 2), (2, 3)]
     d = paddings(S2, range(1, 3))
-    assert cross.required.tolist() == [d[0], d[1], d[1]]
-    # adjacent levels are exactly their padding apart, the others farther
-    assert rel(cross.min_distance[0], d[0]) <= 1e-12
-    assert rel(cross.min_distance[2], d[1]) <= 1e-12
-    assert (cross.min_distance >= cross.required * (1 - 1e-12)).all()
+    assert cross.required.tolist() == d.tolist()
+    # adjacent levels are exactly their padding apart
+    assert (abs(cross.min_distance - d) / d <= 1e-12).all()
 
 
 def test_disjointness_demo_thirty_layers():
@@ -527,17 +522,17 @@ def test_disjointness_demo_thirty_layers():
     report = disjointness_certificate(boxes, S2)
     assert report.passed
     assert report.box_count == 1413
-    assert len(report.cross) == 30 * 29 // 2
+    assert len(report.cross) == 29  # one row per level below the first
     gaps = report.in_layer
     assert (abs(gaps.min_distance - gaps.expected) / gaps.expected <= 1e-12).all()
 
 
 def test_disjointness_flags_overlap():
+    # box 3 shifted half a unit past box 2's corner, on their level
     boxes, _ = build_layered(S2, 2)
-    tampered = with_values(boxes, 1, lo=(0.5, 0.0))
+    tampered = with_values(boxes, 2, lo=boxes.lo[1] + (0.5, 0.0))
     report = disjointness_certificate(tampered, S2)
-    assert report.overlap_pairs
-    assert (1, 2) in report.overlap_pairs
+    assert report.overlap_pairs == ((2, 3),)
     assert not report.passed
     assert report.failure == f"{len(report.overlap_pairs)} overlapping pairs"
 
@@ -552,6 +547,12 @@ def test_disjointness_failure_names_the_first_failing_check():
     report = DisjointnessReport(9, ((0, 1), (2, 3)), gaps, floors)
     assert report.failure == "2 overlapping pairs"
     report = dataclasses.replace(report, overlap_pairs=())
+    # a distance of 0 across levels: they are not stacked, checked first
+    touching = floors.copy()
+    touching.min_distance[2] = 0.0
+    report = dataclasses.replace(report, cross=touching)
+    assert report.failure == "levels 2 and 3 not stacked"
+    report = dataclasses.replace(report, cross=floors)
     assert report.failure == "level 2 in-layer gap 1 against 1.25, relative error 0.2"
     report = dataclasses.replace(report, in_layer=gaps[:1])
     assert report.failure == "levels 1 and 3 0.5 apart, below the floor 0.75"
@@ -562,21 +563,48 @@ def test_disjointness_failure_names_the_first_failing_check():
 def test_disjointness_touching_closures_flagged():
     # closure disjointness is strict: sharing a face must fail
     boxes, _ = build_layered(S2, 2)
-    side = boxes.side[0]
-    tampered = with_values(take(boxes, [0, 1]), 1, lo=(side, 0.0))
+    (x, y), side = boxes.lo[1], boxes.side[1]
+    tampered = with_values(take(boxes, [1, 2]), 1, lo=(x + side, y))
     report = disjointness_certificate(tampered, S2)
-    assert report.overlap_pairs
+    assert report.overlap_pairs == ((2, 3),)
 
 
-def assert_matches_all_pairs(boxes, sched):
+def assert_matches_all_pairs(boxes, sched, exact=True):
+    """The certificate against the all-pairs oracle, which measures every
+    pair of levels.
+
+    The overlaps inside the levels and the in-layer rows are the oracle's,
+    bit for bit.  The certificate has one cross row per level i' below the
+    first, with the oracle's floor and rounding for the level above i';
+    its distance is at most the oracle's minimum against every level above
+    i', and with `exact` it is the oracle's minimum against the level right
+    above i', bit for bit.  A passing certificate leaves the oracle no
+    overlap and every pair of levels at its floor within the rounding.
+    """
     report = disjointness_certificate(boxes, sched)
     oracle = all_pairs_certificate(boxes, sched)
+    level = dict(zip(boxes.j.tolist(), boxes.layer.tolist()))
+    inside = tuple(p for p in oracle.overlap_pairs if level[p[0]] == level[p[1]])
     assert repr((report.box_count, report.overlap_pairs)) == repr(
-        (oracle.box_count, oracle.overlap_pairs))  # same types as well
-    for name in ("in_layer", "cross"):
-        got, want = getattr(report, name), getattr(oracle, name)
-        assert isinstance(got, np.recarray), name
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        (oracle.box_count, inside))  # same types as well
+    got, want = report.in_layer, oracle.in_layer
+    assert isinstance(got, np.recarray)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    cross, pairs = report.cross, oracle.cross
+    assert isinstance(cross, np.recarray) and cross.dtype == pairs.dtype
+    rank = {la: r for r, la in enumerate(sorted(set(level.values())))}
+    adjacent = pairs[np.array([rank[b] == rank[a] + 1 for a, b in
+                               zip(pairs.layer_a.tolist(), pairs.layer_b.tolist())], dtype=bool)]
+    for name in ("layer_a", "layer_b", "required", "rounding"):
+        assert cross[name].tobytes() == adjacent[name].tobytes(), name
+    if exact:
+        assert cross.tobytes() == adjacent.tobytes()
+    for row in cross:
+        assert row.min_distance <= pairs.min_distance[pairs.layer_b == row.layer_b].min()
+    if report.passed:
+        assert oracle.overlap_pairs == ()
+        assert (pairs.required - pairs.min_distance <= pairs.rounding).all()
     return report
 
 
@@ -610,51 +638,95 @@ def test_sweep_matches_all_pairs_stacked():
 
 
 def test_sweep_matches_all_pairs_tampered():
+    # boxes 6 and 13 moved onto boxes 8 and 11 of their levels, or box 6
+    # moved against box 5
     boxes, _ = build_layered(S2, 6)
-    side = boxes.side[3]
-    overlap = with_values(boxes, [5, 9], lo=boxes.lo[[2, 20]])
-    touching = with_values(boxes, 4, lo=(boxes.lo[3, 0] + side, boxes.lo[3, 1]))
+    overlap = with_values(boxes, [5, 12], lo=boxes.lo[[7, 10]])
+    touching = with_values(boxes, 5, lo=(boxes.lo[4, 0] + boxes.side[4], boxes.lo[4, 1]))
     for tampered in (overlap, touching):
         assert not assert_matches_all_pairs(tampered, S2).passed
     # overlap pairs come in position order, each with the smaller j first
     report = disjointness_certificate(overlap, S2)
-    assert len(report.overlap_pairs) >= 2
-    assert all(a < b for a, b in report.overlap_pairs)
+    assert report.overlap_pairs == ((6, 8), (11, 13))
 
 
 def test_overlap_across_the_level_boundary():
     # the first box of level 3 lifted into the first box of level 2: the
-    # levels' bounding boxes meet, and the pair is found by the sweep of
-    # their rows together
+    # levels are not stacked, which fails the certificate without a search
+    # for the pair across them that the oracle finds
     boxes, _ = build_layered(S2, 4)
     base = boxes.lo[1]  # box 2, the first of level 2
     lifted = with_values(boxes, 4, lo=(base[0] + 0.1, base[1] + 0.1))
-    report = assert_matches_all_pairs(lifted, S2)
-    assert report.overlap_pairs == ((2, 5),)
+    report = assert_matches_all_pairs(lifted, S2, exact=False)
+    assert report.overlap_pairs == ()
+    assert report.failure == "levels 2 and 3 not stacked"
+    assert all_pairs_certificate(lifted, S2).overlap_pairs == ((2, 5),)
 
 
 def test_meeting_levels_without_an_overlap():
     # level 2 stands between the two boxes of level 1, one unit from each:
-    # the bounding boxes meet, no pair does, and the levels are 1 apart
+    # no pair meets, but the levels are not stacked, and that fails
     boxes = squares([(0.0, 0.0), (4.0, 0.0), (2.0, 0.0), (2.0, 2.5)],
                     [1.0, 1.0, 1.0, 1.0], layers=[1, 1, 2, 2])
-    report = assert_matches_all_pairs(boxes, S2)
+    report = assert_matches_all_pairs(boxes, S2, exact=False)
     assert report.overlap_pairs == ()
-    assert report.cross.min_distance.tolist() == [1.0]
+    assert report.cross.min_distance.tolist() == [0.0]
+    assert report.failure == "levels 1 and 2 not stacked"
     assert report.in_layer.min_distance.tolist() == [3.0, 1.5]
+    assert all_pairs_certificate(boxes, S2).cross.min_distance.tolist() == [1.0]
+
+
+def test_interleaved_levels_fail_below_any_floor():
+    # two one-box levels side by side at one height, under a floor far
+    # below the rounding of the placement: only the stacking test fails them
+    sched = Schedule(2, KTable([1.0, 2.0]), ATable([1e-4] * 2), DTable([1e-300]))
+    boxes = squares([(0.0, 0.0), (2.0, 0.0)], [1.0, 1.0], layers=[1, 2])
+    report = assert_matches_all_pairs(boxes, sched, exact=False)
+    (row,) = report.cross
+    assert row.min_distance == 0.0 and row.required - row.min_distance <= row.rounding
+    assert report.failure == "levels 1 and 2 not stacked"
+
+
+def test_inverted_box_does_not_hide_an_overlap():
+    # level 2 is one box of negative side, its bottom above level 1's:
+    # each level clears the one right above it, but level 3 reaches up
+    # into level 1, and only the lowest bottom of all levels above shows it
+    boxes = squares([(0.0, 4.5), (0.0, 5.0), (0.0, 0.0)], [1.5, -1.0, 4.7],
+                    layers=[1, 2, 3])
+    report = assert_matches_all_pairs(boxes, S2, exact=False)
+    assert report.failure == "levels 2 and 3 not stacked"
+    assert all_pairs_certificate(boxes, S2).overlap_pairs == ((1, 3),)
 
 
 def test_stacked_column_with_one_touching_pair():
     # box 3 raised until its top is box 2's bottom: closures that share a
-    # face overlap, across two levels of one box each
+    # face, across two levels of one box each, are not stacked
     sched = stacked_schedule(extra=True)
     boxes, _ = build_stacked(sched, 3)
     bottom = boxes.lo[1, 1]
     touching = with_values(boxes, 2, lo=(0.0, bottom - boxes.side[2]))
     assert touching.hi[2, 1] == bottom
     report = assert_matches_all_pairs(touching, sched)
-    assert report.overlap_pairs == ((2, 3),)
-    assert report.cross.min_distance.tolist()[2] == 0.0
+    assert report.overlap_pairs == ()
+    assert report.cross.min_distance.tolist()[1] == 0.0
+    assert report.failure == "levels 2 and 3 not stacked"
+
+
+def test_stacked_certificate_memory_is_linear():
+    # 2,000 one-box levels: a table of their pairs has about two million
+    # rows (292 MiB traced), the stacking lemma one row per level
+    count = 2000
+    sched = Schedule(2, KTable([10.0 + (j - 1) for j in range(1, count + 1)]),
+                     APower(1e-4, 0.25), DTable([1.0 / (i + 1) ** 2 for i in range(1, count)]))
+    boxes, _ = build_stacked(sched, count)
+    tracemalloc.start()
+    try:
+        report = disjointness_certificate(boxes, sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert report.passed and len(report.cross) == count - 1
 
 
 _COORD = st.one_of(st.integers(-6, 6).map(lambda v: v / 4.0),
@@ -674,11 +746,31 @@ def box_lists(draw):
                          k=[10.0] * count, a=[1e-4] * count)
 
 
+@st.composite
+def level_stacks(draw):
+    """A column of one-box levels (no in-layer gap to meet), each placed
+    f d_i under the one above, for f in [0, 2] or one of 1, 0 (touching)
+    and -1 (interleaved), and shifted sideways by up to one unit."""
+    n = draw(st.integers(2, 4))
+    count = draw(st.integers(1, 8))
+    d = paddings(demo_schedule(n), range(1, count)).tolist()
+    factor = st.one_of(st.sampled_from([1.0, 0.0, -1.0]), st.floats(0.0, 2.0))
+    shift = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+    side, lo, bottom = [], [], 0.0
+    for i in range(count):
+        side.append(draw(st.floats(0.0, 1.0)))
+        if i:
+            bottom = bottom - side[i] - draw(factor) * d[i - 1]
+        lo.append([draw(shift) for _ in range(n - 1)] + [bottom])
+    return n, make_boxes(range(1, count + 1), range(1, count + 1), side, lo,
+                         gap=[0.1] * count, k=[10.0] * count, a=[1e-4] * count)
+
+
 @settings(max_examples=150, deadline=None)
-@given(box_lists())
+@given(st.one_of(box_lists(), level_stacks()))
 def test_sweep_matches_all_pairs_random_boxes(case):
     n, boxes = case
-    assert_matches_all_pairs(boxes, demo_schedule(n))
+    assert_matches_all_pairs(boxes, demo_schedule(n), exact=False)
     if len(boxes) > 1:
         scale = _feature_scale(boxes)
         apertures = [side * gap for side, gap in zip(boxes.side.tolist(),
@@ -791,8 +883,8 @@ def test_partition_merges_reach_widened_chains():
 def test_sweep_work_counts(monkeypatch, n, layers, in_level_max):
     # one sweep, for the overlaps and minima inside the levels, leaves a few
     # candidates per level (one-axis sweeps had 522,602 overlap and 183,219
-    # minimum candidates at n=4, 7.2M of each at n=9); no two levels'
-    # bounding boxes meet and every level pair settles by its witness
+    # minimum candidates at n=4, 7.2M of each at n=9); the levels are
+    # stacked, so no pair across them is swept
     sweep, counts = _sweep_pairs, []
 
     def counting(*args):
