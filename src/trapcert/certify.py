@@ -135,8 +135,8 @@ def certify_geometry(boxes: Boxes) -> Certificates:
             j, ki, ai, ei, li = (c[i].item() for c in (boxes.j, k, a, eps, ell))
             error = ArithmeticError if gate in (3, 4) else CertifyError
             raise error([
-                f"need k, ell > 0 and eps in (0,1), got {ki}, {li}, {ei}",
-                f"k*ell = {ki * li!r} violates the resonance relation pi*sqrt(n)",
+                f"box {j}: need k, ell > 0 and eps in (0,1), got {ki}, {li}, {ei}",
+                f"box {j}: k*ell = {ki * li!r} violates the resonance relation pi*sqrt(n)",
                 f"box {j}: need target a > 0, got {ai!r}",
                 f"box {j}: eps^(3(n-1)/2) = {ei ** (1.5 * (n - 1))!r} is below the normal range",
                 f"box {j}: threshold {inv[i].item()!r} or margin {margin[i].item()!r} is not finite",

@@ -41,7 +41,6 @@ from trapcert.geometry import (
     GeometryError,
     GeometrySummary,
     build_layered,
-    build_stacked,
     connectivity_certificate,
     disjointness_certificate,
     layer_plans,
@@ -121,8 +120,7 @@ class RunConfig:
                 "config needs 'layout' and a truncation ('layers' or "
                 "'boxCount') for geometry commands"
             )
-        build = build_layered if self.layout == "layered" else build_stacked
-        return build(self.schedule(), self.truncation)
+        return build_layered(self.schedule(), self.truncation, self.layout)
 
 
 def _as_mapping(value, where: str) -> Mapping:
@@ -611,22 +609,15 @@ def _cmd_plan(cfg: RunConfig, outputs: OutputPaths, out) -> int:
     boxes, _ = cfg.geometry()  # build's construction and checks, before any output
     sched = cfg.schedule()
     print(f"schedule: {schedule_label(sched)}", file=out)
-    if cfg.layout == "layered":
-        print(f"{'level':>5} {'boxes':>6} {'first-j':>8} {'height':>12} "
-              f"{'side':>10} {'pitch':>10} {'width':>10}", file=out)
-        plans = layer_plans(sched, cfg.truncation)
-        for i, count, start, height, side, pitch, width in zip(
-                plans.i.tolist(), plans.count, plans.start, plans.height.tolist(),
-                plans.max_side.tolist(), plans.pitch.tolist(), plans.width.tolist()):
-            print(f"{i:>5} {count:>6} {start:>8} {height:>12.6f} {side:>10.6f} "
-                  f"{pitch:>10.6f} {width:>10.6f}", file=out)
-        print(f"total boxes through level {cfg.truncation}: {len(boxes)}", file=out)
-    else:
-        print(f"{'j':>5} {'k':>12} {'side':>10} {'base height':>12}", file=out)
-        for j, k, side, depth in zip(boxes.j.tolist(), boxes.k.tolist(),
-                                     boxes.side.tolist(), boxes.lo[:, -1].tolist()):
-            print(f"{j:>5} {k:>12.6f} {side:>10.6f} {depth:>12.6f}", file=out)
-        print(f"total boxes: {len(boxes)}", file=out)
+    print(f"{'level':>5} {'boxes':>6} {'first-j':>8} {'height':>12} "
+          f"{'side':>10} {'pitch':>10} {'width':>10}", file=out)
+    plans = layer_plans(sched, cfg.truncation, cfg.layout)
+    for i, count, start, height, side, pitch, width in zip(
+            plans.i.tolist(), plans.count, plans.start, plans.height.tolist(),
+            plans.max_side.tolist(), plans.pitch.tolist(), plans.width.tolist()):
+        print(f"{i:>5} {count:>6} {start:>8} {height:>12.6f} {side:>10.6f} "
+              f"{pitch:>10.6f} {width:>10.6f}", file=out)
+    print(f"total boxes through level {cfg.truncation}: {len(boxes)}", file=out)
     return 0
 
 

@@ -5,10 +5,11 @@ floor(i ln(i+e))^(n-1) boxes: columns at pitch h_i = L_i + d_i/ln(i+e) along
 each horizontal axis, where L_i is the sidelength of the first (largest) box
 of the level.  Heights recurse by H_{i+1} = H_i - ell_{B_{i+1}} - d_i, so
 consecutive levels are separated by exactly d_i while levels keep shrinking
-and accumulate at a finite depth.  The stacked arrangement is the simpler
-single-column variant t_{j+1} = t_j - (ell_{j+1} + d_j) e_n, which requires
-summable 1/k_j and is therefore only available for explicit wavenumber
-tables.
+and accumulate at a finite depth.  The stacked arrangement is the same plan
+with one box per level (one column, pitch = side), so box j sits at
+t_{j+1} = t_j - (ell_{j+1} + d_j) e_n; its depth is finite only for summable
+1/k_j, so it is only available for explicit wavenumber tables.  One builder,
+`build_layered`, places both from the level plans.
 
 Everything downstream hangs off two kinds of guarantees produced here:
 
@@ -93,12 +94,13 @@ class ResolutionTooCoarseError(GeometryError):
 class Boxes:
     """Open boxes as read-only columns, one row per box in index order.
 
-    What both builders guarantee is checked here, so every consumer may
+    What the builder guarantees is checked here, so every consumer may
     rely on it: at least one box; one entry per box in every column, with
     corners `lo` of shape (N, n), n >= 2; `j` strictly increasing and
-    `layer` nondecreasing, so each level is one run of rows; and every
-    value and every upper corner lo + side finite.  Any other arrangement
-    raises GeometryError.
+    `layer` nondecreasing, so each level is one run of rows; every value
+    and every upper corner lo + side finite; and every side positive, so
+    no box is flat or inverted.  Any other arrangement raises
+    GeometryError.
     """
 
     j: np.ndarray
@@ -132,6 +134,11 @@ class Boxes:
                       *(f(c) for c in (self.gap, self.k, self.a) for f in (np.min, np.max))]
         if not np.isfinite(np.hstack(bounds)).all():
             raise GeometryError("every value and every upper corner must be finite")
+        nonpositive = self.side <= 0.0
+        if nonpositive.any():
+            p = int(np.argmax(nonpositive))
+            raise GeometryError(f"box {self.j[p]}: side {self.side[p].item()!r} "
+                                f"is not positive")
 
     def __len__(self) -> int:
         return len(self.j)
@@ -183,19 +190,28 @@ class LayerPlans:
         return len(self.i)
 
 
-def layer_plans(sched: Schedule, limit: Optional[int]) -> LayerPlans:
+def layer_plans(sched: Schedule, limit: Optional[int],
+                layout: str = "layered") -> LayerPlans:
     """Plans of the levels 1..limit, fewer where the tables cannot supply all
-    boxes and the padding of a level (limit None: all of them; a family must
-    then be a table).  Start indices follow from the box counts alone, so
+    boxes and the paddings they need (limit None: all of them; a family must
+    then be a table).  A layered level i is a grid of floor(i ln(i+e))
+    columns along each horizontal axis and needs d_i for its pitch; a
+    stacked level is one box whose pitch is its side, so it needs no padding
+    of its own and a stack runs one level past the padding table (box j
+    needs only d_(j-1)).  Start indices follow from the box counts alone, so
     one wavenumber evaluation gives the sides of every level start."""
+    stacked = layout == "stacked"
     k_end = len(sched.k_family.values) if isinstance(sched.k_family, KTable) else math.inf
     d_end = len(sched.d_family.values) if isinstance(sched.d_family, DTable) else math.inf
     logs: List[float] = []  # ln(i + e), for the column count and the pitch
     cols: List[int] = []
     counts: List[int] = []
     starts: List[int] = []
+    if stacked:
+        cols = counts = [1] * int(min(k_end, d_end + 1, math.inf if limit is None else limit))
+        starts = list(range(1, len(cols) + 1))
     b = 1
-    while (limit is None or len(cols) < limit) and len(cols) < d_end:
+    while not stacked and (limit is None or len(cols) < limit) and len(cols) < d_end:
         i = len(cols) + 1
         log_i = math.log(i + math.e)
         c = int(math.floor(i * log_i))
@@ -210,14 +226,14 @@ def layer_plans(sched: Schedule, limit: Optional[int]) -> LayerPlans:
     m = len(cols)
     cols_arr = np.array(cols, dtype=np.int64)
     sides = sidelengths(sched, starts)
-    pads = paddings(sched, range(1, m + 1))
+    pads = paddings(sched, range(1, m + 1 - stacked))
     with np.errstate(over="ignore", invalid="ignore"):
-        pitch = sides + pads / np.array(logs)
+        pitch = sides if stacked else sides + pads / np.array(logs)
         width = cols_arr * pitch
         # H_i = (H_{i-1} - ell_{B_i}) - d_{i-1}, as one left fold over
         # [0, ell_2, d_1, ell_3, d_2, ...]; the last entry is not read
         fold = np.zeros(2 * m)
-        fold[1:-1] = np.column_stack((sides[1:], pads[:-1])).ravel()
+        fold[1:-1] = np.column_stack((sides[1:], pads[:m - 1])).ravel()
         height = np.subtract.accumulate(fold)[::2]
     bad = np.flatnonzero(~np.isfinite(np.stack((sides, pitch, width, height))).all(axis=0))
     if bad.size:
@@ -269,7 +285,7 @@ def _width_tail_bound(sched: Schedule, i0: int) -> float:
 
 
 # -------------------------------------------------------------------
-# builders
+# the builder
 # -------------------------------------------------------------------
 
 def _grid(cols: int, axes: int) -> np.ndarray:
@@ -277,45 +293,31 @@ def _grid(cols: int, axes: int) -> np.ndarray:
     return np.indices((cols,) * axes).reshape(axes, -1).T
 
 
-def _summary(layout: str, boxes: Boxes, extent: float, widest: Tuple[str, float],
-             heights: Tuple[float, float], vol_lo: float,
-             vol_tail: float) -> GeometrySummary:
-    """Summary of a build from its built volume `vol_lo` and the volume
-    `vol_tail` past it, and the circumradius bound from the widest level
-    (`widest`: its name and width) and the lower height `heights[0]`.  An
-    enclosure past binary64 names its two parts, a bound past binary64 the
-    widest level."""
-    n = boxes.lo.shape[1]
-    where, w_big = widest
-    try:  # the first box spans [0, ell_1] vertically
-        r_gamma = math.sqrt((n - 1) * w_big ** 2
-                            + max(boxes.side[0].item(), -heights[0]) ** 2)
-    except OverflowError:
-        r_gamma = math.inf
-    if r_gamma == math.inf:
-        raise ScheduleError(f"circumradius bound leaves binary64: width {w_big!r} "
-                            f"({where}), lowest height {heights[0]!r}")
-    if not math.isfinite(vol_lo + vol_tail):
-        raise ScheduleError(f"volume enclosure leaves binary64: built volume "
-                            f"{vol_lo!r} plus tail {vol_tail!r}")
-    return GeometrySummary(dimension=n, layout=layout, box_count=len(boxes),
-                           horizontal_extent=extent, height_interval=heights,
-                           volume_interval=(vol_lo, vol_lo + vol_tail),
-                           r_gamma_upper=r_gamma)
-
-
-def build_layered(sched: Schedule, layers: int) -> Tuple[Boxes, GeometrySummary]:
-    """Boxes of the first `layers` levels, in global index order, plus the
-    certified summary of the full (possibly infinite) arrangement.  More
-    than MAX_BOXES boxes are refused before any box is built."""
+def build_layered(sched: Schedule, layers: int,
+                  layout: str = "layered") -> Tuple[Boxes, GeometrySummary]:
+    """Boxes of the first `layers` levels of `layout`, in global index
+    order, plus the certified summary of the full (possibly infinite)
+    arrangement.  More than MAX_BOXES boxes are refused before any box is
+    built.  A stack has a finite depth only for summable 1/k_j, which of
+    the built-in families only tables certify (log-growth 1/k_j decay like
+    j^(-1/n) up to logs, a divergent p-series); a stack too short for
+    `layers` names its first box that cannot be built, its own checks
+    before its missing padding."""
     if layers < 1:
         raise GeometryError(f"layers must be >= 1, got {layers}")
+    if layout == "stacked" and not isinstance(sched.k_family, KTable):
+        raise GeometryError("stacked layout needs summable 1/k_j; no tail bound is "
+                            "registrable for the log-growth family (divergent p-series), "
+                            "use an explicit wavenumber table")
     infinite = (isinstance(sched.k_family, KLogGrowth)
                 and isinstance(sched.d_family, DShiftedPower))
     target = max(layers + 1, _MIN_EXTENSION) if infinite else None
 
-    plans = layer_plans(sched, target)
+    plans = layer_plans(sched, target, layout)
     if len(plans) < layers:
+        if layout == "stacked":  # raises at the first box it cannot build
+            derived_columns(sched, range(1, len(plans) + 2))
+            paddings(sched, [len(plans)])
         raise ScheduleError(
             f"schedule tables support only {len(plans)} complete layers, "
             f"{layers} requested"
@@ -327,23 +329,24 @@ def build_layered(sched: Schedule, layers: int) -> Tuple[Boxes, GeometrySummary]
         raise GeometryError(f"{layers} layers hold {j_built} boxes, more than "
                             f"the {MAX_BOXES} one build allows")
     k, side, gap, a = derived_columns(sched, range(1, j_built + 1))
-    lo = np.empty((j_built, sched.n))
-    layer = np.empty(j_built, dtype=np.int64)
-    for i, start, count, cols, pitch, height in zip(
-            range(1, layers + 1), plans.start, plans.count, plans.cols.tolist(),
-            plans.pitch.tolist(), plans.height.tolist()):
-        rows = slice(start - 1, start - 1 + count)
-        np.multiply(pitch, _grid(cols, sched.n - 1), out=lo[rows, :-1])
-        lo[rows, -1] = height
-        layer[rows] = i
-    boxes = Boxes(j=np.arange(1, j_built + 1), layer=layer, side=side, gap=gap,
-                  k=k, a=a, lo=lo)
+    # each level's corner (0, ..., 0, height), once per box of the level;
+    # a level of more than one column then lays out its grid
+    counts = plans.count[:layers]
+    corner = np.zeros((layers, sched.n))
+    corner[:, -1] = plans.height[:layers]
+    lo = np.repeat(corner, counts, axis=0)
+    pitch, cols = plans.pitch.tolist(), plans.cols.tolist()
+    for p in np.flatnonzero(plans.cols[:layers] > 1).tolist():
+        rows = slice(plans.start[p] - 1, plans.start[p] - 1 + counts[p])
+        np.multiply(pitch[p], _grid(cols[p], sched.n - 1), out=lo[rows, :-1])
+    boxes = Boxes(j=np.arange(1, j_built + 1), layer=np.repeat(plans.i[:layers], counts),
+                  side=side, gap=gap, k=k, a=a, lo=lo)
     j_all = plans.start[-1] + plans.count[-1] - 1
     m_ext = len(plans)
     h_last = plans.height[-1].item()
     w = int(np.argmax(plans.width))  # the first widest level
     extent = plans.width[w].item()
-    named_width = (f"level {w + 1}", extent)
+    where, w_big = f"level {w + 1}", extent
 
     # the built boxes first: a build past binary64 names its largest box
     # before any tail does
@@ -359,65 +362,29 @@ def build_layered(sched: Schedule, layers: int) -> Tuple[Boxes, GeometrySummary]
                     + volume_tail_bound(sched, max(j_built, 3)))
         w_tail = _width_tail_bound(sched, m_ext + 1)
         if w_tail > extent:
-            named_width = (f"bound for the levels past {m_ext}", w_tail)
+            where, w_big = f"bound for the levels past {m_ext}", w_tail
     else:
         # finite tables: every placeable level is in `plans`, so the deepest
         # level height and the full finite sums are exact
         h_lo = h_hi = h_last
         vol_tail = volume_sum(sched.n, sidelengths(sched, range(j_built + 1, j_all + 1)),
                               j_built + 1, "volume tail")
-    return boxes, _summary("layered", boxes, extent, named_width,
-                           (h_lo, h_hi), vol_lo, vol_tail)
-
-
-def build_stacked(sched: Schedule, count: int) -> Tuple[Boxes, GeometrySummary]:
-    """Single vertical column: t_1 = 0, t_{j+1} = t_j - (ell_{j+1} + d_j) e_n.
-
-    The column accumulates at depth -sum(ell_{j+1} + d_j), which converges
-    only when sum 1/k_j does; of the built-in families only explicit tables
-    certify that, so log-growth wavenumbers are rejected (their 1/k_j decay
-    like j^(-1/n) up to logs, a divergent p-series for every n >= 2).
-
-    Box j needs k_j and d_{j-1}, so the table lengths give the last box the
-    recursion places, for the limit's depth and volume.  The first box that
-    cannot be built raises, its own checks before its padding, and so does a
-    side or depth past binary64.
-    """
-    if count < 1:
-        raise GeometryError(f"count must be >= 1, got {count}")
-    if not isinstance(sched.k_family, KTable):
-        raise GeometryError(
-            "stacked layout needs summable 1/k_j; no tail bound is "
-            "registrable for the log-growth family (divergent p-series), "
-            "use an explicit wavenumber table"
-        )
-    d_end = len(sched.d_family.values) if isinstance(sched.d_family, DTable) else math.inf
-    last = min(len(sched.k_family.values), d_end + 1)
-    # up to box d_end + 2, whose own checks come before its missing padding
-    k, side, gap, a = derived_columns(sched, range(1, min(count, d_end + 2) + 1))
-    tail = sidelengths(sched, range(count + 1, last + 1))
-    sides = side.tolist() + tail.tolist()
-    # d_{j-1} for the boxes j >= 2; past the table when count > d_end + 1,
-    # which raises the table's error
-    pads = paddings(sched, range(1, len(sides))).tolist()
-    depths: List[float] = []
-    depth = 0.0
-    for j, side_j in enumerate(sides, start=1):
-        if j > 1:
-            depth = depth - side_j - pads[j - 2]
-        if not (math.isfinite(side_j) and math.isfinite(depth)):
-            raise ScheduleError(f"box {j} leaves binary64: side {side_j!r}, "
-                                f"depth {depth!r}")
-        depths.append(depth)
-    lo = np.zeros((count, sched.n))
-    lo[:, -1] = depths[:count]
-    boxes = Boxes(j=np.arange(1, count + 1), layer=np.arange(1, count + 1), side=side,
-                  gap=gap, k=k, a=a, lo=lo)
-    vol_lo = volume_sum(sched.n, boxes.side, 1, "built volume")
-    vol_tail = volume_sum(sched.n, tail, count + 1, "volume tail")
-    # k increases, so box 1 is the widest
-    return boxes, _summary("stacked", boxes, sides[0], ("level 1", sides[0]),
-                           (depth, depth), vol_lo, vol_tail)
+    # the circumradius from the widest level and the lowest height, and a
+    # bound past binary64 names them; the first box spans [0, ell_1]
+    try:
+        r_gamma = math.sqrt((sched.n - 1) * w_big ** 2 + max(side[0].item(), -h_lo) ** 2)
+    except OverflowError:
+        r_gamma = math.inf
+    if r_gamma == math.inf:
+        raise ScheduleError(f"circumradius bound leaves binary64: width {w_big!r} "
+                            f"({where}), lowest height {h_lo!r}")
+    if not math.isfinite(vol_lo + vol_tail):
+        raise ScheduleError(f"volume enclosure leaves binary64: built volume "
+                            f"{vol_lo!r} plus tail {vol_tail!r}")
+    return boxes, GeometrySummary(dimension=sched.n, layout=layout, box_count=j_built,
+                                  horizontal_extent=extent, height_interval=(h_lo, h_hi),
+                                  volume_interval=(vol_lo, vol_lo + vol_tail),
+                                  r_gamma_upper=r_gamma)
 
 
 # -------------------------------------------------------------------
@@ -670,12 +637,13 @@ def disjointness_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessRepor
     and finite (2^-511 <= g < 2^512); a subnormal g^2 may move the row off
     g, and one that flushes to zero makes it 0, which counts as not
     stacked.  Either way the row is at most every pair's computed distance
-    (inf past overflow, as is every pair's).  On both builders'
-    arrangements, where every side is nonnegative, the lowest bottoms of
-    stacked levels fall from level to level, so b is the bottom of the
-    level right above i', and the row is the minimum over the pairs of the
-    two levels, bit for bit: the first box of each level is at once its
-    lowest and its highest, and the two overlap horizontally.  Levels that
+    (inf past overflow, as is every pair's).  Every side is positive, so
+    the lowest bottoms of stacked levels fall from level to level; b is
+    then the bottom of the level right above i', unless some pair of
+    levels above i' is not stacked, and on the builder's arrangements the
+    row is the minimum over the pairs of the two levels, bit for bit: the
+    first box of each level is at once its lowest and its highest, and the
+    two overlap horizontally.  Levels that
     are not stacked fail the certificate; their pairs are not examined.
 
     A floor d holds up to the rounding of the placement: a level sits at

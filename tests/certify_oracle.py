@@ -45,18 +45,18 @@ def _s_minus_sin(s):
     return s - math.sin(s)
 
 
-def resonant_box(n, k, ell, eps):
+def resonant_box(n, k, ell, eps, where=""):
     """The domain and resonance gates of one box: k, ell > 0, eps in (0,1),
     and k*ell = pi*sqrt(n) to 1e-12 relative, which makes the product mode
-    an exact Dirichlet eigenmode."""
+    an exact Dirichlet eigenmode.  `where` leads each message."""
     if n < 2:
         raise CertifyError(f"dimension must be >= 2, got {n}")
     if not (k > 0.0 and ell > 0.0 and 0.0 < eps < 1.0):
-        raise CertifyError(f"need k, ell > 0 and eps in (0,1), got {k}, {ell}, {eps}")
+        raise CertifyError(f"{where}need k, ell > 0 and eps in (0,1), got {k}, {ell}, {eps}")
     target = math.pi * math.sqrt(n)
     if abs(k * ell - target) > 1e-12 * target:
         raise CertifyError(
-            f"k*ell = {k * ell!r} violates the resonance relation pi*sqrt(n)"
+            f"{where}k*ell = {k * ell!r} violates the resonance relation pi*sqrt(n)"
         )
 
 
@@ -108,7 +108,7 @@ def scalar_certify(boxes):
     for j, k, a, eps, ell in zip(boxes.j.tolist(), boxes.k.tolist(),
                                  boxes.a.tolist(), boxes.gap.tolist(),
                                  boxes.side.tolist()):
-        resonant_box(n, k, ell, eps)
+        resonant_box(n, k, ell, eps, f"box {j}: ")
         if not a > 0.0:
             raise CertifyError(f"box {j}: need target a > 0, got {a!r}")
         ub = infsup_upper(n, eps)

@@ -68,9 +68,12 @@ MUTANTS = [
      "~(g.required - g.min_distance <= g.rounding)", "~(g.required - g.min_distance <= 0.0)",
      ("tests/test_geometry.py::test_stacked_floor_allows_the_rounding_of_the_placement",)),
     ("height-fold-reassociated", "geometry.py",
-     "fold[1:-1] = np.column_stack((sides[1:], pads[:-1])).ravel()",
-     "fold[1:-1:2] = sides[1:] + pads[:-1]",
+     "fold[1:-1] = np.column_stack((sides[1:], pads[:m - 1])).ravel()",
+     "fold[1:-1:2] = sides[1:] + pads[:m - 1]",
      ("tests/test_schedule_columns.py::test_layer_plans_equal_the_level_loop",)),
+    ("stack-stops-at-the-padding-table", "geometry.py",
+     "min(k_end, d_end + 1,", "min(k_end, d_end,",
+     ("tests/test_geometry.py::test_stacked_limit_uses_full_tables",)),
 ]
 
 

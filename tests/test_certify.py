@@ -34,7 +34,7 @@ from trapcert.certify import (
     _threshold,
     certify_geometry,
 )
-from trapcert.geometry import build_layered
+from trapcert.geometry import GeometryError, build_layered
 from trapcert.sequences import demo_schedule, design_identity, gap_fractions
 
 # mpmath, 40 digits
@@ -156,7 +156,8 @@ def test_resolvent_lower_uninformative_threshold():
 def test_resolvent_lower_domain():
     # the floor needs k > 0, which certify_geometry's first gate enforces
     for k in (0.0, -2.0):
-        with pytest.raises(CertifyError, match=f"^need k, ell > 0 and eps in \\(0,1\\), got {k}"):
+        with pytest.raises(CertifyError,
+                           match=f"^box 1: need k, ell > 0 and eps in \\(0,1\\), got {k}"):
             certify_geometry(make_boxes([1], [1], [1.0], [0.0, 0.0], [0.5], [k], [1e-3]))
 
 
@@ -231,7 +232,7 @@ def test_certificate_columns_equal_the_scalar_functions(n, layers):
 # failing box, and of its failing gates the first
 TAMPERED = {
     "wavenumber": (lambda b: with_values(take(b, [0]), 0, k=b.k[0] * 1.01),
-                   "k*ell = "),
+                   "box 1: k*ell = "),
     "target": (lambda b: with_values(take(b, [0]), 0, a=1.0),
                "box 1: inf-sup routes disagree"),
     "later-box": (lambda b: with_values(with_values(b, 40, a=1.0), 70,
@@ -239,10 +240,10 @@ TAMPERED = {
                   "box 41: inf-sup routes disagree"),
     "aperture": (lambda b: with_values(b, 5, gap=b.gap[5] * 0.9),
                  "box 6: inf-sup routes disagree"),
-    "domain": (lambda b: with_values(with_values(b, 9, side=-1.0), 3, gap=1.5),
-               "need k, ell > 0 and eps in (0,1), got 6.47"),
+    "domain": (lambda b: with_values(with_values(b, 9, k=-1.0), 3, gap=1.5),
+               "box 4: need k, ell > 0 and eps in (0,1), got 6.47"),
     "aperture-edge": (lambda b: with_values(b, 12, gap=1.0),
-                      "need k, ell > 0 and eps in (0,1), got 17.387"),
+                      "box 13: need k, ell > 0 and eps in (0,1), got 17.387"),
     "negative-target": (lambda b: with_values(with_values(b, 8, a=-1.0), 20, a=0.0),
                         "box 9: need target a > 0, got -1.0"),
 }
@@ -268,7 +269,7 @@ def test_certify_two_failing_gates_report_the_earlier():
     # the box also fails the routes gate, which comes after the resonance
     inv = _threshold(2, k, a)
     assert abs(1.0 / _infsup(2, column(eps))[0].item() - inv) > 1e-9 * inv
-    with pytest.raises(CertifyError, match="violates the resonance relation"):
+    with pytest.raises(CertifyError, match="^box 1: k[*]ell = .* violates the resonance relation"):
         certify_geometry(tampered)
 
 
@@ -424,11 +425,17 @@ def test_infsup_upper_equals_the_oracle(n, eps):
 @example(n=3, k=3.0, detune=5e-12, eps=0.3)  # just past the tolerance
 @example(n=3, k=3.0, detune=5e-13, eps=0.3)  # just inside it
 @example(n=4, k=3.0, detune=0.0, eps=1.0)
+@example(n=2, k=-3.0, detune=0.0, eps=0.3)
 def test_certify_gates_a_resonant_box_as_the_oracle(n, k, detune, eps):
     # the domain and resonance gates: one box on or near k*ell = pi*sqrt(n)
     ell = math.pi * math.sqrt(n) / k * (1.0 + detune) if k else 1.0
     assume(math.isfinite(ell))  # a Boxes holds finite values only
-    box = make_boxes([1], [1], [ell], [0.0] * n, [eps], [k], [1e-3])
+    columns = ([1], [1], [ell], [0.0] * n, [eps], [k], [1e-3])
+    if k < 0.0:  # a negative side: no such box is built
+        with pytest.raises(GeometryError, match="^box 1: side -.* is not positive$"):
+            make_boxes(*columns)
+        return
+    box = make_boxes(*columns)
     try:
         got = certificate_rows(certify_geometry(box))
     except CertifyError as exc:

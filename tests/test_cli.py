@@ -131,8 +131,8 @@ def test_config_refuses_the_truncation_key_of_the_other_layout(tmp_path, capsys,
     # --layers overrides the key the layout takes
     doc[key] = doc.pop(other)
     assert run(["plan", "--config", write_config(tmp_path, doc), "--layers", "2"]) == 0
-    total = "total boxes through level 2: 4" if layout == "layered" else "total boxes: 2"
-    assert capsys.readouterr().out.endswith(f"{total}\n")
+    total = 4 if layout == "layered" else 2
+    assert capsys.readouterr().out.endswith(f"total boxes through level 2: {total}\n")
 
 
 def test_config_type_validation():
@@ -543,14 +543,18 @@ def stacked_table_mapping():
 
 
 def test_run_plan_stacked_prints_the_built_depths(tmp_path, capsys):
+    # the level table of the layered layout, one box a level, whose pitch
+    # and width are its side
     cfg = write_config(tmp_path, stacked_table_mapping())
     assert run(["plan", "--config", cfg]) == 0
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:-1]]
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].split() == ["level", "boxes", "first-j", "height", "side", "pitch", "width"]
+    assert out[-1] == "total boxes through level 3: 3"
+    rows = [line.split() for line in out[2:-1]]
     assert run(["build", "--config", cfg, "--out", str(tmp_path)]) == 0
     boxes = json.loads((tmp_path / "geometry.json").read_text())["boxes"]
-    assert [(int(j), k, side, depth) for j, k, side, depth in rows] == [
-        (b["j"], f"{b['wavenumber']:.6f}", f"{b['side']:.6f}",
-         f"{b['translation'][-1]:.6f}") for b in boxes]
+    assert rows == [[str(b["layer"]), "1", str(b["j"]), f"{b['translation'][-1]:.6f}"]
+                    + [f"{b['side']:.6f}"] * 3 for b in boxes]
 
 
 def test_run_plan_stacked_log_growth_exit_2(tmp_path, capsys):
@@ -979,7 +983,7 @@ def test_run_stacked_subnormal_wavenumber_exit_2(tmp_path, capsys, command):
         warnings.simplefilter("error")
         assert run([command, "--config", write_config(tmp_path, doc)] + out) == 2
     assert capsys.readouterr() == (
-        "", "error: box 1 leaves binary64: side inf, depth 0.0\n")
+        "", "error: level 1 leaves binary64: side inf, pitch inf, height 0.0\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -1057,6 +1061,21 @@ total boxes through level 6: 3224
 def test_run_plan_prints_the_recorded_table(capsys, flags):
     assert run(["plan", "--config", str(CONFIGS / "figure2d.json"), *flags]) == 0
     assert capsys.readouterr() == (PLAN_FIGURE2D[flags], "")
+
+
+def test_stacked_table_config_plans_one_box_a_level(capsys):
+    # configs/stacked_table.json is the table of `stacked_table_mapping`
+    cfg = CONFIGS / "stacked_table.json"
+    assert json.loads(cfg.read_text()) == stacked_table_mapping()
+    assert run(["plan", "--config", str(cfg)]) == 0
+    assert capsys.readouterr() == ("""\
+schedule: n=2; wavenumbers table[4 values]; targets power(0.0001 * j^0.25); paddings table[3 values]
+level  boxes  first-j       height       side      pitch      width
+    1      1        1     0.000000   0.888577   0.888577   0.888577
+    2      1        2    -1.193654   0.493654   0.493654   0.493654
+    3      1        3    -1.755000   0.261346   0.261346   0.261346
+total boxes through level 3: 3
+""", "")
 
 
 def test_run_build_makes_the_configured_directory(tmp_path, monkeypatch, capsys):

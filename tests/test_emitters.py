@@ -17,7 +17,7 @@ import emitter_oracle as oracle
 import trapcert.cli as cli
 from columns import make_boxes, take
 from trapcert.certify import Certificates, certify_geometry
-from trapcert.geometry import GeometryError, GeometrySummary, build_layered, build_stacked
+from trapcert.geometry import GeometryError, GeometrySummary, build_layered
 from trapcert.sequences import APower, DTable, KTable, Schedule, demo_schedule
 
 BLOCK = cli._BLOCK_ROWS
@@ -111,11 +111,12 @@ def test_percent_format_equals_format_spec(v):
 def test_random_columns_equal_the_oracle_at_any_block_size(tmp_path_factory, values,
                                                            block):
     records = certificates(values)
-    # the boxes keep every upper corner finite, as a `Boxes` must
+    # the boxes keep every upper corner finite and every side positive, as
+    # a `Boxes` must
     small = [v if abs(v) <= 1e307 else 0.0 for v in values]
     count = len(small)
     boxes = make_boxes(j=range(1, count + 1), layer=[1] * count,
-                       side=[min(abs(v), 1e300) for v in np.roll(small, 1)],
+                       side=[min(abs(v), 1e300) or 5e-324 for v in np.roll(small, 1)],
                        lo=np.column_stack((small, np.roll(small, 2))),
                        gap=[0.25] * count, k=[1.0] * count, a=[1.0] * count)
     out = tmp_path_factory.getbasetemp()
@@ -247,8 +248,8 @@ def stacked_schedule(n):
     lambda: build_layered(demo_schedule(3), 4),
     lambda: build_layered(demo_schedule(4), 3),
     lambda: build_layered(demo_schedule(9), 2),
-    lambda: build_stacked(stacked_schedule(2), 6),
-    lambda: build_stacked(stacked_schedule(3), 6),
+    lambda: build_layered(stacked_schedule(2), 6, "stacked"),
+    lambda: build_layered(stacked_schedule(3), 6, "stacked"),
 ], ids=["n3", "n4", "n9", "stacked-n2", "stacked-n3"])
 def test_json_equals_the_oracle_in_every_dimension(tmp_path, build):
     boxes, summary = build()
@@ -272,11 +273,12 @@ SUMMARY = GeometrySummary(dimension=2, layout="layered", box_count=1,
 @settings(max_examples=300, deadline=None)
 def test_random_json_columns_equal_the_oracle_at_any_block_size(values, n, block):
     # every float column is a rotation of `values`, so each value visits
-    # every column
+    # every column; the sides are their magnitudes, 5e-324 for a zero, as a
+    # `Boxes` keeps every side positive
     count = len(values)
     cols = [np.roll(values, shift) for shift in range(4 + n)]
     boxes = make_boxes(j=range(1, count + 1), layer=[1 + r // 2 for r in range(count)],
-                       side=cols[0],
+                       side=np.where(cols[0] != 0.0, np.abs(cols[0]), 5e-324),
                        lo=np.column_stack(cols[4:]), gap=cols[1], k=cols[2], a=cols[3])
     with mock.patch.object(cli, "_BLOCK_ROWS", block):
         assert json_text(boxes, SUMMARY) == oracle.geometry_json(boxes, SUMMARY)
@@ -284,13 +286,13 @@ def test_random_json_columns_equal_the_oracle_at_any_block_size(values, n, block
 
 def test_json_special_values_print_as_json_does():
     count = len(JSON_SPECIAL)
-    boxes = make_boxes(j=range(1, count + 1), layer=[1] * count, side=JSON_SPECIAL,
+    boxes = make_boxes(j=range(1, count + 1), layer=[1] * count, side=[0.5] * count,
                        lo=np.column_stack((np.roll(JSON_SPECIAL, 1), np.roll(JSON_SPECIAL, 2))),
-                       gap=[0.5] * count, k=[1.0] * count, a=[1.0] * count)
+                       gap=JSON_SPECIAL, k=[1.0] * count, a=[1.0] * count)
     text = json_text(boxes, SUMMARY)
     assert text == oracle.geometry_json(boxes, SUMMARY)
-    for literal in ('"side": -0.0,', '"side": 5e-324,', '"side": 1e+300,',
-                    '"side": -1e+307,'):
+    for literal in ('"gap": -0.0,', '"gap": 5e-324,', '"gap": 1e+300,',
+                    '"gap": -1e+307,'):
         assert literal in text
 
 

@@ -1,4 +1,5 @@
-"""Tests for the layered/stacked builders and geometric certificates.
+"""Tests for the builder (layered and stacked layouts) and the geometric
+certificates.
 
 Frozen reference values were computed with mpmath at 40 significant digits
 (see oracles.py for the regeneration convention); the builder walks the same
@@ -7,6 +8,7 @@ recursions in binary64, so agreement is asserted at 1e-13 relative.
 
 import dataclasses
 import math
+from functools import partial
 import tracemalloc
 from unittest import mock
 
@@ -32,7 +34,6 @@ from trapcert.geometry import (
     _sweep_pairs,
     _width_tail_bound,
     build_layered,
-    build_stacked,
     connectivity_certificate,
     disjointness_certificate,
     flood_fill_oracle,
@@ -270,7 +271,7 @@ def test_layered_rejects_zero_layers():
 
 
 # -------------------------------------------------------------------
-# stacked builder
+# stacked layout
 # -------------------------------------------------------------------
 
 def stacked_schedule(extra=False):
@@ -281,7 +282,7 @@ def stacked_schedule(extra=False):
 
 
 def test_stacked_example_exact():
-    boxes, summary = build_stacked(stacked_schedule(), 2)
+    boxes, summary = build_layered(stacked_schedule(), 2, "stacked")
     assert boxes.side.tolist() == [1.0, 0.5]
     assert boxes.lo.tolist() == [[0.0, 0.0], [0.0, -1.5]]
     assert boxes.layer.tolist() == [1, 2]
@@ -293,7 +294,7 @@ def test_stacked_example_exact():
 
 
 def test_stacked_limit_uses_full_tables():
-    boxes, summary = build_stacked(stacked_schedule(extra=True), 2)
+    boxes, summary = build_layered(stacked_schedule(extra=True), 2, "stacked")
     assert len(boxes) == 2
     # placeable box 3 (side 1/4, after padding 1/2) extends the enclosure
     assert summary.height_interval == (-2.25, -2.25)
@@ -302,12 +303,12 @@ def test_stacked_limit_uses_full_tables():
 
 def test_stacked_rejects_parametric_wavenumbers():
     with pytest.raises(GeometryError, match="summable"):
-        build_stacked(S2, 3)
+        build_layered(S2, 3, "stacked")
 
 
 def test_stacked_count_past_table():
     with pytest.raises(ScheduleError):
-        build_stacked(stacked_schedule(), 5)
+        build_layered(stacked_schedule(), 5, "stacked")
 
 
 _B = math.pi * math.sqrt(2.0)  # the wavenumber of a unit square
@@ -339,7 +340,7 @@ _NEVER = "; tables are never extrapolated"
         "padding-before-short-k"])
 def test_stacked_short_tables_name_the_first_failing_box(k, a, d, count, message):
     with pytest.raises(ScheduleError) as info:
-        build_stacked(Schedule(2, k, a, d), count)
+        build_layered(Schedule(2, k, a, d), count, "stacked")
     assert str(info.value) == message
 
 
@@ -353,7 +354,7 @@ def no_per_box_schedule_calls(monkeypatch):
 
 def test_stacked_reads_columns_not_per_box_values(monkeypatch):
     no_per_box_schedule_calls(monkeypatch)
-    boxes, summary = build_stacked(stacked_schedule(extra=True), 2)
+    boxes, summary = build_layered(stacked_schedule(extra=True), 2, "stacked")
     assert boxes.side.tolist() == [1.0, 0.5]
     assert summary.volume_interval == (1.25, 1.25 + 0.0625)
 
@@ -364,9 +365,9 @@ _VOLUME_SCHEDULE = Schedule(2, KTable([3.0 + j for j in range(11)]), _A,
                             DTable([0.9, 0.5, 0.3]))
 
 
-@pytest.mark.parametrize("build, built, last", [(build_stacked, 2, 4),
-                                                (build_layered, 4, 9)],
-                         ids=["stacked", "layered"])
+@pytest.mark.parametrize("build, built, last", [
+    (partial(build_layered, layout="stacked"), 2, 4), (build_layered, 4, 9)],
+    ids=["stacked", "layered"])
 def test_volume_interval_equals_the_per_box_sum(monkeypatch, build, built, last):
     no_per_box_schedule_calls(monkeypatch)
     boxes, summary = build(_VOLUME_SCHEDULE, 2)
@@ -381,14 +382,15 @@ def test_volume_interval_equals_the_per_box_sum(monkeypatch, build, built, last)
 
 
 @pytest.mark.parametrize("kvals, dvals, count, message", [
-    ([1e-320, 9.0], [0.5], 1, "box 1 leaves binary64: side inf, depth 0.0"),
+    ([1e-320, 9.0], [0.5], 1, "level 1 leaves binary64: side inf, pitch inf, height 0.0"),
     # the limit's box 3 is not built, but its depth enters the summary
     ([1.0, 2.0, 3.0], [1.5e308, 1e308], 2,
-     "box 3 leaves binary64: side 1.480960979386122, depth -inf"),
+     "level 3 leaves binary64: side 1.480960979386122, pitch 1.480960979386122, "
+     "height -inf"),
 ], ids=["subnormal-wavenumber", "depth-of-the-limit"])
 def test_stacked_sides_and_depths_stay_in_binary64(kvals, dvals, count, message):
     with pytest.raises(ScheduleError) as info:
-        build_stacked(Schedule(2, KTable(kvals), _A, DTable(dvals)), count)
+        build_layered(Schedule(2, KTable(kvals), _A, DTable(dvals)), count, "stacked")
     assert str(info.value) == message
 
 
@@ -400,7 +402,8 @@ def test_stacked_sides_and_depths_stay_in_binary64(kvals, dvals, count, message)
     (build_layered, Schedule(2, KTable([1.0, 2.0, 3.0, 4.0]), _A, DTable([1e300, 5e299])),
      2, "width 9.668407688201361e+299 (level 2), lowest height -1e+300"),
     # every depth is finite, the square of the lowest one is not
-    (build_stacked, Schedule(2, KTable([1.0, 2.0]), _A, DTable([1.5e308])), 2,
+    (partial(build_layered, layout="stacked"),
+     Schedule(2, KTable([1.0, 2.0]), _A, DTable([1.5e308])), 2,
      "width 4.442882938158366 (level 1), lowest height -1.5e+308"),
 ], ids=["layered-width-tail-bound", "layered-table-level", "stacked-depth"])
 def test_circumradius_past_binary64_names_the_widest_level(build, sched, size, message):
@@ -411,7 +414,7 @@ def test_circumradius_past_binary64_names_the_widest_level(build, sched, size, m
 
 def test_stacked_disjointness_generic():
     sched = stacked_schedule(extra=True)
-    boxes, _ = build_stacked(sched, 3)
+    boxes, _ = build_layered(sched, 3, "stacked")
     report = disjointness_certificate(boxes, sched)
     assert report.passed and not report.overlap_pairs
     assert len(report.in_layer) == 0  # singleton levels
@@ -430,7 +433,7 @@ DEEP_STACK = Schedule(2, KTable([1.0 + 0.01 * (j - 1) for j in range(1, 31)]),
 
 
 def test_stacked_floor_allows_the_rounding_of_the_placement():
-    boxes, _ = build_stacked(DEEP_STACK, 30)
+    boxes, _ = build_layered(DEEP_STACK, 30, "stacked")
     report = assert_matches_all_pairs(boxes, DEEP_STACK)
     assert report.passed
     cross = report.cross
@@ -442,7 +445,7 @@ def test_stacked_floor_allows_the_rounding_of_the_placement():
 
 
 def test_stacked_floor_fails_one_bound_past_the_rounding():
-    boxes, _ = build_stacked(DEEP_STACK, 30)
+    boxes, _ = build_layered(DEEP_STACK, 30, "stacked")
     cross = disjointness_certificate(boxes, DEEP_STACK).cross
     row, = cross[(cross.layer_a == 26) & (cross.layer_b == 27)]
     # box 27 raised so that its gap is one bound-width short of the allowance
@@ -481,6 +484,8 @@ REFUSED = {
                              + VALID[name][2:]}
        for name in ("side", "gap", "k", "a", "lo")
        for value in (math.nan, math.inf, -math.inf)},
+    # finite, but not a box: hi = lo, or hi < lo
+    **{f"side-{value!r}": {"side": [1.0, value, 0.5]} for value in (0.0, -1.0)},
 }
 
 
@@ -633,7 +638,7 @@ def test_sweep_matches_all_pairs_perturbed_schedule():
 
 def test_sweep_matches_all_pairs_stacked():
     sched = stacked_schedule(extra=True)
-    boxes, _ = build_stacked(sched, 3)
+    boxes, _ = build_layered(sched, 3, "stacked")
     assert assert_matches_all_pairs(boxes, sched).passed
 
 
@@ -688,13 +693,14 @@ def test_interleaved_levels_fail_below_any_floor():
 
 
 def test_inverted_box_does_not_hide_an_overlap():
-    # level 2 is one box of negative side, its bottom above level 1's:
-    # each level clears the one right above it, but level 3 reaches up
-    # into level 1, and only the lowest bottom of all levels above shows it
-    boxes = squares([(0.0, 4.5), (0.0, 5.0), (0.0, 0.0)], [1.5, -1.0, 4.7],
+    # level 2 sits above level 1, not under it: level 3 clears level 2 by
+    # 3.5 but reaches up into level 1, and only the lowest bottom of all
+    # levels above it, not the bottom of the level right above, shows that
+    boxes = squares([(0.0, 0.0), (0.0, 5.0), (0.0, 0.5)], [1.0, 1.0, 1.0],
                     layers=[1, 2, 3])
     report = assert_matches_all_pairs(boxes, S2, exact=False)
-    assert report.failure == "levels 2 and 3 not stacked"
+    assert report.cross.min_distance.tolist() == [0.0, 0.0]
+    assert report.failure == "levels 1 and 2 not stacked"
     assert all_pairs_certificate(boxes, S2).overlap_pairs == ((1, 3),)
 
 
@@ -702,7 +708,7 @@ def test_stacked_column_with_one_touching_pair():
     # box 3 raised until its top is box 2's bottom: closures that share a
     # face, across two levels of one box each, are not stacked
     sched = stacked_schedule(extra=True)
-    boxes, _ = build_stacked(sched, 3)
+    boxes, _ = build_layered(sched, 3, "stacked")
     bottom = boxes.lo[1, 1]
     touching = with_values(boxes, 2, lo=(0.0, bottom - boxes.side[2]))
     assert touching.hi[2, 1] == bottom
@@ -718,7 +724,7 @@ def test_stacked_certificate_memory_is_linear():
     count = 2000
     sched = Schedule(2, KTable([10.0 + (j - 1) for j in range(1, count + 1)]),
                      APower(1e-4, 0.25), DTable([1.0 / (i + 1) ** 2 for i in range(1, count)]))
-    boxes, _ = build_stacked(sched, count)
+    boxes, _ = build_layered(sched, count, "stacked")
     tracemalloc.start()
     try:
         report = disjointness_certificate(boxes, sched)
@@ -731,8 +737,8 @@ def test_stacked_certificate_memory_is_linear():
 
 _COORD = st.one_of(st.integers(-6, 6).map(lambda v: v / 4.0),
                    st.floats(-2.0, 2.0, allow_nan=False))
-_SIDE = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
-                  st.floats(0.0, 1.5, allow_nan=False))
+_SIDE = st.one_of(st.sampled_from([0.25, 0.5, 1.0]),
+                  st.floats(0.0, 1.5, exclude_min=True))
 
 
 @st.composite
@@ -758,7 +764,7 @@ def level_stacks(draw):
     shift = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
     side, lo, bottom = [], [], 0.0
     for i in range(count):
-        side.append(draw(st.floats(0.0, 1.0)))
+        side.append(draw(st.floats(0.0, 1.0, exclude_min=True)))
         if i:
             bottom = bottom - side[i] - draw(factor) * d[i - 1]
         lo.append([draw(shift) for _ in range(n - 1)] + [bottom])

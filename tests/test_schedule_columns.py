@@ -1,14 +1,16 @@
 """The range functions of `sequences` against the per-box scalar oracle in
-`schedule_oracle`, and `geometry.layer_plans` against its per-level loop:
-every column value equal by `float.hex`, and on schedules that fail, the
-same exception with the same message, from the first failing box or level,
-with nothing printed and no warning raised."""
+`schedule_oracle`, `geometry.layer_plans` against its per-level loop (both
+layouts), and the builder's stacked layout against the per-box stacked
+builder: every column value equal by `float.hex`, and on schedules that
+fail, the same exception with the same message, from the first failing box
+or level, with nothing printed and no warning raised."""
 
 import ast
 import inspect
 import json
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ import schedule_oracle as oracle
 import trapcert.certify
 import trapcert.sequences
 from trapcert.cli import run
-from trapcert.geometry import build_layered, build_stacked, layer_plans
+from trapcert.geometry import build_layered, layer_plans
 from trapcert.sequences import (
     APower,
     ATable,
@@ -115,7 +117,7 @@ def test_family_columns_equal_the_per_box_oracle(sched):
 
 def test_stacked_table_columns_equal_the_per_box_oracle():
     sched = table_schedule()
-    boxes, _ = build_stacked(sched, 25)
+    boxes, _ = build_layered(sched, 25, "stacked")
     refs = [oracle.derived_params(sched, j) for j in range(1, 26)]
     for name, column in zip(COLUMNS, (boxes.k, boxes.side, boxes.gap, boxes.a)):
         assert hexes(column) == [getattr(p, name).hex() for p in refs], name
@@ -233,9 +235,9 @@ def hex_rows(rows):
     return [tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows]
 
 
-def plan_rows(sched, limit):
+def plan_rows(sched, limit, layout):
     """`layer_plans` as the oracle's tuples, floats by `float.hex`."""
-    plans = layer_plans(sched, limit)
+    plans = layer_plans(sched, limit, layout)
     assert all(type(v) is int for v in plans.count + plans.start)  # exact, past int64
     return hex_rows(zip(plans.i.tolist(), plans.count, plans.start, plans.cols.tolist(),
                         plans.height.tolist(), plans.max_side.tolist(),
@@ -244,29 +246,90 @@ def plan_rows(sched, limit):
 
 _K9 = KTable([1.0 + j for j in range(9)])  # levels 1..3 at n = 2
 PLAN_CASES = {
-    "n2-300": (demo_schedule(2), 300),
-    "n3-257": (demo_schedule(3), 257),
-    "n4-257": (demo_schedule(4), 257),
-    "n32-257": (demo_schedule(32), 257),
+    "n2-300": (demo_schedule(2), 300, "layered"),
+    "n3-257": (demo_schedule(3), 257, "layered"),
+    "n4-257": (demo_schedule(4), 257, "layered"),
+    "n32-257": (demo_schedule(32), 257, "layered"),
     "perturbed": (Schedule(2, KLogGrowth(2.0), APower(1.1e-4, 0.25),
-                           DShiftedPower(2.1, 5.75, 1.2)), 60),
-    "tables": (table_schedule(), None),
+                           DShiftedPower(2.1, 5.75, 1.2)), 60, "layered"),
+    "tables": (table_schedule(), None, "layered"),
     "subnormal-c": (Schedule(2, KLogGrowth(1e-320), APower(1e-4, 0.25),
-                             DShiftedPower(2.0, 6.0, 1.2)), 3),
+                             DShiftedPower(2.0, 6.0, 1.2)), 3, "layered"),
     "height-overflows": (Schedule(2, _K9, APower(1e-4, 0.25),
-                                  DTable([1.5e308, 9e307, 5e307])), None),
+                                  DTable([1.5e308, 9e307, 5e307])), None, "layered"),
     "width-overflows": (Schedule(2, _K9, APower(1e-4, 0.25),
-                                 DTable([1.7e308, 1e308, 5e307])), None),
+                                 DTable([1.7e308, 1e308, 5e307])), None, "layered"),
+    # one box a level: a stack runs one level past the padding table
+    "stacked-n3-300": (demo_schedule(3), 300, "stacked"),
+    "stacked-tables": (table_schedule(), None, "stacked"),
+    "stacked-limit": (table_schedule(), 7, "stacked"),
+    "stacked-past-paddings": (Schedule(2, _K9, APower(1e-4, 0.25),
+                                       DTable([0.5, 0.25, 0.125])), None, "stacked"),
+    "stacked-subnormal-c": (Schedule(2, KLogGrowth(1e-320), APower(1e-4, 0.25),
+                                     DShiftedPower(2.0, 6.0, 1.2)), 3, "stacked"),
+    "stacked-height-overflows": (Schedule(2, _K9, APower(1e-4, 0.25),
+                                          DTable([1.5e308, 9e307, 5e307])), None, "stacked"),
 }
 
 
-@pytest.mark.parametrize("sched, limit", PLAN_CASES.values(), ids=PLAN_CASES.keys())
-def test_layer_plans_equal_the_level_loop(sched, limit):
+@pytest.mark.parametrize("sched, limit, layout", PLAN_CASES.values(), ids=PLAN_CASES.keys())
+def test_layer_plans_equal_the_level_loop(sched, limit, layout):
     # every column bit for bit, the heights in the loop's (H - ell) - d
     # order, or the message of the first level that leaves binary64
-    expected = outcome(lambda: hex_rows(oracle.layer_plans(sched, limit)))
-    assert outcome(lambda: plan_rows(sched, limit)) == expected
+    expected = outcome(lambda: hex_rows(oracle.layer_plans(sched, limit, layout)))
+    assert outcome(lambda: plan_rows(sched, limit, layout)) == expected
     assert expected[0] == "ok" or expected[1].startswith("level ")
+
+
+def build_outcome(build, sched, count):
+    """('ok', every column of the boxes by dtype and bytes, and the summary
+    by repr) or the error of `build(sched, count)`."""
+    result = outcome(lambda: build(sched, count))
+    if result[0] != "ok":
+        return result
+    boxes, summary = result[1]
+    return "ok", [(name, column.dtype.str, column.shape, column.tobytes())
+                  for name, column in vars(boxes).items()], repr(summary)
+
+
+def stacked_table(count, k, d):
+    """A table of `count` boxes: wavenumbers k(j), paddings d(i), and the
+    demo targets."""
+    return Schedule(2, KTable([k(j) for j in range(1, count + 1)]), APower(1e-4, 0.25),
+                    DTable([d(i) for i in range(1, count)]))
+
+
+@st.composite
+def stacked_tables(draw):
+    """(schedule, box count): strictly increasing wavenumber tables of up to
+    400 entries, padding tables of up to 400, power or table targets, and
+    counts up to two past the wavenumber table."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    size = draw(st.integers(min_value=1, max_value=400))
+    k = draw(st.floats(min_value=0.5, max_value=20.0)) + np.cumsum(rng.uniform(0.01, 3.0, size))
+    d = np.unique(rng.uniform(1e-3, 2.0, draw(st.integers(min_value=1, max_value=400))))
+    if draw(st.booleans()):
+        a_family = APower(draw(st.floats(min_value=1e-6, max_value=1e-2)),
+                          draw(st.floats(min_value=0.0, max_value=1.0)))
+    else:
+        a_len = draw(st.integers(min_value=1, max_value=size + 2))
+        a_family = ATable(np.sort(rng.uniform(1e-5, 1e-2, a_len)))
+    sched = Schedule(n, KTable(k), a_family, DTable(d[::-1]))
+    return sched, draw(st.integers(min_value=1, max_value=size + 2))
+
+
+@given(case=stacked_tables())
+@settings(max_examples=150, deadline=None)
+@example(case=(stacked_table(2000, lambda j: 9.0 + j, lambda i: 1.0 / (i + 1) ** 2), 2000))
+@example(case=(stacked_table(10_000, lambda j: 9.0 + j, lambda i: 1.0 / (i + 1) ** 2),
+               10_000))
+def test_stacked_build_equals_the_per_box_builder(case):
+    # the one builder's stacked layout against the deleted stacked builder:
+    # every column and summary field bit for bit, or the same first error
+    sched, count = case
+    got = build_outcome(partial(build_layered, layout="stacked"), sched, count)
+    assert got == build_outcome(oracle.build_stacked, sched, count)
 
 
 def test_growth_floor_check_equals_the_scalar_loop():
