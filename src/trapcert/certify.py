@@ -47,14 +47,13 @@ class CertifyError(ValueError):
 
 
 def _infsup(n: int, eps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """c_n eps^(3(n-1)/2) over a column of eps, NaN where eps leaves (0,1),
-    and where eps^(3(n-1)/2) is a normal binary64 (else the bound lost bits)."""
-    if n < 2:
-        raise CertifyError(f"dimension must be >= 2, got {n}")
+    """c_n eps^(3(n-1)/2) over a column of eps in [0,1) (n >= 2, as in a
+    `Boxes`), and where eps^(3(n-1)/2) is a normal binary64 (else the bound
+    lost bits)."""
     c_n = (2.0 ** ((n - 1) / 2.0) * math.pi ** (n - 1.5)
            / (3.0 ** ((n - 1) / 2.0) * n ** 0.75))
     p = 1.5 * (n - 1)
-    power = powers(np.where((eps > 0.0) & (eps < 1.0), eps, math.nan), p)
+    power = powers(eps, p)
     return c_n * power, power >= sys.float_info.min
 
 
@@ -102,14 +101,14 @@ class Certificates:
 def certify_geometry(boxes: Boxes) -> Certificates:
     """Certify every box of a built arrangement.
 
-    Every box passes eight gates or the call fails, naming the first
-    failing box and its first failing gate: k, ell > 0 and eps in (0,1);
-    the resonance k*ell = pi*sqrt(n) to 1e-12 relative, which makes the
-    product mode an exact Dirichlet eigenmode; a positive target a;
-    eps^(3(n-1)/2) normal and a finite threshold and margin, else
-    ArithmeticError, as a bound outside binary64 proves nothing; the
-    inf-sup routes agreeing to 1e-9 relative, a positive margin, and the
-    defining relation.
+    `Boxes` guarantees the domain of each box: k, ell > 0, eps in [0,1) and
+    a > 0.  Every box passes six gates or the call fails, naming the first
+    failing box and its first failing gate: the resonance k*ell = pi*sqrt(n)
+    to 1e-12 relative, which makes the product mode an exact Dirichlet
+    eigenmode; eps^(3(n-1)/2) normal (a sealed box, eps = 0, fails here) and
+    a finite threshold and margin, else ArithmeticError, as a bound outside
+    binary64 proves nothing; the inf-sup routes agreeing to 1e-9 relative, a
+    positive margin, and the defining relation.
     """
     n = boxes.lo.shape[1]
     k, a, eps, ell = boxes.k, boxes.a, boxes.gap, boxes.side
@@ -120,9 +119,7 @@ def certify_geometry(boxes: Boxes) -> Certificates:
         c_prime, c_lb = _floor(inv, k)
         margin = c_lb - a
         gates = np.stack((
-            (k > 0.0) & (ell > 0.0) & (0.0 < eps) & (eps < 1.0),
             ~(np.abs(k * ell - root) > 1e-12 * root),
-            a > 0.0,
             normal,
             (np.abs(inv) < math.inf) & (np.abs(margin) < math.inf),
             ~(np.abs(1.0 / ub - inv) > 1e-9 * inv),
@@ -133,11 +130,9 @@ def certify_geometry(boxes: Boxes) -> Certificates:
             i = int(np.argmax(failed))
             gate = int(np.argmin(gates[:, i]))
             j, ki, ai, ei, li = (c[i].item() for c in (boxes.j, k, a, eps, ell))
-            error = ArithmeticError if gate in (3, 4) else CertifyError
+            error = ArithmeticError if gate in (1, 2) else CertifyError
             raise error([
-                f"box {j}: need k, ell > 0 and eps in (0,1), got {ki}, {li}, {ei}",
                 f"box {j}: k*ell = {ki * li!r} violates the resonance relation pi*sqrt(n)",
-                f"box {j}: need target a > 0, got {ai!r}",
                 f"box {j}: eps^(3(n-1)/2) = {ei ** (1.5 * (n - 1))!r} is below the normal range",
                 f"box {j}: threshold {inv[i].item()!r} or margin {margin[i].item()!r} is not finite",
                 f"box {j}: inf-sup routes disagree, 1/ub = "

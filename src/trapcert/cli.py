@@ -625,7 +625,7 @@ def _geometry_with_certificates(cfg: RunConfig):
     boxes, summary = cfg.geometry()
     sched = cfg.schedule()
     disj = disjointness_certificate(boxes, sched)
-    conn = connectivity_certificate(boxes, summary)
+    conn = connectivity_certificate(boxes, summary, disj)
     return boxes, summary, disj, conn
 
 

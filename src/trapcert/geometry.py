@@ -98,9 +98,9 @@ class Boxes:
     rely on it: at least one box; one entry per box in every column, with
     corners `lo` of shape (N, n), n >= 2; `j` strictly increasing and
     `layer` nondecreasing, so each level is one run of rows; every value
-    and every upper corner lo + side finite; and every side positive, so
-    no box is flat or inverted.  Any other arrangement raises
-    GeometryError.
+    and every upper corner lo + side finite; every side, k and a positive
+    (no box is flat or inverted) and every gap in [0, 1) (0: a sealed box).
+    Anything else raises GeometryError, naming the first failing box.
     """
 
     j: np.ndarray
@@ -126,19 +126,22 @@ class Boxes:
             raise GeometryError("box indices j must increase strictly")
         if not (self.layer[1:] >= self.layer[:-1]).all():
             raise GeometryError("levels must not decrease along the rows")
-        # a column is finite iff its extrema are, and lo + side lies between
-        # the sums of the extrema of lo and side: no (N, n) array is made
+        # a column is finite, or in its domain, iff its extrema are, and lo +
+        # side lies between the sums of the extrema of lo and side: no (N, n)
+        # array is made, and no per-box one unless a check fails
+        side, gap, k, a = ((c.min(), c.max()) for c in (self.side, self.gap, self.k, self.a))
         with np.errstate(over="ignore", invalid="ignore"):
-            bounds = [self.lo.min(axis=0) + self.side.min(),
-                      self.lo.max(axis=0) + self.side.max(),
-                      *(f(c) for c in (self.gap, self.k, self.a) for f in (np.min, np.max))]
+            bounds = [self.lo.min(axis=0) + side[0], self.lo.max(axis=0) + side[1], *gap, *k, *a]
         if not np.isfinite(np.hstack(bounds)).all():
             raise GeometryError("every value and every upper corner must be finite")
-        nonpositive = self.side <= 0.0
-        if nonpositive.any():
-            p = int(np.argmax(nonpositive))
-            raise GeometryError(f"box {self.j[p]}: side {self.side[p].item()!r} "
-                                f"is not positive")
+        if not (side[0] > 0.0 and k[0] > 0.0 and a[0] > 0.0 and gap[0] >= 0.0 and gap[1] < 1.0):
+            out = np.stack((self.side <= 0.0, (self.gap < 0.0) | (self.gap >= 1.0),
+                            self.k <= 0.0, self.a <= 0.0))
+            p = int(np.argmax(out.any(axis=0)))
+            c = int(np.argmax(out[:, p]))
+            raise GeometryError(f"box {self.j[p]}: {('side', 'gap', 'k', 'a')[c]} "
+                                f"{(self.side, self.gap, self.k, self.a)[c][p].item()!r} "
+                                f"{'is not in [0, 1)' if c == 1 else 'is not positive'}")
 
     def __len__(self) -> int:
         return len(self.j)
@@ -199,7 +202,10 @@ def layer_plans(sched: Schedule, limit: Optional[int],
     stacked level is one box whose pitch is its side, so it needs no padding
     of its own and a stack runs one level past the padding table (box j
     needs only d_(j-1)).  Start indices follow from the box counts alone, so
-    one wavenumber evaluation gives the sides of every level start."""
+    one wavenumber evaluation gives the sides of every level start.  Any
+    other layout raises GeometryError."""
+    if layout not in ("layered", "stacked"):
+        raise GeometryError(f"layout must be 'layered' or 'stacked', got {layout!r}")
     stacked = layout == "stacked"
     k_end = len(sched.k_family.values) if isinstance(sched.k_family, KTable) else math.inf
     d_end = len(sched.d_family.values) if isinstance(sched.d_family, DTable) else math.inf
@@ -408,7 +414,6 @@ class DisjointnessReport:
     `disjointness_certificate`).
     """
 
-    box_count: int
     overlap_pairs: Tuple[Tuple[int, int], ...]
     in_layer: np.recarray
     cross: np.recarray
@@ -592,13 +597,6 @@ def _min_distance(lo: np.ndarray, hi: np.ndarray, delta: float) -> float:
     return float(best)
 
 
-def _level_runs(boxes: Boxes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The levels in row order, with the first row and the row count of
-    each: `Boxes` keeps `layer` nondecreasing, so each level is one run."""
-    starts = np.r_[0, np.flatnonzero(np.diff(boxes.layer)) + 1]
-    return boxes.layer[starts], starts, np.diff(np.r_[starts, len(boxes)])
-
-
 def _apart(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
     """Whether some axis strictly separates the closed boxes of each
     row-aligned pair (a_r, b_r), in either direction."""
@@ -643,8 +641,8 @@ def disjointness_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessRepor
     levels above i' is not stacked, and on the builder's arrangements the
     row is the minimum over the pairs of the two levels, bit for bit: the
     first box of each level is at once its lowest and its highest, and the
-    two overlap horizontally.  Levels that
-    are not stacked fail the certificate; their pairs are not examined.
+    two overlap horizontally.  Levels that are not stacked fail the
+    certificate; their pairs are not examined.
 
     A floor d holds up to the rounding of the placement: a level sits at
     H' = fl(fl(H - ell) - d) under the base H of the level above, ell its
@@ -663,7 +661,10 @@ def disjointness_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessRepor
     is swept.
     """
     lo, hi = boxes.lo, boxes.hi
-    layers, starts, sizes = _level_runs(boxes)
+    # the levels in row order, with the first row and the row count of each:
+    # `Boxes` keeps `layer` nondecreasing, so each level is one run
+    starts = np.r_[0, np.flatnonzero(np.diff(boxes.layer)) + 1]
+    layers, sizes = boxes.layer[starts], np.diff(np.r_[starts, len(boxes)])
     level = np.repeat(np.arange(len(layers)), sizes)
 
     # one sweep for the overlaps and the minima inside every level, each
@@ -703,8 +704,7 @@ def disjointness_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessRepor
                          (h[:-1] - tall, h[1:], top, h[:-1] - top))
     cross = np.rec.fromarrays((layers[:-1], layers[1:], between, d[len(multi):], rounding),
                               names="layer_a,layer_b,min_distance,required,rounding")
-    return DisjointnessReport(box_count=len(boxes), overlap_pairs=overlaps,
-                              in_layer=in_layer, cross=cross)
+    return DisjointnessReport(overlap_pairs=overlaps, in_layer=in_layer, cross=cross)
 
 
 @dataclass(frozen=True)
@@ -723,43 +723,38 @@ class ConnectivityReport:
         return all(f.passed for f in self.facts)
 
 
-def connectivity_certificate(boxes: Boxes,
-                             summary: GeometrySummary) -> ConnectivityReport:
-    """The structural facts behind connectedness of the complement:
-    every box keeps a positive aperture, levels are strictly ordered in
-    height with positive gaps, the horizontal extent is finite, and above
-    any level bottom (minus its gap) only a finite index prefix of boxes
-    lives.  Each fact is checked on the emitted data, not re-derived."""
+def connectivity_certificate(boxes: Boxes, summary: GeometrySummary,
+                             packing: DisjointnessReport) -> ConnectivityReport:
+    """The hypotheses of the argument that the complement of Gamma is
+    connected, checked on the built boxes and their packing report.
+
+    For n >= 2: the slotted boundary of a real box is a closed (n-1)-ball.
+    With every stacking row of `packing.cross` positive, the levels past N
+    lie in K_N = [0, w_N]^(n-1) x [h_lo, top of level N+1], w_N a bound on
+    their widths, and K_N misses the first N levels; so R^n minus these
+    levels and K_N is connected (Alexander duality; Hatcher, Algebraic
+    Topology, Thm 3.44), and these sets increase to the complement of Gamma
+    when w_N -> 0.  Checked: open apertures, positive stacking rows (facts 2
+    and 4) and a finite built extent.  From a lemma, not checked: w_N -> 0
+    for the infinite families.  Finite tables need no K_N.
+    """
     bad_eps = boxes.j[~(boxes.gap > 0.0)][:5].tolist()
-    # per level, in level order (each level is one run of rows): the base
-    # height of its last box, its highest top and its highest box bottom
-    layers, starts, sizes = _level_runs(boxes)
-    base = boxes.lo[:, -1]
-    height = base[starts + sizes - 1]
-    top = np.maximum.reduceat(base + boxes.side, starts)
-    bottom = np.maximum.reduceat(base, starts)
-    gaps = height[:-1] - top[1:]
-    # a level has a box above a cut iff its highest bottom is; so the boxes
-    # above the cut under level la form the prefix iff every level up to la
-    # reaches above it (prefix minimum) and no later level does (suffix max)
-    cut = height[:-1] - gaps  # bottom of each level minus the measured gap
-    first_min = np.minimum.accumulate(bottom)[:-1]
-    later_max = np.maximum.accumulate(bottom[::-1])[::-1][1:]
-    prefix = (first_min > cut) & ~(later_max > cut)
+    rows = packing.cross
+    stacked = rows.min_distance > 0.0
+    ok = bool(stacked.all())
     return ConnectivityReport(facts=(
         FactCheck(name="positive_gap_fractions", passed=not bad_eps,
                   detail=("all boxes" if not bad_eps
                           else f"zero/negative aperture at j in {bad_eps}")),
-        FactCheck(name="strict_height_ordering", passed=bool((gaps > 0.0).all()),
-                  detail=(f"min inter-level gap {gaps.min():.6g}" if len(gaps)
+        FactCheck(name="strict_height_ordering", passed=ok,
+                  detail=(f"min inter-level gap {rows.min_distance.min():.6g}" if len(rows)
                           else "single level")),
         FactCheck(name="finite_horizontal_extent",
                   passed=math.isfinite(summary.horizontal_extent),
                   detail=f"extent {summary.horizontal_extent:.6g}"),
-        FactCheck(name="finite_prefix_above_levels", passed=bool(prefix.all()),
-                  detail=("boxes above any level cut form the index prefix"
-                          if prefix.all() else
-                          f"non-prefix set above level {layers[np.argmin(prefix)]}")),
+        FactCheck(name="finite_prefix_above_levels", passed=ok,
+                  detail=("boxes above any level cut form the index prefix" if ok else
+                          f"non-prefix set above level {rows.layer_a[np.argmin(stacked)]}")),
     ))
 
 

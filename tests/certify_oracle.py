@@ -45,14 +45,10 @@ def _s_minus_sin(s):
     return s - math.sin(s)
 
 
-def resonant_box(n, k, ell, eps, where=""):
-    """The domain and resonance gates of one box: k, ell > 0, eps in (0,1),
-    and k*ell = pi*sqrt(n) to 1e-12 relative, which makes the product mode
-    an exact Dirichlet eigenmode.  `where` leads each message."""
-    if n < 2:
-        raise CertifyError(f"dimension must be >= 2, got {n}")
-    if not (k > 0.0 and ell > 0.0 and 0.0 < eps < 1.0):
-        raise CertifyError(f"{where}need k, ell > 0 and eps in (0,1), got {k}, {ell}, {eps}")
+def resonant_box(n, k, ell, where=""):
+    """The resonance gate of one box: k*ell = pi*sqrt(n) to 1e-12 relative,
+    which makes the product mode an exact Dirichlet eigenmode.  `where`
+    leads the message."""
     target = math.pi * math.sqrt(n)
     if abs(k * ell - target) > 1e-12 * target:
         raise CertifyError(
@@ -62,10 +58,14 @@ def resonant_box(n, k, ell, eps, where=""):
 
 def quasimode_norms(n, k, ell, eps):
     """Closed-form norms of the product mode u(x) = prod_i sin(k x_i / sqrt(n))
-    of a box that passes `resonant_box`: the squared H1_k norm over the box,
-    the squared normal flux through the aperture [0, eps*ell]^(n-1), and its
-    cubic bound from s - sin s <= s^3/6."""
-    resonant_box(n, k, ell, eps)
+    of a box with k, ell > 0 and eps in (0,1) that passes `resonant_box`:
+    the squared H1_k norm over the box, the squared normal flux through the
+    aperture [0, eps*ell]^(n-1), and its cubic bound from s - sin s <= s^3/6."""
+    if n < 2:
+        raise CertifyError(f"dimension must be >= 2, got {n}")
+    if not (k > 0.0 and ell > 0.0 and 0.0 < eps < 1.0):
+        raise CertifyError(f"need k, ell > 0 and eps in (0,1), got {k}, {ell}, {eps}")
+    resonant_box(n, k, ell)
     h1k = k * k * ell ** n / 2.0 ** (n - 1)
     s = 2.0 * k * ell * eps / math.sqrt(n)
     flux = (math.sqrt(n) / (4.0 * k)) ** (n - 3) * _s_minus_sin(s) ** (n - 1) / 16.0
@@ -75,10 +75,7 @@ def quasimode_norms(n, k, ell, eps):
 
 
 def infsup_upper(n, eps):
-    if n < 2:
-        raise CertifyError(f"dimension must be >= 2, got {n}")
-    if not 0.0 < eps < 1.0:
-        raise CertifyError(f"eps must be in (0,1), got {eps}")
+    """c_n eps^(3(n-1)/2), for n >= 2 and eps in [0,1) as in a `Boxes`."""
     c_n = (2.0 ** ((n - 1) / 2.0) * math.pi ** (n - 1.5)
            / (3.0 ** ((n - 1) / 2.0) * n ** 0.75))
     return c_n * eps ** (1.5 * (n - 1))
@@ -102,15 +99,16 @@ def resolvent_lower(threshold, k):
 
 def scalar_certify(boxes):
     """certify_geometry box by box: the rows (j, k, a, eps, ub, inv,
-    c_prime, c_lb, margin), or the first box's first error."""
+    c_prime, c_lb, margin), or the first box's first error.  The domain of
+    every box is the invariant of `Boxes`, and the range gates of the
+    columns (a normal eps^(3(n-1)/2), a finite threshold and margin) are
+    not here."""
     n = boxes.lo.shape[1]
     rows = []
     for j, k, a, eps, ell in zip(boxes.j.tolist(), boxes.k.tolist(),
                                  boxes.a.tolist(), boxes.gap.tolist(),
                                  boxes.side.tolist()):
-        resonant_box(n, k, ell, eps, f"box {j}: ")
-        if not a > 0.0:
-            raise CertifyError(f"box {j}: need target a > 0, got {a!r}")
+        resonant_box(n, k, ell, f"box {j}: ")
         ub = infsup_upper(n, eps)
         inv = threshold(n, k, a)
         if abs(1.0 / ub - inv) > 1e-9 * inv:

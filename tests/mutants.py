@@ -28,9 +28,9 @@ MUTANTS = [
     ("resonance-tolerance", "certify.py",
      "k * ell - root) > 1e-12 * root", "k * ell - root) > 1e-6 * root",
      ("tests/test_certify.py::test_certify_gates_a_resonant_box_as_the_oracle",)),
-    ("aperture-edge", "certify.py",
-     "(0.0 < eps) & (eps < 1.0)", "(0.0 < eps) & (eps <= 1.0)",
-     ("tests/test_certify.py::test_certify_names_the_first_failing_box_and_gate",)),
+    ("aperture-edge", "geometry.py",
+     "gap[1] < 1.0", "gap[1] <= 1.0",
+     ("tests/test_geometry.py::test_boxes_name_the_first_tampered_box_outside_the_domain",)),
     ("floor-overflow-branch", "certify.py",
      "c_prime / (math.sqrt(2.0) * k)", "c_prime / (2.0 * k)",
      ("tests/test_certify.py::test_resolvent_lower_round_trip_where_the_product_overflows",
@@ -51,6 +51,9 @@ MUTANTS = [
     ("stacking-non-strict", "geometry.py",
      "~(g.min_distance > 0.0)", "~(g.min_distance >= 0.0)",
      ("tests/test_geometry.py::test_stacked_column_with_one_touching_pair",)),
+    ("connectivity-stacking-non-strict", "geometry.py",
+     "stacked = rows.min_distance > 0.0", "stacked = rows.min_distance >= 0.0",
+     ("tests/test_geometry.py::test_connectivity_fails_on_a_touching_column",)),
     ("stacking-gate-dropped", "geometry.py",
      "        if flat.size:", "        if False:",
      ("tests/test_geometry.py::test_interleaved_levels_fail_below_any_floor",)),

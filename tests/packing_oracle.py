@@ -87,7 +87,6 @@ def all_pairs_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessReport:
             cross.append((la, lb, measured, padding(sched, lb - 1), rounding[lb]))
 
     return DisjointnessReport(
-        box_count=n_boxes,
         overlap_pairs=tuple(overlaps),
         in_layer=_records(in_layer, "layer,min_distance,expected", 1),
         cross=_records(cross, "layer_a,layer_b,min_distance,required,rounding", 2),

@@ -111,11 +111,16 @@ def test_infsup_constants_frozen():
 
 
 def test_infsup_domain():
-    # eps outside (0,1) gives NaN, which fails every gate of certify_geometry
-    ub, normal = _infsup(2, column(1.0, 0.0, -0.5, math.inf, math.nan, 0.5))
-    assert np.isnan(ub[:5]).all() and not normal[:5].any() and ub[5] > 0.0
-    with pytest.raises(CertifyError, match="dimension must be >= 2"):
-        _infsup(1, column(0.3))
+    # eps in [0,1), the domain of a Boxes (which also has n >= 2): a sealed
+    # box, eps = 0, and a power that underflows give ub = 0, not normal
+    ub, normal = _infsup(2, column(0.0, -0.0, 5e-324, 0.5))
+    assert ub[:3].tolist() == [0.0] * 3 and not normal[:3].any()
+    assert ub[3] > 0.0 and normal[3]
+    for eps in (-0.5, 1.0, math.inf, math.nan):
+        with pytest.raises(GeometryError, match="^(box 1: gap .* is not in|every value)"):
+            one_box(2, 1.0, eps, 1e-3)
+    with pytest.raises(GeometryError, match="need \\(N, n\\) with n >= 2"):
+        one_box(1, 1.0, 0.3, 1e-3)
 
 
 def test_inverse_identity_random():
@@ -154,11 +159,10 @@ def test_resolvent_lower_uninformative_threshold():
 
 
 def test_resolvent_lower_domain():
-    # the floor needs k > 0, which certify_geometry's first gate enforces
+    # the floor needs k > 0, which every Boxes holds
     for k in (0.0, -2.0):
-        with pytest.raises(CertifyError,
-                           match=f"^box 1: need k, ell > 0 and eps in \\(0,1\\), got {k}"):
-            certify_geometry(make_boxes([1], [1], [1.0], [0.0, 0.0], [0.5], [k], [1e-3]))
+        with pytest.raises(GeometryError, match=f"^box 1: k {k!r} is not positive$"):
+            make_boxes([1], [1], [1.0], [0.0, 0.0], [0.5], [k], [1e-3])
 
 
 # -------------------------------------------------------------------
@@ -240,12 +244,6 @@ TAMPERED = {
                   "box 41: inf-sup routes disagree"),
     "aperture": (lambda b: with_values(b, 5, gap=b.gap[5] * 0.9),
                  "box 6: inf-sup routes disagree"),
-    "domain": (lambda b: with_values(with_values(b, 9, k=-1.0), 3, gap=1.5),
-               "box 4: need k, ell > 0 and eps in (0,1), got 6.47"),
-    "aperture-edge": (lambda b: with_values(b, 12, gap=1.0),
-                      "box 13: need k, ell > 0 and eps in (0,1), got 17.387"),
-    "negative-target": (lambda b: with_values(with_values(b, 8, a=-1.0), 20, a=0.0),
-                        "box 9: need target a > 0, got -1.0"),
 }
 
 
@@ -278,9 +276,10 @@ def one_box(n, k, eps, a):
     return make_boxes([1], [1], [ell_for(n, k)], [0.0] * n, [eps], [k], [a])
 
 
-@pytest.mark.parametrize("n, eps", [(2, 1e-210), (2, 1e-250), (32, 1.4e-7)])
+@pytest.mark.parametrize("n, eps", [(2, 1e-210), (2, 1e-250), (32, 1.4e-7), (2, 0.0)])
 def test_certify_refuses_a_subnormal_aperture_power(n, eps):
-    # 1e-250 ** 1.5 underflows to 0.0; the others keep a few bits
+    # 1e-250 ** 1.5 underflows to 0.0; the others keep a few bits; a sealed
+    # box, eps = 0, fails here too
     power = eps ** (1.5 * (n - 1))
     assert power < sys.float_info.min
     with pytest.raises(ArithmeticError) as info:
@@ -302,11 +301,11 @@ def test_certify_refuses_a_threshold_outside_binary64(k, a, values):
 
 @pytest.mark.parametrize("a", [-1e-3, 0.0])
 def test_certify_refuses_a_nonpositive_target(a):
-    # the target gate comes before the range gates: a negative target makes
-    # the threshold NaN
-    with pytest.raises(CertifyError) as info:
-        certify_geometry(one_box(2, 1.0, 0.5, a))
-    assert str(info.value) == f"box 1: need target a > 0, got {a!r}"
+    # a Boxes refuses the box before certify_geometry sees it: a negative
+    # target would make the threshold NaN
+    with pytest.raises(GeometryError) as info:
+        one_box(2, 1.0, 0.5, a)
+    assert str(info.value) == f"box 1: a {a!r} is not positive"
 
 
 def test_certify_range_and_claim_gates_report_the_first_box():
@@ -393,7 +392,6 @@ def outcome(fn, *args):
 
 
 _ANY = st.floats(allow_nan=True, allow_infinity=True)
-_DIMENSION = st.integers(min_value=0, max_value=6)
 # inside (0,1), its edges and beyond
 _EPS = st.one_of(st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
                            exclude_max=True),
@@ -405,16 +403,15 @@ _DETUNE = st.one_of(st.just(0.0), st.builds(
     st.integers(min_value=-16, max_value=-1)))
 
 
-@given(n=_DIMENSION, eps=_EPS)
+@given(n=st.integers(min_value=2, max_value=6),
+       eps=st.one_of(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                     st.sampled_from([0.0, -0.0, 5e-324])))
 @settings(max_examples=300, deadline=None)
 @example(n=3, eps=0.25)
-@example(n=2, eps=1.0)
-@example(n=1, eps=0.5)
+@example(n=2, eps=0.0)
 def test_infsup_upper_equals_the_oracle(n, eps):
-    # the column gives NaN where the oracle refuses eps
+    # on the domain of a Boxes: n >= 2 and eps in [0,1)
     want = outcome(oracle.infsup_upper, n, eps)
-    if want[0] == "CertifyError" and want[1].startswith("eps must be in (0,1)"):
-        want = [("float", "nan")]
     assert outcome(lambda: _infsup(n, column(eps))[0].item()) == want
 
 
@@ -427,12 +424,12 @@ def test_infsup_upper_equals_the_oracle(n, eps):
 @example(n=4, k=3.0, detune=0.0, eps=1.0)
 @example(n=2, k=-3.0, detune=0.0, eps=0.3)
 def test_certify_gates_a_resonant_box_as_the_oracle(n, k, detune, eps):
-    # the domain and resonance gates: one box on or near k*ell = pi*sqrt(n)
+    # the resonance gate: one box on or near k*ell = pi*sqrt(n)
     ell = math.pi * math.sqrt(n) / k * (1.0 + detune) if k else 1.0
     assume(math.isfinite(ell))  # a Boxes holds finite values only
     columns = ([1], [1], [ell], [0.0] * n, [eps], [k], [1e-3])
-    if k < 0.0:  # a negative side: no such box is built
-        with pytest.raises(GeometryError, match="^box 1: side -.* is not positive$"):
+    if not (k > 0.0 and 0.0 <= eps < 1.0):  # no such box is built
+        with pytest.raises(GeometryError, match="^box 1: (side|gap|k) .* is not "):
             make_boxes(*columns)
         return
     box = make_boxes(*columns)
@@ -472,7 +469,7 @@ def thresholds(draw):
 @example(case=(0.5, 2.0))
 @example(case=(3.0, 0.0))
 def test_resolvent_lower_equals_the_oracle(case):
-    # the oracle refuses k <= 0, as certify_geometry's first gate does
+    # the oracle refuses k <= 0, as a Boxes does
     want = outcome(oracle.resolvent_lower, *case)
     if want[0] != "CertifyError":
         assert outcome(lambda: tuple(c.item() for c in _floor(*map(column, case)))) == want

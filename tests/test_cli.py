@@ -318,7 +318,8 @@ def test_report_full_pass():
         schedule_note="demo",
         summary=summary,
         disjointness=disjointness_certificate(boxes, sched),
-        connectivity=connectivity_certificate(boxes, summary),
+        connectivity=connectivity_certificate(boxes, summary,
+                                              disjointness_certificate(boxes, sched)),
         certificates=certify_geometry(boxes),
     )
     assert stages.passed
@@ -334,7 +335,8 @@ def test_report_shows_connectivity_fault():
     sealed = dataclasses.replace(boxes, gap=np.zeros(len(boxes)))
     stages = StageOutputs(
         summary=summary,
-        connectivity=connectivity_certificate(sealed, summary),
+        connectivity=connectivity_certificate(sealed, summary,
+                                              disjointness_certificate(sealed, sched)),
     )
     assert not stages.passed
     text = render_report(stages)

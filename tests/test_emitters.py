@@ -273,26 +273,32 @@ SUMMARY = GeometrySummary(dimension=2, layout="layered", box_count=1,
 @settings(max_examples=300, deadline=None)
 def test_random_json_columns_equal_the_oracle_at_any_block_size(values, n, block):
     # every float column is a rotation of `values`, so each value visits
-    # every column; the sides are their magnitudes, 5e-324 for a zero, as a
-    # `Boxes` keeps every side positive
+    # every corner column; a `Boxes` keeps side, k and a positive and the
+    # gap in [0, 1), so those take the magnitudes (5e-324 for a zero) and
+    # the gap their fractional part
     count = len(values)
     cols = [np.roll(values, shift) for shift in range(4 + n)]
+    side, _, k, a = (np.where(c != 0.0, np.abs(c), 5e-324) for c in cols[:4])
     boxes = make_boxes(j=range(1, count + 1), layer=[1 + r // 2 for r in range(count)],
-                       side=np.where(cols[0] != 0.0, np.abs(cols[0]), 5e-324),
-                       lo=np.column_stack(cols[4:]), gap=cols[1], k=cols[2], a=cols[3])
+                       side=side, lo=np.column_stack(cols[4:]), gap=np.abs(cols[1]) % 1.0,
+                       k=k, a=a)
     with mock.patch.object(cli, "_BLOCK_ROWS", block):
         assert json_text(boxes, SUMMARY) == oracle.geometry_json(boxes, SUMMARY)
 
 
 def test_json_special_values_print_as_json_does():
+    # every special value visits both corner columns; the gap column takes
+    # those a `Boxes` holds there, in [0, 1)
     count = len(JSON_SPECIAL)
+    gaps = [v for v in JSON_SPECIAL if 0.0 <= v < 1.0]
     boxes = make_boxes(j=range(1, count + 1), layer=[1] * count, side=[0.5] * count,
-                       lo=np.column_stack((np.roll(JSON_SPECIAL, 1), np.roll(JSON_SPECIAL, 2))),
-                       gap=JSON_SPECIAL, k=[1.0] * count, a=[1.0] * count)
+                       lo=np.column_stack((JSON_SPECIAL, np.roll(JSON_SPECIAL, 1))),
+                       gap=gaps + [0.5] * (count - len(gaps)), k=[1.0] * count,
+                       a=[1.0] * count)
     text = json_text(boxes, SUMMARY)
     assert text == oracle.geometry_json(boxes, SUMMARY)
-    for literal in ('"gap": -0.0,', '"gap": 5e-324,', '"gap": 1e+300,',
-                    '"gap": -1e+307,'):
+    for literal in ('"gap": -0.0,', '"gap": 5e-324,', '"gap": 1e-300,',
+                    '\n    1e+300,\n', '\n    -1e+307\n'):
         assert literal in text
 
 

@@ -281,6 +281,14 @@ def stacked_schedule(extra=False):
     return Schedule(2, KTable(kvals), APower(1e-4, 0.25), DTable(dvals))
 
 
+@pytest.mark.parametrize("layout", ["stack", "Stacked", "", "layered "])
+def test_layouts_other_than_layered_or_stacked_are_refused(layout):
+    for plan in (build_layered, layer_plans):
+        with pytest.raises(GeometryError) as info:
+            plan(S2, 2, layout)
+        assert str(info.value) == f"layout must be 'layered' or 'stacked', got {layout!r}"
+
+
 def test_stacked_example_exact():
     boxes, summary = build_layered(stacked_schedule(), 2, "stacked")
     assert boxes.side.tolist() == [1.0, 0.5]
@@ -464,6 +472,15 @@ VALID = dict(j=[1, 2, 3], layer=[1, 1, 2], side=[1.0, 1.0, 0.5],
              lo=[(0.0, 0.0), (2.0, 0.0), (0.0, -2.0)], gap=[0.1] * 3, k=[10.0] * 3,
              a=[1e-4] * 3)
 BIG = 1.7976931348623157e308
+# case -> (column, value of box 2, what its message says): no flat or
+# inverted box (hi = lo, hi < lo), no gap fraction outside [0, 1), no k or
+# target a <= 0
+DOMAIN = {
+    **{f"side-{value!r}": ("side", value, "is not positive") for value in (0.0, -1.0)},
+    **{f"k-{value!r}": ("k", value, "is not positive") for value in (0.0, -1.0)},
+    **{f"a-{value!r}": ("a", value, "is not positive") for value in (0.0, -1e-3)},
+    **{f"gap-{value!r}": ("gap", value, "is not in [0, 1)") for value in (-1e-300, 1.0, 1.5)},
+}
 REFUSED = {
     "empty": {**{name: [] for name in VALID}, "lo": np.zeros((0, 2))},
     "n=1": {"lo": [(0.0,), (2.0,), (0.0,)]},
@@ -484,8 +501,9 @@ REFUSED = {
                              + VALID[name][2:]}
        for name in ("side", "gap", "k", "a", "lo")
        for value in (math.nan, math.inf, -math.inf)},
-    # finite, but not a box: hi = lo, or hi < lo
-    **{f"side-{value!r}": {"side": [1.0, value, 0.5]} for value in (0.0, -1.0)},
+    # finite, but outside the domain of box 2 (DOMAIN)
+    **{name: {column: [VALID[column][0], value, VALID[column][2]]}
+       for name, (column, value, _) in DOMAIN.items()},
 }
 
 
@@ -499,6 +517,59 @@ def test_boxes_refuse_arrangements_outside_the_invariant(change):
     assert len(as_boxes(VALID)) == 3
     with pytest.raises(GeometryError):
         as_boxes({**VALID, **change})
+
+
+@pytest.mark.parametrize("case", DOMAIN)
+def test_boxes_name_the_first_value_outside_the_domain(case):
+    column, value, need = DOMAIN[case]
+    # box 3 is outside the domain too, and box 2 is named
+    change = {column: [VALID[column][0], value, value]}
+    with pytest.raises(GeometryError) as info:
+        as_boxes({**VALID, **change})
+    assert str(info.value) == f"box 2: {column} {value!r} {need}"
+
+
+def test_boxes_name_the_first_failing_column_of_a_box():
+    # box 2 fails its gap and its k, box 3 its k and its a: box 2's gap,
+    # the earlier column, is named
+    change = dict(gap=[0.1, 1.0, 0.1], k=[10.0, -1.0, -1.0], a=[1e-4, 1e-4, 0.0])
+    with pytest.raises(GeometryError, match=r"^box 2: gap 1\.0 is not in \[0, 1\)$"):
+        as_boxes({**VALID, **change})
+
+
+@pytest.mark.parametrize("gap", [0.0, -0.0])
+def test_boxes_hold_sealed_boxes(gap):
+    # a gap fraction of 0 is a closed box with no aperture, a real box
+    boxes = as_boxes({**VALID, "gap": [0.1, gap, 0.0]})
+    assert boxes.gap.tolist() == [0.1, 0.0, 0.0]
+
+
+def put(column, row, value):
+    """A copy of `column` holding `value` at `row`."""
+    column = column.copy()
+    column[row] = value
+    return column
+
+
+# each case tampers a built 10-layer demo arrangement in one step; the
+# refusal names the first failing box
+DOMAIN_TAMPERED = {
+    "domain": (lambda b: dataclasses.replace(b, k=put(b.k, 9, -1.0), gap=put(b.gap, 3, 1.5)),
+               "box 4: gap 1.5 is not in [0, 1)"),
+    "aperture-edge": (lambda b: with_values(b, 12, gap=1.0),
+                      "box 13: gap 1.0 is not in [0, 1)"),
+    "negative-target": (lambda b: with_values(b, [8, 20], a=[-1.0, 0.0]),
+                        "box 9: a -1.0 is not positive"),
+}
+
+
+@pytest.mark.parametrize("case", list(DOMAIN_TAMPERED))
+def test_boxes_name_the_first_tampered_box_outside_the_domain(case):
+    boxes, _ = build_layered(S2, 10)
+    tamper, message = DOMAIN_TAMPERED[case]
+    with pytest.raises(GeometryError) as info:
+        tamper(boxes)
+    assert str(info.value) == message
 
 
 # -------------------------------------------------------------------
@@ -526,7 +597,7 @@ def test_disjointness_demo_thirty_layers():
     boxes, _ = build_layered(S2, 30)
     report = disjointness_certificate(boxes, S2)
     assert report.passed
-    assert report.box_count == 1413
+    assert len(boxes) == 1413
     assert len(report.cross) == 29  # one row per level below the first
     gaps = report.in_layer
     assert (abs(gaps.min_distance - gaps.expected) / gaps.expected <= 1e-12).all()
@@ -549,7 +620,7 @@ def test_disjointness_failure_names_the_first_failing_check():
     floors = np.rec.fromrecords([(1, 2, 2.75, 3.0, 0.25), (1, 3, 0.5, 0.75, 0.125),
                                  (2, 3, 0.25, 0.75, 0.125)],
                                 names="layer_a,layer_b,min_distance,required,rounding")
-    report = DisjointnessReport(9, ((0, 1), (2, 3)), gaps, floors)
+    report = DisjointnessReport(((0, 1), (2, 3)), gaps, floors)
     assert report.failure == "2 overlapping pairs"
     report = dataclasses.replace(report, overlap_pairs=())
     # a distance of 0 across levels: they are not stacked, checked first
@@ -590,8 +661,7 @@ def assert_matches_all_pairs(boxes, sched, exact=True):
     oracle = all_pairs_certificate(boxes, sched)
     level = dict(zip(boxes.j.tolist(), boxes.layer.tolist()))
     inside = tuple(p for p in oracle.overlap_pairs if level[p[0]] == level[p[1]])
-    assert repr((report.box_count, report.overlap_pairs)) == repr(
-        (oracle.box_count, inside))  # same types as well
+    assert repr(report.overlap_pairs) == repr(inside)  # same types as well
     got, want = report.in_layer, oracle.in_layer
     assert isinstance(got, np.recarray)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -918,9 +988,14 @@ def test_feature_scale_matches_all_pairs():
 # connectivity certificate and flood-fill oracle
 # -------------------------------------------------------------------
 
+def connectivity(boxes, summary, sched=S2):
+    """The connectivity facts of `boxes`, read from their packing report."""
+    return connectivity_certificate(boxes, summary, disjointness_certificate(boxes, sched))
+
+
 def test_connectivity_facts_demo():
     boxes, summary = build_layered(S2, 3)
-    report = connectivity_certificate(boxes, summary)
+    report = connectivity(boxes, summary)
     assert report.passed
     assert [f.name for f in report.facts] == [
         "positive_gap_fractions",
@@ -933,14 +1008,41 @@ def test_connectivity_facts_demo():
 def test_connectivity_fails_on_sealed_boxes():
     boxes, summary = build_layered(S2, 3)
     sealed = dataclasses.replace(boxes, gap=np.zeros(len(boxes)))
-    report = connectivity_certificate(sealed, summary)
+    report = connectivity(sealed, summary)
     assert not report.passed
     assert not report.facts[0].passed
 
 
+def test_connectivity_fails_on_a_touching_column():
+    # one box a level, box 3 raised until its top is box 2's bottom: the
+    # levels touch, so the stacking row under level 2 is 0 and fails
+    sched = stacked_schedule(extra=True)
+    boxes, summary = build_layered(sched, 3, "stacked")
+    touching = with_values(boxes, 2, lo=(0.0, boxes.lo[1, 1] - boxes.side[2]))
+    facts = connectivity(touching, summary, sched).facts
+    assert [(f.passed, f.detail) for f in facts[1::2]] == [
+        (False, "min inter-level gap 0"), (False, "non-prefix set above level 2")]
+    assert connectivity(boxes, summary, sched).passed
+
+
+def _stacking_rows_by_loops(boxes):
+    """(level above, row) per level below the first, box by box: the gap
+    from the level's highest top to the lowest bottom above it, as a
+    computed distance."""
+    bottom, top = {}, {}
+    for layer, base, side in zip(boxes.layer.tolist(), boxes.lo[:, -1].tolist(),
+                                 boxes.side.tolist()):
+        bottom[layer] = min(bottom.get(layer, math.inf), base)
+        top[layer] = max(top.get(layer, -math.inf), base + side)
+    layers = sorted(bottom)
+    return [(la, math.sqrt(max(min(bottom[l] for l in layers[:r + 1]) - top[lb], 0.0) ** 2))
+            for r, (la, lb) in enumerate(zip(layers, layers[1:]))]
+
+
 def _prefix_fact_by_sets(boxes):
-    """finite_prefix_above_levels recomputed the slow way: for every level
-    cut, the set of levels with a box above it must be the level prefix."""
+    """finite_prefix_above_levels as it was measured before it read the
+    stacking rows: for every level cut, the set of levels with a box above
+    it must be the level prefix."""
     rows = list(zip(boxes.layer.tolist(), boxes.lo[:, -1].tolist(),
                     boxes.side.tolist()))
     layers = sorted({layer for layer, _, _ in rows})
@@ -952,8 +1054,8 @@ def _prefix_fact_by_sets(boxes):
         cut = height[la] - (height[la] - top[lb])
         above = {layer for layer, base, _ in rows if base > cut}
         if above != {l for l in layers if l <= la}:
-            return False, f"non-prefix set above level {la}"
-    return True, "boxes above any level cut form the index prefix"
+            return False
+    return True
 
 
 # the last row of level 3 in the 5-layer demo build: relabelled as level 4,
@@ -968,13 +1070,18 @@ def test_connectivity_prefix_fact_on_tampered_boxes():
     sunk = with_values(boxes, 0, lo=(0.0, -2.3))
     verdicts = []
     for tampered in (boxes, lifted, relabelled, sunk):
-        fact = connectivity_certificate(tampered, summary).facts[3]
+        fact = connectivity(tampered, summary).facts[3]
         assert fact.name == "finite_prefix_above_levels"
-        assert (fact.passed, fact.detail) == _prefix_fact_by_sets(tampered)
+        # the verdict of the fact as it was measured before; the detail
+        # names the level above the first row that is not stacked
+        assert fact.passed == _prefix_fact_by_sets(tampered)
+        failing = [la for la, g in _stacking_rows_by_loops(tampered) if not g > 0.0]
+        assert fact.detail == (f"non-prefix set above level {failing[0]}" if failing
+                               else "boxes above any level cut form the index prefix")
         verdicts.append(fact.passed)
-    assert verdicts[0] and not verdicts[1]
-    assert connectivity_certificate(lifted, summary).facts[3].detail == (
-        "non-prefix set above level 1")
+    assert verdicts == [True, False, False, False]
+    assert connectivity(lifted, summary).facts[3].detail == (
+        "non-prefix set above level 2")
 
 
 def _first_facts_by_loops(boxes):
@@ -982,17 +1089,24 @@ def _first_facts_by_loops(boxes):
     box, as (passed, detail) pairs."""
     bad = [j for j, gap in zip(boxes.j.tolist(), boxes.gap.tolist())
            if not gap > 0.0][:5]
+    gaps = [g for _, g in _stacking_rows_by_loops(boxes)]
+    return [(not bad, "all boxes" if not bad
+             else f"zero/negative aperture at j in {bad}"),
+            (all(g > 0.0 for g in gaps),
+             f"min inter-level gap {min(gaps):.6g}" if gaps else "single level")]
+
+
+def _height_ordering_by_levels(boxes):
+    """strict_height_ordering as it was measured before it read the
+    stacking rows: the base of each level's last box above the highest top
+    of the next level."""
     height, top = {}, {}
     for layer, base, side in zip(boxes.layer.tolist(), boxes.lo[:, -1].tolist(),
                                  boxes.side.tolist()):
         height[layer] = base
         top[layer] = max(top.get(layer, -math.inf), base + side)
     layers = sorted(height)
-    gaps = [height[la] - top[lb] for la, lb in zip(layers, layers[1:])]
-    return [(not bad, "all boxes" if not bad
-             else f"zero/negative aperture at j in {bad}"),
-            (all(g > 0.0 for g in gaps),
-             f"min inter-level gap {min(gaps):.6g}" if gaps else "single level")]
+    return all(height[la] - top[lb] > 0.0 for la, lb in zip(layers, layers[1:]))
 
 
 def test_connectivity_facts_match_per_box_loops():
@@ -1002,8 +1116,9 @@ def test_connectivity_facts_match_per_box_loops():
              with_values(boxes, 0, lo=(0.0, -2.3)),
              dataclasses.replace(boxes, gap=np.zeros(len(boxes)))]
     for tampered in cases:
-        facts = connectivity_certificate(tampered, summary).facts[:2]
+        facts = connectivity(tampered, summary).facts[:2]
         assert [(f.passed, f.detail) for f in facts] == _first_facts_by_loops(tampered)
+        assert facts[1].passed == _height_ordering_by_levels(tampered)
 
 
 def _raster_by_loops(boxes, resolution):
