@@ -361,7 +361,7 @@ def _json_blocks(boxes: Boxes, summary: GeometrySummary) -> Iterator[bytes]:
             b',\n   "translation": [\n    ', *[b',\n    '] * (len(floats) - 5),
             b'\n   ],\n   "gap": ', b',\n   "wavenumber": ', b',\n   "targetA": ']
     for rows in _blocks(len(boxes)):
-        fields = [_ints(boxes.j[rows]), _ints(boxes.layer[rows])]
+        fields = [_digits.d(boxes.j[rows]), _digits.d(boxes.layer[rows])]
         # four float columns per kernel call: more would hold more temporaries at once
         for start in range(0, len(floats), 4):
             fields += list(_digits.r([column[rows] for column in floats[start:start + 4]]))
@@ -372,14 +372,6 @@ def _json_blocks(boxes: Boxes, summary: GeometrySummary) -> Iterator[bytes]:
         yield head + memoryview(block)[1:] if rows.start == 0 else block
         del block  # freed once written, not while the next block is made
     yield b"\n ]\n}\n"
-
-
-def _ints(column: np.ndarray) -> np.ndarray:
-    """Canvas of `'%d' % v`, by the kernel where its guard admits the column."""
-    try:
-        return _digits.d(column)
-    except ValueError:
-        return column.astype("S20").view(np.uint8).reshape(len(column), -1)
 
 
 def emit_geometry_json(boxes: Boxes, summary: GeometrySummary, path: str) -> None:

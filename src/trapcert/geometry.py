@@ -97,10 +97,11 @@ class Boxes:
     What the builder guarantees is checked here, so every consumer may
     rely on it: at least one box; one entry per box in every column, with
     corners `lo` of shape (N, n), n >= 2; `j` strictly increasing and
-    `layer` nondecreasing, so each level is one run of rows; every value
-    and every upper corner lo + side finite; every side, k and a positive
-    (no box is flat or inverted) and every gap in [0, 1) (0: a sealed box).
-    Anything else raises GeometryError, naming the first failing box.
+    `layer` nondecreasing, so each level is one run of rows, both in
+    [1, MAX_BOXES]; every value and every upper corner lo + side finite;
+    every side, k and a positive (no box is flat or inverted) and every gap
+    in [0, 1) (0: a sealed box).  Anything else raises GeometryError,
+    naming the first failing box.
     """
 
     j: np.ndarray
@@ -129,19 +130,24 @@ class Boxes:
         # a column is finite, or in its domain, iff its extrema are, and lo +
         # side lies between the sums of the extrema of lo and side: no (N, n)
         # array is made, and no per-box one unless a check fails
-        side, gap, k, a = ((c.min(), c.max()) for c in (self.side, self.gap, self.k, self.a))
+        columns = (self.j, self.layer, self.side, self.gap, self.k, self.a)
+        j, layer = ((c[0], c[-1]) for c in columns[:2])
+        side, gap, k, a = ((c.min(), c.max()) for c in columns[2:])
         with np.errstate(over="ignore", invalid="ignore"):
             bounds = [self.lo.min(axis=0) + side[0], self.lo.max(axis=0) + side[1], *gap, *k, *a]
         if not np.isfinite(np.hstack(bounds)).all():
             raise GeometryError("every value and every upper corner must be finite")
-        if not (side[0] > 0.0 and k[0] > 0.0 and a[0] > 0.0 and gap[0] >= 0.0 and gap[1] < 1.0):
-            out = np.stack((self.side <= 0.0, (self.gap < 0.0) | (self.gap >= 1.0),
-                            self.k <= 0.0, self.a <= 0.0))
+        if not (j[0] >= 1 and j[1] <= MAX_BOXES and layer[0] >= 1 and layer[1] <= MAX_BOXES
+                and side[0] > 0.0 and k[0] > 0.0 and a[0] > 0.0 and gap[0] >= 0.0
+                and gap[1] < 1.0):
+            out = np.stack(((self.j < 1) | (self.j > MAX_BOXES),
+                            (self.layer < 1) | (self.layer > MAX_BOXES), self.side <= 0.0,
+                            (self.gap < 0.0) | (self.gap >= 1.0), self.k <= 0.0, self.a <= 0.0))
             p = int(np.argmax(out.any(axis=0)))
             c = int(np.argmax(out[:, p]))
-            raise GeometryError(f"box {self.j[p]}: {('side', 'gap', 'k', 'a')[c]} "
-                                f"{(self.side, self.gap, self.k, self.a)[c][p].item()!r} "
-                                f"{'is not in [0, 1)' if c == 1 else 'is not positive'}")
+            need = [f"in [1, {MAX_BOXES}]"] * 2 + ["positive", "in [0, 1)"] + ["positive"] * 2
+            raise GeometryError(f"box {self.j[p]}: {('j', 'layer', 'side', 'gap', 'k', 'a')[c]} "
+                                f"{columns[c][p].item()!r} is not {need[c]}")
 
     def __len__(self) -> int:
         return len(self.j)
@@ -484,30 +490,27 @@ def _reach(delta: float) -> float:
     return u
 
 
-def _sorted_on(lo: np.ndarray, hi: np.ndarray, reach: Optional[np.ndarray],
-               rows: np.ndarray, group: np.ndarray, ax: int
-               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _sorted_on(lo: np.ndarray, hi: np.ndarray, reach: np.ndarray, rows: np.ndarray,
+               group: np.ndarray, ax: int) -> Tuple[np.ndarray, ...]:
     """`rows` and their groups ordered by (group, lo on axis `ax`), with an
     integer key for each row's lo and cut-off on that axis.
 
-    The cut-off is hi, or hi + reach rounded upward when a reach (one value
-    per row) is given.  A key is group * R + the value's rank among the R
-    distinct lo and cut-off values of these rows, so keys of one group
-    compare exactly as the floats do, every key of a later group is larger,
-    and a running maximum over the keys restarts at each group.
+    The cut-off is hi + reach (one value per row) rounded upward.  A key
+    is group * R + the value's rank among the R distinct lo and cut-off
+    values of these rows, so keys of one group compare exactly as the
+    floats do, every key of a later group is larger, and a running maximum
+    over the keys restarts at each group.
     """
     o = np.lexsort((lo[rows, ax], group))
     rows, group = rows[o], group[o]
-    cut = hi[rows, ax]
-    if reach is not None:
-        cut = np.nextafter(cut + reach[rows], math.inf)
+    cut = np.nextafter(hi[rows, ax] + reach[rows], math.inf)
     values, rank = np.unique(np.concatenate((lo[rows, ax], cut)),
                              return_inverse=True)
     key = group * len(values) + rank.reshape(2, -1)
     return rows, group, key[0], key[1]
 
 
-def _partition(lo: np.ndarray, hi: np.ndarray, reach: Optional[np.ndarray],
+def _partition(lo: np.ndarray, hi: np.ndarray, reach: np.ndarray,
                group: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The rows that share a group with another row after splitting the
     groups on every axis, with their group ids.
@@ -536,25 +539,19 @@ def _partition(lo: np.ndarray, hi: np.ndarray, reach: Optional[np.ndarray],
     return rows, group
 
 
-def _sweep_pairs(lo: np.ndarray, hi: np.ndarray,
-                 reach: Optional[np.ndarray] = None,
-                 group: Optional[np.ndarray] = None
+def _sweep_pairs(lo: np.ndarray, hi: np.ndarray, reach: np.ndarray, group: np.ndarray
                  ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Chunks (i, k) of row indices covering every unordered pair of rows
-    of one group (rows with equal `group` labels, small integers; all rows
-    when none are given) that is not provably apart along some axis.
+    of one group (rows with equal `group` labels, small integers) that is
+    not provably apart along some axis.
 
-    With reach None a pair is dropped only when hi_a < lo_b strictly on some
-    axis, which is exactly the certificate's separation test.  With a reach
-    (one value u per row) a pair is dropped only when lo_b > hi_a + u_a in
+    With a reach u per row a pair is dropped only when lo_b > hi_a + u_a in
     exact arithmetic on some axis (the cut-off is rounded upward), so its
     computed separation on that axis is >= u_a.  The groups are first split
     on every axis (`_partition`); inside them the rows are swept along the
     axis with the fewest candidates.  Each chunk holds at most _PAIR_CHUNK
     pairs unless one row alone has more.
     """
-    if group is None:
-        group = np.zeros(len(lo), dtype=np.int64)
     rows, group = _partition(lo, hi, reach, group)
     rank = np.arange(len(rows))
     best = None
@@ -592,7 +589,7 @@ def _min_distance(lo: np.ndarray, hi: np.ndarray, delta: float) -> float:
     minimum over all pairs, bit for bit.
     """
     best = math.inf
-    for i, k in _sweep_pairs(lo, hi, np.full(len(lo), _reach(delta))):
+    for i, k in _sweep_pairs(lo, hi, np.full(len(lo), _reach(delta)), np.zeros(len(lo), np.int64)):
         best = np.minimum(best, _pair_distances(lo[i], hi[i], lo[k], hi[k]).min())
     return float(best)
 

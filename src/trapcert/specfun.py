@@ -107,27 +107,6 @@ class ConvergenceError(ArithmeticError):
 
 
 # ===================================================================
-# public result types
-# ===================================================================
-
-@dataclass(frozen=True)
-class ScaledCylEval:
-    """Cylindrical evaluation in scaled form: J = jm*2^ej, J' = jpm*2^ej,
-    Y = ym*2^ey, Y' = ypm*2^ey.  The J/J' pair shares one exponent and the
-    Y/Y' pair another, which keeps every bilinear combination used by the
-    sign checks exactly computable even when the plain values overflow."""
-
-    nu: float
-    t: float
-    jm: float
-    jpm: float
-    ej: int
-    ym: float
-    ypm: float
-    ey: int
-
-
-# ===================================================================
 # Temme series for (Y_mu, Y_{mu+1}), |mu| <= 1/2, 0 < x < 2
 # ===================================================================
 
@@ -522,8 +501,10 @@ class LadderBatch:
     """Ladders of orders mu0, mu0+1, ..., mu0+count at every argument in t.
 
     Row p, column i holds the scaled entry of order mu0+i at t[p]:
-    J = jm*2^ej, J' = jpm*2^ej, Y = ym*2^ey and Y' = ypm*2^ey, as in
-    `ScaledCylEval`."""
+    J = jm*2^ej, J' = jpm*2^ej, Y = ym*2^ey and Y' = ypm*2^ey: the J/J'
+    pair shares one exponent and the Y/Y' pair another, which keeps every
+    bilinear combination the sign checks use exactly computable even where
+    the plain values overflow."""
 
     mu0: float
     t: np.ndarray
@@ -542,19 +523,23 @@ def ladder_batches(bases: Sequence[Tuple[float, int]],
 
     All len(bases) * len(ts) ladders run as one batch, so each recurrence
     step is paid once for all of them.  The counts may differ: every ladder
-    keeps its own top order, and so its own bits.  For t < 2 the base order
-    must satisfy |mu0| <= 1/2 (Temme seed); for t >= 2 any mu0 in
-    [-1/2, t + 1/2] is accepted (CF2 seed)."""
+    keeps its own top order, and so its own bits.  Every base order mu0 must
+    lie in [-1/2, 1/2] for each t < 2 (Temme seed) and in [-1/2, t + 1/2]
+    for each t >= 2 (CF2 seed); any other is refused, naming mu0 and the
+    smallest t."""
     t = np.asarray(ts, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise BesselDomainError("arguments must form a nonempty 1-d sequence")
+    t_min = t.min().item()
+    top, bound = (0.5, "1/2") if t_min < _XMIN else (t_min + 0.5, "t + 1/2")
     for mu0, count in bases:
         for tv in t.tolist():
             _validate(mu0 + count, tv)
         if count < 0:
             raise BesselDomainError("count must be >= 0")
-        if np.any(t < _XMIN) and not -0.5 <= mu0 <= 0.5:
-            raise BesselDomainError("ladder base order must lie in [-1/2, 1/2] for t < 2")
+        if not -0.5 <= mu0 <= top:
+            raise BesselDomainError(
+                f"ladder base order mu0 = {mu0} at t = {t_min} must lie in [-1/2, {bound}]")
     mu = np.repeat([float(mu0) for mu0, _ in bases], t.size)
     counts = np.repeat(np.array([count for _, count in bases], dtype=np.int64), t.size)
     arrays = _ladders(mu, np.tile(t, len(bases)), counts, True)
@@ -590,11 +575,11 @@ def _wronskian_residuals(t: np.ndarray, jm, jpm, ej, ym, ypm, ey) -> np.ndarray:
 # scalar evaluators
 # ===================================================================
 
-def cyl_bessel_scaled(nu: float, t: float) -> ScaledCylEval:
-    """Scaled (J_nu, Y_nu, J_nu', Y_nu') at t; never overflows internally."""
+def _entry(nu: float, t: float) -> Tuple[np.ndarray, ...]:
+    """`_scaled_entries` at the one point (nu, t), validated: six
+    one-element arrays; never overflows internally."""
     _validate(nu, t)
-    entry = _scaled_entries(np.array([nu], dtype=float), np.array([t], dtype=float))
-    return ScaledCylEval(nu, t, *(a[0].item() for a in entry))
+    return _scaled_entries(np.array([nu], dtype=float), np.array([t], dtype=float))
 
 
 def _plain(m: np.ndarray, e: np.ndarray, what: str, nu, t) -> np.ndarray:
@@ -617,17 +602,7 @@ def wronskian_residual(nu: float, t: float) -> float:
     regimes where the plain evaluations would overflow (there it reports the
     engine's health rather than asserting it).
     """
-    s = cyl_bessel_scaled(nu, t)
-    return float(_wronskian_residuals(t, s.jm, s.jpm, s.ej, s.ym, s.ypm, s.ey))
-
-
-def spherical_order(m: int, n: int) -> float:
-    """The cylindrical order nu = m + n/2 - 1 behind h_m(n, .)."""
-    if m < 0:
-        raise BesselDomainError(f"mode m must be >= 0, got {m}")
-    if n < 2:
-        raise BesselDomainError(f"dimension n must be >= 2, got {n}")
-    return m + 0.5 * n - 1.0
+    return float(_wronskian_residuals(t, *_entry(nu, t))[0])
 
 
 def _libm(fn, t: np.ndarray) -> np.ndarray:
@@ -649,13 +624,6 @@ def _hankel_pairs(n: int, nu, t, jm, jpm, ej, ym, ypm, ey) -> Tuple[np.ndarray, 
             _plain((ypm - pp * ym / t) * tp_m, ey + tp_e, "Im h'", nu, t))
 
 
-def _hankel_pair(s: ScaledCylEval, n: int) -> Tuple[complex, complex]:
-    """(h, h') of dimension n from the scaled entry of order m + n/2 - 1."""
-    hr, hi, hpr, hpi = _hankel_pairs(n, s.nu, s.t, *(np.array([v]) for v in (
-        s.jm, s.jpm, s.ej, s.ym, s.ypm, s.ey)))
-    return complex(hr[0], hi[0]), complex(hpr[0], hpi[0])
-
-
 def spherical_hankel(m: int, n: int, t: float) -> Tuple[complex, complex]:
     """(h_m(n, t), h_m'(n, t)), h_m(n, t) = H_nu(t)/t^(n/2-1), nu = m + n/2 - 1.
 
@@ -663,7 +631,13 @@ def spherical_hankel(m: int, n: int, t: float) -> Tuple[complex, complex]:
     :func:`spherical_hankel_closed`) to ~1e-12; the pair is kept as two
     independent routes on purpose.
     """
-    return _hankel_pair(cyl_bessel_scaled(spherical_order(m, n), t), n)
+    if m < 0:
+        raise BesselDomainError(f"mode m must be >= 0, got {m}")
+    if n < 2:
+        raise BesselDomainError(f"dimension n must be >= 2, got {n}")
+    nu = m + 0.5 * n - 1.0
+    hr, hi, hpr, hpi = _hankel_pairs(n, nu, t, *_entry(nu, t))
+    return complex(hr[0], hi[0]), complex(hpr[0], hpi[0])
 
 
 # ===================================================================

@@ -31,6 +31,10 @@ MUTANTS = [
     ("aperture-edge", "geometry.py",
      "gap[1] < 1.0", "gap[1] <= 1.0",
      ("tests/test_geometry.py::test_boxes_name_the_first_tampered_box_outside_the_domain",)),
+    ("index-floor-zero", "geometry.py",
+     "j[0] >= 1 and", "j[0] >= 0 and",
+     ("tests/test_geometry.py::test_boxes_refuse_arrangements_outside_the_invariant",
+      "tests/test_geometry.py::test_boxes_name_the_first_index_outside_the_range")),
     ("floor-overflow-branch", "certify.py",
      "c_prime / (math.sqrt(2.0) * k)", "c_prime / (2.0 * k)",
      ("tests/test_certify.py::test_resolvent_lower_round_trip_where_the_product_overflows",
@@ -43,6 +47,9 @@ MUTANTS = [
      "_plain((jpm - pp * jm / t) * tp_m", "_plain((jpm + pp * jm / t) * tp_m",
      ("tests/test_dtnverify.py::test_b_m_two_routes_agree_odd_dimensions",
       "tests/test_acceptance.py::test_criterion_09_exact_boundary_cases")),
+    ("spherical-order-shifted", "specfun.py",
+     "nu = m + 0.5 * n - 1.0", "nu = m + 0.5 * n - 0.5",
+     ("tests/test_specfun.py::test_spherical_frozen_references",)),
     ("a-family-drops-4t-over-pi", "dtnverify.py",
      "rho * rho * (jpt * jpt + ypm * ypm), -a3), inv2ey)",
      "rho * rho * (jpt * jpt + ypm * ypm)), inv2ey)",

@@ -9,16 +9,17 @@ compare the printed output against this file before editing anything.
 `trapcert.specfun` in scalar form: one argument at a time, on Python floats
 and complex numbers (the Temme series, scalar already, is the package's
 own).  They are the bit reference for the package's one batched engine:
-the tests require `specfun._ladders` to equal `_ladder`, every public
-scalar evaluator to equal its value on `scalar_cyl_bessel_scaled`, and
-the arrays of `specfun.selftest_grid` to equal `scalar_selftest_rows`,
-bit for bit.
+the tests require `specfun._ladders` to equal `_ladder`, `specfun._entry`
+and every public scalar evaluator to equal their values on `scalar_entry`
+(an `Entry`), and the arrays of `specfun.selftest_grid` to equal
+`scalar_selftest_rows`, bit for bit.
 Likewise `hankel_half_integer`, `spherical_hankel_closed` and
 `hankel_pair` are the closed form and the (h, h') of a scaled entry on
 Python complex numbers, the bit reference for the package's array forms.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -33,7 +34,6 @@ from trapcert.specfun import (
     BesselDomainError,
     BesselRangeError,
     ConvergenceError,
-    ScaledCylEval,
     _temme_y,
     _validate,
     validation_grid,
@@ -112,6 +112,11 @@ SPH_TABLE = [
 # the scalar engine
 # ===================================================================
 
+# one scaled evaluation of order nu at t: J = jm*2^ej, J' = jpm*2^ej,
+# Y = ym*2^ey and Y' = ypm*2^ey
+Entry = namedtuple("Entry", "nu t jm jpm ej ym ypm ey")
+
+
 @dataclass(frozen=True)
 class Ladder:
     """Scaled evaluations for the full run of orders mu0, mu0+1, ..., mu0+count.
@@ -130,12 +135,9 @@ class Ladder:
     ypm: List[float]
     ey: List[int]
 
-    def entry(self, i: int) -> ScaledCylEval:
-        return ScaledCylEval(
-            nu=self.mu0 + i, t=self.t,
-            jm=self.jm[i], jpm=self.jpm[i], ej=self.ej[i],
-            ym=self.ym[i], ypm=self.ypm[i], ey=self.ey[i],
-        )
+    def entry(self, i: int) -> Entry:
+        return Entry(self.mu0 + i, self.t, self.jm[i], self.jpm[i], self.ej[i],
+                     self.ym[i], self.ypm[i], self.ey[i])
 
 
 def _cf1(nu: float, x: float) -> Tuple[float, int]:
@@ -293,8 +295,8 @@ def _ladder(mu0: float, x: float, count: int) -> Ladder:
     return Ladder(mu0=mu0, t=x, jm=jm, jpm=jpm, ej=ej, ym=ym, ypm=ypm, ey=ey)
 
 
-def scalar_cyl_bessel_scaled(nu: float, t: float) -> ScaledCylEval:
-    """`specfun.cyl_bessel_scaled` on the scalar ladder."""
+def scalar_entry(nu: float, t: float) -> Entry:
+    """`specfun._entry` on the scalar ladder, as an `Entry`."""
     _validate(nu, t)
     if t < _XMIN:
         nl = int(nu + 0.5)
@@ -307,7 +309,7 @@ def scalar_cyl_bessel_scaled(nu: float, t: float) -> ScaledCylEval:
 
 def scalar_wronskian_residual(nu: float, t: float) -> float:
     """`specfun.wronskian_residual` on the scalar ladder, in Python floats."""
-    s = scalar_cyl_bessel_scaled(nu, t)
+    s = scalar_entry(nu, t)
     w = 2.0 / (math.pi * s.t)
     cross = s.jm * s.ypm - s.jpm * s.ym
     return abs(cross * math.ldexp(1.0, s.ej + s.ey) - w) / w
@@ -362,9 +364,9 @@ def to_plain(m: float, e: int, what: str, nu: float, t: float) -> float:
         ) from exc
 
 
-def hankel_pair(s: ScaledCylEval, n: int) -> Tuple[complex, complex]:
-    """`specfun._hankel_pair` on Python floats: (h, h') of dimension n from
-    the scaled entry of order m + n/2 - 1."""
+def hankel_pair(s: Entry, n: int) -> Tuple[complex, complex]:
+    """`specfun._hankel_pairs` at one entry, on Python floats: (h, h') of
+    dimension n from the scaled entry of order m + n/2 - 1."""
     nu, t = s.nu, s.t
     pp = 0.5 * n - 1.0
     tp_m, tp_e = math.frexp(t ** (-pp))
@@ -391,7 +393,7 @@ def scalar_selftest_rows(
             ok = wr <= wronskian_tol
             if half and 0.1 <= t <= 100.0:
                 ref_h, ref_hp = spherical_hankel_closed(int(nu - 0.5), 3, t)
-                h, hp = hankel_pair(scalar_cyl_bessel_scaled(nu, t), 3)
+                h, hp = hankel_pair(scalar_entry(nu, t), 3)
                 he = max(
                     abs(h - ref_h) / abs(ref_h),
                     abs(hp - ref_hp) / abs(ref_hp),

@@ -24,6 +24,7 @@ from trapcert.geometry import (
     Boxes,
     DisjointnessReport,
     GeometryError,
+    MAX_BOXES,
     ResolutionTooCoarseError,
     _blocked_raster,
     _feature_scale,
@@ -481,6 +482,16 @@ DOMAIN = {
     **{f"a-{value!r}": ("a", value, "is not positive") for value in (0.0, -1e-3)},
     **{f"gap-{value!r}": ("gap", value, "is not in [0, 1)") for value in (-1e-300, 1.0, 1.5)},
 }
+# case -> (j, layer, the start of the message): an index outside
+# [1, MAX_BOXES]; where two boxes break it, the first is named
+PAST = MAX_BOXES + 1
+INDEX = {
+    "j-0": ([0, 2, 3], [1, 1, 2], "box 0: j 0"),
+    "j--1": ([-1, 0, 3], [1, 1, 2], "box -1: j -1"),
+    f"j-{PAST}": ([1, PAST, PAST + 1], [1, 1, 2], f"box {PAST}: j {PAST}"),
+    "layer-0": ([1, 2, 3], [0, 0, 2], "box 1: layer 0"),
+    f"layer-{PAST}": ([1, 2, 3], [1, PAST, PAST], f"box 2: layer {PAST}"),
+}
 REFUSED = {
     "empty": {**{name: [] for name in VALID}, "lo": np.zeros((0, 2))},
     "n=1": {"lo": [(0.0,), (2.0,), (0.0,)]},
@@ -504,6 +515,7 @@ REFUSED = {
     # finite, but outside the domain of box 2 (DOMAIN)
     **{name: {column: [VALID[column][0], value, VALID[column][2]]}
        for name, (column, value, _) in DOMAIN.items()},
+    **{name: {"j": j, "layer": layer} for name, (j, layer, _) in INDEX.items()},
 }
 
 
@@ -527,6 +539,13 @@ def test_boxes_name_the_first_value_outside_the_domain(case):
     with pytest.raises(GeometryError) as info:
         as_boxes({**VALID, **change})
     assert str(info.value) == f"box 2: {column} {value!r} {need}"
+
+
+@pytest.mark.parametrize("case", INDEX)
+def test_boxes_name_the_first_index_outside_the_range(case):
+    j, layer, named = INDEX[case]
+    with pytest.raises(GeometryError, match=rf"^{named} is not in \[1, {MAX_BOXES}\]$"):
+        as_boxes({**VALID, "j": j, "layer": layer})
 
 
 def test_boxes_name_the_first_failing_column_of_a_box():
@@ -863,7 +882,7 @@ def test_sweep_drops_only_pairs_proved_apart(case, delta, chunk):
     # pair of two levels comes out
     _, boxes = case
     lo, hi, level = boxes.lo, boxes.hi, boxes.layer
-    reach = None if delta is None else np.full(len(lo), _reach(delta))
+    reach = np.full(len(lo), 0.0 if delta is None else _reach(delta))
     seen = set()
     with mock.patch.object(trapcert.geometry, "_PAIR_CHUNK", chunk):
         for i, k in _sweep_pairs(lo, hi, reach, level):
@@ -888,9 +907,9 @@ def squares(corners, sides, layers=None):
                       gap=[0.1] * count, k=[10.0] * count, a=[1e-4] * count)
 
 
-def partition_axes(boxes, reach=None):
+def partition_axes(boxes, reach=0.0):
     """The axes of `_partition`'s passes and the groups it leaves, as sets
-    of j."""
+    of j, at the same reach for every box."""
     axes = []
     sorted_on = trapcert.geometry._sorted_on
 
@@ -899,7 +918,8 @@ def partition_axes(boxes, reach=None):
         return sorted_on(lo, hi, reach, rows, group, ax)
 
     with mock.patch.object(trapcert.geometry, "_sorted_on", spy):
-        rows, group = _partition(boxes.lo, boxes.hi, reach, np.zeros(len(boxes), np.int64))
+        rows, group = _partition(boxes.lo, boxes.hi, np.full(len(boxes), reach),
+                                 np.zeros_like(boxes.j))
     groups = {}
     for r, g in zip(rows.tolist(), group.tolist()):
         groups.setdefault(g, set()).add(int(boxes.j[r]))
@@ -944,8 +964,7 @@ def test_partition_merges_reach_widened_chains():
     corners = [(0.0, 0.0), (1.5, 0.0), (10.0, 0.0), (11.5, 0.0), (12.75, 0.0),
                (14.25 + 2.0 ** -48, 0.0)]
     boxes = squares(corners, [1.0] * 6)
-    reach = np.full(6, _reach(0.5))
-    assert partition_axes(boxes, reach)[1] == [{1, 2}, {3, 4, 5}]
+    assert partition_axes(boxes, _reach(0.5))[1] == [{1, 2}, {3, 4, 5}]
     assert partition_axes(boxes)[1] == []  # unwidened, every gap splits
     report = assert_matches_all_pairs(boxes, S2)
     assert report.in_layer.min_distance.tolist() == [0.25]

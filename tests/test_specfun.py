@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 from unittest import mock
@@ -14,7 +13,6 @@ from trapcert.specfun import (
     BesselRangeError,
     ConvergenceError,
     bessel_ladder,
-    cyl_bessel_scaled,
     ladder_batches,
     selftest_grid,
     spherical_hankel,
@@ -29,12 +27,18 @@ from oracles import (
     JY_TABLE,
     LOG_EXTREME_TABLE,
     SPH_TABLE,
-    scalar_cyl_bessel_scaled,
+    Entry,
+    scalar_entry,
     scalar_selftest_rows,
     scalar_wronskian_residual,
 )
 
 LN2 = math.log(2.0)
+
+
+def entry(nu, t):
+    """`specfun._entry(nu, t)` as an `oracles.Entry` on Python numbers."""
+    return Entry(nu, t, *(a[0].item() for a in specfun._entry(nu, t)))
 
 
 # -------------------------------------------------------------------
@@ -43,7 +47,7 @@ LN2 = math.log(2.0)
 
 @pytest.mark.parametrize("nu,t,j,y,jp,yp", JY_TABLE)
 def test_against_frozen_references(nu, t, j, y, jp, yp):
-    s = cyl_bessel_scaled(nu, t)
+    s = entry(nu, t)
     got = np.ldexp([s.jm, s.ym, s.jpm, s.ypm], [s.ej, s.ey, s.ej, s.ey])
     # error relative to the moduli M = |H| and N = |H'|
     scale = np.repeat([math.hypot(j, y), math.hypot(jp, yp)], 2)
@@ -52,7 +56,7 @@ def test_against_frozen_references(nu, t, j, y, jp, yp):
 
 @pytest.mark.parametrize("nu,t,sj,lnj,sy,lny", LOG_EXTREME_TABLE)
 def test_scaled_representation_beyond_float_range(nu, t, sj, lnj, sy, lny):
-    s = cyl_bessel_scaled(nu, t)
+    s = entry(nu, t)
     assert math.copysign(1.0, s.jm) == sj
     assert math.copysign(1.0, s.ym) == sy
     assert math.isclose(math.log(abs(s.jm)) + s.ej * LN2, lnj, rel_tol=1e-12)
@@ -71,13 +75,13 @@ def test_series_value_small_argument():
     # power series J_0(t) = 1 - t^2/4 + t^4/64 - ..., first three terms
     t = 1e-3
     ref = 1.0 - t * t / 4.0 + t**4 / 64.0
-    s = cyl_bessel_scaled(0.0, t)
+    s = entry(0.0, t)
     assert math.isclose(math.ldexp(s.jm, s.ej), ref, rel_tol=1e-12)
 
 
 def test_half_integer_closed_value():
     # J_{1/2}(t) = sqrt(2/(pi t)) sin t, so J_{1/2}(pi/2) = 2/pi
-    s = cyl_bessel_scaled(0.5, math.pi / 2.0)
+    s = entry(0.5, math.pi / 2.0)
     assert math.isclose(math.ldexp(s.jm, s.ej), 2.0 / math.pi, rel_tol=1e-13)
 
 
@@ -130,7 +134,7 @@ def test_spherical_modulus_and_wronskian_invariants(m, n, logt):
     except BesselRangeError:
         return
     # |h| t^(n/2-1) is the cylindrical modulus M = |H_nu|, from the scaled entry
-    s = cyl_bessel_scaled(m + n / 2 - 1, t)
+    s = entry(m + n / 2 - 1, t)
     mod = math.hypot(math.ldexp(s.jm, s.ej), math.ldexp(s.ym, s.ey))
     assert math.isclose(abs(h), mod / t ** (n / 2 - 1), rel_tol=1e-12)
     im = (hp * h.conjugate()).imag
@@ -232,8 +236,8 @@ def test_closed_form_rejections_equal_the_scalar_oracle(call):
 
 def test_hankel_pair_range_errors_equal_the_scalar_oracle():
     # Y_{100.5}(0.01) overflows: the first component named is Im h
-    s = scalar_cyl_bessel_scaled(100.5, 0.01)
-    got = outcome(specfun._hankel_pair, s, 3)
+    s = scalar_entry(100.5, 0.01)
+    got = outcome(specfun._hankel_pairs, 3, s.nu, s.t, *(np.array([v]) for v in s[2:]))
     assert got == outcome(oracles.hankel_pair, s, 3)
     assert got[0] == "BesselRangeError" and got[1].startswith("Im h at nu=100.5, t=0.01 ")
 
@@ -247,7 +251,7 @@ def test_ladder_matches_scalar_evaluations(mu0, t, count):
     # one long ladder against the oracle's evaluation of each order on its own
     lad = bessel_ladder(mu0, t, count)
     for i in range(0, count + 1, 7):
-        s = scalar_cyl_bessel_scaled(mu0 + i, t)
+        s = scalar_entry(mu0 + i, t)
         for got_m, got_e, ref_m, ref_e in (
             (lad.jm[0, i], lad.ej[0, i], s.jm, s.ej),
             (lad.ym[0, i], lad.ey[0, i], s.ym, s.ey),
@@ -268,7 +272,7 @@ def test_ladder_matches_scalar_evaluations(mu0, t, count):
                                   (math.nan, 1.0), (1.0, math.inf)])
 def test_domain_errors(nu, t):
     with pytest.raises(BesselDomainError):
-        cyl_bessel_scaled(nu, t)
+        specfun._entry(nu, t)
 
 
 def test_overflow_is_signalled_not_inf():
@@ -279,7 +283,7 @@ def test_overflow_is_signalled_not_inf():
 # a ladder of 1e4 orders takes about 0.2 s, and CF1 about as long at t = 1e4,
 # so a refusal within 0.1 s there shows that nothing ran
 @pytest.mark.parametrize("call", [
-    lambda nu: cyl_bessel_scaled(nu, 5.0),
+    lambda nu: specfun._entry(nu, 5.0),
     lambda nu: wronskian_residual(nu, 1e-3),
     lambda nu: bessel_ladder(0.0, 5.0, math.ceil(nu)),
 ])
@@ -295,7 +299,7 @@ def test_orders_past_the_ceiling_are_refused_at_once(call, nu):
 
 
 @pytest.mark.parametrize("call", [
-    lambda t: cyl_bessel_scaled(5.0, t),
+    lambda t: specfun._entry(5.0, t),
     lambda t: wronskian_residual(5.0, t),
     lambda t: bessel_ladder(0.0, t, 5),
 ])
@@ -318,8 +322,19 @@ def test_the_envelope_edges_are_accepted():
 
 
 def test_ladder_rejects_bad_base_order():
-    with pytest.raises(BesselDomainError):
-        bessel_ladder(0.75, 1.0, 5)  # Temme seed needs |mu0| <= 1/2 below t=2
+    for mu0, t, count, bound in [
+        (0.75, 1.0, 5, "1/2"),  # the Temme seed needs |mu0| <= 1/2 below t = 2
+        # outside [-1/2, t + 1/2] the CF2 seed fails: (40, 2.5) gave NaN ladders
+        # with a RuntimeWarning, (20, 10) values 2.7e-8 off relative to the modulus
+        (40.0, 2.5, 3, r"t \+ 1/2"), (20.0, 10.0, 2, r"t \+ 1/2"),
+        (-0.75, 3.0, 2, r"t \+ 1/2"),
+    ]:
+        message = rf"^ladder base order mu0 = {mu0} at t = {t} must lie in \[-1/2, {bound}\]$"
+        with pytest.raises(BesselDomainError, match=message):
+            bessel_ladder(mu0, t, count)
+        with pytest.raises(BesselDomainError, match=message):  # held to its smallest t
+            ladder_batches([(-0.5, count), (mu0, count)], [t + 1.0, t])
+        bessel_ladder(0.5 if t < 2.0 else t + 0.5, t, count)  # the edge is accepted
     bessel_ladder(0.75, 2.5, 5)  # fine at t >= 2
 
 
@@ -460,7 +475,7 @@ def test_batched_ladders_where_only_some_points_renormalize(mu0, count):
     nu = np.full(3, mu0 + count)
     got = specfun._scaled_entries(nu, batch.t)
     for p, t in enumerate(batch.t.tolist()):
-        ref = scalar_cyl_bessel_scaled(mu0 + count, t)
+        ref = scalar_entry(mu0 + count, t)
         jm, jpm, ej, ym, ypm, ey = (a[p] for a in got)
         assert hexes((jm, jpm, ym, ypm)) == hexes((ref.jm, ref.jpm, ref.ym, ref.ypm))
         assert (ej, ey) == (ref.ej, ref.ey)
@@ -616,8 +631,7 @@ def test_seed_stall_names_the_callers_first_point(monkeypatch):
     with pytest.raises(ConvergenceError) as got:
         specfun._scaled_entries(np.array([0.25, 0.0, 0.25]), np.array([2.5, 2.0, 2.5]))
     assert str(got.value) == "CF2 stalled at mu=0.25, t=2.5"
-    assert outcome(scalar_cyl_bessel_scaled, 0.25, 2.5) == ("ConvergenceError",
-                                                            str(got.value))
+    assert outcome(scalar_entry, 0.25, 2.5) == ("ConvergenceError", str(got.value))
 
 
 def test_batched_ladders_domain():
@@ -637,8 +651,6 @@ def test_batched_ladders_domain():
 
 def bits(value):
     """value with every float written by float.hex and every type named."""
-    if dataclasses.is_dataclass(value):
-        return tuple(bits(getattr(value, f.name)) for f in dataclasses.fields(value))
     if isinstance(value, tuple):
         return tuple(bits(v) for v in value)
     if isinstance(value, complex):
@@ -659,15 +671,20 @@ def outcome(fn, *args):
 
 def on_oracle(fn, *args):
     """outcome(fn, *args) with the scalar engine of tests/oracles.py behind
-    every `cyl_bessel_scaled` that fn reaches, and its scalar (h, h')."""
-    with mock.patch.object(specfun, "cyl_bessel_scaled", scalar_cyl_bessel_scaled), \
-            mock.patch.object(specfun, "_hankel_pair", oracles.hankel_pair):
+    every `_entry` that fn reaches, and its scalar (h, h') behind `_hankel_pairs`."""
+    def hankel_pairs(n, nu, t, *arrays):
+        h, hp = oracles.hankel_pair(Entry(nu, t, *(a[0].item() for a in arrays)), n)
+        return [np.array([v]) for v in (h.real, h.imag, hp.real, hp.imag)]
+
+    with mock.patch.object(specfun, "_entry", lambda *point: [
+            np.array([v]) for v in scalar_entry(*point)[2:]]), \
+            mock.patch.object(specfun, "_hankel_pairs", hankel_pairs):
         return outcome(fn, *args)
 
 
 def cylindrical_outcomes(nu, t):
     """(public, oracle) outcome of every cylindrical evaluator at (nu, t)."""
-    return [(outcome(cyl_bessel_scaled, nu, t), outcome(scalar_cyl_bessel_scaled, nu, t)),
+    return [(outcome(entry, nu, t), outcome(scalar_entry, nu, t)),
             (outcome(wronskian_residual, nu, t), outcome(scalar_wronskian_residual, nu, t))]
 
 
