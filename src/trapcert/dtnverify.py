@@ -131,11 +131,12 @@ def _np_ldexp(x, e) -> np.ndarray:
 def _sign_margin(terms, floor: np.ndarray):
     """The sum `value` of `terms`, which may differ in shape where they
     broadcast; value over max(floor, max |term|), 0 where every term is 0;
-    and whether value > _SIGN_TOL times that bound."""
+    and whether value is not <= _SIGN_TOL times that bound, so that a NaN
+    is a violation."""
     value = functools.reduce(np.add, terms)
     scale = functools.reduce(np.maximum, (np.abs(term) for term in terms))
     bound = np.maximum(floor, scale)
-    return value, np.where(scale > 0, value / bound, 0.0), value > _SIGN_TOL * bound
+    return value, np.where(scale > 0, value / bound, 0.0), ~(value <= _SIGN_TOL * bound)
 
 
 def _check_blocks(n_tuple: Tuple[int, ...], m_max: int, rho_arr: np.ndarray,
@@ -203,7 +204,7 @@ def _check_blocks(n_tuple: Tuple[int, ...], m_max: int, rho_arr: np.ndarray,
 
         yield ((np.where(a_mask, a_scaled, -math.inf), viol_a & a_mask),
                (b_scaled, viol_b), (re_scaled, viol_re),
-               (im_resid, im_resid > IM_IDENTITY_TOL))
+               (im_resid, ~(im_resid <= IM_IDENTITY_TOL)))
 
 
 def verify_sweep(n_values: Sequence[int] = SweepParams.n_values,

@@ -371,8 +371,7 @@ def growth_floor_check(sched: Schedule, c: float, j_max: int) -> GrowthFloorRepo
         raise ScheduleError(f"floor constant must be finite and >= 0, got {c}")
     js = range(1, j_max + 1)
     k = wavenumbers(sched, js)
-    floor = 0.0 if c == 0.0 else _growth_values(sched.n, c, js)
-    failures = np.flatnonzero(~(k >= floor)) + 1
+    failures = np.flatnonzero(~(k >= _growth_values(sched.n, c, js))) + 1
     return GrowthFloorReport(c=c, j_max=j_max, failures=tuple(failures.tolist()))
 
 
@@ -391,33 +390,26 @@ def volume_sum(n: int, sides: np.ndarray, first: int, what: str) -> float:
 
 
 def padding_tail_bound(sched: Schedule, i0: int) -> float:
-    """Upper bound on sum_{i>i0} d_i.
-
-    Shifted-power family: integral comparison gives
-    amplitude * (i0 + shift)^(1-exponent) / (exponent - 1).
-    Tables: the exact remaining finite sum (zero past the end).
+    """Upper bound on sum_{i>i0} d_i for the shifted-power family, by
+    integral comparison: amplitude * (i0 + shift)^(1-exponent) / (exponent - 1).
+    A build sums a table's tail itself, over the levels it can place.
     """
     _check_index(i0, "padding tail")
     fam = sched.d_family
-    if isinstance(fam, DTable):
-        return math.fsum(fam.values[i0:])
     q = fam.exponent
     return fam.amplitude * (i0 + fam.shift) ** (1.0 - q) / (q - 1.0)
 
 
 def volume_tail_bound(sched: Schedule, J: int) -> float:
-    """Upper bound on sum_{j>J} ell_j^n.
-
-    Log-growth family (needs J >= 3): dropping the e-shifts monotonically,
+    """Upper bound on sum_{j>J} ell_j^n for the log-growth family (needs
+    J >= 3): dropping the e-shifts monotonically,
     k_j^-n <= c^-n / (j ln j (ln ln j)^(2n)), whose tail is bounded by the
-    integral  (ln ln J)^(1-2n) / (2n-1).  Tables: exact remaining sum.
+    integral  (ln ln J)^(1-2n) / (2n-1).  A build sums a table's tail
+    itself, over the boxes it can place.
     """
     _check_index(J, "volume tail")
     fam = sched.k_family
     n = sched.n
-    if isinstance(fam, KTable):
-        return volume_sum(n, _side(n, np.array(fam.values[J:], dtype=float)), J + 1,
-                          "volume tail")
     if J < 3:
         raise ScheduleError("volume tail bound for the log-growth family needs J >= 3")
     try:

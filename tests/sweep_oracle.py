@@ -5,7 +5,8 @@ scalar ladder (`oracles._ladder`) per base order and radius, and the four
 checks as 1-d arrays over the modes of one (radius, dimension) at a time.
 It returns each family's scaled margins and violation masks stacked into
 (radius x dimension x multiplier x mode) arrays, the layout of the
-kernel's blocks; the tests require the two to agree bit for bit.
+kernel's blocks; the tests require the two to agree bit for bit.  A check
+is violated where its value is not <= its tolerance, so a NaN violates it.
 `hankel`, `a_terms` and `b_terms` give plain values of the families from
 the engine's per-point route, for the tests of their identities.
 """
@@ -73,7 +74,7 @@ def per_radius_checks(n_values: Sequence[int], m_max: int, rho_grid: Sequence[fl
             a_mask = nu >= 0.5
             a_scaled = np.where(scale_a > 0, m_a / np.maximum(inv2ey, scale_a), 0.0)
             rows[0].append(([np.where(a_mask, a_scaled, -math.inf)],
-                            [(m_a > tol_a) & a_mask]))
+                            [~(m_a <= tol_a) & a_mask]))
 
             gj = jpt - (p_prime / rho) * jt
             gy = ypm - (p_prime / rho) * ym
@@ -94,13 +95,13 @@ def per_radius_checks(n_values: Sequence[int], m_max: int, rho_grid: Sequence[fl
                                      np.maximum(np.abs(b3), b4))
                 tol_b = _SIGN_TOL * np.maximum(inv2ey, scale_b)
                 b_rows[0].append(np.where(scale_b > 0, m_b / np.maximum(inv2ey, scale_b), 0.0))
-                b_rows[1].append(m_b > tol_b)
+                b_rows[1].append(~(m_b <= tol_b))
             rows[1].append(b_rows)
-            rows[2].append(([re_scaled], [re_wu > tol_re]))
+            rows[2].append(([re_scaled], [~(re_wu <= tol_re)]))
 
             wron = jm * ypm - jpm * ym
             im_resid = np.abs(wron * _np_ldexp(math.pi * rho / 2.0, ej + ey) - 1.0)
-            rows[3].append(([im_resid], [im_resid > IM_IDENTITY_TOL]))
+            rows[3].append(([im_resid], [~(im_resid <= IM_IDENTITY_TOL)]))
 
     def stack(family, part):
         return np.array([row[part] for row in family]).reshape(

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from trapcert import dtnverify
 from trapcert.dtnverify import (
     SweepParams,
     SweepSummary,
@@ -150,6 +151,26 @@ def test_sweep_covers_extreme_orders():
                            rho_grid=np.array([0.05]))
     assert summary.passed
     assert math.isfinite(summary.worst_b_scaled)
+
+
+def test_sweep_counts_a_nan_as_a_violation(monkeypatch):
+    """One NaN ladder entry per base order, at the first radius and the
+    order of mode m = 1 (nu = 1 at n = 2, 3/2 at n = 3), reaches every
+    family there and fails the sweep: a NaN is not <= its tolerance."""
+    ladder_batches = dtnverify.ladder_batches
+
+    def poisoned(bases, ts):
+        batches = ladder_batches(bases, ts)
+        for batch in batches:
+            batch.jm[0, 1] = math.nan
+        return batches
+
+    monkeypatch.setattr(dtnverify, "ladder_batches", poisoned)
+    summary = verify_sweep((2, 3), 5, [0.5, 1.0, 2.0])
+    # both dimensions' mode 1 at the first radius, B at three multipliers each
+    assert (summary.a_violations, summary.b_violations, summary.re_violations,
+            summary.im_violations) == (2, 6, 2, 2)
+    assert not summary.passed
 
 
 def checks(n_values, m_max, rho_grid, alphas=None):

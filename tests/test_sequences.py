@@ -242,12 +242,6 @@ def test_padding_tail_bound_dominates_partial_sums(i0):
     assert tail < padding_tail_bound(s, i0)
 
 
-def test_padding_tail_bound_table_is_exact():
-    s = Schedule(2, KLogGrowth(2.0), APower(1e-4, 0.25), DTable((0.5, 0.25, 0.125)))
-    assert padding_tail_bound(s, 1) == 0.25 + 0.125
-    assert padding_tail_bound(s, 3) == 0.0
-
-
 def test_volume_sums_past_binary64_raise_schedule_error():
     # n = 3 cubes of side about 5e102: each finite, any two overflow
     sched = Schedule(3, KTable([1.0e-102, 1.1e-102, 1.2e-102]), APower(1e-4, 0.25),
@@ -258,8 +252,9 @@ def test_volume_sums_past_binary64_raise_schedule_error():
         volume_sum(3, sides, 1, "partial volume")
     assert str(info.value) == ("partial volume leaves binary64: box 1 has side "
                                f"{sides[0].item()!r}")
+    # a stack of the first box sums the table's tail past it
     with pytest.raises(ScheduleError) as info:
-        volume_tail_bound(sched, 1)
+        build_layered(sched, 1, "stacked")
     assert str(info.value) == ("volume tail leaves binary64: box 2 has side "
                                f"{sides[1].item()!r}")
 
@@ -314,6 +309,21 @@ def test_family_validation_errors():
         KLogGrowth(0.0)
     with pytest.raises(ScheduleError):
         APower(1.0, -0.5)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: KTable((0.0, 1.0)), "wavenumbers must be positive"),
+    (lambda: ATable((0.0, 1.0)), "target table must be nonempty and positive"),
+    (lambda: DTable((0.5, 0.0)), "padding table must be nonempty and positive"),
+    (lambda: APower(0.0, 0.25),
+     "power target family needs finite amplitude > 0, exponent >= 0"),
+    (lambda: DShiftedPower(0.0, 6.0, 1.2),
+     "shifted-power family needs finite amplitude > 0, shift >= 0"),
+], ids=["KTable", "ATable", "DTable", "APower", "DShiftedPower"])
+def test_families_refuse_zero_at_their_positivity_boundary(make, message):
+    with pytest.raises(ScheduleError) as info:
+        make()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("make", [

@@ -1,7 +1,6 @@
-"""The command-line entry points, each run in a child interpreter at tiny
-size: `scripts/make_figure.py`, `scripts/run_dtn_sweep.py` and
-`python -m trapcert.cli`.  Their stdout and artifacts must equal those of
-the same subcommands run in process through `trapcert.cli.run`.  And every
+"""The command-line entry point `python -m trapcert.cli`, run in a child
+interpreter at tiny size: its stdout and artifacts must equal those of the
+same subcommands run in process through `trapcert.cli.run`.  And every
 public name of the package has a caller outside the tests."""
 
 import ast
@@ -42,36 +41,6 @@ def in_process(argvs, cwd, monkeypatch, capsys):
     capsys.readouterr()
     codes = [run(argv) for argv in argvs]
     return codes, capsys.readouterr().out
-
-
-def test_make_figure_script(tmp_path, monkeypatch, capsys):
-    script = child([str(ROOT / "scripts" / "make_figure.py"), "--layers", "3",
-                    "--out", "fig"], tmp_path)
-    assert script.returncode == 0, script.stderr
-    codes, out = in_process(
-        [[command, "--config", FIGURE, "--layers", "3", "--out", "fig"]
-         for command in ("build", "certify", "plot", "report")],
-        tmp_path / "in-process", monkeypatch, capsys)
-    assert codes == [0, 0, 0, 0]
-    assert script.stdout == out
-    assert "wrote fig/geometry.json (9 boxes" in out
-    for name in ARTIFACTS:
-        assert ((tmp_path / "fig" / name).read_bytes()
-                == (tmp_path / "in-process" / "fig" / name).read_bytes()), name
-
-
-def test_run_dtn_sweep_script(tmp_path, monkeypatch, capsys):
-    config = tmp_path / "sweep.json"
-    config.write_text(json.dumps({"sweep": {"nValues": [2, 3], "mMax": 5,
-                                            "rhoPoints": 20}}), encoding="utf-8")
-    script = child([str(ROOT / "scripts" / "run_dtn_sweep.py"), "--config",
-                    str(config)], tmp_path)
-    assert script.returncode == 0, script.stderr
-    codes, out = in_process([["verify-dtn", "--config", str(config)]],
-                            tmp_path / "in-process", monkeypatch, capsys)
-    assert codes == [0]
-    assert script.stdout == out
-    assert out.startswith("dtn sweep: n in {2, 3}, m <= 5, 20 radii, 720 checks: ")
 
 
 def test_module_entry_point(tmp_path, monkeypatch, capsys):
@@ -156,19 +125,18 @@ def attributes(tree):
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     """Every public module-level name, and every public method or property
-    of a class, is read by the package, the benchmark, the scripts or the
-    README's examples, not by the tests alone."""
+    of a class, is read by the package, the benchmark or the README's
+    examples, not by the tests alone."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     outside = set()
     members_read = set()  # attribute names, so a member is read as `x.name`
     for block in re.findall(r"```python\n(.*?)```", readme, re.S):
         outside |= references(ast.parse(block))
         members_read |= attributes(ast.parse(block))
-    for folder in ("bench", "scripts"):
-        for path in (ROOT / folder).glob("*.py"):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            outside |= references(tree, strings=folder == "bench")
-            members_read |= attributes(tree)
+    for path in (ROOT / "bench").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        outside |= references(tree, strings=True)
+        members_read |= attributes(tree)
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in PACKAGE.glob("*.py")}
     read = {module: references(tree) for module, tree in trees.items()}
