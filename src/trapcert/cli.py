@@ -87,7 +87,8 @@ class OutputPaths:
 class RunConfig:
     """Parsed run configuration.
 
-    `dimension`, the schedule families, `layout`, and `truncation` are only
+    `dimension`, the schedule families, `layout`, and `layers` (the number
+    of levels on either layout; a stacked level is one box) are only
     required by the subcommands that build geometry; a sweep-only config can
     omit them.  `sweep` is None when the config has no "sweep" key, which
     tells the report subcommand to skip that stage.
@@ -98,7 +99,7 @@ class RunConfig:
     a_family: Optional[object] = None
     d_family: Optional[object] = None
     layout: Optional[str] = None
-    truncation: Optional[int] = None
+    layers: Optional[int] = None
     outputs: OutputPaths = OutputPaths()
     sweep: Optional[SweepParams] = None
 
@@ -115,12 +116,9 @@ class RunConfig:
         )
 
     def geometry(self) -> Tuple[Boxes, GeometrySummary]:
-        if self.layout is None or self.truncation is None:
-            raise ConfigError(
-                "config needs 'layout' and a truncation ('layers' or "
-                "'boxCount') for geometry commands"
-            )
-        return build_layered(self.schedule(), self.truncation, self.layout)
+        if self.layout is None or self.layers is None:
+            raise ConfigError("config needs 'layout' and 'layers' for geometry commands")
+        return build_layered(self.schedule(), self.layers, self.layout)
 
 
 def _as_mapping(value, where: str) -> Mapping:
@@ -261,13 +259,11 @@ def _read_sweep(value, where: str) -> SweepParams:
 # Past the upper bounds of the integer settings a box index no longer
 # converts to binary64 (at 32 dimensions and 10,000 layers the box indices
 # already reach about 1e154).
-_truncation = partial(_as_int, minimum=1, maximum=10_000)
 _CONFIG_KEYS = {
     "dimension": ("dimension", partial(_as_int, minimum=2, maximum=32)),
     "schedule": ("schedule", _read_schedule),
     "layout": ("layout", partial(_as_choice, choices=("layered", "stacked"))),
-    "layers": ("truncation", _truncation),
-    "boxCount": ("truncation", _truncation),
+    "layers": ("layers", partial(_as_int, minimum=1, maximum=10_000)),
     "outputs": ("outputs", _read_outputs),
     "sweep": ("sweep", _read_sweep),
 }
@@ -280,12 +276,6 @@ def config_from_mapping(doc: Mapping) -> RunConfig:
     """Build a RunConfig from a parsed JSON document, rejecting unknown keys
     at every level."""
     values = _read_object(doc, "config", _CONFIG_KEYS)
-    if "layers" in doc and "boxCount" in doc:
-        raise ConfigError("give either 'layers' or 'boxCount', not both")
-    for layout, key, other in (("layered", "layers", "boxCount"),
-                               ("stacked", "boxCount", "layers")):
-        if values.get("layout") == layout and other in doc:
-            raise ConfigError(f"layout '{layout}' takes '{key}', not '{other}'")
     return RunConfig(**values.pop("schedule", {}), **values)
 
 
@@ -603,13 +593,13 @@ def _cmd_plan(cfg: RunConfig, outputs: OutputPaths, out) -> int:
     print(f"schedule: {schedule_label(sched)}", file=out)
     print(f"{'level':>5} {'boxes':>6} {'first-j':>8} {'height':>12} "
           f"{'side':>10} {'pitch':>10} {'width':>10}", file=out)
-    plans = layer_plans(sched, cfg.truncation, cfg.layout)
+    plans = layer_plans(sched, cfg.layers, cfg.layout)
     for i, count, start, height, side, pitch, width in zip(
             plans.i.tolist(), plans.count, plans.start, plans.height.tolist(),
             plans.max_side.tolist(), plans.pitch.tolist(), plans.width.tolist()):
         print(f"{i:>5} {count:>6} {start:>8} {height:>12.6f} {side:>10.6f} "
               f"{pitch:>10.6f} {width:>10.6f}", file=out)
-    print(f"total boxes through level {cfg.truncation}: {len(boxes)}", file=out)
+    print(f"total boxes through level {cfg.layers}: {len(boxes)}", file=out)
     return 0
 
 
@@ -694,7 +684,7 @@ def _cmd_selftest(cfg: RunConfig, outputs: OutputPaths, out) -> int:
 
 def _cmd_report(cfg: RunConfig, outputs: OutputPaths, out) -> int:
     kwargs = {}
-    wants_geometry = (cfg.layout is not None or cfg.truncation is not None
+    wants_geometry = (cfg.layout is not None or cfg.layers is not None
                       or cfg.k_family is not None)
     if wants_geometry:
         sched = cfg.schedule()
@@ -743,7 +733,7 @@ _COMMANDS = {
 
 _FLAGS = {
     "--config": dict(metavar="PATH", required=True, help="JSON run configuration"),
-    "--layers": dict(type=int, metavar="N", help="override the configured truncation"),
+    "--layers": dict(type=int, metavar="N", help="override the configured number of levels"),
     "--dimension": dict(type=int, metavar="N", help="override the configured dimension"),
     "--out": dict(metavar="DIR", help="redirect all artifacts into DIR"),
 }

@@ -130,13 +130,13 @@ def _np_ldexp(x, e) -> np.ndarray:
 
 def _sign_margin(terms, floor: np.ndarray):
     """The sum `value` of `terms`, which may differ in shape where they
-    broadcast; value over max(floor, max |term|), 0 where every term is 0;
-    and whether value is not <= _SIGN_TOL times that bound, so that a NaN
-    is a violation."""
+    broadcast; value over max(floor, max |term|), 0 where every term is 0
+    and NaN where one is; and whether value is not <= _SIGN_TOL times that
+    bound, so that a NaN is a violation."""
     value = functools.reduce(np.add, terms)
     scale = functools.reduce(np.maximum, (np.abs(term) for term in terms))
     bound = np.maximum(floor, scale)
-    return value, np.where(scale > 0, value / bound, 0.0), ~(value <= _SIGN_TOL * bound)
+    return value, np.where(scale == 0, 0.0, value / bound), ~(value <= _SIGN_TOL * bound)
 
 
 def _check_blocks(n_tuple: Tuple[int, ...], m_max: int, rho_arr: np.ndarray,
@@ -242,9 +242,8 @@ def verify_sweep(n_values: Sequence[int] = SweepParams.n_values,
     for block in _check_blocks(n_tuple, m_max, rho_arr, alpha_table):
         for family, (margin, violated) in enumerate(block):
             counts[family] += int(np.count_nonzero(violated))
-            # the per-mode maxima folded by Python's max in (radius, dimension,
-            # multiplier) order, which skips a NaN maximum instead of keeping it
-            worst[family] = max([worst[family], *margin.max(axis=-1).ravel().tolist()])
+            # a NaN check makes its family's worst margin NaN
+            worst[family] = float(np.maximum(worst[family], margin.max()))
     return SweepSummary(n_tuple, m_max, int(rho_arr.size),
                         int(rho_arr.size * np.size(alpha_table) * (m_max + 1)),
                         *counts, *worst)

@@ -96,6 +96,44 @@ MUTANTS = [
     ("target-table-admits-zero", "sequences.py",
      "or self.values[0] <= 0.0", "or self.values[0] < 0.0",
      ("tests/test_sequences.py::test_families_refuse_zero_at_their_positivity_boundary",)),
+    ("sweep-worst-skips-nan", "dtnverify.py",
+     "float(np.maximum(worst[family], margin.max()))",
+     "max([worst[family], *margin.max(axis=-1).ravel().tolist()])",
+     ("tests/test_dtnverify.py::test_sweep_counts_a_nan_as_a_violation",)),
+    ("sign-margin-zeroes-nan", "dtnverify.py",
+     "np.where(scale == 0, 0.0, value / bound)", "np.where(scale > 0, value / bound, 0.0)",
+     ("tests/test_dtnverify.py::test_sweep_counts_a_nan_as_a_violation",)),
+    ("repr-power-of-two-fallback-dropped", "_digits.py",
+     "step, near = x, m == 0.5", "step, near = x, m != m",
+     ("tests/test_digits.py::test_r_powers_of_two_and_their_neighbours",)),
+    ("repr-interval-end-fallback-dropped", "_digits.py",
+     "near |= np.abs(dist - half) < _NEAR_END", "near |= False",
+     ("tests/test_digits.py::test_r_interval_ends",)),
+    ("repr-near-tie-fallback-dropped", "_digits.py",
+     "near |= inside & (np.abs(dist - unit / 2) < _NEAR_END)", "near |= False",
+     ("tests/test_digits.py::test_r_exact_and_near_ties_between_two_shortest_candidates",)),
+    ("repr-fixed-through-e16", "_digits.py",
+     "(16, [_DOT, _NOUGHT])", "(17, [_DOT, _NOUGHT])",
+     ("tests/test_digits.py::test_r_notation_switches",)),
+    ("repr-integral-without-point-zero", "_digits.py",
+     "(16, [_DOT, _NOUGHT])", "(16, [])",
+     ("tests/test_digits.py::test_r_short_decimals_and_integers",)),
+    ("zero-keeps-the-digit-one", "_digits.py",
+     "_ZERO, where=zero)", "_ZERO, where=False)",
+     ("tests/test_emitters.py::test_csv_special_values_equal_the_oracle",
+      "tests/test_emitters.py::test_json_special_values_print_as_json_does")),
+    ("repr-skips-multiples-of-ten", "_digits.py",
+     "for unit in (1, 10, 100):", "for unit in (1, 100):",
+     ("tests/test_digits.py::test_r_short_decimals_and_integers",)),
+    ("json-block-kept-across-yield", "cli.py",
+     "        del block  # freed once written", "        pass  # freed once written",
+     ("tests/test_emitters.py::test_emitter_allocation_peaks",)),
+    ("json-floats-in-one-call", "cli.py",
+     "range(0, len(floats), 4):\n            fields += list(_digits.r([column[rows] "
+     "for column in floats[start:start + 4]]))",
+     "range(0, len(floats), len(floats)):\n            fields += list(_digits.r("
+     "[column[rows] for column in floats]))",
+     ("tests/test_emitters.py::test_emitter_allocation_peaks",)),
 ]
 
 KNOWN_SURVIVORS = [

@@ -72,7 +72,7 @@ def per_radius_checks(n_values: Sequence[int], m_max: int, rho_grid: Sequence[fl
             scale_a = np.maximum(np.maximum(np.abs(a1), a2), a3)
             tol_a = _SIGN_TOL * np.maximum(inv2ey, scale_a)
             a_mask = nu >= 0.5
-            a_scaled = np.where(scale_a > 0, m_a / np.maximum(inv2ey, scale_a), 0.0)
+            a_scaled = np.where(scale_a == 0, 0.0, m_a / np.maximum(inv2ey, scale_a))
             rows[0].append(([np.where(a_mask, a_scaled, -math.inf)],
                             [~(m_a <= tol_a) & a_mask]))
 
@@ -82,7 +82,7 @@ def per_radius_checks(n_values: Sequence[int], m_max: int, rho_grid: Sequence[fl
             re_wu = gj * jt + gy * ym
             scale_re = np.maximum(np.abs(gj * jt), np.abs(gy * ym))
             tol_re = _SIGN_TOL * np.maximum(inv2ey, scale_re)
-            re_scaled = np.where(scale_re > 0, re_wu / np.maximum(inv2ey, scale_re), 0.0)
+            re_scaled = np.where(scale_re == 0, 0.0, re_wu / np.maximum(inv2ey, scale_re))
 
             b1 = (rho * rho - mu2) * m2
             b2 = rho * rho * w2
@@ -94,7 +94,7 @@ def per_radius_checks(n_values: Sequence[int], m_max: int, rho_grid: Sequence[fl
                 scale_b = np.maximum(np.maximum(np.abs(b1), b2),
                                      np.maximum(np.abs(b3), b4))
                 tol_b = _SIGN_TOL * np.maximum(inv2ey, scale_b)
-                b_rows[0].append(np.where(scale_b > 0, m_b / np.maximum(inv2ey, scale_b), 0.0))
+                b_rows[0].append(np.where(scale_b == 0, 0.0, m_b / np.maximum(inv2ey, scale_b)))
                 b_rows[1].append(~(m_b <= tol_b))
             rows[1].append(b_rows)
             rows[2].append(([re_scaled], [~(re_wu <= tol_re)]))

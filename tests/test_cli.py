@@ -78,16 +78,14 @@ def test_config_round_trip():
     assert cfg.a_family == APower(1.0e-4, 0.25)
     assert cfg.d_family == DShiftedPower(2.0, 6.0, 1.2)
     assert cfg.layout == "layered"
-    assert cfg.truncation == 4
+    assert cfg.layers == 4
     assert cfg.sweep is None
     sched = cfg.schedule()
     assert sched == demo_schedule()
 
 
 def test_config_table_families():
-    doc = demo_mapping(layout="stacked")
-    del doc["layers"]
-    doc["boxCount"] = 2
+    doc = demo_mapping(layout="stacked", layers=2)
     doc["schedule"] = {
         "wavenumbers": {"family": "table", "values": [5.0, 9.0]},
         "targets": {"family": "table", "values": [0.01, 0.02]},
@@ -95,7 +93,7 @@ def test_config_table_families():
     }
     cfg = config_from_mapping(doc)
     assert cfg.k_family == KTable((5.0, 9.0))
-    assert cfg.truncation == 2
+    assert cfg.layers == 2
     boxes, summary = cfg.geometry()
     assert summary.layout == "stacked" and len(boxes) == 2
 
@@ -111,28 +109,27 @@ def test_config_unknown_keys_rejected():
         config_from_mapping(demo_mapping(sweep={"mmax": 3}))
 
 
-def test_config_truncation_exclusive():
-    with pytest.raises(ConfigError, match="not both"):
-        config_from_mapping(demo_mapping(boxCount=7))
-
-
-@pytest.mark.parametrize("layout, key, other", [("layered", "layers", "boxCount"),
-                                                ("stacked", "boxCount", "layers")])
-def test_config_refuses_the_truncation_key_of_the_other_layout(tmp_path, capsys, layout,
-                                                               key, other):
-    doc = demo_mapping() if layout == "layered" else stacked_table_mapping()
-    doc[other] = doc.pop(key)
-    refusal = f"layout '{layout}' takes '{key}', not '{other}'"
-    with pytest.raises(ConfigError) as info:
-        config_from_mapping(doc)
-    assert str(info.value) == refusal
+def test_config_has_one_truncation_key(tmp_path, capsys):
+    # `layers` counts levels on either layout, and a stacked level is one
+    # box: `boxCount` is an unknown key
+    doc = stacked_table_mapping()
+    doc["boxCount"] = doc.pop("layers")
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    for argv in (["plan"], ["build", "--out", str(out)]):
+        assert run([*argv, "--config", cfg]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: unknown key(s) in config: boxCount (allowed: dimension, "
+            "layers, layout, outputs, schedule, sweep)\n"))
+    assert not out.exists()
+    del doc["boxCount"]
     assert run(["plan", "--config", write_config(tmp_path, doc)]) == 2
-    assert capsys.readouterr() == ("", f"error: {refusal}\n")
-    # --layers overrides the key the layout takes
-    doc[key] = doc.pop(other)
-    assert run(["plan", "--config", write_config(tmp_path, doc), "--layers", "2"]) == 0
-    total = 4 if layout == "layered" else 2
-    assert capsys.readouterr().out.endswith(f"total boxes through level 2: {total}\n")
+    assert capsys.readouterr() == (
+        "", "error: config needs 'layout' and 'layers' for geometry commands\n")
+    # --layers overrides the configured levels of either layout
+    for doc, total in ((demo_mapping(), 4), (stacked_table_mapping(), 2)):
+        assert run(["plan", "--config", write_config(tmp_path, doc), "--layers", "2"]) == 0
+        assert capsys.readouterr().out.endswith(f"total boxes through level 2: {total}\n")
 
 
 def test_config_type_validation():
@@ -481,9 +478,7 @@ def test_run_build_dimension_nine(tmp_path, capsys):
 
 
 def test_run_stacked_needs_wavenumber_table(tmp_path, capsys):
-    doc = demo_mapping(layout="stacked")
-    doc["boxCount"] = doc.pop("layers")
-    cfg = write_config(tmp_path, doc)
+    cfg = write_config(tmp_path, demo_mapping(layout="stacked"))
     assert run(["build", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "summable" in err
@@ -536,8 +531,7 @@ def test_run_specfun_selftest_fails_on_one_bad_value(monkeypatch, capsys, grid, 
 
 
 def stacked_table_mapping():
-    doc = demo_mapping(layout="stacked", boxCount=3)
-    del doc["layers"]
+    doc = demo_mapping(layout="stacked", layers=3)
     doc["schedule"]["wavenumbers"] = {"family": "table",
                                       "values": [5.0, 9.0, 17.0, 30.0]}
     doc["schedule"]["paddings"] = {"family": "table", "values": [0.7, 0.3, 0.1]}
@@ -560,9 +554,7 @@ def test_run_plan_stacked_prints_the_built_depths(tmp_path, capsys):
 
 
 def test_run_plan_stacked_log_growth_exit_2(tmp_path, capsys):
-    doc = demo_mapping(layout="stacked")
-    doc["boxCount"] = doc.pop("layers")
-    cfg = write_config(tmp_path, doc)
+    cfg = write_config(tmp_path, demo_mapping(layout="stacked"))
     assert run(["plan", "--config", cfg]) == 2
     assert "summable" in capsys.readouterr().err
 
@@ -671,8 +663,8 @@ def test_precision_key_and_flag_are_refused(tmp_path, capsys, command):
     cfg = write_config(tmp_path, demo_mapping(precisionDigits=30))
     assert run([command, "--config", cfg, *out]) == 2
     assert capsys.readouterr() == ("", (
-        "error: unknown key(s) in config: precisionDigits (allowed: boxCount, "
-        "dimension, layers, layout, outputs, schedule, sweep)\n"))
+        "error: unknown key(s) in config: precisionDigits (allowed: dimension, "
+        "layers, layout, outputs, schedule, sweep)\n"))
     cfg = write_config(tmp_path, demo_mapping(), name="ok.json")
     assert run([command, "--config", cfg, "--precision", "30", *out]) == 2
     captured = capsys.readouterr()
@@ -683,12 +675,11 @@ def test_precision_key_and_flag_are_refused(tmp_path, capsys, command):
 
 
 def test_run_build_stacked_at_the_box_count_bound(tmp_path, monkeypatch, capsys):
-    # 10,000 one-box levels, the most `boxCount` allows: the packing
+    # 10,000 one-box levels, the most `layers` allows: the packing
     # certificate keeps one row per level, where a table of all pairs of
     # levels would need about 7 GiB
     count = 10_000
-    doc = demo_mapping(layout="stacked", boxCount=count)
-    del doc["layers"]
+    doc = demo_mapping(layout="stacked", layers=count)
     doc["schedule"]["wavenumbers"] = {"family": "table",
                                       "values": [10.0 + j for j in range(count)]}
     doc["schedule"]["paddings"] = {"family": "table",
@@ -702,7 +693,7 @@ def test_run_build_stacked_at_the_box_count_bound(tmp_path, monkeypatch, capsys)
 
 def test_run_huge_box_count_and_flags_exit_2(tmp_path, capsys):
     doc = stacked_table_mapping()
-    doc["boxCount"] = HUGE
+    doc["layers"] = HUGE
     assert run(["plan", "--config", write_config(tmp_path, doc)]) == 2
     cfg = write_config(tmp_path, demo_mapping(), name="ok.json")
     for flag in ("--dimension", "--layers"):
@@ -773,7 +764,7 @@ def test_run_convergence_error_exit_2(monkeypatch, capsys, argv):
 def test_run_certify_huge_wavenumbers(tmp_path, capsys):
     # 8 k^2 S overflows binary64 here; the resolvent floor must not read 0
     doc = stacked_table_mapping()
-    doc["boxCount"] = 2
+    doc["layers"] = 2
     doc["schedule"]["wavenumbers"] = {"family": "table", "values": [1e150, 2e150]}
     doc["schedule"]["paddings"] = {"family": "table",
                                    "values": [3e-151, 2e-151, 1e-151]}
@@ -953,8 +944,7 @@ def test_run_design_identity_past_binary64_exit_2(tmp_path, capsys, command):
      "volume tail leaves binary64: box 2 has side 4.946725538820594e+102"),
 ], ids=["enclosure", "tail-sum"])
 def test_run_volume_past_binary64_exit_2(tmp_path, capsys, command, values, message):
-    doc = demo_mapping(dimension=3, layout="stacked", boxCount=1)
-    del doc["layers"]
+    doc = demo_mapping(dimension=3, layout="stacked", layers=1)
     doc["schedule"]["wavenumbers"] = {"family": "table", "values": values}
     out = tmp_path / "out"
     assert run([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
@@ -1125,7 +1115,7 @@ RANGE_EDGE = {
 
 def one_box_mapping(n, k):
     doc = stacked_table_mapping()
-    doc.update(dimension=n, boxCount=1)
+    doc.update(dimension=n, layers=1)
     doc["schedule"] = {key: {"family": "table", "values": [value]} for key, value in
                        (("wavenumbers", k), ("targets", 1.0), ("paddings", 1.0))}
     return doc

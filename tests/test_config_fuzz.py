@@ -1,9 +1,9 @@
 """Random config documents against the exit-code contract: every subcommand
 run on any document returns 0, 1 or 2 and never raises.
 
-Sizes stay small (dimension 2-4, at most 4 layers or boxes, sweeps of at
-most 5 radii and mMax <= 5), numbers range over all of binary64, including
-NaN and the infinities, and any value may be malformed.  Two malformed
+Sizes stay small (dimension 2-4, at most 4 levels, sweeps of at most 5
+radii and mMax <= 5), numbers range over all of binary64, including NaN and
+the infinities, and any value may be malformed.  Two malformed
 files (not UTF-8, nested 200,000 deep) and two truncations past the box
 bound (10,000 layers at n=2, 2 layers at n=32) are pinned as examples.
 """
@@ -50,14 +50,6 @@ SWEEP = st.fixed_dictionaries(
               "rhoMin": NUMBER, "rhoMax": NUMBER})
 
 
-def _truncation_key(doc):
-    """The document with its truncation under the key its layout takes."""
-    if doc["layout"] == "stacked":
-        doc = dict(doc)
-        doc["boxCount"] = doc.pop("layers")
-    return doc
-
-
 # a document always holds a sweep, so that verify-dtn never falls back to
 # its 2,000-radius default grid
 WELL_FORMED = st.fixed_dictionaries({
@@ -66,9 +58,9 @@ WELL_FORMED = st.fixed_dictionaries({
     "layout": st.sampled_from(["layered", "stacked"]),
     "layers": st.integers(1, 4),
     "sweep": SWEEP,
-}).map(_truncation_key)
+})
 
-KEYS = ("dimension", "schedule", "layout", "layers", "sweep", "boxCount", "outputs")
+KEYS = ("dimension", "schedule", "layout", "layers", "sweep", "outputs")
 
 
 def _spoil(case):

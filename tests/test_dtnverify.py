@@ -156,7 +156,8 @@ def test_sweep_covers_extreme_orders():
 def test_sweep_counts_a_nan_as_a_violation(monkeypatch):
     """One NaN ladder entry per base order, at the first radius and the
     order of mode m = 1 (nu = 1 at n = 2, 3/2 at n = 3), reaches every
-    family there and fails the sweep: a NaN is not <= its tolerance."""
+    family there and fails the sweep: a NaN is not <= its tolerance, and
+    it is each family's worst margin."""
     ladder_batches = dtnverify.ladder_batches
 
     def poisoned(bases, ts):
@@ -171,6 +172,8 @@ def test_sweep_counts_a_nan_as_a_violation(monkeypatch):
     assert (summary.a_violations, summary.b_violations, summary.re_violations,
             summary.im_violations) == (2, 6, 2, 2)
     assert not summary.passed
+    assert all(map(math.isnan, (summary.worst_a_scaled, summary.worst_b_scaled,
+                                summary.worst_re_scaled, summary.worst_im_residual)))
 
 
 def checks(n_values, m_max, rho_grid, alphas=None):
@@ -280,7 +283,7 @@ def folded(ref, kwargs):
     return SweepSummary(
         tuple(kwargs["n_values"]), kwargs["m_max"], rho_arr.size, ref[1][1].size,
         *(int(np.count_nonzero(mask)) for _, mask in ref),
-        *(max(start, float(margin.max())) for margin, start in
+        *(float(np.maximum(start, margin.max())) for margin, start in
           zip(margins, (-math.inf, -math.inf, -math.inf, 0.0))))
 
 
