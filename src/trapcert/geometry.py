@@ -27,33 +27,24 @@ geometry bit for bit: arrays carry only correctly rounded operations
 float operations per element (numpy's pow and log may differ in the last
 bit).
 
-The packing certificate never forms all N^2 pairs.  It first splits the
-boxes into groups, in passes over the axes (the vertical one first, then
-each axis in turn until no group splits): a pass sorts each group by lower
-coordinate on its axis and cuts it wherever a box starts beyond the upper
-coordinate of every box before it in the group.  Every box from the cut on
-starts no lower than the box at the cut, so each pair split across groups
-is strictly apart on that axis (or, for a minimum distance, where the
-upper coordinates are widened by the distance of a pair already in hand
-and rounded upward, apart by more than that distance).  Inside the groups a
-sort-and-sweep along one axis yields the remaining candidates, and only
-these are measured, in bounded chunks.  One such sweep, from the levels as
-groups, finds both the overlaps and the minimum gaps inside every level.
-Across levels nothing is swept: the levels are stacked, the highest top of
-each strictly below the lowest bottom of every level above it, so one gap
-per level below the first settles every pair of levels at once.  Every
-distance, and every bound used to skip pairs, is one per-pair formula that
-is monotone under rounding, so the certificate reports the same bits as an
-all-pairs pass inside the levels and a lower bound for every pair across
-them, at O(N log N) per pass plus the candidates, in O(N) memory beside a
-fixed chunk of candidate pairs.
+The packing certificate forms no pairs of boxes.  Inside a level, a grid
+lemma: if its boxes share one base height, take each tuple of per-axis
+columns (their distinct horizontal corners) exactly once, and the highest
+top of each column lies strictly below the next column, then any two are
+strictly apart and the least separation of adjacent columns is the
+level's minimum distance; `build_layered` lays each level out so, as
+pitch x column.  Across levels, a stacking lemma: with the highest top of
+each level strictly below the lowest bottom of every level above it, one
+gap per level bounds every pair across it.  Every distance is monotone
+under rounding, so the certificate reports the bits of an all-pairs pass
+inside the levels, from sorts and O(N) passes in O(N) memory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -405,33 +396,30 @@ def build_layered(sched: Schedule, layers: int,
 
 @dataclass(frozen=True, eq=False)
 class DisjointnessReport:
-    """The overlapping pairs (j, j') with j < j' inside the levels, and the
-    measured gaps as numpy record arrays, columns read as
-    `report.cross.min_distance`.
-
-    `in_layer` has one row per level with two or more boxes: `layer`, the
-    minimum distance between its boxes and the value the construction
-    promises, `expected` = d_i / ln(i+e).  `cross` has one row per level i'
-    below the first, in order: `layer_a`, the level i right above it,
-    `layer_b` = i', the distance of the vertical gap between i' and the
-    levels above it, a lower bound on the distance between every box of i'
-    and every box above it (0 where they are not stacked), the floor
-    `required` = d_{i'-1} and the `rounding` the floor allows for (see
-    `disjointness_certificate`).
+    """The first `breach` of the grid lemma inside the levels (see
+    `disjointness_certificate`), naming its box, or its level where cells
+    are empty, or None; and the measured gaps as numpy record arrays,
+    columns read as `report.cross.min_distance`.  `in_layer` has one row
+    per level with two or more boxes: `layer`, the minimum distance between
+    its boxes (proved where there is no breach) and the promised `expected`
+    = d_i / ln(i+e).  `cross` has one row per level i' below the first:
+    `layer_a` right above it, `layer_b` = i', the distance of the vertical
+    gap under the levels above, a lower bound for every pair across it (0
+    where not stacked), the floor `required` = d_{i'-1} and its `rounding`.
     """
 
-    overlap_pairs: Tuple[Tuple[int, int], ...]
+    breach: Optional[str]
     in_layer: np.recarray
     cross: np.recarray
 
     @property
     def failure(self) -> Optional[str]:
-        """The first failing check with its level(s) and values: the
-        overlaps, else two levels not stacked, else an in-layer gap off its
+        """The first failing check with its box or level(s) and values: the
+        breach, else two levels not stacked, else an in-layer gap off its
         promised value, else a cross-level distance below its floor; None
         when all pass."""
-        if self.overlap_pairs:
-            return f"{len(self.overlap_pairs)} overlapping pairs"
+        if self.breach is not None:
+            return self.breach
         g = self.cross
         flat = np.flatnonzero(~(g.min_distance > 0.0))
         if flat.size:
@@ -457,189 +445,133 @@ class DisjointnessReport:
         return self.failure is None
 
 
-# candidate pairs examined per numpy step; bounds the working memory of the
-# sweep at a few MiB whatever the box count
-_PAIR_CHUNK = 1 << 16
+def _level_gaps(boxes: Boxes) -> Tuple[Optional[str], np.ndarray, np.ndarray, np.ndarray,
+                                        np.ndarray, np.ndarray, np.ndarray]:
+    """The grid and stacking lemmas on every level at once, as plain
+    arrays: the first breach or None; per level its layer, box count and
+    in-layer minimum (inf for one box); per level below the first, its
+    stacking gap, the `rounding` of its floor, and whether the gap is met
+    where there is no breach (see `_feature_scale`)."""
+    lo, hi, j = boxes.lo, boxes.hi, boxes.j
+    # the levels in row order, with the first row and the row count of each:
+    # `Boxes` keeps `layer` nondecreasing, so each level is one run, and a
+    # stable sort keyed first on the level leaves each level on its rows
+    starts = np.r_[0, np.flatnonzero(np.diff(boxes.layer)) + 1]
+    layers, sizes = boxes.layer[starts], np.diff(np.r_[starts, len(boxes)])
+    level = np.repeat(np.arange(len(layers)), sizes)
+    axes = lo.shape[1] - 1
 
+    # per horizontal axis: the column of each box (its rank among the
+    # level's distinct lower corners), the columns of each level, and the
+    # separation of each column from the next, which gives the minima
+    column = np.empty((len(boxes), axes), dtype=np.int64)
+    shape = np.empty((axes, len(layers)))
+    minima = np.full(len(layers), math.inf)
+    reach = []  # (box reaching the next column, axis, first box of that column)
+    for ax in range(axes):
+        o = np.lexsort((lo[:, ax], level))
+        v = lo[o, ax]
+        opens = np.r_[True, v[1:] != v[:-1]]
+        opens[starts] = True
+        first = np.flatnonzero(opens)
+        c = np.cumsum(opens) - 1
+        column[o, ax] = c - c[starts][level]
+        shape[ax] = np.diff(np.r_[c[starts], len(first)])
+        top = np.maximum.reduceat(hi[o, ax], first)
+        left = np.flatnonzero(np.diff(level[first]) == 0)
+        sep = v[first[left + 1]] - top[left]
+        np.minimum.at(minima, level[first[left]], np.sqrt(np.maximum(sep, 0.0) ** 2))
+        at = np.flatnonzero(np.isin(c, left[~(sep > 0.0)]) & (hi[o, ax] == top[c]))
+        if at.size:
+            p = at[np.argmin(o[at])]
+            reach.append((o[p], ax, o[first[c[p] + 1]]))
 
-def _pair_distances(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
-    """Euclidean distances of the row-aligned box pairs (a_r, b_r), from the
-    per-axis separations (zero where the projections overlap).
+    # the first breach: (1) a box off its level's base, the height of the
+    # level's first box, (2) a cell taken twice or left empty, (3) a column
+    # that reaches the next
+    off_base = np.flatnonzero(lo[:, -1] != lo[starts, -1][level])
+    o = np.lexsort((*column.T, level))
+    twice = np.flatnonzero((np.diff(level) == 0) & (np.diff(column[o], axis=0) == 0).all(axis=1))
+    empty = np.flatnonzero(shape.prod(axis=0) != sizes)
+    breach = None
+    if off_base.size:
+        p = off_base[0]
+        q = starts[level[p]]
+        breach = (f"box {j[p]} stands at {lo[p, -1].item()!r}, off the base "
+                  f"{lo[q, -1].item()!r} of level {boxes.layer[p]} (box {j[q]}'s)")
+    elif twice.size:
+        p = twice[np.argmin(o[twice + 1])]
+        breach = f"box {j[o[p + 1]]} shares its grid cell with box {j[o[p]]}"
+    elif empty.size:
+        p = empty[0]
+        breach = (f"level {layers[p]} leaves grid cells empty: {sizes[p]} boxes on "
+                  + " x ".join(str(int(c)) for c in shape[:, p]) + " cells")
+    elif reach:
+        a, ax, b = min(reach)
+        breach = (f"box {j[a]} reaches the column of box {j[b]} on axis {ax + 1}: "
+                  f"top {hi[a, ax].item()!r} against {lo[b, ax].item()!r}")
 
-    This is the one per-pair formula of the module: every distance it
-    reports, and every bound used to skip pairs, is this expression on
-    (m, n) rows, so equal inputs give equal bits whatever route led to them.
-    numpy sums a contiguous last axis the same way for (m, n) rows as for
-    (A, B, n) all-pairs blocks; the tests hold the two routes equal.
-    """
-    sep = np.maximum(lo_a - hi_b, lo_b - hi_a)
-    np.maximum(sep, 0.0, out=sep)
-    return np.sqrt((sep ** 2).sum(axis=1))
-
-
-def _reach(delta: float) -> float:
-    """A separation u with fl(sqrt(fl(u*u))) > delta.
-
-    A pair whose computed separation along one axis is >= u has a computed
-    distance > delta: squaring, summing non-negative terms and sqrt are all
-    monotone under round-to-nearest.
-    """
-    u = math.nextafter(delta, math.inf)
-    while u < math.inf and not math.sqrt(u * u) > delta:
-        u *= 2.0  # only reached where u*u underflows
-    return u
-
-
-def _sorted_on(lo: np.ndarray, hi: np.ndarray, reach: np.ndarray, rows: np.ndarray,
-               group: np.ndarray, ax: int) -> Tuple[np.ndarray, ...]:
-    """`rows` and their groups ordered by (group, lo on axis `ax`), with an
-    integer key for each row's lo and cut-off on that axis.
-
-    The cut-off is hi + reach (one value per row) rounded upward.  A key
-    is group * R + the value's rank among the R distinct lo and cut-off
-    values of these rows, so keys of one group compare exactly as the
-    floats do, every key of a later group is larger, and a running maximum
-    over the keys restarts at each group.
-    """
-    o = np.lexsort((lo[rows, ax], group))
-    rows, group = rows[o], group[o]
-    cut = np.nextafter(hi[rows, ax] + reach[rows], math.inf)
-    values, rank = np.unique(np.concatenate((lo[rows, ax], cut)),
-                             return_inverse=True)
-    key = group * len(values) + rank.reshape(2, -1)
-    return rows, group, key[0], key[1]
-
-
-def _partition(lo: np.ndarray, hi: np.ndarray, reach: np.ndarray,
-               group: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The rows that share a group with another row after splitting the
-    groups on every axis, with their group ids.
-
-    A pass over one axis sorts each group by lo and opens a new group at
-    every row whose lo exceeds the cut-off of every row before it in its
-    group; the vertical axis goes first, then each axis in turn, until no
-    axis splits a group.  A row that opens a group lies beyond the cut-off
-    of every row before it, so a pair split across groups is dropped by the
-    sweep's own comparison on that axis.
-    """
-    n = lo.shape[1]
-    rows = np.arange(len(lo))
-    ax, settled = n - 1, 0
-    while settled < n and len(rows):
-        rows, group, key_lo, key_cut = _sorted_on(lo, hi, reach, rows, group, ax)
-        opens = np.ones(len(rows), dtype=bool)
-        opens[1:] = key_lo[1:] > np.maximum.accumulate(key_cut)[:-1]
-        # a pass that splits leaves its own axis settled: each new group is
-        # already one unbroken run along it
-        settled = 1 if (opens[1:] & (group[1:] == group[:-1])).any() else settled + 1
-        group = np.cumsum(opens) - 1
-        keep = np.bincount(group)[group] > 1
-        rows, group = rows[keep], group[keep]
-        ax = (ax + 1) % n
-    return rows, group
-
-
-def _sweep_pairs(lo: np.ndarray, hi: np.ndarray, reach: np.ndarray, group: np.ndarray
-                 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Chunks (i, k) of row indices covering every unordered pair of rows
-    of one group (rows with equal `group` labels, small integers) that is
-    not provably apart along some axis.
-
-    With a reach u per row a pair is dropped only when lo_b > hi_a + u_a in
-    exact arithmetic on some axis (the cut-off is rounded upward), so its
-    computed separation on that axis is >= u_a.  The groups are first split
-    on every axis (`_partition`); inside them the rows are swept along the
-    axis with the fewest candidates.  Each chunk holds at most _PAIR_CHUNK
-    pairs unless one row alone has more.
-    """
-    rows, group = _partition(lo, hi, reach, group)
-    rank = np.arange(len(rows))
-    best = None
-    for ax in range(lo.shape[1]):
-        o, _, key_lo, key_cut = _sorted_on(lo, hi, reach, rows, group, ax)
-        e = np.maximum(np.searchsorted(key_lo, key_cut, side="right"), rank + 1)
-        total = int((e - rank - 1).sum())
-        if best is None or total < best[0]:
-            best = (total, o, e)
-    _, order, ends = best
-    m = len(order)
-    counts = ends - rank - 1
-    csum = np.cumsum(counts)
-    r = 0
-    while r < m:
-        base = int(csum[r - 1]) if r else 0
-        e = max(int(np.searchsorted(csum, base + _PAIR_CHUNK, side="right")),
-                r + 1)
-        c = counts[r:e]
-        total = int(csum[e - 1]) - base
-        if total:
-            i_rank = np.repeat(rank[r:e], c)
-            k_rank = i_rank + 1 + (np.arange(total)
-                                   - np.repeat(np.cumsum(c) - c, c))
-            yield order[i_rank], order[k_rank]
-        r = e
-
-
-def _min_distance(lo: np.ndarray, hi: np.ndarray, delta: float) -> float:
-    """Minimum computed distance over the pairs of rows, where delta is the
-    computed distance of one pair.
-
-    Every pair the delta-widened sweep drops has a computed distance
-    > delta >= the minimum, so the minimum over the candidates is the
-    minimum over all pairs, bit for bit.
-    """
-    best = math.inf
-    for i, k in _sweep_pairs(lo, hi, np.full(len(lo), _reach(delta)), np.zeros(len(lo), np.int64)):
-        best = np.minimum(best, _pair_distances(lo[i], hi[i], lo[k], hi[k]).min())
-    return float(best)
-
-
-def _apart(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
-    """Whether some axis strictly separates the closed boxes of each
-    row-aligned pair (a_r, b_r), in either direction."""
-    return ((hi_a < lo_b) | (hi_b < lo_a)).any(axis=1)
+    # each level's lowest bottom and highest top; the stacking lemma's gap
+    # under every level but the first, from the lowest bottom above it, as
+    # a computed distance
+    h = np.minimum.reduceat(lo[:, -1], starts)
+    top = np.maximum.reduceat(hi[:, -1], starts)
+    tall = np.maximum.reduceat(boxes.side, starts)[1:]
+    gap = np.minimum.accumulate(h)[:-1] - top[1:]
+    between = np.sqrt(np.maximum(gap, 0.0) ** 2)
+    rounding = 0.5 * sum(np.spacing(np.abs(v)) for v in
+                         (h[:-1] - tall, h[1:], top[1:], h[:-1] - top[1:]))
+    # the first box at the highest top of each level below the first, and
+    # the first box of the level above, at its lowest bottom if no breach
+    high = np.flatnonzero(hi[:, -1] == top[level])
+    a, b = high[np.r_[True, np.diff(level[high]) > 0]][1:], starts[:-1]
+    met = ((lo[a, :-1] <= hi[b, :-1]) & (lo[b, :-1] <= hi[a, :-1])).all(axis=1)
+    return breach, layers, sizes, minima, between, rounding, met
 
 
 def disjointness_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessReport:
-    """Exact closure-disjointness plus the quantitative gap floors: a
-    partition and sort-and-sweep (sweep-and-prune, Cohen et al., I-COLLIDE
-    1995) inside the levels, and a stacking lemma across them.
+    """Exact closure-disjointness plus the quantitative gap floors: a grid
+    lemma inside the levels and a stacking lemma across them.
 
     Disjointness is decided by strict comparison of computed coordinates,
     no tolerance: two closed boxes are disjoint iff some axis strictly
-    separates them.  Every pair a sweep drops or `_partition` splits across
-    groups has closed projections that do not meet on one axis, which is its
-    proof, and every other pair gets the all-axes test.
+    separates them.
 
-    One partition and sweep serves both the overlaps and the gaps inside
-    the levels.  It starts from the levels as groups, each level's rows
-    widened by the distance of one of its pairs (an upper bound on its
-    minimum distance, so every pair left out is farther away), and it drops
-    a pair only when the two are at least that reach u > 0 apart on some
-    axis, so every pair of one level whose closures meet is among its
-    candidates, and each level's minimum is the all-pairs one bit for bit.
+    Inside a level, a grid lemma.  On each horizontal axis the columns of
+    the level are its distinct lower corners in increasing order.  Suppose
+    (1) its boxes share one base height; (2) they form a full grid, each
+    tuple of per-axis columns taken by exactly one box; and (3) on every
+    horizontal axis the highest top t_c of column c lies strictly below the
+    lower corner l_(c+1) of column c + 1: s_c = fl(l_(c+1) - t_c) > 0, as a
+    rounded difference has the sign of the exact one.  Two boxes of the
+    level then sit in columns c < c' on some axis, where one ends by t_c and
+    the other starts at l_(c') >= l_(c+1): they are strictly apart.
+    Rounding is monotone, so their computed separation there is at least
+    s_c; squaring, adding nonnegative terms and sqrt are monotone too, so
+    their computed distance is at least fl(sqrt(fl(s_c^2))).  The box that
+    reaches t_c and the box of column c + 1 in its other columns (the grid
+    is full) share every other lower corner, so that bound is their
+    distance: the level's minimum is the least fl(sqrt(fl(s_c^2))) over its
+    axes and adjacent columns, the all-pairs one bit for bit.  `breach`
+    names the first box that breaks a hypothesis, in the order (1), (2),
+    (3), the lowest within one.
 
     Across levels, a stacking lemma.  For each level i' below the first,
     let b be the lowest bottom of the levels above it, t the highest top of
-    i' and g = fl(b - t).  A rounded difference has the sign of the exact
-    one, so g > 0 iff b > t: every box above i' starts higher than every
-    box of i' ends, so each pair of a box of i' and a box above it is
-    strictly apart on the vertical axis and does not meet.  Rounding is
-    monotone, so the pair's computed vertical separation is at least g;
-    squaring, adding nonnegative terms and sqrt are monotone too, so its
-    computed distance is at least fl(sqrt(fl(g^2))), the row's
-    `min_distance`.  In binary64 fl(sqrt(fl(g^2))) = g when g^2 is normal
-    and finite (2^-511 <= g < 2^512); a subnormal g^2 may move the row off
-    g, and one that flushes to zero makes it 0, which counts as not
+    i' and g = fl(b - t).  g > 0 iff b > t: every box above i' starts
+    higher than every box of i' ends, so each pair of a box of i' and a box
+    above it is strictly apart on the vertical axis and does not meet.  As
+    above, the pair's computed distance is at least fl(sqrt(fl(g^2))), the
+    row's `min_distance`.  In binary64 fl(sqrt(fl(g^2))) = g when g^2 is
+    normal and finite (2^-511 <= g < 2^512); a subnormal g^2 may move the
+    row off g, and one that flushes to zero makes it 0, which counts as not
     stacked.  Either way the row is at most every pair's computed distance
     (inf past overflow, as is every pair's).  Every side is positive, so
-    the lowest bottoms of stacked levels fall from level to level; b is
-    then the bottom of the level right above i', unless some pair of
-    levels above i' is not stacked, and on the builder's arrangements the
-    row is the minimum over the pairs of the two levels, bit for bit: the
-    first box of each level is at once its lowest and its highest, and the
-    two overlap horizontally.  Levels that are not stacked fail the
-    certificate; their pairs are not examined.
+    once the levels above i' are stacked, b is the bottom of the level
+    right above; where its first box and the first at t overlap
+    horizontally, as on the builder's arrangements, the row is their
+    distance.  Levels that are not stacked fail the certificate; their
+    pairs are not examined.
 
     A floor d holds up to the rounding of the placement: a level sits at
     H' = fl(fl(H - ell) - d) under the base H of the level above, ell its
@@ -647,61 +579,19 @@ def disjointness_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessRepor
     is within half its spacing sp of the exact one and the errors add, so
     the gap is within `rounding` = (sp(H - ell) + sp(H') + sp(top) +
     sp(H - top)) / 2 of d; the levels farther up are farther away.
-
-    Cost: O(N log N) for each partition pass and each sweep axis, plus the
-    candidate pairs, plus O(N) for the level gaps, in O(N) memory beside a
-    fixed chunk of candidate pairs.  On the layered arrangement the vertical
-    pass separates the levels and the horizontal passes separate each
-    level's grid, so only the boxes within a level's reach of their
-    neighbours remain (80 pairs at n=4 with 6 layers, where a one-axis sweep
-    had 522,602); on the stacked layout every level is one box, and no pair
-    is swept.
     """
-    lo, hi = boxes.lo, boxes.hi
-    # the levels in row order, with the first row and the row count of each:
-    # `Boxes` keeps `layer` nondecreasing, so each level is one run
-    starts = np.r_[0, np.flatnonzero(np.diff(boxes.layer)) + 1]
-    layers, sizes = boxes.layer[starts], np.diff(np.r_[starts, len(boxes)])
-    level = np.repeat(np.arange(len(layers)), sizes)
-
-    # one sweep for the overlaps and the minima inside every level, each
-    # level widened by the distance of its first two boxes
-    multi = np.flatnonzero(sizes > 1)
-    first, second = starts[multi], starts[multi] + 1
-    reach = np.zeros(len(layers))
-    reach[multi] = [_reach(d) for d in
-                    _pair_distances(lo[first], hi[first], lo[second], hi[second]).tolist()]
-    minima = np.full(len(layers), math.inf)
-    pairs = [np.empty((2, 0), dtype=np.int64)]
-    for i, k in _sweep_pairs(lo, hi, reach[level], level):
-        lo_i, hi_i, lo_k, hi_k = lo[i], hi[i], lo[k], hi[k]
-        meet = ~_apart(lo_i, hi_i, lo_k, hi_k)
-        pairs.append(np.sort((i[meet], k[meet]), axis=0))  # rows are in j order
-        np.minimum.at(minima, level[i], _pair_distances(lo_i, hi_i, lo_k, hi_k))
-    first, second = np.concatenate(pairs, axis=1)
-    o = np.lexsort((second, first))
-    overlaps = tuple(zip(boxes.j[first[o]].tolist(), boxes.j[second[o]].tolist()))
-
+    breach, layers, sizes, minima, between, rounding, _ = _level_gaps(boxes)
+    inside = layers[sizes > 1]
     # d_i at every level with two or more boxes (its promised gap), then
     # above every level but the first (the floor under it)
-    need, at = np.unique(np.concatenate((layers[multi], layers[1:] - 1)), return_inverse=True)
+    need, at = np.unique(np.concatenate((inside, layers[1:] - 1)), return_inverse=True)
     d = paddings(sched, need.tolist())[at]
-    log_e = np.array([math.log(i + math.e) for i in layers[multi].tolist()])
-    in_layer = np.rec.fromarrays((layers[multi], minima[multi], d[:len(multi)] / log_e),
+    log_e = np.array([math.log(i + math.e) for i in inside.tolist()])
+    in_layer = np.rec.fromarrays((inside, minima[sizes > 1], d[:len(inside)] / log_e),
                                  names="layer,min_distance,expected")
-    # each level's lowest bottom and highest top; the stacking lemma's gap
-    # under every level but the first, from the lowest bottom above it, as
-    # a computed distance
-    h = np.minimum.reduceat(lo[:, -1], starts)
-    top = np.maximum.reduceat(hi[:, -1], starts)[1:]
-    tall = np.maximum.reduceat(boxes.side, starts)[1:]
-    gap = np.minimum.accumulate(h)[:-1] - top
-    between = np.sqrt(np.maximum(gap, 0.0) ** 2)
-    rounding = 0.5 * sum(np.spacing(np.abs(v)) for v in
-                         (h[:-1] - tall, h[1:], top, h[:-1] - top))
-    cross = np.rec.fromarrays((layers[:-1], layers[1:], between, d[len(multi):], rounding),
+    cross = np.rec.fromarrays((layers[:-1], layers[1:], between, d[len(inside):], rounding),
                               names="layer_a,layer_b,min_distance,required,rounding")
-    return DisjointnessReport(overlap_pairs=overlaps, in_layer=in_layer, cross=cross)
+    return DisjointnessReport(breach=breach, in_layer=in_layer, cross=cross)
 
 
 @dataclass(frozen=True)
@@ -760,13 +650,23 @@ def connectivity_certificate(boxes: Boxes, summary: GeometrySummary,
 # -------------------------------------------------------------------
 
 def _feature_scale(boxes: Boxes) -> float:
-    """Smallest geometric feature: positive aperture widths and pairwise
-    box distances.  Sealed boxes (gap 0) contribute no aperture feature."""
+    """Smallest geometric feature: the positive aperture widths (none for a
+    sealed box) and the all-pairs minimum distance, from the two lemmas.
+    That minimum is proved only where they hold and each stacking gap is
+    met: the first box at the highest top under it and the first box of the
+    level above overlap horizontally, so the gap is their distance, as on
+    the builder's arrangements.  Elsewhere this raises GeometryError."""
+    breach, layers, sizes, minima, between, _, met = _level_gaps(boxes)
+    if breach is not None:
+        raise GeometryError(f"no feature scale off the grid lemma: {breach}")
+    bad = np.flatnonzero(~(between > 0.0) | ~met)
+    if bad.size:
+        p = bad[0]
+        why = ("stacked, but their extreme boxes do not overlap horizontally"
+               if between[p] > 0.0 else "not stacked")
+        raise GeometryError(f"no feature scale: levels {layers[p]} and {layers[p + 1]} {why}")
     feats = (boxes.side * boxes.gap)[boxes.gap > 0.0].tolist()
-    if len(boxes) > 1:
-        lo, hi = boxes.lo, boxes.hi
-        delta = float(_pair_distances(lo[:1], hi[:1], lo[1:2], hi[1:2])[0])
-        feats.append(_min_distance(lo, hi, delta))
+    feats += minima[sizes > 1].tolist() + between.tolist()
     if not feats:
         raise GeometryError("no positive feature to resolve")
     return min(feats)

@@ -77,6 +77,21 @@ MUTANTS = [
     ("seeds-run-in-sorted-order", "specfun.py",
      'use = np.argsort(first, kind="stable")', "use = np.arange(first.size)",
      ("tests/test_specfun.py::test_seed_stall_names_the_callers_first_point",)),
+    ("column-separation-non-strict", "geometry.py",
+     "np.isin(c, left[~(sep > 0.0)])", "np.isin(c, left[~(sep >= 0.0)])",
+     ("tests/test_geometry.py::test_grid_lemma_names_the_box_that_breaks_it",)),
+    ("grid-shared-cell-unchecked", "geometry.py",
+     "    elif twice.size:", "    elif False:",
+     ("tests/test_geometry.py::test_grid_lemma_names_the_box_that_breaks_it",)),
+    ("grid-empty-cell-unchecked", "geometry.py",
+     "    elif empty.size:", "    elif False:",
+     ("tests/test_geometry.py::test_grid_lemma_names_the_box_that_breaks_it",)),
+    ("base-height-unchecked", "geometry.py",
+     "    if off_base.size:", "    if False:",
+     ("tests/test_geometry.py::test_grid_lemma_names_the_box_that_breaks_it",)),
+    ("feature-scale-takes-an-unmet-gap", "geometry.py",
+     "np.flatnonzero(~(between > 0.0) | ~met)", "np.flatnonzero(~(between > 0.0))",
+     ("tests/test_geometry.py::test_feature_scale_matches_all_pairs",)),
     ("floor-rounding-dropped", "geometry.py",
      "~(g.required - g.min_distance <= g.rounding)", "~(g.required - g.min_distance <= 0.0)",
      ("tests/test_geometry.py::test_stacked_floor_allows_the_rounding_of_the_placement",)),

@@ -1,27 +1,35 @@
-"""All-pairs packing certificate: the dense reference for the sweep and
-the stacking lemma.
+"""All-pairs packing certificate: the dense reference for the grid lemma
+and the stacking lemma.
 
-`all_pairs_certificate` builds a `DisjointnessReport` like
-`trapcert.geometry.disjointness_certificate` by brute force: a chunked N x N
+`all_pairs_certificate` measures what
+`trapcert.geometry.disjointness_certificate` proves, by brute force: a chunked N x N
 overlap test, one all-pairs distance matrix per level and one all-pairs
 block per pair of levels, each row in a Python loop with the scalar padding
 of `schedule_oracle`.  Its overlaps include the pairs across levels, and
 its `cross` has a row for every pair of levels i < i', where the
 certificate keeps one per level i' below the first.  It costs O(N^2) time
-and memory, so the tests run it only on small arrangements: the overlaps
-inside the levels and the in-layer rows must equal the certificate's bit
-for bit, and each certificate row must bound the oracle's rows of its
-level (see `assert_matches_all_pairs` in test_geometry.py).
+and memory, so the tests run it only on small arrangements: where the
+certificate proves its grid lemma the oracle finds no overlap inside a
+level and the same in-layer rows bit for bit, and each certificate row
+must bound the oracle's rows of its level (see `assert_matches_all_pairs`
+in test_geometry.py).
 """
 
 import math
+from collections import namedtuple
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from schedule_oracle import padding
-from trapcert.geometry import Boxes, DisjointnessReport
+from trapcert.geometry import Boxes
 from trapcert.sequences import Schedule
+
+
+# every overlapping pair (j, j') with j < j', in position order, and the
+# record arrays of `DisjointnessReport`, with a cross row for every pair of
+# levels
+AllPairs = namedtuple("AllPairs", "overlap_pairs in_layer cross")
 
 
 def _group_min_distance(lo_a, hi_a, lo_b, hi_b) -> float:
@@ -45,7 +53,7 @@ def all_pairs_min_distance(boxes: Boxes) -> float:
     return _in_group_min_distance(boxes.lo, boxes.hi)
 
 
-def all_pairs_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessReport:
+def all_pairs_certificate(boxes: Boxes, sched: Schedule) -> AllPairs:
     lo, hi = boxes.lo, boxes.hi
     js, layer_of = boxes.j.tolist(), boxes.layer.tolist()
     n_boxes = len(boxes)
@@ -86,7 +94,7 @@ def all_pairs_certificate(boxes: Boxes, sched: Schedule) -> DisjointnessReport:
                                            lo[idx[lb]], hi[idx[lb]])
             cross.append((la, lb, measured, padding(sched, lb - 1), rounding[lb]))
 
-    return DisjointnessReport(
+    return AllPairs(
         overlap_pairs=tuple(overlaps),
         in_layer=_records(in_layer, "layer,min_distance,expected", 1),
         cross=_records(cross, "layer_a,layer_b,min_distance,required,rounding", 2),

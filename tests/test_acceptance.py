@@ -299,7 +299,7 @@ def test_criterion_11_packing_invariants():
     sched = demo_schedule()
     boxes, _ = build_layered(sched, 3)
     report = disjointness_certificate(boxes, sched)
-    disjoint_ok = not report.overlap_pairs
+    disjoint_ok = report.breach is None
     gaps = report.in_layer
     in_layer_ok = bool((abs(gaps.min_distance - gaps.expected) / gaps.expected
                         <= 1.0e-12).all())

@@ -8,9 +8,9 @@ recursions in binary64, so agreement is asserted at 1e-13 relative.
 
 import dataclasses
 import math
+import re
 from functools import partial
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,10 +29,6 @@ from trapcert.geometry import (
     _blocked_raster,
     _feature_scale,
     _grid,
-    _pair_distances,
-    _partition,
-    _reach,
-    _sweep_pairs,
     _width_tail_bound,
     build_layered,
     connectivity_certificate,
@@ -425,7 +421,7 @@ def test_stacked_disjointness_generic():
     sched = stacked_schedule(extra=True)
     boxes, _ = build_layered(sched, 3, "stacked")
     report = disjointness_certificate(boxes, sched)
-    assert report.passed and not report.overlap_pairs
+    assert report.passed and report.breach is None
     assert len(report.in_layer) == 0  # singleton levels
     cross = report.cross
     assert cross.layer_a.tolist() == [1, 2] and cross.layer_b.tolist() == [2, 3]
@@ -599,7 +595,7 @@ def test_disjointness_demo_three_layers():
     boxes, _ = build_layered(S2, 3)
     report = disjointness_certificate(boxes, S2)
     assert report.passed
-    assert report.overlap_pairs == ()
+    assert report.breach is None
     gaps = report.in_layer
     assert gaps.layer.tolist() == [2, 3]
     assert rel(gaps.expected[1], GAP_IN_LAYER_3) < 1e-13
@@ -627,9 +623,8 @@ def test_disjointness_flags_overlap():
     boxes, _ = build_layered(S2, 2)
     tampered = with_values(boxes, 2, lo=boxes.lo[1] + (0.5, 0.0))
     report = disjointness_certificate(tampered, S2)
-    assert report.overlap_pairs == ((2, 3),)
-    assert not report.passed
-    assert report.failure == f"{len(report.overlap_pairs)} overlapping pairs"
+    assert report.failure == report.breach == (
+        "box 2 reaches the column of box 3 on axis 1: top 1.1557289414311658 against 0.5")
 
 
 def test_disjointness_failure_names_the_first_failing_check():
@@ -639,9 +634,9 @@ def test_disjointness_failure_names_the_first_failing_check():
     floors = np.rec.fromrecords([(1, 2, 2.75, 3.0, 0.25), (1, 3, 0.5, 0.75, 0.125),
                                  (2, 3, 0.25, 0.75, 0.125)],
                                 names="layer_a,layer_b,min_distance,required,rounding")
-    report = DisjointnessReport(((0, 1), (2, 3)), gaps, floors)
-    assert report.failure == "2 overlapping pairs"
-    report = dataclasses.replace(report, overlap_pairs=())
+    report = DisjointnessReport("box 3 shares its grid cell with box 2", gaps, floors)
+    assert report.failure == "box 3 shares its grid cell with box 2"
+    report = dataclasses.replace(report, breach=None)
     # a distance of 0 across levels: they are not stacked, checked first
     touching = floors.copy()
     touching.min_distance[2] = 0.0
@@ -660,30 +655,72 @@ def test_disjointness_touching_closures_flagged():
     boxes, _ = build_layered(S2, 2)
     (x, y), side = boxes.lo[1], boxes.side[1]
     tampered = with_values(take(boxes, [1, 2]), 1, lo=(x + side, y))
-    report = disjointness_certificate(tampered, S2)
-    assert report.overlap_pairs == ((2, 3),)
+    assert disjointness_certificate(tampered, S2).breach == (
+        "box 2 reaches the column of box 3 on axis 1: "
+        "top 1.1557289414311658 against 1.1557289414311658")
+
+
+# at n = 2, box 6 (level 3 is boxes 5 to 9) moved until its top is 1 ulp
+# past or on box 7's lower corner, onto box 8's cell (its own left empty)
+# or 1 ulp up off the base, or box 5, whose height is the base, 1 ulp up; at
+# n = 3, box 5 (level 2 is 3 x 3) 1 ulp past box 8's column, a fourth one
+GRID_TAMPERED = {
+    "one-ulp-into-the-next-column": (2, lambda b: with_values(
+        b, 5, lo=(math.nextafter(b.lo[6, 0], math.inf) - b.side[5], b.lo[5, 1])),
+        "box 6 reaches the column of box 7 on axis 1: "
+        "top 1.313447371707901 against 1.3134473717079007"),
+    "touching-the-next-column": (2, lambda b: with_values(
+        b, 5, lo=(b.lo[6, 0] - b.side[5], b.lo[5, 1])),
+        "box 6 reaches the column of box 7 on axis 1: "
+        "top 1.3134473717079007 against 1.3134473717079007"),
+    "two-boxes-on-one-cell": (2, lambda b: with_values(b, 5, lo=b.lo[7]),
+                              "box 8 shares its grid cell with box 6"),
+    "off-the-base": (2, lambda b: with_values(
+        b, 5, lo=(b.lo[5, 0], math.nextafter(b.lo[5, 1], 0.0))),
+        "box 6 stands at -2.0888692891672505, off the base -2.088869289167251 of level 3 "
+        "(box 5's)"),
+    "first-box-off-the-base": (2, lambda b: with_values(
+        b, 4, lo=(b.lo[4, 0], math.nextafter(b.lo[4, 1], 0.0))),
+        "box 6 stands at -2.088869289167251, off the base -2.0888692891672505 of level 3 "
+        "(box 5's)"),
+    "empty-cells": (3, lambda b: with_values(
+        b, 4, lo=(math.nextafter(b.lo[7, 0], math.inf) - b.side[4], *b.lo[4, 1:])),
+        "level 2 leaves grid cells empty: 9 boxes on 4 x 3 cells"),
+}
+
+
+@pytest.mark.parametrize("case", list(GRID_TAMPERED))
+def test_grid_lemma_names_the_box_that_breaks_it(case):
+    n, tamper, message = GRID_TAMPERED[case]
+    sched = demo_schedule(n)
+    tampered = tamper(build_layered(sched, 3)[0])
+    assert assert_matches_all_pairs(tampered, sched).failure == message
+    with pytest.raises(GeometryError, match=re.escape(message)):
+        _feature_scale(tampered)  # a breach leaves no proved feature scale
 
 
 def assert_matches_all_pairs(boxes, sched, exact=True):
     """The certificate against the all-pairs oracle, which measures every
     pair of levels.
 
-    The overlaps inside the levels and the in-layer rows are the oracle's,
-    bit for bit.  The certificate has one cross row per level i' below the
-    first, with the oracle's floor and rounding for the level above i';
-    its distance is at most the oracle's minimum against every level above
-    i', and with `exact` it is the oracle's minimum against the level right
-    above i', bit for bit.  A passing certificate leaves the oracle no
-    overlap and every pair of levels at its floor within the rounding.
+    Where there is no breach, the oracle finds no overlap in a level and
+    the in-layer rows are its own, bit for bit.  The certificate has one
+    cross row per level i' below the first, with the oracle's floor and
+    rounding for the level above i'; its distance is at most the oracle's
+    minimum against every level above i', and with `exact` it is the one
+    against the level right above i', bit for bit.  A passing certificate
+    leaves the oracle no overlap and every floor met within the rounding.
     """
     report = disjointness_certificate(boxes, sched)
     oracle = all_pairs_certificate(boxes, sched)
-    level = dict(zip(boxes.j.tolist(), boxes.layer.tolist()))
-    inside = tuple(p for p in oracle.overlap_pairs if level[p[0]] == level[p[1]])
-    assert repr(report.overlap_pairs) == repr(inside)  # same types as well
     got, want = report.in_layer, oracle.in_layer
-    assert isinstance(got, np.recarray)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert isinstance(got, np.recarray) and got.dtype == want.dtype
+    assert got.layer.tobytes() == want.layer.tobytes()
+    assert got.expected.tobytes() == want.expected.tobytes()
+    level = dict(zip(boxes.j.tolist(), boxes.layer.tolist()))
+    if report.breach is None:
+        assert all(level[a] != level[b] for a, b in oracle.overlap_pairs)
+        assert got.tobytes() == want.tobytes()
 
     cross, pairs = report.cross, oracle.cross
     assert isinstance(cross, np.recarray) and cross.dtype == pairs.dtype
@@ -732,42 +769,41 @@ def test_sweep_matches_all_pairs_stacked():
 
 
 def test_sweep_matches_all_pairs_tampered():
-    # boxes 6 and 13 moved onto boxes 8 and 11 of their levels, or box 6
-    # moved against box 5
+    # boxes 6 and 13 moved onto boxes 8 and 11 of their levels
     boxes, _ = build_layered(S2, 6)
     overlap = with_values(boxes, [5, 12], lo=boxes.lo[[7, 10]])
-    touching = with_values(boxes, 5, lo=(boxes.lo[4, 0] + boxes.side[4], boxes.lo[4, 1]))
-    for tampered in (overlap, touching):
-        assert not assert_matches_all_pairs(tampered, S2).passed
-    # overlap pairs come in position order, each with the smaller j first
-    report = disjointness_certificate(overlap, S2)
-    assert report.overlap_pairs == ((6, 8), (11, 13))
+    assert assert_matches_all_pairs(overlap, S2).failure == "box 8 shares its grid cell with box 6"
+    assert all_pairs_certificate(overlap, S2).overlap_pairs == ((6, 8), (11, 13))
 
 
 def test_overlap_across_the_level_boundary():
-    # the first box of level 3 lifted into the first box of level 2: the
-    # levels are not stacked, which fails the certificate without a search
-    # for the pair across them that the oracle finds
+    # level 3 (boxes 5 to 9) lifted as a whole to 0.1 above the base of
+    # level 2: the levels are not stacked, which fails the certificate
+    # without a search for the pairs across them that the oracle finds
     boxes, _ = build_layered(S2, 4)
-    base = boxes.lo[1]  # box 2, the first of level 2
-    lifted = with_values(boxes, 4, lo=(base[0] + 0.1, base[1] + 0.1))
+    lift = 0.1 + boxes.lo[1, 1] - boxes.lo[4, 1]
+    lifted = with_values(boxes, slice(4, 9), lo=boxes.lo[4:9] + (0.0, lift))
     report = assert_matches_all_pairs(lifted, S2, exact=False)
-    assert report.overlap_pairs == ()
+    assert report.breach is None
     assert report.failure == "levels 2 and 3 not stacked"
-    assert all_pairs_certificate(lifted, S2).overlap_pairs == ((2, 5),)
+    assert all_pairs_certificate(lifted, S2).overlap_pairs == (
+        (2, 5), (2, 6), (3, 7), (3, 8), (4, 9))
 
 
 def test_meeting_levels_without_an_overlap():
-    # level 2 stands between the two boxes of level 1, one unit from each:
-    # no pair meets, but the levels are not stacked, and that fails
-    boxes = squares([(0.0, 0.0), (4.0, 0.0), (2.0, 0.0), (2.0, 2.5)],
+    # level 2 stands between the two boxes of level 1, one unit from each,
+    # and beside them: no pair meets, but the levels are not stacked, and
+    # that fails
+    boxes = squares([(0.0, 0.0), (4.0, 0.0), (2.0, 0.0), (6.5, 0.0)],
                     [1.0, 1.0, 1.0, 1.0], layers=[1, 1, 2, 2])
     report = assert_matches_all_pairs(boxes, S2, exact=False)
-    assert report.overlap_pairs == ()
+    assert report.breach is None
     assert report.cross.min_distance.tolist() == [0.0]
     assert report.failure == "levels 1 and 2 not stacked"
-    assert report.in_layer.min_distance.tolist() == [3.0, 1.5]
+    assert report.in_layer.min_distance.tolist() == [3.0, 3.5]
     assert all_pairs_certificate(boxes, S2).cross.min_distance.tolist() == [1.0]
+    with pytest.raises(GeometryError, match="no feature scale: levels 1 and 2 not stacked"):
+        _feature_scale(boxes)  # a gap of 0 bounds the pairs but is no feature
 
 
 def test_interleaved_levels_fail_below_any_floor():
@@ -802,7 +838,7 @@ def test_stacked_column_with_one_touching_pair():
     touching = with_values(boxes, 2, lo=(0.0, bottom - boxes.side[2]))
     assert touching.hi[2, 1] == bottom
     report = assert_matches_all_pairs(touching, sched)
-    assert report.overlap_pairs == ()
+    assert report.breach is None
     assert report.cross.min_distance.tolist()[1] == 0.0
     assert report.failure == "levels 2 and 3 not stacked"
 
@@ -861,43 +897,70 @@ def level_stacks(draw):
                          gap=[0.1] * count, k=[10.0] * count, a=[1e-4] * count)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(box_lists(), level_stacks()))
+@st.composite
+def jittered_grids(draw):
+    """Up to three levels, each a full grid of up to 3 columns a side at
+    pitch 1 (sides largest first), stacked f units under the level above
+    for f in [-0.5, 1] or 0 (touching), and jittered: each column moved by
+    up to 0.25 units, and up to two corners of each level (its base height
+    too) moved by up to 0.5 units or 2 ulps of the coordinate, off their
+    cell, into the next column or off the base."""
+    n = draw(st.integers(2, 4))
+    layer, side, lo, bottom = [], [], [], 0.0
+    for i in range(1, draw(st.integers(1, 3)) + 1):
+        cols = draw(st.integers(1, 3))
+        moved = [[draw(st.one_of(st.just(0.0), st.floats(-0.25, 0.25))) for _ in range(cols)]
+                 for _ in range(n - 1)]
+        cells = _grid(cols, n - 1).tolist()
+        sides = sorted((draw(st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.05, 1.0)))
+                        for _ in cells), reverse=True)
+        if i > 1:
+            bottom -= max(sides) + draw(st.one_of(st.just(0.0), st.floats(-0.5, 1.0)))
+        corners = [[c + moved[ax][c] for ax, c in enumerate(cell)] + [bottom] for cell in cells]
+        for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+            corner = corners[draw(st.integers(0, len(cells) - 1))]
+            ax = draw(st.integers(0, n - 1))
+            ulps = st.integers(-2, 2).map(lambda k: k * math.ulp(corner[ax]))
+            corner[ax] += draw(st.one_of(st.floats(-0.5, 0.5), ulps))
+        layer += [i] * len(cells)
+        side += sides
+        lo += corners
+    count = len(layer)
+    return n, make_boxes(range(1, count + 1), layer, side, lo, gap=[0.1] * count,
+                         k=[10.0] * count, a=[1e-4] * count)
+
+
+def feature_scale_refusal(boxes, report):
+    """What `_feature_scale` must refuse, by loops: the breach, else the first
+    two levels not stacked or whose extreme boxes (the first at the lower's
+    highest top and at the upper's lowest bottom) are apart horizontally."""
+    if report.breach is not None:
+        return report.breach
+    lo, hi, layer = boxes.lo.tolist(), boxes.hi.tolist(), boxes.layer.tolist()
+    for row in report.cross:
+        a = min((p for p, la in enumerate(layer) if la == row.layer_b), key=lambda p: -hi[p][-1])
+        b = min((p for p, la in enumerate(layer) if la == row.layer_a), key=lambda p: lo[p][-1])
+        if not row.min_distance > 0.0:
+            return f"levels {row.layer_a} and {row.layer_b} not stacked"
+        if any(lo[a][x] > hi[b][x] or lo[b][x] > hi[a][x] for x in range(len(lo[a]) - 1)):
+            return f"levels {row.layer_a} and {row.layer_b} stacked, but their extreme boxes"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(box_lists(), level_stacks(), jittered_grids()))
 def test_sweep_matches_all_pairs_random_boxes(case):
+    # the grid lemma's soundness against the oracle, and the feature scale:
+    # the all-pairs minimum, bit for bit, wherever it is not refused
     n, boxes = case
-    assert_matches_all_pairs(boxes, demo_schedule(n), exact=False)
-    if len(boxes) > 1:
-        scale = _feature_scale(boxes)
-        apertures = [side * gap for side, gap in zip(boxes.side.tolist(),
-                                                     boxes.gap.tolist()) if gap > 0.0]
-        assert scale == min(apertures + [all_pairs_min_distance(boxes)])
-
-
-@settings(max_examples=150, deadline=None)
-@given(box_lists(), st.one_of(st.none(), st.floats(0.0, 2.0)),
-       st.sampled_from([1, 5, 1 << 16]))
-def test_sweep_drops_only_pairs_proved_apart(case, delta, chunk):
-    # the contract of `_sweep_pairs`, pair by pair: every pair of one level
-    # comes out once or is apart (strictly, or farther than delta), and no
-    # pair of two levels comes out
-    _, boxes = case
-    lo, hi, level = boxes.lo, boxes.hi, boxes.layer
-    reach = np.full(len(lo), 0.0 if delta is None else _reach(delta))
-    seen = set()
-    with mock.patch.object(trapcert.geometry, "_PAIR_CHUNK", chunk):
-        for i, k in _sweep_pairs(lo, hi, reach, level):
-            assert len(i) <= max(chunk, len(lo))
-            for a, b in zip(i.tolist(), k.tolist()):
-                assert level[a] == level[b] and (min(a, b), max(a, b)) not in seen
-                seen.add((min(a, b), max(a, b)))
-    for a in range(len(lo)):
-        for b in range(a + 1, len(lo)):
-            if level[a] != level[b] or (a, b) in seen:
-                continue
-            if delta is None:
-                assert ((hi[a] < lo[b]) | (hi[b] < lo[a])).any()
-            else:
-                assert _pair_distances(lo[[a]], hi[[a]], lo[[b]], hi[[b]])[0] > delta
+    report = assert_matches_all_pairs(boxes, demo_schedule(n), exact=False)
+    refusal = feature_scale_refusal(boxes, report)
+    if refusal is not None:
+        with pytest.raises(GeometryError, match=re.escape(refusal)):
+            _feature_scale(boxes)
+    else:
+        apertures = (boxes.side * boxes.gap)[boxes.gap > 0.0].tolist()
+        assert _feature_scale(boxes) == min(apertures + [all_pairs_min_distance(boxes)])
 
 
 def squares(corners, sides, layers=None):
@@ -907,100 +970,14 @@ def squares(corners, sides, layers=None):
                       gap=[0.1] * count, k=[10.0] * count, a=[1e-4] * count)
 
 
-def partition_axes(boxes, reach=0.0):
-    """The axes of `_partition`'s passes and the groups it leaves, as sets
-    of j, at the same reach for every box."""
-    axes = []
-    sorted_on = trapcert.geometry._sorted_on
-
-    def spy(lo, hi, reach, rows, group, ax):
-        axes.append(ax)
-        return sorted_on(lo, hi, reach, rows, group, ax)
-
-    with mock.patch.object(trapcert.geometry, "_sorted_on", spy):
-        rows, group = _partition(boxes.lo, boxes.hi, np.full(len(boxes), reach),
-                                 np.zeros_like(boxes.j))
-    groups = {}
-    for r, g in zip(rows.tolist(), group.tolist()):
-        groups.setdefault(g, set()).add(int(boxes.j[r]))
-    return axes, sorted(groups.values(), key=min)
-
-
-def test_partition_splits_on_a_second_pass():
-    # box 3 spans the heights of boxes 1 and 2, so the vertical pass keeps
-    # all three together; the pass along x splits box 3 off, and only the
-    # second vertical pass splits box 1 from box 2
-    boxes = squares([(0.0, 0.0), (0.0, 2.0), (5.0, 0.0)], [1.0, 1.0, 3.0])
-    assert partition_axes(boxes) == ([1, 0, 1], [])
-    assert not assert_matches_all_pairs(boxes, S2).overlap_pairs
-    # in three dimensions: box 3 bridges boxes 1 and 2 along x until the
-    # pass along y splits it off, and the second pass along x splits them
-    cubes = make_boxes([1, 2, 3], [2, 2, 2], [1.0, 1.0, 3.0],
-                       [(0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.0, 5.0, 0.0)],
-                       gap=[0.1] * 3, k=[10.0] * 3, a=[1e-4] * 3)
-    assert partition_axes(cubes) == ([2, 0, 1, 2, 0], [])
-    assert not assert_matches_all_pairs(cubes, demo_schedule(3)).overlap_pairs
-
-
-def test_partition_keeps_boxes_touching_on_their_only_separating_axis():
-    # box 2 sits on box 1 (y = 1 is both a top and a bottom): the second
-    # vertical pass must not cut there, and the pair is an overlap
-    boxes = squares([(0.0, 0.0), (0.0, 1.0), (5.0, 0.0)], [1.0, 1.0, 3.0])
-    assert partition_axes(boxes) == ([1, 0, 1], [{1, 2}])
-    report = assert_matches_all_pairs(boxes, S2)
-    assert report.overlap_pairs == ((1, 2),)
-    # touching along x, the axis that splits last
-    boxes = squares([(0.0, 0.0), (1.0, 0.0), (0.0, 5.0)], [1.0, 1.0, 0.5])
-    assert partition_axes(boxes)[1] == [{1, 2}]
-    assert assert_matches_all_pairs(boxes, S2).overlap_pairs == ((1, 2),)
-
-
-def test_partition_merges_reach_widened_chains():
-    # the level's first pair is 0.5 apart, so every row is widened by 0.5:
-    # boxes 3, 4 and 5 stand in a chain of gaps 0.5 and 0.25 and share one
-    # group although boxes 3 and 5 are 1.75 apart; box 6, 0.5 + 2^-48 past
-    # box 5 (one ulp past the upward-rounded cut-off), stays apart, and the
-    # minimum is the chain's inner gap
-    corners = [(0.0, 0.0), (1.5, 0.0), (10.0, 0.0), (11.5, 0.0), (12.75, 0.0),
-               (14.25 + 2.0 ** -48, 0.0)]
-    boxes = squares(corners, [1.0] * 6)
-    assert partition_axes(boxes, _reach(0.5))[1] == [{1, 2}, {3, 4, 5}]
-    assert partition_axes(boxes)[1] == []  # unwidened, every gap splits
-    report = assert_matches_all_pairs(boxes, S2)
-    assert report.in_layer.min_distance.tolist() == [0.25]
-    # the chain's minimum is found however its boxes are numbered
-    shuffled = squares([corners[r] for r in [4, 0, 5, 2, 1, 3]], [1.0] * 6)
-    assert assert_matches_all_pairs(shuffled, S2).in_layer.tobytes() == (
-        report.in_layer.tobytes())
-
-
-@pytest.mark.parametrize("n, layers, in_level_max", [(4, 6, 300), (9, 2, 30_000)])
-def test_sweep_work_counts(monkeypatch, n, layers, in_level_max):
-    # one sweep, for the overlaps and minima inside the levels, leaves a few
-    # candidates per level (one-axis sweeps had 522,602 overlap and 183,219
-    # minimum candidates at n=4, 7.2M of each at n=9); the levels are
-    # stacked, so no pair across them is swept
-    sweep, counts = _sweep_pairs, []
-
-    def counting(*args):
-        chunks = list(sweep(*args))
-        counts.append(sum(len(i) for i, _ in chunks))
-        return iter(chunks)
-
-    monkeypatch.setattr(trapcert.geometry, "_sweep_pairs", counting)
-    sched = demo_schedule(n)
-    boxes, _ = build_layered(sched, layers)
-    assert disjointness_certificate(boxes, sched).passed
-    (in_level,) = counts
-    assert 0 < in_level <= in_level_max
-
-
 def test_feature_scale_matches_all_pairs():
     for n, layers in [(2, 5), (2, 12), (3, 3)]:
         boxes, _ = build_layered(demo_schedule(n), layers)
         pitch = all_pairs_min_distance(boxes)
         apertures = (boxes.side * boxes.gap).tolist()
         assert _feature_scale(boxes) == min(apertures + [pitch])
+    with pytest.raises(GeometryError, match="levels 1 and 2 stacked, but their extreme"):
+        _feature_scale(squares([(0.0, 2.0), (3.0, 0.0)], [1.0] * 2, [1, 2]))  # 1 apart, aside
 
 
 # -------------------------------------------------------------------
