@@ -19,9 +19,10 @@ arrangement.
 
 Each step of the chain is written once, on columns (the design identity
 and the defining relation in `sequences`), and `certify_geometry` runs it
-over a `Boxes`.  Arrays carry only correctly rounded operations and
-eps^(3(n-1)/2) stays one Python float power per box, so the columns are
-the bits of the scalar chain that `tests/certify_oracle.py` keeps.
+over a `Boxes`, per element, chunk by chunk.  Arrays carry only correctly
+rounded operations and eps^(3(n-1)/2) stays one Python float power per
+box, so the columns are the bits of the scalar chain that
+`tests/certify_oracle.py` keeps.
 
 The mode's closed-form norms and the trace inequality used in the flux
 estimate are checked in the tests (`tests/certify_oracle.py`): the norms
@@ -39,7 +40,7 @@ from typing import Tuple
 import numpy as np
 
 from trapcert.geometry import Boxes
-from trapcert.sequences import defining_relation, design_identity, powers
+from trapcert.sequences import defining_relation, design_identity, each, row_chunks
 
 
 class CertifyError(ValueError):
@@ -53,7 +54,7 @@ def _infsup(n: int, eps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     c_n = (2.0 ** ((n - 1) / 2.0) * math.pi ** (n - 1.5)
            / (3.0 ** ((n - 1) / 2.0) * n ** 0.75))
     p = 1.5 * (n - 1)
-    power = powers(eps, p)
+    power = each(pow, eps, p)
     return c_n * power, power >= sys.float_info.min
 
 
@@ -98,20 +99,9 @@ class Certificates:
         return len(self.j)
 
 
-def certify_geometry(boxes: Boxes) -> Certificates:
-    """Certify every box of a built arrangement.
-
-    `Boxes` guarantees the domain of each box: k, ell > 0, eps in [0,1) and
-    a > 0.  Every box passes six gates or the call fails, naming the first
-    failing box and its first failing gate: the resonance k*ell = pi*sqrt(n)
-    to 1e-12 relative, which makes the product mode an exact Dirichlet
-    eigenmode; eps^(3(n-1)/2) normal (a sealed box, eps = 0, fails here) and
-    a finite threshold and margin, else ArithmeticError, as a bound outside
-    binary64 proves nothing; the inf-sup routes agreeing to 1e-9 relative, a
-    positive margin, and the defining relation.
-    """
-    n = boxes.lo.shape[1]
-    k, a, eps, ell = boxes.k, boxes.a, boxes.gap, boxes.side
+def _chain(n: int, js, k, a, eps, ell) -> Tuple[np.ndarray, ...]:
+    """The columns (ub, inv, c_prime, c_lb, margin) of one chunk of rows,
+    or its first failing box raises."""
     root = math.pi * math.sqrt(n)
     ub, normal = _infsup(n, eps)
     with np.errstate(all="ignore"):
@@ -129,7 +119,7 @@ def certify_geometry(boxes: Boxes) -> Certificates:
         if failed.any():
             i = int(np.argmax(failed))
             gate = int(np.argmin(gates[:, i]))
-            j, ki, ai, ei, li = (c[i].item() for c in (boxes.j, k, a, eps, ell))
+            j, ki, ai, ei, li = (c[i].item() for c in (js, k, a, eps, ell))
             error = ArithmeticError if gate in (1, 2) else CertifyError
             raise error([
                 f"box {j}: k*ell = {ki * li!r} violates the resonance relation pi*sqrt(n)",
@@ -141,7 +131,29 @@ def certify_geometry(boxes: Boxes) -> Certificates:
                 f"target {ai!r}",
                 f"box {j}: floor fails the defining relation",
             ][gate])
-    return Certificates(j=boxes.j, k=k, a=a, eps=eps, infsup_ub=ub,
+    return ub, inv, c_prime, c_lb, margin
+
+
+def certify_geometry(boxes: Boxes) -> Certificates:
+    """Certify every box of a built arrangement.
+
+    `Boxes` guarantees the domain of each box: k, ell > 0, eps in [0,1) and
+    a > 0.  Every box passes six gates or the call fails, naming the first
+    failing box and its first failing gate: the resonance k*ell = pi*sqrt(n)
+    to 1e-12 relative, which makes the product mode an exact Dirichlet
+    eigenmode; eps^(3(n-1)/2) normal (a sealed box, eps = 0, fails here) and
+    a finite threshold and margin, else ArithmeticError, as a bound outside
+    binary64 proves nothing; the inf-sup routes agreeing to 1e-9 relative, a
+    positive margin, and the defining relation.  The chain runs per element,
+    chunk by chunk (`sequences.CHUNK` rows), into five new columns, and
+    holds at most 1 MiB beside them.
+    """
+    ub, inv, c_prime, c_lb, margin = columns = [np.empty(len(boxes)) for _ in range(5)]
+    for rows in row_chunks(len(boxes)):
+        parts = _chain(boxes.lo.shape[1], *(c[rows] for c in (boxes.j, boxes.k, boxes.a,
+                                                               boxes.gap, boxes.side)))
+        for column, part in zip(columns, parts):
+            column[rows] = part
+    return Certificates(j=boxes.j, k=boxes.k, a=boxes.a, eps=boxes.gap, infsup_ub=ub,
                         infsup_ub_inv_identity=inv, c_prime_lb=c_prime,
                         c_lb=c_lb, margin=margin)
-

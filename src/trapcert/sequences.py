@@ -20,9 +20,10 @@ Each formula is written once, over a range of indices, also those that
 `certify` and `geometry` share (the design identity, the defining relation,
 the volume sum); `derived_params` is the one per-box call.  Only
 correctly rounded operations (+ - * /, sqrt) run as numpy, in the scalar
-association order.  Logs and powers stay CPython's `math.log` and `**` per
-element: over 1M points numpy's log differed from `math.log` on 56 and its
-power from `**` on 58,619 (numpy 2.4, AVX-512), and `x*x` differs from
+association order.  Logs and powers stay CPython's `math.log` and `**`,
+per element, chunk by chunk (so a column holds one chunk of Python floats
+at a time): over 1M points numpy's log differed from `math.log` on 56 and
+its power from `**` on 58,619 (numpy 2.4, AVX-512), and `x*x` differs from
 `x**2` on 822.
 """
 
@@ -30,8 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Sequence, Tuple, Union
+from itertools import chain, repeat
+from typing import Callable, Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,6 +40,8 @@ _E_E = math.exp(math.e)
 # (3/(2 pi^2))^(1/3), the dimensional prefactor of the gap-fraction formula;
 # since the other factor is < 1, eps < 0.5336 always
 _APERTURE_C = (3.0 / (2.0 * math.pi**2)) ** (1.0 / 3.0)
+# rows per chunk of the per-element evaluations (about 128 KiB of Python floats)
+CHUNK = 4096
 
 
 class ScheduleError(ValueError):
@@ -203,15 +206,26 @@ def _table_values(values: Tuple[float, ...], js: Sequence[int], what: str) -> np
     return np.array([values[j - 1] for j in js], dtype=float)
 
 
-def _growth_values(n: int, c: float, js: range) -> np.ndarray:
+def row_chunks(count: int) -> Iterator[slice]:
+    """Slices of CHUNK rows that cover rows 0..count-1 in order."""
+    return (slice(lo, lo + CHUNK) for lo in range(0, count, CHUNK))
+
+
+def each(fn: Callable[..., float], x: np.ndarray, *args: float) -> np.ndarray:
+    """fn(v, *args) per element v of x, as Python floats, chunk by chunk."""
+    out = np.empty(len(x))
+    for rows in row_chunks(len(x)):
+        part = x[rows].tolist()
+        out[rows] = np.fromiter(map(fn, part, *map(repeat, args)), float, len(part))
+    return out
+
+
+def _growth_values(n: int, c: float, js: Sequence[int]) -> np.ndarray:
     """c (j ln(j+e))^(1/n) ln^2(ln(j+e^e)) for j in js."""
-    return np.array([c * (j * math.log(j + math.e)) ** (1.0 / n)
-                     * math.log(math.log(j + _E_E)) ** 2 for j in js], dtype=float)
-
-
-def powers(x: np.ndarray, p: float) -> np.ndarray:
-    """x ** p per element, by CPython's float power (pow raises as ** does)."""
-    return np.fromiter(map(pow, x.tolist(), repeat(p)), float, len(x))
+    j = np.fromiter(js, float, len(js))
+    lnln = each(math.log, each(math.log, j + _E_E))
+    with np.errstate(over="ignore"):  # inf, as for floats
+        return c * each(pow, j * each(math.log, j + math.e), 1.0 / n) * each(pow, lnln, 2)
 
 
 def wavenumbers(sched: Schedule, js: Sequence[int]) -> np.ndarray:
@@ -231,7 +245,8 @@ def target_norms(sched: Schedule, js: range) -> np.ndarray:
     fam = sched.a_family
     if isinstance(fam, ATable):
         return _table_values(fam.values, js, "target")
-    return np.array([fam.amplitude * float(j) ** fam.exponent for j in js], dtype=float)
+    with np.errstate(over="ignore"):
+        return fam.amplitude * each(pow, np.fromiter(js, float, len(js)), fam.exponent)
 
 
 def paddings(sched: Schedule, js: Sequence[int]) -> np.ndarray:
@@ -284,7 +299,7 @@ def gap_fractions(n: int, k: np.ndarray, a: np.ndarray) -> np.ndarray:
         domain = (k > 0.0) & (a > 0.0)
         x = np.where(domain, design_identity(k, a), 1.0)
         p = -2.0 / (3.0 * n - 3.0)
-        eps = _APERTURE_C * powers(x, p)
+        eps = _APERTURE_C * each(pow, x, p)
         failed = ~(domain & (x < math.inf))
     if failed.any():
         i = int(np.argmax(failed))
@@ -379,7 +394,8 @@ def volume_sum(n: int, sides: np.ndarray, first: int, what: str) -> float:
     """sum ell^n over the sides of the boxes first, first + 1, ...; past
     binary64 it raises, naming `what` and the largest side."""
     try:
-        total = math.fsum(map(pow, sides.tolist(), repeat(n)))
+        total = math.fsum(chain.from_iterable(
+            map(pow, sides[rows].tolist(), repeat(n)) for rows in row_chunks(len(sides))))
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):

@@ -7,9 +7,11 @@ algebraic identities against mpmath-frozen references, and the inversion
 chain against random round trips.
 """
 
+import dataclasses
 import math
 import random
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -35,7 +37,7 @@ from trapcert.certify import (
     certify_geometry,
 )
 from trapcert.geometry import GeometryError, build_layered
-from trapcert.sequences import demo_schedule, design_identity, gap_fractions
+from trapcert.sequences import CHUNK, demo_schedule, design_identity, gap_fractions
 
 # mpmath, 40 digits
 C2 = 0.86051176034558705
@@ -219,7 +221,7 @@ def certificate_rows(records):
     return hex_rows(zip(*(c.tolist() for c in columns)))
 
 
-@pytest.mark.parametrize("n, layers", [(2, 30), (3, 5), (4, 4)])
+@pytest.mark.parametrize("n, layers", [(2, 30), (3, 5), (4, 4), (2, 60)])
 def test_certificate_columns_equal_the_scalar_functions(n, layers):
     sched = demo_schedule(n)
     boxes, _ = build_layered(sched, layers)
@@ -258,6 +260,44 @@ def test_certify_names_the_first_failing_box_and_gate(case):
         scalar_certify(tampered)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith(start)
+
+
+@pytest.mark.parametrize("rows", [[CHUNK], [CHUNK - 1, CHUNK], [CHUNK + 1500, 5000]],
+                         ids=["second-chunk", "across-the-edge", "two-in-one-chunk"])
+def test_certify_names_the_first_failing_box_across_chunks(rows):
+    boxes, _ = build_layered(demo_schedule(), 60)
+    assert len(boxes) > CHUNK + 1500
+    with pytest.raises(CertifyError) as got:
+        certify_geometry(with_values(boxes, rows, a=1.0))
+    assert str(got.value).startswith(f"box {min(rows) + 1}: inf-sup routes disagree")
+
+
+def test_build_and_certify_hold_their_columns_and_little_else():
+    """At 256 layers the traced peak of `build_layered` exceeds the bytes of
+    its `Boxes` by at most 1 MiB, and that of `certify_geometry` its five
+    new columns by at most 1 MiB: every Python float that a per-element
+    libm call or the volume sum makes lives one chunk at a time.  The
+    traced peak sees Python and numpy allocations only, not how they fall
+    in the process's resident set (see `test_emitter_allocation_peaks`)."""
+    sched = demo_schedule()
+    certify_geometry(build_layered(sched, 2)[0])  # first-call caches
+    tracemalloc.start()
+    try:
+        boxes, _ = build_layered(sched, 256)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        records = certify_geometry(boxes)
+        certify_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert len(boxes) == 166_590
+    mib = 2**20
+    columns = sum(getattr(boxes, f.name).nbytes for f in dataclasses.fields(boxes))
+    assert build_peak <= columns + mib
+    new = (records.infsup_ub, records.infsup_ub_inv_identity, records.c_prime_lb,
+           records.c_lb, records.margin)
+    assert certify_peak <= sum(c.nbytes for c in new) + mib
 
 
 def test_certify_two_failing_gates_report_the_earlier():

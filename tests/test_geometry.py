@@ -618,15 +618,6 @@ def test_disjointness_demo_thirty_layers():
     assert (abs(gaps.min_distance - gaps.expected) / gaps.expected <= 1e-12).all()
 
 
-def test_disjointness_flags_overlap():
-    # box 3 shifted half a unit past box 2's corner, on their level
-    boxes, _ = build_layered(S2, 2)
-    tampered = with_values(boxes, 2, lo=boxes.lo[1] + (0.5, 0.0))
-    report = disjointness_certificate(tampered, S2)
-    assert report.failure == report.breach == (
-        "box 2 reaches the column of box 3 on axis 1: top 1.1557289414311658 against 0.5")
-
-
 def test_disjointness_failure_names_the_first_failing_check():
     gaps = np.rec.fromrecords([(1, 2.0, 2.0), (2, 1.0, 1.25), (3, 1.0, 2.0)],
                               names="layer,min_distance,expected")
@@ -650,18 +641,9 @@ def test_disjointness_failure_names_the_first_failing_check():
     assert report.failure is None and report.passed
 
 
-def test_disjointness_touching_closures_flagged():
-    # closure disjointness is strict: sharing a face must fail
-    boxes, _ = build_layered(S2, 2)
-    (x, y), side = boxes.lo[1], boxes.side[1]
-    tampered = with_values(take(boxes, [1, 2]), 1, lo=(x + side, y))
-    assert disjointness_certificate(tampered, S2).breach == (
-        "box 2 reaches the column of box 3 on axis 1: "
-        "top 1.1557289414311658 against 1.1557289414311658")
-
-
 # at n = 2, box 6 (level 3 is boxes 5 to 9) moved until its top is 1 ulp
-# past or on box 7's lower corner, onto box 8's cell (its own left empty)
+# past or on box 7's lower corner (closures that touch fail: disjointness
+# is strict), onto box 8's cell (its own left empty)
 # or 1 ulp up off the base, or box 5, whose height is the base, 1 ulp up; at
 # n = 3, box 5 (level 2 is 3 x 3) 1 ulp past box 8's column, a fourth one
 GRID_TAMPERED = {

@@ -22,6 +22,7 @@ import trapcert.sequences
 from trapcert.cli import run
 from trapcert.geometry import build_layered, layer_plans
 from trapcert.sequences import (
+    CHUNK,
     APower,
     ATable,
     DShiftedPower,
@@ -352,12 +353,14 @@ def numpy_names(module):
 
 
 def test_column_code_calls_no_numpy_transcendental():
+    # `empty`: the output columns that the chunked evaluations fill
     assert numpy_names(trapcert.sequences) <= {
-        "array", "ndarray", "sqrt", "where", "errstate", "flatnonzero", "argmax", "fromiter"}
+        "array", "ndarray", "sqrt", "where", "errstate", "flatnonzero", "argmax", "fromiter",
+        "empty"}
     # the certificate chain
     assert numpy_names(trapcert.certify) <= {
         "array", "ndarray", "sqrt", "where", "errstate", "abs", "isinf", "stack",
-        "argmax", "argmin"}
+        "argmax", "argmin", "empty"}
 
 
 positive = st.floats(min_value=1e-300, max_value=1e300)
@@ -389,6 +392,10 @@ def schedules(draw):
 @settings(max_examples=200, deadline=None)
 @example(sched=tampered(c=1e300), start=1, count=45)
 @example(sched=tampered(exponent=250.0), start=1, count=45)
+# more than one chunk: every row, and a first failing box (j = 4,826, its
+# design identity past binary64) in the second chunk
+@example(sched=demo_schedule(3), start=1, count=CHUNK + 45)
+@example(sched=tampered(exponent=42.0), start=1, count=CHUNK + 1000)
 def test_random_families_equal_the_per_box_oracle(sched, start, count):
     js = range(start, start + count)
     assert column_outcome(sched, js) == oracle_outcome(sched, js)
